@@ -1,9 +1,10 @@
 """Internal rational-arithmetic backend.
 
-Public APIs speak :class:`fractions.Fraction` everywhere.  The hot
-kernels (simplex tableau, subset-sum tables) run on ``gmpy2.mpq`` when
-gmpy2 is importable, which is several times faster, and fall back to
+Public APIs speak :class:`fractions.Fraction` everywhere.  The
+brute-force kernels (the stability and price-of-anarchy subset sums)
+run on ``gmpy2.mpq`` when gmpy2 is importable and fall back to
 ``Fraction`` otherwise.  Both types are exact; results are identical.
+The LP does not use this shim: its tableau is plain ints.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ Subcommands: ``verify``, ``bound-table``, ``generate``, ``search``,
 ``poa``, ``greedy``.  All input is file-based (JSON with exact rational
 strings); output is deterministic.  Exit codes: 0 for a positive
 verdict (stable / feasible-as-requested), 1 for a negative verdict, 2
-for input errors, 3 for exhausted budgets.
+for input errors (bad arguments, files or environment values), 3 for
+exhausted budgets, and 4 for an internal error: any other exception,
+reported with its traceback on stderr, so that a crash never reads as a
+verdict.
 
 Environment: ``ALPHAHG_NODE_LIMIT`` and ``ALPHAHG_TIME_LIMIT`` set the
 default search budgets.
@@ -26,6 +29,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_range(text: str) -> range:
@@ -77,12 +81,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _print_report(
             stability.is_improvement_stable(game, partition, args.improvement)
         )
-    if args.qk is not None:
-        size, factor = args.qk
-        return _print_report(
-            stability.is_size_factor_stable(game, partition, int(size), _rational(factor))
-        )
-    raise InvalidInputError("choose one of --core / --q-size / --improvement / --qk")
+    size, factor = args.qk
+    try:
+        size = int(size)
+    except ValueError:
+        raise InvalidInputError(f"--qk: size must be an integer, not {size!r}") from None
+    return _print_report(
+        stability.is_size_factor_stable(game, partition, size, _rational(factor))
+    )
 
 
 def cmd_bound_table(args: argparse.Namespace) -> int:
@@ -131,6 +137,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    node_limit = args.node_limit
+    if node_limit is None:
+        node_limit = _env_number("ALPHAHG_NODE_LIMIT", int)
+    if node_limit is None:
+        node_limit = search.DEFAULT_NODE_LIMIT
+    time_limit = args.time_limit
+    if time_limit is None:
+        time_limit = _env_number("ALPHAHG_TIME_LIMIT", float)
     problem = search.SearchProblem(
         alpha=AlphaFunction.from_name(args.alpha),
         stable_size=args.q,
@@ -138,8 +152,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         gamma=args.gamma,
         weight_bound=args.weight_bound,
         baseline_bound=args.baseline_bound,
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
+        node_limit=node_limit,
+        time_limit=time_limit,
     )
     result = search.search_blocking_scenario(problem)
     print(f"verdict: {result.verdict}")
@@ -198,14 +212,14 @@ def cmd_greedy(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _env_int(name: str) -> int | None:
+def _env_number(name: str, kind: type) -> int | float | None:
     value = os.environ.get(name)
-    return int(value) if value else None
-
-
-def _env_float(name: str) -> float | None:
-    value = os.environ.get(name)
-    return float(value) if value else None
+    if not value:
+        return None
+    try:
+        return kind(value)
+    except ValueError:
+        raise InvalidInputError(f"{name}={value!r} is not a valid {kind.__name__}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,13 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a partition or scenario for stability")
     p.add_argument("file", help="game file (with partition) or scenario file")
-    p.add_argument("--core", action="store_true", help="no blocking coalition at all")
-    p.add_argument("--q-size", type=int, metavar="Q", help="no blocking coalition of size <= Q")
-    p.add_argument(
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--core", action="store_true", help="no blocking coalition at all")
+    mode.add_argument("--q-size", type=int, metavar="Q", help="no blocking coalition of size <= Q")
+    mode.add_argument(
         "--improvement", type=_rational, metavar="K",
         help="no coalition improves everyone by a factor > K",
     )
-    p.add_argument(
+    mode.add_argument(
         "--qk", nargs=2, metavar=("Q", "K"),
         help="no coalition of size exactly Q improves everyone by a factor > K",
     )
@@ -255,12 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_rational, required=True)
     p.add_argument("--weight-bound", type=_rational, default=Fraction(10))
     p.add_argument("--baseline-bound", type=_rational, default=Fraction(10))
-    p.add_argument("--node-limit", type=int, default=_env_int("ALPHAHG_NODE_LIMIT"))
-    p.add_argument("--time-limit", type=float, default=_env_float("ALPHAHG_TIME_LIMIT"))
     p.add_argument(
-        "--threads", type=int, default=1,
-        help="reserved; exploration is currently sequential for any value",
+        "--node-limit", type=int,
+        help=f"default: $ALPHAHG_NODE_LIMIT, else {search.DEFAULT_NODE_LIMIT}",
     )
+    p.add_argument("--time-limit", type=float, help="seconds; default: $ALPHAHG_TIME_LIMIT")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 
@@ -281,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is cmd_search and args.node_limit is None:
-        args.node_limit = search.DEFAULT_NODE_LIMIT
     try:
         return args.func(args)
     except ResourceLimitError as exc:
@@ -291,6 +303,11 @@ def main(argv: list[str] | None = None) -> int:
     except AlphaHGError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:  # noqa: BLE001 - a crash must not read as a verdict
+        import traceback  # imported here: a cold import costs ~3 ms of start-up
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

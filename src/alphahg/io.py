@@ -176,6 +176,10 @@ def load_json(path: str) -> dict:
             return json.load(handle, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: invalid JSON ({exc})") from None
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: not UTF-8 text") from None
+    except RecursionError:
+        raise InvalidInputError(f"{path}: JSON nested too deeply") from None
     except OSError as exc:
         raise InvalidInputError(f"{path}: {exc.strerror}") from None
 

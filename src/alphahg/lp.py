@@ -1,10 +1,13 @@
 """Exact rational linear programming.
 
-A small dense two-phase primal simplex over exact rationals.  Bland's
-rule guarantees termination; there is no floating point and no
-tolerance anywhere, so Optimal/Infeasible/Unbounded verdicts are exact.
-Performance is secondary to exactness: the intended scale is a few
-hundred variables and constraints.
+A small dense two-phase primal simplex with integer pivoting: each
+constraint row is scaled to Python ints once, and the tableau is kept
+as ints over one common denominator, so the pivots run on plain int
+arithmetic and never on ``Fraction`` (nor on the ``_rat`` backend).
+Bland's rule guarantees termination; there is no floating point and no
+tolerance anywhere, so Optimal/Infeasible/Unbounded verdicts, values
+and points are exact.  The intended scale is a few hundred variables
+and constraints.
 
 Variables are free by default and split into nonnegative pairs
 internally; mark variables nonnegative to skip the split.  Relations
@@ -14,12 +17,11 @@ slack variable).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from ._rat import to_fraction, to_rat
 from .errors import InvalidInputError
 
 RELATIONS = ("<=", "=", ">=")
@@ -29,6 +31,14 @@ class Constraint(NamedTuple):
     coeffs: tuple[Fraction, ...]
     relation: str
     rhs: Fraction
+
+
+def _fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _fractions(values) -> tuple[Fraction, ...]:
+    return tuple(map(_fraction, values))
 
 
 @dataclass(frozen=True)
@@ -58,11 +68,9 @@ class LinearProgram:
                 raise InvalidInputError(f"unknown relation {relation!r}")
             if len(coeffs) != n:
                 raise InvalidInputError("constraint length must match variable count")
-            rows.append(
-                Constraint(tuple(Fraction(x) for x in coeffs), relation, Fraction(rhs))
-            )
+            rows.append(Constraint(_fractions(coeffs), relation, _fraction(rhs)))
         object.__setattr__(self, "constraints", tuple(rows))
-        object.__setattr__(self, "objective", tuple(Fraction(x) for x in self.objective))
+        object.__setattr__(self, "objective", _fractions(self.objective))
         object.__setattr__(self, "nonnegative", tuple(bool(b) for b in nonneg))
 
     @classmethod
@@ -78,11 +86,8 @@ class LinearProgram:
             names = tuple(f"x{i}" for i in range(n))
         return cls(
             names=tuple(names),
-            constraints=tuple(
-                Constraint(tuple(Fraction(x) for x in co), rel, Fraction(rhs))
-                for co, rel, rhs in constraints
-            ),
-            objective=tuple(Fraction(x) for x in objective),
+            constraints=tuple(Constraint(tuple(co), rel, rhs) for co, rel, rhs in constraints),
+            objective=tuple(objective),
             nonnegative=tuple(nonnegative) if nonnegative is not None else (),
         )
 
@@ -111,86 +116,86 @@ SolveResult = Union[Optimal, Infeasible, Unbounded]
 
 
 class _Tableau:
-    """Dense simplex tableau over the exact-rational backend."""
+    """Dense simplex tableau of Python ints over one common denominator.
 
-    def __init__(self, rows, rhs, basis, num_cols):
-        self.rows = rows          # list of lists, each num_cols long
-        self.rhs = rhs            # list, one entry per row
+    Integer pivoting (Edmonds 1967; Bareiss 1968): the true tableau is
+    ``rows / d`` with ``d > 0``, each row carrying its right-hand side
+    as the last cell, and ``obj`` the reduced-cost row (last cell: minus
+    the objective value), also over ``d``.  ``d`` is up to sign the
+    determinant of the current basis matrix, so every cell is a minor of
+    the integer constraint matrix (bordered by the integer cost row, for
+    ``obj``) and each update ``(x*p - f*y) // d`` divides exactly.
+    """
+
+    def __init__(self, rows, basis, num_cols):
+        self.rows = rows          # list of int lists, num_cols + 1 long
         self.basis = basis        # basic column index per row
         self.num_cols = num_cols
+        self.d = 1
+        self.obj = None           # reduced-cost row, when an objective is set
 
     def pivot(self, r: int, c: int) -> None:
-        piv = self.rows[r][c]
-        inv = 1 / piv
-        row_r = self.rows[r]
-        if piv != 1:
-            for j in range(self.num_cols):
-                row_r[j] *= inv
-            self.rhs[r] *= inv
-        for i, row in enumerate(self.rows):
-            if i == r:
-                continue
+        prow = self.rows[r]
+        p, d = prow[c], self.d
+        others = [row for i, row in enumerate(self.rows) if i != r]
+        if self.obj is not None:
+            others.append(self.obj)
+        for row in others:
             f = row[c]
             if f:
-                for j in range(self.num_cols):
-                    if row_r[j]:
-                        row[j] -= f * row_r[j]
-                self.rhs[i] -= f * self.rhs[r]
+                row[:] = [(x * p - f * y) // d for x, y in zip(row, prow)]
+            elif p != d:
+                row[:] = [x * p // d for x in row]
+        if p < 0:
+            # only an artificial pivoted out after phase 1 lands here;
+            # flip every row so the denominator stays positive
+            for row in others + [prow]:
+                row[:] = [-x for x in row]
+            p = -p
+        self.d = p
         self.basis[r] = c
 
-    def run(self, reduced, value, allowed, debug=False):
-        """Primal simplex on the current basis.
+    def run(self, allowed):
+        """Primal simplex on the current basis and objective row.
 
-        ``reduced`` is the reduced-cost row (maximization: optimal when
-        none positive), ``value`` the current objective value.  Returns
-        ("optimal", value) or ("unbounded", None).
-
-        Bland's rule throughout (lowest-index entering and leaving
-        variable), which guarantees termination.
+        Maximization: optimal when no allowed reduced cost is positive.
+        Returns "optimal" or "unbounded".  Bland's rule throughout
+        (lowest-index entering and leaving variable), which guarantees
+        termination.
         """
-        rows, rhs = self.rows, self.rhs
+        rows, obj, basis = self.rows, self.obj, self.basis
         while True:
             entering = -1
             for j in range(self.num_cols):
-                if allowed[j] and reduced[j] > 0:
+                if allowed[j] and obj[j] > 0:
                     entering = j
                     break
             if entering < 0:
-                return "optimal", value
+                return "optimal"
+            # ratio rhs/a over rows with a > 0, compared by cross-multiplying
             leaving = -1
-            best = None
+            best_rhs = best_a = 0
             for i, row in enumerate(rows):
                 a = row[entering]
                 if a > 0:
-                    ratio = rhs[i] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leaving]
-                    ):
-                        best = ratio
-                        leaving = i
+                    if leaving >= 0:
+                        lhs, rhs = row[-1] * best_a, best_rhs * a
+                        if lhs > rhs or (lhs == rhs and basis[i] > basis[leaving]):
+                            continue
+                    best_rhs, best_a, leaving = row[-1], a, i
             if leaving < 0:
-                return "unbounded", None
-            if debug:
-                self.dump(reduced, value)
+                return "unbounded"
             self.pivot(leaving, entering)
-            # update the reduced-cost row with the fresh pivot row
-            f = reduced[entering]
-            if f:
-                prow = rows[leaving]
-                for j in range(self.num_cols):
-                    if prow[j]:
-                        reduced[j] -= f * prow[j]
-                value += f * rhs[leaving]
-
-    def dump(self, reduced, value) -> None:
-        print(f"-- tableau (value {value}) --", file=sys.stderr)
-        for i, row in enumerate(self.rows):
-            cells = " ".join(str(x) for x in row)
-            print(f"b{self.basis[i]:>3} | {cells} | {self.rhs[i]}", file=sys.stderr)
-        print("  r | " + " ".join(str(x) for x in reduced), file=sys.stderr)
 
 
-def solve(lp: LinearProgram, debug: bool = False) -> SolveResult:
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The rationals times the LCM of their denominators, as ints, and
+    that LCM."""
+    common = lcm(*{x.denominator for x in values})
+    return [x.numerator * (common // x.denominator) for x in values], common
+
+
+def solve(lp: LinearProgram) -> SolveResult:
     """Solve exactly; every Optimal assignment satisfies all constraints
     with exact rational comparison."""
     n = lp.num_vars
@@ -207,24 +212,23 @@ def solve(lp: LinearProgram, debug: bool = False) -> SolveResult:
             col_of.append((num_struct, num_struct + 1))
             num_struct += 2
 
-    zero = to_rat(0)
-
-    def expand(coeffs) -> list:
-        row = [zero] * num_struct
-        for v, x in enumerate(coeffs):
+    def expand(values) -> list[int]:
+        row = [0] * num_struct
+        for v, x in enumerate(values):
             if x:
-                r = to_rat(x)
                 plus, minus = col_of[v]
-                row[plus] = r
+                row[plus] = x
                 if minus >= 0:
-                    row[minus] = -r
+                    row[minus] = -x
         return row
 
-    # canonicalize every constraint to <= or = with rhs >= 0
-    canon: list[tuple[list, str, object]] = []
+    # canonicalize every constraint to <= or = with rhs >= 0, as one int
+    # row (coefficients, then rhs) scaled by the LCM of its denominators
+    canon: list[tuple[list[int], str, int]] = []
     for coeffs, relation, rhs in lp.constraints:
-        row = expand(coeffs)
-        r = to_rat(rhs)
+        scaled, common = _scaled((*coeffs, rhs))
+        row = expand(scaled[:-1])
+        r = scaled[-1]
         if relation == ">=":
             row = [-x for x in row]
             r = -r
@@ -233,59 +237,65 @@ def solve(lp: LinearProgram, debug: bool = False) -> SolveResult:
             row = [-x for x in row]
             r = -r
             relation = {"<=": ">=", ">=": "<=", "=": "="}[relation]
-        canon.append((row, relation, r))
+        canon.append((row + [r], relation, common))
 
-    m = len(canon)
     num_slack = sum(1 for _, rel, _ in canon if rel in ("<=", ">="))
     num_art = sum(1 for _, rel, _ in canon if rel in (">=", "="))
     total = num_struct + num_slack + num_art
 
-    rows: list[list] = []
-    rhs: list = []
+    # slack and artificial columns get coefficient +-1 in the scaled row,
+    # so each stands for its row's LCM times the Fraction tableau's
+    # variable; that positive column scaling leaves every sign, ratio
+    # order and so every pivot unchanged
+    rows: list[list[int]] = []
     basis: list[int] = []
     art_cols: list[int] = []
     slack_at = num_struct
     art_at = num_struct + num_slack
-    for row, relation, r in canon:
-        full = row + [zero] * (num_slack + num_art)
+    for row, relation, _ in canon:
+        full = row[:-1] + [0] * (num_slack + num_art) + row[-1:]
         if relation == "<=":
-            full[slack_at] = to_rat(1)
+            full[slack_at] = 1
             basis.append(slack_at)
             slack_at += 1
         elif relation == ">=":
-            full[slack_at] = to_rat(-1)
+            full[slack_at] = -1
             slack_at += 1
-            full[art_at] = to_rat(1)
+            full[art_at] = 1
             basis.append(art_at)
             art_cols.append(art_at)
             art_at += 1
         else:
-            full[art_at] = to_rat(1)
+            full[art_at] = 1
             basis.append(art_at)
             art_cols.append(art_at)
             art_at += 1
         rows.append(full)
-        rhs.append(r)
 
-    tab = _Tableau(rows, rhs, basis, total)
+    tab = _Tableau(rows, basis, total)
     art_set = set(art_cols)
     allowed = [True] * total
 
     if art_cols:
-        # phase 1: maximize minus the sum of artificials
-        reduced = [zero] * total
-        value = zero
-        for i, b in enumerate(basis):
-            if b in art_set:
-                for j in range(total):
-                    reduced[j] += rows[i][j]
-                value -= rhs[i]
-        for c in art_cols:
-            reduced[c] -= to_rat(1)
-        status, value = tab.run(reduced, value, allowed, debug=debug)
+        # phase 1: maximize minus the sum of the Fraction tableau's
+        # artificials, i.e. each integer artificial weighted by 1/L_i;
+        # the objective row is scaled by M = lcm(L_i) to stay integral
+        art_rows = [i for i, b in enumerate(basis) if b in art_set]
+        big = lcm(*{canon[i][2] for i in art_rows})
+        obj = [0] * (total + 1)
+        for i in art_rows:
+            w = big // canon[i][2]
+            for j, x in enumerate(rows[i]):
+                if x:
+                    obj[j] += w * x
+            obj[basis[i]] -= w  # basic columns price out to 0
+        # its last cell, sum(w * rhs), is minus M times the phase-1 value
+        tab.obj = obj
+        status = tab.run(allowed)
         assert status == "optimal"  # phase-1 objective is bounded above by 0
-        if value != 0:
+        if obj[-1] != 0:
             return Infeasible()
+        tab.obj = None
         # pivot surviving artificials out of the basis, or drop their rows
         for i in range(len(tab.basis) - 1, -1, -1):
             if tab.basis[i] in art_set:
@@ -295,42 +305,34 @@ def solve(lp: LinearProgram, debug: bool = False) -> SolveResult:
                         break
                 else:
                     del tab.rows[i]
-                    del tab.rhs[i]
                     del tab.basis[i]
         for c in art_cols:
             allowed[c] = False
 
-    # phase 2: the real objective, priced out for the current basis
-    cost = [zero] * total
-    for v, x in enumerate(lp.objective):
-        if x:
-            r = to_rat(x)
-            plus, minus = col_of[v]
-            cost[plus] = r
-            if minus >= 0:
-                cost[minus] = -r
-    reduced = list(cost)
-    value = zero
+    # phase 2: the real objective (scaled to ints), priced out for the
+    # current basis
+    cost = expand(_scaled(lp.objective)[0]) + [0] * (total - num_struct)
+    d = tab.d
+    obj = [d * x for x in cost] + [0]
     for i, b in enumerate(tab.basis):
         cb = cost[b]
         if cb:
-            row = tab.rows[i]
-            for j in range(tab.num_cols):
-                if row[j]:
-                    reduced[j] -= cb * row[j]
-            value += cb * tab.rhs[i]
-    status, value = tab.run(reduced, value, allowed, debug=debug)
-    if status == "unbounded":
+            for j, x in enumerate(tab.rows[i]):
+                if x:
+                    obj[j] -= cb * x
+    tab.obj = obj
+    if tab.run(allowed) == "unbounded":
         return Unbounded()
 
-    col_value = {b: tab.rhs[i] for i, b in enumerate(tab.basis)}
+    d = tab.d
+    col_value = {b: tab.rows[i][-1] for i, b in enumerate(tab.basis)}
     assignment = []
     for v in range(n):
         plus, minus = col_of[v]
-        x = col_value.get(plus, zero)
+        x = col_value.get(plus, 0)
         if minus >= 0:
-            x = x - col_value.get(minus, zero)
-        assignment.append(to_fraction(x))
+            x -= col_value.get(minus, 0)
+        assignment.append(Fraction(x, d))
     objective_value = sum(
         (c * x for c, x in zip(lp.objective, assignment)), Fraction(0)
     )

@@ -76,6 +76,10 @@ class SearchProblem:
             raise InvalidInputError("weight_bound must be positive")
         if self.baseline_bound < 1:
             raise InvalidInputError("baseline_bound must be >= 1")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise InvalidInputError("node_limit must be >= 0")
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise InvalidInputError("time_limit must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -208,83 +212,87 @@ def witness_system_lp(
     )
 
 
-def _solve_node(problem: SearchProblem, assignment) -> tuple[Fraction, Scenario]:
-    """Solve one node's relaxation; returns (optimal slack, LP point).
+class _NodeLP:
+    """Node relaxations of one search problem.
 
     Same system as :func:`witness_system_lp`, rewritten in shifted
     nonnegative variables ``v = w + B``, ``b'' = b - 1``, ``t' = t + L``
     so every constraint is a <=-row with nonnegative right-hand side:
     the simplex then starts from the all-slack basis and needs no
-    phase 1.  The optimum and point map back exactly.
+    phase 1.  The optimum and point map back exactly.  The rows that do
+    not depend on the witness assignment are built once per problem.
     """
-    m = problem.size
-    B, U = problem.weight_bound, problem.baseline_bound
-    gamma = problem.gamma
-    pairs = _pair_index(m)
-    num_pairs = len(pairs)
-    b_at = num_pairs
-    t_at = num_pairs + m
-    num_vars = num_pairs + m + 1
-    a_full = problem.alpha.value(m)
-    shift = gamma + a_full * (m - 1) * B  # lower bound offset for the slack
 
-    zero = Fraction(0)
-    constraints: list[Constraint] = []
+    def __init__(self, problem: SearchProblem) -> None:
+        m = problem.size
+        B, U = problem.weight_bound, problem.baseline_bound
+        gamma = problem.gamma
+        self.problem = problem
+        self.pairs = pairs = _pair_index(m)
+        num_pairs = len(pairs)
+        self.b_at = b_at = num_pairs
+        self.t_at = t_at = num_pairs + m
+        self.num_vars = num_vars = num_pairs + m + 1
+        a_full = problem.alpha.value(m)
+        # lower bound offset for the slack; it turns each full-coalition
+        # row's right-hand side into 0
+        self.shift = gamma + a_full * (m - 1) * B
 
-    def row() -> list[Fraction]:
-        return [zero] * num_vars
+        zero = Fraction(0)
+        constraints: list[Constraint] = []
+        for i in range(m):
+            coeffs = [zero] * num_vars
+            for j in range(m):
+                if j != i:
+                    coeffs[pairs[(min(i, j), max(i, j))]] -= a_full
+            coeffs[b_at + i] = gamma
+            coeffs[t_at] = Fraction(1)
+            constraints.append(Constraint(tuple(coeffs), "<=", zero))
+        for p in range(num_pairs):
+            coeffs = [zero] * num_vars
+            coeffs[p] = Fraction(1)
+            constraints.append(Constraint(tuple(coeffs), "<=", 2 * B))
+        for i in range(m):
+            coeffs = [zero] * num_vars
+            coeffs[b_at + i] = Fraction(1)
+            constraints.append(Constraint(tuple(coeffs), "<=", U - 1))
+        self.fixed = tuple(constraints)
+        objective = [zero] * num_vars
+        objective[t_at] = Fraction(1)
+        self.objective = tuple(objective)
+        self.names = tuple(f"v{k}" for k in range(num_vars))
 
-    items = assignment.items() if hasattr(assignment, "items") else assignment
-    for subset, agent in items:
-        a = problem.alpha.value(len(subset))
-        coeffs = row()
-        total = zero
+    def witness_row(self, subset: tuple[int, ...], agent: int) -> Constraint:
+        a = self.problem.alpha.value(len(subset))
+        B = self.problem.weight_bound
+        coeffs = [Fraction(0)] * self.num_vars
+        total = Fraction(0)
         for j in subset:
             if j != agent:
-                key = (min(agent, j), max(agent, j))
-                coeffs[pairs[key]] += a
+                coeffs[self.pairs[(min(agent, j), max(agent, j))]] += a
                 total += a * B
-        coeffs[b_at + agent] = Fraction(-1)
-        constraints.append(Constraint(tuple(coeffs), "<=", 1 + total))
+        coeffs[self.b_at + agent] = Fraction(-1)
+        return Constraint(tuple(coeffs), "<=", 1 + total)
 
-    for i in range(m):
-        coeffs = row()
-        for j in range(m):
-            if j != i:
-                key = (min(i, j), max(i, j))
-                coeffs[pairs[key]] -= a_full
-        coeffs[b_at + i] = gamma
-        coeffs[t_at] = Fraction(1)
-        constraints.append(
-            Constraint(tuple(coeffs), "<=", shift - gamma - a_full * (m - 1) * B)
+    def solve(self, assignment) -> tuple[Fraction, Scenario]:
+        """Solve one node's relaxation; returns (optimal slack, LP point)."""
+        lp = LinearProgram(
+            names=self.names,
+            constraints=tuple(self.witness_row(s, a) for s, a in assignment) + self.fixed,
+            objective=self.objective,
+            nonnegative=(True,) * self.num_vars,
         )
-
-    for p in range(num_pairs):
-        coeffs = row()
-        coeffs[p] = Fraction(1)
-        constraints.append(Constraint(tuple(coeffs), "<=", 2 * B))
-    for i in range(m):
-        coeffs = row()
-        coeffs[b_at + i] = Fraction(1)
-        constraints.append(Constraint(tuple(coeffs), "<=", U - 1))
-
-    objective = row()
-    objective[t_at] = Fraction(1)
-    lp = LinearProgram(
-        names=tuple(f"v{k}" for k in range(num_vars)),
-        constraints=tuple(constraints),
-        objective=tuple(objective),
-        nonnegative=tuple([True] * num_vars),
-    )
-    result = solve(lp)
-    if not isinstance(result, Optimal):  # origin-feasible and box-bounded
-        raise AssertionError(f"node LP returned {result!r}")
-    values = (
-        [result.assignment[p] - B for p in range(num_pairs)]
-        + [result.assignment[b_at + i] + 1 for i in range(m)]
-        + [result.assignment[t_at] - shift]
-    )
-    return values[-1], _scenario_from_assignment(problem, values)
+        result = solve(lp)
+        if not isinstance(result, Optimal):  # origin-feasible and box-bounded
+            raise AssertionError(f"node LP returned {result!r}")
+        B = self.problem.weight_bound
+        point = result.assignment
+        values = (
+            [point[p] - B for p in range(self.b_at)]
+            + [point[i] + 1 for i in range(self.b_at, self.t_at)]
+            + [point[self.t_at] - self.shift]
+        )
+        return values[-1], _scenario_from_assignment(self.problem, values)
 
 
 def _scenario_from_assignment(problem: SearchProblem, values) -> Scenario:
@@ -343,6 +351,7 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
         time.monotonic() + problem.time_limit if problem.time_limit is not None else None
     )
     stats = {"nodes": 0, "lps": 0}
+    node_lp = _NodeLP(problem)
 
     def explore(assignment: dict, touched: set[int]) -> Scenario | None:
         stats["nodes"] += 1
@@ -351,7 +360,7 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
         if deadline is not None and time.monotonic() > deadline:
             raise _Budget
         stats["lps"] += 1
-        slack, candidate = _solve_node(problem, assignment.items())
+        slack, candidate = node_lp.solve(assignment.items())
         if slack <= 0:
             return None
         branch_on = None

@@ -1,0 +1,242 @@
+"""The Fraction simplex that ``alphahg.lp`` used before its integer tableau.
+
+Kept as the reference for ``tests/test_lp_integer.py`` and the node-LP
+check in ``tests/test_search.py``: the integer tableau must take the
+same pivots and so return equal results, values and points included.
+The code is the former ``_Tableau`` and ``solve`` unchanged, apart from
+the removal of an unused debug dump and of the rational backend shim
+(``to_rat`` and ``to_fraction`` below stand in for it with
+``Fraction``).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from alphahg.lp import Infeasible, LinearProgram, Optimal, SolveResult, Unbounded
+
+
+def to_rat(value):
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def to_fraction(value):
+    return value
+
+
+class _Tableau:
+    """Dense simplex tableau over the exact-rational backend."""
+
+    def __init__(self, rows, rhs, basis, num_cols):
+        self.rows = rows          # list of lists, each num_cols long
+        self.rhs = rhs            # list, one entry per row
+        self.basis = basis        # basic column index per row
+        self.num_cols = num_cols
+
+    def pivot(self, r: int, c: int) -> None:
+        piv = self.rows[r][c]
+        inv = 1 / piv
+        row_r = self.rows[r]
+        if piv != 1:
+            for j in range(self.num_cols):
+                row_r[j] *= inv
+            self.rhs[r] *= inv
+        for i, row in enumerate(self.rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                for j in range(self.num_cols):
+                    if row_r[j]:
+                        row[j] -= f * row_r[j]
+                self.rhs[i] -= f * self.rhs[r]
+        self.basis[r] = c
+
+    def run(self, reduced, value, allowed):
+        """Primal simplex on the current basis.
+
+        ``reduced`` is the reduced-cost row (maximization: optimal when
+        none positive), ``value`` the current objective value.  Returns
+        ("optimal", value) or ("unbounded", None).
+
+        Bland's rule throughout (lowest-index entering and leaving
+        variable), which guarantees termination.
+        """
+        rows, rhs = self.rows, self.rhs
+        while True:
+            entering = -1
+            for j in range(self.num_cols):
+                if allowed[j] and reduced[j] > 0:
+                    entering = j
+                    break
+            if entering < 0:
+                return "optimal", value
+            leaving = -1
+            best = None
+            for i, row in enumerate(rows):
+                a = row[entering]
+                if a > 0:
+                    ratio = rhs[i] / a
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[leaving]
+                    ):
+                        best = ratio
+                        leaving = i
+            if leaving < 0:
+                return "unbounded", None
+            self.pivot(leaving, entering)
+            # update the reduced-cost row with the fresh pivot row
+            f = reduced[entering]
+            if f:
+                prow = rows[leaving]
+                for j in range(self.num_cols):
+                    if prow[j]:
+                        reduced[j] -= f * prow[j]
+                value += f * rhs[leaving]
+
+
+def reference_solve(lp: LinearProgram) -> SolveResult:
+    """Solve exactly; every Optimal assignment satisfies all constraints
+    with exact rational comparison."""
+    n = lp.num_vars
+
+    # column layout: one column per nonnegative variable, a (plus, minus)
+    # pair per free variable
+    col_of: list[tuple[int, int]] = []  # (plus column, minus column or -1)
+    num_struct = 0
+    for v in range(n):
+        if lp.nonnegative[v]:
+            col_of.append((num_struct, -1))
+            num_struct += 1
+        else:
+            col_of.append((num_struct, num_struct + 1))
+            num_struct += 2
+
+    zero = to_rat(0)
+
+    def expand(coeffs) -> list:
+        row = [zero] * num_struct
+        for v, x in enumerate(coeffs):
+            if x:
+                r = to_rat(x)
+                plus, minus = col_of[v]
+                row[plus] = r
+                if minus >= 0:
+                    row[minus] = -r
+        return row
+
+    # canonicalize every constraint to <= or = with rhs >= 0
+    canon: list[tuple[list, str, object]] = []
+    for coeffs, relation, rhs in lp.constraints:
+        row = expand(coeffs)
+        r = to_rat(rhs)
+        if relation == ">=":
+            row = [-x for x in row]
+            r = -r
+            relation = "<="
+        if r < 0:
+            row = [-x for x in row]
+            r = -r
+            relation = {"<=": ">=", ">=": "<=", "=": "="}[relation]
+        canon.append((row, relation, r))
+
+    m = len(canon)
+    num_slack = sum(1 for _, rel, _ in canon if rel in ("<=", ">="))
+    num_art = sum(1 for _, rel, _ in canon if rel in (">=", "="))
+    total = num_struct + num_slack + num_art
+
+    rows: list[list] = []
+    rhs: list = []
+    basis: list[int] = []
+    art_cols: list[int] = []
+    slack_at = num_struct
+    art_at = num_struct + num_slack
+    for row, relation, r in canon:
+        full = row + [zero] * (num_slack + num_art)
+        if relation == "<=":
+            full[slack_at] = to_rat(1)
+            basis.append(slack_at)
+            slack_at += 1
+        elif relation == ">=":
+            full[slack_at] = to_rat(-1)
+            slack_at += 1
+            full[art_at] = to_rat(1)
+            basis.append(art_at)
+            art_cols.append(art_at)
+            art_at += 1
+        else:
+            full[art_at] = to_rat(1)
+            basis.append(art_at)
+            art_cols.append(art_at)
+            art_at += 1
+        rows.append(full)
+        rhs.append(r)
+
+    tab = _Tableau(rows, rhs, basis, total)
+    art_set = set(art_cols)
+    allowed = [True] * total
+
+    if art_cols:
+        # phase 1: maximize minus the sum of artificials
+        reduced = [zero] * total
+        value = zero
+        for i, b in enumerate(basis):
+            if b in art_set:
+                for j in range(total):
+                    reduced[j] += rows[i][j]
+                value -= rhs[i]
+        for c in art_cols:
+            reduced[c] -= to_rat(1)
+        status, value = tab.run(reduced, value, allowed)
+        assert status == "optimal"  # phase-1 objective is bounded above by 0
+        if value != 0:
+            return Infeasible()
+        # pivot surviving artificials out of the basis, or drop their rows
+        for i in range(len(tab.basis) - 1, -1, -1):
+            if tab.basis[i] in art_set:
+                for j in range(num_struct + num_slack):
+                    if tab.rows[i][j] != 0:
+                        tab.pivot(i, j)
+                        break
+                else:
+                    del tab.rows[i]
+                    del tab.rhs[i]
+                    del tab.basis[i]
+        for c in art_cols:
+            allowed[c] = False
+
+    # phase 2: the real objective, priced out for the current basis
+    cost = [zero] * total
+    for v, x in enumerate(lp.objective):
+        if x:
+            r = to_rat(x)
+            plus, minus = col_of[v]
+            cost[plus] = r
+            if minus >= 0:
+                cost[minus] = -r
+    reduced = list(cost)
+    value = zero
+    for i, b in enumerate(tab.basis):
+        cb = cost[b]
+        if cb:
+            row = tab.rows[i]
+            for j in range(tab.num_cols):
+                if row[j]:
+                    reduced[j] -= cb * row[j]
+            value += cb * tab.rhs[i]
+    status, value = tab.run(reduced, value, allowed)
+    if status == "unbounded":
+        return Unbounded()
+
+    col_value = {b: tab.rhs[i] for i, b in enumerate(tab.basis)}
+    assignment = []
+    for v in range(n):
+        plus, minus = col_of[v]
+        x = col_value.get(plus, zero)
+        if minus >= 0:
+            x = x - col_value.get(minus, zero)
+        assignment.append(to_fraction(x))
+    objective_value = sum(
+        (c * x for c, x in zip(lp.objective, assignment)), Fraction(0)
+    )
+    return Optimal(objective_value, tuple(assignment))

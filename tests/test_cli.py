@@ -194,13 +194,80 @@ class TestSearch:
         args = ["search", "--alpha", "ashg", "--q", "2", "--m", "3", "--gamma", "3/2"]
         assert run(capsys, *args) == run(capsys, *args)
 
-    def test_threads_flag_accepted(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "search", "--alpha", "fhg", "--q", "2", "--m", "3",
-            "--gamma", "4/3", "--threads", "4",
-        )
-        assert code == 1  # same verdict regardless of the flag
+
+
+SEARCH_ARGS = ("search", "--alpha", "fhg", "--q", "2", "--m", "3", "--gamma", "4/3")
+
+
+class TestExitCodeContract:
+    """0 positive, 1 negative, 2 input error, 3 budget, 4 internal error:
+    no bad input and no crash may read as a verdict."""
+
+    @pytest.mark.parametrize("name,value", [
+        ("ALPHAHG_NODE_LIMIT", "abc"),
+        ("ALPHAHG_NODE_LIMIT", "-1"),
+        ("ALPHAHG_TIME_LIMIT", "soon"),
+        ("ALPHAHG_TIME_LIMIT", "nan"),
+    ])
+    def test_bad_environment_budget_exit_two(self, capsys, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        code, _, err = run(capsys, *SEARCH_ARGS)
+        assert code == 2
+        assert "error" in err
+
+    def test_qk_size_not_an_integer_exit_two(self, capsys, tmp_path):
+        path = write_ashg_example(tmp_path)
+        code, _, err = run(capsys, "verify", path, "--qk", "x", "1")
+        assert code == 2
+        assert "--qk" in err
+
+    def test_non_utf8_file_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"n": 2, "alpha": "fhg", "weights": [], "note": "\xe9"}'.encode("latin-1"))
+        code, _, err = run(capsys, "verify", str(path), "--core")
+        assert code == 2
+        assert "UTF-8" in err
+
+    def test_deeply_nested_json_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run(capsys, "verify", str(path), "--core")
+        assert code == 2
+        assert "nested" in err
+
+    def test_negative_node_limit_exit_two(self, capsys):
+        code, out, err = run(capsys, *SEARCH_ARGS, "--node-limit", "-1")
+        assert code == 2
+        assert "verdict" not in out and "node_limit" in err
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_negative_or_nan_time_limit_exit_two(self, capsys, value):
+        code, out, err = run(capsys, *SEARCH_ARGS, "--time-limit", value)
+        assert code == 2
+        assert "verdict" not in out and "time_limit" in err
+
+    @pytest.mark.parametrize("modes", [
+        ("--core", "--q-size", "1"),
+        ("--q-size", "2", "--improvement", "2"),
+        ("--improvement", "2", "--qk", "3", "5/3"),
+        (),
+    ])
+    def test_verify_needs_exactly_one_mode(self, capsys, tmp_path, modes):
+        path = write_ashg_example(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", path, *modes])
+        assert exc.value.code == 2
+
+    def test_internal_error_exit_four_with_traceback(self, capsys, monkeypatch):
+        from alphahg import cli
+
+        def crash(problem):
+            raise ZeroDivisionError("planted fault")
+
+        monkeypatch.setattr(cli.search, "search_blocking_scenario", crash)
+        code, out, err = run(capsys, *SEARCH_ARGS)
+        assert code == cli.EXIT_INTERNAL == 4
+        assert "Traceback" in err and "ZeroDivisionError: planted fault" in err
 
 
 class TestPoaAndGreedy:

@@ -18,12 +18,36 @@ from alphahg import (
     solve,
     witness_system_lp,
 )
+from alphahg import search as search_module
 from alphahg.lp import satisfies
 from alphahg.search import (
     BUDGET_EXHAUSTED,
     FEASIBLE,
     INFEASIBLE_WITHIN_BOUNDS,
 )
+from reference_lp import reference_solve
+
+
+@pytest.fixture(autouse=True)
+def node_lp_check(request, monkeypatch):
+    """Every node LP that a search in this module solves is solved again
+    by the Fraction simplex that the integer tableau replaced; the two
+    results, values and points included, must be equal.  Returns the
+    number of node LPs checked so far.  The slow tier is left out: the
+    Fraction simplex would take it back to its old running time."""
+    checked = [0]
+    if request.node.get_closest_marker("slow"):
+        return checked
+    integer_solve = search_module.solve
+
+    def solve_and_compare(lp):
+        result = integer_solve(lp)
+        assert result == reference_solve(lp), lp
+        checked[0] += 1
+        return result
+
+    monkeypatch.setattr(search_module, "solve", solve_and_compare)
+    return checked
 
 
 def problem(alpha, q, m, gamma, B=10, U=10, **kw):
@@ -125,9 +149,10 @@ class TestSearchVerdicts:
         assert result.verdict == BUDGET_EXHAUSTED
         assert result.nodes_explored >= 2
 
-    def test_stats_are_counted(self):
+    def test_stats_are_counted(self, node_lp_check):
         result = search_blocking_scenario(problem(FHG, 2, 3, Fraction(4, 3)))
         assert result.nodes_explored == result.lps_solved > 1
+        assert node_lp_check[0] == result.lps_solved
 
     def test_certificates_respect_the_box(self):
         result = search_blocking_scenario(problem(ASHG, 2, 3, Fraction(3, 2), B=2, U=3))
@@ -244,6 +269,57 @@ class TestAgainstReferenceSearch:
             for gamma in (Fraction(1), Fraction(6, 5), Fraction(2)):
                 want = _reference_search(FHG, 2, 3, gamma, B, U)
                 got = search_blocking_scenario(problem(FHG, 2, 3, gamma, B, U))
+                assert got.verdict == want, (B, U, gamma)
+
+
+ODD_BOXES = ((1, 1), (2, 5), (Fraction(1, 2), 3))
+
+
+def _bound_gammas(alpha, q, m):
+    """The bound itself, and just below it where that is still >= 1."""
+    f = improvement_bound(alpha, q, m)
+    return [f] + ([f - Fraction(1, 1000)] if f - Fraction(1, 1000) >= 1 else [])
+
+
+class TestAgainstReferenceSearchAtFourAgents:
+    """m = 4 is the smallest size at which one-witness branching and the
+    untouched-agent symmetry rule cut real subtrees: the oracle solves
+    all 2^6 = 64 full assignments at q = 2."""
+
+    @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG])
+    def test_q2_at_and_below_the_bound(self, alpha):
+        for gamma in _bound_gammas(alpha, 2, 4):
+            want = _reference_search(alpha, 2, 4, gamma)
+            got = search_blocking_scenario(problem(alpha, 2, 4, gamma))
+            assert got.verdict == want, gamma
+
+    @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG])
+    def test_q2_on_odd_boxes(self, alpha):
+        for B, U in ODD_BOXES:
+            for gamma in (Fraction(1), Fraction(6, 5), Fraction(2)):
+                want = _reference_search(alpha, 2, 4, gamma, B, U)
+                got = search_blocking_scenario(problem(alpha, 2, 4, gamma, B, U))
+                assert got.verdict == want, (B, U, gamma)
+
+
+@pytest.mark.slow
+class TestSlowAgainstReferenceSearchAtFourAgents:
+    """q = 3, m = 4: 2^6 * 3^4 = 5184 full assignments per infeasible
+    case."""
+
+    @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG])
+    def test_q3_at_and_below_the_bound(self, alpha):
+        for gamma in _bound_gammas(alpha, 3, 4):
+            want = _reference_search(alpha, 3, 4, gamma)
+            got = search_blocking_scenario(problem(alpha, 3, 4, gamma))
+            assert got.verdict == want, gamma
+
+    @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG])
+    def test_q3_on_odd_boxes(self, alpha):
+        for B, U in (ODD_BOXES[0], ODD_BOXES[2]):
+            for gamma in (Fraction(6, 5),):
+                want = _reference_search(alpha, 3, 4, gamma, B, U)
+                got = search_blocking_scenario(problem(alpha, 3, 4, gamma, B, U))
                 assert got.verdict == want, (B, U, gamma)
 
 
