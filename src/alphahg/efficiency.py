@@ -5,6 +5,11 @@ welfare divided by the worst social welfare among partitions stable
 under that notion, both found by exhaustive enumeration.  Division by
 nonpositive welfare is never performed: zero-welfare optima and
 zero-welfare stable outcomes get explicit verdicts instead.
+
+The enumeration behind the prices of anarchy runs on ints: weights and
+alpha are scaled once to clear their denominators, every coalition's
+weight sums come from one table per agent indexed by bit mask, and
+only the returned welfares are built as ``Fraction``.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
 
-from ._rat import to_fraction, to_rat
 from .core import Game, Partition, check_partition, partition_utility
 from .errors import DomainError, ResourceLimitError
+from .stability import _scaled_weights
 
 #: Partition enumeration is gated at this agent count (Bell numbers grow
 #: superexponentially).
@@ -88,14 +93,12 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         yield Partition.of(blocks)
 
 
-def _subset_sum_tables(game: Game) -> list[list]:
-    """table[i][mask] = sum of agent i's weights to the members of mask."""
-    n = game.n
-    zero = to_rat(0)
+def _subset_sum_tables(scaled: list[list[int]]) -> list[list[int]]:
+    """table[i][mask] = sum of scaled[i][j] over the members j of mask."""
+    n = len(scaled)
     tables = []
-    for i in range(n):
-        row = [to_rat(w) for w in game.weights[i]]
-        table = [zero] * (1 << n)
+    for row in scaled:
+        table = [0] * (1 << n)
         for mask in range(1, 1 << n):
             low = mask & -mask
             table[mask] = table[mask ^ low] + row[low.bit_length() - 1]
@@ -106,30 +109,39 @@ def _subset_sum_tables(game: Game) -> list[list]:
 def _cpoa(game: Game, max_block_size: int, factor: Fraction) -> PoaResult:
     """Shared engine: factor-stability against coalitions of size up to
     ``max_block_size`` (single sizes are handled by the caller's choice
-    of range)."""
+    of range).
+
+    Runs on ints: weights times ``L`` (see
+    :func:`alphahg.stability._scaled_weights`) and alpha times ``D``, the
+    least common multiple of alpha's denominators, so every utility and
+    welfare is an int ``D * L`` times the true one.
+    """
     n = game.n
     if n > MAX_ENUM_AGENTS:
         raise ResourceLimitError(
             f"price-of-anarchy enumeration is gated at n <= {MAX_ENUM_AGENTS}"
         )
-    tables = _subset_sum_tables(game)
-    alphas = [None] + [to_rat(game.alpha.value(s)) for s in range(1, n + 1)]
-    k = to_rat(factor)
+    scale, scaled = _scaled_weights(game.weights)
+    tables = _subset_sum_tables(scaled)
+    values = [game.alpha.value(s) for s in range(1, n + 1)]
+    common = math.lcm(*[a.denominator for a in values])
+    alphas = [0] + [a.numerator * (common // a.denominator) for a in values]
+    kp, kq = factor.numerator, factor.denominator
 
-    # candidate deviations, grouped as (alpha, members, bit mask)
+    # each candidate deviation S as pairs (i, kq * D * L * utility of i
+    # in S): member i beats factor kp / kq times its partition utility
+    # u_i iff that value exceeds kp * D * L * u_i
     deviations = []
     for s in range(2, max_block_size + 1):
-        a = alphas[s]
+        a = kq * alphas[s]
         for combo in combinations(range(n), s):
             mask = 0
             for i in combo:
                 mask |= 1 << i
-            deviations.append((a, combo, mask))
+            deviations.append(tuple((i, a * tables[i][mask]) for i in combo))
 
     best = None
     worst_stable = None
-    found_stable = False
-    zero = to_rat(0)
 
     for codes in _restricted_growth_strings(n):
         masks = []
@@ -141,43 +153,38 @@ def _cpoa(game: Game, max_block_size: int, factor: Fraction) -> PoaResult:
             else:
                 masks[code] |= 1 << agent
                 sizes[code] += 1
-        utilities = [zero] * n
-        welfare = zero
+        utilities = [0] * n
         for mask, size in zip(masks, sizes):
             a = alphas[size]
             rest = mask
             while rest:
                 low = rest & -rest
                 i = low.bit_length() - 1
-                u = a * tables[i][mask]
-                utilities[i] = u
-                welfare += u
+                utilities[i] = a * tables[i][mask]
                 rest ^= low
+        welfare = sum(utilities)
         if best is None or welfare > best:
             best = welfare
 
         # singleton deviation: an agent with negative utility walks out
-        if any(u < 0 for u in utilities):
+        if min(utilities) < 0:
             continue
-        thresholds = utilities if factor == 1 else [k * u for u in utilities]
-        stable = True
-        for a, combo, mask in deviations:
-            for i in combo:
-                if a * tables[i][mask] <= thresholds[i]:
+        thresholds = utilities if kp == 1 else [kp * u for u in utilities]
+        for deviation in deviations:
+            for i, value in deviation:
+                if value <= thresholds[i]:
                     break
             else:
-                stable = False
-                break
-        if stable:
-            found_stable = True
+                break  # every member improves: the partition is blocked
+        else:
             if worst_stable is None or welfare < worst_stable:
                 worst_stable = welfare
 
     assert best is not None
-    best_f = to_fraction(best)
-    if not found_stable:
+    best_f = Fraction(best, common * scale)
+    if worst_stable is None:
         return PoaResult(NO_STABLE_OUTCOME, None, best_f, None)
-    worst_f = to_fraction(worst_stable)
+    worst_f = Fraction(worst_stable, common * scale)
     if best_f == 0:
         return PoaResult(UNDEFINED, Fraction(1), best_f, worst_f)
     if worst_f <= 0:

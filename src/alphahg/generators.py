@@ -9,7 +9,7 @@ equality.
 
 ``fig6``..``fig9`` are bundled hand-drawn instances for stable size 5
 at coalition sizes 7 and 8 (fractional and additively separable); they
-ship both as built-ins and as JSON data files.
+ship as JSON data files.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .bounds import (
 )
 from .core import ASHG, FHG, AlphaFunction
 from .errors import DomainError, InvalidInputError
+from .io import load_scenario
 from .stability import Scenario
 
 
@@ -218,54 +219,18 @@ def mantel_scenario(size: int) -> Scenario:
     return _scenario(FHG, matrix)
 
 
-_FIG6_HEAVY = [(i, j) for i in (0, 1, 2) for j in (3, 4, 5, 6)]
-_FIG6_LIGHT = [(3, 5), (3, 6), (4, 5), (4, 6)]
-_FIG8_HEAVY = [(0, 1), (1, 2), (6, 0)]
-_FIG8_LIGHT = [(2, 3), (2, 4), (3, 4), (4, 5), (5, 6)]
-_FIG9_HEAVY = [(0, 1)]
-_FIG9_LIGHT = [(0, 2), (0, 7), (1, 3), (1, 4), (2, 3), (2, 5), (2, 6), (4, 5), (6, 7)]
-
 FIXTURE_NAMES = ("fig6", "fig7", "fig8", "fig9")
 
 
 def fixture(name: str) -> Scenario:
-    """A bundled tight instance for stable size 5.
+    """A bundled tight instance for stable size 5, read from its JSON
+    data file (see :func:`fixture_path`).
 
     ``fig6``/``fig7``: fractional, sizes 7 and 8.  ``fig8``/``fig9``:
     additively separable, sizes 7 and 8 with baselines 2 on the first
     three agents and 1 elsewhere.
     """
-    key = name.strip().lower()
-    if key == "fig6":
-        matrix = _matrix(7)
-        for i, j in _FIG6_HEAVY:
-            _set(matrix, i, j, Fraction(2))
-        for i, j in _FIG6_LIGHT:
-            _set(matrix, i, j, Fraction(1))
-        return _scenario(FHG, matrix)
-    if key == "fig7":
-        matrix = _matrix(8)
-        for i in range(8):
-            for j in range(i + 1, 8):
-                _set(matrix, i, j, Fraction(1))
-        for i in range(8):
-            _set(matrix, i, (i + 1) % 8, Fraction(2))
-        return _scenario(FHG, matrix)
-    if key == "fig8":
-        matrix = _matrix(7)
-        for i, j in _FIG8_HEAVY:
-            _set(matrix, i, j, Fraction(2))
-        for i, j in _FIG8_LIGHT:
-            _set(matrix, i, j, Fraction(1))
-        return _scenario(ASHG, matrix, [2, 2, 2, 1, 1, 1, 1])
-    if key == "fig9":
-        matrix = _matrix(8)
-        for i, j in _FIG9_HEAVY:
-            _set(matrix, i, j, Fraction(2))
-        for i, j in _FIG9_LIGHT:
-            _set(matrix, i, j, Fraction(1))
-        return _scenario(ASHG, matrix, [2, 2, 2, 1, 1, 1, 1, 1])
-    raise InvalidInputError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}")
+    return load_scenario(fixture_path(name.strip().lower()))
 
 
 _FIXTURE_META = {

@@ -3,7 +3,7 @@
 A small dense two-phase primal simplex with integer pivoting: each
 constraint row is scaled to Python ints once, and the tableau is kept
 as ints over one common denominator, so the pivots run on plain int
-arithmetic and never on ``Fraction`` (nor on the ``_rat`` backend).
+arithmetic and never on ``Fraction``.
 Bland's rule guarantees termination; there is no floating point and no
 tolerance anywhere, so Optimal/Infeasible/Unbounded verdicts, values
 and points are exact.  The intended scale is a few hundred variables

@@ -33,7 +33,12 @@ from typing import Iterator, Mapping
 from .core import AlphaFunction
 from .errors import DomainError, InvalidInputError
 from .lp import Constraint, LinearProgram, Optimal, solve
-from .stability import Scenario, min_improvement_factor, scenario_is_size_stable
+from .stability import (
+    Scenario,
+    _scenario_first_blocking,
+    min_improvement_factor,
+    scenario_is_size_stable,
+)
 
 FEASIBLE = "feasible"
 INFEASIBLE_WITHIN_BOUNDS = "infeasible_within_bounds"
@@ -338,15 +343,10 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
     positive (supersets of the assignment only shrink the feasible
     region).  A node whose LP optimum already satisfies every subset
     constraint yields a certificate immediately; otherwise the first
-    unassigned subset violated at the LP optimum is branched on.
+    subset violated at the LP optimum, never an assigned one, is
+    branched on.
     """
-    m, q = problem.size, problem.stable_size
-    subsets = [
-        combo
-        for s in range(2, min(q, m) + 1)
-        for combo in combinations(range(m), s)
-    ]
-    alphas = {s: problem.alpha.value(s) for s in range(2, min(q, m) + 1)}
+    q = problem.stable_size
     deadline = (
         time.monotonic() + problem.time_limit if problem.time_limit is not None else None
     )
@@ -363,19 +363,10 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
         slack, candidate = node_lp.solve(assignment.items())
         if slack <= 0:
             return None
-        branch_on = None
-        for subset in subsets:
-            if subset in assignment:
-                continue
-            a = alphas[len(subset)]
-            rows = candidate.weights
-            violated = all(
-                a * sum(rows[i][j] for j in subset) > candidate.baselines[i]
-                for i in subset
-            )
-            if violated:
-                branch_on = subset
-                break
+        branch_on = _scenario_first_blocking(candidate, q)
+        if branch_on in assignment:
+            # at the exact optimum every assigned witness row holds
+            raise AssertionError(f"assigned subset {branch_on} violated at the LP optimum")
         if branch_on is None:
             # the LP point already satisfies every subset; certify it
             if not _certificate_ok(problem, candidate):

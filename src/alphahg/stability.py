@@ -16,6 +16,14 @@ Enumeration is by increasing size, then lexicographic member order, so
 returned witnesses are deterministic.  A :class:`Scenario` is a
 candidate blocking coalition studied in isolation: weights among its
 members plus fixed baseline utilities.
+
+Every blocking check, and the search's branching test, runs one
+integer kernel (:func:`_first_blocking`): weights are multiplied once by
+the least common multiple ``L`` of their denominators, each threshold
+becomes one int per coalition size, and the scan itself only adds and
+compares ints.  The improvement-factor scan shares that scaling and
+compares ratios by cross-multiplying.  The answers are exactly those of
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from ._rat import to_fraction, to_rat
 from .core import (
     AlphaFunction,
     Coalition,
@@ -100,6 +107,72 @@ def _subset_budget_guard(n: int, min_size: int, max_size: int, budget: int) -> N
         )
 
 
+def _scaled_weights(weights) -> tuple[int, list[list[int]]]:
+    """``(L, W)``: ``L`` the least common multiple of every weight's
+    denominator and ``W[i][j] = L * weights[i][j]`` as ints."""
+    scale = math.lcm(*[w.denominator for row in weights for w in row])
+    return scale, [
+        [w.numerator * (scale // w.denominator) for w in row] for row in weights
+    ]
+
+
+def _scaled_utilities(
+    game: Game, partition: Partition, scaled: list[list[int]]
+) -> list[tuple[int, int]]:
+    """Each agent's partition utility times ``L``, as ``(num, den)`` with
+    ``den > 0``; ``scaled`` comes from :func:`_scaled_weights`."""
+    utilities = [(0, 1)] * game.n
+    for block in partition.blocks:
+        a = game.alpha.value(len(block))
+        for i in block:
+            row = scaled[i]
+            utilities[i] = (a.numerator * sum(row[j] for j in block), a.denominator)
+    return utilities
+
+
+def _first_blocking(
+    scaled: list[list[int]],
+    thresholds: list[tuple[int, int]],
+    alpha: AlphaFunction,
+    min_size: int,
+    max_size: int,
+) -> tuple[int, ...] | None:
+    """The blocking-coalition kernel behind every exhaustive check.
+
+    ``scaled`` holds weights times ``L`` as ints (see
+    :func:`_scaled_weights`) and ``thresholds[i] = (num, den)``, with
+    ``den > 0``, is agent ``i``'s threshold times ``L``.  Returns the
+    first coalition ``S`` with ``2 <= min_size <= |S| <= max_size``, by
+    size and then lexicographic order, in which every member ``i`` has
+    ``alpha(|S|) * sum_{j in S} w_ij`` strictly above their threshold.
+    Since ``alpha(s) > 0`` for ``s >= 2``, that is the int test
+    ``sum_{j in S} W[i][j] > floor(num / (den * alpha(s)))``.
+    """
+    n = len(scaled)
+    getters = [row.__getitem__ for row in scaled]
+    for s in range(min_size, max_size + 1):
+        a = alpha.value(s)
+        an, ad = a.numerator, a.denominator
+        limits = [(num * ad) // (den * an) for num, den in thresholds]
+        # a coalition in lex order is a prefix of s - 1 agents plus a
+        # last agent after them; most fail on their first member, whose
+        # test reduces to one compare per last agent
+        for prefix in combinations(range(n - 1), s - 1):
+            first = prefix[0]
+            row = scaled[first]
+            rest = limits[first] - sum(map(getters[first], prefix))
+            for last in range(prefix[-1] + 1, n):
+                if row[last] <= rest:
+                    continue
+                combo = prefix + (last,)
+                for i in combo[1:]:
+                    if sum(map(getters[i], combo)) <= limits[i]:
+                        break
+                else:
+                    return combo
+    return None
+
+
 def find_blocking_coalition(
     game: Game,
     partition: Partition,
@@ -121,28 +194,22 @@ def find_blocking_coalition(
     check_partition(game, partition)
     _subset_budget_guard(n, min_size, max_size, subset_budget)
 
+    scaled = _scaled_weights(game.weights)[1]
+    kp, kq = factor.numerator, factor.denominator
     thresholds = [
-        to_rat(factor * partition_utility(game, partition, i)) for i in range(n)
+        (kp * num, kq * den) for num, den in _scaled_utilities(game, partition, scaled)
     ]
-    weights = [[to_rat(w) for w in row] for row in game.weights]
 
     if min_size == 1:
         # a singleton yields utility 0, so it blocks iff 0 > threshold
         for i in range(n):
-            if thresholds[i] < 0:
+            if thresholds[i][0] < 0:
                 return Coalition.of([i])
 
-    for s in range(max(min_size, 2), max_size + 1):
-        a = to_rat(game.alpha.value(s))
-        for combo in combinations(range(n), s):
-            for i in combo:
-                row = weights[i]
-                total = sum(row[j] for j in combo)
-                if a * total <= thresholds[i]:
-                    break
-            else:
-                return Coalition.of(combo)
-    return None
+    witness = _first_blocking(
+        scaled, thresholds, game.alpha, max(min_size, 2), max_size
+    )
+    return None if witness is None else Coalition.of(witness)
 
 
 def is_size_stable(
@@ -214,18 +281,17 @@ def scenario_is_size_stable(
     if any(b < 0 for b in scenario.baselines):
         return False
     _subset_budget_guard(m, 2, max(max_size, 2), subset_budget)
-    weights = [[to_rat(w) for w in row] for row in scenario.weights]
-    baselines = [to_rat(b) for b in scenario.baselines]
-    for s in range(2, max_size + 1):
-        a = to_rat(scenario.alpha.value(s))
-        for combo in combinations(range(m), s):
-            for i in combo:
-                row = weights[i]
-                if a * sum(row[j] for j in combo) <= baselines[i]:
-                    break
-            else:
-                return False
-    return True
+    return _scenario_first_blocking(scenario, max_size) is None
+
+
+def _scenario_first_blocking(
+    scenario: Scenario, max_size: int
+) -> tuple[int, ...] | None:
+    """First subset of size 2..max_size (size, then lex order) in which
+    every member's utility exceeds their baseline."""
+    scale, scaled = _scaled_weights(scenario.weights)
+    thresholds = [(b.numerator * scale, b.denominator) for b in scenario.baselines]
+    return _first_blocking(scaled, thresholds, scenario.alpha, 2, max_size)
 
 
 def min_improvement_factor(scenario: Scenario) -> Fraction:
@@ -259,26 +325,33 @@ def max_improvement_factor_at_size(
     if not (2 <= size <= n):
         raise DomainError(f"need 2 <= size <= {n}")
     check_partition(game, partition)
-    baselines = [partition_utility(game, partition, i) for i in range(n)]
-    if any(b <= 0 for b in baselines):
+    scaled = _scaled_weights(game.weights)[1]
+    utilities = _scaled_utilities(game, partition, scaled)
+    if any(num <= 0 for num, _ in utilities):
         raise DomainError("improvement factors need strictly positive baselines")
     _subset_budget_guard(n, size, size, subset_budget)
 
-    weights = [[to_rat(w) for w in row] for row in game.weights]
-    inv = [to_rat(1 / b) for b in baselines]
-    a = to_rat(game.alpha.value(size))
-    best = None
+    # with utility u_i * L = u_num / u_den, member i's ratio is
+    # alpha * W_i(S) * u_den / u_num; alpha is common to all of them, so
+    # compare W_i(S) * u_den / u_num by cross-multiplying and keep the
+    # best as (numerator, denominator)
+    getters = [row.__getitem__ for row in scaled]
+    best_num, best_den = None, 1
     for combo in combinations(range(n), size):
-        worst = None
+        worst_num, worst_den = None, 1
         for i in combo:
-            row = weights[i]
-            ratio = a * sum(row[j] for j in combo) * inv[i]
-            if worst is None or ratio < worst:
-                worst = ratio
-        if best is None or worst > best:
-            best = worst
-    assert best is not None
-    return to_fraction(best)
+            u_num, u_den = utilities[i]
+            num, den = sum(map(getters[i], combo)) * u_den, u_num
+            if best_num is not None and num * best_den <= best_num * den:
+                # this coalition cannot beat the best one found so far
+                break
+            if worst_num is None or num * worst_den < worst_num * den:
+                worst_num, worst_den = num, den
+        else:
+            best_num, best_den = worst_num, worst_den
+    assert best_num is not None
+    a = game.alpha.value(size)
+    return Fraction(a.numerator * best_num, a.denominator * best_den)
 
 
 def blocking_members_check(

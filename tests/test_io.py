@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphahg import FHG, AlphaFunction, Game, InvalidInputError, Partition
+from alphahg import ASHG, FHG, AlphaFunction, Game, InvalidInputError, Partition
 from alphahg.generators import fixture, fixture_path
+from alphahg.stability import Scenario
 from alphahg.io import (
     format_rational,
     game_from_dict,
@@ -108,8 +109,32 @@ class TestScenarioFormat:
         assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
     def test_bundled_data_files_match_builtins(self):
-        for name in ("fig6", "fig7", "fig8", "fig9"):
-            assert load_scenario(fixture_path(name)) == fixture(name)
+        # the hand-drawn instances, pinned here independently of the data
+        # files: heavy edges weigh 2, light edges 1, every other pair 0
+        fig7_light = [(i, j) for i in range(8) for j in range(i + 2, 8) if (i, j) != (0, 7)]
+        drawn = {
+            "fig6": (FHG, 7, [(i, j) for i in (0, 1, 2) for j in (3, 4, 5, 6)],
+                     [(3, 5), (3, 6), (4, 5), (4, 6)], [1] * 7),
+            "fig7": (FHG, 8, [(i, (i + 1) % 8) for i in range(8)], fig7_light, [1] * 8),
+            "fig8": (ASHG, 7, [(0, 1), (1, 2), (6, 0)],
+                     [(2, 3), (2, 4), (3, 4), (4, 5), (5, 6)], [2, 2, 2, 1, 1, 1, 1]),
+            "fig9": (ASHG, 8, [(0, 1)],
+                     [(0, 2), (0, 7), (1, 3), (1, 4), (2, 3), (2, 5), (2, 6), (4, 5), (6, 7)],
+                     [2, 2, 2, 1, 1, 1, 1, 1]),
+        }
+        for name, (alpha, size, heavy, light, baselines) in drawn.items():
+            matrix = [[Fraction(0)] * size for _ in range(size)]
+            for edges, w in ((heavy, 2), (light, 1)):
+                for i, j in edges:
+                    matrix[i][j] = matrix[j][i] = Fraction(w)
+            expected = Scenario(
+                size=size,
+                weights=tuple(tuple(row) for row in matrix),
+                baselines=tuple(Fraction(b) for b in baselines),
+                alpha=alpha,
+            )
+            assert load_scenario(fixture_path(name)) == expected
+            assert fixture(name) == expected
 
     def test_baselines_length_checked(self):
         data = scenario_to_dict(fixture("fig6"))
