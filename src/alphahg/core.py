@@ -203,6 +203,27 @@ class Partition:
         return self.agents == frozenset(range(n))
 
 
+def _weight_matrix(weights: Sequence[Sequence], n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The ``n x n`` weight matrix as ``Fraction`` rows, checked for shape,
+    zero diagonal and symmetry; values that are already ``Fraction`` are
+    kept as they are."""
+    if len(weights) != n or any(len(row) != n for row in weights):
+        raise InvalidInputError(f"weight matrix shape must be {n} x {n}")
+    rows = tuple(
+        tuple(w if isinstance(w, Fraction) else Fraction(w) for w in row) for row in weights
+    )
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise InvalidInputError(f"self-weight of agent {i} must be 0")
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                raise InvalidInputError(
+                    f"asymmetric weights for pair ({i},{j}); "
+                    "asymmetric weights are rejected (unbounded improvement ratios)"
+                )
+    return rows
+
+
 @dataclass(frozen=True)
 class Game:
     """``n`` agents, a symmetric weight matrix with zero diagonal, and alpha."""
@@ -214,19 +235,7 @@ class Game:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidInputError("a game needs at least one agent")
-        if len(self.weights) != self.n or any(len(row) != self.n for row in self.weights):
-            raise InvalidInputError("weight matrix shape must be n x n")
-        rows = tuple(tuple(Fraction(w) for w in row) for row in self.weights)
-        for i in range(self.n):
-            if rows[i][i] != 0:
-                raise InvalidInputError(f"self-weight of agent {i} must be 0")
-            for j in range(i + 1, self.n):
-                if rows[i][j] != rows[j][i]:
-                    raise InvalidInputError(
-                        f"asymmetric weights for pair ({i},{j}); "
-                        "asymmetric games are rejected (unbounded improvement ratios)"
-                    )
-        object.__setattr__(self, "weights", rows)
+        object.__setattr__(self, "weights", _weight_matrix(self.weights, self.n))
 
     @classmethod
     def from_matrix(
@@ -241,7 +250,7 @@ class Game:
                 f"n={n} exceeds the agent limit {max_agents}; "
                 "pass a larger max_agents to opt in"
             )
-        return cls(n, tuple(tuple(Fraction(w) for w in row) for row in matrix), alpha)
+        return cls(n, tuple(map(tuple, matrix)), alpha)
 
     @classmethod
     def from_edges(

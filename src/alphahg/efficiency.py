@@ -60,17 +60,27 @@ def social_welfare(game: Game, partition: Partition) -> Fraction:
 
 
 def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    codes = [0] * n
-
-    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(codes)
+    """Every code tuple with ``codes[0] = 0`` and each code at most one
+    more than the largest before it, in lexicographic order."""
+    if n == 1:
+        yield (0,)
+        return
+    codes = [0] * (n - 1)  # every code but the last
+    top = [0] * (n - 1)  # top[i] = max(codes[:i + 1])
+    while True:
+        prefix = tuple(codes)
+        for last in range(top[-1] + 2):
+            yield prefix + (last,)
+        # the last position of the prefix whose code can still grow
+        i = n - 2
+        while i > 0 and codes[i] > top[i - 1]:
+            i -= 1
+        if i == 0:
             return
-        for c in range(mx + 2):
-            codes[i] = c
-            yield from rec(i + 1, max(mx, c))
-
-    yield from rec(1, 0) if n > 1 else iter([(0,)])
+        codes[i] += 1
+        top[i] = max(top[i - 1], codes[i])
+        codes[i + 1:] = [0] * (n - 2 - i)
+        top[i + 1:] = [top[i]] * (n - 2 - i)
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

@@ -9,17 +9,20 @@ tolerance anywhere, so Optimal/Infeasible/Unbounded verdicts, values
 and points are exact.  The intended scale is a few hundred variables
 and constraints.
 
-Variables are free by default and split into nonnegative pairs
-internally; mark variables nonnegative to skip the split.  Relations
-are non-strict (strictness is encoded upstream, e.g. via a maximized
-slack variable).
+Each variable is free or has a rational lower bound; a nonnegative
+variable is one with ``lower = 0``.  A free variable is split into a
+nonnegative pair internally; a bounded one is solved as ``x - lower >=
+0`` and its bound added back to the returned point.  Relations are
+non-strict (strictness is encoded upstream, e.g. via a maximized slack
+variable).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InvalidInputError
@@ -43,12 +46,13 @@ def _fractions(values) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Maximize ``objective . x`` subject to the constraints."""
+    """Maximize ``objective . x`` subject to the constraints and
+    ``x[v] >= lower[v]`` for every variable whose bound is not None."""
 
     names: tuple[str, ...]
     constraints: tuple[Constraint, ...]
     objective: tuple[Fraction, ...]
-    nonnegative: tuple[bool, ...] = field(default=())
+    lower: tuple[Fraction | None, ...] = field(default=())
 
     def __post_init__(self) -> None:
         n = len(self.names)
@@ -58,9 +62,9 @@ class LinearProgram:
             raise InvalidInputError("variable names must be unique")
         if len(self.objective) != n:
             raise InvalidInputError("objective length must match variable count")
-        nonneg = self.nonnegative or tuple([False] * n)
-        if len(nonneg) != n:
-            raise InvalidInputError("nonnegative flags must match variable count")
+        lower = self.lower or (None,) * n
+        if len(lower) != n:
+            raise InvalidInputError("lower bounds must match variable count")
         rows = []
         for c in self.constraints:
             coeffs, relation, rhs = c
@@ -71,7 +75,9 @@ class LinearProgram:
             rows.append(Constraint(_fractions(coeffs), relation, _fraction(rhs)))
         object.__setattr__(self, "constraints", tuple(rows))
         object.__setattr__(self, "objective", _fractions(self.objective))
-        object.__setattr__(self, "nonnegative", tuple(bool(b) for b in nonneg))
+        object.__setattr__(
+            self, "lower", tuple(None if x is None else _fraction(x) for x in lower)
+        )
 
     @classmethod
     def maximize(
@@ -79,7 +85,7 @@ class LinearProgram:
         objective: Sequence,
         constraints: Iterable[tuple[Sequence, str, object]],
         names: Sequence[str] | None = None,
-        nonnegative: Sequence[bool] | None = None,
+        lower: Sequence | None = None,
     ) -> "LinearProgram":
         n = len(objective)
         if names is None:
@@ -88,7 +94,7 @@ class LinearProgram:
             names=tuple(names),
             constraints=tuple(Constraint(tuple(co), rel, rhs) for co, rel, rhs in constraints),
             objective=tuple(objective),
-            nonnegative=tuple(nonnegative) if nonnegative is not None else (),
+            lower=tuple(lower) if lower is not None else (),
         )
 
     @property
@@ -200,12 +206,12 @@ def solve(lp: LinearProgram) -> SolveResult:
     with exact rational comparison."""
     n = lp.num_vars
 
-    # column layout: one column per nonnegative variable, a (plus, minus)
-    # pair per free variable
+    # column layout: one column per bounded variable (x - lower), a
+    # (plus, minus) pair per free variable
     col_of: list[tuple[int, int]] = []  # (plus column, minus column or -1)
     num_struct = 0
-    for v in range(n):
-        if lp.nonnegative[v]:
+    for bound in lp.lower:
+        if bound is not None:
             col_of.append((num_struct, -1))
             num_struct += 1
         else:
@@ -222,11 +228,25 @@ def solve(lp: LinearProgram) -> SolveResult:
                     row[minus] = -x
         return row
 
+    # the lower bounds as ints over one common denominator; a free
+    # variable is not shifted
+    low, low_den = _scaled([Fraction(0) if x is None else x for x in lp.lower])
+
     # canonicalize every constraint to <= or = with rhs >= 0, as one int
-    # row (coefficients, then rhs) scaled by the LCM of its denominators
+    # row (coefficients, then rhs) scaled by the LCM of its denominators;
+    # substituting x = y + lower leaves rhs - sum(c * lower) on the right
     canon: list[tuple[list[int], str, int]] = []
     for coeffs, relation, rhs in lp.constraints:
         scaled, common = _scaled((*coeffs, rhs))
+        shift = sum(map(mul, scaled, low))  # stops before the rhs
+        if shift:
+            # over common * low_den the rhs is r; dividing the row and
+            # that denominator by their gcd rescales the row to the LCM
+            # of the shifted row's denominators
+            r = scaled[-1] * low_den - shift
+            g = gcd(gcd(common, *scaled[:-1]) * low_den, r)
+            scaled = [c * low_den // g for c in scaled[:-1]] + [r // g]
+            common = common * low_den // g
         row = expand(scaled[:-1])
         r = scaled[-1]
         if relation == ">=":
@@ -332,7 +352,7 @@ def solve(lp: LinearProgram) -> SolveResult:
         x = col_value.get(plus, 0)
         if minus >= 0:
             x -= col_value.get(minus, 0)
-        assignment.append(Fraction(x, d))
+        assignment.append(Fraction(x * low_den + low[v] * d, d * low_den))
     objective_value = sum(
         (c * x for c, x in zip(lp.objective, assignment)), Fraction(0)
     )
@@ -343,8 +363,8 @@ def satisfies(lp: LinearProgram, assignment: Sequence[Fraction]) -> bool:
     """Exact feasibility check of an assignment against all constraints."""
     if len(assignment) != lp.num_vars:
         return False
-    for v, nonneg in enumerate(lp.nonnegative):
-        if nonneg and assignment[v] < 0:
+    for x, bound in zip(assignment, lp.lower):
+        if bound is not None and x < bound:
             return False
     for coeffs, relation, rhs in lp.constraints:
         lhs = sum((c * x for c, x in zip(coeffs, assignment)), Fraction(0))

@@ -17,7 +17,10 @@ LP maximizes, so strict feasibility is exactly "optimal slack > 0".
 
 The search is deterministic: subsets are branched in (size,
 lexicographic) order, witness candidates in index order, depth-first
-with LP pruning at every node.  Every Feasible verdict is re-verified
+with LP pruning at every node.  Each node's LP is
+:func:`witness_system_lp` for the node's assignment: the rows that do
+not depend on the assignment are built once per search, and the node's
+witness rows go in front of them.  Every Feasible verdict is re-verified
 by the stability module before being returned; Infeasible verdicts are
 relative to the weight/baseline box.
 """
@@ -25,7 +28,7 @@ relative to the weight/baseline box.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping
@@ -45,6 +48,8 @@ INFEASIBLE_WITHIN_BOUNDS = "infeasible_within_bounds"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
 DEFAULT_NODE_LIMIT = 200_000
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -139,17 +144,43 @@ def _pair_index(size: int) -> dict[tuple[int, int], int]:
     return index
 
 
+def _witness_row(
+    problem: SearchProblem, pairs: dict, subset: tuple[int, ...], agent: int
+) -> Constraint:
+    """``alpha(|S|) * sum of the agent's weights to S - b_agent <= 0``: the
+    witness does not improve in ``S``."""
+    a = problem.alpha.value(len(subset))
+    coeffs = [_ZERO] * (len(pairs) + problem.size + 1)
+    for j in subset:
+        if j != agent:
+            coeffs[pairs[(min(agent, j), max(agent, j))]] = a
+    coeffs[len(pairs) + agent] = Fraction(-1)
+    return Constraint(tuple(coeffs), "<=", _ZERO)
+
+
 def witness_system_lp(
     problem: SearchProblem, assignment: WitnessAssignment | Mapping
 ) -> LinearProgram:
     """The LP for one (partial) witness assignment.
 
     Variables: one weight per unordered pair, one baseline per agent,
-    and a shared slack.  Constraints: each assigned (subset, witness)
-    caps the witness's subset utility at their baseline; every agent's
-    full-coalition utility is at least ``gamma * baseline + slack``; the
-    box bounds.  Objective: maximize the slack.  The witness-assigned
-    system is strictly feasible iff the optimum slack is positive.
+    and a shared slack.  Constraints, in this order: each assigned
+    (subset, witness) caps the witness's subset utility at their
+    baseline; every agent's full-coalition utility is at least ``gamma *
+    baseline + slack``; ``w <= B`` per pair, then ``b <= U`` per agent.
+    Lower bounds: ``w >= -B``, ``b >= 1``, and ``slack >= -(gamma +
+    alpha(m) * (m - 1) * B)``.  Objective: maximize the slack.  The
+    witness-assigned system is strictly feasible iff the optimum slack
+    is positive.
+
+    The slack's bound cuts off no optimum: the point ``w = -B``, ``b =
+    1`` meets every witness row (alpha is positive on sizes >= 2), and
+    there every full-coalition row allows exactly that slack.  The lower
+    bounds also make the LP start feasible: with every variable at its
+    bound, each full-coalition row's right-hand side is 0 and each
+    witness row's is ``1 + alpha(|S|) * B * (|S| - 1)``, so every row is
+    a ``<=`` row with a nonnegative right-hand side and the simplex needs
+    no phase 1.
     """
     m = problem.size
     pairs = _pair_index(m)
@@ -161,26 +192,17 @@ def witness_system_lp(
     names = [f"w_{i}_{j}" for i, j in combinations(range(m), 2)]
     names += [f"b_{i}" for i in range(m)]
     names.append("slack")
-    nonneg = [False] * num_pairs + [True] * m + [False]
-
-    zero = Fraction(0)
-    constraints: list[Constraint] = []
+    bound = problem.weight_bound
+    a_full = problem.alpha.value(m)
+    lower = [-bound] * num_pairs + [Fraction(1)] * m
+    lower.append(-(problem.gamma + a_full * (m - 1) * bound))
 
     def row() -> list[Fraction]:
-        return [zero] * num_vars
+        return [_ZERO] * num_vars
 
     items = assignment.items() if hasattr(assignment, "items") else assignment
-    for subset, agent in items:
-        a = problem.alpha.value(len(subset))
-        coeffs = row()
-        for j in subset:
-            if j != agent:
-                key = (min(agent, j), max(agent, j))
-                coeffs[pairs[key]] += a
-        coeffs[b_at + agent] = Fraction(-1)
-        constraints.append(Constraint(tuple(coeffs), "<=", zero))
+    constraints = [_witness_row(problem, pairs, subset, agent) for subset, agent in items]
 
-    a_full = problem.alpha.value(m)
     for i in range(m):
         coeffs = row()
         for j in range(m):
@@ -189,20 +211,13 @@ def witness_system_lp(
                 coeffs[pairs[key]] += a_full
         coeffs[b_at + i] = -problem.gamma
         coeffs[t_at] = Fraction(-1)
-        constraints.append(Constraint(tuple(coeffs), ">=", zero))
+        constraints.append(Constraint(tuple(coeffs), ">=", _ZERO))
 
-    bound = problem.weight_bound
     for p in range(num_pairs):
         coeffs = row()
         coeffs[p] = Fraction(1)
         constraints.append(Constraint(tuple(coeffs), "<=", bound))
-        coeffs = row()
-        coeffs[p] = Fraction(-1)
-        constraints.append(Constraint(tuple(coeffs), "<=", bound))
     for i in range(m):
-        coeffs = row()
-        coeffs[b_at + i] = Fraction(1)
-        constraints.append(Constraint(tuple(coeffs), ">=", Fraction(1)))
         coeffs = row()
         coeffs[b_at + i] = Fraction(1)
         constraints.append(Constraint(tuple(coeffs), "<=", problem.baseline_bound))
@@ -213,91 +228,8 @@ def witness_system_lp(
         names=tuple(names),
         constraints=tuple(constraints),
         objective=tuple(objective),
-        nonnegative=tuple(nonneg),
+        lower=tuple(lower),
     )
-
-
-class _NodeLP:
-    """Node relaxations of one search problem.
-
-    Same system as :func:`witness_system_lp`, rewritten in shifted
-    nonnegative variables ``v = w + B``, ``b'' = b - 1``, ``t' = t + L``
-    so every constraint is a <=-row with nonnegative right-hand side:
-    the simplex then starts from the all-slack basis and needs no
-    phase 1.  The optimum and point map back exactly.  The rows that do
-    not depend on the witness assignment are built once per problem.
-    """
-
-    def __init__(self, problem: SearchProblem) -> None:
-        m = problem.size
-        B, U = problem.weight_bound, problem.baseline_bound
-        gamma = problem.gamma
-        self.problem = problem
-        self.pairs = pairs = _pair_index(m)
-        num_pairs = len(pairs)
-        self.b_at = b_at = num_pairs
-        self.t_at = t_at = num_pairs + m
-        self.num_vars = num_vars = num_pairs + m + 1
-        a_full = problem.alpha.value(m)
-        # lower bound offset for the slack; it turns each full-coalition
-        # row's right-hand side into 0
-        self.shift = gamma + a_full * (m - 1) * B
-
-        zero = Fraction(0)
-        constraints: list[Constraint] = []
-        for i in range(m):
-            coeffs = [zero] * num_vars
-            for j in range(m):
-                if j != i:
-                    coeffs[pairs[(min(i, j), max(i, j))]] -= a_full
-            coeffs[b_at + i] = gamma
-            coeffs[t_at] = Fraction(1)
-            constraints.append(Constraint(tuple(coeffs), "<=", zero))
-        for p in range(num_pairs):
-            coeffs = [zero] * num_vars
-            coeffs[p] = Fraction(1)
-            constraints.append(Constraint(tuple(coeffs), "<=", 2 * B))
-        for i in range(m):
-            coeffs = [zero] * num_vars
-            coeffs[b_at + i] = Fraction(1)
-            constraints.append(Constraint(tuple(coeffs), "<=", U - 1))
-        self.fixed = tuple(constraints)
-        objective = [zero] * num_vars
-        objective[t_at] = Fraction(1)
-        self.objective = tuple(objective)
-        self.names = tuple(f"v{k}" for k in range(num_vars))
-
-    def witness_row(self, subset: tuple[int, ...], agent: int) -> Constraint:
-        a = self.problem.alpha.value(len(subset))
-        B = self.problem.weight_bound
-        coeffs = [Fraction(0)] * self.num_vars
-        total = Fraction(0)
-        for j in subset:
-            if j != agent:
-                coeffs[self.pairs[(min(agent, j), max(agent, j))]] += a
-                total += a * B
-        coeffs[self.b_at + agent] = Fraction(-1)
-        return Constraint(tuple(coeffs), "<=", 1 + total)
-
-    def solve(self, assignment) -> tuple[Fraction, Scenario]:
-        """Solve one node's relaxation; returns (optimal slack, LP point)."""
-        lp = LinearProgram(
-            names=self.names,
-            constraints=tuple(self.witness_row(s, a) for s, a in assignment) + self.fixed,
-            objective=self.objective,
-            nonnegative=(True,) * self.num_vars,
-        )
-        result = solve(lp)
-        if not isinstance(result, Optimal):  # origin-feasible and box-bounded
-            raise AssertionError(f"node LP returned {result!r}")
-        B = self.problem.weight_bound
-        point = result.assignment
-        values = (
-            [point[p] - B for p in range(self.b_at)]
-            + [point[i] + 1 for i in range(self.b_at, self.t_at)]
-            + [point[self.t_at] - self.shift]
-        )
-        return values[-1], _scenario_from_assignment(self.problem, values)
 
 
 def _scenario_from_assignment(problem: SearchProblem, values) -> Scenario:
@@ -351,7 +283,9 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
         time.monotonic() + problem.time_limit if problem.time_limit is not None else None
     )
     stats = {"nodes": 0, "lps": 0}
-    node_lp = _NodeLP(problem)
+    # the rows that do not depend on the witness assignment, built once
+    base = witness_system_lp(problem, {})
+    pairs = _pair_index(problem.size)
 
     def explore(assignment: dict, touched: set[int]) -> Scenario | None:
         stats["nodes"] += 1
@@ -360,9 +294,13 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
         if deadline is not None and time.monotonic() > deadline:
             raise _Budget
         stats["lps"] += 1
-        slack, candidate = node_lp.solve(assignment.items())
-        if slack <= 0:
+        witness_rows = tuple(_witness_row(problem, pairs, s, a) for s, a in assignment.items())
+        result = solve(replace(base, constraints=witness_rows + base.constraints))
+        if not isinstance(result, Optimal):  # starts feasible and is box-bounded
+            raise AssertionError(f"node LP returned {result!r}")
+        if result.value <= 0:
             return None
+        candidate = _scenario_from_assignment(problem, result.assignment)
         branch_on = _scenario_first_blocking(candidate, q)
         if branch_on in assignment:
             # at the exact optimum every assigned witness row holds

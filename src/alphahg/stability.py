@@ -39,6 +39,7 @@ from .core import (
     Coalition,
     Game,
     Partition,
+    _weight_matrix,
     check_partition,
     coalition_utility,
     partition_utility,
@@ -67,15 +68,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise InvalidInputError("scenario needs at least one agent")
-        if len(self.weights) != self.size or any(len(r) != self.size for r in self.weights):
-            raise InvalidInputError("weight matrix shape must be size x size")
-        rows = tuple(tuple(Fraction(w) for w in row) for row in self.weights)
-        for i in range(self.size):
-            if rows[i][i] != 0:
-                raise InvalidInputError(f"self-weight of agent {i} must be 0")
-            for j in range(i + 1, self.size):
-                if rows[i][j] != rows[j][i]:
-                    raise InvalidInputError(f"asymmetric weights for pair ({i},{j})")
+        rows = _weight_matrix(self.weights, self.size)
         if len(self.baselines) != self.size:
             raise InvalidInputError("need one baseline per agent")
         object.__setattr__(self, "weights", rows)

@@ -6,7 +6,9 @@ same pivots and so return equal results, values and points included.
 The code is the former ``_Tableau`` and ``solve`` unchanged, apart from
 the removal of an unused debug dump and of the rational backend shim
 (``to_rat`` and ``to_fraction`` below stand in for it with
-``Fraction``).
+``Fraction``), and lower bounds in place of nonnegative flags: a
+bounded variable is solved as ``x - lower >= 0``, so each right-hand
+side loses ``sum(c * lower)`` and the point gets ``lower`` back.
 """
 
 from __future__ import annotations
@@ -100,12 +102,12 @@ def reference_solve(lp: LinearProgram) -> SolveResult:
     with exact rational comparison."""
     n = lp.num_vars
 
-    # column layout: one column per nonnegative variable, a (plus, minus)
-    # pair per free variable
+    # column layout: one column per bounded variable (x - lower), a
+    # (plus, minus) pair per free variable
     col_of: list[tuple[int, int]] = []  # (plus column, minus column or -1)
     num_struct = 0
     for v in range(n):
-        if lp.nonnegative[v]:
+        if lp.lower[v] is not None:
             col_of.append((num_struct, -1))
             num_struct += 1
         else:
@@ -113,6 +115,7 @@ def reference_solve(lp: LinearProgram) -> SolveResult:
             num_struct += 2
 
     zero = to_rat(0)
+    lower = [zero if x is None else x for x in lp.lower]
 
     def expand(coeffs) -> list:
         row = [zero] * num_struct
@@ -129,7 +132,7 @@ def reference_solve(lp: LinearProgram) -> SolveResult:
     canon: list[tuple[list, str, object]] = []
     for coeffs, relation, rhs in lp.constraints:
         row = expand(coeffs)
-        r = to_rat(rhs)
+        r = to_rat(rhs) - sum((c * x for c, x in zip(coeffs, lower)), zero)
         if relation == ">=":
             row = [-x for x in row]
             r = -r
@@ -235,7 +238,7 @@ def reference_solve(lp: LinearProgram) -> SolveResult:
         x = col_value.get(plus, zero)
         if minus >= 0:
             x = x - col_value.get(minus, zero)
-        assignment.append(to_fraction(x))
+        assignment.append(to_fraction(x) + lower[v])
     objective_value = sum(
         (c * x for c, x in zip(lp.objective, assignment)), Fraction(0)
     )

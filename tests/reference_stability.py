@@ -3,8 +3,9 @@
 Kept as the reference for ``tests/test_kernel.py``: the integer kernel
 must return the same witnesses, factors and prices of anarchy.  The code
 is the former ``find_blocking_coalition``, ``scenario_is_size_stable``,
-``max_improvement_factor_at_size``, ``_subset_sum_tables`` and ``_cpoa``
-unchanged, plus the violated-subset test of ``search.explore`` lifted
+``max_improvement_factor_at_size``, ``_subset_sum_tables``, ``_cpoa`` and
+the recursive ``_restricted_growth_strings`` that drove it unchanged,
+plus the violated-subset test of ``search.explore`` lifted
 into a function, apart from the removal of the rational backend shim
 (``to_rat`` and ``to_fraction`` below stand in for it with
 ``Fraction``).
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterator
 
 from alphahg.core import Coalition, Game, Partition, check_partition, partition_utility
 from alphahg.efficiency import (
@@ -23,7 +25,6 @@ from alphahg.efficiency import (
     UNBOUNDED,
     UNDEFINED,
     PoaResult,
-    _restricted_growth_strings,
 )
 from alphahg.errors import DomainError, ResourceLimitError
 from alphahg.stability import DEFAULT_SUBSET_BUDGET, Scenario, _subset_budget_guard
@@ -35,6 +36,20 @@ def to_rat(value):
 
 def to_fraction(value):
     return value
+
+
+def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
+    codes = [0] * n
+
+    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(codes)
+            return
+        for c in range(mx + 2):
+            codes[i] = c
+            yield from rec(i + 1, max(mx, c))
+
+    yield from rec(1, 0) if n > 1 else iter([(0,)])
 
 
 def find_blocking_coalition(

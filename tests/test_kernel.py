@@ -25,7 +25,7 @@ from alphahg import (
     max_improvement_factor_at_size,
     scenario_is_size_stable,
 )
-from alphahg.efficiency import _cpoa
+from alphahg.efficiency import _cpoa, _restricted_growth_strings
 from alphahg.stability import Scenario, _scenario_first_blocking
 from conftest import positive_baseline_partition, random_partition
 
@@ -155,6 +155,15 @@ def test_cpoa_matches_reference():
             assert got == reference._cpoa(game, size, factor)
             kinds.add(got.kind)
     assert len(kinds) >= 2
+
+
+def test_restricted_growth_strings_match_reference():
+    # the iterative walk yields the recursive one's sequence, so
+    # enumerate_partitions and _cpoa visit partitions in the same order
+    for n in range(1, 10):
+        assert list(_restricted_growth_strings(n)) == list(
+            reference._restricted_growth_strings(n)
+        ), n
 
 
 def test_backend_name_is_recorded():

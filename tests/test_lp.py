@@ -55,7 +55,7 @@ class TestBasics:
                 ([Fraction(1, 2), -90, Fraction(-1, 50), 3], "<=", 0),
                 ([0, 0, 1, 0], "<=", 1),
             ],
-            nonnegative=[True] * 4,
+            lower=[0] * 4,
         )
         result = solve(lp)
         assert isinstance(result, Optimal)
@@ -74,9 +74,9 @@ def enumerate_vertices_best(lp):
     n = lp.num_vars
     rows = [(c.coeffs, c.rhs) for c in lp.constraints]
     for v in range(n):
-        if lp.nonnegative[v]:
+        if lp.lower[v] is not None:
             rows.append(
-                (tuple(Fraction(i == v) for i in range(n)), Fraction(0))
+                (tuple(Fraction(i == v) for i in range(n)), lp.lower[v])
             )
     best = None
     for combo in combinations(range(len(rows)), n):
@@ -124,8 +124,31 @@ def random_boxed_lp(rng, free_vars=False):
     return LinearProgram.maximize(
         objective,
         constraints,
-        nonnegative=None if free_vars else [True] * n,
+        lower=None if free_vars else [0] * n,
     )
+
+
+def random_lower_bounded_boxed_lp(rng):
+    """Every variable gets a nonzero lower bound, negative or positive,
+    with denominators up to 35, and an upper row a little above it (at
+    times below it, which leaves the box empty); the other rows pass
+    near the corner where every variable is at its bound."""
+    n = rng.randint(1, 4)
+    lower = [
+        Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 5, 7, 12, 35)))
+        for _ in range(n)
+    ]
+    constraints = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
+        corner = sum(c * x for c, x in zip(coeffs, lower))
+        constraints.append((coeffs, rng.choice(["<=", ">=", "="]), corner + rng.randint(-6, 6)))
+    for v in range(n):
+        unit = [Fraction(int(i == v)) for i in range(n)]
+        gap = Fraction(rng.randint(-1, 8), rng.choice((1, 2, 7)))
+        constraints.append((unit, "<=", lower[v] + gap))
+    objective = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
+    return LinearProgram.maximize(objective, constraints, lower=lower)
 
 
 class TestAgainstVertexOracle:
@@ -141,6 +164,23 @@ class TestAgainstVertexOracle:
                 assert isinstance(got, Optimal)
                 assert got.value == want
                 assert satisfies(lp, got.assignment)
+
+    def test_lower_bounded_boxed(self):
+        rng = random.Random(44)
+        optimal = 0
+        for _ in range(200):
+            lp = random_lower_bounded_boxed_lp(rng)
+            got = solve(lp)
+            want = enumerate_vertices_best(lp)
+            if want is None:
+                assert isinstance(got, Infeasible)
+            else:
+                assert isinstance(got, Optimal)
+                assert got.value == want
+                assert satisfies(lp, got.assignment)
+                optimal += 1
+        # both verdicts are well represented
+        assert 40 <= optimal <= 160, optimal
 
     def test_free_boxed(self):
         rng = random.Random(42)
@@ -168,7 +208,7 @@ class TestDuality:
             b = [Fraction(rng.randint(0, 6)) for _ in range(m)]
             c = [Fraction(rng.randint(-3, 4)) for _ in range(n)]
             primal = LinearProgram.maximize(
-                c, [(A[i], "<=", b[i]) for i in range(m)], nonnegative=[True] * n
+                c, [(A[i], "<=", b[i]) for i in range(m)], lower=[0] * n
             )
             dual = LinearProgram.maximize(
                 [-bi for bi in b],
@@ -176,7 +216,7 @@ class TestDuality:
                     ([-A[i][j] for i in range(m)], "<=", -c[j])
                     for j in range(n)
                 ],
-                nonnegative=[True] * m,
+                lower=[0] * m,
             )
             p = solve(primal)
             d = solve(dual)

@@ -7,6 +7,7 @@ Fraction implementation.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -42,8 +43,22 @@ def random_lp(rng):
     return LinearProgram.maximize(
         [_rational(rng) for _ in range(n)],
         constraints,
-        nonnegative=[rng.random() < 0.5 for _ in range(n)],
+        lower=[0 if rng.random() < 0.5 else None for _ in range(n)],
     )
+
+
+def random_lower_bounded_lp(rng):
+    """A ``random_lp`` program whose variables get nonzero lower bounds,
+    negative and positive, with denominators up to 35; about one in four
+    stays free."""
+    lp = random_lp(rng)
+    lower = [
+        None
+        if rng.random() < 0.25
+        else Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice(DENOMINATORS))
+        for _ in lp.names
+    ]
+    return replace(lp, lower=tuple(lower))
 
 
 def cycling_instance():
@@ -55,7 +70,7 @@ def cycling_instance():
             ([Fraction(1, 2), -90, Fraction(-1, 50), 3], "<=", 0),
             ([0, 0, 1, 0], "<=", 1),
         ],
-        nonnegative=[True] * 4,
+        lower=[0] * 4,
     )
 
 
@@ -77,13 +92,23 @@ class TestSameResults:
         for _ in range(200):
             lp = random_lp(rng)
             seen.update(c.relation for c in lp.constraints)
-            seen.update(lp.nonnegative)
-        assert seen == {"<=", ">=", "=", True, False}
+            seen.update(lp.lower)
+        assert seen == {"<=", ">=", "=", 0, None}
 
     def test_cycling_instance(self):
         lp = cycling_instance()
         assert solve(lp) == reference_solve(lp)
         assert solve(lp).value == Fraction(1, 20)
+
+    def test_random_lower_bounded_programs(self):
+        rng = random.Random(4096)
+        kinds = {Optimal: 0, Infeasible: 0, Unbounded: 0}
+        for _ in range(2000):
+            lp = random_lower_bounded_lp(rng)
+            want = reference_solve(lp)
+            assert solve(lp) == want, lp
+            kinds[type(want)] += 1
+        assert min(kinds.values()) >= 200, kinds
 
 
 class TestSamePivots:
@@ -122,6 +147,16 @@ class TestSamePivots:
             negative += any(neg for _, _, neg, _ in pivots)
             dropped += len({rows for _, _, _, rows in pivots}) > 1
         assert negative >= 10 and dropped >= 10
+
+    def test_random_lower_bounded_programs(self, pivot_log):
+        rng = random.Random(4097)
+        for _ in range(500):
+            lp = random_lower_bounded_lp(rng)
+            pivot_log["int"].clear()
+            pivot_log["ref"].clear()
+            solve(lp)
+            reference_solve(lp)
+            assert pivot_log["int"] == pivot_log["ref"], lp
 
     def test_cycling_instance(self, pivot_log):
         lp = cycling_instance()

@@ -1,6 +1,9 @@
 """Feasibility search: witness LPs, verdicts, and certificates."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +11,7 @@ from alphahg import (
     ASHG,
     FHG,
     MFHG,
+    AlphaFunction,
     Optimal,
     SearchProblem,
     WitnessAssignment,
@@ -115,6 +119,133 @@ class TestWitnessSystemLp:
             problem(FHG, 2, 3, 1, B=0)
         with pytest.raises(InvalidInputError):
             problem(FHG, 2, 3, 1, U=Fraction(1, 2))
+
+
+TABLE_ALPHA = AlphaFunction.from_table(
+    [0, Fraction(3, 4), Fraction(2, 5), Fraction(7, 3), Fraction(1, 6)]
+)
+BOXES = ((10, 10), (Fraction(1, 2), 1), (Fraction(1, 2), 3), (2, 1), (Fraction(7, 3), Fraction(5, 2)))
+
+
+def _random_witness_problem(rng):
+    """A problem and a random partial witness assignment."""
+    alpha = rng.choice([FHG, ASHG, MFHG, TABLE_ALPHA])
+    q = rng.randint(2, 3)
+    m = rng.randint(q + 1, 5)
+    B, U = rng.choice(BOXES)
+    gamma = 1 + Fraction(rng.randint(0, 20), rng.choice((1, 2, 3, 7)))
+    subsets = [c for s in range(2, q + 1) for c in combinations(range(m), s)]
+    chosen = rng.sample(subsets, rng.randint(0, min(len(subsets), 6)))
+    return problem(alpha, q, m, gamma, B, U), {S: rng.choice(S) for S in chosen}
+
+
+def _meets_definition(p, assignment, weights, baselines, slack):
+    """The witness system written out from alpha and the weights: every
+    assigned witness is capped at their baseline, every agent's
+    full-coalition utility is at least gamma * baseline + slack, the
+    weights and baselines lie in the box, and the slack is at least its
+    documented floor."""
+    m, a = p.size, p.alpha.value
+    B, U = p.weight_bound, p.baseline_bound
+    caps = all(
+        a(len(S)) * sum(weights[w][j] for j in S) <= baselines[w] for S, w in assignment.items()
+    )
+    full = all(a(m) * sum(weights[i]) >= p.gamma * baselines[i] + slack for i in range(m))
+    box = all(abs(x) <= B for row in weights for x in row) and all(1 <= b <= U for b in baselines)
+    return caps and full and box and slack >= -(p.gamma + a(m) * (m - 1) * B)
+
+
+def _random_point(rng, p, assignment):
+    """Weights and baselines inside the box or on its faces; most witness
+    caps met, some made tight or missed by 1/1000; the full-coalition
+    rows tight, met or just missed; at times one coordinate just outside
+    the box or the slack on its floor."""
+    m, a = p.size, p.alpha.value
+    B, U = p.weight_bound, p.baseline_bound
+    eps = Fraction(1, 1000)
+
+    def inside(lo, hi):
+        if rng.random() < 0.3:
+            return rng.choice((lo, hi))
+        return lo + (hi - lo) * Fraction(rng.randint(0, 60), 60)
+
+    weights = [[Fraction(0)] * m for _ in range(m)]
+    for i, j in combinations(range(m), 2):
+        weights[i][j] = weights[j][i] = inside(-B, B)
+    baselines = [inside(Fraction(1), U) for _ in range(m)]
+    for S, w in assignment.items():
+        cap = a(len(S)) * sum(weights[w][j] for j in S)
+        if 1 <= cap <= U and rng.random() < 0.5:
+            baselines[w] = cap + rng.choice((0, 0, eps, -eps))
+        elif cap <= U:
+            baselines[w] = max(baselines[w], cap)
+    if rng.random() < 0.3:
+        if rng.random() < 0.5:
+            i, j = rng.sample(range(m), 2)
+            weights[i][j] = weights[j][i] = rng.choice((-B - eps, B + eps))
+        else:
+            baselines[rng.randrange(m)] = rng.choice((1 - eps, U + eps))
+    slack = min(a(m) * sum(weights[i]) - p.gamma * baselines[i] for i in range(m))
+    slack += rng.choice((0, 0, eps, -eps, -1))
+    if rng.random() < 0.1:
+        slack = -(p.gamma + a(m) * (m - 1) * B) + rng.choice((0, -eps))
+    return weights, baselines, slack
+
+
+def _lp_point(lp, weights, baselines, slack):
+    """The point in the LP's variable order, read from its names."""
+    point = []
+    for name in lp.names:
+        kind, *index = name.split("_")
+        if kind == "w":
+            point.append(weights[int(index[0])][int(index[1])])
+        elif kind == "b":
+            point.append(baselines[int(index[0])])
+        else:
+            assert name == "slack"
+            point.append(slack)
+    return point
+
+
+class TestWitnessSystemLpDefinition:
+    """The search and the m = 4 oracle both solve ``witness_system_lp``;
+    here it is pinned against the system it stands for."""
+
+    def test_feasible_points_are_exactly_the_definitions(self):
+        rng = random.Random(31337)
+        outcomes = {True: 0, False: 0}
+        tight = 0
+        for _ in range(200):
+            p, assignment = _random_witness_problem(rng)
+            lp = witness_system_lp(p, assignment)
+            for _ in range(20):
+                weights, baselines, slack = _random_point(rng, p, assignment)
+                want = _meets_definition(p, assignment, weights, baselines, slack)
+                assert satisfies(lp, _lp_point(lp, weights, baselines, slack)) == want
+                outcomes[want] += 1
+                tight += want and any(
+                    p.alpha.value(len(S)) * sum(weights[w][j] for j in S) == baselines[w]
+                    for S, w in assignment.items()
+                )
+        # both answers are common, and exact ties on a witness cap occur
+        assert min(outcomes.values()) >= 500 and tight >= 60, (outcomes, tight)
+
+    def test_lower_bounds_satisfy_every_node_lp(self):
+        # so each node LP starts feasible at its bounds: no phase 1
+        rng = random.Random(31338)
+        for _ in range(200):
+            p, assignment = _random_witness_problem(rng)
+            lp = witness_system_lp(p, assignment)
+            assert satisfies(lp, lp.lower)
+            assert all(c.relation != "=" for c in lp.constraints)
+
+    def test_slack_floor_cuts_off_no_optimum(self):
+        rng = random.Random(31339)
+        for _ in range(40):
+            p, assignment = _random_witness_problem(rng)
+            lp = witness_system_lp(p, assignment)
+            free = replace(lp, lower=lp.lower[:-1] + (None,))
+            assert solve(lp).value == solve(free).value
 
 
 class TestSearchVerdicts:
