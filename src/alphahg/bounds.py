@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._rat import exact
 from .core import AlphaFunction
 from .errors import DomainError
 
@@ -43,7 +44,7 @@ def improvement_bound(
     """Upper bound on the improvement factor of a blocking coalition of
     ``coalition_size`` agents against a baseline that is stable for
     coalitions of size up to ``stable_size`` at factor ``factor``."""
-    q, m, k = stable_size, coalition_size, Fraction(factor)
+    q, m, k = stable_size, coalition_size, exact(factor)
     _check_sizes(q, m, k)
     steps, rem = divmod(m - 1, q - 1)
     total = steps * alpha.value(m) / alpha.value(q)
@@ -57,7 +58,7 @@ def fhg_improvement_bound(
     stable_size: int, coalition_size: int, factor: Fraction | int = 1
 ) -> Fraction:
     """Fractional-game form; equals ``improvement_bound`` with alpha = 1/m."""
-    q, m, k = stable_size, coalition_size, Fraction(factor)
+    q, m, k = stable_size, coalition_size, exact(factor)
     _check_sizes(q, m, k)
     return k * (1 + Fraction((m - 2) // (q - 1), m))
 
@@ -66,7 +67,7 @@ def ashg_improvement_bound(
     stable_size: int, coalition_size: int, factor: Fraction | int = 1
 ) -> Fraction:
     """Additively separable form; equals ``improvement_bound`` with alpha = 1."""
-    q, m, k = stable_size, coalition_size, Fraction(factor)
+    q, m, k = stable_size, coalition_size, exact(factor)
     _check_sizes(q, m, k)
     return k * (1 + (m - 2) // (q - 1))
 

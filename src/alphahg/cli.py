@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -222,7 +223,9 @@ def _env_number(name: str, kind: type) -> int | float | None:
         raise InvalidInputError(f"{name}={value!r} is not a valid {kind.__name__}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parsing keeps no state in the parser."""
     parser = argparse.ArgumentParser(
         prog="alphahg",
         description="Exact stability lab for size-weighted hedonic games.",

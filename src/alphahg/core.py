@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from ._rat import exact
 from .errors import DomainError, InvalidInputError, ResourceLimitError
 
 #: Hard ceiling on agent counts accepted by :class:`Game`.  Downstream
@@ -55,7 +56,7 @@ class AlphaFunction:
         if (self.kind == "table") != (self.table is not None):
             raise InvalidInputError("table values required iff kind is 'table'")
         if self.table is not None:
-            values = tuple(Fraction(v) for v in self.table)
+            values = tuple(map(exact, self.table))
             if not values:
                 raise InvalidInputError("alpha table must be nonempty")
             if values[0] < 0:
@@ -86,7 +87,7 @@ class AlphaFunction:
 
     @classmethod
     def from_table(cls, values: Iterable) -> "AlphaFunction":
-        return cls("table", tuple(Fraction(v) for v in values))
+        return cls("table", tuple(values))
 
     @classmethod
     def from_name(cls, name: str) -> "AlphaFunction":
@@ -205,13 +206,10 @@ class Partition:
 
 def _weight_matrix(weights: Sequence[Sequence], n: int) -> tuple[tuple[Fraction, ...], ...]:
     """The ``n x n`` weight matrix as ``Fraction`` rows, checked for shape,
-    zero diagonal and symmetry; values that are already ``Fraction`` are
-    kept as they are."""
+    zero diagonal and symmetry."""
     if len(weights) != n or any(len(row) != n for row in weights):
         raise InvalidInputError(f"weight matrix shape must be {n} x {n}")
-    rows = tuple(
-        tuple(w if isinstance(w, Fraction) else Fraction(w) for w in row) for row in weights
-    )
+    rows = tuple(tuple(map(exact, row)) for row in weights)
     for i in range(n):
         if rows[i][i] != 0:
             raise InvalidInputError(f"self-weight of agent {i} must be 0")
@@ -222,6 +220,14 @@ def _weight_matrix(weights: Sequence[Sequence], n: int) -> tuple[tuple[Fraction,
                     "asymmetric weights are rejected (unbounded improvement ratios)"
                 )
     return rows
+
+
+def _check_agent_limit(n: int, max_agents: int) -> None:
+    if n > max_agents:
+        raise ResourceLimitError(
+            f"n={n} exceeds the agent limit {max_agents}; "
+            "pass a larger max_agents to opt in"
+        )
 
 
 @dataclass(frozen=True)
@@ -245,11 +251,7 @@ class Game:
         max_agents: int = DEFAULT_MAX_AGENTS,
     ) -> "Game":
         n = len(matrix)
-        if n > max_agents:
-            raise ResourceLimitError(
-                f"n={n} exceeds the agent limit {max_agents}; "
-                "pass a larger max_agents to opt in"
-            )
+        _check_agent_limit(n, max_agents)
         return cls(n, tuple(map(tuple, matrix)), alpha)
 
     @classmethod
@@ -261,11 +263,7 @@ class Game:
         max_agents: int = DEFAULT_MAX_AGENTS,
     ) -> "Game":
         """Build from ``(i, j, weight)`` triples; unlisted pairs are 0."""
-        if n > max_agents:
-            raise ResourceLimitError(
-                f"n={n} exceeds the agent limit {max_agents}; "
-                "pass a larger max_agents to opt in"
-            )
+        _check_agent_limit(n, max_agents)
         matrix = [[Fraction(0)] * n for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for i, j, w in edges:
@@ -277,9 +275,7 @@ class Game:
             if key in seen:
                 raise InvalidInputError(f"duplicate edge for pair {key}")
             seen.add(key)
-            weight = Fraction(w)
-            matrix[i][j] = weight
-            matrix[j][i] = weight
+            matrix[i][j] = matrix[j][i] = w
         return cls(n, tuple(tuple(row) for row in matrix), alpha)
 
     def weight(self, i: int, j: int) -> Fraction:

@@ -14,12 +14,12 @@ only the returned welfares are built as ``Fraction``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
 
+from ._rat import exact, scaled
 from .core import Game, Partition, check_partition, partition_utility
 from .errors import DomainError, ResourceLimitError
 from .stability import _scaled_weights
@@ -59,48 +59,55 @@ def social_welfare(game: Game, partition: Partition) -> Fraction:
     )
 
 
-def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """Every code tuple with ``codes[0] = 0`` and each code at most one
-    more than the largest before it, in lexicographic order."""
-    if n == 1:
-        yield (0,)
-        return
-    codes = [0] * (n - 1)  # every code but the last
-    top = [0] * (n - 1)  # top[i] = max(codes[:i + 1])
+def _check_enumerable(n: int) -> None:
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if n > MAX_ENUM_AGENTS:
+        raise ResourceLimitError(
+            f"enumerating the partitions of {n} agents exceeds the guard "
+            f"n <= {MAX_ENUM_AGENTS}"
+        )
+
+
+def _partition_masks(n: int) -> Iterator[list[int]]:
+    """Every partition of ``{0..n-1}`` as its list of block bit masks,
+    blocks ordered by smallest member, in restricted-growth-string order:
+    agent ``i``'s block index is at most one more than the largest index
+    before it, and the index strings come in lexicographic order."""
+    last = 1 << (n - 1)
+    codes = [0] * (n - 1)  # the block index of every agent but the last
     while True:
-        prefix = tuple(codes)
-        for last in range(top[-1] + 2):
-            yield prefix + (last,)
-        # the last position of the prefix whose code can still grow
+        masks: list[int] = []
+        for agent, code in enumerate(codes):
+            if code == len(masks):
+                masks.append(1 << agent)
+            else:
+                masks[code] |= 1 << agent
+        # the last agent joins each block in turn, then opens its own
+        for k in range(len(masks)):
+            blocks = masks.copy()
+            blocks[k] |= last
+            yield blocks
+        yield masks + [last]
+        # the last agent of the prefix whose code can still grow: one
+        # that shares its block with an earlier agent
         i = n - 2
-        while i > 0 and codes[i] > top[i - 1]:
+        while i > 0 and not masks[codes[i]] & ((1 << i) - 1):
             i -= 1
-        if i == 0:
+        if i <= 0:
             return
         codes[i] += 1
-        top[i] = max(top[i - 1], codes[i])
         codes[i + 1:] = [0] * (n - 2 - i)
-        top[i + 1:] = [top[i]] * (n - 2 - i)
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Every partition of ``{0..n-1}`` exactly once, in restricted-
     growth-string order."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if n > MAX_ENUM_AGENTS:
-        raise ResourceLimitError(
-            f"enumerating partitions of {n} agents exceeds the guard "
-            f"(n <= {MAX_ENUM_AGENTS}); Bell({n}) = too many"
+    _check_enumerable(n)
+    for masks in _partition_masks(n):
+        yield Partition.of(
+            [agent for agent in range(n) if mask >> agent & 1] for mask in masks
         )
-    for codes in _restricted_growth_strings(n):
-        blocks: list[list[int]] = []
-        for agent, code in enumerate(codes):
-            if code == len(blocks):
-                blocks.append([agent])
-            else:
-                blocks[code].append(agent)
-        yield Partition.of(blocks)
 
 
 def _subset_sum_tables(scaled: list[list[int]]) -> list[list[int]]:
@@ -127,15 +134,11 @@ def _cpoa(game: Game, max_block_size: int, factor: Fraction) -> PoaResult:
     welfare is an int ``D * L`` times the true one.
     """
     n = game.n
-    if n > MAX_ENUM_AGENTS:
-        raise ResourceLimitError(
-            f"price-of-anarchy enumeration is gated at n <= {MAX_ENUM_AGENTS}"
-        )
-    scale, scaled = _scaled_weights(game.weights)
-    tables = _subset_sum_tables(scaled)
-    values = [game.alpha.value(s) for s in range(1, n + 1)]
-    common = math.lcm(*[a.denominator for a in values])
-    alphas = [0] + [a.numerator * (common // a.denominator) for a in values]
+    _check_enumerable(n)
+    scale, weights = _scaled_weights(game.weights)
+    tables = _subset_sum_tables(weights)
+    values, common = scaled([game.alpha.value(s) for s in range(1, n + 1)])
+    alphas = [0] + values
     kp, kq = factor.numerator, factor.denominator
 
     # each candidate deviation S as pairs (i, kq * D * L * utility of i
@@ -153,19 +156,10 @@ def _cpoa(game: Game, max_block_size: int, factor: Fraction) -> PoaResult:
     best = None
     worst_stable = None
 
-    for codes in _restricted_growth_strings(n):
-        masks = []
-        sizes = []
-        for agent, code in enumerate(codes):
-            if code == len(masks):
-                masks.append(1 << agent)
-                sizes.append(1)
-            else:
-                masks[code] |= 1 << agent
-                sizes[code] += 1
+    for masks in _partition_masks(n):
         utilities = [0] * n
-        for mask, size in zip(masks, sizes):
-            a = alphas[size]
+        for mask in masks:
+            a = alphas[mask.bit_count()]
             rest = mask
             while rest:
                 low = rest & -rest
@@ -213,7 +207,7 @@ def size_cpoa(game: Game, max_size: int) -> PoaResult:
 def improvement_cpoa(game: Game, factor: Fraction | int) -> PoaResult:
     """Price of anarchy over partitions in which no coalition of any
     size improves every member by a factor of more than ``factor``."""
-    factor = Fraction(factor)
+    factor = exact(factor)
     if factor < 1:
         raise DomainError("factor must be >= 1")
     return _cpoa(game, game.n, factor)

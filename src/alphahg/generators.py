@@ -54,7 +54,7 @@ def _scenario(alpha, matrix, baselines=None) -> Scenario:
     return Scenario(
         size=size,
         weights=tuple(tuple(row) for row in matrix),
-        baselines=tuple(Fraction(b) for b in baselines),
+        baselines=tuple(baselines),
         alpha=alpha,
     )
 

@@ -25,43 +25,15 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .core import AlphaFunction, Game, Partition
+from ._rat import exact as parse_rational
+from .core import AlphaFunction, Game, Partition, check_partition
 from .errors import InvalidInputError
 from .stability import Scenario
 
 
-def parse_rational(value: Any) -> Fraction:
-    """Parse an exact rational from an int or a ``"p/q"`` string.
-
-    Floats and float-like strings ("2.5", "1e3") are rejected.
-    """
-    if isinstance(value, bool):
-        raise InvalidInputError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise InvalidInputError(
-            f"floating-point literal {value!r} rejected; write an exact \"p/q\" string"
-        )
-    if isinstance(value, str):
-        parts = value.strip().split("/")
-        try:
-            numbers = [int(p) for p in parts]
-        except ValueError:
-            numbers = []
-        if len(numbers) == 1:
-            return Fraction(numbers[0])
-        if len(numbers) == 2:
-            if numbers[1] == 0:
-                raise InvalidInputError(f"zero denominator in {value!r}")
-            return Fraction(numbers[0], numbers[1])
-        raise InvalidInputError(f"not an exact rational: {value!r}")
-    raise InvalidInputError(f"not a rational: {value!r}")
-
-
 def format_rational(value: Fraction) -> str:
     """``"p/q"``, or just ``"p"`` for integers."""
-    value = Fraction(value)
+    value = parse_rational(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -136,8 +108,7 @@ def game_from_dict(data: dict, max_agents: int | None = None) -> tuple[Game, Par
         if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
             raise InvalidInputError("partition must be a list of lists of agent indices")
         partition = Partition.of(blocks)
-        if not partition.covers(n):
-            raise InvalidInputError("partition does not cover agents 0..n-1 exactly")
+        check_partition(game, partition)
     return game, partition
 
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
+from ._rat import exact, scaled
 from .errors import InvalidInputError
 
 RELATIONS = ("<=", "=", ">=")
@@ -34,14 +35,6 @@ class Constraint(NamedTuple):
     coeffs: tuple[Fraction, ...]
     relation: str
     rhs: Fraction
-
-
-def _fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _fractions(values) -> tuple[Fraction, ...]:
-    return tuple(map(_fraction, values))
 
 
 @dataclass(frozen=True)
@@ -72,11 +65,11 @@ class LinearProgram:
                 raise InvalidInputError(f"unknown relation {relation!r}")
             if len(coeffs) != n:
                 raise InvalidInputError("constraint length must match variable count")
-            rows.append(Constraint(_fractions(coeffs), relation, _fraction(rhs)))
+            rows.append(Constraint(tuple(map(exact, coeffs)), relation, exact(rhs)))
         object.__setattr__(self, "constraints", tuple(rows))
-        object.__setattr__(self, "objective", _fractions(self.objective))
+        object.__setattr__(self, "objective", tuple(map(exact, self.objective)))
         object.__setattr__(
-            self, "lower", tuple(None if x is None else _fraction(x) for x in lower)
+            self, "lower", tuple(None if x is None else exact(x) for x in lower)
         )
 
     @classmethod
@@ -161,10 +154,23 @@ class _Tableau:
         self.d = p
         self.basis[r] = c
 
-    def run(self, allowed):
+    def price(self, cost: list[int]) -> None:
+        """Set the objective row to maximize ``cost . x``, priced out for
+        the current basis: ``d * c_j - sum_i c_basis[i] * rows[i][j]`` per
+        column, and minus ``d`` times the objective value in the last cell."""
+        obj = [self.d * x for x in cost] + [0]
+        for row, b in zip(self.rows, self.basis):
+            cb = cost[b]
+            if cb:
+                for j, x in enumerate(row):
+                    if x:
+                        obj[j] -= cb * x
+        self.obj = obj
+
+    def run(self):
         """Primal simplex on the current basis and objective row.
 
-        Maximization: optimal when no allowed reduced cost is positive.
+        Maximization: optimal when no reduced cost is positive.
         Returns "optimal" or "unbounded".  Bland's rule throughout
         (lowest-index entering and leaving variable), which guarantees
         termination.
@@ -173,7 +179,7 @@ class _Tableau:
         while True:
             entering = -1
             for j in range(self.num_cols):
-                if allowed[j] and obj[j] > 0:
+                if obj[j] > 0:
                     entering = j
                     break
             if entering < 0:
@@ -192,13 +198,6 @@ class _Tableau:
             if leaving < 0:
                 return "unbounded"
             self.pivot(leaving, entering)
-
-
-def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The rationals times the LCM of their denominators, as ints, and
-    that LCM."""
-    common = lcm(*{x.denominator for x in values})
-    return [x.numerator * (common // x.denominator) for x in values], common
 
 
 def solve(lp: LinearProgram) -> SolveResult:
@@ -230,25 +229,25 @@ def solve(lp: LinearProgram) -> SolveResult:
 
     # the lower bounds as ints over one common denominator; a free
     # variable is not shifted
-    low, low_den = _scaled([Fraction(0) if x is None else x for x in lp.lower])
+    low, low_den = scaled([Fraction(0) if x is None else x for x in lp.lower])
 
     # canonicalize every constraint to <= or = with rhs >= 0, as one int
     # row (coefficients, then rhs) scaled by the LCM of its denominators;
     # substituting x = y + lower leaves rhs - sum(c * lower) on the right
     canon: list[tuple[list[int], str, int]] = []
     for coeffs, relation, rhs in lp.constraints:
-        scaled, common = _scaled((*coeffs, rhs))
-        shift = sum(map(mul, scaled, low))  # stops before the rhs
+        ints, common = scaled((*coeffs, rhs))
+        shift = sum(map(mul, ints, low))  # stops before the rhs
         if shift:
             # over common * low_den the rhs is r; dividing the row and
             # that denominator by their gcd rescales the row to the LCM
             # of the shifted row's denominators
-            r = scaled[-1] * low_den - shift
-            g = gcd(gcd(common, *scaled[:-1]) * low_den, r)
-            scaled = [c * low_den // g for c in scaled[:-1]] + [r // g]
+            r = ints[-1] * low_den - shift
+            g = gcd(gcd(common, *ints[:-1]) * low_den, r)
+            ints = [c * low_den // g for c in ints[:-1]] + [r // g]
             common = common * low_den // g
-        row = expand(scaled[:-1])
-        r = scaled[-1]
+        row = expand(ints[:-1])
+        r = ints[-1]
         if relation == ">=":
             row = [-x for x in row]
             r = -r
@@ -269,7 +268,6 @@ def solve(lp: LinearProgram) -> SolveResult:
     # order and so every pivot unchanged
     rows: list[list[int]] = []
     basis: list[int] = []
-    art_cols: list[int] = []
     slack_at = num_struct
     art_at = num_struct + num_slack
     for row, relation, _ in canon:
@@ -283,65 +281,49 @@ def solve(lp: LinearProgram) -> SolveResult:
             slack_at += 1
             full[art_at] = 1
             basis.append(art_at)
-            art_cols.append(art_at)
             art_at += 1
         else:
             full[art_at] = 1
             basis.append(art_at)
-            art_cols.append(art_at)
             art_at += 1
         rows.append(full)
 
     tab = _Tableau(rows, basis, total)
-    art_set = set(art_cols)
-    allowed = [True] * total
+    keep = num_struct + num_slack  # the artificials are the columns after these
 
-    if art_cols:
+    if num_art:
         # phase 1: maximize minus the sum of the Fraction tableau's
-        # artificials, i.e. each integer artificial weighted by 1/L_i;
-        # the objective row is scaled by M = lcm(L_i) to stay integral
-        art_rows = [i for i, b in enumerate(basis) if b in art_set]
-        big = lcm(*{canon[i][2] for i in art_rows})
-        obj = [0] * (total + 1)
-        for i in art_rows:
-            w = big // canon[i][2]
-            for j, x in enumerate(rows[i]):
-                if x:
-                    obj[j] += w * x
-            obj[basis[i]] -= w  # basic columns price out to 0
-        # its last cell, sum(w * rhs), is minus M times the phase-1 value
-        tab.obj = obj
-        status = tab.run(allowed)
+        # artificials, i.e. each integer artificial weighted by 1/L_i,
+        # scaled to ints by M = lcm(L_i)
+        art_rows = [i for i, b in enumerate(basis) if b >= keep]
+        cost = [0] * total
+        weights = scaled([Fraction(1, canon[i][2]) for i in art_rows])[0]
+        for i, w in zip(art_rows, weights):
+            cost[basis[i]] = -w
+        tab.price(cost)
+        status = tab.run()
         assert status == "optimal"  # phase-1 objective is bounded above by 0
-        if obj[-1] != 0:
+        if tab.obj[-1] != 0:  # minus M times the phase-1 value
             return Infeasible()
         tab.obj = None
-        # pivot surviving artificials out of the basis, or drop their rows
+        # drop the artificial columns, then pivot surviving artificials
+        # out of the basis, or drop their rows
+        for row in tab.rows:
+            del row[keep:-1]
+        tab.num_cols = keep
         for i in range(len(tab.basis) - 1, -1, -1):
-            if tab.basis[i] in art_set:
-                for j in range(num_struct + num_slack):
+            if tab.basis[i] >= keep:
+                for j in range(keep):
                     if tab.rows[i][j] != 0:
                         tab.pivot(i, j)
                         break
                 else:
                     del tab.rows[i]
                     del tab.basis[i]
-        for c in art_cols:
-            allowed[c] = False
 
-    # phase 2: the real objective (scaled to ints), priced out for the
-    # current basis
-    cost = expand(_scaled(lp.objective)[0]) + [0] * (total - num_struct)
-    d = tab.d
-    obj = [d * x for x in cost] + [0]
-    for i, b in enumerate(tab.basis):
-        cb = cost[b]
-        if cb:
-            for j, x in enumerate(tab.rows[i]):
-                if x:
-                    obj[j] -= cb * x
-    tab.obj = obj
-    if tab.run(allowed) == "unbounded":
+    # phase 2: the real objective, scaled to ints
+    tab.price(expand(scaled(lp.objective)[0]) + [0] * num_slack)
+    if tab.run() == "unbounded":
         return Unbounded()
 
     d = tab.d

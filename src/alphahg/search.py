@@ -33,6 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping
 
+from ._rat import exact
 from .core import AlphaFunction
 from .errors import DomainError, InvalidInputError
 from .lp import Constraint, LinearProgram, Optimal, solve
@@ -73,9 +74,9 @@ class SearchProblem:
     time_limit: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        object.__setattr__(self, "weight_bound", Fraction(self.weight_bound))
-        object.__setattr__(self, "baseline_bound", Fraction(self.baseline_bound))
+        object.__setattr__(self, "gamma", exact(self.gamma))
+        object.__setattr__(self, "weight_bound", exact(self.weight_bound))
+        object.__setattr__(self, "baseline_bound", exact(self.baseline_bound))
         if self.stable_size < 1:
             raise InvalidInputError("stable_size must be >= 1")
         if self.size < max(self.stable_size + 1, 2):

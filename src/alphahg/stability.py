@@ -34,6 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
+from ._rat import exact, scaled
 from .core import (
     AlphaFunction,
     Coalition,
@@ -72,9 +73,7 @@ class Scenario:
         if len(self.baselines) != self.size:
             raise InvalidInputError("need one baseline per agent")
         object.__setattr__(self, "weights", rows)
-        object.__setattr__(
-            self, "baselines", tuple(Fraction(b) for b in self.baselines)
-        )
+        object.__setattr__(self, "baselines", tuple(map(exact, self.baselines)))
 
 
 @dataclass(frozen=True)
@@ -103,10 +102,9 @@ def _subset_budget_guard(n: int, min_size: int, max_size: int, budget: int) -> N
 def _scaled_weights(weights) -> tuple[int, list[list[int]]]:
     """``(L, W)``: ``L`` the least common multiple of every weight's
     denominator and ``W[i][j] = L * weights[i][j]`` as ints."""
-    scale = math.lcm(*[w.denominator for row in weights for w in row])
-    return scale, [
-        [w.numerator * (scale // w.denominator) for w in row] for row in weights
-    ]
+    n = len(weights)
+    flat, scale = scaled([w for row in weights for w in row])
+    return scale, [flat[i:i + n] for i in range(0, n * n, n)]
 
 
 def _scaled_utilities(
@@ -179,7 +177,7 @@ def find_blocking_coalition(
     utility; ``None`` if no such coalition exists in the size range.
     """
     n = game.n
-    factor = Fraction(factor)
+    factor = exact(factor)
     if not (1 <= min_size <= max_size <= n):
         raise DomainError(f"need 1 <= min_size <= max_size <= {n}")
     if factor < 1:
@@ -236,10 +234,11 @@ def is_size_factor_stable(
 ) -> StabilityReport:
     """Every coalition of size exactly ``size`` has a member who does
     not improve by a factor of more than ``factor``."""
+    factor = exact(factor)
     witness = find_blocking_coalition(
         game, partition, size, size, factor, subset_budget=subset_budget
     )
-    return StabilityReport(witness is None, witness, (size, size), Fraction(factor))
+    return StabilityReport(witness is None, witness, (size, size), factor)
 
 
 def is_improvement_stable(
@@ -250,10 +249,11 @@ def is_improvement_stable(
 ) -> StabilityReport:
     """No coalition of any size lets every member improve by a factor
     of more than ``factor``."""
+    factor = exact(factor)
     witness = find_blocking_coalition(
         game, partition, 1, game.n, factor, subset_budget=subset_budget
     )
-    return StabilityReport(witness is None, witness, (1, game.n), Fraction(factor))
+    return StabilityReport(witness is None, witness, (1, game.n), factor)
 
 
 def scenario_is_size_stable(
@@ -356,7 +356,7 @@ def blocking_members_check(
     """Re-check a witness: does every member strictly beat ``factor``
     times their partition utility?"""
     members = tuple(coalition)
-    factor = Fraction(factor)
+    factor = exact(factor)
     return all(
         coalition_utility(game, members, i)
         > factor * partition_utility(game, partition, i)

@@ -258,6 +258,21 @@ class TestExitCodeContract:
             main(["verify", path, *modes])
         assert exc.value.code == 2
 
+    def test_repeated_calls_share_one_parser(self, capsys, tmp_path):
+        # the parser is built once per process; an argparse error must
+        # leave it fit for the next call and for another subcommand
+        from alphahg import cli
+
+        path = write_ashg_example(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", path, "--q-size", "two"])
+        assert exc.value.code == 2
+        code, out, _ = run(capsys, "verify", path, "--q-size", "2")
+        assert code == 0 and out.startswith("stable")
+        code, out, _ = run(capsys, "bound-table", "--alpha", "fhg", "--q-range", "2:2", "--m-range", "3:3")
+        assert code == 0 and out.splitlines()[1].startswith("2,3,4/3,")
+        assert cli.build_parser() is cli.build_parser()
+
     def test_internal_error_exit_four_with_traceback(self, capsys, monkeypatch):
         from alphahg import cli
 

@@ -25,7 +25,7 @@ from alphahg import (
     max_improvement_factor_at_size,
     scenario_is_size_stable,
 )
-from alphahg.efficiency import _cpoa, _restricted_growth_strings
+from alphahg.efficiency import _cpoa, _partition_masks
 from alphahg.stability import Scenario, _scenario_first_blocking
 from conftest import positive_baseline_partition, random_partition
 
@@ -157,13 +157,20 @@ def test_cpoa_matches_reference():
     assert len(kinds) >= 2
 
 
+def _block_masks(codes):
+    masks = [0] * (max(codes) + 1)
+    for agent, code in enumerate(codes):
+        masks[code] |= 1 << agent
+    return masks
+
+
 def test_restricted_growth_strings_match_reference():
-    # the iterative walk yields the recursive one's sequence, so
-    # enumerate_partitions and _cpoa visit partitions in the same order
+    # the iterative mask walk yields the recursive code walk's sequence,
+    # so enumerate_partitions and _cpoa visit partitions in the same order
     for n in range(1, 10):
-        assert list(_restricted_growth_strings(n)) == list(
-            reference._restricted_growth_strings(n)
-        ), n
+        assert list(_partition_masks(n)) == [
+            _block_masks(codes) for codes in reference._restricted_growth_strings(n)
+        ], n
 
 
 def test_backend_name_is_recorded():
