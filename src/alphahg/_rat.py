@@ -1,10 +1,11 @@
 """The package's one exact-arithmetic boundary.
 
 Every rational a caller hands in is admitted by :func:`exact`, since a
-verdict on an exact threshold can flip on one rounded bit.  The LP
-tableau and the subset kernels clear denominators once with
-:func:`scaled` and then run on Python ints.  ``BACKEND`` names this, the
-only backend, for records of a run's environment.
+verdict on an exact threshold can flip on one rounded bit, and every
+size or count by :func:`integer`.  The LP tableau and the subset
+kernels clear denominators once with :func:`scaled` and then run on
+Python ints.  ``BACKEND`` names this, the only backend, for records of
+a run's environment.
 """
 
 from __future__ import annotations
@@ -47,6 +48,16 @@ def exact(value: Any) -> Fraction:
             return Fraction(numbers[0], numbers[1])
         raise InvalidInputError(f"not an exact rational: {value!r}")
     raise InvalidInputError(f"not a rational: {value!r}")
+
+
+def integer(value: Any) -> int:
+    """A size or count: an ``int`` and not a bool, returned as it is.
+
+    Floats, rationals (even whole ones), strings and bools are rejected.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidInputError(f"not an integer: {value!r}")
 
 
 def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._rat import exact
+from ._rat import exact, integer
 from .core import AlphaFunction
 from .errors import DomainError
 
@@ -27,9 +27,9 @@ DEFAULT_MAX_SIZE = 64
 
 
 def _check_sizes(stable_size: int, coalition_size: int, factor: Fraction) -> None:
-    if stable_size < 2:
+    if integer(stable_size) < 2:
         raise DomainError("stable_size must be >= 2")
-    if coalition_size < stable_size + 1:
+    if integer(coalition_size) < stable_size + 1:
         raise DomainError("coalition_size must be >= stable_size + 1")
     if factor < 1:
         raise DomainError("factor must be >= 1")
@@ -75,7 +75,7 @@ def ashg_improvement_bound(
 def fhg_improvement_limit(stable_size: int) -> Fraction:
     """Size-independent ceiling q/(q-1) for fractional games: a baseline
     stable up to ``stable_size`` is improvement stable at this factor."""
-    if stable_size < 2:
+    if integer(stable_size) < 2:
         raise DomainError("stable_size must be >= 2")
     return Fraction(stable_size, stable_size - 1)
 
@@ -84,7 +84,7 @@ def simple_fhg_bound(coalition_size: int) -> Fraction:
     """For binary-weight fractional games with a 3-size-stable baseline:
     no coalition of ``coalition_size >= 4`` agents improves everyone by
     more than 3(m-1)/(2m)."""
-    m = coalition_size
+    m = integer(coalition_size)
     if m < 4:
         raise DomainError("coalition_size must be >= 4")
     return Fraction(3 * (m - 1), 2 * m)
@@ -97,7 +97,7 @@ def is_hospitable(alpha: AlphaFunction, max_size: int = DEFAULT_MAX_SIZE) -> boo
     case.  Growing a coalition by one agent never shrinks the per-size
     weight by more than the member-count ratio.
     """
-    if max_size < 2:
+    if integer(max_size) < 2:
         raise DomainError("max_size must be >= 2")
     return all(
         alpha.value(q) * (q - 1) >= alpha.value(q - 1) * (q - 2)
@@ -111,7 +111,7 @@ def is_decreasing(alpha: AlphaFunction, max_size: int = DEFAULT_MAX_SIZE) -> boo
     alpha(1) = 0 is a singleton placeholder (self-weights are zero, so
     it never scales a utility); the q=1 comparison is skipped then.
     """
-    if max_size < 2:
+    if integer(max_size) < 2:
         raise DomainError("max_size must be >= 2")
     start = 2 if alpha.value(1) == 0 else 1
     return all(
@@ -128,7 +128,7 @@ def guarantees_core_existence(
     stable, so a core stable partition always exists.  The verdict is
     bounded: sizes beyond ``max_size`` are not sampled.
     """
-    if max_size < 2:
+    if integer(max_size) < 2:
         raise DomainError("max_size must be >= 2")
     a2 = alpha.value(2)
     return all((m - 1) * alpha.value(m) <= a2 for m in range(2, max_size + 1))
@@ -142,10 +142,10 @@ def cpoa_upper_bound(
 
     Requires a decreasing alpha.
     """
-    q = stable_size
+    q = integer(stable_size)
     if q < 2:
         raise DomainError("stable_size must be >= 2")
-    if max_size < q + 1:
+    if integer(max_size) < q + 1:
         raise DomainError("max_size must be >= stable_size + 1")
     if not is_decreasing(alpha, max_size):
         raise DomainError("cpoa_upper_bound requires a decreasing alpha")

@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("poa", help="brute-force price of anarchy")
+    p = sub.add_parser("poa", help="exact price of anarchy")
     p.add_argument("file")
     p.add_argument("--q", type=int, help="size-stable core")
     p.add_argument("--k", type=_rational, help="improvement-stable core")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from ._rat import exact
+from ._rat import exact, integer
 from .errors import DomainError, InvalidInputError, ResourceLimitError
 
 #: Hard ceiling on agent counts accepted by :class:`Game`.  Downstream
@@ -106,7 +106,7 @@ class AlphaFunction:
 
     def value(self, size: int) -> Fraction:
         """Exact alpha(size); raises DomainError outside the domain."""
-        m = size
+        m = integer(size)
         if m < 1:
             raise DomainError(f"coalition size must be >= 1, got {m}")
         if self.kind == "ashg":
@@ -188,7 +188,7 @@ class Partition:
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
-        return cls.of([i] for i in range(n))
+        return cls.of([i] for i in range(integer(n)))
 
     @property
     def agents(self) -> frozenset[int]:
@@ -201,7 +201,7 @@ class Partition:
         raise DomainError(f"agent {agent} is not covered by the partition")
 
     def covers(self, n: int) -> bool:
-        return self.agents == frozenset(range(n))
+        return self.agents == frozenset(range(integer(n)))
 
 
 def _weight_matrix(weights: Sequence[Sequence], n: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -223,7 +223,7 @@ def _weight_matrix(weights: Sequence[Sequence], n: int) -> tuple[tuple[Fraction,
 
 
 def _check_agent_limit(n: int, max_agents: int) -> None:
-    if n > max_agents:
+    if integer(n) > integer(max_agents):
         raise ResourceLimitError(
             f"n={n} exceeds the agent limit {max_agents}; "
             "pass a larger max_agents to opt in"
@@ -239,7 +239,7 @@ class Game:
     alpha: AlphaFunction
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        if integer(self.n) < 1:
             raise InvalidInputError("a game needs at least one agent")
         object.__setattr__(self, "weights", _weight_matrix(self.weights, self.n))
 

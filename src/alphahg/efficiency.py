@@ -1,31 +1,41 @@
-"""Social welfare, exhaustive partition enumeration, and prices of anarchy.
+"""Social welfare, partition enumeration, and exact prices of anarchy.
 
 The core price of anarchy of a stability notion is the optimal social
 welfare divided by the worst social welfare among partitions stable
-under that notion, both found by exhaustive enumeration.  Division by
-nonpositive welfare is never performed: zero-welfare optima and
-zero-welfare stable outcomes get explicit verdicts instead.
+under that notion.  Division by nonpositive welfare is never performed:
+zero-welfare optima and zero-welfare stable outcomes get explicit
+verdicts instead.
 
-The enumeration behind the prices of anarchy runs on ints: weights and
-alpha are scaled once to clear their denominators, every coalition's
-weight sums come from one table per agent indexed by bit mask, and
-only the returned welfares are built as ``Fraction``.
+Both welfares are exact without visiting every partition.  Weights and
+alpha are scaled once to clear their denominators, and every
+coalition's welfare is tabulated as an int by bit mask.  The optimum is
+an O(3^n) subset dynamic program over that table (Yeh 1986; Rahwan &
+Jennings 2008).  The worst stable welfare is a depth-first search that
+places one block at a time: a block with a member who would walk out
+is never placed, a deviation is decided once all its members are
+placed, and the same dynamic program, taken with ``min``, bounds the
+welfare still to come.  Only the returned welfares are built as
+``Fraction``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 from typing import Iterator
 
-from ._rat import exact, scaled
+from ._rat import exact, integer, scaled
 from .core import Game, Partition, check_partition, partition_utility
 from .errors import DomainError, ResourceLimitError
 from .stability import _scaled_weights
 
-#: Partition enumeration is gated at this agent count (Bell numbers grow
-#: superexponentially).
+#: Partition enumeration and the prices of anarchy are gated at this
+#: agent count (Bell numbers grow superexponentially; the subset tables
+#: hold 2^n entries and the dynamic program takes 3^n steps).
 MAX_ENUM_AGENTS = 13
 
 RATIO = "ratio"
@@ -60,7 +70,7 @@ def social_welfare(game: Game, partition: Partition) -> Fraction:
 
 
 def _check_enumerable(n: int) -> None:
-    if n < 1:
+    if integer(n) < 1:
         raise DomainError("n must be >= 1")
     if n > MAX_ENUM_AGENTS:
         raise ResourceLimitError(
@@ -112,15 +122,98 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 def _subset_sum_tables(scaled: list[list[int]]) -> list[list[int]]:
     """table[i][mask] = sum of scaled[i][j] over the members j of mask."""
-    n = len(scaled)
     tables = []
     for row in scaled:
-        table = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            table[mask] = table[mask ^ low] + row[low.bit_length() - 1]
+        table = [0]
+        for weight in row:
+            # the masks holding this agent follow the masks below it
+            table += [total + weight for total in table]
         tables.append(table)
     return tables
+
+
+def _members(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _coalition_values(
+    game: Game,
+) -> tuple[int, list[list[int]], list[int], list[int], list[bool]]:
+    """The game on ints, indexed by coalition bit mask.
+
+    Returns ``scale``, the weight-sum tables ``tables[i][mask]``, alpha
+    by size ``alphas[s]``, every coalition's welfare ``values[mask]``
+    and ``rational[mask]``: no member's utility is negative.  Weights are
+    scaled by ``L`` (see :func:`alphahg.stability._scaled_weights`) and
+    alpha by ``D``, the least common multiple of its denominators, so
+    member ``i`` of coalition ``C`` has utility ``alphas[|C|] *
+    tables[i][C]`` and every utility and welfare is ``scale = D * L``
+    times the true one.
+    """
+    n = game.n
+    scale, weights = _scaled_weights(game.weights)
+    tables = _subset_sum_tables(weights)
+    by_size, common = scaled([game.alpha.value(s) for s in range(1, n + 1)])
+    alphas = [0] + by_size
+    # pair_sums[mask]: the members' weight sums to mask, added up (each
+    # pair counts twice)
+    pair_sums = [0] * (1 << n)
+    values = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = mask ^ low
+        pair_sums[mask] = pair_sums[rest] + 2 * tables[low.bit_length() - 1][rest]
+        values[mask] = alphas[mask.bit_count()] * pair_sums[mask]
+    # alpha(s) > 0 for s >= 2, so a utility has its weight sum's sign
+    rational = [True] * (1 << n)
+    for i, table in enumerate(tables):
+        bit = 1 << i
+        for mask in range(bit, 1 << n):
+            if table[mask] < 0 and mask & bit:
+                rational[mask] = False
+    return common * scale, tables, alphas, values, rational
+
+
+def _welfare_tables(
+    values: list[int], rational: list[bool]
+) -> tuple[list[int], list[int]]:
+    """``best[mask]``, the largest welfare of a partition of ``mask``, and
+    ``least[mask]``, the smallest over partitions into individually
+    rational blocks, the only blocks a stable partition has.
+
+    One subset dynamic program (Yeh 1986): each is the max (min) over
+    the blocks ``B`` holding ``mask``'s lowest agent of ``values[B]``
+    plus the table at ``mask ^ B``, so the whole table costs O(3^n).
+    Singletons are always individually rational, so ``least`` is
+    defined everywhere.
+    """
+    best = [0] * len(values)
+    least = [0] * len(values)
+    for mask in range(1, len(values)):
+        low = mask & -mask
+        rest = mask ^ low
+        top = bottom = None
+        sub = rest
+        while True:
+            block = sub | low
+            value = values[block]
+            other = rest ^ sub
+            total = value + best[other]
+            if top is None or total > top:
+                top = total
+            if rational[block]:
+                total = value + least[other]
+                if bottom is None or total < bottom:
+                    bottom = total
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        best[mask] = top
+        least[mask] = bottom
+    return best, least
 
 
 def _cpoa(game: Game, max_block_size: int, factor: Fraction) -> PoaResult:
@@ -128,67 +221,95 @@ def _cpoa(game: Game, max_block_size: int, factor: Fraction) -> PoaResult:
     ``max_block_size`` (single sizes are handled by the caller's choice
     of range).
 
-    Runs on ints: weights times ``L`` (see
-    :func:`alphahg.stability._scaled_weights`) and alpha times ``D``, the
-    least common multiple of alpha's denominators, so every utility and
-    welfare is an int ``D * L`` times the true one.
+    The best welfare comes from :func:`_welfare_tables`.  The worst
+    stable welfare comes from a depth-first search that builds
+    partitions one block at a time, each step placing the block that
+    holds the lowest agent not yet placed.  A block in which some member
+    has negative utility is never placed (that member walks out).  A
+    deviation is decided once all its members are placed, so a blocked
+    prefix is dropped with its whole subtree, and a prefix whose welfare
+    plus ``least`` of the agents still to place cannot go below the
+    worst stable welfare found so far is dropped too.  All of it runs
+    on the ints of :func:`_coalition_values`.
     """
     n = game.n
     _check_enumerable(n)
-    scale, weights = _scaled_weights(game.weights)
-    tables = _subset_sum_tables(weights)
-    values, common = scaled([game.alpha.value(s) for s in range(1, n + 1)])
-    alphas = [0] + values
+    scale, tables, alphas, values, rational = _coalition_values(game)
+    best, least = _welfare_tables(values, rational)
+    full = (1 << n) - 1
     kp, kq = factor.numerator, factor.denominator
 
-    # each candidate deviation S as pairs (i, kq * D * L * utility of i
-    # in S): member i beats factor kp / kq times its partition utility
-    # u_i iff that value exceeds kp * D * L * u_i
-    deviations = []
-    for s in range(2, max_block_size + 1):
-        a = kq * alphas[s]
-        for combo in combinations(range(n), s):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            deviations.append(tuple((i, a * tables[i][mask]) for i in combo))
+    # Each candidate deviation S, a coalition of 2..max_block_size
+    # agents, is one bit.  For each agent i, the S holding i sorted by
+    # kq * D * L * (utility of i in S): i improves on factor kp / kq
+    # times its partition utility u iff that value exceeds kp * D * L *
+    # u, so the S that i refuses are a prefix, and refused[i][c] is the
+    # union of the first c bits.
+    deviations = [mask for mask in range(full + 1) if 2 <= mask.bit_count() <= max_block_size]
+    every = (1 << len(deviations)) - 1
+    offer = [kq * a for a in alphas]
+    offer_values = []
+    refused = []
+    outside = []  # the bits of the S that do not hold agent i
+    for i, table in enumerate(tables):
+        row = sorted(
+            (offer[mask.bit_count()] * table[mask], 1 << k)
+            for k, mask in enumerate(deviations)
+            if mask >> i & 1
+        )
+        offer_values.append([value for value, _ in row])
+        refused.append(list(accumulate((b for _, b in row), or_, initial=0)))
+        outside.append(every ^ refused[i][-1])
 
-    best = None
-    worst_stable = None
+    # settled[left]: the deviations with no member among the agents
+    # ``left`` still to place
+    settled = [every] * (full + 1)
+    for left in range(1, full + 1):
+        low = left & -left
+        settled[left] = settled[left ^ low] & outside[low.bit_length() - 1]
 
-    for masks in _partition_masks(n):
-        utilities = [0] * n
-        for mask in masks:
-            a = alphas[mask.bit_count()]
-            rest = mask
-            while rest:
-                low = rest & -rest
-                i = low.bit_length() - 1
-                utilities[i] = a * tables[i][mask]
-                rest ^= low
-        welfare = sum(utilities)
-        if best is None or welfare > best:
-            best = welfare
+    # unrefused[block]: the deviations no member of block refuses, built
+    # when the block is first placed
+    unrefused: list[int | None] = [None] * (full + 1)
 
-        # singleton deviation: an agent with negative utility walks out
-        if min(utilities) < 0:
-            continue
-        thresholds = utilities if kp == 1 else [kp * u for u in utilities]
-        for deviation in deviations:
-            for i, value in deviation:
-                if value <= thresholds[i]:
-                    break
-            else:
-                break  # every member improves: the partition is blocked
-        else:
-            if worst_stable is None or welfare < worst_stable:
-                worst_stable = welfare
+    def unrefused_by(block: int) -> int:
+        a = kp * alphas[block.bit_count()]
+        by_block = 0
+        for i in _members(block):
+            by_block |= refused[i][bisect_right(offer_values[i], a * tables[i][block])]
+        return every ^ by_block
 
-    assert best is not None
-    best_f = Fraction(best, common * scale)
-    if worst_stable is None:
+    worst = best[full] + 1  # no stable welfare exceeds the best one
+
+    def place(free: int, welfare: int, open_deviations: int) -> None:
+        nonlocal worst
+        low = free & -free
+        rest = free ^ low
+        sub = rest
+        while True:
+            block = sub | low
+            if rational[block]:
+                total = welfare + values[block]
+                left = rest ^ sub
+                if total + least[left] < worst:
+                    still_open = unrefused[block]
+                    if still_open is None:
+                        still_open = unrefused[block] = unrefused_by(block)
+                    still_open &= open_deviations
+                    if not settled[left] & still_open:
+                        if left:
+                            place(left, total, still_open)
+                        else:
+                            worst = total
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+
+    place(full, 0, every)
+    best_f = Fraction(best[full], scale)
+    if worst > best[full]:
         return PoaResult(NO_STABLE_OUTCOME, None, best_f, None)
-    worst_f = Fraction(worst_stable, common * scale)
+    worst_f = Fraction(worst, scale)
     if best_f == 0:
         return PoaResult(UNDEFINED, Fraction(1), best_f, worst_f)
     if worst_f <= 0:
@@ -199,7 +320,7 @@ def _cpoa(game: Game, max_block_size: int, factor: Fraction) -> PoaResult:
 def size_cpoa(game: Game, max_size: int) -> PoaResult:
     """Price of anarchy over partitions with no blocking coalition of
     size at most ``max_size``."""
-    if not 1 <= max_size <= game.n:
+    if not 1 <= integer(max_size) <= game.n:
         raise DomainError(f"need 1 <= max_size <= {game.n}")
     return _cpoa(game, max_size, Fraction(1))
 
@@ -235,12 +356,56 @@ def greedy_pairing(game: Game) -> Partition:
     return Partition.of(blocks)
 
 
+def _submasks(mask: int) -> Iterator[int]:
+    """Every subset of ``mask``, ``mask`` itself first and 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
 def best_welfare_partition(game: Game) -> tuple[Partition, Fraction]:
-    """A welfare-maximizing partition (first in enumeration order)."""
-    best: tuple[Partition, Fraction] | None = None
-    for partition in enumerate_partitions(game.n):
-        sw = social_welfare(game, partition)
-        if best is None or sw > best[1]:
-            best = (partition, sw)
-    assert best is not None
-    return best
+    """A welfare-maximizing partition: the first one in the order of
+    :func:`enumerate_partitions`.
+
+    The optimum comes from :func:`_welfare_tables`.  The partition is
+    then fixed agent by agent in that order: each agent joins the first
+    block, or else opens a new one, from which an optimal partition can
+    still be completed.
+    """
+    n = game.n
+    _check_enumerable(n)
+    scale, _, _, values, rational = _coalition_values(game)
+    best, _ = _welfare_tables(values, rational)
+    optimum = best[-1]
+
+    def completion(blocks: list[int], free: int) -> int:
+        """Largest welfare of a partition that extends each of ``blocks``
+        by a disjoint subset of ``free`` and splits the rest freely."""
+
+        @cache
+        def extend(index: int, avail: int) -> int:
+            if index == len(blocks):
+                return best[avail]
+            return max(
+                values[blocks[index] | sub] + extend(index + 1, avail ^ sub)
+                for sub in _submasks(avail)
+            )
+
+        return extend(0, free)
+
+    blocks = [1]
+    for agent in range(1, n):
+        free = (1 << n) - (2 << agent)  # the agents after this one
+        for index in range(len(blocks) + 1):
+            trial = blocks + [0]
+            trial[index] |= 1 << agent
+            if not trial[-1]:
+                trial.pop()
+            if completion(trial, free) == optimum:
+                blocks = trial
+                break
+    partition = Partition.of(list(_members(mask)) for mask in blocks)
+    return partition, Fraction(optimum, scale)

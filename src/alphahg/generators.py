@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._rat import integer
 from .bounds import (
     ashg_improvement_bound,
     fhg_improvement_bound,
@@ -68,7 +69,7 @@ def complete_graph_scenario(
     coalition improves everyone by ``alpha(m)(m-1)/(alpha(q)(q-1))``,
     which attains the general bound whenever ``q-1`` divides ``m-1``.
     """
-    q, m = stable_size, size
+    q, m = integer(stable_size), integer(size)
     if not 2 <= q < m:
         raise DomainError("need 2 <= stable_size < size")
     if not is_hospitable(alpha, m):
@@ -82,7 +83,7 @@ def complete_graph_scenario(
 
 
 def complete_graph_factor(alpha: AlphaFunction, stable_size: int, size: int) -> Fraction:
-    q, m = stable_size, size
+    q, m = integer(stable_size), integer(size)
     return alpha.value(m) * (m - 1) / (alpha.value(q) * (q - 1))
 
 
@@ -93,7 +94,7 @@ def two_halves_scenario(alpha: AlphaFunction, size: int) -> Scenario:
     Requires a hospitable alpha and even ``size >= 4``.  Stable up to
     size 3; the full coalition attains the general bound for q = 3.
     """
-    m = size
+    m = integer(size)
     if m < 4 or m % 2:
         raise DomainError("size must be even and >= 4")
     if not is_hospitable(alpha, m):
@@ -116,7 +117,7 @@ def cycle_scenario(stable_size: int, variant: str) -> Scenario:
     separable: cycle edges weigh 1, other pairs 0; factor 2.  Baselines
     are 1 and the scenario is stable up to ``stable_size``.
     """
-    q = stable_size
+    q = integer(stable_size)
     if q < 2:
         raise DomainError("stable_size must be >= 2")
     key = variant.strip().lower()
@@ -134,8 +135,9 @@ def cycle_scenario(stable_size: int, variant: str) -> Scenario:
 
 
 def cycle_factor(stable_size: int, variant: str) -> Fraction:
+    q = integer(stable_size)
     if variant.strip().lower() == "fhg":
-        return Fraction(stable_size + 2, stable_size + 1)
+        return Fraction(q + 2, q + 1)
     return Fraction(2)
 
 
@@ -147,7 +149,7 @@ def two_valued_scenario(size: int) -> Scenario:
     themselves), weight 2 across, baselines 1.  The full coalition
     improves everyone by ``1 + floor((m-2)/3)/m``.
     """
-    m = size
+    m = integer(size)
     if m < 5:
         raise DomainError("size must be >= 5")
     t = (m - 2) // 3 + 1
@@ -177,7 +179,7 @@ def two_group_scenario(size: int) -> Scenario:
 
     The full coalition improves everyone by ``1 + floor((m-2)/3)``.
     """
-    m = size
+    m = integer(size)
     if m < 5:
         raise DomainError("size must be >= 5")
     if m % 3 == 1:
@@ -207,7 +209,7 @@ def mantel_scenario(size: int) -> Scenario:
     between halves of ``floor(m/2)`` and ``ceil(m/2)`` agents, weight 1
     elsewhere, baselines 1.  Factor ``1 + floor((m-2)/2)/m``.
     """
-    m = size
+    m = integer(size)
     if m < 4:
         raise DomainError("size must be >= 4")
     half = m // 2

@@ -98,8 +98,6 @@ def game_from_dict(data: dict, max_agents: int | None = None) -> tuple[Game, Par
         edges = _edges_from_json(data.get("weights", []))
     except KeyError as exc:
         raise InvalidInputError(f"missing field {exc.args[0]!r}") from None
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InvalidInputError("n must be an integer")
     kwargs = {} if max_agents is None else {"max_agents": max_agents}
     game = Game.from_edges(n, edges, alpha, **kwargs)
     partition = None

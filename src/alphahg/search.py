@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping
 
-from ._rat import exact
+from ._rat import exact, integer
 from .core import AlphaFunction
 from .errors import DomainError, InvalidInputError
 from .lp import Constraint, LinearProgram, Optimal, solve
@@ -77,9 +77,9 @@ class SearchProblem:
         object.__setattr__(self, "gamma", exact(self.gamma))
         object.__setattr__(self, "weight_bound", exact(self.weight_bound))
         object.__setattr__(self, "baseline_bound", exact(self.baseline_bound))
-        if self.stable_size < 1:
+        if integer(self.stable_size) < 1:
             raise InvalidInputError("stable_size must be >= 1")
-        if self.size < max(self.stable_size + 1, 2):
+        if integer(self.size) < max(self.stable_size + 1, 2):
             raise InvalidInputError("size must be >= stable_size + 1")
         if self.gamma < 1:
             raise InvalidInputError("gamma must be >= 1")
@@ -87,7 +87,7 @@ class SearchProblem:
             raise InvalidInputError("weight_bound must be positive")
         if self.baseline_bound < 1:
             raise InvalidInputError("baseline_bound must be >= 1")
-        if self.node_limit is not None and self.node_limit < 0:
+        if self.node_limit is not None and integer(self.node_limit) < 0:
             raise InvalidInputError("node_limit must be >= 0")
         if self.time_limit is not None and not self.time_limit >= 0:
             raise InvalidInputError("time_limit must be >= 0")

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from ._rat import exact, scaled
+from ._rat import exact, integer, scaled
 from .core import (
     AlphaFunction,
     Coalition,
@@ -67,7 +67,7 @@ class Scenario:
     alpha: AlphaFunction
 
     def __post_init__(self) -> None:
-        if self.size < 1:
+        if integer(self.size) < 1:
             raise InvalidInputError("scenario needs at least one agent")
         rows = _weight_matrix(self.weights, self.size)
         if len(self.baselines) != self.size:
@@ -93,7 +93,7 @@ class StabilityReport:
 
 def _subset_budget_guard(n: int, min_size: int, max_size: int, budget: int) -> None:
     total = sum(math.comb(n, s) for s in range(min_size, max_size + 1))
-    if total > budget:
+    if total > integer(budget):
         raise ResourceLimitError(
             f"enumerating {total} coalitions exceeds the budget of {budget}"
         )
@@ -178,7 +178,7 @@ def find_blocking_coalition(
     """
     n = game.n
     factor = exact(factor)
-    if not (1 <= min_size <= max_size <= n):
+    if not (1 <= integer(min_size) <= integer(max_size) <= n):
         raise DomainError(f"need 1 <= min_size <= max_size <= {n}")
     if factor < 1:
         raise DomainError("improvement factor must be >= 1")
@@ -269,7 +269,7 @@ def scenario_is_size_stable(
     does not exceed their baseline.
     """
     m = scenario.size
-    if not (1 <= max_size <= m):
+    if not (1 <= integer(max_size) <= m):
         raise DomainError(f"need 1 <= max_size <= {m}")
     if any(b < 0 for b in scenario.baselines):
         return False
@@ -315,7 +315,7 @@ def max_improvement_factor_at_size(
     Requires every agent's partition utility to be strictly positive.
     """
     n = game.n
-    if not (2 <= size <= n):
+    if not (2 <= integer(size) <= n):
         raise DomainError(f"need 2 <= size <= {n}")
     check_partition(game, partition)
     scaled = _scaled_weights(game.weights)[1]

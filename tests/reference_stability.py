@@ -3,8 +3,9 @@
 Kept as the reference for ``tests/test_kernel.py``: the integer kernel
 must return the same witnesses, factors and prices of anarchy.  The code
 is the former ``find_blocking_coalition``, ``scenario_is_size_stable``,
-``max_improvement_factor_at_size``, ``_subset_sum_tables``, ``_cpoa`` and
-the recursive ``_restricted_growth_strings`` that drove it unchanged,
+``max_improvement_factor_at_size``, ``_subset_sum_tables``, ``_cpoa``,
+the recursive ``_restricted_growth_strings`` that drove it and the
+``best_welfare_partition`` walk over every partition unchanged,
 plus the violated-subset test of ``search.explore`` lifted
 into a function, apart from the removal of the rational backend shim
 (``to_rat`` and ``to_fraction`` below stand in for it with
@@ -25,6 +26,8 @@ from alphahg.efficiency import (
     UNBOUNDED,
     UNDEFINED,
     PoaResult,
+    enumerate_partitions,
+    social_welfare,
 )
 from alphahg.errors import DomainError, ResourceLimitError
 from alphahg.stability import DEFAULT_SUBSET_BUDGET, Scenario, _subset_budget_guard
@@ -280,3 +283,14 @@ def _cpoa(game: Game, max_block_size: int, factor: Fraction) -> PoaResult:
     if worst_f <= 0:
         return PoaResult(UNBOUNDED, None, best_f, worst_f)
     return PoaResult(RATIO, best_f / worst_f, best_f, worst_f)
+
+
+def best_welfare_partition(game: Game) -> tuple[Partition, Fraction]:
+    """A welfare-maximizing partition (first in enumeration order)."""
+    best: tuple[Partition, Fraction] | None = None
+    for partition in enumerate_partitions(game.n):
+        sw = social_welfare(game, partition)
+        if best is None or sw > best[1]:
+            best = (partition, sw)
+    assert best is not None
+    return best

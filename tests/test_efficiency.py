@@ -10,11 +10,13 @@ from alphahg import (
     ASHG,
     FHG,
     MFHG,
+    AlphaFunction,
     DomainError,
     Game,
     Partition,
     ResourceLimitError,
     coalition_utility,
+    cpoa_upper_bound,
     enumerate_partitions,
     greedy_pairing,
     improvement_cpoa,
@@ -24,7 +26,7 @@ from alphahg import (
     size_cpoa,
     social_welfare,
 )
-from alphahg.efficiency import NO_STABLE_OUTCOME, RATIO, UNDEFINED
+from alphahg.efficiency import NO_STABLE_OUTCOME, RATIO, UNBOUNDED, UNDEFINED
 from conftest import CORE_EXISTENCE_ALPHAS, example_game, random_game
 
 
@@ -155,6 +157,47 @@ class TestCpoa:
             n = rng.randint(2, 6)
             game = random_game(rng, n, rng.choice((ASHG, FHG, MFHG)), low=-4, high=4)
             assert size_cpoa(game, 2).kind != NO_STABLE_OUTCOME
+
+
+def _decreasing_table(rng, n):
+    """alpha(1) = 0, then positive rationals that never increase."""
+    values = [Fraction(rng.randint(1, 12), rng.choice((1, 2, 3))) for _ in range(n - 1)]
+    return AlphaFunction.from_table([0] + sorted(values, reverse=True))
+
+
+def _check_poa_upper_bound(rng, sizes, alphas, stable_sizes, games):
+    """``size_cpoa <= cpoa_upper_bound`` on random games with weights in
+    [-2, 5] and denominators 1 and 2; undefined counts as meeting the
+    bound and unbounded fails it, as in criterion 8.  Returns the number
+    of checks."""
+    checks = 0
+    for n in sizes:
+        for make_alpha in alphas:
+            for _ in range(games):
+                alpha = make_alpha(rng, n)
+                game = random_game(rng, n, alpha, low=-2, high=5, denominators=(1, 2))
+                for q in stable_sizes:
+                    result = size_cpoa(game, q)
+                    assert result.kind != UNBOUNDED, (game, q, result)
+                    if result.kind == RATIO:
+                        assert result.value <= cpoa_upper_bound(alpha, q, n), (game, q, result)
+                    checks += 1
+    return checks
+
+
+_BUILT_IN = [lambda rng, n, alpha=alpha: alpha for alpha in (FHG, MFHG, ASHG)]
+
+
+class TestPoaUpperBound:
+    def test_size_cpoa_within_upper_bound_beyond_brute_force(self):
+        # cpoa_upper_bound at sizes the former partition walk could not
+        # reach in a test
+        assert _check_poa_upper_bound(random.Random(77), (9, 10), _BUILT_IN, (2, 3), 10) == 120
+
+    @pytest.mark.slow
+    def test_size_cpoa_within_upper_bound_with_tables_at_eleven_and_twelve(self):
+        alphas = _BUILT_IN + [_decreasing_table]
+        assert _check_poa_upper_bound(random.Random(78), (11, 12), alphas, (2, 3, 4), 5) == 120
 
 
 class TestBestWelfarePartition:

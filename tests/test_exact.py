@@ -1,12 +1,14 @@
 """The exact-arithmetic boundary: every public entry point admits its
 rationals through ``alphahg._rat.exact``, so floats, bools and
-float-like strings are rejected everywhere, just as in files."""
+float-like strings are rejected everywhere, just as in files, and its
+sizes and counts through ``alphahg._rat.integer``, so only ints pass."""
 
 from fractions import Fraction
 
 import pytest
 
 from alphahg import (
+    ASHG,
     FHG,
     AlphaFunction,
     Game,
@@ -18,13 +20,31 @@ from alphahg import (
     fhg_improvement_bound,
     find_blocking_coalition,
     improvement_bound,
+    complete_graph_scenario,
+    cpoa_upper_bound,
+    cycle_scenario,
+    enumerate_partitions,
+    fhg_improvement_limit,
+    guarantees_core_existence,
     improvement_cpoa,
+    is_decreasing,
+    is_hospitable,
     is_improvement_stable,
     is_size_factor_stable,
+    is_size_stable,
+    mantel_scenario,
+    max_improvement_factor_at_size,
+    scenario_is_size_stable,
     search_blocking_scenario,
+    simple_fhg_bound,
+    size_cpoa,
+    two_group_scenario,
+    two_halves_scenario,
+    two_valued_scenario,
 )
 from alphahg import _rat, io
 from alphahg.search import INFEASIBLE_WITHIN_BOUNDS
+from alphahg.generators import complete_graph_factor, cycle_factor
 from alphahg.stability import Scenario, blocking_members_check
 
 INEXACT = [0.1, 4 / 3, True, "2.5", "1e3"]
@@ -55,6 +75,79 @@ ENTRY_POINTS = {
     "ashg_improvement_bound": lambda x: ashg_improvement_bound(2, 3, x),
     "improvement_cpoa": lambda x: improvement_cpoa(_GAME, x),
 }
+
+
+NOT_INTEGERS = [2.5, 3.0, True, Fraction(3), "3"]
+
+_ZEROS = ((0, 0, 0),) * 3
+_GRAND = Partition.of([[0, 1, 2]])
+_SCENARIO = Scenario(3, ((0, 1, 2), (1, 0, 3), (2, 3, 0)), (1, 1, 1), FHG)
+
+#: every public size or count parameter, each called with a valid int
+#: in its place
+INTEGER_ENTRY_POINTS = {
+    "AlphaFunction.value": (lambda x: FHG.value(x), 3),
+    "Partition.singletons": (lambda x: Partition.singletons(x), 3),
+    "Partition.covers": (lambda x: _PAIRS.covers(x), 3),
+    "Game n": (lambda x: Game(x, _ZEROS, FHG), 3),
+    "Game.from_edges n": (lambda x: Game.from_edges(x, [], FHG), 3),
+    "Game.from_edges max_agents": (lambda x: Game.from_edges(2, [], FHG, max_agents=x), 3),
+    "Game.from_matrix max_agents": (lambda x: Game.from_matrix(_ZEROS, FHG, max_agents=x), 3),
+    "Scenario size": (lambda x: Scenario(x, _ZEROS, (1, 1, 1), FHG), 3),
+    "find_blocking_coalition min_size": (lambda x: find_blocking_coalition(_GAME, _PAIRS, x, 3), 3),
+    "find_blocking_coalition max_size": (lambda x: find_blocking_coalition(_GAME, _PAIRS, 1, x), 3),
+    "find_blocking_coalition subset_budget": (
+        lambda x: find_blocking_coalition(_GAME, _PAIRS, 1, 1, subset_budget=x), 3
+    ),
+    "is_size_stable": (lambda x: is_size_stable(_GAME, _PAIRS, x), 3),
+    "is_size_factor_stable": (lambda x: is_size_factor_stable(_GAME, _PAIRS, x, 1), 3),
+    "scenario_is_size_stable": (lambda x: scenario_is_size_stable(_SCENARIO, x), 3),
+    "max_improvement_factor_at_size": (lambda x: max_improvement_factor_at_size(_GAME, _GRAND, x), 3),
+    "improvement_bound stable_size": (lambda x: improvement_bound(FHG, x, 4), 3),
+    "improvement_bound coalition_size": (lambda x: improvement_bound(FHG, 2, x), 3),
+    "fhg_improvement_bound": (lambda x: fhg_improvement_bound(x, 4), 3),
+    "ashg_improvement_bound": (lambda x: ashg_improvement_bound(2, x), 3),
+    "fhg_improvement_limit": (lambda x: fhg_improvement_limit(x), 3),
+    "simple_fhg_bound": (lambda x: simple_fhg_bound(x), 4),
+    "is_hospitable": (lambda x: is_hospitable(FHG, x), 3),
+    "is_decreasing": (lambda x: is_decreasing(FHG, x), 3),
+    "guarantees_core_existence": (lambda x: guarantees_core_existence(FHG, x), 3),
+    "cpoa_upper_bound stable_size": (lambda x: cpoa_upper_bound(FHG, x, 5), 3),
+    "cpoa_upper_bound max_size": (lambda x: cpoa_upper_bound(FHG, 2, x), 3),
+    "enumerate_partitions": (lambda x: next(enumerate_partitions(x)), 3),
+    "size_cpoa": (lambda x: size_cpoa(_GAME, x), 3),
+    "SearchProblem stable_size": (lambda x: SearchProblem(FHG, x, 4, 2), 3),
+    "SearchProblem size": (lambda x: SearchProblem(FHG, 2, x, 2), 3),
+    "SearchProblem node_limit": (lambda x: SearchProblem(FHG, 2, 3, 2, node_limit=x), 3),
+    "complete_graph_scenario": (lambda x: complete_graph_scenario(FHG, 2, x), 3),
+    "complete_graph_factor": (lambda x: complete_graph_factor(FHG, 2, x), 3),
+    "two_halves_scenario": (lambda x: two_halves_scenario(ASHG, x), 4),
+    "cycle_scenario": (lambda x: cycle_scenario(x, "fhg"), 3),
+    "cycle_factor": (lambda x: cycle_factor(x, "ashg"), 3),
+    "two_valued_scenario": (lambda x: two_valued_scenario(x), 5),
+    "two_group_scenario": (lambda x: two_group_scenario(x), 5),
+    "mantel_scenario": (lambda x: mantel_scenario(x), 4),
+}
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+def test_non_integer_size_rejected(entry, value):
+    with pytest.raises(InvalidInputError):
+        INTEGER_ENTRY_POINTS[entry][0](value)
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+def test_integer_size_accepted(entry):
+    call, valid = INTEGER_ENTRY_POINTS[entry]
+    call(valid)
+
+
+def test_integer_admits_only_ints():
+    assert _rat.integer(7) == 7
+    for value in NOT_INTEGERS:
+        with pytest.raises(InvalidInputError):
+            _rat.integer(value)
 
 
 @pytest.mark.parametrize("value", INEXACT, ids=repr)

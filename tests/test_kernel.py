@@ -1,9 +1,11 @@
 """The integer subset kernel against the Fraction loops it replaced.
 
 Blocking checks, improvement factors, the search's branching test and
-the prices of anarchy now all clear denominators once and scan on ints.
-``reference_stability`` holds the former Fraction loops; every case
-here must give the same witness, factor or price-of-anarchy result.
+the prices of anarchy now all clear denominators once and scan on ints,
+and the prices of anarchy and the best partition no longer walk every
+partition.  ``reference_stability`` holds the former Fraction loops;
+every case here must give the same witness, factor, partition or
+price-of-anarchy result.
 """
 
 import random
@@ -20,14 +22,17 @@ from alphahg import (
     AlphaFunction,
     Game,
     Partition,
+    best_welfare_partition,
+    enumerate_partitions,
     find_blocking_coalition,
     greedy_pairing,
     max_improvement_factor_at_size,
     scenario_is_size_stable,
+    social_welfare,
 )
 from alphahg.efficiency import _cpoa, _partition_masks
 from alphahg.stability import Scenario, _scenario_first_blocking
-from conftest import positive_baseline_partition, random_partition
+from conftest import positive_baseline_partition, random_game, random_partition
 
 FACTORS = (Fraction(1), Fraction(3, 2), Fraction(7, 5), Fraction(2), Fraction(13, 4), Fraction(1001, 1000))
 
@@ -157,6 +162,63 @@ def test_cpoa_matches_reference():
     assert len(kinds) >= 2
 
 
+#: alpha(1) = 0, then non-increasing: a decreasing alpha that is no built-in
+DECREASING_TABLE = AlphaFunction.from_table(
+    [0, 1, Fraction(3, 4), Fraction(3, 4), Fraction(1, 2), Fraction(2, 5), Fraction(1, 3), Fraction(1, 3)]
+)
+
+
+def _zero_game(n, alpha):
+    # every partition has welfare 0 and is stable under every notion
+    return Game.from_edges(n, [], alpha)
+
+
+def test_cpoa_matches_reference_at_seven_and_eight_agents():
+    # where the block search prunes most: negative weights make agents
+    # walk out, all-zero games make every partition stable with tied
+    # welfare, and both modes run on every game
+    rng = random.Random(4005)
+    kinds = set()
+    for index in range(12):
+        n = 7 + index % 2
+        alpha = (FHG, ASHG, MFHG, DECREASING_TABLE)[index % 4]
+        game = _zero_game(n, alpha) if index % 6 == 4 else random_game(rng, n, alpha, -4, 6, (1, 2))
+        q = rng.randint(2, 4)
+        k = rng.choice(FACTORS)
+        for size, factor in ((q, Fraction(1)), (n, k)):
+            got = _cpoa(game, size, factor)
+            assert got == reference._cpoa(game, size, factor), (index, size, factor)
+            kinds.add(got.kind)
+    assert {"ratio", "undefined"} <= kinds
+
+
+def _tied_game(rng, n, alpha):
+    """Games whose optimum several partitions reach: all-zero games, and
+    weights in {-1, 0, 1}, where zero-weight agents can often sit in any
+    of several blocks."""
+    if rng.random() < 0.3:
+        return _zero_game(n, alpha)
+    matrix = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        matrix[i][j] = matrix[j][i] = rng.choice((-1, 0, 0, 1))
+    return Game.from_matrix(matrix, alpha)
+
+
+def test_best_welfare_partition_matches_reference_with_ties():
+    rng = random.Random(4006)
+    tied = 0
+    for index in range(60):
+        n = rng.randint(1, 7)
+        alpha = rng.choice((ASHG, FHG, MFHG, DECREASING_TABLE))
+        game = _tied_game(rng, n, alpha) if index % 3 else _game(rng, n)
+        partition, welfare = best_welfare_partition(game)
+        assert (partition, welfare) == reference.best_welfare_partition(game), game
+        assert type(welfare) is Fraction
+        optima = sum(1 for p in enumerate_partitions(n) if social_welfare(game, p) == welfare)
+        tied += optima > 1
+    assert tied >= 25
+
+
 def _block_masks(codes):
     masks = [0] * (max(codes) + 1)
     for agent, code in enumerate(codes):
@@ -166,7 +228,7 @@ def _block_masks(codes):
 
 def test_restricted_growth_strings_match_reference():
     # the iterative mask walk yields the recursive code walk's sequence,
-    # so enumerate_partitions and _cpoa visit partitions in the same order
+    # so enumerate_partitions keeps the order of the former walk
     for n in range(1, 10):
         assert list(_partition_masks(n)) == [
             _block_masks(codes) for codes in reference._restricted_growth_strings(n)
