@@ -2,9 +2,9 @@
 
 Every rational a caller hands in is admitted by :func:`exact`, since a
 verdict on an exact threshold can flip on one rounded bit, and every
-size or count by :func:`integer`.  The LP tableau and the subset
-kernels clear denominators once with :func:`scaled` and then run on
-Python ints.  ``BACKEND`` names this, the only backend, for records of
+size, count or agent index by :func:`integer`.  The LP tableau and the
+subset kernels clear denominators once with :func:`scaled` and then run
+on Python ints.  ``BACKEND`` names this, the only backend, for records of
 a run's environment.
 """
 
@@ -51,7 +51,8 @@ def exact(value: Any) -> Fraction:
 
 
 def integer(value: Any) -> int:
-    """A size or count: an ``int`` and not a bool, returned as it is.
+    """A size, count or agent index: an ``int`` and not a bool, returned
+    as it is.
 
     Floats, rationals (even whole ones), strings and bools are rejected.
     """

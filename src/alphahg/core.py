@@ -14,11 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from ._rat import exact, integer
-from .errors import DomainError, InvalidInputError, ResourceLimitError
-
-#: Hard ceiling on agent counts accepted by :class:`Game`.  Downstream
-#: brute force is exponential in ``n``; raise deliberately per call.
-DEFAULT_MAX_AGENTS = 20
+from .errors import DomainError, InvalidInputError
 
 _VARIANTS = ("ashg", "fhg", "mfhg", "pairwise_comm", "odd_even", "table")
 
@@ -137,12 +133,16 @@ ODD_EVEN = AlphaFunction.odd_even()
 
 @dataclass(frozen=True, order=True)
 class Coalition:
-    """A nonempty set of agent indices in canonical sorted order."""
+    """A nonempty set of agent indices in canonical sorted order.
+
+    Each member is admitted by :func:`~alphahg._rat.integer`, so bools,
+    strings and nested lists are rejected rather than read as agents.
+    """
 
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        members = tuple(sorted(set(self.members)))
+        members = tuple(sorted(set(map(integer, self.members))))
         if not members:
             raise InvalidInputError("coalition must be nonempty")
         if members[0] < 0:
@@ -222,14 +222,6 @@ def _weight_matrix(weights: Sequence[Sequence], n: int) -> tuple[tuple[Fraction,
     return rows
 
 
-def _check_agent_limit(n: int, max_agents: int) -> None:
-    if integer(n) > integer(max_agents):
-        raise ResourceLimitError(
-            f"n={n} exceeds the agent limit {max_agents}; "
-            "pass a larger max_agents to opt in"
-        )
-
-
 @dataclass(frozen=True)
 class Game:
     """``n`` agents, a symmetric weight matrix with zero diagonal, and alpha."""
@@ -244,15 +236,8 @@ class Game:
         object.__setattr__(self, "weights", _weight_matrix(self.weights, self.n))
 
     @classmethod
-    def from_matrix(
-        cls,
-        matrix: Sequence[Sequence],
-        alpha: AlphaFunction,
-        max_agents: int = DEFAULT_MAX_AGENTS,
-    ) -> "Game":
-        n = len(matrix)
-        _check_agent_limit(n, max_agents)
-        return cls(n, tuple(map(tuple, matrix)), alpha)
+    def from_matrix(cls, matrix: Sequence[Sequence], alpha: AlphaFunction) -> "Game":
+        return cls(len(matrix), tuple(map(tuple, matrix)), alpha)
 
     @classmethod
     def from_edges(
@@ -260,13 +245,13 @@ class Game:
         n: int,
         edges: Iterable[tuple[int, int, Fraction | int | str]],
         alpha: AlphaFunction,
-        max_agents: int = DEFAULT_MAX_AGENTS,
     ) -> "Game":
         """Build from ``(i, j, weight)`` triples; unlisted pairs are 0."""
-        _check_agent_limit(n, max_agents)
+        n = integer(n)
         matrix = [[Fraction(0)] * n for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for i, j, w in edges:
+            i, j = integer(i), integer(j)
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidInputError(f"edge ({i},{j}) out of range for n={n}")
             if i == j:

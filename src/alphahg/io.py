@@ -25,10 +25,15 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from ._rat import exact as parse_rational
+from ._rat import exact as parse_rational, integer
 from .core import AlphaFunction, Game, Partition, check_partition
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .stability import Scenario
+
+#: The most agents a game or scenario file may declare.  Files are the
+#: one input whose size no caller chose; every exhaustive scan also
+#: guards the work it would do, whatever the size of the game.
+MAX_FILE_AGENTS = 20
 
 
 def format_rational(value: Fraction) -> str:
@@ -72,8 +77,6 @@ def _edges_from_json(value: Any) -> list[tuple[int, int, Fraction]]:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise InvalidInputError(f"bad weight triple: {entry!r}")
         i, j, w = entry
-        if not (isinstance(i, int) and isinstance(j, int)) or isinstance(i, bool) or isinstance(j, bool):
-            raise InvalidInputError(f"agent indices must be integers: {entry!r}")
         edges.append((i, j, parse_rational(w)))
     return edges
 
@@ -89,23 +92,31 @@ def game_to_dict(game: Game, partition: Partition | None = None) -> dict:
     return data
 
 
-def game_from_dict(data: dict, max_agents: int | None = None) -> tuple[Game, Partition | None]:
+def game_from_dict(data: dict) -> tuple[Game, Partition | None]:
     if not isinstance(data, dict):
         raise InvalidInputError("expected a JSON object")
     try:
-        n = data["n"]
+        n = integer(data["n"])
         alpha = _alpha_from_json(data["alpha"])
         edges = _edges_from_json(data.get("weights", []))
     except KeyError as exc:
         raise InvalidInputError(f"missing field {exc.args[0]!r}") from None
-    kwargs = {} if max_agents is None else {"max_agents": max_agents}
-    game = Game.from_edges(n, edges, alpha, **kwargs)
+    if n > MAX_FILE_AGENTS:
+        raise ResourceLimitError(
+            f"n={n} exceeds the limit of {MAX_FILE_AGENTS} agents for a file"
+        )
+    game = Game.from_edges(n, edges, alpha)
     partition = None
     if "partition" in data:
         blocks = data["partition"]
         if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
             raise InvalidInputError("partition must be a list of lists of agent indices")
         partition = Partition.of(blocks)
+        # Coalition keeps a set, so a repeated member is caught here,
+        # once every member has been admitted as an int
+        for block in blocks:
+            if len(set(block)) < len(block):
+                raise InvalidInputError(f"partition block {block!r} repeats an agent")
         check_partition(game, partition)
     return game, partition
 
@@ -165,8 +176,8 @@ def dump_json(data: dict, path: str) -> None:
         handle.write("\n")
 
 
-def load_game(path: str, max_agents: int | None = None) -> tuple[Game, Partition | None]:
-    return game_from_dict(load_json(path), max_agents=max_agents)
+def load_game(path: str) -> tuple[Game, Partition | None]:
+    return game_from_dict(load_json(path))
 
 
 def save_game(game: Game, path: str, partition: Partition | None = None) -> None:

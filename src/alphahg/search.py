@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from numbers import Real
 from typing import Iterator, Mapping
 
 from ._rat import exact, integer
@@ -89,8 +90,14 @@ class SearchProblem:
             raise InvalidInputError("baseline_bound must be >= 1")
         if self.node_limit is not None and integer(self.node_limit) < 0:
             raise InvalidInputError("node_limit must be >= 0")
-        if self.time_limit is not None and not self.time_limit >= 0:
-            raise InvalidInputError("time_limit must be >= 0")
+        limit = self.time_limit
+        if limit is not None and not (
+            isinstance(limit, Real) and not isinstance(limit, bool) and limit >= 0
+        ):
+            # NaN fails ``>= 0`` as well
+            raise InvalidInputError(
+                f"time_limit must be None or a number of seconds >= 0, not {limit!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,11 @@ from .core import (
 )
 from .errors import DomainError, InvalidInputError, ResourceLimitError
 
-#: Default ceiling on the number of coalitions a single verification may
-#: enumerate.  Exceeding it raises, never silently truncates.
-DEFAULT_SUBSET_BUDGET = 5_000_000
+#: The most coalitions one exhaustive scan may enumerate.  A scan that
+#: would enumerate more raises ``ResourceLimitError`` before it starts,
+#: never truncates; the guard counts the scan's own coalitions, so it
+#: holds for a game of any size.
+MAX_SUBSETS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -91,11 +93,11 @@ class StabilityReport:
     factor: Fraction
 
 
-def _subset_budget_guard(n: int, min_size: int, max_size: int, budget: int) -> None:
+def _check_subsets(n: int, min_size: int, max_size: int) -> None:
     total = sum(math.comb(n, s) for s in range(min_size, max_size + 1))
-    if total > integer(budget):
+    if total > MAX_SUBSETS:
         raise ResourceLimitError(
-            f"enumerating {total} coalitions exceeds the budget of {budget}"
+            f"enumerating {total} coalitions exceeds the guard of {MAX_SUBSETS}"
         )
 
 
@@ -170,7 +172,6 @@ def find_blocking_coalition(
     min_size: int,
     max_size: int,
     factor: Fraction | int = 1,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> Coalition | None:
     """First coalition (by size, then lex order) in which every member
     gets utility strictly greater than ``factor`` times their partition
@@ -183,7 +184,7 @@ def find_blocking_coalition(
     if factor < 1:
         raise DomainError("improvement factor must be >= 1")
     check_partition(game, partition)
-    _subset_budget_guard(n, min_size, max_size, subset_budget)
+    _check_subsets(n, min_size, max_size)
 
     scaled = _scaled_weights(game.weights)[1]
     kp, kq = factor.numerator, factor.denominator
@@ -203,26 +204,15 @@ def find_blocking_coalition(
     return None if witness is None else Coalition.of(witness)
 
 
-def is_size_stable(
-    game: Game,
-    partition: Partition,
-    max_size: int,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-) -> StabilityReport:
+def is_size_stable(game: Game, partition: Partition, max_size: int) -> StabilityReport:
     """No blocking coalition of size at most ``max_size``."""
-    witness = find_blocking_coalition(
-        game, partition, 1, max_size, 1, subset_budget=subset_budget
-    )
+    witness = find_blocking_coalition(game, partition, 1, max_size)
     return StabilityReport(witness is None, witness, (1, max_size), Fraction(1))
 
 
-def is_core_stable(
-    game: Game,
-    partition: Partition,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-) -> StabilityReport:
+def is_core_stable(game: Game, partition: Partition) -> StabilityReport:
     """No blocking coalition of any size."""
-    return is_size_stable(game, partition, game.n, subset_budget=subset_budget)
+    return is_size_stable(game, partition, game.n)
 
 
 def is_size_factor_stable(
@@ -230,37 +220,25 @@ def is_size_factor_stable(
     partition: Partition,
     size: int,
     factor: Fraction | int,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> StabilityReport:
     """Every coalition of size exactly ``size`` has a member who does
     not improve by a factor of more than ``factor``."""
     factor = exact(factor)
-    witness = find_blocking_coalition(
-        game, partition, size, size, factor, subset_budget=subset_budget
-    )
+    witness = find_blocking_coalition(game, partition, size, size, factor)
     return StabilityReport(witness is None, witness, (size, size), factor)
 
 
 def is_improvement_stable(
-    game: Game,
-    partition: Partition,
-    factor: Fraction | int,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
+    game: Game, partition: Partition, factor: Fraction | int
 ) -> StabilityReport:
     """No coalition of any size lets every member improve by a factor
     of more than ``factor``."""
     factor = exact(factor)
-    witness = find_blocking_coalition(
-        game, partition, 1, game.n, factor, subset_budget=subset_budget
-    )
+    witness = find_blocking_coalition(game, partition, 1, game.n, factor)
     return StabilityReport(witness is None, witness, (1, game.n), factor)
 
 
-def scenario_is_size_stable(
-    scenario: Scenario,
-    max_size: int,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-) -> bool:
+def scenario_is_size_stable(scenario: Scenario, max_size: int) -> bool:
     """Would the scenario's baselines survive as size-stable up to
     ``max_size`` among these agents?
 
@@ -273,7 +251,7 @@ def scenario_is_size_stable(
         raise DomainError(f"need 1 <= max_size <= {m}")
     if any(b < 0 for b in scenario.baselines):
         return False
-    _subset_budget_guard(m, 2, max(max_size, 2), subset_budget)
+    _check_subsets(m, 2, max(max_size, 2))
     return _scenario_first_blocking(scenario, max_size) is None
 
 
@@ -302,12 +280,7 @@ def min_improvement_factor(scenario: Scenario) -> Fraction:
     )
 
 
-def max_improvement_factor_at_size(
-    game: Game,
-    partition: Partition,
-    size: int,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-) -> Fraction:
+def max_improvement_factor_at_size(game: Game, partition: Partition, size: int) -> Fraction:
     """The largest factor by which some coalition of exactly ``size``
     agents lets *all* its members improve; equivalently the smallest
     ``k`` at which the partition is size/factor stable at ``(size, k)``.
@@ -322,7 +295,7 @@ def max_improvement_factor_at_size(
     utilities = _scaled_utilities(game, partition, scaled)
     if any(num <= 0 for num, _ in utilities):
         raise DomainError("improvement factors need strictly positive baselines")
-    _subset_budget_guard(n, size, size, subset_budget)
+    _check_subsets(n, size, size)
 
     # with utility u_i * L = u_num / u_den, member i's ratio is
     # alpha * W_i(S) * u_den / u_num; alpha is common to all of them, so

@@ -9,7 +9,8 @@ the recursive ``_restricted_growth_strings`` that drove it and the
 plus the violated-subset test of ``search.explore`` lifted
 into a function, apart from the removal of the rational backend shim
 (``to_rat`` and ``to_fraction`` below stand in for it with
-``Fraction``).
+``Fraction``) and of the per-call coalition budget, which is now the
+module constant ``alphahg.stability.MAX_SUBSETS``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from alphahg.efficiency import (
     social_welfare,
 )
 from alphahg.errors import DomainError, ResourceLimitError
-from alphahg.stability import DEFAULT_SUBSET_BUDGET, Scenario, _subset_budget_guard
+from alphahg.stability import Scenario, _check_subsets
 
 
 def to_rat(value):
@@ -61,7 +62,6 @@ def find_blocking_coalition(
     min_size: int,
     max_size: int,
     factor: Fraction | int = 1,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> Coalition | None:
     """First coalition (by size, then lex order) in which every member
     gets utility strictly greater than ``factor`` times their partition
@@ -74,7 +74,7 @@ def find_blocking_coalition(
     if factor < 1:
         raise DomainError("improvement factor must be >= 1")
     check_partition(game, partition)
-    _subset_budget_guard(n, min_size, max_size, subset_budget)
+    _check_subsets(n, min_size, max_size)
 
     thresholds = [
         to_rat(factor * partition_utility(game, partition, i)) for i in range(n)
@@ -103,7 +103,6 @@ def find_blocking_coalition(
 def scenario_is_size_stable(
     scenario: Scenario,
     max_size: int,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> bool:
     """Would the scenario's baselines survive as size-stable up to
     ``max_size`` among these agents?"""
@@ -112,7 +111,7 @@ def scenario_is_size_stable(
         raise DomainError(f"need 1 <= max_size <= {m}")
     if any(b < 0 for b in scenario.baselines):
         return False
-    _subset_budget_guard(m, 2, max(max_size, 2), subset_budget)
+    _check_subsets(m, 2, max(max_size, 2))
     weights = [[to_rat(w) for w in row] for row in scenario.weights]
     baselines = [to_rat(b) for b in scenario.baselines]
     for s in range(2, max_size + 1):
@@ -131,7 +130,6 @@ def max_improvement_factor_at_size(
     game: Game,
     partition: Partition,
     size: int,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> Fraction:
     """The largest factor by which some coalition of exactly ``size``
     agents lets *all* its members improve."""
@@ -142,7 +140,7 @@ def max_improvement_factor_at_size(
     baselines = [partition_utility(game, partition, i) for i in range(n)]
     if any(b <= 0 for b in baselines):
         raise DomainError("improvement factors need strictly positive baselines")
-    _subset_budget_guard(n, size, size, subset_budget)
+    _check_subsets(n, size, size)
 
     weights = [[to_rat(w) for w in row] for row in game.weights]
     inv = [to_rat(1 / b) for b in baselines]

@@ -198,6 +198,22 @@ class TestSearch:
 
 SEARCH_ARGS = ("search", "--alpha", "fhg", "--q", "2", "--m", "3", "--gamma", "4/3")
 
+_PAIR = {"n": 2, "alpha": "fhg", "weights": [[0, 1, "1"]], "partition": [[0], [1]]}
+
+#: game files that must be refused where they are read: each one
+#: overrides fields of _PAIR, with the exit code it must get
+FILE_ADMISSION = [
+    pytest.param({"partition": [[0], [True]]}, 2, id="bool member"),
+    pytest.param({"partition": [["a"], [1]]}, 2, id="string member"),
+    pytest.param({"partition": [[0, None], [1]]}, 2, id="null member"),
+    pytest.param({"partition": [[[0]], [1]]}, 2, id="list member"),
+    pytest.param({"partition": [[{"a": 1}], [1]]}, 2, id="object member"),
+    pytest.param({"partition": [[0, 0], [1]]}, 2, id="repeated member"),
+    pytest.param({"weights": [[True, 1, "1"]]}, 2, id="bool endpoint"),
+    pytest.param({"weights": [["0", 1, "1"]]}, 2, id="string endpoint"),
+    pytest.param({"n": 21, "weights": [], "partition": [[i] for i in range(21)]}, 3, id="21 agents"),
+]
+
 
 class TestExitCodeContract:
     """0 positive, 1 negative, 2 input error, 3 budget, 4 internal error:
@@ -245,6 +261,15 @@ class TestExitCodeContract:
         code, out, err = run(capsys, *SEARCH_ARGS, "--time-limit", value)
         assert code == 2
         assert "verdict" not in out and "time_limit" in err
+
+    @pytest.mark.parametrize("command", [("verify", "--core"), ("poa", "--q", "2")])
+    @pytest.mark.parametrize("fields,expected", FILE_ADMISSION)
+    def test_file_admission(self, capsys, tmp_path, command, fields, expected):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({**_PAIR, **fields}))
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == expected
+        assert out == "" and err.startswith("error: ")
 
     @pytest.mark.parametrize("modes", [
         ("--core", "--q-size", "1"),

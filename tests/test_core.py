@@ -22,6 +22,7 @@ from alphahg import (
     coalition_utility,
     partition_utility,
 )
+from alphahg.io import game_from_dict
 from conftest import example_game
 
 
@@ -120,9 +121,16 @@ class TestGameValidation:
             Game.from_matrix(matrix, ASHG)
 
     def test_agent_limit(self):
+        # games of any size build alike; only a file carries an agent limit
+        zeros = ((0,) * 24,) * 24
+        games = [
+            Game(24, zeros, ASHG),
+            Game.from_matrix(zeros, ASHG),
+            Game.from_edges(24, [(0, 23, 1)], ASHG),
+        ]
+        assert [g.n for g in games] == [24] * 3
         with pytest.raises(ResourceLimitError):
-            Game.from_edges(21, [], ASHG)
-        Game.from_edges(21, [], ASHG, max_agents=25)
+            game_from_dict({"n": 21, "alpha": "ashg", "weights": []})
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -1,7 +1,8 @@
 """The exact-arithmetic boundary: every public entry point admits its
 rationals through ``alphahg._rat.exact``, so floats, bools and
 float-like strings are rejected everywhere, just as in files, and its
-sizes and counts through ``alphahg._rat.integer``, so only ints pass."""
+sizes, counts and agent indices through ``alphahg._rat.integer``, so
+only ints pass."""
 
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from alphahg import (
     ASHG,
     FHG,
     AlphaFunction,
+    Coalition,
     Game,
     InvalidInputError,
     LinearProgram,
@@ -83,22 +85,20 @@ _ZEROS = ((0, 0, 0),) * 3
 _GRAND = Partition.of([[0, 1, 2]])
 _SCENARIO = Scenario(3, ((0, 1, 2), (1, 0, 3), (2, 3, 0)), (1, 1, 1), FHG)
 
-#: every public size or count parameter, each called with a valid int
-#: in its place
+#: every public size, count or agent-index parameter, each called with
+#: a valid int in its place
 INTEGER_ENTRY_POINTS = {
     "AlphaFunction.value": (lambda x: FHG.value(x), 3),
     "Partition.singletons": (lambda x: Partition.singletons(x), 3),
     "Partition.covers": (lambda x: _PAIRS.covers(x), 3),
     "Game n": (lambda x: Game(x, _ZEROS, FHG), 3),
     "Game.from_edges n": (lambda x: Game.from_edges(x, [], FHG), 3),
-    "Game.from_edges max_agents": (lambda x: Game.from_edges(2, [], FHG, max_agents=x), 3),
-    "Game.from_matrix max_agents": (lambda x: Game.from_matrix(_ZEROS, FHG, max_agents=x), 3),
+    "Game.from_edges endpoint": (lambda x: Game.from_edges(4, [(x, 0, 1)], FHG), 3),
+    "Coalition member": (lambda x: Coalition.of([x, 0]), 3),
+    "io.game_from_dict n": (lambda x: io.game_from_dict({"n": x, "alpha": "fhg"}), 3),
     "Scenario size": (lambda x: Scenario(x, _ZEROS, (1, 1, 1), FHG), 3),
     "find_blocking_coalition min_size": (lambda x: find_blocking_coalition(_GAME, _PAIRS, x, 3), 3),
     "find_blocking_coalition max_size": (lambda x: find_blocking_coalition(_GAME, _PAIRS, 1, x), 3),
-    "find_blocking_coalition subset_budget": (
-        lambda x: find_blocking_coalition(_GAME, _PAIRS, 1, 1, subset_budget=x), 3
-    ),
     "is_size_stable": (lambda x: is_size_stable(_GAME, _PAIRS, x), 3),
     "is_size_factor_stable": (lambda x: is_size_factor_stable(_GAME, _PAIRS, x, 1), 3),
     "scenario_is_size_stable": (lambda x: scenario_is_size_stable(_SCENARIO, x), 3),
@@ -141,6 +141,17 @@ def test_non_integer_size_rejected(entry, value):
 def test_integer_size_accepted(entry):
     call, valid = INTEGER_ENTRY_POINTS[entry]
     call(valid)
+
+
+@pytest.mark.parametrize("value", ["5", True, float("nan"), -1, Fraction(-1, 2), [1]], ids=repr)
+def test_time_limit_rejected(value):
+    with pytest.raises(InvalidInputError):
+        SearchProblem(FHG, 2, 3, 2, time_limit=value)
+
+
+@pytest.mark.parametrize("value", [None, 0, 5, 2.5, Fraction(1, 2), float("inf")], ids=repr)
+def test_time_limit_accepted(value):
+    assert SearchProblem(FHG, 2, 3, 2, time_limit=value).time_limit == value
 
 
 def test_integer_admits_only_ints():

@@ -31,6 +31,7 @@ from alphahg import (
     partition_utility,
     scenario_is_size_stable,
 )
+from alphahg import stability
 from alphahg.stability import Scenario, blocking_members_check
 from conftest import example_game, random_game, random_partition
 
@@ -54,10 +55,34 @@ class TestFindBlockingCoalition:
         game = example_game(FHG)
         assert find_blocking_coalition(game, pairs_partition, 4, 4) is None
 
-    def test_subset_budget(self, pairs_partition):
-        game = example_game(ASHG)
-        with pytest.raises(ResourceLimitError):
-            find_blocking_coalition(game, pairs_partition, 1, 4, subset_budget=3)
+    def test_subset_budget(self, monkeypatch):
+        # every entry point counts its coalitions against MAX_SUBSETS and
+        # refuses before it scans: the kernel must never be reached
+        def scan(*args):
+            raise AssertionError("scanned past the guard")
+
+        def ones(n):
+            return [[int(i != j) for j in range(n)] for i in range(n)]
+
+        monkeypatch.setattr(stability, "_first_blocking", scan)
+        g24 = Game.from_matrix(ones(24), ASHG)  # 2^24 - 1 = 16,777,215 coalitions
+        g26 = Game.from_matrix(ones(26), ASHG)  # C(26, 13) = 10,400,600 coalitions
+        p24 = Partition.singletons(24)
+        p26 = Partition.of([[i, i + 1] for i in range(0, 26, 2)])
+        # sum of C(70, s) for s = 2..5 is 13,077,064
+        s70 = Scenario(70, ones(70), (1,) * 70, ASHG)
+        calls = [
+            lambda: find_blocking_coalition(g24, p24, 1, 24),
+            lambda: is_size_stable(g24, p24, 12),  # 9,740,685
+            lambda: is_core_stable(g24, p24),
+            lambda: is_improvement_stable(g24, p24, 2),
+            lambda: is_size_factor_stable(g26, p26, 13, 2),
+            lambda: max_improvement_factor_at_size(g26, p26, 13),
+            lambda: scenario_is_size_stable(s70, 5),
+        ]
+        for call in calls:
+            with pytest.raises(ResourceLimitError):
+                call()
 
 
 class TestSizeStability:
