@@ -4,13 +4,9 @@ Subcommands: ``verify``, ``bound-table``, ``generate``, ``search``,
 ``poa``, ``greedy``.  All input is file-based (JSON with exact rational
 strings); output is deterministic.  Exit codes: 0 for a positive
 verdict (stable / feasible-as-requested), 1 for a negative verdict, 2
-for input errors (bad arguments, files or environment values), 3 for
-exhausted budgets, and 4 for an internal error: any other exception,
-reported with its traceback on stderr, so that a crash never reads as a
-verdict.
-
-Environment: ``ALPHAHG_NODE_LIMIT`` and ``ALPHAHG_TIME_LIMIT`` set the
-default search budgets.
+for input errors (bad arguments or files), 3 for exhausted budgets, and
+4 for an internal error: any other exception, reported with its
+traceback on stderr, so that a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -18,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import os
 import sys
 from fractions import Fraction
 
@@ -138,14 +133,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    node_limit = args.node_limit
-    if node_limit is None:
-        node_limit = _env_number("ALPHAHG_NODE_LIMIT", int)
-    if node_limit is None:
-        node_limit = search.DEFAULT_NODE_LIMIT
-    time_limit = args.time_limit
-    if time_limit is None:
-        time_limit = _env_number("ALPHAHG_TIME_LIMIT", float)
     problem = search.SearchProblem(
         alpha=AlphaFunction.from_name(args.alpha),
         stable_size=args.q,
@@ -153,8 +140,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         gamma=args.gamma,
         weight_bound=args.weight_bound,
         baseline_bound=args.baseline_bound,
-        node_limit=node_limit,
-        time_limit=time_limit,
+        node_limit=args.node_limit,
+        time_limit=args.time_limit,
     )
     result = search.search_blocking_scenario(problem)
     print(f"verdict: {result.verdict}")
@@ -213,16 +200,6 @@ def cmd_greedy(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _env_number(name: str, kind: type) -> int | float | None:
-    value = os.environ.get(name)
-    if not value:
-        return None
-    try:
-        return kind(value)
-    except ValueError:
-        raise InvalidInputError(f"{name}={value!r} is not a valid {kind.__name__}") from None
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built once per process: parsing keeps no state in the parser."""
@@ -274,10 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-bound", type=_rational, default=Fraction(10))
     p.add_argument("--baseline-bound", type=_rational, default=Fraction(10))
     p.add_argument(
-        "--node-limit", type=int,
-        help=f"default: $ALPHAHG_NODE_LIMIT, else {search.DEFAULT_NODE_LIMIT}",
+        "--node-limit", type=int, default=search.DEFAULT_NODE_LIMIT,
+        help="default: %(default)s",
     )
-    p.add_argument("--time-limit", type=float, help="seconds; default: $ALPHAHG_TIME_LIMIT")
+    p.add_argument("--time-limit", type=float, help="seconds; default: no limit")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 

@@ -62,26 +62,6 @@ class AlphaFunction:
             object.__setattr__(self, "table", values)
 
     @classmethod
-    def ashg(cls) -> "AlphaFunction":
-        return cls("ashg")
-
-    @classmethod
-    def fhg(cls) -> "AlphaFunction":
-        return cls("fhg")
-
-    @classmethod
-    def mfhg(cls) -> "AlphaFunction":
-        return cls("mfhg")
-
-    @classmethod
-    def pairwise_communication(cls) -> "AlphaFunction":
-        return cls("pairwise_comm")
-
-    @classmethod
-    def odd_even(cls) -> "AlphaFunction":
-        return cls("odd_even")
-
-    @classmethod
     def from_table(cls, values: Iterable) -> "AlphaFunction":
         return cls("table", tuple(values))
 
@@ -124,11 +104,11 @@ class AlphaFunction:
 
 
 #: Shared singletons for the built-in variants.
-ASHG = AlphaFunction.ashg()
-FHG = AlphaFunction.fhg()
-MFHG = AlphaFunction.mfhg()
-PAIRWISE_COMM = AlphaFunction.pairwise_communication()
-ODD_EVEN = AlphaFunction.odd_even()
+ASHG = AlphaFunction("ashg")
+FHG = AlphaFunction("fhg")
+MFHG = AlphaFunction("mfhg")
+PAIRWISE_COMM = AlphaFunction("pairwise_comm")
+ODD_EVEN = AlphaFunction("odd_even")
 
 
 @dataclass(frozen=True, order=True)

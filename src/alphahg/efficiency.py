@@ -79,45 +79,26 @@ def _check_enumerable(n: int) -> None:
         )
 
 
-def _partition_masks(n: int) -> Iterator[list[int]]:
-    """Every partition of ``{0..n-1}`` as its list of block bit masks,
-    blocks ordered by smallest member, in restricted-growth-string order:
-    agent ``i``'s block index is at most one more than the largest index
-    before it, and the index strings come in lexicographic order."""
-    last = 1 << (n - 1)
-    codes = [0] * (n - 1)  # the block index of every agent but the last
-    while True:
-        masks: list[int] = []
-        for agent, code in enumerate(codes):
-            if code == len(masks):
-                masks.append(1 << agent)
-            else:
-                masks[code] |= 1 << agent
-        # the last agent joins each block in turn, then opens its own
-        for k in range(len(masks)):
-            blocks = masks.copy()
-            blocks[k] |= last
-            yield blocks
-        yield masks + [last]
-        # the last agent of the prefix whose code can still grow: one
-        # that shares its block with an earlier agent
-        i = n - 2
-        while i > 0 and not masks[codes[i]] & ((1 << i) - 1):
-            i -= 1
-        if i <= 0:
-            return
-        codes[i] += 1
-        codes[i + 1:] = [0] * (n - 2 - i)
-
-
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Every partition of ``{0..n-1}`` exactly once, in restricted-
-    growth-string order."""
+    growth-string order: each agent joins every existing block in turn,
+    blocks ordered by smallest member, then opens its own."""
     _check_enumerable(n)
-    for masks in _partition_masks(n):
-        yield Partition.of(
-            [agent for agent in range(n) if mask >> agent & 1] for mask in masks
-        )
+    blocks: list[list[int]] = []
+
+    def place(agent: int) -> Iterator[Partition]:
+        if agent == n:
+            yield Partition.of(blocks)
+            return
+        for block in blocks:
+            block.append(agent)
+            yield from place(agent + 1)
+            block.pop()
+        blocks.append([agent])
+        yield from place(agent + 1)
+        blocks.pop()
+
+    yield from place(0)
 
 
 def _subset_sum_tables(scaled: list[list[int]]) -> list[list[int]]:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from typing import Callable
 
 from ._rat import integer
 from .bounds import (
@@ -39,25 +41,18 @@ class BuiltScenario:
     factor: Fraction
 
 
-def _matrix(size: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * size for _ in range(size)]
-
-
-def _set(matrix: list[list[Fraction]], i: int, j: int, w: Fraction) -> None:
-    matrix[i][j] = w
-    matrix[j][i] = w
-
-
-def _scenario(alpha, matrix, baselines=None) -> Scenario:
-    size = len(matrix)
-    if baselines is None:
-        baselines = [Fraction(1)] * size
-    return Scenario(
-        size=size,
-        weights=tuple(tuple(row) for row in matrix),
-        baselines=tuple(baselines),
-        alpha=alpha,
-    )
+def _scenario(
+    alpha: AlphaFunction,
+    size: int,
+    weight: Callable[[int, int], int | Fraction],
+    baselines: list[int] | None = None,
+) -> Scenario:
+    """``size`` agents whose pair ``i < j`` weighs ``weight(i, j)``;
+    baselines 1 unless given."""
+    rows = [[0] * size for _ in range(size)]
+    for i, j in combinations(range(size), 2):
+        rows[i][j] = rows[j][i] = weight(i, j)
+    return Scenario(size, rows, baselines or [1] * size, alpha)
 
 
 def complete_graph_scenario(
@@ -75,11 +70,7 @@ def complete_graph_scenario(
     if not is_hospitable(alpha, m):
         raise DomainError("complete_graph_scenario requires a hospitable alpha")
     w = 1 / (alpha.value(q) * (q - 1))
-    matrix = _matrix(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            _set(matrix, i, j, w)
-    return _scenario(alpha, matrix)
+    return _scenario(alpha, m, lambda i, j: w)
 
 
 def complete_graph_factor(alpha: AlphaFunction, stable_size: int, size: int) -> Fraction:
@@ -102,11 +93,7 @@ def two_halves_scenario(alpha: AlphaFunction, size: int) -> Scenario:
     intra = 1 / alpha.value(3) - 1 / alpha.value(2)
     cross = 1 / alpha.value(2)
     half = m // 2
-    matrix = _matrix(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            _set(matrix, i, j, intra if (i < half) == (j < half) else cross)
-    return _scenario(alpha, matrix)
+    return _scenario(alpha, m, lambda i, j: cross if i < half <= j else intra)
 
 
 def cycle_scenario(stable_size: int, variant: str) -> Scenario:
@@ -124,14 +111,12 @@ def cycle_scenario(stable_size: int, variant: str) -> Scenario:
     if key not in ("fhg", "ashg"):
         raise InvalidInputError("variant must be 'fhg' or 'ashg'")
     m = q + 1
-    heavy, light = (Fraction(2), Fraction(1)) if key == "fhg" else (Fraction(1), Fraction(0))
-    matrix = _matrix(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            _set(matrix, i, j, light)
-    for i in range(m):
-        _set(matrix, i, (i + 1) % m, heavy)
-    return _scenario(FHG if key == "fhg" else ASHG, matrix)
+    heavy, light = (2, 1) if key == "fhg" else (1, 0)
+    return _scenario(
+        FHG if key == "fhg" else ASHG,
+        m,
+        lambda i, j: heavy if j - i in (1, m - 1) else light,
+    )
 
 
 def cycle_factor(stable_size: int, variant: str) -> Fraction:
@@ -153,17 +138,7 @@ def two_valued_scenario(size: int) -> Scenario:
     if m < 5:
         raise DomainError("size must be >= 5")
     t = (m - 2) // 3 + 1
-    matrix = _matrix(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if i < t and j < t:
-                w = Fraction(0)
-            elif i >= t and j >= t:
-                w = Fraction(1)
-            else:
-                w = Fraction(2)
-            _set(matrix, i, j, w)
-    return _scenario(FHG, matrix)
+    return _scenario(FHG, m, lambda i, j: 2 if i < t <= j else 0 if j < t else 1)
 
 
 def two_group_scenario(size: int) -> Scenario:
@@ -184,23 +159,19 @@ def two_group_scenario(size: int) -> Scenario:
         raise DomainError("size must be >= 5")
     if m % 3 == 1:
         return complete_graph_scenario(ASHG, 4, m)
-    matrix = _matrix(m)
     if m % 3 == 0:
         first = 2 * m // 3
-        baselines = [Fraction(1)] * first + [Fraction(2)] * (m - first)
-        for i in range(first):
-            for j in range(first, m):
-                _set(matrix, i, j, Fraction(1))
-    else:
-        first = (m - 2) // 3
-        baselines = [Fraction(2)] * first + [Fraction(1)] * (m - first)
-        for i in range(first):
-            for j in range(first, m):
-                _set(matrix, i, j, Fraction(1))
+        baselines = [1] * first + [2] * (m - first)
+        return _scenario(ASHG, m, lambda i, j: 1 if i < first <= j else 0, baselines)
+    first = (m - 2) // 3
+    baselines = [2] * first + [1] * (m - first)
+
+    def weight(i: int, j: int) -> int:
         # the second group has even size; match consecutive members
-        for a in range(first, m, 2):
-            _set(matrix, a, a + 1, Fraction(1))
-    return _scenario(ASHG, matrix, baselines)
+        matched = i >= first and j == i + 1 and (i - first) % 2 == 0
+        return 1 if i < first <= j or matched else 0
+
+    return _scenario(ASHG, m, weight, baselines)
 
 
 def mantel_scenario(size: int) -> Scenario:
@@ -213,15 +184,17 @@ def mantel_scenario(size: int) -> Scenario:
     if m < 4:
         raise DomainError("size must be >= 4")
     half = m // 2
-    matrix = _matrix(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            cross = (i < half) != (j < half)
-            _set(matrix, i, j, Fraction(2) if cross else Fraction(1))
-    return _scenario(FHG, matrix)
+    return _scenario(FHG, m, lambda i, j: 2 if i < half <= j else 1)
 
 
-FIXTURE_NAMES = ("fig6", "fig7", "fig8", "fig9")
+#: Each bundled fixture with its claimed ``(stable_size, factor)``.
+_FIXTURES = {
+    "fig6": (5, Fraction(8, 7)),
+    "fig7": (5, Fraction(9, 8)),
+    "fig8": (5, Fraction(2)),
+    "fig9": (5, Fraction(2)),
+}
+FIXTURE_NAMES = tuple(_FIXTURES)
 
 
 def fixture(name: str) -> Scenario:
@@ -233,14 +206,6 @@ def fixture(name: str) -> Scenario:
     three agents and 1 elsewhere.
     """
     return load_scenario(fixture_path(name.strip().lower()))
-
-
-_FIXTURE_META = {
-    "fig6": (5, Fraction(8, 7)),
-    "fig7": (5, Fraction(9, 8)),
-    "fig8": (5, Fraction(2)),
-    "fig9": (5, Fraction(2)),
-}
 
 
 def fixture_path(name: str) -> str:
@@ -303,8 +268,8 @@ def build_construction(
     if key == "mantel":
         m = need(size, "--m")
         return BuiltScenario(mantel_scenario(m), 3, fhg_improvement_bound(3, m))
-    if key in FIXTURE_NAMES:
-        q, factor = _FIXTURE_META[key]
+    if key in _FIXTURES:
+        q, factor = _FIXTURES[key]
         return BuiltScenario(fixture(key), q, factor)
     raise InvalidInputError(
         f"unknown construction {name!r}; expected one of {CONSTRUCTION_NAMES}"

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from ._rat import exact as parse_rational, integer
 from .core import AlphaFunction, Game, Partition, check_partition
@@ -92,31 +92,44 @@ def game_to_dict(game: Game, partition: Partition | None = None) -> dict:
     return data
 
 
+def _field(name: str, admit: Callable[[Any], Any], value: Any) -> Any:
+    """``admit(value)``, with the file field ``name`` named in its input
+    error."""
+    try:
+        return admit(value)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"field {name!r}: {exc}") from None
+
+
+def _partition_from_json(value: Any) -> Partition:
+    if not isinstance(value, list) or not all(isinstance(b, list) for b in value):
+        raise InvalidInputError("partition must be a list of lists of agent indices")
+    partition = Partition.of(value)
+    # Coalition keeps a set, so a repeated member is caught here,
+    # once every member has been admitted as an int
+    for block in value:
+        if len(set(block)) < len(block):
+            raise InvalidInputError(f"partition block {block!r} repeats an agent")
+    return partition
+
+
 def game_from_dict(data: dict) -> tuple[Game, Partition | None]:
     if not isinstance(data, dict):
         raise InvalidInputError("expected a JSON object")
     try:
-        n = integer(data["n"])
-        alpha = _alpha_from_json(data["alpha"])
-        edges = _edges_from_json(data.get("weights", []))
+        n = _field("n", integer, data["n"])
+        alpha = _field("alpha", _alpha_from_json, data["alpha"])
     except KeyError as exc:
         raise InvalidInputError(f"missing field {exc.args[0]!r}") from None
+    edges = _field("weights", _edges_from_json, data.get("weights", []))
     if n > MAX_FILE_AGENTS:
         raise ResourceLimitError(
             f"n={n} exceeds the limit of {MAX_FILE_AGENTS} agents for a file"
         )
-    game = Game.from_edges(n, edges, alpha)
+    game = _field("weights", lambda e: Game.from_edges(n, e, alpha), edges)
     partition = None
     if "partition" in data:
-        blocks = data["partition"]
-        if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
-            raise InvalidInputError("partition must be a list of lists of agent indices")
-        partition = Partition.of(blocks)
-        # Coalition keeps a set, so a repeated member is caught here,
-        # once every member has been admitted as an int
-        for block in blocks:
-            if len(set(block)) < len(block):
-                raise InvalidInputError(f"partition block {block!r} repeats an agent")
+        partition = _field("partition", _partition_from_json, data["partition"])
         check_partition(game, partition)
     return game, partition
 
@@ -140,7 +153,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     return Scenario(
         size=game.n,
         weights=game.weights,
-        baselines=tuple(parse_rational(b) for b in baselines),
+        baselines=_field("baselines", lambda v: tuple(map(parse_rational, v)), baselines),
         alpha=game.alpha,
     )
 

@@ -110,10 +110,12 @@ class WitnessAssignment:
         canon = []
         seen = set()
         for subset, agent in self.choices:
-            key = tuple(sorted(subset))
+            key = tuple(sorted(map(integer, subset)))
             if len(key) < 2:
                 raise InvalidInputError("witness subsets must have size >= 2")
-            if agent not in key:
+            if len(set(key)) < len(key):
+                raise InvalidInputError(f"witness subset {key} repeats an agent")
+            if integer(agent) not in key:
                 raise InvalidInputError(f"witness {agent} not in subset {key}")
             if key in seen:
                 raise InvalidInputError(f"subset {key} assigned twice")
@@ -171,6 +173,9 @@ def witness_system_lp(
 ) -> LinearProgram:
     """The LP for one (partial) witness assignment.
 
+    A plain mapping is admitted through :meth:`WitnessAssignment.of`, and
+    every subset member must be one of the agents ``0..m-1``.
+
     Variables: one weight per unordered pair, one baseline per agent,
     and a shared slack.  Constraints, in this order: each assigned
     (subset, witness) caps the witness's subset utility at their
@@ -208,8 +213,13 @@ def witness_system_lp(
     def row() -> list[Fraction]:
         return [_ZERO] * num_vars
 
-    items = assignment.items() if hasattr(assignment, "items") else assignment
-    constraints = [_witness_row(problem, pairs, subset, agent) for subset, agent in items]
+    if not isinstance(assignment, WitnessAssignment):
+        assignment = WitnessAssignment.of(assignment)
+    constraints = []
+    for subset, agent in assignment.items():
+        if not all(0 <= member < m for member in subset):
+            raise InvalidInputError(f"witness subset {subset} outside agents 0..{m - 1}")
+        constraints.append(_witness_row(problem, pairs, subset, agent))
 
     for i in range(m):
         coeffs = row()

@@ -183,13 +183,6 @@ class TestSearch:
         assert code == 3
         assert "verdict: budget_exhausted" in out
 
-    def test_env_default_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("ALPHAHG_NODE_LIMIT", "2")
-        code, out, _ = run(
-            capsys, "search", "--alpha", "fhg", "--q", "2", "--m", "4", "--gamma", "3/2"
-        )
-        assert code == 3
-
     def test_deterministic_output(self, capsys):
         args = ["search", "--alpha", "ashg", "--q", "2", "--m", "3", "--gamma", "3/2"]
         assert run(capsys, *args) == run(capsys, *args)
@@ -201,35 +194,29 @@ SEARCH_ARGS = ("search", "--alpha", "fhg", "--q", "2", "--m", "3", "--gamma", "4
 _PAIR = {"n": 2, "alpha": "fhg", "weights": [[0, 1, "1"]], "partition": [[0], [1]]}
 
 #: game files that must be refused where they are read: each one
-#: overrides fields of _PAIR, with the exit code it must get
+#: overrides fields of _PAIR, with the exit code it must get and the
+#: text by which its error names the offending field
 FILE_ADMISSION = [
-    pytest.param({"partition": [[0], [True]]}, 2, id="bool member"),
-    pytest.param({"partition": [["a"], [1]]}, 2, id="string member"),
-    pytest.param({"partition": [[0, None], [1]]}, 2, id="null member"),
-    pytest.param({"partition": [[[0]], [1]]}, 2, id="list member"),
-    pytest.param({"partition": [[{"a": 1}], [1]]}, 2, id="object member"),
-    pytest.param({"partition": [[0, 0], [1]]}, 2, id="repeated member"),
-    pytest.param({"weights": [[True, 1, "1"]]}, 2, id="bool endpoint"),
-    pytest.param({"weights": [["0", 1, "1"]]}, 2, id="string endpoint"),
-    pytest.param({"n": 21, "weights": [], "partition": [[i] for i in range(21)]}, 3, id="21 agents"),
+    pytest.param({"partition": [[0], [True]]}, 2, "'partition'", id="bool member"),
+    pytest.param({"partition": [["a"], [1]]}, 2, "'partition'", id="string member"),
+    pytest.param({"partition": [[0, None], [1]]}, 2, "'partition'", id="null member"),
+    pytest.param({"partition": [[[0]], [1]]}, 2, "'partition'", id="list member"),
+    pytest.param({"partition": [[{"a": 1}], [1]]}, 2, "'partition'", id="object member"),
+    pytest.param({"partition": [[0, 0], [1]]}, 2, "'partition'", id="repeated member"),
+    pytest.param({"weights": [[True, 1, "1"]]}, 2, "'weights'", id="bool endpoint"),
+    pytest.param({"weights": [["0", 1, "1"]]}, 2, "'weights'", id="string endpoint"),
+    pytest.param({"weights": [[0, 1, None]]}, 2, "'weights'", id="null weight"),
+    pytest.param({"n": True}, 2, "'n'", id="bool n"),
+    pytest.param({"alpha": ["1", "x"]}, 2, "'alpha'", id="alpha table entry"),
+    pytest.param(
+        {"n": 21, "weights": [], "partition": [[i] for i in range(21)]}, 3, "n=21", id="21 agents"
+    ),
 ]
 
 
 class TestExitCodeContract:
     """0 positive, 1 negative, 2 input error, 3 budget, 4 internal error:
     no bad input and no crash may read as a verdict."""
-
-    @pytest.mark.parametrize("name,value", [
-        ("ALPHAHG_NODE_LIMIT", "abc"),
-        ("ALPHAHG_NODE_LIMIT", "-1"),
-        ("ALPHAHG_TIME_LIMIT", "soon"),
-        ("ALPHAHG_TIME_LIMIT", "nan"),
-    ])
-    def test_bad_environment_budget_exit_two(self, capsys, monkeypatch, name, value):
-        monkeypatch.setenv(name, value)
-        code, _, err = run(capsys, *SEARCH_ARGS)
-        assert code == 2
-        assert "error" in err
 
     def test_qk_size_not_an_integer_exit_two(self, capsys, tmp_path):
         path = write_ashg_example(tmp_path)
@@ -263,13 +250,13 @@ class TestExitCodeContract:
         assert "verdict" not in out and "time_limit" in err
 
     @pytest.mark.parametrize("command", [("verify", "--core"), ("poa", "--q", "2")])
-    @pytest.mark.parametrize("fields,expected", FILE_ADMISSION)
-    def test_file_admission(self, capsys, tmp_path, command, fields, expected):
+    @pytest.mark.parametrize("fields,expected,named", FILE_ADMISSION)
+    def test_file_admission(self, capsys, tmp_path, command, fields, expected, named):
         path = tmp_path / "game.json"
         path.write_text(json.dumps({**_PAIR, **fields}))
         code, out, err = run(capsys, command[0], str(path), *command[1:])
         assert code == expected
-        assert out == "" and err.startswith("error: ")
+        assert out == "" and err.startswith("error: ") and named in err
 
     @pytest.mark.parametrize("modes", [
         ("--core", "--q-size", "1"),

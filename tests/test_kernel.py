@@ -30,7 +30,7 @@ from alphahg import (
     scenario_is_size_stable,
     social_welfare,
 )
-from alphahg.efficiency import _cpoa, _partition_masks
+from alphahg.efficiency import _cpoa
 from alphahg.stability import Scenario, _scenario_first_blocking
 from conftest import positive_baseline_partition, random_game, random_partition
 
@@ -219,19 +219,19 @@ def test_best_welfare_partition_matches_reference_with_ties():
     assert tied >= 25
 
 
-def _block_masks(codes):
-    masks = [0] * (max(codes) + 1)
-    for agent, code in enumerate(codes):
-        masks[code] |= 1 << agent
-    return masks
+def _partition_of_codes(codes):
+    """The partition that puts agent ``i`` in block ``codes[i]``."""
+    return Partition.of(
+        [a for a, code in enumerate(codes) if code == k] for k in range(max(codes) + 1)
+    )
 
 
 def test_restricted_growth_strings_match_reference():
-    # the iterative mask walk yields the recursive code walk's sequence,
-    # so enumerate_partitions keeps the order of the former walk
+    # enumerate_partitions yields the partitions in the order of the
+    # recursive code walk that drove the former enumeration
     for n in range(1, 10):
-        assert list(_partition_masks(n)) == [
-            _block_masks(codes) for codes in reference._restricted_growth_strings(n)
+        assert list(enumerate_partitions(n)) == [
+            _partition_of_codes(codes) for codes in reference._restricted_growth_strings(n)
         ], n
 
 

@@ -12,6 +12,7 @@ from alphahg import (
     FHG,
     MFHG,
     AlphaFunction,
+    InvalidInputError,
     Optimal,
     SearchProblem,
     WitnessAssignment,
@@ -100,6 +101,29 @@ class TestWitnessSystemLp:
     def test_witness_must_belong_to_subset(self):
         with pytest.raises(Exception):
             WitnessAssignment.of({(0, 1): 5})
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {(0, 1): 3},  # witness outside its subset
+            {(0,): 0},  # singleton subset
+            {(0, 1): 9},  # witness outside the game
+            {(0, 9): 9},  # subset member outside the game
+            {(-1, 0): 0},  # negative subset member
+            {(0, 0, 1): 1},  # repeated subset member
+            {(0, True): 0},  # bool subset member
+        ],
+    )
+    def test_plain_mapping_is_admitted(self, mapping):
+        with pytest.raises(InvalidInputError):
+            witness_system_lp(problem(FHG, 2, 4, 1), mapping)
+
+    def test_plain_mapping_builds_the_assignment_lp(self):
+        p = problem(FHG, 2, 4, 1)
+        mapping = {(2, 3): 3, (1, 0): 0}
+        assert witness_system_lp(p, mapping) == witness_system_lp(
+            p, WitnessAssignment.of(mapping)
+        )
 
     def test_assignment_canonical_order(self):
         a = WitnessAssignment.of({(1, 2): 1, (0, 1): 0, (0, 1, 2): 2})
