@@ -55,6 +55,18 @@ def _scenario(
     return Scenario(size, rows, baselines or [1] * size, alpha)
 
 
+def _complete_graph_domain(
+    alpha: AlphaFunction, stable_size: int, size: int
+) -> tuple[int, int]:
+    """``(q, m)`` for the complete-graph construction and its factor."""
+    q, m = integer(stable_size), integer(size)
+    if not 2 <= q < m:
+        raise DomainError("need 2 <= stable_size < size")
+    if not is_hospitable(alpha, m):
+        raise DomainError("complete_graph_scenario requires a hospitable alpha")
+    return q, m
+
+
 def complete_graph_scenario(
     alpha: AlphaFunction, stable_size: int, size: int
 ) -> Scenario:
@@ -64,17 +76,13 @@ def complete_graph_scenario(
     coalition improves everyone by ``alpha(m)(m-1)/(alpha(q)(q-1))``,
     which attains the general bound whenever ``q-1`` divides ``m-1``.
     """
-    q, m = integer(stable_size), integer(size)
-    if not 2 <= q < m:
-        raise DomainError("need 2 <= stable_size < size")
-    if not is_hospitable(alpha, m):
-        raise DomainError("complete_graph_scenario requires a hospitable alpha")
+    q, m = _complete_graph_domain(alpha, stable_size, size)
     w = 1 / (alpha.value(q) * (q - 1))
     return _scenario(alpha, m, lambda i, j: w)
 
 
 def complete_graph_factor(alpha: AlphaFunction, stable_size: int, size: int) -> Fraction:
-    q, m = integer(stable_size), integer(size)
+    q, m = _complete_graph_domain(alpha, stable_size, size)
     return alpha.value(m) * (m - 1) / (alpha.value(q) * (q - 1))
 
 
@@ -96,6 +104,17 @@ def two_halves_scenario(alpha: AlphaFunction, size: int) -> Scenario:
     return _scenario(alpha, m, lambda i, j: cross if i < half <= j else intra)
 
 
+def _cycle_domain(stable_size: int, variant: str) -> tuple[int, str]:
+    """``(q, "fhg" or "ashg")`` for the cycle construction and its factor."""
+    q = integer(stable_size)
+    if q < 2:
+        raise DomainError("stable_size must be >= 2")
+    key = variant.strip().lower()
+    if key not in ("fhg", "ashg"):
+        raise InvalidInputError("variant must be 'fhg' or 'ashg'")
+    return q, key
+
+
 def cycle_scenario(stable_size: int, variant: str) -> Scenario:
     """``stable_size + 1`` agents whose heavy edges form a cycle.
 
@@ -104,12 +123,7 @@ def cycle_scenario(stable_size: int, variant: str) -> Scenario:
     separable: cycle edges weigh 1, other pairs 0; factor 2.  Baselines
     are 1 and the scenario is stable up to ``stable_size``.
     """
-    q = integer(stable_size)
-    if q < 2:
-        raise DomainError("stable_size must be >= 2")
-    key = variant.strip().lower()
-    if key not in ("fhg", "ashg"):
-        raise InvalidInputError("variant must be 'fhg' or 'ashg'")
+    q, key = _cycle_domain(stable_size, variant)
     m = q + 1
     heavy, light = (2, 1) if key == "fhg" else (1, 0)
     return _scenario(
@@ -120,8 +134,8 @@ def cycle_scenario(stable_size: int, variant: str) -> Scenario:
 
 
 def cycle_factor(stable_size: int, variant: str) -> Fraction:
-    q = integer(stable_size)
-    if variant.strip().lower() == "fhg":
+    q, key = _cycle_domain(stable_size, variant)
+    if key == "fhg":
         return Fraction(q + 2, q + 1)
     return Fraction(2)
 

@@ -15,6 +15,17 @@ nonnegative pair internally; a bounded one is solved as ``x - lower >=
 0`` and its bound added back to the returned point.  Relations are
 non-strict (strictness is encoded upstream, e.g. via a maximized slack
 variable).
+
+Warm start: an :class:`Optimal` that :func:`solve` returns keeps its
+final tableau.  ``solve(lp, start)``, where ``start`` solved a program
+whose constraints are a prefix of ``lp``'s (same names, objective and
+lower bounds), copies that tableau and appends only the new rows, each
+scaled and shifted by the same per-row code as a cold solve and reduced
+against the optimal basis with its own slack basic.  The old basis stays
+dual feasible, so a dual simplex (Bland's rule on the dual, integer
+pivots) restores primal feasibility, or proves the extended program
+infeasible.  The value and verdict equal a cold solve's; the optimal
+point may be a different one.
 """
 
 from __future__ import annotations
@@ -35,6 +46,15 @@ class Constraint(NamedTuple):
     coeffs: tuple[Fraction, ...]
     relation: str
     rhs: Fraction
+
+
+def _checked(c, n: int) -> Constraint:
+    coeffs, relation, rhs = c
+    if relation not in RELATIONS:
+        raise InvalidInputError(f"unknown relation {relation!r}")
+    if len(coeffs) != n:
+        raise InvalidInputError("constraint length must match variable count")
+    return Constraint(tuple(map(exact, coeffs)), relation, exact(rhs))
 
 
 @dataclass(frozen=True)
@@ -58,15 +78,7 @@ class LinearProgram:
         lower = self.lower or (None,) * n
         if len(lower) != n:
             raise InvalidInputError("lower bounds must match variable count")
-        rows = []
-        for c in self.constraints:
-            coeffs, relation, rhs = c
-            if relation not in RELATIONS:
-                raise InvalidInputError(f"unknown relation {relation!r}")
-            if len(coeffs) != n:
-                raise InvalidInputError("constraint length must match variable count")
-            rows.append(Constraint(tuple(map(exact, coeffs)), relation, exact(rhs)))
-        object.__setattr__(self, "constraints", tuple(rows))
+        object.__setattr__(self, "constraints", tuple(_checked(c, n) for c in self.constraints))
         object.__setattr__(self, "objective", tuple(map(exact, self.objective)))
         object.__setattr__(
             self, "lower", tuple(None if x is None else exact(x) for x in lower)
@@ -90,6 +102,16 @@ class LinearProgram:
             lower=tuple(lower) if lower is not None else (),
         )
 
+    def _with_rows(self, rows: Iterable) -> "LinearProgram":
+        """This program with ``rows`` appended; only the new rows are
+        checked, since this program's own were checked when it was made."""
+        n = self.num_vars
+        lp = object.__new__(LinearProgram)
+        lp.__dict__.update(
+            self.__dict__, constraints=self.constraints + tuple(_checked(c, n) for c in rows)
+        )
+        return lp
+
     @property
     def num_vars(self) -> int:
         return len(self.names)
@@ -97,8 +119,13 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class Optimal:
+    """An optimum.  One that :func:`solve` returns also carries its final
+    tableau (not compared, not shown), so that it can be the ``start`` of
+    a later solve."""
+
     value: Fraction
     assignment: tuple[Fraction, ...]
+    _warm: "_Warm | None" = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -126,16 +153,22 @@ class _Tableau:
     ``obj``) and each update ``(x*p - f*y) // d`` divides exactly.
     """
 
-    def __init__(self, rows, basis, num_cols):
+    def __init__(self, rows, basis, num_cols, d=1, obj=None):
         self.rows = rows          # list of int lists, num_cols + 1 long
         self.basis = basis        # basic column index per row
         self.num_cols = num_cols
-        self.d = 1
-        self.obj = None           # reduced-cost row, when an objective is set
+        self.d = d
+        self.obj = obj            # reduced-cost row, when an objective is set
 
     def pivot(self, r: int, c: int) -> None:
         prow = self.rows[r]
         p, d = prow[c], self.d
+        if p < 0:
+            # a dual simplex pivot, or an artificial pivoted out after
+            # phase 1: negate the pivot row first, so every row comes out
+            # over the positive denominator -p
+            prow[:] = [-x for x in prow]
+            p = -p
         others = [row for i, row in enumerate(self.rows) if i != r]
         if self.obj is not None:
             others.append(self.obj)
@@ -145,12 +178,6 @@ class _Tableau:
                 row[:] = [(x * p - f * y) // d for x, y in zip(row, prow)]
             elif p != d:
                 row[:] = [x * p // d for x in row]
-        if p < 0:
-            # only an artificial pivoted out after phase 1 lands here;
-            # flip every row so the denominator stays positive
-            for row in others + [prow]:
-                row[:] = [-x for x in row]
-            p = -p
         self.d = p
         self.basis[r] = c
 
@@ -199,45 +226,76 @@ class _Tableau:
                 return "unbounded"
             self.pivot(leaving, entering)
 
+    def dual(self):
+        """Dual simplex from a dual feasible basis (no reduced cost
+        positive) whose right-hand sides may be negative.
 
-def solve(lp: LinearProgram) -> SolveResult:
-    """Solve exactly; every Optimal assignment satisfies all constraints
-    with exact rational comparison."""
-    n = lp.num_vars
+        Returns "optimal" once every right-hand side is nonnegative, or
+        "infeasible" when a row with a negative right-hand side has no
+        negative entry.  Bland's rule on the dual: the infeasible row
+        whose basic column is lowest leaves, and the column of least
+        ratio ``obj_j / a_j`` over the row's negative entries enters,
+        ties to the lowest column; this terminates.
+        """
+        rows, obj, basis = self.rows, self.obj, self.basis
+        while True:
+            leaving = -1
+            for i, row in enumerate(rows):
+                if row[-1] < 0 and (leaving < 0 or basis[i] < basis[leaving]):
+                    leaving = i
+            if leaving < 0:
+                return "optimal"
+            prow = rows[leaving]
+            # both ratios are >= 0 over negative entries a and best_a, so
+            # obj_j / a < best_obj / best_a iff obj_j * best_a < best_obj * a
+            entering = -1
+            best_obj = best_a = 0
+            for j in range(self.num_cols):
+                a = prow[j]
+                if a < 0 and (entering < 0 or obj[j] * best_a < best_obj * a):
+                    entering, best_obj, best_a = j, obj[j], a
+            if entering < 0:
+                return "infeasible"
+            self.pivot(leaving, entering)
 
-    # column layout: one column per bounded variable (x - lower), a
-    # (plus, minus) pair per free variable
-    col_of: list[tuple[int, int]] = []  # (plus column, minus column or -1)
-    num_struct = 0
-    for bound in lp.lower:
-        if bound is not None:
-            col_of.append((num_struct, -1))
-            num_struct += 1
-        else:
-            col_of.append((num_struct, num_struct + 1))
-            num_struct += 2
 
-    def expand(values) -> list[int]:
-        row = [0] * num_struct
+class _Columns:
+    """The structural columns of a program with these lower bounds: one
+    column per bounded variable (``x - lower``), a (plus, minus) pair per
+    free variable; and the lower bounds as ints over one common
+    denominator (a free variable is not shifted)."""
+
+    def __init__(self, lower) -> None:
+        self.col_of: list[tuple[int, int]] = []  # (plus column, minus column or -1)
+        self.num = 0
+        for bound in lower:
+            if bound is not None:
+                self.col_of.append((self.num, -1))
+                self.num += 1
+            else:
+                self.col_of.append((self.num, self.num + 1))
+                self.num += 2
+        self.low, self.low_den = scaled([Fraction(0) if x is None else x for x in lower])
+
+    def expand(self, values) -> list[int]:
+        row = [0] * self.num
         for v, x in enumerate(values):
             if x:
-                plus, minus = col_of[v]
+                plus, minus = self.col_of[v]
                 row[plus] = x
                 if minus >= 0:
                     row[minus] = -x
         return row
 
-    # the lower bounds as ints over one common denominator; a free
-    # variable is not shifted
-    low, low_den = scaled([Fraction(0) if x is None else x for x in lp.lower])
-
-    # canonicalize every constraint to <= or = with rhs >= 0, as one int
-    # row (coefficients, then rhs) scaled by the LCM of its denominators;
-    # substituting x = y + lower leaves rhs - sum(c * lower) on the right
-    canon: list[tuple[list[int], str, int]] = []
-    for coeffs, relation, rhs in lp.constraints:
+    def row(self, constraint: Constraint) -> tuple[list[int], str, int]:
+        """The constraint canonicalized to ``<=``, ``>=`` or ``=`` with
+        rhs >= 0, as one int row (structural coefficients, then rhs)
+        scaled by the LCM of its denominators, with that LCM; substituting
+        x = y + lower leaves rhs - sum(c * lower) on the right."""
+        coeffs, relation, rhs = constraint
+        low_den = self.low_den
         ints, common = scaled((*coeffs, rhs))
-        shift = sum(map(mul, ints, low))  # stops before the rhs
+        shift = sum(map(mul, ints, self.low))  # stops before the rhs
         if shift:
             # over common * low_den the rhs is r; dividing the row and
             # that denominator by their gcd rescales the row to the LCM
@@ -246,7 +304,7 @@ def solve(lp: LinearProgram) -> SolveResult:
             g = gcd(gcd(common, *ints[:-1]) * low_den, r)
             ints = [c * low_den // g for c in ints[:-1]] + [r // g]
             common = common * low_den // g
-        row = expand(ints[:-1])
+        row = self.expand(ints[:-1])
         r = ints[-1]
         if relation == ">=":
             row = [-x for x in row]
@@ -256,7 +314,45 @@ def solve(lp: LinearProgram) -> SolveResult:
             row = [-x for x in row]
             r = -r
             relation = {"<=": ">=", ">=": "<=", "=": "="}[relation]
-        canon.append((row + [r], relation, common))
+        return row + [r], relation, common
+
+    def optimal(self, lp: LinearProgram, tab: _Tableau) -> Optimal:
+        """The optimum at the tableau's basis, carrying the tableau."""
+        d, low, low_den = tab.d, self.low, self.low_den
+        col_value = {b: tab.rows[i][-1] for i, b in enumerate(tab.basis)}
+        assignment = []
+        for v, (plus, minus) in enumerate(self.col_of):
+            x = col_value.get(plus, 0)
+            if minus >= 0:
+                x -= col_value.get(minus, 0)
+            assignment.append(Fraction(x * low_den + low[v] * d, d * low_den))
+        objective_value = sum(
+            (c * x for c, x in zip(lp.objective, assignment) if c), Fraction(0)
+        )
+        return Optimal(objective_value, tuple(assignment), _Warm(lp, self, tab))
+
+
+class _Warm(NamedTuple):
+    lp: LinearProgram
+    columns: _Columns
+    tab: _Tableau
+
+
+def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
+    """Solve exactly; every Optimal assignment satisfies all constraints
+    with exact rational comparison.
+
+    ``start``, if given, is an :class:`Optimal` that ``solve`` returned
+    for a program whose constraints are a prefix of ``lp``'s, with the
+    same names, objective and lower bounds; ``lp`` is then re-optimised
+    from that optimum by the dual simplex (see the module docstring).
+    Any other ``start`` raises :class:`InvalidInputError`.
+    """
+    if start is not None:
+        return _reoptimize(lp, start)
+    columns = _Columns(lp.lower)
+    num_struct = columns.num
+    canon = [columns.row(c) for c in lp.constraints]
 
     num_slack = sum(1 for _, rel, _ in canon if rel in ("<=", ">="))
     num_art = sum(1 for _, rel, _ in canon if rel in (">=", "="))
@@ -322,23 +418,64 @@ def solve(lp: LinearProgram) -> SolveResult:
                     del tab.basis[i]
 
     # phase 2: the real objective, scaled to ints
-    tab.price(expand(scaled(lp.objective)[0]) + [0] * num_slack)
+    tab.price(columns.expand(scaled(lp.objective)[0]) + [0] * num_slack)
     if tab.run() == "unbounded":
         return Unbounded()
+    return columns.optimal(lp, tab)
 
-    d = tab.d
-    col_value = {b: tab.rows[i][-1] for i, b in enumerate(tab.basis)}
-    assignment = []
-    for v in range(n):
-        plus, minus = col_of[v]
-        x = col_value.get(plus, 0)
-        if minus >= 0:
-            x -= col_value.get(minus, 0)
-        assignment.append(Fraction(x * low_den + low[v] * d, d * low_den))
-    objective_value = sum(
-        (c * x for c, x in zip(lp.objective, assignment)), Fraction(0)
-    )
-    return Optimal(objective_value, tuple(assignment))
+
+def _reoptimize(lp: LinearProgram, start: Optimal) -> SolveResult:
+    """``lp`` re-optimised from the tableau of ``start``, which solved a
+    prefix of it; the start's tableau is copied, never changed."""
+    warm = start._warm if isinstance(start, Optimal) else None
+    if warm is None:
+        raise InvalidInputError("start must be an Optimal that solve returned")
+    prev, columns, old = warm
+    k = len(prev.constraints)
+    if (
+        lp.names != prev.names
+        or lp.objective != prev.objective
+        or lp.lower != prev.lower
+        or lp.constraints[:k] != prev.constraints
+    ):
+        raise InvalidInputError(
+            "start must solve a program whose constraints are a prefix of this one's,"
+            " with the same names, objective and lower bounds"
+        )
+
+    # each new row as ``a . y + s = r`` with a fresh slack s >= 0 and r of
+    # either sign; an equality is a pair of opposite rows
+    added = []
+    for c in lp.constraints[k:]:
+        row, relation, _ = columns.row(c)
+        if relation != ">=":
+            added.append(row)
+        if relation != "<=":
+            added.append([-x for x in row])
+
+    cols, d, num_struct = old.num_cols, old.d, columns.num
+    zeros = [0] * len(added)
+    rows = [row[:-1] + zeros + row[-1:] for row in old.rows]
+    basis = list(old.basis)
+    # reduce each new row against the basis: over d it is
+    # d*a - sum_i a[basis[i]] * rows[i], and its slack is basic; a new
+    # row is zero on every slack column but its own
+    structural = [(b, row) for b, row in zip(basis, rows) if b < num_struct]
+    for t, a in enumerate(added):
+        full = [d * x for x in a[:-1]] + [0] * (cols - num_struct) + zeros + [d * a[-1]]
+        full[cols + t] = d
+        for b, row in structural:
+            f = a[b]
+            if f:
+                full = [x - f * y for x, y in zip(full, row)]
+        rows.append(full)
+        basis.append(cols + t)
+
+    obj = old.obj[:-1] + zeros + old.obj[-1:]
+    tab = _Tableau(rows, basis, cols + len(added), d, obj)
+    if tab.dual() == "infeasible":
+        return Infeasible()
+    return columns.optimal(lp, tab)
 
 
 def satisfies(lp: LinearProgram, assignment: Sequence[Fraction]) -> bool:

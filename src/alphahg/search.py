@@ -17,18 +17,21 @@ LP maximizes, so strict feasibility is exactly "optimal slack > 0".
 
 The search is deterministic: subsets are branched in (size,
 lexicographic) order, witness candidates in index order, depth-first
-with LP pruning at every node.  Each node's LP is
-:func:`witness_system_lp` for the node's assignment: the rows that do
-not depend on the assignment are built once per search, and the node's
-witness rows go in front of them.  Every Feasible verdict is re-verified
-by the stability module before being returned; Infeasible verdicts are
-relative to the weight/baseline box.
+with LP pruning at every node.  Each node's LP holds the rows of
+:func:`witness_system_lp` for the node's assignment: the root is the
+assignment-free system, and each child is its parent's LP with the one
+new witness row appended (so witness rows follow the fixed rows, in
+branching order).  Each child LP is re-optimised from its parent's
+optimum by the dual simplex (``solve(child, parent_result)``); that may
+change which optimal point a node gets, never its value.  Every
+Feasible verdict is re-verified by the stability module before being
+returned; Infeasible verdicts are relative to the weight/baseline box.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from numbers import Real
@@ -301,19 +304,18 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
         time.monotonic() + problem.time_limit if problem.time_limit is not None else None
     )
     stats = {"nodes": 0, "lps": 0}
-    # the rows that do not depend on the witness assignment, built once
-    base = witness_system_lp(problem, {})
     pairs = _pair_index(problem.size)
 
-    def explore(assignment: dict, touched: set[int]) -> Scenario | None:
+    def explore(
+        lp: LinearProgram, start: Optimal | None, assignment: dict, touched: set[int]
+    ) -> Scenario | None:
         stats["nodes"] += 1
         if problem.node_limit is not None and stats["nodes"] > problem.node_limit:
             raise _Budget
         if deadline is not None and time.monotonic() > deadline:
             raise _Budget
         stats["lps"] += 1
-        witness_rows = tuple(_witness_row(problem, pairs, s, a) for s, a in assignment.items())
-        result = solve(replace(base, constraints=witness_rows + base.constraints))
+        result = solve(lp, start)
         if not isinstance(result, Optimal):  # starts feasible and is box-bounded
             raise AssertionError(f"node LP returned {result!r}")
         if result.value <= 0:
@@ -339,7 +341,8 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
             assignment[branch_on] = agent
             added = [a for a in branch_on if a not in touched]
             touched.update(added)
-            found = explore(assignment, touched)
+            child = lp._with_rows((_witness_row(problem, pairs, branch_on, agent),))
+            found = explore(child, result, assignment, touched)
             touched.difference_update(added)
             del assignment[branch_on]
             if found is not None:
@@ -347,7 +350,8 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
         return None
 
     try:
-        scenario = explore({}, set())
+        # the root is the assignment-free system, solved cold
+        scenario = explore(witness_system_lp(problem, {}), None, {}, set())
     except _Budget:
         return SearchResult(BUDGET_EXHAUSTED, None, stats["nodes"], stats["lps"])
     if scenario is None:

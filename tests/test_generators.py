@@ -11,6 +11,7 @@ from alphahg import (
     MFHG,
     ODD_EVEN,
     DomainError,
+    InvalidInputError,
     ashg_improvement_bound,
     build_construction,
     complete_graph_scenario,
@@ -238,3 +239,21 @@ class TestBuildConstruction:
         for built in cases:
             assert scenario_is_size_stable(built.scenario, built.stable_size)
             assert min_improvement_factor(built.scenario) == built.factor
+
+
+class TestFactorDomains:
+    """Each closed-form factor admits exactly its construction's domain."""
+
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda: cycle_factor(3, "xyz"), InvalidInputError),
+            (lambda: complete_graph_factor(FHG, 1, 4), DomainError),
+            (lambda: complete_graph_factor(FHG, 5, 3), DomainError),
+            (lambda: cycle_factor(1, "fhg"), DomainError),
+            (lambda: complete_graph_factor(ODD_EVEN, 4, 5), DomainError),
+        ],
+    )
+    def test_factor_refuses_what_its_scenario_refuses(self, call, error):
+        with pytest.raises(error):
+            call()

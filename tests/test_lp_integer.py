@@ -14,7 +14,8 @@ import pytest
 
 import reference_lp
 from alphahg import lp as integer_lp
-from alphahg.lp import Infeasible, LinearProgram, Optimal, Unbounded, solve
+from alphahg import InvalidInputError
+from alphahg.lp import Infeasible, LinearProgram, Optimal, Unbounded, satisfies, solve
 from reference_lp import reference_solve
 
 DENOMINATORS = (1, 1, 2, 3, 4, 5, 6, 7, 12, 35)
@@ -164,3 +165,109 @@ class TestSamePivots:
         reference_solve(lp)
         assert pivot_log["int"] == pivot_log["ref"]
         assert len(pivot_log["int"]) > 0
+
+
+def _attains(lp, result):
+    return result.value == sum(
+        (c * x for c, x in zip(lp.objective, result.assignment)), Fraction(0)
+    )
+
+
+class TestWarmStart:
+    """``solve(full, start=solve(prefix))`` against the cold reference.
+
+    A warm start re-optimises the prefix's optimal tableau by the dual
+    simplex, so it may stop at another optimal point: the verdict and the
+    value must equal the reference's, and the point must be feasible and
+    attain the value."""
+
+    def test_random_splits(self):
+        rng = random.Random(8128)
+        seen = dict.fromkeys(("<=", ">=", "=", "negative rhs", "free", Optimal, Infeasible), 0)
+        for trial in range(6000):
+            full = (random_lp if trial % 2 else random_lower_bounded_lp)(rng)
+            k = rng.randrange(len(full.constraints) + 1)
+            start = solve(replace(full, constraints=full.constraints[:k]))
+            if not isinstance(start, Optimal):
+                continue
+            want = reference_solve(full)
+            got = solve(full, start=start)
+            assert type(got) is type(want), (full, k)
+            if isinstance(want, Optimal):
+                assert got.value == want.value, (full, k)
+                assert satisfies(full, got.assignment) and _attains(full, got), (full, k)
+            appended = full.constraints[k:]
+            for relation in {c.relation for c in appended}:
+                seen[relation] += 1
+            seen["negative rhs"] += any(c.rhs < 0 for c in appended)
+            seen["free"] += bool(appended) and None in full.lower
+            seen[type(want)] += 1
+        assert min(seen.values()) >= 100, seen
+
+    def test_chained_starts(self):
+        # each warm result starts the next longer prefix; the last one
+        # must still agree with the cold reference
+        rng = random.Random(8129)
+        chains = 0
+        for _ in range(2000):
+            full = random_lower_bounded_lp(rng)
+            result = solve(replace(full, constraints=full.constraints[:1]))
+            for k in range(2, len(full.constraints) + 1):
+                if not isinstance(result, Optimal):
+                    break
+                result = solve(replace(full, constraints=full.constraints[:k]), result)
+            else:
+                chains += len(full.constraints) > 2
+                want = reference_solve(full)
+                assert type(result) is type(want) and (
+                    not isinstance(want, Optimal) or result.value == want.value
+                ), full
+        assert chains >= 100, chains
+
+    def test_start_must_solve_a_prefix(self):
+        rng = random.Random(8130)
+        refused = dict.fromkeys(("objective", "lower", "order"), 0)
+        while min(refused.values()) < 20:
+            lp = random_lower_bounded_lp(rng)
+            start = solve(lp)
+            if not isinstance(start, Optimal):
+                continue
+            longer = replace(lp, constraints=lp.constraints + lp.constraints[:1])
+            assert isinstance(solve(longer, start), (Optimal, Infeasible))
+            others = {
+                "objective": replace(
+                    longer, objective=tuple(x + 1 for x in lp.objective)
+                ),
+                "lower": replace(
+                    longer, lower=tuple(Fraction(-1) if x is None else None for x in lp.lower)
+                ),
+            }
+            first, second, *rest = longer.constraints
+            if first != second:
+                others["order"] = replace(longer, constraints=(second, first, *rest))
+            for kind, other in others.items():
+                with pytest.raises(InvalidInputError):
+                    solve(other, start)
+                refused[kind] += 1
+
+    def test_start_must_be_a_solved_optimum(self):
+        lp = cycling_instance()
+        for start in (
+            Optimal(Fraction(1, 20), reference_solve(lp).assignment),
+            Infeasible(),
+            Unbounded(),
+        ):
+            with pytest.raises(InvalidInputError):
+                solve(lp, start)
+
+    def test_appended_rows_are_checked(self):
+        # the search builds each child LP by appending its witness row
+        lp = cycling_instance()
+        row = ([1, 0, 0, "1/2"], ">=", "-3/7")
+        longer = lp._with_rows([row])
+        assert longer == LinearProgram.maximize(
+            lp.objective, [*lp.constraints, row], lp.names, lp.lower
+        )
+        for bad in (([1, 0, 0], "<=", 1), ([1, 0, 0, 0], "<", 1), ([1, 0, 0, 0.5], "<=", 1)):
+            with pytest.raises(InvalidInputError):
+                lp._with_rows([bad])

@@ -1,6 +1,7 @@
 """Feasibility search: witness LPs, verdicts, and certificates."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -29,6 +30,7 @@ from alphahg.search import (
     BUDGET_EXHAUSTED,
     FEASIBLE,
     INFEASIBLE_WITHIN_BOUNDS,
+    _certificate_ok,
 )
 from reference_lp import reference_solve
 
@@ -36,18 +38,34 @@ from reference_lp import reference_solve
 @pytest.fixture(autouse=True)
 def node_lp_check(request, monkeypatch):
     """Every node LP that a search in this module solves is solved again
-    by the Fraction simplex that the integer tableau replaced; the two
-    results, values and points included, must be equal.  Returns the
-    number of node LPs checked so far.  The slow tier is left out: the
-    Fraction simplex would take it back to its old running time."""
+    by the Fraction simplex that the integer tableau replaced.  A cold
+    solve must equal it, value and point included.  A warm solve (with a
+    ``start``) re-optimises its parent's optimum by the dual simplex, so
+    it may reach another optimal point: its verdict and value must equal
+    the reference's, and its point must be feasible and attain the value.
+    Returns the number of node LPs checked so far.  The slow tier is left
+    out: the Fraction simplex would take it back to its old running time.
+    So is ``TestWarmNodesAgainstColdSolves``, which checks every node
+    against the cold integer solve itself, at sizes where the Fraction
+    simplex would add about a minute."""
     checked = [0]
-    if request.node.get_closest_marker("slow"):
+    if request.node.get_closest_marker("slow") or request.cls is TestWarmNodesAgainstColdSolves:
         return checked
     integer_solve = search_module.solve
 
-    def solve_and_compare(lp):
-        result = integer_solve(lp)
-        assert result == reference_solve(lp), lp
+    def solve_and_compare(lp, start=None):
+        result = integer_solve(lp, start)
+        want = reference_solve(lp)
+        if start is None:
+            assert result == want, lp
+        else:
+            assert type(result) is type(want), lp
+            if isinstance(want, Optimal):
+                assert result.value == want.value, lp
+                assert satisfies(lp, result.assignment), lp
+                assert result.value == sum(
+                    (c * x for c, x in zip(lp.objective, result.assignment)), Fraction(0)
+                ), lp
         checked[0] += 1
         return result
 
@@ -504,3 +522,89 @@ class TestSlowAgreement:
         f = improvement_bound(alpha, q, m)
         result = search_blocking_scenario(problem(alpha, q, m, f, node_limit=None))
         assert result.verdict == INFEASIBLE_WITHIN_BOUNDS
+
+
+def _first_violated_subset(p, lp, point):
+    """The first subset of size 2..q, by size and then lex order, in which
+    every member's utility at the LP point exceeds their baseline: the
+    subset the search documents it branches on."""
+    m, a = p.size, p.alpha.value
+    weights = [[Fraction(0)] * m for _ in range(m)]
+    baselines = [None] * m
+    for name, x in zip(lp.names, point):
+        kind, *index = name.split("_")
+        if kind == "w":
+            i, j = map(int, index)
+            weights[i][j] = weights[j][i] = x
+        elif kind == "b":
+            baselines[int(index[0])] = x
+    for size in range(2, p.stable_size + 1):
+        for subset in combinations(range(m), size):
+            if all(a(size) * sum(weights[i][j] for j in subset) > baselines[i] for i in subset):
+                return subset
+    return None
+
+
+class TestWarmNodesAgainstColdSolves:
+    """At m = 5 and 7, where the search re-optimises most node LPs from
+    their parent's.  Following the depth-first path: every node LP is its
+    parent's plus one witness row, for the subset the parent's optimum
+    violates first and a witness no sibling used; it holds exactly the
+    rows of ``witness_system_lp`` for its assignment; and its optimum
+    value equals the cold integer solve's."""
+
+    def _checked_search(self, monkeypatch, p):
+        witness_rows = {}
+        for size in range(2, p.stable_size + 1):
+            for subset in combinations(range(p.size), size):
+                for agent in subset:
+                    row = witness_system_lp(p, {subset: agent}).constraints[0]
+                    witness_rows[row] = (subset, agent)
+        path = []  # (result, node LP, assignment, witnesses of its children)
+        counts = {"cold": 0, "warm": 0}
+        warm_solve = search_module.solve
+
+        def solve_and_check(lp, start=None):
+            if start is None:
+                assert not path
+                assignment = {}
+            else:
+                while path[-1][0] is not start:
+                    path.pop()
+                parent, parent_lp, parent_assignment, witnesses = path[-1]
+                k = len(parent_lp.constraints)
+                assert lp.constraints[:k] == parent_lp.constraints and len(lp.constraints) == k + 1
+                subset, agent = witness_rows[lp.constraints[k]]
+                assert subset == _first_violated_subset(p, parent_lp, parent.assignment)
+                assert agent not in witnesses
+                witnesses.add(agent)
+                assignment = {**parent_assignment, subset: agent}
+            assert Counter(lp.constraints) == Counter(witness_system_lp(p, assignment).constraints)
+            result = warm_solve(lp, start)
+            cold = solve(lp)
+            assert isinstance(result, Optimal) and isinstance(cold, Optimal)
+            assert result.value == cold.value, assignment
+            path.append((result, lp, assignment, set()))
+            counts["warm" if start is not None else "cold"] += 1
+            return result
+
+        monkeypatch.setattr(search_module, "solve", solve_and_check)
+        result = search_blocking_scenario(p)
+        # one cold root, every other node re-optimised from its parent
+        assert counts["cold"] == 1
+        assert counts["cold"] + counts["warm"] == result.lps_solved == result.nodes_explored
+        return result
+
+    @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG])
+    def test_q2_m5_at_the_bound(self, monkeypatch, alpha):
+        # a node limit well above the ~850 nodes these trees take, so a
+        # search that goes astray fails fast
+        p = problem(alpha, 2, 5, improvement_bound(alpha, 2, 5), node_limit=10_000)
+        result = self._checked_search(monkeypatch, p)
+        assert result.verdict == INFEASIBLE_WITHIN_BOUNDS
+
+    def test_fhg_q5_m7_below_the_bound(self, monkeypatch):
+        p = problem(FHG, 5, 7, improvement_bound(FHG, 5, 7) - Fraction(1, 1000))
+        result = self._checked_search(monkeypatch, p)
+        assert result.verdict == FEASIBLE
+        assert _certificate_ok(p, result.scenario)
