@@ -16,6 +16,7 @@ import csv
 import functools
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import bounds, efficiency, generators, io, search, stability
 from .core import AlphaFunction
@@ -55,6 +56,25 @@ def _print_report(report: stability.StabilityReport) -> int:
     print(f"unstable ({scope})")
     print(f"witness: {members}")
     return EXIT_NEGATIVE
+
+
+def _report_scenario(
+    scenario: stability.Scenario,
+    stable_size: int,
+    accept: Callable[[Fraction], bool],
+    out: str | None,
+) -> bool:
+    """Re-verify a scenario: size-stable up to ``stable_size`` and an
+    improvement factor that ``accept`` admits.  Prints the factor and the
+    outcome, and writes the scenario to ``out`` only if it passed."""
+    factor = stability.min_improvement_factor(scenario)
+    ok = stability.scenario_is_size_stable(scenario, stable_size) and accept(factor)
+    print(f"improvement-factor: {io.format_rational(factor)}")
+    print(f"verification: {'ok' if ok else 'FAILED'}")
+    if ok and out:
+        io.save_scenario(scenario, out)
+        print(f"wrote: {out}")
+    return ok
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -117,18 +137,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
         size=args.m,
         variant=args.variant,
     )
-    scenario = built.scenario
-    stable = stability.scenario_is_size_stable(scenario, built.stable_size)
-    factor = stability.min_improvement_factor(scenario)
-    ok = stable and factor == built.factor
     print(f"construction: {args.construction}")
-    print(f"agents: {scenario.size}")
+    print(f"agents: {built.scenario.size}")
     print(f"stable-up-to: {built.stable_size}")
-    print(f"improvement-factor: {io.format_rational(factor)}")
-    print(f"verification: {'ok' if ok else 'FAILED'}")
-    if args.out:
-        io.save_scenario(scenario, args.out)
-        print(f"wrote: {args.out}")
+    ok = _report_scenario(
+        built.scenario, built.stable_size, lambda f: f == built.factor, args.out
+    )
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -149,26 +163,15 @@ def cmd_search(args: argparse.Namespace) -> int:
     print(f"lps: {result.lps_solved}")
     if result.verdict == search.FEASIBLE:
         assert result.scenario is not None
-        factor = stability.min_improvement_factor(result.scenario)
-        ok = (
-            stability.scenario_is_size_stable(result.scenario, args.q)
-            and factor > args.gamma
-        )
-        print(f"improvement-factor: {io.format_rational(factor)}")
-        print(f"verification: {'ok' if ok else 'FAILED'}")
-        if not ok:
-            return EXIT_NEGATIVE
-        if args.out:
-            io.save_scenario(result.scenario, args.out)
-            print(f"wrote: {args.out}")
-        return EXIT_OK
+        ok = _report_scenario(result.scenario, args.q, lambda f: f > args.gamma, args.out)
+        return EXIT_OK if ok else EXIT_NEGATIVE
     if result.verdict == search.INFEASIBLE_WITHIN_BOUNDS:
         return EXIT_NEGATIVE
     return EXIT_BUDGET
 
 
 def cmd_poa(args: argparse.Namespace) -> int:
-    game, _ = io.game_from_dict(io.load_json(args.file))
+    game, _ = io.load_game(args.file)
     if (args.q is None) == (args.k is None):
         raise InvalidInputError("choose exactly one of --q / --k")
     if args.q is not None:
@@ -190,7 +193,7 @@ def cmd_poa(args: argparse.Namespace) -> int:
 
 
 def cmd_greedy(args: argparse.Namespace) -> int:
-    game, _ = io.game_from_dict(io.load_json(args.file))
+    game, _ = io.load_game(args.file)
     partition = efficiency.greedy_pairing(game)
     for block in partition.blocks:
         print(" ".join(str(a) for a in block))

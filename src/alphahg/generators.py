@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable
 
 from ._rat import integer
 from .bounds import (
@@ -39,20 +37,6 @@ class BuiltScenario:
     scenario: Scenario
     stable_size: int
     factor: Fraction
-
-
-def _scenario(
-    alpha: AlphaFunction,
-    size: int,
-    weight: Callable[[int, int], int | Fraction],
-    baselines: list[int] | None = None,
-) -> Scenario:
-    """``size`` agents whose pair ``i < j`` weighs ``weight(i, j)``;
-    baselines 1 unless given."""
-    rows = [[0] * size for _ in range(size)]
-    for i, j in combinations(range(size), 2):
-        rows[i][j] = rows[j][i] = weight(i, j)
-    return Scenario(size, rows, baselines or [1] * size, alpha)
 
 
 def _complete_graph_domain(
@@ -78,7 +62,7 @@ def complete_graph_scenario(
     """
     q, m = _complete_graph_domain(alpha, stable_size, size)
     w = 1 / (alpha.value(q) * (q - 1))
-    return _scenario(alpha, m, lambda i, j: w)
+    return Scenario.from_pairs(alpha, m, lambda i, j: w)
 
 
 def complete_graph_factor(alpha: AlphaFunction, stable_size: int, size: int) -> Fraction:
@@ -101,7 +85,7 @@ def two_halves_scenario(alpha: AlphaFunction, size: int) -> Scenario:
     intra = 1 / alpha.value(3) - 1 / alpha.value(2)
     cross = 1 / alpha.value(2)
     half = m // 2
-    return _scenario(alpha, m, lambda i, j: cross if i < half <= j else intra)
+    return Scenario.from_pairs(alpha, m, lambda i, j: cross if i < half <= j else intra)
 
 
 def _cycle_domain(stable_size: int, variant: str) -> tuple[int, str]:
@@ -126,7 +110,7 @@ def cycle_scenario(stable_size: int, variant: str) -> Scenario:
     q, key = _cycle_domain(stable_size, variant)
     m = q + 1
     heavy, light = (2, 1) if key == "fhg" else (1, 0)
-    return _scenario(
+    return Scenario.from_pairs(
         FHG if key == "fhg" else ASHG,
         m,
         lambda i, j: heavy if j - i in (1, m - 1) else light,
@@ -152,7 +136,7 @@ def two_valued_scenario(size: int) -> Scenario:
     if m < 5:
         raise DomainError("size must be >= 5")
     t = (m - 2) // 3 + 1
-    return _scenario(FHG, m, lambda i, j: 2 if i < t <= j else 0 if j < t else 1)
+    return Scenario.from_pairs(FHG, m, lambda i, j: 2 if i < t <= j else 0 if j < t else 1)
 
 
 def two_group_scenario(size: int) -> Scenario:
@@ -176,7 +160,7 @@ def two_group_scenario(size: int) -> Scenario:
     if m % 3 == 0:
         first = 2 * m // 3
         baselines = [1] * first + [2] * (m - first)
-        return _scenario(ASHG, m, lambda i, j: 1 if i < first <= j else 0, baselines)
+        return Scenario.from_pairs(ASHG, m, lambda i, j: 1 if i < first <= j else 0, baselines)
     first = (m - 2) // 3
     baselines = [2] * first + [1] * (m - first)
 
@@ -185,7 +169,7 @@ def two_group_scenario(size: int) -> Scenario:
         matched = i >= first and j == i + 1 and (i - first) % 2 == 0
         return 1 if i < first <= j or matched else 0
 
-    return _scenario(ASHG, m, weight, baselines)
+    return Scenario.from_pairs(ASHG, m, weight, baselines)
 
 
 def mantel_scenario(size: int) -> Scenario:
@@ -198,7 +182,7 @@ def mantel_scenario(size: int) -> Scenario:
     if m < 4:
         raise DomainError("size must be >= 4")
     half = m // 2
-    return _scenario(FHG, m, lambda i, j: 2 if i < half <= j else 1)
+    return Scenario.from_pairs(FHG, m, lambda i, j: 2 if i < half <= j else 1)
 
 
 #: Each bundled fixture with its claimed ``(stable_size, factor)``.

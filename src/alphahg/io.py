@@ -101,6 +101,13 @@ def _field(name: str, admit: Callable[[Any], Any], value: Any) -> Any:
         raise InvalidInputError(f"field {name!r}: {exc}") from None
 
 
+def _agent_count(value: Any) -> int:
+    n = integer(value)
+    if n < 1:
+        raise InvalidInputError("a game needs at least one agent")
+    return n
+
+
 def _partition_from_json(value: Any) -> Partition:
     if not isinstance(value, list) or not all(isinstance(b, list) for b in value):
         raise InvalidInputError("partition must be a list of lists of agent indices")
@@ -117,7 +124,7 @@ def game_from_dict(data: dict) -> tuple[Game, Partition | None]:
     if not isinstance(data, dict):
         raise InvalidInputError("expected a JSON object")
     try:
-        n = _field("n", integer, data["n"])
+        n = _field("n", _agent_count, data["n"])
         alpha = _field("alpha", _alpha_from_json, data["alpha"])
     except KeyError as exc:
         raise InvalidInputError(f"missing field {exc.args[0]!r}") from None
@@ -184,9 +191,12 @@ def _reject_float(text: str) -> None:
 
 
 def dump_json(data: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2)
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: {exc.strerror}") from None
 
 
 def load_game(path: str) -> tuple[Game, Partition | None]:

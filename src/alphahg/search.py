@@ -23,9 +23,12 @@ assignment-free system, and each child is its parent's LP with the one
 new witness row appended (so witness rows follow the fixed rows, in
 branching order).  Each child LP is re-optimised from its parent's
 optimum by the dual simplex (``solve(child, parent_result)``); that may
-change which optimal point a node gets, never its value.  Every
-Feasible verdict is re-verified by the stability module before being
-returned; Infeasible verdicts are relative to the weight/baseline box.
+change which optimal point a node gets, never its value.  The subset to
+branch on is read from the LP point scaled once to ints, by the
+stability module's subset kernel; a :class:`Scenario` is built only for
+a certificate.  Every Feasible verdict is re-verified by the stability
+module before being returned; Infeasible verdicts are relative to the
+weight/baseline box.
 """
 
 from __future__ import annotations
@@ -35,15 +38,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from numbers import Real
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
-from ._rat import exact, integer
+from ._rat import exact, integer, scaled
 from .core import AlphaFunction
-from .errors import DomainError, InvalidInputError
+from .errors import InvalidInputError
 from .lp import Constraint, LinearProgram, Optimal, solve
 from .stability import (
     Scenario,
-    _scenario_first_blocking,
+    _first_blocking,
     min_improvement_factor,
     scenario_is_size_stable,
 )
@@ -55,6 +58,7 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 DEFAULT_NODE_LIMIT = 200_000
 
 _ZERO = Fraction(0)
+_MINUS_ONE = Fraction(-1)
 
 
 @dataclass(frozen=True)
@@ -151,23 +155,33 @@ class SearchResult:
 
 
 def _pair_index(size: int) -> dict[tuple[int, int], int]:
-    index = {}
-    for i, j in combinations(range(size), 2):
-        index[(i, j)] = len(index)
-    return index
+    """The column of each pair weight ``w_ij``, ``i < j``, in the search's
+    LPs: pairs in lexicographic order, then one baseline per agent, then
+    the slack."""
+    return {pair: p for p, pair in enumerate(combinations(range(size), 2))}
 
 
-def _witness_row(
-    problem: SearchProblem, pairs: dict, subset: tuple[int, ...], agent: int
+def _agent_row(
+    problem: SearchProblem,
+    pairs: dict,
+    members: Sequence[int],
+    agent: int,
+    full: bool = False,
 ) -> Constraint:
-    """``alpha(|S|) * sum of the agent's weights to S - b_agent <= 0``: the
-    witness does not improve in ``S``."""
-    a = problem.alpha.value(len(subset))
+    """Agent ``a``'s utility in ``S = members`` against their baseline:
+    the witness row ``alpha(|S|) * sum_{j in S} w_aj - b_a <= 0`` (``a``
+    does not improve in ``S``), or with ``full`` the full-coalition row
+    ``alpha(m) * sum_j w_aj - gamma * b_a - slack >= 0``."""
     coeffs = [_ZERO] * (len(pairs) + problem.size + 1)
-    for j in subset:
+    a = problem.alpha.value(len(members))
+    for j in members:
         if j != agent:
-            coeffs[pairs[(min(agent, j), max(agent, j))]] = a
-    coeffs[len(pairs) + agent] = Fraction(-1)
+            coeffs[pairs[min(agent, j), max(agent, j)]] = a
+    if full:
+        coeffs[len(pairs) + agent] = -problem.gamma
+        coeffs[-1] = _MINUS_ONE
+        return Constraint(tuple(coeffs), ">=", _ZERO)
+    coeffs[len(pairs) + agent] = _MINUS_ONE
     return Constraint(tuple(coeffs), "<=", _ZERO)
 
 
@@ -201,20 +215,13 @@ def witness_system_lp(
     m = problem.size
     pairs = _pair_index(m)
     num_pairs = len(pairs)
-    b_at = num_pairs
-    t_at = num_pairs + m
-    num_vars = num_pairs + m + 1
-
-    names = [f"w_{i}_{j}" for i, j in combinations(range(m), 2)]
-    names += [f"b_{i}" for i in range(m)]
-    names.append("slack")
+    names = [f"w_{i}_{j}" for i, j in pairs] + [f"b_{i}" for i in range(m)] + ["slack"]
     bound = problem.weight_bound
-    a_full = problem.alpha.value(m)
     lower = [-bound] * num_pairs + [Fraction(1)] * m
-    lower.append(-(problem.gamma + a_full * (m - 1) * bound))
+    lower.append(-(problem.gamma + problem.alpha.value(m) * (m - 1) * bound))
 
-    def row() -> list[Fraction]:
-        return [_ZERO] * num_vars
+    def unit(v: int) -> tuple[Fraction, ...]:
+        return tuple(Fraction(1) if u == v else _ZERO for u in range(len(names)))
 
     if not isinstance(assignment, WitnessAssignment):
         assignment = WitnessAssignment.of(assignment)
@@ -222,50 +229,18 @@ def witness_system_lp(
     for subset, agent in assignment.items():
         if not all(0 <= member < m for member in subset):
             raise InvalidInputError(f"witness subset {subset} outside agents 0..{m - 1}")
-        constraints.append(_witness_row(problem, pairs, subset, agent))
-
-    for i in range(m):
-        coeffs = row()
-        for j in range(m):
-            if j != i:
-                key = (min(i, j), max(i, j))
-                coeffs[pairs[key]] += a_full
-        coeffs[b_at + i] = -problem.gamma
-        coeffs[t_at] = Fraction(-1)
-        constraints.append(Constraint(tuple(coeffs), ">=", _ZERO))
-
-    for p in range(num_pairs):
-        coeffs = row()
-        coeffs[p] = Fraction(1)
-        constraints.append(Constraint(tuple(coeffs), "<=", bound))
-    for i in range(m):
-        coeffs = row()
-        coeffs[b_at + i] = Fraction(1)
-        constraints.append(Constraint(tuple(coeffs), "<=", problem.baseline_bound))
-
-    objective = row()
-    objective[t_at] = Fraction(1)
+        constraints.append(_agent_row(problem, pairs, subset, agent))
+    everyone = range(m)
+    constraints += [_agent_row(problem, pairs, everyone, i, full=True) for i in everyone]
+    constraints += [Constraint(unit(p), "<=", bound) for p in range(num_pairs)]
+    constraints += [
+        Constraint(unit(num_pairs + i), "<=", problem.baseline_bound) for i in range(m)
+    ]
     return LinearProgram(
         names=tuple(names),
         constraints=tuple(constraints),
-        objective=tuple(objective),
+        objective=unit(len(names) - 1),
         lower=tuple(lower),
-    )
-
-
-def _scenario_from_assignment(problem: SearchProblem, values) -> Scenario:
-    m = problem.size
-    pairs = _pair_index(m)
-    matrix = [[Fraction(0)] * m for _ in range(m)]
-    for (i, j), p in pairs.items():
-        matrix[i][j] = values[p]
-        matrix[j][i] = values[p]
-    baselines = tuple(values[len(pairs) + i] for i in range(m))
-    return Scenario(
-        size=m,
-        weights=tuple(tuple(r) for r in matrix),
-        baselines=baselines,
-        alpha=problem.alpha,
     )
 
 
@@ -299,12 +274,13 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
     subset violated at the LP optimum, never an assigned one, is
     branched on.
     """
-    q = problem.stable_size
+    q, m = problem.stable_size, problem.size
     deadline = (
         time.monotonic() + problem.time_limit if problem.time_limit is not None else None
     )
     stats = {"nodes": 0, "lps": 0}
-    pairs = _pair_index(problem.size)
+    pairs = _pair_index(m)
+    b_at = len(pairs)
 
     def explore(
         lp: LinearProgram, start: Optimal | None, assignment: dict, touched: set[int]
@@ -320,13 +296,23 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
             raise AssertionError(f"node LP returned {result!r}")
         if result.value <= 0:
             return None
-        candidate = _scenario_from_assignment(problem, result.assignment)
-        branch_on = _scenario_first_blocking(candidate, q)
+        # the LP point as ints times one common denominator: a positive
+        # factor leaves every strict comparison of the kernel as it is
+        point = scaled(result.assignment)[0]
+        weights = [[0] * m for _ in range(m)]
+        for (i, j), p in pairs.items():
+            weights[i][j] = weights[j][i] = point[p]
+        baselines = [(x, 1) for x in point[b_at:b_at + m]]
+        branch_on = _first_blocking(weights, baselines, problem.alpha, 2, q)
         if branch_on in assignment:
             # at the exact optimum every assigned witness row holds
             raise AssertionError(f"assigned subset {branch_on} violated at the LP optimum")
         if branch_on is None:
             # the LP point already satisfies every subset; certify it
+            x = result.assignment
+            candidate = Scenario.from_pairs(
+                problem.alpha, m, lambda i, j: x[pairs[i, j]], x[b_at:b_at + m]
+            )
             if not _certificate_ok(problem, candidate):
                 raise AssertionError("LP point failed independent re-verification")
             return candidate
@@ -341,7 +327,7 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
             assignment[branch_on] = agent
             added = [a for a in branch_on if a not in touched]
             touched.update(added)
-            child = lp._with_rows((_witness_row(problem, pairs, branch_on, agent),))
+            child = lp._with_rows((_agent_row(problem, pairs, branch_on, agent),))
             found = explore(child, result, assignment, touched)
             touched.difference_update(added)
             del assignment[branch_on]

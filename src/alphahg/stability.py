@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from ._rat import exact, integer, scaled
 from .core import (
@@ -76,6 +76,22 @@ class Scenario:
             raise InvalidInputError("need one baseline per agent")
         object.__setattr__(self, "weights", rows)
         object.__setattr__(self, "baselines", tuple(map(exact, self.baselines)))
+
+    @classmethod
+    def from_pairs(
+        cls,
+        alpha: AlphaFunction,
+        size: int,
+        weight: Callable[[int, int], Fraction | int],
+        baselines: Sequence | None = None,
+    ) -> "Scenario":
+        """``size`` agents whose pair ``i < j`` weighs ``weight(i, j)``;
+        baselines 1 unless given."""
+        size = integer(size)
+        rows = [[0] * size for _ in range(size)]
+        for i, j in combinations(range(size), 2):
+            rows[i][j] = rows[j][i] = weight(i, j)
+        return cls(size, rows, [1] * size if baselines is None else baselines, alpha)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import csv
 import io as stdio
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,23 @@ class TestGenerate:
         code, _, _ = run(capsys, "generate", "--construction", "cycle", "--q", "4")
         assert code == 2
 
+    def test_failed_verification_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        # a claim that re-verification refutes exits 1, as in search, and
+        # leaves no scenario file behind
+        from alphahg import cli
+
+        built = cli.generators.build_construction("cycle", stable_size=4, variant="fhg")
+
+        def wrong_claim(*args, **kwargs):
+            return replace(built, factor=built.factor + 1)
+
+        monkeypatch.setattr(cli.generators, "build_construction", wrong_claim)
+        out_path = tmp_path / "cycle.json"
+        code, out, _ = run(capsys, "generate", "--construction", "cycle", "--out", str(out_path))
+        assert code == 1
+        assert "improvement-factor: 6/5" in out and "verification: FAILED" in out
+        assert "wrote" not in out and not out_path.exists()
+
 
 class TestSearch:
     def test_feasible_exit_zero(self, capsys, tmp_path):
@@ -207,6 +225,8 @@ FILE_ADMISSION = [
     pytest.param({"weights": [["0", 1, "1"]]}, 2, "'weights'", id="string endpoint"),
     pytest.param({"weights": [[0, 1, None]]}, 2, "'weights'", id="null weight"),
     pytest.param({"n": True}, 2, "'n'", id="bool n"),
+    pytest.param({"n": 0, "weights": [], "partition": []}, 2, "'n'", id="zero n"),
+    pytest.param({"n": -2, "weights": [], "partition": []}, 2, "'n'", id="negative n"),
     pytest.param({"alpha": ["1", "x"]}, 2, "'alpha'", id="alpha table entry"),
     pytest.param(
         {"n": 21, "weights": [], "partition": [[i] for i in range(21)]}, 3, "n=21", id="21 agents"
@@ -257,6 +277,23 @@ class TestExitCodeContract:
         code, out, err = run(capsys, command[0], str(path), *command[1:])
         assert code == expected
         assert out == "" and err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("target", ["missing directory", "a directory"])
+    @pytest.mark.parametrize("command", ["search", "generate", "greedy"])
+    def test_unwritable_out_exit_two(self, capsys, tmp_path, command, target):
+        if target == "a directory":
+            out_path = tmp_path / "taken"
+            out_path.mkdir()
+        else:
+            out_path = tmp_path / "missing" / "x.json"
+        argv = {
+            "search": ("search", "--alpha", "fhg", "--q", "2", "--m", "3", "--gamma", "13/10"),
+            "generate": ("generate", "--construction", "cycle", "--q", "2", "--variant", "fhg"),
+            "greedy": ("greedy", write_ashg_example(tmp_path)),
+        }[command]
+        code, _, err = run(capsys, *argv, "--out", str(out_path))
+        assert code == 2
+        assert err.startswith("error: ") and str(out_path) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("modes", [
         ("--core", "--q-size", "1"),

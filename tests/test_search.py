@@ -45,11 +45,15 @@ def node_lp_check(request, monkeypatch):
     the reference's, and its point must be feasible and attain the value.
     Returns the number of node LPs checked so far.  The slow tier is left
     out: the Fraction simplex would take it back to its old running time.
-    So is ``TestWarmNodesAgainstColdSolves``, which checks every node
-    against the cold integer solve itself, at sizes where the Fraction
-    simplex would add about a minute."""
+    So are ``TestWarmNodesAgainstColdSolves``, which checks every node
+    against the cold integer solve itself, and ``TestTreeSizes``, which
+    counts nodes, at sizes where the Fraction simplex would add about a
+    minute."""
     checked = [0]
-    if request.node.get_closest_marker("slow") or request.cls is TestWarmNodesAgainstColdSolves:
+    if request.node.get_closest_marker("slow") or request.cls in (
+        TestWarmNodesAgainstColdSolves,
+        TestTreeSizes,
+    ):
         return checked
     integer_solve = search_module.solve
 
@@ -608,3 +612,23 @@ class TestWarmNodesAgainstColdSolves:
         result = self._checked_search(monkeypatch, p)
         assert result.verdict == FEASIBLE
         assert _certificate_ok(p, result.scenario)
+
+
+class TestTreeSizes:
+    """The node counts of three trees from ``BENCH_9.json``, so that a
+    change to the branching, the symmetry rule or the LP's optimal points
+    shows as a changed count and has to say so."""
+
+    @pytest.mark.parametrize(
+        "alpha,q,m,below,nodes",
+        [
+            (FHG, 3, 4, 0, 378),
+            (FHG, 5, 7, Fraction(1, 1000), 61),
+            (ASHG, 6, 7, Fraction(1, 1000), 41),
+        ],
+    )
+    def test_node_counts(self, alpha, q, m, below, nodes):
+        p = problem(alpha, q, m, improvement_bound(alpha, q, m) - below, node_limit=None)
+        result = search_blocking_scenario(p)
+        assert result.verdict == (FEASIBLE if below else INFEASIBLE_WITHIN_BOUNDS)
+        assert result.nodes_explored == result.lps_solved == nodes

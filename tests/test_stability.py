@@ -14,6 +14,7 @@ from alphahg import (
     MFHG,
     Coalition,
     DomainError,
+    InvalidInputError,
     Game,
     Partition,
     ResourceLimitError,
@@ -193,6 +194,22 @@ class TestScenarioOps:
 
     def test_fig8_factor(self):
         assert min_improvement_factor(fixture("fig8")) == 2
+
+    def test_from_pairs(self):
+        scenario = Scenario.from_pairs(ASHG, 3, lambda i, j: Fraction(i + 2 * j, 3))
+        assert scenario.weights == tuple(
+            tuple(Fraction(0) if i == j else Fraction(min(i, j) + 2 * max(i, j), 3) for j in range(3))
+            for i in range(3)
+        )
+        assert scenario.baselines == (1, 1, 1)
+        assert Scenario.from_pairs(ASHG, 2, lambda i, j: 1, ("1/2", 3)).baselines == (
+            Fraction(1, 2),
+            3,
+        )
+        # the size is admitted, and given baselines are never replaced
+        for size, baselines in ((2.0, None), (True, None), (2, []), (2, [1])):
+            with pytest.raises(InvalidInputError):
+                Scenario.from_pairs(ASHG, size, lambda i, j: 1, baselines)
 
 
 def _naive_blocks(game, partition, min_size, max_size, factor):
