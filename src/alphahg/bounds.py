@@ -12,6 +12,11 @@ where ``[..]`` is 0/1.  Fractional and additively separable games admit
 the simpler forms ``k * (1 + floor((m-2)/(q-1))/m)`` and
 ``k * (1 + floor((m-2)/(q-1)))``.  All floor/mod arithmetic is on
 integers; no rational rounding is ever involved.
+
+Factor ``k`` is a reduction, not a new bound: scaling every baseline by
+``k`` turns the question at factor ``k`` and improvement ``gamma`` into
+the question at factor 1 and improvement ``gamma / k``, so wherever the
+factor-1 bound exceeds 1 the factor-``k`` bound is exactly ``k`` times it.
 """
 
 from __future__ import annotations

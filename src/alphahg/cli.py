@@ -43,7 +43,11 @@ def _parse_range(text: str) -> range:
 
 
 def _rational(text: str) -> Fraction:
-    return io.parse_rational(text)
+    """An argparse type: the refusal's reason becomes argparse's message."""
+    try:
+        return io.parse_rational(text)
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _print_report(report: stability.StabilityReport) -> int:
@@ -103,15 +107,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError:
         raise InvalidInputError(f"--qk: size must be an integer, not {size!r}") from None
     return _print_report(
-        stability.is_size_factor_stable(game, partition, size, _rational(factor))
+        stability.is_size_factor_stable(game, partition, size, io.parse_rational(factor))
     )
 
 
 def cmd_bound_table(args: argparse.Namespace) -> int:
     alpha = AlphaFunction.from_name(args.alpha)
-    k = args.k
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["q", "m", "bound", "bound_decimal", "improvement_limit"])
+    rows = [["q", "m", "bound", "bound_decimal", "improvement_limit"]]
+    # every row is built before any is written, so an input error
+    # leaves stdout empty
     for q in _parse_range(args.q_range):
         limit = (
             io.format_rational(bounds.fhg_improvement_limit(q))
@@ -121,10 +125,9 @@ def cmd_bound_table(args: argparse.Namespace) -> int:
         for m in _parse_range(args.m_range):
             if m < q + 1:
                 continue
-            value = bounds.improvement_bound(alpha, q, m, k)
-            writer.writerow(
-                [q, m, io.format_rational(value), f"{float(value):.6f}", limit]
-            )
+            value = bounds.improvement_bound(alpha, q, m, args.k)
+            rows.append([q, m, io.format_rational(value), f"{float(value):.6f}", limit])
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     return EXIT_OK
 
 
@@ -257,7 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--node-limit", type=int, default=search.DEFAULT_NODE_LIMIT,
         help="default: %(default)s",
     )
-    p.add_argument("--time-limit", type=float, help="seconds; default: no limit")
+    p.add_argument(
+        "--time-limit", type=float,
+        help="seconds, checked before each node's LP, so one LP can overrun it;"
+        " default: no limit",
+    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 

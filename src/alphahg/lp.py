@@ -1,13 +1,12 @@
 """Exact rational linear programming.
 
-A small dense two-phase primal simplex with integer pivoting: each
-constraint row is scaled to Python ints once, and the tableau is kept
-as ints over one common denominator, so the pivots run on plain int
-arithmetic and never on ``Fraction``.
-Bland's rule guarantees termination; there is no floating point and no
-tolerance anywhere, so Optimal/Infeasible/Unbounded verdicts, values
-and points are exact.  The intended scale is a few hundred variables
-and constraints.
+A small dense simplex with integer pivoting: each constraint row is
+scaled to Python ints once, and the tableau is kept as ints over one
+common denominator, so the pivots run on plain int arithmetic and never
+on ``Fraction``.  Bland's rule guarantees termination; there is no
+floating point and no tolerance anywhere, so Optimal/Infeasible/Unbounded
+verdicts, values and points are exact.  The intended scale is a few
+hundred variables and constraints.
 
 Each variable is free or has a rational lower bound; a nonnegative
 variable is one with ``lower = 0``.  A free variable is split into a
@@ -16,16 +15,25 @@ nonnegative pair internally; a bounded one is solved as ``x - lower >=
 non-strict (strictness is encoded upstream, e.g. via a maximized slack
 variable).
 
+There is one path.  A solve appends its rows to a tableau, each as
+``a . y + s = r`` with a fresh slack ``s >= 0`` basic and ``r`` of
+either sign (``>=`` is negated, ``=`` is a pair of opposite rows), and
+reduces each against the tableau's basis.  The basis stays dual
+feasible, so a dual simplex (Bland's rule on the dual) restores primal
+feasibility or finds a row with a negative right-hand side and no
+negative entry, which proves the program infeasible; its slack entries
+are then nonnegative multipliers of the scaled rows (a Farkas
+certificate).  A cold solve starts from the empty
+program: no rows, ``d = 1`` and a zero objective, which every basis
+prices dual feasible, so the dual simplex is its phase 1.  It then
+prices the real objective and runs the primal simplex.
+
 Warm start: an :class:`Optimal` that :func:`solve` returns keeps its
 final tableau.  ``solve(lp, start)``, where ``start`` solved a program
 whose constraints are a prefix of ``lp``'s (same names, objective and
-lower bounds), copies that tableau and appends only the new rows, each
-scaled and shifted by the same per-row code as a cold solve and reduced
-against the optimal basis with its own slack basic.  The old basis stays
-dual feasible, so a dual simplex (Bland's rule on the dual, integer
-pivots) restores primal feasibility, or proves the extended program
-infeasible.  The value and verdict equal a cold solve's; the optimal
-point may be a different one.
+lower bounds), copies that tableau, appends only the new rows and stops
+after the dual simplex.  The value and verdict equal a cold solve's; the
+optimal point may be a different one.
 """
 
 from __future__ import annotations
@@ -153,25 +161,23 @@ class _Tableau:
     ``obj``) and each update ``(x*p - f*y) // d`` divides exactly.
     """
 
-    def __init__(self, rows, basis, num_cols, d=1, obj=None):
+    def __init__(self, rows, basis, num_cols, d, obj):
         self.rows = rows          # list of int lists, num_cols + 1 long
         self.basis = basis        # basic column index per row
         self.num_cols = num_cols
         self.d = d
-        self.obj = obj            # reduced-cost row, when an objective is set
+        self.obj = obj            # reduced-cost row, num_cols + 1 long
 
     def pivot(self, r: int, c: int) -> None:
         prow = self.rows[r]
         p, d = prow[c], self.d
         if p < 0:
-            # a dual simplex pivot, or an artificial pivoted out after
-            # phase 1: negate the pivot row first, so every row comes out
-            # over the positive denominator -p
+            # a dual simplex pivot: negate the pivot row first, so every
+            # row comes out over the positive denominator -p
             prow[:] = [-x for x in prow]
             p = -p
         others = [row for i, row in enumerate(self.rows) if i != r]
-        if self.obj is not None:
-            others.append(self.obj)
+        others.append(self.obj)
         for row in others:
             f = row[c]
             if f:
@@ -258,6 +264,30 @@ class _Tableau:
                 return "infeasible"
             self.pivot(leaving, entering)
 
+    def appended(self, added: list[list[int]], num_struct: int) -> "_Tableau":
+        """A copy of this tableau with each ``<=`` row of ``added``
+        (``num_struct`` structural coefficients, then rhs) appended as
+        ``a . y + s = r`` with a fresh slack ``s >= 0`` basic; this
+        tableau is not changed.  Each new row is reduced against the
+        basis: over d it is ``d*a - sum_i a[basis[i]] * rows[i]``, since
+        it is zero on every slack column but its own."""
+        cols, d = self.num_cols, self.d
+        zeros = [0] * len(added)
+        rows = [row[:-1] + zeros + row[-1:] for row in self.rows]
+        basis = list(self.basis)
+        structural = [(b, row) for b, row in zip(basis, rows) if b < num_struct]
+        for t, a in enumerate(added):
+            full = [d * x for x in a[:-1]] + [0] * (cols - num_struct) + zeros + [d * a[-1]]
+            full[cols + t] = d
+            for b, row in structural:
+                f = a[b]
+                if f:
+                    full = [x - f * y for x, y in zip(full, row)]
+            rows.append(full)
+            basis.append(cols + t)
+        obj = self.obj[:-1] + zeros + self.obj[-1:]
+        return _Tableau(rows, basis, cols + len(added), d, obj)
+
 
 class _Columns:
     """The structural columns of a program with these lower bounds: one
@@ -287,11 +317,12 @@ class _Columns:
                     row[minus] = -x
         return row
 
-    def row(self, constraint: Constraint) -> tuple[list[int], str, int]:
-        """The constraint canonicalized to ``<=``, ``>=`` or ``=`` with
-        rhs >= 0, as one int row (structural coefficients, then rhs)
-        scaled by the LCM of its denominators, with that LCM; substituting
-        x = y + lower leaves rhs - sum(c * lower) on the right."""
+    def rows(self, constraint: Constraint) -> list[list[int]]:
+        """The constraint as ``<=`` int rows (structural coefficients, then
+        rhs of either sign) scaled by the LCM of its denominators: one row,
+        negated for ``>=``, or a pair of opposite rows for ``=``;
+        substituting x = y + lower leaves rhs - sum(c * lower) on the
+        right."""
         coeffs, relation, rhs = constraint
         low_den = self.low_den
         ints, common = scaled((*coeffs, rhs))
@@ -303,18 +334,11 @@ class _Columns:
             r = ints[-1] * low_den - shift
             g = gcd(gcd(common, *ints[:-1]) * low_den, r)
             ints = [c * low_den // g for c in ints[:-1]] + [r // g]
-            common = common * low_den // g
-        row = self.expand(ints[:-1])
-        r = ints[-1]
-        if relation == ">=":
-            row = [-x for x in row]
-            r = -r
-            relation = "<="
-        if r < 0:
-            row = [-x for x in row]
-            r = -r
-            relation = {"<=": ">=", ">=": "<=", "=": "="}[relation]
-        return row + [r], relation, common
+        row = self.expand(ints[:-1]) + ints[-1:]
+        if relation == "<=":
+            return [row]
+        negated = [-x for x in row]
+        return [negated] if relation == ">=" else [row, negated]
 
     def optimal(self, lp: LinearProgram, tab: _Tableau) -> Optimal:
         """The optimum at the tableau's basis, carrying the tableau."""
@@ -348,133 +372,37 @@ def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
     from that optimum by the dual simplex (see the module docstring).
     Any other ``start`` raises :class:`InvalidInputError`.
     """
-    if start is not None:
-        return _reoptimize(lp, start)
-    columns = _Columns(lp.lower)
-    num_struct = columns.num
-    canon = [columns.row(c) for c in lp.constraints]
+    if start is None:
+        columns = _Columns(lp.lower)
+        # the empty program: no rows, and a zero objective, which every
+        # basis prices dual feasible
+        base = _Tableau([], [], columns.num, 1, [0] * (columns.num + 1))
+        new = lp.constraints
+    else:
+        warm = start._warm if isinstance(start, Optimal) else None
+        if warm is None:
+            raise InvalidInputError("start must be an Optimal that solve returned")
+        prev, columns, base = warm
+        k = len(prev.constraints)
+        if (
+            lp.names != prev.names
+            or lp.objective != prev.objective
+            or lp.lower != prev.lower
+            or lp.constraints[:k] != prev.constraints
+        ):
+            raise InvalidInputError(
+                "start must solve a program whose constraints are a prefix of this one's,"
+                " with the same names, objective and lower bounds"
+            )
+        new = lp.constraints[k:]
 
-    num_slack = sum(1 for _, rel, _ in canon if rel in ("<=", ">="))
-    num_art = sum(1 for _, rel, _ in canon if rel in (">=", "="))
-    total = num_struct + num_slack + num_art
-
-    # slack and artificial columns get coefficient +-1 in the scaled row,
-    # so each stands for its row's LCM times the Fraction tableau's
-    # variable; that positive column scaling leaves every sign, ratio
-    # order and so every pivot unchanged
-    rows: list[list[int]] = []
-    basis: list[int] = []
-    slack_at = num_struct
-    art_at = num_struct + num_slack
-    for row, relation, _ in canon:
-        full = row[:-1] + [0] * (num_slack + num_art) + row[-1:]
-        if relation == "<=":
-            full[slack_at] = 1
-            basis.append(slack_at)
-            slack_at += 1
-        elif relation == ">=":
-            full[slack_at] = -1
-            slack_at += 1
-            full[art_at] = 1
-            basis.append(art_at)
-            art_at += 1
-        else:
-            full[art_at] = 1
-            basis.append(art_at)
-            art_at += 1
-        rows.append(full)
-
-    tab = _Tableau(rows, basis, total)
-    keep = num_struct + num_slack  # the artificials are the columns after these
-
-    if num_art:
-        # phase 1: maximize minus the sum of the Fraction tableau's
-        # artificials, i.e. each integer artificial weighted by 1/L_i,
-        # scaled to ints by M = lcm(L_i)
-        art_rows = [i for i, b in enumerate(basis) if b >= keep]
-        cost = [0] * total
-        weights = scaled([Fraction(1, canon[i][2]) for i in art_rows])[0]
-        for i, w in zip(art_rows, weights):
-            cost[basis[i]] = -w
-        tab.price(cost)
-        status = tab.run()
-        assert status == "optimal"  # phase-1 objective is bounded above by 0
-        if tab.obj[-1] != 0:  # minus M times the phase-1 value
-            return Infeasible()
-        tab.obj = None
-        # drop the artificial columns, then pivot surviving artificials
-        # out of the basis, or drop their rows
-        for row in tab.rows:
-            del row[keep:-1]
-        tab.num_cols = keep
-        for i in range(len(tab.basis) - 1, -1, -1):
-            if tab.basis[i] >= keep:
-                for j in range(keep):
-                    if tab.rows[i][j] != 0:
-                        tab.pivot(i, j)
-                        break
-                else:
-                    del tab.rows[i]
-                    del tab.basis[i]
-
-    # phase 2: the real objective, scaled to ints
-    tab.price(columns.expand(scaled(lp.objective)[0]) + [0] * num_slack)
-    if tab.run() == "unbounded":
-        return Unbounded()
-    return columns.optimal(lp, tab)
-
-
-def _reoptimize(lp: LinearProgram, start: Optimal) -> SolveResult:
-    """``lp`` re-optimised from the tableau of ``start``, which solved a
-    prefix of it; the start's tableau is copied, never changed."""
-    warm = start._warm if isinstance(start, Optimal) else None
-    if warm is None:
-        raise InvalidInputError("start must be an Optimal that solve returned")
-    prev, columns, old = warm
-    k = len(prev.constraints)
-    if (
-        lp.names != prev.names
-        or lp.objective != prev.objective
-        or lp.lower != prev.lower
-        or lp.constraints[:k] != prev.constraints
-    ):
-        raise InvalidInputError(
-            "start must solve a program whose constraints are a prefix of this one's,"
-            " with the same names, objective and lower bounds"
-        )
-
-    # each new row as ``a . y + s = r`` with a fresh slack s >= 0 and r of
-    # either sign; an equality is a pair of opposite rows
-    added = []
-    for c in lp.constraints[k:]:
-        row, relation, _ = columns.row(c)
-        if relation != ">=":
-            added.append(row)
-        if relation != "<=":
-            added.append([-x for x in row])
-
-    cols, d, num_struct = old.num_cols, old.d, columns.num
-    zeros = [0] * len(added)
-    rows = [row[:-1] + zeros + row[-1:] for row in old.rows]
-    basis = list(old.basis)
-    # reduce each new row against the basis: over d it is
-    # d*a - sum_i a[basis[i]] * rows[i], and its slack is basic; a new
-    # row is zero on every slack column but its own
-    structural = [(b, row) for b, row in zip(basis, rows) if b < num_struct]
-    for t, a in enumerate(added):
-        full = [d * x for x in a[:-1]] + [0] * (cols - num_struct) + zeros + [d * a[-1]]
-        full[cols + t] = d
-        for b, row in structural:
-            f = a[b]
-            if f:
-                full = [x - f * y for x, y in zip(full, row)]
-        rows.append(full)
-        basis.append(cols + t)
-
-    obj = old.obj[:-1] + zeros + old.obj[-1:]
-    tab = _Tableau(rows, basis, cols + len(added), d, obj)
+    tab = base.appended([row for c in new for row in columns.rows(c)], columns.num)
     if tab.dual() == "infeasible":
         return Infeasible()
+    if start is None:
+        tab.price(columns.expand(scaled(lp.objective)[0]) + [0] * (tab.num_cols - columns.num))
+        if tab.run() == "unbounded":
+            return Unbounded()
     return columns.optimal(lp, tab)
 
 

@@ -209,8 +209,8 @@ def witness_system_lp(
     bounds also make the LP start feasible: with every variable at its
     bound, each full-coalition row's right-hand side is 0 and each
     witness row's is ``1 + alpha(|S|) * B * (|S| - 1)``, so every row is
-    a ``<=`` row with a nonnegative right-hand side and the simplex needs
-    no phase 1.
+    a ``<=`` row with a nonnegative right-hand side and the LP's dual
+    phase makes no pivot.
     """
     m = problem.size
     pairs = _pair_index(m)

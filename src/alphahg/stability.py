@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from ._rat import exact, integer, scaled
 from .core import (
@@ -42,8 +42,6 @@ from .core import (
     Partition,
     _weight_matrix,
     check_partition,
-    coalition_utility,
-    partition_utility,
 )
 from .errors import DomainError, InvalidInputError, ResourceLimitError
 
@@ -335,19 +333,3 @@ def max_improvement_factor_at_size(game: Game, partition: Partition, size: int) 
     a = game.alpha.value(size)
     return Fraction(a.numerator * best_num, a.denominator * best_den)
 
-
-def blocking_members_check(
-    game: Game,
-    partition: Partition,
-    coalition: Coalition | Iterable[int],
-    factor: Fraction | int = 1,
-) -> bool:
-    """Re-check a witness: does every member strictly beat ``factor``
-    times their partition utility?"""
-    members = tuple(coalition)
-    factor = exact(factor)
-    return all(
-        coalition_utility(game, members, i)
-        > factor * partition_utility(game, partition, i)
-        for i in members
-    )

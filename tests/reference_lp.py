@@ -1,14 +1,22 @@
-"""The Fraction simplex that ``alphahg.lp`` used before its integer tableau.
+"""Fraction simplexes to check ``alphahg.lp`` against.
 
-Kept as the reference for ``tests/test_lp_integer.py`` and the node-LP
-check in ``tests/test_search.py``: the integer tableau must take the
-same pivots and so return equal results, values and points included.
-The code is the former ``_Tableau`` and ``solve`` unchanged, apart from
-the removal of an unused debug dump and of the rational backend shim
-(``to_rat`` and ``to_fraction`` below stand in for it with
-``Fraction``), and lower bounds in place of nonnegative flags: a
-bounded variable is solved as ``x - lower >= 0``, so each right-hand
-side loses ``sum(c * lower)`` and the point gets ``lower`` back.
+``reference_solve`` is the two-phase Fraction simplex that ``alphahg.lp``
+used before its integer tableau: artificial columns, a phase 1 that
+minimizes their sum, then phase 2.  It is the oracle for verdicts and
+values in ``tests/test_lp_integer.py``, and for the node LPs in
+``tests/test_search.py``, whose rows all start feasible, so that there
+the integer solve must equal it point included.  The code is the former
+``_Tableau`` and ``solve`` unchanged, apart from the removal of an unused
+debug dump and of the rational backend shim (``to_rat`` and
+``to_fraction`` below stand in for it with ``Fraction``), and lower
+bounds in place of nonnegative flags: a bounded variable is solved as
+``x - lower >= 0``, so each right-hand side loses ``sum(c * lower)`` and
+the point gets ``lower`` back.
+
+``dual_phase_solve`` is the integer solve's own algorithm in Fraction
+arithmetic (slack rows of either sign, the dual simplex as phase 1), so
+the integer tableau must take its pivots and return its results, points
+included.
 """
 
 from __future__ import annotations
@@ -232,6 +240,113 @@ def reference_solve(lp: LinearProgram) -> SolveResult:
         return Unbounded()
 
     col_value = {b: tab.rhs[i] for i, b in enumerate(tab.basis)}
+    assignment = []
+    for v in range(n):
+        plus, minus = col_of[v]
+        x = col_value.get(plus, zero)
+        if minus >= 0:
+            x = x - col_value.get(minus, zero)
+        assignment.append(to_fraction(x) + lower[v])
+    objective_value = sum(
+        (c * x for c, x in zip(lp.objective, assignment)), Fraction(0)
+    )
+    return Optimal(objective_value, tuple(assignment))
+
+
+def dual_phase_solve(lp: LinearProgram) -> SolveResult:
+    """The algorithm of ``alphahg.lp.solve`` in Fraction arithmetic.
+
+    Same column layout as ``reference_solve``.  Every constraint becomes
+    ``<=`` rows ``a . y + s = r`` with a fresh slack ``s`` basic and ``r``
+    of either sign: a ``>=`` row is negated, an ``=`` row is the row and
+    its negation.  Phase 1 is the dual simplex on a zero objective, which
+    every basis prices dual feasible; phase 2 prices the real objective
+    and runs the primal simplex.  Bland's rule in both phases.
+    """
+    n = lp.num_vars
+
+    col_of: list[tuple[int, int]] = []  # (plus column, minus column or -1)
+    num_struct = 0
+    for v in range(n):
+        if lp.lower[v] is not None:
+            col_of.append((num_struct, -1))
+            num_struct += 1
+        else:
+            col_of.append((num_struct, num_struct + 1))
+            num_struct += 2
+
+    zero = to_rat(0)
+    lower = [zero if x is None else x for x in lp.lower]
+
+    def expand(coeffs) -> list:
+        row = [zero] * num_struct
+        for v, x in enumerate(coeffs):
+            if x:
+                r = to_rat(x)
+                plus, minus = col_of[v]
+                row[plus] = r
+                if minus >= 0:
+                    row[minus] = -r
+        return row
+
+    # every constraint as <= rows with rhs of either sign
+    leq: list[tuple[list, object]] = []
+    for coeffs, relation, rhs in lp.constraints:
+        row = expand(coeffs)
+        r = to_rat(rhs) - sum((c * x for c, x in zip(coeffs, lower)), zero)
+        if relation != ">=":
+            leq.append((row, r))
+        if relation != "<=":
+            leq.append(([-x for x in row], -r))
+
+    total = num_struct + len(leq)
+    rows: list[list] = []
+    rhs: list = []
+    basis: list[int] = []
+    for t, (row, r) in enumerate(leq):
+        full = row + [zero] * len(leq)
+        full[num_struct + t] = to_rat(1)
+        rows.append(full)
+        rhs.append(r)
+        basis.append(num_struct + t)
+    tab = _Tableau(rows, rhs, basis, total)
+
+    # phase 1: the dual simplex on a zero objective.  The infeasible row
+    # whose basic column is lowest leaves; every ratio is 0 / a, so the
+    # lowest column with a negative entry enters.  A leaving row with no
+    # negative entry proves the program infeasible.
+    while True:
+        leaving = -1
+        for i in range(len(rows)):
+            if rhs[i] < 0 and (leaving < 0 or basis[i] < basis[leaving]):
+                leaving = i
+        if leaving < 0:
+            break
+        entering = -1
+        for j in range(total):
+            if rows[leaving][j] < 0:
+                entering = j
+                break
+        if entering < 0:
+            return Infeasible()
+        tab.pivot(leaving, entering)
+
+    # phase 2: the real objective, priced out for the current basis
+    cost = expand(lp.objective) + [zero] * len(leq)
+    reduced = list(cost)
+    value = zero
+    for i, b in enumerate(basis):
+        cb = cost[b]
+        if cb:
+            for j in range(total):
+                if rows[i][j]:
+                    reduced[j] -= cb * rows[i][j]
+            value += cb * rhs[i]
+    status, value = tab.run(reduced, value, [True] * total)
+    if status == "unbounded":
+        return Unbounded()
+
+    col_value = {b: rhs[i] for i, b in enumerate(basis)}
     assignment = []
     for v in range(n):
         plus, minus = col_of[v]

@@ -11,15 +11,26 @@ into a function, apart from the removal of the rational backend shim
 (``to_rat`` and ``to_fraction`` below stand in for it with
 ``Fraction``) and of the per-call coalition budget, which is now the
 module constant ``alphahg.stability.MAX_SUBSETS``.
+
+``blocking_members_check`` re-checks a witness member by member; it was
+in ``alphahg.stability``, but only the tests call it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from alphahg.core import Coalition, Game, Partition, check_partition, partition_utility
+from alphahg._rat import exact
+from alphahg.core import (
+    Coalition,
+    Game,
+    Partition,
+    check_partition,
+    coalition_utility,
+    partition_utility,
+)
 from alphahg.efficiency import (
     MAX_ENUM_AGENTS,
     NO_STABLE_OUTCOME,
@@ -292,3 +303,20 @@ def best_welfare_partition(game: Game) -> tuple[Partition, Fraction]:
             best = (partition, sw)
     assert best is not None
     return best
+
+
+def blocking_members_check(
+    game: Game,
+    partition: Partition,
+    coalition: Coalition | Iterable[int],
+    factor: Fraction | int = 1,
+) -> bool:
+    """Re-check a witness: does every member strictly beat ``factor``
+    times their partition utility?"""
+    members = tuple(coalition)
+    factor = exact(factor)
+    return all(
+        coalition_utility(game, members, i)
+        > factor * partition_utility(game, partition, i)
+        for i in members
+    )

@@ -66,6 +66,18 @@ class TestImprovementBound:
         assert fhg_improvement_bound(2, 5, k) == k * Fraction(8, 5)
         assert improvement_bound(ASHG, 3, 7, 2) == 2 * improvement_bound(ASHG, 3, 7)
 
+    def test_factor_k_reduces_to_factor_one(self):
+        scaled = 0
+        for alpha in (ASHG, FHG, MFHG, PAIRWISE_COMM, ODD_EVEN):
+            for q in range(2, 9):
+                for m in range(q + 1, 31):
+                    base = improvement_bound(alpha, q, m)
+                    if base > 1:
+                        for k in (Fraction(3, 2), Fraction(2), Fraction(7, 3)):
+                            assert improvement_bound(alpha, q, m, k) == k * base, (alpha, q, m, k)
+                            scaled += 1
+        assert scaled >= 1000, scaled
+
     def test_closed_forms_agree_with_general(self):
         for q in range(2, 51):
             for m in range(q + 1, 51):

@@ -322,6 +322,29 @@ class TestExitCodeContract:
         assert code == 0 and out.splitlines()[1].startswith("2,3,4/3,")
         assert cli.build_parser() is cli.build_parser()
 
+    @pytest.mark.parametrize("ranges", [
+        ("--q-range", "1:3", "--m-range", "3:5"),
+        ("--q-range", "2:2", "--m-range", "3:5", "--k", "1/2"),
+    ])
+    def test_bound_table_input_error_writes_nothing(self, capsys, ranges):
+        code, out, err = run(capsys, "bound-table", "--alpha", "fhg", *ranges)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("search", "--alpha", "fhg", "--q", "2", "--m", "3", "--gamma", "1.5"),
+        (*SEARCH_ARGS, "--weight-bound", "1.5"),
+        ("poa", "x.json", "--k", "1e3"),
+    ])
+    def test_rational_option_says_why(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        option, value = argv[-2:]
+        assert f"argument {option}: not an exact rational: {value!r}" in err
+        assert "_rational" not in err
+
     def test_internal_error_exit_four_with_traceback(self, capsys, monkeypatch):
         from alphahg import cli
 

@@ -1,9 +1,15 @@
-"""The integer tableau against the Fraction simplex it replaced.
+"""The integer tableau against Fraction simplexes.
 
-Both run the same two-phase simplex with Bland's rule, so they must take
-the same pivots and return equal results: the same verdict, and for
-Optimal the same value and the same point.  ``reference_lp`` holds the
-Fraction implementation.
+``reference_lp.dual_phase_solve`` runs the integer solve's algorithm in
+Fraction arithmetic: every row with a basic slack and a right-hand side
+of either sign, the dual simplex on a zero objective as phase 1, then the
+primal simplex, Bland's rule throughout.  So the two must take the same
+pivots and return equal results: the same verdict, and for Optimal the
+same value and the same point.  ``reference_lp.reference_solve``, the
+two-phase simplex with artificial columns that the package used before,
+is the oracle for verdicts and values; its optimal point may be another
+one, so the integer solve's point must satisfy the program and attain
+the value.
 """
 
 import random
@@ -16,7 +22,7 @@ import reference_lp
 from alphahg import lp as integer_lp
 from alphahg import InvalidInputError
 from alphahg.lp import Infeasible, LinearProgram, Optimal, Unbounded, satisfies, solve
-from reference_lp import reference_solve
+from reference_lp import dual_phase_solve, reference_solve
 
 DENOMINATORS = (1, 1, 2, 3, 4, 5, 6, 7, 12, 35)
 
@@ -30,8 +36,8 @@ def _rational(rng):
 def random_lp(rng):
     """Up to 5 variables, each free or nonnegative, and up to 6 rows of
     every relation with mixed-denominator coefficients.  Some programs
-    get a multiple of one of their rows, which leaves a redundant
-    equality whose artificial cannot be pivoted out after phase 1."""
+    get a multiple of one of their rows, which leaves a redundant row,
+    an equality when the multiple is negative."""
     n = rng.randint(1, 5)
     constraints = [
         ([_rational(rng) for _ in range(n)], rng.choice(["<=", ">=", "="]), _rational(rng))
@@ -75,15 +81,31 @@ def cycling_instance():
     )
 
 
+def _attains(lp, result):
+    return result.value == sum(
+        (c * x for c, x in zip(lp.objective, result.assignment)), Fraction(0)
+    )
+
+
+def _check_result(lp):
+    """The integer solve equals the Fraction twin, points included, and
+    agrees with the two-phase oracle; returns the oracle's result."""
+    got = solve(lp)
+    assert got == dual_phase_solve(lp), lp
+    want = reference_solve(lp)
+    assert type(got) is type(want), lp
+    if isinstance(want, Optimal):
+        assert got.value == want.value, lp
+        assert satisfies(lp, got.assignment) and _attains(lp, got), lp
+    return want
+
+
 class TestSameResults:
     def test_random_programs(self):
         rng = random.Random(2024)
         kinds = {Optimal: 0, Infeasible: 0, Unbounded: 0}
         for _ in range(3000):
-            lp = random_lp(rng)
-            want = reference_solve(lp)
-            assert solve(lp) == want, lp
-            kinds[type(want)] += 1
+            kinds[type(_check_result(random_lp(rng)))] += 1
         # every verdict is well represented
         assert min(kinds.values()) >= 300, kinds
 
@@ -98,24 +120,21 @@ class TestSameResults:
 
     def test_cycling_instance(self):
         lp = cycling_instance()
-        assert solve(lp) == reference_solve(lp)
+        _check_result(lp)
         assert solve(lp).value == Fraction(1, 20)
 
     def test_random_lower_bounded_programs(self):
         rng = random.Random(4096)
         kinds = {Optimal: 0, Infeasible: 0, Unbounded: 0}
         for _ in range(2000):
-            lp = random_lower_bounded_lp(rng)
-            want = reference_solve(lp)
-            assert solve(lp) == want, lp
-            kinds[type(want)] += 1
+            kinds[type(_check_result(random_lower_bounded_lp(rng)))] += 1
         assert min(kinds.values()) >= 200, kinds
 
 
 class TestSamePivots:
-    """Not only equal answers: the very same pivot sequence, including
-    artificials pivoted out on a negative element and redundant rows
-    dropped after phase 1."""
+    """Not only equal answers: the very same pivot sequence as the
+    Fraction twin, through dual phases that pivot on negative elements,
+    dual phases that prove infeasibility, and equality rows."""
 
     @pytest.fixture
     def pivot_log(self, monkeypatch):
@@ -136,18 +155,19 @@ class TestSamePivots:
 
     def test_random_programs(self, pivot_log):
         rng = random.Random(99)
-        negative = dropped = 0
+        seen = dict.fromkeys(("dual pivot", "infeasible", "="), 0)
         for _ in range(1000):
             lp = random_lp(rng)
             pivot_log["int"].clear()
             pivot_log["ref"].clear()
-            solve(lp)
-            reference_solve(lp)
+            result = solve(lp)
+            dual_phase_solve(lp)
             pivots = pivot_log["int"]
             assert pivots == pivot_log["ref"], lp
-            negative += any(neg for _, _, neg, _ in pivots)
-            dropped += len({rows for _, _, _, rows in pivots}) > 1
-        assert negative >= 10 and dropped >= 10
+            seen["dual pivot"] += any(neg for _, _, neg, _ in pivots)
+            seen["infeasible"] += isinstance(result, Infeasible)
+            seen["="] += any(c.relation == "=" for c in lp.constraints)
+        assert min(seen.values()) >= 100, seen
 
     def test_random_lower_bounded_programs(self, pivot_log):
         rng = random.Random(4097)
@@ -156,21 +176,15 @@ class TestSamePivots:
             pivot_log["int"].clear()
             pivot_log["ref"].clear()
             solve(lp)
-            reference_solve(lp)
+            dual_phase_solve(lp)
             assert pivot_log["int"] == pivot_log["ref"], lp
 
     def test_cycling_instance(self, pivot_log):
         lp = cycling_instance()
         solve(lp)
-        reference_solve(lp)
+        dual_phase_solve(lp)
         assert pivot_log["int"] == pivot_log["ref"]
         assert len(pivot_log["int"]) > 0
-
-
-def _attains(lp, result):
-    return result.value == sum(
-        (c * x for c, x in zip(lp.objective, result.assignment)), Fraction(0)
-    )
 
 
 class TestWarmStart:

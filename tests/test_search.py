@@ -277,7 +277,8 @@ class TestWitnessSystemLpDefinition:
         assert min(outcomes.values()) >= 500 and tight >= 60, (outcomes, tight)
 
     def test_lower_bounds_satisfy_every_node_lp(self):
-        # so each node LP starts feasible at its bounds: no phase 1
+        # so each node LP starts feasible at its bounds: its dual phase
+        # makes no pivot
         rng = random.Random(31338)
         for _ in range(200):
             p, assignment = _random_witness_problem(rng)

@@ -33,7 +33,8 @@ from alphahg import (
     scenario_is_size_stable,
 )
 from alphahg import stability
-from alphahg.stability import Scenario, blocking_members_check
+from alphahg.stability import Scenario
+from reference_stability import blocking_members_check
 from conftest import example_game, random_game, random_partition
 
 
