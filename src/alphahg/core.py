@@ -19,6 +19,14 @@ from .errors import DomainError, InvalidInputError
 _VARIANTS = ("ashg", "fhg", "mfhg", "pairwise_comm", "odd_even", "table")
 
 
+def _name(value: object, what: str) -> str:
+    """A caller's variant, construction or fixture name, stripped and
+    lower-cased; anything but a ``str`` is refused (cf. :mod:`alphahg._rat`)."""
+    if not isinstance(value, str):
+        raise InvalidInputError(f"{what} must be a string, got {value!r}")
+    return value.strip().lower()
+
+
 @dataclass(frozen=True)
 class AlphaFunction:
     """A coalition-size-to-weight function defining the game class.
@@ -67,7 +75,7 @@ class AlphaFunction:
 
     @classmethod
     def from_name(cls, name: str) -> "AlphaFunction":
-        key = name.strip().lower().replace("-", "_")
+        key = _name(name, "alpha variant").replace("-", "_")
         if key == "pairwise":
             key = "pairwise_comm"
         if key == "oddeven":

@@ -13,9 +13,10 @@ an O(3^n) subset dynamic program over that table (Yeh 1986; Rahwan &
 Jennings 2008).  The worst stable welfare is a depth-first search that
 places one block at a time: a block with a member who would walk out
 is never placed, a deviation is decided once all its members are
-placed, and the same dynamic program, taken with ``min``, bounds the
-welfare still to come.  Only the returned welfares are built as
-``Fraction``.
+placed, and a prefix is dropped once its welfare reaches the worst
+stable welfare found (the blocks still to come are individually
+rational, so they add at least 0).  Only the returned welfares are built
+as ``Fraction``.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ class PoaResult:
     ``ratio``: ``value`` is best/worst welfare.  ``undefined``: the best
     welfare is zero (every stable outcome is welfare-optimal); reported
     with value 1.  ``unbounded``: positive best welfare but a stable
-    outcome with nonpositive welfare.  ``no_stable_outcome``: the stable
-    set is empty (a legitimate outcome, not an error).
+    outcome of welfare exactly 0 (never below: its blocks are
+    individually rational).  ``no_stable_outcome``: the stable set is
+    empty (a legitimate outcome, not an error).
     """
 
     kind: str
@@ -158,43 +160,26 @@ def _coalition_values(
     return common * scale, tables, alphas, values, rational
 
 
-def _welfare_tables(
-    values: list[int], rational: list[bool]
-) -> tuple[list[int], list[int]]:
-    """``best[mask]``, the largest welfare of a partition of ``mask``, and
-    ``least[mask]``, the smallest over partitions into individually
-    rational blocks, the only blocks a stable partition has.
+def _best_welfare(values: list[int]) -> list[int]:
+    """``best[mask]``, the largest welfare of a partition of ``mask``.
 
-    One subset dynamic program (Yeh 1986): each is the max (min) over
-    the blocks ``B`` holding ``mask``'s lowest agent of ``values[B]``
-    plus the table at ``mask ^ B``, so the whole table costs O(3^n).
-    Singletons are always individually rational, so ``least`` is
-    defined everywhere.
+    One subset dynamic program (Yeh 1986): ``best[mask]`` is the max over
+    the blocks ``B`` holding ``mask``'s lowest agent of ``values[B] +
+    best[mask ^ B]``, so the whole table costs O(3^n).
     """
     best = [0] * len(values)
-    least = [0] * len(values)
     for mask in range(1, len(values)):
         low = mask & -mask
         rest = mask ^ low
-        top = bottom = None
+        top = values[mask]
         sub = rest
-        while True:
-            block = sub | low
-            value = values[block]
-            other = rest ^ sub
-            total = value + best[other]
-            if top is None or total > top:
-                top = total
-            if rational[block]:
-                total = value + least[other]
-                if bottom is None or total < bottom:
-                    bottom = total
-            if not sub:
-                break
+        while sub:
             sub = (sub - 1) & rest
+            total = values[sub | low] + best[rest ^ sub]
+            if total > top:
+                top = total
         best[mask] = top
-        least[mask] = bottom
-    return best, least
+    return best
 
 
 def _cpoa(game: Game, max_block_size: int, factor: Fraction) -> PoaResult:
@@ -202,21 +187,20 @@ def _cpoa(game: Game, max_block_size: int, factor: Fraction) -> PoaResult:
     ``max_block_size`` (single sizes are handled by the caller's choice
     of range).
 
-    The best welfare comes from :func:`_welfare_tables`.  The worst
+    The best welfare comes from :func:`_best_welfare`.  The worst
     stable welfare comes from a depth-first search that builds
     partitions one block at a time, each step placing the block that
     holds the lowest agent not yet placed.  A block in which some member
     has negative utility is never placed (that member walks out).  A
     deviation is decided once all its members are placed, so a blocked
     prefix is dropped with its whole subtree, and a prefix whose welfare
-    plus ``least`` of the agents still to place cannot go below the
-    worst stable welfare found so far is dropped too.  All of it runs
-    on the ints of :func:`_coalition_values`.
+    already reaches the worst stable welfare found so far is dropped
+    too.  All of it runs on the ints of :func:`_coalition_values`.
     """
     n = game.n
     _check_enumerable(n)
     scale, tables, alphas, values, rational = _coalition_values(game)
-    best, least = _welfare_tables(values, rational)
+    best = _best_welfare(values)
     full = (1 << n) - 1
     kp, kq = factor.numerator, factor.denominator
 
@@ -272,7 +256,9 @@ def _cpoa(game: Game, max_block_size: int, factor: Fraction) -> PoaResult:
             if rational[block]:
                 total = welfare + values[block]
                 left = rest ^ sub
-                if total + least[left] < worst:
+                # every block placed is individually rational, so the
+                # welfare still to come is >= 0
+                if total < worst:
                     still_open = unrefused[block]
                     if still_open is None:
                         still_open = unrefused[block] = unrefused_by(block)
@@ -351,15 +337,15 @@ def best_welfare_partition(game: Game) -> tuple[Partition, Fraction]:
     """A welfare-maximizing partition: the first one in the order of
     :func:`enumerate_partitions`.
 
-    The optimum comes from :func:`_welfare_tables`.  The partition is
+    The optimum comes from :func:`_best_welfare`.  The partition is
     then fixed agent by agent in that order: each agent joins the first
     block, or else opens a new one, from which an optimal partition can
     still be completed.
     """
     n = game.n
     _check_enumerable(n)
-    scale, _, _, values, rational = _coalition_values(game)
-    best, _ = _welfare_tables(values, rational)
+    scale, _, _, values, _ = _coalition_values(game)
+    best = _best_welfare(values)
     optimum = best[-1]
 
     def completion(blocks: list[int], free: int) -> int:

@@ -24,7 +24,7 @@ from .bounds import (
     improvement_bound,
     is_hospitable,
 )
-from .core import ASHG, FHG, AlphaFunction
+from .core import ASHG, FHG, AlphaFunction, _name
 from .errors import DomainError, InvalidInputError
 from .io import load_scenario
 from .stability import Scenario
@@ -93,7 +93,7 @@ def _cycle_domain(stable_size: int, variant: str) -> tuple[int, str]:
     q = integer(stable_size)
     if q < 2:
         raise DomainError("stable_size must be >= 2")
-    key = variant.strip().lower()
+    key = _name(variant, "variant")
     if key not in ("fhg", "ashg"):
         raise InvalidInputError("variant must be 'fhg' or 'ashg'")
     return q, key
@@ -203,7 +203,7 @@ def fixture(name: str) -> Scenario:
     additively separable, sizes 7 and 8 with baselines 2 on the first
     three agents and 1 elsewhere.
     """
-    return load_scenario(fixture_path(name.strip().lower()))
+    return load_scenario(fixture_path(_name(name, "fixture name")))
 
 
 def fixture_path(name: str) -> str:
@@ -239,7 +239,7 @@ def build_construction(
             raise InvalidInputError(f"construction {name!r} requires {flag}")
         return value
 
-    key = name.strip().lower()
+    key = _name(name, "construction name")
     if key == "complete":
         alpha = need(alpha, "--alpha")
         q = need(stable_size, "--q")

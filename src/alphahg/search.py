@@ -46,6 +46,7 @@ from .errors import InvalidInputError
 from .lp import Constraint, LinearProgram, Optimal, solve
 from .stability import (
     Scenario,
+    _check_subsets,
     _first_blocking,
     min_improvement_factor,
     scenario_is_size_stable,
@@ -275,6 +276,7 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
     branched on.
     """
     q, m = problem.stable_size, problem.size
+    _check_subsets(m, 2, q)  # each node's branching scan
     deadline = (
         time.monotonic() + problem.time_limit if problem.time_limit is not None else None
     )

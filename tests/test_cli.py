@@ -258,6 +258,15 @@ class TestExitCodeContract:
         assert code == 2
         assert "nested" in err
 
+    def test_search_past_the_subset_guard_exit_three(self, capsys):
+        code, out, err = run(
+            capsys,
+            "search", "--alpha", "fhg", "--q", "12", "--m", "24", "--gamma", "1",
+            "--node-limit", "2",
+        )
+        assert code == 3
+        assert out == "" and "exceeds the guard" in err
+
     def test_negative_node_limit_exit_two(self, capsys):
         code, out, err = run(capsys, *SEARCH_ARGS, "--node-limit", "-1")
         assert code == 2

@@ -27,7 +27,7 @@ from alphahg import (
     social_welfare,
 )
 from alphahg.efficiency import NO_STABLE_OUTCOME, RATIO, UNBOUNDED, UNDEFINED
-from conftest import CORE_EXISTENCE_ALPHAS, example_game, random_game
+from conftest import ALL_ALPHAS, CORE_EXISTENCE_ALPHAS, example_game, random_game
 
 
 class TestSocialWelfare:
@@ -165,39 +165,85 @@ def _decreasing_table(rng, n):
     return AlphaFunction.from_table([0] + sorted(values, reverse=True))
 
 
-def _check_poa_upper_bound(rng, sizes, alphas, stable_sizes, games):
-    """``size_cpoa <= cpoa_upper_bound`` on random games with weights in
-    [-2, 5] and denominators 1 and 2; undefined counts as meeting the
-    bound and unbounded fails it, as in criterion 8.  Returns the number
-    of checks."""
+def _check_poa_upper_bound(rng, sizes, alphas, prices, games):
+    """Every price of anarchy that ``prices(game)`` yields is within its
+    bound, on random games with weights in [-2, 5] and denominators 1
+    and 2; undefined counts as meeting the bound and unbounded fails it,
+    as in criterion 8.  Returns the number of checks."""
     checks = 0
     for n in sizes:
         for make_alpha in alphas:
             for _ in range(games):
                 alpha = make_alpha(rng, n)
                 game = random_game(rng, n, alpha, low=-2, high=5, denominators=(1, 2))
-                for q in stable_sizes:
-                    result = size_cpoa(game, q)
-                    assert result.kind != UNBOUNDED, (game, q, result)
+                for case, result, bound in prices(game):
+                    assert result.kind != UNBOUNDED, (game, case, result)
                     if result.kind == RATIO:
-                        assert result.value <= cpoa_upper_bound(alpha, q, n), (game, q, result)
+                        assert result.value <= bound, (game, case, result)
                     checks += 1
     return checks
 
 
-_BUILT_IN = [lambda rng, n, alpha=alpha: alpha for alpha in (FHG, MFHG, ASHG)]
+def _size_prices(stable_sizes):
+    """``size_cpoa`` against ``cpoa_upper_bound`` at each stable size
+    below the game's agent count."""
+
+    def prices(game):
+        for q in stable_sizes:
+            if q < game.n:
+                yield q, size_cpoa(game, q), cpoa_upper_bound(game.alpha, q, game.n)
+
+    return prices
+
+
+def _improvement_prices(factors):
+    """``improvement_cpoa`` against ``2k`` at each factor ``k``."""
+
+    def prices(game):
+        for k in factors:
+            yield k, improvement_cpoa(game, k), 2 * k
+
+    return prices
+
+
+def _fixed(alphas):
+    return [lambda rng, n, alpha=alpha: alpha for alpha in alphas]
+
+
+_BUILT_IN = _fixed((FHG, MFHG, ASHG))
 
 
 class TestPoaUpperBound:
     def test_size_cpoa_within_upper_bound_beyond_brute_force(self):
         # cpoa_upper_bound at sizes the former partition walk could not
         # reach in a test
-        assert _check_poa_upper_bound(random.Random(77), (9, 10), _BUILT_IN, (2, 3), 10) == 120
+        prices = _size_prices((2, 3))
+        assert _check_poa_upper_bound(random.Random(77), (9, 10), _BUILT_IN, prices, 10) == 120
+
+    def test_size_cpoa_within_upper_bound_at_large_stable_sizes(self):
+        prices = _size_prices(range(5, 10))  # q = 5 .. n - 1
+        assert _check_poa_upper_bound(random.Random(79), (9, 10), _BUILT_IN, prices, 6) == 162
+
+    def test_improvement_cpoa_within_twice_the_factor_beyond_brute_force(self):
+        # criterion 8 checks 2k only up to n = 7
+        alphas = _fixed(ALL_ALPHAS)
+        prices = _improvement_prices((Fraction(1), Fraction(3, 2), Fraction(2)))
+        assert _check_poa_upper_bound(random.Random(80), (9, 10), alphas, prices, 6) == 180
 
     @pytest.mark.slow
     def test_size_cpoa_within_upper_bound_with_tables_at_eleven_and_twelve(self):
         alphas = _BUILT_IN + [_decreasing_table]
-        assert _check_poa_upper_bound(random.Random(78), (11, 12), alphas, (2, 3, 4), 5) == 120
+        prices = _size_prices((2, 3, 4))
+        assert _check_poa_upper_bound(random.Random(78), (11, 12), alphas, prices, 5) == 120
+
+    @pytest.mark.slow
+    def test_prices_within_their_bounds_at_the_enumeration_guard(self):
+        # n = MAX_ENUM_AGENTS = 13; improvement_cpoa's prefix masks take
+        # over 100 MB here
+        rng = random.Random(81)
+        assert _check_poa_upper_bound(rng, (13,), _BUILT_IN, _size_prices((3, 5)), 1) == 6
+        improvement = _improvement_prices((Fraction(3, 2),))
+        assert _check_poa_upper_bound(rng, (13,), _fixed((FHG,)), improvement, 1) == 1
 
 
 class TestBestWelfarePartition:

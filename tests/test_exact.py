@@ -1,8 +1,9 @@
 """The exact-arithmetic boundary: every public entry point admits its
 rationals through ``alphahg._rat.exact``, so floats, bools and
-float-like strings are rejected everywhere, just as in files, and its
+float-like strings are rejected everywhere, just as in files, its
 sizes, counts and agent indices through ``alphahg._rat.integer``, so
-only ints pass."""
+only ints pass, and its names through ``alphahg.core._name``, so only
+strings pass."""
 
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from alphahg import (
     Partition,
     SearchProblem,
     ashg_improvement_bound,
+    build_construction,
     fhg_improvement_bound,
     find_blocking_coalition,
     improvement_bound,
@@ -27,6 +29,7 @@ from alphahg import (
     cycle_scenario,
     enumerate_partitions,
     fhg_improvement_limit,
+    fixture,
     guarantees_core_existence,
     improvement_cpoa,
     is_decreasing,
@@ -153,6 +156,31 @@ def test_time_limit_rejected(value):
 @pytest.mark.parametrize("value", [None, 0, 5, 2.5, Fraction(1, 2), float("inf")], ids=repr)
 def test_time_limit_accepted(value):
     assert SearchProblem(FHG, 2, 3, 2, time_limit=value).time_limit == value
+
+
+NOT_NAMES = [None, 3, b"fhg", ["fhg"]]
+
+#: every public name parameter, each called with a valid name in its place
+NAME_ENTRY_POINTS = {
+    "AlphaFunction.from_name": (lambda x: AlphaFunction.from_name(x), " FHG "),
+    "cycle_scenario": (lambda x: cycle_scenario(3, x), "Ashg"),
+    "cycle_factor": (lambda x: cycle_factor(3, x), "fhg"),
+    "fixture": (lambda x: fixture(x), "FIG6"),
+    "build_construction": (lambda x: build_construction(x, FHG, 2, 3), " Complete"),
+}
+
+
+@pytest.mark.parametrize("value", NOT_NAMES, ids=repr)
+@pytest.mark.parametrize("entry", sorted(NAME_ENTRY_POINTS))
+def test_non_string_name_rejected(entry, value):
+    with pytest.raises(InvalidInputError):
+        NAME_ENTRY_POINTS[entry][0](value)
+
+
+@pytest.mark.parametrize("entry", sorted(NAME_ENTRY_POINTS))
+def test_name_accepted(entry):
+    call, valid = NAME_ENTRY_POINTS[entry]
+    call(valid)
 
 
 def test_integer_admits_only_ints():

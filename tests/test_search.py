@@ -15,6 +15,7 @@ from alphahg import (
     AlphaFunction,
     InvalidInputError,
     Optimal,
+    ResourceLimitError,
     SearchProblem,
     WitnessAssignment,
     improvement_bound,
@@ -326,6 +327,16 @@ class TestSearchVerdicts:
         )
         assert result.verdict == BUDGET_EXHAUSTED
         assert result.nodes_explored >= 2
+
+    def test_branching_scan_is_guarded_before_the_root_lp(self, monkeypatch):
+        # each node scans the C(24, 2) + ... + C(24, 12) coalitions of
+        # sizes 2..12, past stability.MAX_SUBSETS
+        def unreachable(lp, start=None):
+            raise AssertionError("the root LP was solved")
+
+        monkeypatch.setattr(search_module, "solve", unreachable)
+        with pytest.raises(ResourceLimitError, match="9740661 coalitions"):
+            search_blocking_scenario(problem(FHG, 12, 24, 1, node_limit=2))
 
     def test_stats_are_counted(self, node_lp_check):
         result = search_blocking_scenario(problem(FHG, 2, 3, Fraction(4, 3)))
