@@ -67,7 +67,6 @@ from .lp import Constraint, Infeasible, LinearProgram, Optimal, Unbounded, solve
 from .search import (
     SearchProblem,
     SearchResult,
-    WitnessAssignment,
     search_blocking_scenario,
     witness_system_lp,
 )

@@ -17,28 +17,29 @@ LP maximizes, so strict feasibility is exactly "optimal slack > 0".
 
 The search is deterministic: subsets are branched in (size,
 lexicographic) order, witness candidates in index order, depth-first
-with LP pruning at every node.  Each node's LP holds the rows of
-:func:`witness_system_lp` for the node's assignment: the root is the
-assignment-free system, and each child is its parent's LP with the one
-new witness row appended (so witness rows follow the fixed rows, in
-branching order).  Each child LP is re-optimised from its parent's
-optimum by the dual simplex (``solve(child, parent_result)``); that may
-change which optimal point a node gets, never its value.  The subset to
-branch on is read from the LP point scaled once to ints, by the
-stability module's subset kernel; a :class:`Scenario` is built only for
-a certificate.  Every Feasible verdict is re-verified by the stability
-module before being returned; Infeasible verdicts are relative to the
-weight/baseline box.
+with LP pruning at every node.  A node's path is the (subset, witness)
+pairs chosen from the root down to it, and its LP is
+``witness_system_lp(problem, path)`` row for row: the fixed rows, then
+one witness row per pair in path order.  The root is
+``witness_system_lp(problem, ())``, and each child is its parent's LP
+with the one new witness row appended.  Each child LP is re-optimised
+from its parent's optimum by the dual simplex (``solve(child,
+parent_result)``); that may change which optimal point a node gets,
+never its value.  The subset to branch on is read from the LP point
+scaled once to ints, by the stability module's subset kernel; a
+:class:`Scenario` is built only for a certificate.  Every Feasible
+verdict is re-verified by the stability module before being returned;
+Infeasible verdicts are relative to the weight/baseline box.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from numbers import Real
-from typing import Iterator, Mapping, Sequence
 
 from ._rat import exact, integer, scaled
 from .core import AlphaFunction
@@ -109,38 +110,6 @@ class SearchProblem:
 
 
 @dataclass(frozen=True)
-class WitnessAssignment:
-    """For some subsets, the member designated as non-improving."""
-
-    choices: tuple[tuple[tuple[int, ...], int], ...] = ()
-
-    def __post_init__(self) -> None:
-        canon = []
-        seen = set()
-        for subset, agent in self.choices:
-            key = tuple(sorted(map(integer, subset)))
-            if len(key) < 2:
-                raise InvalidInputError("witness subsets must have size >= 2")
-            if len(set(key)) < len(key):
-                raise InvalidInputError(f"witness subset {key} repeats an agent")
-            if integer(agent) not in key:
-                raise InvalidInputError(f"witness {agent} not in subset {key}")
-            if key in seen:
-                raise InvalidInputError(f"subset {key} assigned twice")
-            seen.add(key)
-            canon.append((key, agent))
-        canon.sort(key=lambda item: (len(item[0]), item[0]))
-        object.__setattr__(self, "choices", tuple(canon))
-
-    @classmethod
-    def of(cls, mapping: Mapping[tuple[int, ...], int]) -> "WitnessAssignment":
-        return cls(tuple(mapping.items()))
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return iter(self.choices)
-
-
-@dataclass(frozen=True)
 class SearchResult:
     """Verdict plus exploration statistics.
 
@@ -187,22 +156,26 @@ def _agent_row(
 
 
 def witness_system_lp(
-    problem: SearchProblem, assignment: WitnessAssignment | Mapping
+    problem: SearchProblem,
+    path: Iterable[tuple[Sequence[int], int]] | Mapping[Sequence[int], int],
 ) -> LinearProgram:
-    """The LP for one (partial) witness assignment.
+    """The search's node LP for one (partial) witness path.
 
-    A plain mapping is admitted through :meth:`WitnessAssignment.of`, and
-    every subset member must be one of the agents ``0..m-1``.
+    ``path`` is an ordered iterable of ``(subset, witness)`` pairs; a
+    mapping is admitted in its iteration order.  Subset members and
+    witnesses must be ints, each subset at least two distinct agents of
+    ``0..m-1`` with its witness among them, and no subset may appear
+    twice once its members are sorted.
 
     Variables: one weight per unordered pair, one baseline per agent,
-    and a shared slack.  Constraints, in this order: each assigned
-    (subset, witness) caps the witness's subset utility at their
-    baseline; every agent's full-coalition utility is at least ``gamma *
-    baseline + slack``; ``w <= B`` per pair, then ``b <= U`` per agent.
-    Lower bounds: ``w >= -B``, ``b >= 1``, and ``slack >= -(gamma +
+    and a shared slack.  Constraints, in one order: the fixed rows
+    (every agent's full-coalition utility is at least ``gamma *
+    baseline + slack``; ``w <= B`` per pair, then ``b <= U`` per agent),
+    then one witness row per pair of ``path``, in path order, capping
+    the witness's subset utility at their baseline.  Lower bounds: ``w >= -B``, ``b >= 1``, and ``slack >= -(gamma +
     alpha(m) * (m - 1) * B)``.  Objective: maximize the slack.  The
-    witness-assigned system is strictly feasible iff the optimum slack
-    is positive.
+    witness system is strictly feasible iff the optimum slack is
+    positive.
 
     The slack's bound cuts off no optimum: the point ``w = -B``, ``b =
     1`` meets every witness row (alpha is positive on sizes >= 2), and
@@ -224,19 +197,27 @@ def witness_system_lp(
     def unit(v: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(1) if u == v else _ZERO for u in range(len(names)))
 
-    if not isinstance(assignment, WitnessAssignment):
-        assignment = WitnessAssignment.of(assignment)
-    constraints = []
-    for subset, agent in assignment.items():
-        if not all(0 <= member < m for member in subset):
-            raise InvalidInputError(f"witness subset {subset} outside agents 0..{m - 1}")
-        constraints.append(_agent_row(problem, pairs, subset, agent))
     everyone = range(m)
-    constraints += [_agent_row(problem, pairs, everyone, i, full=True) for i in everyone]
+    constraints = [_agent_row(problem, pairs, everyone, i, full=True) for i in everyone]
     constraints += [Constraint(unit(p), "<=", bound) for p in range(num_pairs)]
     constraints += [
         Constraint(unit(num_pairs + i), "<=", problem.baseline_bound) for i in range(m)
     ]
+    seen = set()
+    for subset, agent in path.items() if isinstance(path, Mapping) else path:
+        key = tuple(sorted(map(integer, subset)))
+        if len(key) < 2:
+            raise InvalidInputError("witness subsets must have size >= 2")
+        if len(set(key)) < len(key):
+            raise InvalidInputError(f"witness subset {key} repeats an agent")
+        if integer(agent) not in key:
+            raise InvalidInputError(f"witness {agent} not in subset {key}")
+        if not 0 <= key[0] <= key[-1] < m:
+            raise InvalidInputError(f"witness subset {key} outside agents 0..{m - 1}")
+        if key in seen:
+            raise InvalidInputError(f"subset {key} assigned twice")
+        seen.add(key)
+        constraints.append(_agent_row(problem, pairs, key, agent))
     return LinearProgram(
         names=tuple(names),
         constraints=tuple(constraints),
@@ -267,13 +248,12 @@ class _Budget(Exception):
 def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
     """Decide the feasibility question for one parameter set.
 
-    Depth-first over witness assignments; at each node the LP relaxation
-    is solved and the node is pruned when the optimal slack is not
-    positive (supersets of the assignment only shrink the feasible
-    region).  A node whose LP optimum already satisfies every subset
-    constraint yields a certificate immediately; otherwise the first
-    subset violated at the LP optimum, never an assigned one, is
-    branched on.
+    Depth-first over witness paths; at each node the LP relaxation is
+    solved and the node is pruned when the optimal slack is not positive
+    (longer paths only shrink the feasible region).  A node whose LP
+    optimum already satisfies every subset constraint yields a
+    certificate immediately; otherwise the first subset violated at the
+    LP optimum, never one on the path, is branched on.
     """
     q, m = problem.stable_size, problem.size
     _check_subsets(m, 2, q)  # each node's branching scan
@@ -285,7 +265,7 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
     b_at = len(pairs)
 
     def explore(
-        lp: LinearProgram, start: Optimal | None, assignment: dict, touched: set[int]
+        lp: LinearProgram, start: Optimal | None, on_path: frozenset, touched: int
     ) -> Scenario | None:
         stats["nodes"] += 1
         if problem.node_limit is not None and stats["nodes"] > problem.node_limit:
@@ -306,7 +286,7 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
             weights[i][j] = weights[j][i] = point[p]
         baselines = [(x, 1) for x in point[b_at:b_at + m]]
         branch_on = _first_blocking(weights, baselines, problem.alpha, 2, q)
-        if branch_on in assignment:
+        if branch_on in on_path:
             # at the exact optimum every assigned witness row holds
             raise AssertionError(f"assigned subset {branch_on} violated at the LP optimum")
         if branch_on is None:
@@ -319,27 +299,23 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
                 raise AssertionError("LP point failed independent re-verification")
             return candidate
         # witnesses that only differ by relabeling agents untouched by the
-        # assignment lead to relabeled subtrees; explore one representative
-        tried_untouched = False
+        # path lead to relabeled subtrees: try the touched members and the
+        # first untouched one
+        untouched = [a for a in branch_on if not touched >> a & 1]
+        on_path = on_path | {branch_on}
+        touched = touched | sum(1 << a for a in branch_on)
         for agent in branch_on:
-            if agent not in touched:
-                if tried_untouched:
-                    continue
-                tried_untouched = True
-            assignment[branch_on] = agent
-            added = [a for a in branch_on if a not in touched]
-            touched.update(added)
+            if agent in untouched[1:]:
+                continue
             child = lp._with_rows((_agent_row(problem, pairs, branch_on, agent),))
-            found = explore(child, result, assignment, touched)
-            touched.difference_update(added)
-            del assignment[branch_on]
+            found = explore(child, result, on_path, touched)
             if found is not None:
                 return found
         return None
 
     try:
-        # the root is the assignment-free system, solved cold
-        scenario = explore(witness_system_lp(problem, {}), None, {}, set())
+        # the root is the witness-free system, solved cold
+        scenario = explore(witness_system_lp(problem, ()), None, frozenset(), 0)
     except _Budget:
         return SearchResult(BUDGET_EXHAUSTED, None, stats["nodes"], stats["lps"])
     if scenario is None:

@@ -1,7 +1,6 @@
 """Feasibility search: witness LPs, verdicts, and certificates."""
 
 import random
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -13,11 +12,11 @@ from alphahg import (
     FHG,
     MFHG,
     AlphaFunction,
+    Constraint,
     InvalidInputError,
     Optimal,
     ResourceLimitError,
     SearchProblem,
-    WitnessAssignment,
     improvement_bound,
     min_improvement_factor,
     scenario_is_size_stable,
@@ -92,7 +91,7 @@ def problem(alpha, q, m, gamma, B=10, U=10, **kw):
 
 class TestWitnessSystemLp:
     def test_empty_assignment_has_positive_slack(self):
-        lp = witness_system_lp(problem(FHG, 2, 3, 1), WitnessAssignment())
+        lp = witness_system_lp(problem(FHG, 2, 3, 1), ())
         result = solve(lp)
         assert isinstance(result, Optimal)
         assert result.value > 0
@@ -100,9 +99,7 @@ class TestWitnessSystemLp:
 
     def test_huge_gamma_kills_slack(self):
         # improvement beyond the box is impossible: slack must go negative
-        lp = witness_system_lp(
-            problem(FHG, 2, 3, 1000), WitnessAssignment.of({(0, 1): 0})
-        )
+        lp = witness_system_lp(problem(FHG, 2, 3, 1000), [((0, 1), 0)])
         result = solve(lp)
         assert isinstance(result, Optimal)
         assert result.value <= 0
@@ -111,8 +108,7 @@ class TestWitnessSystemLp:
         # the complete-graph certificate satisfies the fully-assigned
         # system at any gamma below 4/3
         p = problem(FHG, 2, 3, Fraction(13, 10))
-        assignment = WitnessAssignment.of({(0, 1): 0, (0, 2): 0, (1, 2): 1})
-        lp = witness_system_lp(p, assignment)
+        lp = witness_system_lp(p, [((0, 1), 0), ((0, 2), 0), ((1, 2), 1)])
         result = solve(lp)
         assert isinstance(result, Optimal)
         assert result.value > 0
@@ -120,10 +116,6 @@ class TestWitnessSystemLp:
         # slack = 4/3 - 13/10
         point = [Fraction(2)] * 3 + [Fraction(1)] * 3 + [Fraction(4, 3) - Fraction(13, 10)]
         assert satisfies(lp, point)
-
-    def test_witness_must_belong_to_subset(self):
-        with pytest.raises(Exception):
-            WitnessAssignment.of({(0, 1): 5})
 
     @pytest.mark.parametrize(
         "mapping",
@@ -135,25 +127,44 @@ class TestWitnessSystemLp:
             {(-1, 0): 0},  # negative subset member
             {(0, 0, 1): 1},  # repeated subset member
             {(0, True): 0},  # bool subset member
+            {(0, 1): 5},  # witness outside its subset and the game
+            {(0, 1): 0, (1, 0): 1},  # one subset twice once sorted
+            {(0, 1): True},  # bool witness
+            {("0", 1): 1},  # str subset member
         ],
     )
     def test_plain_mapping_is_admitted(self, mapping):
-        with pytest.raises(InvalidInputError):
-            witness_system_lp(problem(FHG, 2, 4, 1), mapping)
+        # the same table as a mapping and as a path of its items
+        for path in (mapping, list(mapping.items())):
+            with pytest.raises(InvalidInputError):
+                witness_system_lp(problem(FHG, 2, 4, 1), path)
 
     def test_plain_mapping_builds_the_assignment_lp(self):
+        # a mapping is the path of its items, in its iteration order
         p = problem(FHG, 2, 4, 1)
         mapping = {(2, 3): 3, (1, 0): 0}
-        assert witness_system_lp(p, mapping) == witness_system_lp(
-            p, WitnessAssignment.of(mapping)
-        )
+        assert witness_system_lp(p, mapping) == witness_system_lp(p, [((2, 3), 3), ((1, 0), 0)])
 
-    def test_assignment_canonical_order(self):
-        a = WitnessAssignment.of({(1, 2): 1, (0, 1): 0, (0, 1, 2): 2})
-        assert [s for s, _ in a.items()] == [(0, 1), (1, 2), (0, 1, 2)]
-        # unsorted member tuples are canonicalized
-        b = WitnessAssignment.of({(2, 1): 1, (1, 0): 0, (2, 0, 1): 2})
-        assert a == b
+    def test_fixed_rows_then_witness_rows_in_path_order(self):
+        p = problem(TABLE_ALPHA, 3, 4, 1)
+        fixed = witness_system_lp(p, ()).constraints
+        path = [((0, 1, 2), 2), ((1, 3), 3), ((0, 1), 0)]  # not in (size, lex) order
+        lp = witness_system_lp(p, path)
+
+        def cap(subset, witness):
+            # alpha(|S|) * sum_{j in S} w_witness,j - b_witness <= 0
+            coeffs = [Fraction(0)] * len(lp.names)
+            for j in subset:
+                if j != witness:
+                    pair = f"w_{min(witness, j)}_{max(witness, j)}"
+                    coeffs[lp.names.index(pair)] = TABLE_ALPHA.value(len(subset))
+            coeffs[lp.names.index(f"b_{witness}")] = Fraction(-1)
+            return Constraint(tuple(coeffs), "<=", Fraction(0))
+
+        assert lp.constraints == fixed + tuple(cap(*step) for step in path)
+        # an unsorted member tuple builds the same row as the sorted one
+        unsorted = [((2, 0, 1), 2), ((3, 1), 3), ((1, 0), 0)]
+        assert witness_system_lp(p, unsorted) == lp
 
     def test_problem_validation(self):
         from alphahg import InvalidInputError
@@ -295,6 +306,19 @@ class TestWitnessSystemLpDefinition:
             free = replace(lp, lower=lp.lower[:-1] + (None,))
             assert solve(lp).value == solve(free).value
 
+    def test_row_order_never_changes_the_optimum(self):
+        # a path and its reverse: the same rows in another order
+        rng = random.Random(31340)
+        for _ in range(200):
+            p, assignment = _random_witness_problem(rng)
+            path = list(assignment.items())
+            lp = witness_system_lp(p, path)
+            reverse = witness_system_lp(p, path[::-1])
+            assert solve(lp).value == solve(reverse).value
+            for _ in range(10):
+                point = _lp_point(lp, *_random_point(rng, p, assignment))
+                assert satisfies(lp, point) == satisfies(reverse, point)
+
 
 class TestSearchVerdicts:
     def test_feasible_below_tight_factor(self):
@@ -428,8 +452,7 @@ def _reference_search(alpha, q, m, gamma, B=10, U=10):
     p = problem(alpha, q, m, gamma, B, U)
     subsets = [c for s in range(2, q + 1) for c in combinations(range(m), s)]
     for witnesses in product(*subsets):
-        assignment = WitnessAssignment.of(dict(zip(subsets, witnesses)))
-        result = solve(witness_system_lp(p, assignment))
+        result = solve(witness_system_lp(p, zip(subsets, witnesses)))
         assert isinstance(result, Optimal)
         if result.value > 0:
             return FEASIBLE
@@ -565,42 +588,43 @@ class TestWarmNodesAgainstColdSolves:
     """At m = 5 and 7, where the search re-optimises most node LPs from
     their parent's.  Following the depth-first path: every node LP is its
     parent's plus one witness row, for the subset the parent's optimum
-    violates first and a witness no sibling used; it holds exactly the
-    rows of ``witness_system_lp`` for its assignment; and its optimum
-    value equals the cold integer solve's."""
+    violates first and a witness no sibling used; it is
+    ``witness_system_lp(problem, path)`` for its path, row for row (a
+    builder that put the witness rows before the fixed rows fails here);
+    and its optimum value equals the cold integer solve's."""
 
     def _checked_search(self, monkeypatch, p):
         witness_rows = {}
         for size in range(2, p.stable_size + 1):
             for subset in combinations(range(p.size), size):
                 for agent in subset:
-                    row = witness_system_lp(p, {subset: agent}).constraints[0]
+                    row = witness_system_lp(p, [(subset, agent)]).constraints[-1]
                     witness_rows[row] = (subset, agent)
-        path = []  # (result, node LP, assignment, witnesses of its children)
+        stack = []  # (result, node LP, path, witnesses of its children)
         counts = {"cold": 0, "warm": 0}
         warm_solve = search_module.solve
 
         def solve_and_check(lp, start=None):
             if start is None:
-                assert not path
-                assignment = {}
+                assert not stack
+                path = ()
             else:
-                while path[-1][0] is not start:
-                    path.pop()
-                parent, parent_lp, parent_assignment, witnesses = path[-1]
+                while stack[-1][0] is not start:
+                    stack.pop()
+                parent, parent_lp, parent_path, witnesses = stack[-1]
                 k = len(parent_lp.constraints)
                 assert lp.constraints[:k] == parent_lp.constraints and len(lp.constraints) == k + 1
                 subset, agent = witness_rows[lp.constraints[k]]
                 assert subset == _first_violated_subset(p, parent_lp, parent.assignment)
                 assert agent not in witnesses
                 witnesses.add(agent)
-                assignment = {**parent_assignment, subset: agent}
-            assert Counter(lp.constraints) == Counter(witness_system_lp(p, assignment).constraints)
+                path = parent_path + ((subset, agent),)
+            assert lp.constraints == witness_system_lp(p, path).constraints
             result = warm_solve(lp, start)
             cold = solve(lp)
             assert isinstance(result, Optimal) and isinstance(cold, Optimal)
-            assert result.value == cold.value, assignment
-            path.append((result, lp, assignment, set()))
+            assert result.value == cold.value, path
+            stack.append((result, lp, path, set()))
             counts["warm" if start is not None else "cold"] += 1
             return result
 
