@@ -183,6 +183,7 @@ class Partition:
         return frozenset(a for b in self.blocks for a in b)
 
     def block_of(self, agent: int) -> Coalition:
+        agent = integer(agent)
         for block in self.blocks:
             if agent in block:
                 return block
@@ -258,9 +259,13 @@ class Game:
 def coalition_utility(game: Game, coalition: Coalition | Iterable[int], agent: int) -> Fraction:
     """alpha(|C|) times the sum of the agent's weights to C's members.
 
-    The agent must belong to the coalition.
+    The members are admitted as a :class:`Coalition` (a set of agents of
+    the game), and the agent must belong to the coalition.
     """
-    members = coalition.members if isinstance(coalition, Coalition) else tuple(coalition)
+    members = (coalition if isinstance(coalition, Coalition) else Coalition.of(coalition)).members
+    if members[-1] >= game.n:
+        raise InvalidInputError(f"agent {members[-1]} is not in a game of {game.n} agents")
+    agent = integer(agent)
     if agent not in members:
         raise DomainError(f"agent {agent} is not a member of the coalition")
     row = game.weights[agent]

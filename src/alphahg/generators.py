@@ -2,10 +2,14 @@
 
 Each builder emits a :class:`Scenario` that is size-stable up to a
 stated ``stable_size`` while the full coalition improves every agent by
-exactly a stated factor, matching the corresponding closed form in
-:mod:`alphahg.bounds`.  Nothing is trusted: callers (and the test
-suite) re-verify stability exhaustively and the factor by rational
-equality.
+exactly a stated factor.  One rule says which factor: every
+construction claims the paper's bound
+``improvement_bound(alpha, stable_size, size)`` for its own alpha and
+sizes, except the complete graph, which claims
+``alpha(m)(m-1)/(alpha(q)(q-1))``; that equals the bound when ``q-1``
+divides ``m-1`` and is never above it.  Nothing is trusted:
+callers (and the test suite) re-verify stability exhaustively and the
+factor by rational equality.
 
 ``fig6``..``fig9`` are bundled hand-drawn instances for stable size 5
 at coalition sizes 7 and 8 (fractional and additively separable); they
@@ -18,12 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._rat import integer
-from .bounds import (
-    ashg_improvement_bound,
-    fhg_improvement_bound,
-    improvement_bound,
-    is_hospitable,
-)
+from .bounds import improvement_bound, is_hospitable
 from .core import ASHG, FHG, AlphaFunction, _name
 from .errors import DomainError, InvalidInputError
 from .io import load_scenario
@@ -88,17 +87,6 @@ def two_halves_scenario(alpha: AlphaFunction, size: int) -> Scenario:
     return Scenario.from_pairs(alpha, m, lambda i, j: cross if i < half <= j else intra)
 
 
-def _cycle_domain(stable_size: int, variant: str) -> tuple[int, str]:
-    """``(q, "fhg" or "ashg")`` for the cycle construction and its factor."""
-    q = integer(stable_size)
-    if q < 2:
-        raise DomainError("stable_size must be >= 2")
-    key = _name(variant, "variant")
-    if key not in ("fhg", "ashg"):
-        raise InvalidInputError("variant must be 'fhg' or 'ashg'")
-    return q, key
-
-
 def cycle_scenario(stable_size: int, variant: str) -> Scenario:
     """``stable_size + 1`` agents whose heavy edges form a cycle.
 
@@ -107,7 +95,12 @@ def cycle_scenario(stable_size: int, variant: str) -> Scenario:
     separable: cycle edges weigh 1, other pairs 0; factor 2.  Baselines
     are 1 and the scenario is stable up to ``stable_size``.
     """
-    q, key = _cycle_domain(stable_size, variant)
+    q = integer(stable_size)
+    if q < 2:
+        raise DomainError("stable_size must be >= 2")
+    key = _name(variant, "variant")
+    if key not in ("fhg", "ashg"):
+        raise InvalidInputError("variant must be 'fhg' or 'ashg'")
     m = q + 1
     heavy, light = (2, 1) if key == "fhg" else (1, 0)
     return Scenario.from_pairs(
@@ -115,13 +108,6 @@ def cycle_scenario(stable_size: int, variant: str) -> Scenario:
         m,
         lambda i, j: heavy if j - i in (1, m - 1) else light,
     )
-
-
-def cycle_factor(stable_size: int, variant: str) -> Fraction:
-    q, key = _cycle_domain(stable_size, variant)
-    if key == "fhg":
-        return Fraction(q + 2, q + 1)
-    return Fraction(2)
 
 
 def two_valued_scenario(size: int) -> Scenario:
@@ -185,14 +171,8 @@ def mantel_scenario(size: int) -> Scenario:
     return Scenario.from_pairs(FHG, m, lambda i, j: 2 if i < half <= j else 1)
 
 
-#: Each bundled fixture with its claimed ``(stable_size, factor)``.
-_FIXTURES = {
-    "fig6": (5, Fraction(8, 7)),
-    "fig7": (5, Fraction(9, 8)),
-    "fig8": (5, Fraction(2)),
-    "fig9": (5, Fraction(2)),
-}
-FIXTURE_NAMES = tuple(_FIXTURES)
+#: The bundled fixtures; each is stable up to size 5.
+FIXTURE_NAMES = ("fig6", "fig7", "fig8", "fig9")
 
 
 def fixture(name: str) -> Scenario:
@@ -232,7 +212,14 @@ def build_construction(
     variant: str | None = None,
 ) -> BuiltScenario:
     """Build any construction by name, with its claimed stability size
-    and improvement factor attached."""
+    and improvement factor attached.
+
+    Every construction but ``complete`` claims
+    ``improvement_bound(alpha, stable_size, size)`` for its scenario's
+    alpha and size; ``complete`` claims
+    :func:`complete_graph_factor`, which equals that bound when ``q-1``
+    divides ``m-1`` and can fall below it otherwise.
+    """
 
     def need(value, flag: str):
         if value is None:
@@ -248,27 +235,20 @@ def build_construction(
             complete_graph_scenario(alpha, q, m), q, complete_graph_factor(alpha, q, m)
         )
     if key == "halves":
-        alpha = need(alpha, "--alpha")
-        m = need(size, "--m")
-        return BuiltScenario(
-            two_halves_scenario(alpha, m), 3, improvement_bound(alpha, 3, m)
-        )
-    if key == "cycle":
+        q, scenario = 3, two_halves_scenario(need(alpha, "--alpha"), need(size, "--m"))
+    elif key == "cycle":
         q = need(stable_size, "--q")
-        v = need(variant, "--variant")
-        return BuiltScenario(cycle_scenario(q, v), q, cycle_factor(q, v))
-    if key == "two-valued":
-        m = need(size, "--m")
-        return BuiltScenario(two_valued_scenario(m), 4, fhg_improvement_bound(4, m))
-    if key == "two-group":
-        m = need(size, "--m")
-        return BuiltScenario(two_group_scenario(m), 4, ashg_improvement_bound(4, m))
-    if key == "mantel":
-        m = need(size, "--m")
-        return BuiltScenario(mantel_scenario(m), 3, fhg_improvement_bound(3, m))
-    if key in _FIXTURES:
-        q, factor = _FIXTURES[key]
-        return BuiltScenario(fixture(key), q, factor)
-    raise InvalidInputError(
-        f"unknown construction {name!r}; expected one of {CONSTRUCTION_NAMES}"
-    )
+        scenario = cycle_scenario(q, need(variant, "--variant"))
+    elif key == "two-valued":
+        q, scenario = 4, two_valued_scenario(need(size, "--m"))
+    elif key == "two-group":
+        q, scenario = 4, two_group_scenario(need(size, "--m"))
+    elif key == "mantel":
+        q, scenario = 3, mantel_scenario(need(size, "--m"))
+    elif key in FIXTURE_NAMES:
+        q, scenario = 5, fixture(key)
+    else:
+        raise InvalidInputError(
+            f"unknown construction {name!r}; expected one of {CONSTRUCTION_NAMES}"
+        )
+    return BuiltScenario(scenario, q, improvement_bound(scenario.alpha, q, scenario.size))

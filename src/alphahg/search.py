@@ -161,8 +161,9 @@ def witness_system_lp(
 ) -> LinearProgram:
     """The search's node LP for one (partial) witness path.
 
-    ``path`` is an ordered iterable of ``(subset, witness)`` pairs; a
-    mapping is admitted in its iteration order.  Subset members and
+    ``path`` is an ordered iterable of ``(subset, witness)`` pairs, each
+    a two-item sequence whose subset is iterable; a mapping is admitted
+    in its iteration order.  Subset members and
     witnesses must be ints, each subset at least two distinct agents of
     ``0..m-1`` with its witness among them, and no subset may appear
     twice once its members are sorted.
@@ -203,8 +204,19 @@ def witness_system_lp(
     constraints += [
         Constraint(unit(num_pairs + i), "<=", problem.baseline_bound) for i in range(m)
     ]
+    entries = path.items() if isinstance(path, Mapping) else path
+    if not isinstance(entries, Iterable):
+        raise InvalidInputError(
+            f"witness path {path!r} is not an iterable of (subset, witness) pairs"
+        )
     seen = set()
-    for subset, agent in path.items() if isinstance(path, Mapping) else path:
+    for entry in entries:
+        pair = isinstance(entry, Sequence) and len(entry) == 2
+        if not (pair and isinstance(entry[0], Iterable)):
+            raise InvalidInputError(
+                f"witness path entry {entry!r} is not a (subset, witness) pair"
+            )
+        subset, agent = entry
         key = tuple(sorted(map(integer, subset)))
         if len(key) < 2:
             raise InvalidInputError("witness subsets must have size >= 2")

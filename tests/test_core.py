@@ -108,6 +108,33 @@ class TestUtilities:
         with pytest.raises(DomainError):
             coalition_utility(game, [0, 1], 3)
 
+    def test_repeated_member_counts_once(self):
+        game = Game.from_edges(3, [(0, 1, 3), (1, 2, 1)], FHG)
+        assert coalition_utility(game, [0, 1, 1], 0) == Fraction(3, 2)
+        assert coalition_utility(game, [1, 0], 0) == Fraction(3, 2)
+
+    @pytest.mark.parametrize(
+        "members,agent",
+        [([1, -1], 1), ([0, 5], 0), ([0, 1.0], 0), ([0, True], 0), ([], 0), ([0, 1], True)],
+        ids=repr,
+    )
+    def test_members_and_agent_are_admitted(self, members, agent):
+        game = Game.from_edges(3, [(0, 1, 3), (1, 2, 1)], FHG)
+        with pytest.raises(InvalidInputError):
+            coalition_utility(game, members, agent)
+
+    def test_coalition_beyond_the_game_rejected(self):
+        game = Game.from_edges(3, [(0, 1, 3), (1, 2, 1)], FHG)
+        with pytest.raises(InvalidInputError, match="agent 3 is not in a game of 3 agents"):
+            coalition_utility(game, Coalition.of([0, 3]), 0)
+
+    def test_partition_utility_admits_its_agent(self):
+        game = Game.from_edges(3, [(0, 1, 3), (1, 2, 1)], FHG)
+        partition = Partition.of([[0, 1], [2]])
+        assert partition_utility(game, partition, 1) == Fraction(3, 2)
+        with pytest.raises(InvalidInputError):
+            partition_utility(game, partition, True)
+
 
 class TestGameValidation:
     def test_asymmetric_rejected(self):
@@ -156,6 +183,8 @@ class TestPartition:
         assert p.block_of(2).members == (2,)
         with pytest.raises(DomainError):
             p.block_of(5)
+        with pytest.raises(InvalidInputError):
+            p.block_of(True)
 
     def test_coalition_canonical_and_nonempty(self):
         assert Coalition.of([2, 0, 2]).members == (0, 2)

@@ -21,6 +21,7 @@ from alphahg import (
     SearchProblem,
     ashg_improvement_bound,
     build_construction,
+    coalition_utility,
     fhg_improvement_bound,
     find_blocking_coalition,
     improvement_bound,
@@ -39,6 +40,7 @@ from alphahg import (
     is_size_stable,
     mantel_scenario,
     max_improvement_factor_at_size,
+    partition_utility,
     scenario_is_size_stable,
     search_blocking_scenario,
     simple_fhg_bound,
@@ -49,7 +51,7 @@ from alphahg import (
 )
 from alphahg import _rat, io
 from alphahg.search import INFEASIBLE_WITHIN_BOUNDS
-from alphahg.generators import complete_graph_factor, cycle_factor
+from alphahg.generators import complete_graph_factor
 from alphahg.stability import Scenario
 from reference_stability import blocking_members_check
 
@@ -99,6 +101,10 @@ INTEGER_ENTRY_POINTS = {
     "Game.from_edges n": (lambda x: Game.from_edges(x, [], FHG), 3),
     "Game.from_edges endpoint": (lambda x: Game.from_edges(4, [(x, 0, 1)], FHG), 3),
     "Coalition member": (lambda x: Coalition.of([x, 0]), 3),
+    "Partition.block_of": (lambda x: _PAIRS.block_of(x), 2),
+    "coalition_utility member": (lambda x: coalition_utility(_GAME, [0, x], 0), 2),
+    "coalition_utility agent": (lambda x: coalition_utility(_GAME, [0, 2], x), 2),
+    "partition_utility": (lambda x: partition_utility(_GAME, _PAIRS, x), 2),
     "io.game_from_dict n": (lambda x: io.game_from_dict({"n": x, "alpha": "fhg"}), 3),
     "Scenario size": (lambda x: Scenario(x, _ZEROS, (1, 1, 1), FHG), 3),
     "find_blocking_coalition min_size": (lambda x: find_blocking_coalition(_GAME, _PAIRS, x, 3), 3),
@@ -127,7 +133,6 @@ INTEGER_ENTRY_POINTS = {
     "complete_graph_factor": (lambda x: complete_graph_factor(FHG, 2, x), 3),
     "two_halves_scenario": (lambda x: two_halves_scenario(ASHG, x), 4),
     "cycle_scenario": (lambda x: cycle_scenario(x, "fhg"), 3),
-    "cycle_factor": (lambda x: cycle_factor(x, "ashg"), 3),
     "two_valued_scenario": (lambda x: two_valued_scenario(x), 5),
     "two_group_scenario": (lambda x: two_group_scenario(x), 5),
     "mantel_scenario": (lambda x: mantel_scenario(x), 4),
@@ -164,7 +169,6 @@ NOT_NAMES = [None, 3, b"fhg", ["fhg"]]
 NAME_ENTRY_POINTS = {
     "AlphaFunction.from_name": (lambda x: AlphaFunction.from_name(x), " FHG "),
     "cycle_scenario": (lambda x: cycle_scenario(3, x), "Ashg"),
-    "cycle_factor": (lambda x: cycle_factor(3, x), "fhg"),
     "fixture": (lambda x: fixture(x), "FIG6"),
     "build_construction": (lambda x: build_construction(x, FHG, 2, 3), " Complete"),
 }

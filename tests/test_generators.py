@@ -26,7 +26,7 @@ from alphahg import (
     two_halves_scenario,
     two_valued_scenario,
 )
-from alphahg.generators import complete_graph_factor, cycle_factor
+from alphahg.generators import FIXTURE_NAMES, complete_graph_factor
 
 
 def assert_tight(scenario, stable_size, factor):
@@ -94,6 +94,12 @@ class TestCycle:
 
     def test_ashg_factor_two(self):
         assert_tight(cycle_scenario(5, "ashg"), 5, Fraction(2))
+
+    def test_domain(self):
+        with pytest.raises(InvalidInputError, match="variant must be 'fhg' or 'ashg'"):
+            cycle_scenario(3, "xyz")
+        with pytest.raises(DomainError, match="stable_size must be >= 2"):
+            cycle_scenario(1, "fhg")
 
     def test_heavy_edges_form_a_cycle(self):
         scenario = cycle_scenario(4, "fhg")
@@ -223,34 +229,73 @@ class TestBuildConstruction:
         assert built.factor == 2
 
     def test_missing_parameter(self):
-        with pytest.raises(Exception):
-            build_construction("cycle", stable_size=4)  # no variant
+        """Each required flag of each construction, left out, is named."""
+        cases = [
+            ("complete", dict(stable_size=2, size=5), "--alpha"),
+            ("complete", dict(alpha=FHG, size=5), "--q"),
+            ("complete", dict(alpha=FHG, stable_size=2), "--m"),
+            ("halves", dict(size=6), "--alpha"),
+            ("halves", dict(alpha=FHG), "--m"),
+            ("cycle", dict(variant="fhg"), "--q"),
+            ("cycle", dict(stable_size=4), "--variant"),
+            ("two-valued", dict(), "--m"),
+            ("two-group", dict(), "--m"),
+            ("mantel", dict(), "--m"),
+        ]
+        for name, given, flag in cases:
+            message = f"^construction '{name}' requires {flag}$"
+            with pytest.raises(InvalidInputError, match=message):
+                build_construction(name, **given)
 
     def test_factor_matches_measurement_everywhere(self):
+        """The one claim rule: every construction's factor is
+        ``improvement_bound`` for its alpha and sizes, except the complete
+        graph's when q - 1 does not divide m - 1, which is below it
+        (MFHG's factor and bound are both 1 there)."""
+        # (built, whether its claim is strictly below the bound)
         cases = [
-            build_construction("complete", alpha=FHG, stable_size=2, size=5),
-            build_construction("halves", alpha=ASHG, size=8),
-            build_construction("cycle", stable_size=3, variant="ashg"),
-            build_construction("two-valued", size=6),
-            build_construction("two-group", size=9),
-            build_construction("mantel", size=7),
-            build_construction("fig9"),
+            (
+                build_construction("complete", alpha=alpha, stable_size=q, size=m),
+                (m - 1) % (q - 1) != 0 and alpha != MFHG,
+            )
+            for alpha in (FHG, ASHG, MFHG)
+            for q in range(2, 6)
+            for m in range(q + 1, 10)
         ]
-        for built in cases:
-            assert scenario_is_size_stable(built.scenario, built.stable_size)
-            assert min_improvement_factor(built.scenario) == built.factor
+        others = [
+            build_construction("halves", alpha=alpha, size=m)
+            for alpha in (FHG, ASHG, MFHG)
+            for m in range(4, 11, 2)
+        ]
+        others += [
+            build_construction("cycle", stable_size=q, variant=variant)
+            for q in range(2, 7)
+            for variant in ("fhg", "ashg")
+        ]
+        others += [
+            build_construction(name, size=m)
+            for name in ("two-valued", "two-group")
+            for m in range(5, 13)
+        ]
+        others += [build_construction("mantel", size=m) for m in range(4, 13)]
+        others += [build_construction(name) for name in FIXTURE_NAMES]
+        cases += [(built, False) for built in others]
+        for built, below in cases:
+            scenario, q = built.scenario, built.stable_size
+            assert scenario_is_size_stable(scenario, q)
+            assert min_improvement_factor(scenario) == built.factor
+            bound = improvement_bound(scenario.alpha, q, scenario.size)
+            assert built.factor < bound if below else built.factor == bound
 
 
 class TestFactorDomains:
-    """Each closed-form factor admits exactly its construction's domain."""
+    """``complete_graph_factor`` admits exactly its construction's domain."""
 
     @pytest.mark.parametrize(
         "call,error",
         [
-            (lambda: cycle_factor(3, "xyz"), InvalidInputError),
             (lambda: complete_graph_factor(FHG, 1, 4), DomainError),
             (lambda: complete_graph_factor(FHG, 5, 3), DomainError),
-            (lambda: cycle_factor(1, "fhg"), DomainError),
             (lambda: complete_graph_factor(ODD_EVEN, 4, 5), DomainError),
         ],
     )

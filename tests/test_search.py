@@ -1,6 +1,7 @@
 """Feasibility search: witness LPs, verdicts, and certificates."""
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -138,6 +139,22 @@ class TestWitnessSystemLp:
         for path in (mapping, list(mapping.items())):
             with pytest.raises(InvalidInputError):
                 witness_system_lp(problem(FHG, 2, 4, 1), path)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            [((0, 1),)],  # a subset without its witness
+            [5],  # an entry that is not a pair
+            [(5, 0)],  # a subset that is not iterable
+            None,  # no path at all
+            [((0, 1), 0, 1)],  # three items
+        ],
+        ids=repr,
+    )
+    def test_malformed_path_is_refused(self, path):
+        named = repr(path if path is None else path[0])
+        with pytest.raises(InvalidInputError, match=re.escape(named)):
+            witness_system_lp(problem(FHG, 2, 4, 1), path)
 
     def test_plain_mapping_builds_the_assignment_lp(self):
         # a mapping is the path of its items, in its iteration order
