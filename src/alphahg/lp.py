@@ -33,7 +33,11 @@ final tableau.  ``solve(lp, start)``, where ``start`` solved a program
 whose constraints are a prefix of ``lp``'s (same names, objective and
 lower bounds), copies that tableau, appends only the new rows and stops
 after the dual simplex.  The value and verdict equal a cold solve's; the
-optimal point may be a different one.
+optimal point may be a different one.  Such an optimum also exposes its
+tableau's ints: the point's numerators over one denominator
+(:meth:`Optimal.scaled_point`), and the reduced costs of the rows'
+slack columns, whose nonzero entries are the support of the optimal
+dual (:meth:`Optimal.row_prices`).
 """
 
 from __future__ import annotations
@@ -125,15 +129,65 @@ class LinearProgram:
         return len(self.names)
 
 
-@dataclass(frozen=True)
 class Optimal:
-    """An optimum.  One that :func:`solve` returns also carries its final
-    tableau (not compared, not shown), so that it can be the ``start`` of
-    a later solve."""
+    """An optimum: its ``value`` and its point, ``assignment``.  Two are
+    equal when their values and points are.
 
-    value: Fraction
-    assignment: tuple[Fraction, ...]
-    _warm: "_Warm | None" = field(default=None, compare=False, repr=False)
+    One that :func:`solve` returns also carries its final tableau, so
+    that it can be the ``start`` of a later solve, and keeps its point as
+    ints until ``assignment`` is first read."""
+
+    __slots__ = ("value", "_assignment", "_point", "_warm")
+
+    def __init__(
+        self,
+        value: Fraction,
+        assignment: tuple[Fraction, ...] | None,
+        _warm: "_Warm | None" = None,
+        _point: tuple[list[int], int] | None = None,
+    ) -> None:
+        self.value = value
+        self._assignment = assignment  # None until read from _point
+        self._point = _point
+        self._warm = _warm
+
+    @property
+    def assignment(self) -> tuple[Fraction, ...]:
+        if self._assignment is None:
+            nums, den = self.scaled_point()
+            self._assignment = tuple(Fraction(x, den) for x in nums)
+        return self._assignment
+
+    def scaled_point(self) -> tuple[list[int], int]:
+        """The point as int numerators over one positive common
+        denominator: for a tableau's optimum, its right-hand sides over
+        ``d`` shifted by the lower bounds scaled to the same denominator."""
+        if self._point is None:
+            self._point = scaled(self._assignment)
+        return self._point
+
+    def row_prices(self, first: int = 0) -> list[int]:
+        """The reduced costs of the slack columns of the final tableau's
+        rows from row ``first`` on, as ints over its denominator: each is
+        ``<= 0``, and minus the row's price in the optimal dual.  So the
+        rows with a nonzero entry are the support of that dual, and those
+        rows with the lower bounds alone bound the objective by
+        ``value``.  Rows are numbered as :func:`solve` appends them: one
+        per ``<=`` or ``>=`` constraint, two per ``=``.  Only for an
+        optimum that :func:`solve` returned."""
+        _, columns, tab = self._warm
+        return tab.obj[columns.num + first:-1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Optimal):
+            return NotImplemented
+        return self.value == other.value and self.assignment == other.assignment
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.assignment))
+
+    def __repr__(self) -> str:
+        return f"Optimal(value={self.value!r}, assignment={self.assignment!r})"
 
 
 @dataclass(frozen=True)
@@ -341,19 +395,21 @@ class _Columns:
         return [negated] if relation == ">=" else [row, negated]
 
     def optimal(self, lp: LinearProgram, tab: _Tableau) -> Optimal:
-        """The optimum at the tableau's basis, carrying the tableau."""
+        """The optimum at the tableau's basis, carrying the tableau; its
+        point is kept as int numerators over ``d * low_den``."""
         d, low, low_den = tab.d, self.low, self.low_den
         col_value = {b: tab.rows[i][-1] for i, b in enumerate(tab.basis)}
-        assignment = []
+        nums = []
         for v, (plus, minus) in enumerate(self.col_of):
             x = col_value.get(plus, 0)
             if minus >= 0:
                 x -= col_value.get(minus, 0)
-            assignment.append(Fraction(x * low_den + low[v] * d, d * low_den))
+            nums.append(x * low_den + low[v] * d)
+        den = d * low_den
         objective_value = sum(
-            (c * x for c, x in zip(lp.objective, assignment) if c), Fraction(0)
+            (c * Fraction(x, den) for c, x in zip(lp.objective, nums) if c), Fraction(0)
         )
-        return Optimal(objective_value, tuple(assignment), _Warm(lp, self, tab))
+        return Optimal(objective_value, None, _Warm(lp, self, tab), (nums, den))
 
 
 class _Warm(NamedTuple):

@@ -16,20 +16,49 @@ exact LP; strict inequalities become a shared slack variable that the
 LP maximizes, so strict feasibility is exactly "optimal slack > 0".
 
 The search is deterministic: subsets are branched in (size,
-lexicographic) order, witness candidates in index order, depth-first
-with LP pruning at every node.  A node's path is the (subset, witness)
-pairs chosen from the root down to it, and its LP is
-``witness_system_lp(problem, path)`` row for row: the fixed rows, then
-one witness row per pair in path order.  The root is
-``witness_system_lp(problem, ())``, and each child is its parent's LP
-with the one new witness row appended.  Each child LP is re-optimised
-from its parent's optimum by the dual simplex (``solve(child,
-parent_result)``); that may change which optimal point a node gets,
-never its value.  The subset to branch on is read from the LP point
-scaled once to ints, by the stability module's subset kernel; a
-:class:`Scenario` is built only for a certificate.  Every Feasible
-verdict is re-verified by the stability module before being returned;
-Infeasible verdicts are relative to the weight/baseline box.
+lexicographic) order, witness candidates in index order, depth-first.
+A node's path is the (subset, witness) pairs chosen from the root down
+to it, and its LP is ``witness_system_lp(problem, path)`` row for row:
+the fixed rows, then one witness row per pair in path order.  The root
+is ``witness_system_lp(problem, ())``, and each child is its parent's
+LP with the one new witness row appended.  Each child LP is
+re-optimised from its parent's optimum by the dual simplex
+(``solve(child, parent_result)``); that may change which optimal point
+a node gets, never its value.  The subset to branch on is read from the
+LP point's ints (numerators over the tableau's denominator), by the
+stability module's subset kernel; a :class:`Scenario` is built only for
+a certificate.
+
+The search is conflict-driven (conflict analysis as in Achterberg,
+*Conflict analysis in mixed integer programming*, 2007).  A refuted
+subtree names its reason, a *conflict*: a set of its path's witness
+rows that no strictly feasible, size-stable point satisfies.
+
+* A node whose optimal slack is not positive has as its conflict the
+  path rows whose slack column has a nonzero reduced cost in the final
+  tableau: the support of the LP's optimal dual, which with the fixed
+  rows bounds the slack on its own.  No extra LP is solved.
+* If a child's conflict does not contain the child's own row, it lies
+  on the parent's path and refutes the parent: the remaining siblings
+  are skipped (a backjump).  Otherwise the parent's conflict is the
+  union of its children's conflicts, each without that child's row,
+  since every size-stable point meets some witness row of the subset.
+* Every conflict, of a leaf or of an inner node, is stored as a
+  *nogood*.  The fixed rows, and the set of subset constraints, are
+  invariant under every permutation of the ``m`` agents (Margot,
+  *Symmetry in integer linear programming*, 2010), so a relabelled
+  nogood refutes too.  Before a node's LP is solved the node is refuted,
+  with no LP, if some nogood maps into its rows under a permutation of
+  the agents; its conflict is that image.  The matcher backtracks over
+  a nogood's rows, each next row sharing agents with the ones before,
+  and never enumerates the ``m!`` permutations.  A nogood the parent
+  was checked against can only map onto the node's rows by sending a
+  row to the newest one, so only nogoods learned since then need a
+  full match.
+
+Every Feasible verdict is re-verified by the stability module before
+being returned; Infeasible verdicts are relative to the weight/baseline
+box.
 """
 
 from __future__ import annotations
@@ -38,10 +67,10 @@ import time
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from numbers import Real
 
-from ._rat import exact, integer, scaled
+from ._rat import exact, integer
 from .core import AlphaFunction
 from .errors import InvalidInputError
 from .lp import Constraint, LinearProgram, Optimal, solve
@@ -115,7 +144,10 @@ class SearchResult:
 
     ``feasible`` carries an independently re-verified scenario;
     ``infeasible_within_bounds`` means the witness tree was exhausted;
-    ``budget_exhausted`` makes no claim.
+    ``budget_exhausted`` makes no claim.  ``nodes_explored`` counts
+    every node the search reached, and the node limit is checked against
+    it; a node refuted by a nogood is counted there but solves no LP, so
+    ``lps_solved`` can be smaller.
     """
 
     verdict: str
@@ -257,15 +289,172 @@ class _Budget(Exception):
     pass
 
 
+def _conflict(result: Optimal, path: Sequence[tuple], first: int) -> frozenset:
+    """The conflict of a node whose optimal slack is not positive: the
+    rows of its ``path`` whose slack column has a nonzero reduced cost
+    in the final tableau (the node's witness rows start at LP row
+    ``first``).  They are the support of the LP's optimal dual, so they,
+    the fixed rows and the lower bounds alone bound the slack by the
+    node's value: every node whose rows contain them is refuted too."""
+    return frozenset(row for row, price in zip(path, result.row_prices(first)) if price)
+
+
+class _Rows:
+    """Witness rows indexed for matching: by subset size, by ``(size,
+    witness)``, and per agent the number of rows that name them as
+    witness and that contain them.  A row's entry is ``(members mask,
+    witness, row)``."""
+
+    __slots__ = ("by_size", "by_key", "witness", "member")
+
+    def __init__(self, rows: Iterable[tuple], m: int) -> None:
+        self.by_size: dict[int, list] = {}
+        self.by_key: dict[tuple[int, int], list] = {}
+        self.witness = [0] * m
+        self.member = [0] * m
+        for row in rows:
+            self.push(row)
+
+    def push(self, row: tuple) -> None:
+        subset, agent = row
+        entry = (sum(1 << x for x in subset), agent, row)
+        self.by_size.setdefault(len(subset), []).append(entry)
+        self.by_key.setdefault((len(subset), agent), []).append(entry)
+        self.witness[agent] += 1
+        for x in subset:
+            self.member[x] += 1
+
+    def pop(self, row: tuple) -> None:
+        subset, agent = row
+        self.by_size[len(subset)].pop()
+        self.by_key[len(subset), agent].pop()
+        self.witness[agent] -= 1
+        for x in subset:
+            self.member[x] -= 1
+
+    def profile(self) -> tuple[list[int], list[int]]:
+        return sorted(self.witness, reverse=True), sorted(self.member, reverse=True)
+
+
+class _Nogood:
+    """A stored conflict: its rows in one order, each as ``(size,
+    witness, other members, members mask)``; one matching plan per
+    choice of first row; its rows indexed as :class:`_Rows`; and their
+    per-agent counts sorted."""
+
+    __slots__ = ("order", "parts", "plans", "rows", "profile")
+
+    def __init__(self, conflict: frozenset, m: int) -> None:
+        self.order = sorted(conflict, key=lambda row: (-len(row[0]), row))
+        self.parts = [
+            (len(subset), a, tuple(x for x in subset if x != a), sum(1 << x for x in subset))
+            for subset, a in self.order
+        ]
+        self.plans: list = [None] * len(self.order)  # each made when first needed
+        self.rows = _Rows(self.order, m)
+        self.profile = self.rows.profile()
+
+    def plan(self, i: int) -> tuple:
+        """The matching plan that starts with row ``i``: each next row
+        shares the most agents with the rows before it.  Each step is
+        ``(size, witness, other members, later)``, where ``later`` is the
+        bitmask of the agents of the steps after it."""
+        if self.plans[i] is None:
+            rest = self.parts[i + 1:] + self.parts[:i]
+            order, seen = [self.parts[i]], self.parts[i][3]
+            while rest:
+                best = max(rest, key=lambda part: (seen & part[3]).bit_count())
+                rest.remove(best)
+                order.append(best)
+                seen |= best[3]
+            steps, later = [], 0
+            for size, a, others, mask in reversed(order):
+                steps.append((size, a, others, later))
+                later |= mask
+            self.plans[i] = tuple(reversed(steps))
+        return self.plans[i]
+
+    def fits(self, node: _Rows, profile: tuple[list[int], list[int]]) -> bool:
+        """A necessary condition for a match: ``node`` has at least as
+        many rows of each size, and the k-th largest witness and member
+        count of the nogood's agents is at most the node's."""
+        for size, entries in self.rows.by_size.items():
+            if len(node.by_size.get(size, ())) < len(entries):
+                return False
+        return all(x <= y for x, y in zip(self.profile[0], profile[0])) and all(
+            x <= y for x, y in zip(self.profile[1], profile[1])
+        )
+
+
+def _match(nogood, steps, k, node, image, used, out, seed=None) -> bool:
+    """Extend the partial agent map ``image`` (-1 where unset; ``used``
+    the bitmask of its values) to steps ``k..`` of one of ``nogood``'s
+    plans, each step onto an entry of ``node`` (a :class:`_Rows`), and
+    each agent onto one named by at least as many of the node's rows.
+    Matched rows are appended to ``out``.  ``seed``, if given, is the
+    only entry step ``k`` may take.  An unset member that no later step
+    names takes whichever free slot is left, so only the members that
+    later steps read are permuted."""
+    if k == len(steps):
+        return True
+    size, a, others, later = steps[k]
+    need_w, need_m = nogood.rows.witness, nogood.rows.member
+    have_w, have_m = node.witness, node.member
+    target = image[a]
+    if seed is not None:
+        candidates = (seed,)
+    elif target >= 0:
+        candidates = node.by_key.get((size, target), ())
+    else:
+        candidates = node.by_size.get(size, ())
+    mapped, free = 0, []
+    for x in others:
+        y = image[x]
+        if y >= 0:
+            mapped |= 1 << y
+        else:
+            free.append(x)
+    named = [x for x in free if later >> x & 1]
+    for mask, b, row in candidates:
+        # a set witness takes only rows it heads, so only an unset one is checked
+        if target < 0 and (used >> b & 1 or need_w[a] > have_w[b] or need_m[a] > have_m[b]):
+            continue
+        rest = mask & ~(1 << b)
+        slots = rest & ~mapped
+        if mapped & ~rest or slots & used:
+            continue
+        now_used = used | rest | 1 << b
+        image[a] = b
+        out.append(row)
+        free_slots = [y for y in range(mask.bit_length()) if slots >> y & 1]
+        for chosen in permutations(free_slots, len(named)):
+            if any(
+                need_w[x] > have_w[y] or need_m[x] > have_m[y] for x, y in zip(named, chosen)
+            ):
+                continue
+            for x, y in zip(named, chosen):
+                image[x] = y
+            if _match(nogood, steps, k + 1, node, image, now_used, out):
+                return True
+        for x in named:
+            image[x] = -1
+        out.pop()
+        image[a] = target
+    return False
+
+
 def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
     """Decide the feasibility question for one parameter set.
 
     Depth-first over witness paths; at each node the LP relaxation is
-    solved and the node is pruned when the optimal slack is not positive
-    (longer paths only shrink the feasible region).  A node whose LP
-    optimum already satisfies every subset constraint yields a
+    solved and the node is refuted when the optimal slack is not
+    positive (longer paths only shrink the feasible region).  A node
+    whose LP optimum already satisfies every subset constraint yields a
     certificate immediately; otherwise the first subset violated at the
-    LP optimum, never one on the path, is branched on.
+    LP optimum, never one on the path, is branched on.  Each refuted
+    subtree's conflict is learned as a nogood, and a node into whose
+    rows some nogood maps under a relabelling of the agents is refuted
+    without an LP (see the module docstring).
     """
     q, m = problem.stable_size, problem.size
     _check_subsets(m, 2, q)  # each node's branching scan
@@ -275,30 +464,68 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
     stats = {"nodes": 0, "lps": 0}
     pairs = _pair_index(m)
     b_at = len(pairs)
+    first_witness_row = m + b_at + m  # after the full-coalition and box rows
+    nogoods: list[_Nogood] = []
+    path: list[tuple] = []
+    node = _Rows((), m)
 
-    def explore(
-        lp: LinearProgram, start: Optimal | None, on_path: frozenset, touched: int
-    ) -> Scenario | None:
+    def learn(conflict: frozenset) -> frozenset:
+        nogoods.append(_Nogood(conflict, m))
+        return conflict
+
+    def refuting_image(checked: int) -> frozenset | None:
+        """The image of a nogood in the node's rows, or None.  The first
+        ``checked`` nogoods were tried on the parent, so they can only
+        map onto this node's rows by sending some row to its newest."""
+        size, agent = len(path[-1][0]), path[-1][1]
+        newest = node.by_key[size, agent][-1]
+        profile = node.profile()
+        image = [-1] * m
+        out: list = []
+        for n, nogood in enumerate(nogoods):
+            if not nogood.fits(node, profile):
+                continue
+            if n >= checked:
+                if _match(nogood, nogood.plan(0), 0, node, image, 0, out):
+                    return frozenset(out)
+                continue
+            # a plan is made only for a row that could map onto the newest
+            need = nogood.rows.witness
+            for i, (subset, a) in enumerate(nogood.order):
+                if (
+                    len(subset) == size
+                    and need[a] <= node.witness[agent]
+                    and _match(nogood, nogood.plan(i), 0, node, image, 0, out, newest)
+                ):
+                    return frozenset(out)
+        return None
+
+    def explore(lp: LinearProgram, start: Optimal | None, checked: int) -> Scenario | frozenset:
         stats["nodes"] += 1
         if problem.node_limit is not None and stats["nodes"] > problem.node_limit:
             raise _Budget
         if deadline is not None and time.monotonic() > deadline:
             raise _Budget
+        if nogoods:
+            image = refuting_image(checked)
+            if image is not None:
+                return image
+        checked = len(nogoods)
         stats["lps"] += 1
         result = solve(lp, start)
         if not isinstance(result, Optimal):  # starts feasible and is box-bounded
             raise AssertionError(f"node LP returned {result!r}")
         if result.value <= 0:
-            return None
-        # the LP point as ints times one common denominator: a positive
-        # factor leaves every strict comparison of the kernel as it is
-        point = scaled(result.assignment)[0]
+            return learn(_conflict(result, path, first_witness_row))
+        # the LP point as ints over one positive denominator, which leaves
+        # every strict comparison of the kernel as it is
+        point = result.scaled_point()[0]
         weights = [[0] * m for _ in range(m)]
         for (i, j), p in pairs.items():
             weights[i][j] = weights[j][i] = point[p]
         baselines = [(x, 1) for x in point[b_at:b_at + m]]
         branch_on = _first_blocking(weights, baselines, problem.alpha, 2, q)
-        if branch_on in on_path:
+        if any(branch_on == subset for subset, _ in path):
             # at the exact optimum every assigned witness row holds
             raise AssertionError(f"assigned subset {branch_on} violated at the LP optimum")
         if branch_on is None:
@@ -310,28 +537,30 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
             if not _certificate_ok(problem, candidate):
                 raise AssertionError("LP point failed independent re-verification")
             return candidate
-        # witnesses that only differ by relabeling agents untouched by the
-        # path lead to relabeled subtrees: try the touched members and the
-        # first untouched one
-        untouched = [a for a in branch_on if not touched >> a & 1]
-        on_path = on_path | {branch_on}
-        touched = touched | sum(1 << a for a in branch_on)
+        learned: set = set()
         for agent in branch_on:
-            if agent in untouched[1:]:
-                continue
+            row = (branch_on, agent)
+            path.append(row)
+            node.push(row)
             child = lp._with_rows((_agent_row(problem, pairs, branch_on, agent),))
-            found = explore(child, result, on_path, touched)
-            if found is not None:
+            found = explore(child, result, checked)
+            path.pop()
+            node.pop(row)
+            if isinstance(found, Scenario):
                 return found
-        return None
+            if row not in found:
+                # the conflict lies on this node's own path: no sibling
+                # can escape it
+                return found
+            learned |= found
+            learned.discard(row)
+        return learn(frozenset(learned))
 
     try:
         # the root is the witness-free system, solved cold
-        scenario = explore(witness_system_lp(problem, ()), None, frozenset(), 0)
+        found = explore(witness_system_lp(problem, ()), None, 0)
     except _Budget:
         return SearchResult(BUDGET_EXHAUSTED, None, stats["nodes"], stats["lps"])
-    if scenario is None:
-        return SearchResult(
-            INFEASIBLE_WITHIN_BOUNDS, None, stats["nodes"], stats["lps"]
-        )
-    return SearchResult(FEASIBLE, scenario, stats["nodes"], stats["lps"])
+    if isinstance(found, Scenario):
+        return SearchResult(FEASIBLE, found, stats["nodes"], stats["lps"])
+    return SearchResult(INFEASIBLE_WITHIN_BOUNDS, None, stats["nodes"], stats["lps"])

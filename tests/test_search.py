@@ -4,7 +4,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -12,6 +12,8 @@ from alphahg import (
     ASHG,
     FHG,
     MFHG,
+    ODD_EVEN,
+    PAIRWISE_COMM,
     AlphaFunction,
     Constraint,
     InvalidInputError,
@@ -31,9 +33,13 @@ from alphahg.search import (
     BUDGET_EXHAUSTED,
     FEASIBLE,
     INFEASIBLE_WITHIN_BOUNDS,
+    _Nogood,
+    _Rows,
     _certificate_ok,
+    _match,
 )
 from reference_lp import reference_solve
+from reference_search import reference_search
 
 
 @pytest.fixture(autouse=True)
@@ -47,13 +53,14 @@ def node_lp_check(request, monkeypatch):
     Returns the number of node LPs checked so far.  The slow tier is left
     out: the Fraction simplex would take it back to its old running time.
     So are ``TestWarmNodesAgainstColdSolves``, which checks every node
-    against the cold integer solve itself, and ``TestTreeSizes``, which
-    counts nodes, at sizes where the Fraction simplex would add about a
-    minute."""
+    against the cold integer solve itself, and ``TestTreeSizes`` and
+    ``TestStoredNogoods``, which search trees that other tests check,
+    at sizes where the Fraction simplex would add about a minute."""
     checked = [0]
     if request.node.get_closest_marker("slow") or request.cls in (
         TestWarmNodesAgainstColdSolves,
         TestTreeSizes,
+        TestStoredNogoods,
     ):
         return checked
     integer_solve = search_module.solve
@@ -380,9 +387,10 @@ class TestSearchVerdicts:
             search_blocking_scenario(problem(FHG, 12, 24, 1, node_limit=2))
 
     def test_stats_are_counted(self, node_lp_check):
+        # a node refuted by a nogood counts as explored but solves no LP
         result = search_blocking_scenario(problem(FHG, 2, 3, Fraction(4, 3)))
-        assert result.nodes_explored == result.lps_solved > 1
-        assert node_lp_check[0] == result.lps_solved
+        assert node_lp_check[0] == result.lps_solved > 1
+        assert result.nodes_explored >= result.lps_solved
 
     def test_certificates_respect_the_box(self):
         result = search_blocking_scenario(problem(ASHG, 2, 3, Fraction(3, 2), B=2, U=3))
@@ -412,6 +420,10 @@ class TestAgreementWithBounds:
         (ASHG, 3, 4),
         (MFHG, 2, 4),
         (MFHG, 3, 4),
+        (FHG, 3, 5),
+        (FHG, 4, 5),
+        (ASHG, 3, 5),
+        (ASHG, 4, 5),
     ]
 
     @pytest.mark.parametrize("alpha,q,m", GRID)
@@ -511,9 +523,9 @@ def _bound_gammas(alpha, q, m):
 
 
 class TestAgainstReferenceSearchAtFourAgents:
-    """m = 4 is the smallest size at which one-witness branching and the
-    untouched-agent symmetry rule cut real subtrees: the oracle solves
-    all 2^6 = 64 full assignments at q = 2."""
+    """m = 4 is the smallest size at which one-witness branching,
+    backjumps and relabelled nogoods cut real subtrees: the oracle
+    solves all 2^6 = 64 full assignments at q = 2."""
 
     @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG])
     def test_q2_at_and_below_the_bound(self, alpha):
@@ -529,6 +541,166 @@ class TestAgainstReferenceSearchAtFourAgents:
                 want = _reference_search(alpha, 2, 4, gamma, B, U)
                 got = search_blocking_scenario(problem(alpha, 2, 4, gamma, B, U))
                 assert got.verdict == want, (B, U, gamma)
+
+
+def _grid_gammas(alpha, q, m):
+    """The bound, above it, and below it where that is still >= 1."""
+    f = improvement_bound(alpha, q, m)
+    below = [g for g in (f - Fraction(1, 1000), f - Fraction(1, 5)) if g >= 1]
+    return [f, f + Fraction(1, 10), *below]
+
+
+class TestAgainstConflictFreeSearch:
+    """The same verdict as ``reference_search``, the search without
+    conflicts, backjumps or nogoods (every node solves its LP), on a grid
+    of alphas, sizes, gammas and boxes."""
+
+    @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG, ODD_EVEN, PAIRWISE_COMM])
+    @pytest.mark.parametrize("q,m", [(2, 3), (2, 4), (3, 4), (2, 5)])
+    def test_same_verdicts(self, alpha, q, m):
+        for gamma in _grid_gammas(alpha, q, m):
+            for B, U in ((10, 10), (1, 1), (Fraction(1, 2), 3)):
+                p = problem(alpha, q, m, gamma, B, U, node_limit=None)
+                want = reference_search(p).verdict
+                assert search_blocking_scenario(p).verdict == want, (gamma, B, U)
+
+
+class TestLearnedConflicts:
+    """Each conflict read off a refuted node's LP dual, and a random
+    relabelling of its agents, refutes the system on its own: cold-solved
+    as ``witness_system_lp(problem, conflict)``, its optimal slack is the
+    node's, which is not positive.  (A conflict learned from a subtree
+    refutes only together with the subset constraints; the verdict
+    comparisons check those.)"""
+
+    @pytest.mark.parametrize(
+        "alpha,q,m",
+        [(FHG, 3, 4), (FHG, 2, 5), (ASHG, 3, 5), (MFHG, 4, 5), (ODD_EVEN, 2, 5), (PAIRWISE_COMM, 3, 4)],
+    )
+    def test_conflicts_refute_under_relabelling(self, monkeypatch, alpha, q, m):
+        rng = random.Random(4242)
+        p = problem(alpha, q, m, improvement_bound(alpha, q, m), node_limit=None)
+        learned = []
+        extract = search_module._conflict
+
+        def recording(result, path, first):
+            conflict = extract(result, path, first)
+            assert conflict <= set(path)
+            learned.append((conflict, result.value))
+            return conflict
+
+        monkeypatch.setattr(search_module, "_conflict", recording)
+        assert search_blocking_scenario(p).verdict == INFEASIBLE_WITHIN_BOUNDS
+        assert len(learned) > 1
+        for conflict, value in learned:
+            relabel = list(range(m))
+            rng.shuffle(relabel)
+            image = [(tuple(relabel[x] for x in S), relabel[w]) for S, w in conflict]
+            for path in (conflict, image):
+                result = solve(witness_system_lp(p, path))
+                assert isinstance(result, Optimal) and result.value == value <= 0, path
+
+
+class TestStoredNogoods:
+    """Every stored nogood, of a leaf or of an inner node, and a random
+    relabelling of it, admits no feasible scenario: the conflict-free
+    search started from its rows finds none.  Feasible problems are the
+    ones where this can fail, so the cases include feasible trees that
+    refute subtrees on their way to a certificate."""
+
+    @pytest.mark.parametrize(
+        "alpha,q,m,below",
+        [
+            (FHG, 2, 4, 0),
+            (ASHG, 3, 4, 0),
+            (FHG, 4, 6, Fraction(1, 1000)),
+            (ASHG, 5, 6, Fraction(1, 5)),
+            (FHG, 5, 7, Fraction(1, 1000)),
+        ],
+    )
+    def test_nogoods_admit_no_scenario(self, monkeypatch, alpha, q, m, below):
+        rng = random.Random(1618)
+        stored = []
+
+        class Recording(search_module._Nogood):
+            __slots__ = ()
+
+            def __init__(self, conflict, m):
+                stored.append(conflict)
+                super().__init__(conflict, m)
+
+        monkeypatch.setattr(search_module, "_Nogood", Recording)
+        p = problem(alpha, q, m, improvement_bound(alpha, q, m) - below)
+        verdict = search_blocking_scenario(p).verdict
+        assert verdict == (FEASIBLE if below else INFEASIBLE_WITHIN_BOUNDS)
+        assert stored
+        for conflict in stored:
+            relabel = list(range(m))
+            rng.shuffle(relabel)
+            image = [(tuple(relabel[x] for x in S), relabel[w]) for S, w in conflict]
+            for path in (sorted(conflict), image):
+                assert reference_search(p, path).verdict == INFEASIBLE_WITHIN_BOUNDS, path
+
+
+def _random_rows(rng, m, q, count):
+    subsets = [c for s in range(2, q + 1) for c in combinations(range(m), s)]
+    return [(S, rng.choice(S)) for S in rng.sample(subsets, count)]
+
+
+class TestNogoodMatcher:
+    """The backtracking matcher against every relabelling of the agents:
+    a nogood maps into a node's rows iff some permutation sends each of
+    its rows to one of the node's.  Seeded, a match must send some row
+    onto the node's newest row."""
+
+    def _images(self, nogood_rows, node_rows, m):
+        node = set(node_rows)
+        for relabel in permutations(range(m)):
+            image = {(tuple(sorted(relabel[x] for x in S)), relabel[w]) for S, w in nogood_rows}
+            if image <= node:
+                yield image
+
+    def test_matches_equal_brute_force(self):
+        rng = random.Random(2718)
+        found = {True: 0, False: 0}
+        for _ in range(400):
+            m = rng.randint(3, 6)
+            q = rng.randint(2, min(3, m - 1))
+            total = sum(len(list(combinations(range(m), s))) for s in range(2, q + 1))
+            node_rows = _random_rows(rng, m, q, rng.randint(1, min(total, 9)))
+            if rng.random() < 0.5:
+                # a relabelled part of the node, so that matches are common
+                relabel = list(range(m))
+                rng.shuffle(relabel)
+                part = rng.sample(node_rows, rng.randint(0, len(node_rows)))
+                nogood_rows = [(tuple(sorted(relabel[x] for x in S)), relabel[w]) for S, w in part]
+            else:
+                nogood_rows = _random_rows(rng, m, q, rng.randint(1, min(total, 5)))
+            nogood = _Nogood(frozenset(nogood_rows), m)
+            node = _Rows(node_rows, m)
+            images = list(self._images(nogood_rows, node_rows, m))
+            out = []
+            plan = nogood.plan(0) if nogood_rows else ()
+            matched = _match(nogood, plan, 0, node, [-1] * m, 0, out)
+            assert matched == bool(images), (nogood_rows, node_rows)
+            if matched:
+                assert set(out) in images
+            # seeded on the newest row
+            newest_row = node_rows[-1]
+            newest = node.by_key[len(newest_row[0]), newest_row[1]][-1]
+            want = any(newest_row in image for image in images)
+            got = False
+            for i, (S, _) in enumerate(nogood.order):
+                out = []
+                if len(S) == len(newest_row[0]) and _match(
+                    nogood, nogood.plan(i), 0, node, [-1] * m, 0, out, newest
+                ):
+                    got = True
+                    assert newest_row in out and set(out) in images
+                    break
+            assert got == want, (nogood_rows, node_rows)
+            found[matched] += 1
+        assert min(found.values()) >= 80, found
 
 
 @pytest.mark.slow
@@ -554,12 +726,10 @@ class TestSlowAgainstReferenceSearchAtFourAgents:
 
 @pytest.mark.slow
 class TestSlowAgreement:
-    """Larger infeasibility proofs; minutes of runtime, excluded by
-    default.  Witness trees for the remaining size-5/6 combinations
-    (pair-capped stability only rules out q = 2 cheaply; q >= 3 trees
-    at these sizes run for hours with the exact engine) are out of
-    desk-scale reach, matching the concession in the search module's
-    stated goals."""
+    """Larger infeasibility proofs, excluded by default; each takes
+    seconds.  FHG and ASHG at q = 3 and 4, m = 5, are in the default
+    tier (``TestAgreementWithBounds``).  FHG and ASHG at q = 3, m = 6
+    are left out: their trees do not finish in minutes."""
 
     CASES = [
         (MFHG, 2, 5),
@@ -603,7 +773,8 @@ def _first_violated_subset(p, lp, point):
 
 class TestWarmNodesAgainstColdSolves:
     """At m = 5 and 7, where the search re-optimises most node LPs from
-    their parent's.  Following the depth-first path: every node LP is its
+    their parent's.  Following the depth-first path: every node LP that
+    is solved (a node refuted by a nogood solves none) is its
     parent's plus one witness row, for the subset the parent's optimum
     violates first and a witness no sibling used; it is
     ``witness_system_lp(problem, path)`` for its path, row for row (a
@@ -649,7 +820,8 @@ class TestWarmNodesAgainstColdSolves:
         result = search_blocking_scenario(p)
         # one cold root, every other node re-optimised from its parent
         assert counts["cold"] == 1
-        assert counts["cold"] + counts["warm"] == result.lps_solved == result.nodes_explored
+        assert counts["cold"] + counts["warm"] == result.lps_solved
+        assert result.nodes_explored >= result.lps_solved
         return result
 
     @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG])
@@ -668,20 +840,23 @@ class TestWarmNodesAgainstColdSolves:
 
 
 class TestTreeSizes:
-    """The node counts of three trees from ``BENCH_9.json``, so that a
-    change to the branching, the symmetry rule or the LP's optimal points
-    shows as a changed count and has to say so."""
+    """The node and LP counts of four trees from ``BENCH_15.json``, so
+    that a change to the branching, the conflicts, the nogood matching
+    or the LP's optimal points shows as a changed count and has to say
+    so.  Nodes refuted by a nogood count as nodes but solve no LP."""
 
     @pytest.mark.parametrize(
-        "alpha,q,m,below,nodes",
+        "alpha,q,m,below,nodes,lps",
         [
-            (FHG, 3, 4, 0, 378),
-            (FHG, 5, 7, Fraction(1, 1000), 61),
-            (ASHG, 6, 7, Fraction(1, 1000), 41),
+            (FHG, 3, 4, 0, 56, 28),
+            (FHG, 3, 5, 0, 196, 82),
+            (FHG, 5, 7, Fraction(1, 1000), 61, 58),
+            (ASHG, 6, 7, Fraction(1, 1000), 41, 41),
         ],
+        ids=["fhg-q3-m4-bound", "fhg-q3-m5-bound", "fhg-q5-m7-below", "ashg-q6-m7-below"],
     )
-    def test_node_counts(self, alpha, q, m, below, nodes):
+    def test_node_counts(self, alpha, q, m, below, nodes, lps):
         p = problem(alpha, q, m, improvement_bound(alpha, q, m) - below, node_limit=None)
         result = search_blocking_scenario(p)
         assert result.verdict == (FEASIBLE if below else INFEASIBLE_WITHIN_BOUNDS)
-        assert result.nodes_explored == result.lps_solved == nodes
+        assert (result.nodes_explored, result.lps_solved) == (nodes, lps)
