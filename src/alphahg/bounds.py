@@ -27,9 +27,6 @@ from ._rat import exact, integer
 from .core import AlphaFunction
 from .errors import DomainError
 
-#: Class predicates sample alpha pointwise up to this size by default.
-DEFAULT_MAX_SIZE = 64
-
 
 def _check_sizes(stable_size: int, coalition_size: int, factor: Fraction) -> None:
     if integer(stable_size) < 2:
@@ -95,12 +92,14 @@ def simple_fhg_bound(coalition_size: int) -> Fraction:
     return Fraction(3 * (m - 1), 2 * m)
 
 
-def is_hospitable(alpha: AlphaFunction, max_size: int = DEFAULT_MAX_SIZE) -> bool:
+def is_hospitable(alpha: AlphaFunction, max_size: int) -> bool:
     """alpha(q)/alpha(q-1) >= (q-2)/(q-1) for all q in 2..max_size.
 
     Checked in cross-multiplied form so alpha(1) = 0 needs no special
     case.  Growing a coalition by one agent never shrinks the per-size
-    weight by more than the member-count ratio.
+    weight by more than the member-count ratio.  alpha is sampled
+    pointwise, so ``max_size`` must lie in its domain (for a ``table``
+    alpha, at most the table's length).
     """
     if integer(max_size) < 2:
         raise DomainError("max_size must be >= 2")
@@ -110,11 +109,12 @@ def is_hospitable(alpha: AlphaFunction, max_size: int = DEFAULT_MAX_SIZE) -> boo
     )
 
 
-def is_decreasing(alpha: AlphaFunction, max_size: int = DEFAULT_MAX_SIZE) -> bool:
+def is_decreasing(alpha: AlphaFunction, max_size: int) -> bool:
     """alpha non-increasing in coalition size over 1..max_size.
 
     alpha(1) = 0 is a singleton placeholder (self-weights are zero, so
     it never scales a utility); the q=1 comparison is skipped then.
+    ``max_size`` must lie in alpha's domain.
     """
     if integer(max_size) < 2:
         raise DomainError("max_size must be >= 2")
@@ -124,14 +124,13 @@ def is_decreasing(alpha: AlphaFunction, max_size: int = DEFAULT_MAX_SIZE) -> boo
     )
 
 
-def guarantees_core_existence(
-    alpha: AlphaFunction, max_size: int = DEFAULT_MAX_SIZE
-) -> bool:
+def guarantees_core_existence(alpha: AlphaFunction, max_size: int) -> bool:
     """(m-1) * alpha(m) <= alpha(2) for all m in 2..max_size.
 
     When this holds, any pairing with no blocking pair is already core
     stable, so a core stable partition always exists.  The verdict is
-    bounded: sizes beyond ``max_size`` are not sampled.
+    bounded: sizes beyond ``max_size`` are not sampled, and
+    ``max_size`` must lie in alpha's domain.
     """
     if integer(max_size) < 2:
         raise DomainError("max_size must be >= 2")

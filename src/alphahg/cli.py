@@ -238,14 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound_table)
 
     p = sub.add_parser("generate", help="emit a tight blocking scenario")
+    # names are admitted by the library, as --alpha is; the metavars list them
     p.add_argument(
         "--construction", required=True,
-        choices=list(generators.CONSTRUCTION_NAMES),
+        metavar="{" + ",".join(generators.CONSTRUCTION_NAMES) + "}",
     )
     p.add_argument("--alpha")
     p.add_argument("--q", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--variant", choices=["fhg", "ashg"])
+    p.add_argument("--variant", metavar="{fhg,ashg}", help="for the cycle construction")
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate)
 
@@ -254,8 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True, help="stability size of the baseline")
     p.add_argument("--m", type=int, required=True, help="blocking coalition size")
     p.add_argument("--gamma", type=_rational, required=True)
-    p.add_argument("--weight-bound", type=_rational, default=Fraction(10))
-    p.add_argument("--baseline-bound", type=_rational, default=Fraction(10))
+    p.add_argument(
+        "--weight-bound", type=_rational, default=search.SearchProblem.weight_bound,
+        help="default: %(default)s",
+    )
+    p.add_argument(
+        "--baseline-bound", type=_rational, default=search.SearchProblem.baseline_bound,
+        help="default: %(default)s",
+    )
     p.add_argument(
         "--node-limit", type=int, default=search.DEFAULT_NODE_LIMIT,
         help="default: %(default)s",

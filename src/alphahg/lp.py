@@ -166,17 +166,19 @@ class Optimal:
             self._point = scaled(self._assignment)
         return self._point
 
-    def row_prices(self, first: int = 0) -> list[int]:
+    def row_prices(self) -> list[int]:
         """The reduced costs of the slack columns of the final tableau's
-        rows from row ``first`` on, as ints over its denominator: each is
-        ``<= 0``, and minus the row's price in the optimal dual.  So the
-        rows with a nonzero entry are the support of that dual, and those
-        rows with the lower bounds alone bound the objective by
-        ``value``.  Rows are numbered as :func:`solve` appends them: one
-        per ``<=`` or ``>=`` constraint, two per ``=``.  Only for an
-        optimum that :func:`solve` returned."""
+        rows, as ints over its denominator: each is ``<= 0``, and minus
+        the row's price in the optimal dual.  So the rows with a nonzero
+        entry are the support of that dual, and those rows with the lower
+        bounds alone bound the objective by ``value``.  Rows are in the
+        order :func:`solve` appends them: one per ``<=`` or ``>=``
+        constraint, two per ``=``.  Any other optimum than one that
+        :func:`solve` returned raises :class:`InvalidInputError`."""
+        if self._warm is None:
+            raise InvalidInputError("row prices need an Optimal that solve returned")
         _, columns, tab = self._warm
-        return tab.obj[columns.num + first:-1]
+        return tab.obj[columns.num:-1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Optimal):

@@ -49,12 +49,13 @@ rows that no strictly feasible, size-stable point satisfies.
   *Symmetry in integer linear programming*, 2010), so a relabelled
   nogood refutes too.  Before a node's LP is solved the node is refuted,
   with no LP, if some nogood maps into its rows under a permutation of
-  the agents; its conflict is that image.  The matcher backtracks over
-  a nogood's rows, each next row sharing agents with the ones before,
-  and never enumerates the ``m!`` permutations.  A nogood the parent
-  was checked against can only map onto the node's rows by sending a
-  row to the newest one, so only nogoods learned since then need a
-  full match.
+  the agents; its conflict is that image.  A nogood is tried only on a
+  node whose row counts (per size, per witness, per member) cover its
+  own; the matcher then backtracks over its rows, each next row sharing
+  agents with the ones before, and never enumerates the ``m!``
+  permutations.  A nogood the parent was checked against can only map
+  onto the node's rows by sending a row to the newest one, so only
+  nogoods learned since then need a full match.
 
 Every Feasible verdict is re-verified by the stability module before
 being returned; Infeasible verdicts are relative to the weight/baseline
@@ -64,7 +65,8 @@ box.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Mapping, Sequence
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -189,13 +191,12 @@ def _agent_row(
 
 def witness_system_lp(
     problem: SearchProblem,
-    path: Iterable[tuple[Sequence[int], int]] | Mapping[Sequence[int], int],
+    path: Iterable[tuple[Sequence[int], int]],
 ) -> LinearProgram:
     """The search's node LP for one (partial) witness path.
 
     ``path`` is an ordered iterable of ``(subset, witness)`` pairs, each
-    a two-item sequence whose subset is iterable; a mapping is admitted
-    in its iteration order.  Subset members and
+    a two-item sequence whose subset is iterable.  Subset members and
     witnesses must be ints, each subset at least two distinct agents of
     ``0..m-1`` with its witness among them, and no subset may appear
     twice once its members are sorted.
@@ -205,10 +206,10 @@ def witness_system_lp(
     (every agent's full-coalition utility is at least ``gamma *
     baseline + slack``; ``w <= B`` per pair, then ``b <= U`` per agent),
     then one witness row per pair of ``path``, in path order, capping
-    the witness's subset utility at their baseline.  Lower bounds: ``w >= -B``, ``b >= 1``, and ``slack >= -(gamma +
-    alpha(m) * (m - 1) * B)``.  Objective: maximize the slack.  The
-    witness system is strictly feasible iff the optimum slack is
-    positive.
+    the witness's subset utility at their baseline.  Lower bounds: ``w
+    >= -B``, ``b >= 1``, and ``slack >= -(gamma + alpha(m) * (m - 1) *
+    B)``.  Objective: maximize the slack.  The witness system is
+    strictly feasible iff the optimum slack is positive.
 
     The slack's bound cuts off no optimum: the point ``w = -B``, ``b =
     1`` meets every witness row (alpha is positive on sizes >= 2), and
@@ -236,13 +237,12 @@ def witness_system_lp(
     constraints += [
         Constraint(unit(num_pairs + i), "<=", problem.baseline_bound) for i in range(m)
     ]
-    entries = path.items() if isinstance(path, Mapping) else path
-    if not isinstance(entries, Iterable):
+    if not isinstance(path, Iterable):
         raise InvalidInputError(
             f"witness path {path!r} is not an iterable of (subset, witness) pairs"
         )
     seen = set()
-    for entry in entries:
+    for entry in path:
         pair = isinstance(entry, Sequence) and len(entry) == 2
         if not (pair and isinstance(entry[0], Iterable)):
             raise InvalidInputError(
@@ -296,20 +296,20 @@ def _conflict(result: Optimal, path: Sequence[tuple], first: int) -> frozenset:
     ``first``).  They are the support of the LP's optimal dual, so they,
     the fixed rows and the lower bounds alone bound the slack by the
     node's value: every node whose rows contain them is refuted too."""
-    return frozenset(row for row, price in zip(path, result.row_prices(first)) if price)
+    return frozenset(row for row, price in zip(path, result.row_prices()[first:]) if price)
 
 
 class _Rows:
-    """Witness rows indexed for matching: by subset size, by ``(size,
-    witness)``, and per agent the number of rows that name them as
-    witness and that contain them.  A row's entry is ``(members mask,
-    witness, row)``."""
+    """A node's witness rows: ``rows`` in push order, indexed for matching
+    by subset size, and per agent the number of rows that name them as
+    witness and that contain them.  An entry of ``by_size`` is
+    ``(members mask, witness, row)``."""
 
-    __slots__ = ("by_size", "by_key", "witness", "member")
+    __slots__ = ("rows", "by_size", "witness", "member")
 
     def __init__(self, rows: Iterable[tuple], m: int) -> None:
+        self.rows: list[tuple] = []
         self.by_size: dict[int, list] = {}
-        self.by_key: dict[tuple[int, int], list] = {}
         self.witness = [0] * m
         self.member = [0] * m
         for row in rows:
@@ -317,17 +317,15 @@ class _Rows:
 
     def push(self, row: tuple) -> None:
         subset, agent = row
-        entry = (sum(1 << x for x in subset), agent, row)
-        self.by_size.setdefault(len(subset), []).append(entry)
-        self.by_key.setdefault((len(subset), agent), []).append(entry)
+        self.rows.append(row)
+        self.by_size.setdefault(len(subset), []).append((sum(1 << x for x in subset), agent, row))
         self.witness[agent] += 1
         for x in subset:
             self.member[x] += 1
 
-    def pop(self, row: tuple) -> None:
-        subset, agent = row
+    def pop(self) -> None:
+        subset, agent = self.rows.pop()
         self.by_size[len(subset)].pop()
-        self.by_key[len(subset), agent].pop()
         self.witness[agent] -= 1
         for x in subset:
             self.member[x] -= 1
@@ -337,22 +335,24 @@ class _Rows:
 
 
 class _Nogood:
-    """A stored conflict: its rows in one order, each as ``(size,
-    witness, other members, members mask)``; one matching plan per
-    choice of first row; its rows indexed as :class:`_Rows`; and their
-    per-agent counts sorted."""
+    """A stored conflict: its rows, largest subsets first, each as
+    ``(size, witness, other members, members mask)``; one matching plan
+    per choice of first row; its number of rows of each size; per agent
+    the number of its rows that name them as witness and that contain
+    them; and those counts sorted."""
 
-    __slots__ = ("order", "parts", "plans", "rows", "profile")
+    __slots__ = ("parts", "plans", "sizes", "witness", "member", "profile")
 
     def __init__(self, conflict: frozenset, m: int) -> None:
-        self.order = sorted(conflict, key=lambda row: (-len(row[0]), row))
         self.parts = [
             (len(subset), a, tuple(x for x in subset if x != a), sum(1 << x for x in subset))
-            for subset, a in self.order
+            for subset, a in sorted(conflict, key=lambda row: (-len(row[0]), row))
         ]
-        self.plans: list = [None] * len(self.order)  # each made when first needed
-        self.rows = _Rows(self.order, m)
-        self.profile = self.rows.profile()
+        self.plans: list = [None] * len(self.parts)  # each made when first needed
+        self.sizes = Counter(part[0] for part in self.parts)
+        self.witness = [sum(part[1] == x for part in self.parts) for x in range(m)]
+        self.member = [sum(part[3] >> x & 1 for part in self.parts) for x in range(m)]
+        self.profile = sorted(self.witness, reverse=True), sorted(self.member, reverse=True)
 
     def plan(self, i: int) -> tuple:
         """The matching plan that starts with row ``i``: each next row
@@ -377,13 +377,31 @@ class _Nogood:
     def fits(self, node: _Rows, profile: tuple[list[int], list[int]]) -> bool:
         """A necessary condition for a match: ``node`` has at least as
         many rows of each size, and the k-th largest witness and member
-        count of the nogood's agents is at most the node's."""
-        for size, entries in self.rows.by_size.items():
-            if len(node.by_size.get(size, ())) < len(entries):
+        count of the nogood's agents is at most the node's (``profile``)."""
+        for size, count in self.sizes.items():
+            if len(node.by_size.get(size, ())) < count:
                 return False
         return all(x <= y for x, y in zip(self.profile[0], profile[0])) and all(
             x <= y for x, y in zip(self.profile[1], profile[1])
         )
+
+    def image(self, node: _Rows, profile: tuple, newest: tuple | None = None) -> frozenset | None:
+        """The rows of ``node`` onto which some relabelling of the agents
+        maps this nogood, or None; ``profile`` is ``node.profile()``.
+        With ``newest``, an entry of ``node``, only a relabelling that
+        sends some row onto it counts (so an empty nogood never does)."""
+        if not self.fits(node, profile):
+            return None
+        image, out = [-1] * len(self.witness), []
+        if newest is None:
+            if not self.parts or _match(self, self.plan(0), 0, node, image, 0, out):
+                return frozenset(out)
+            return None
+        size = len(newest[2][0])
+        for i, part in enumerate(self.parts):
+            if part[0] == size and _match(self, self.plan(i), 0, node, image, 0, out, newest):
+                return frozenset(out)
+        return None
 
 
 def _match(nogood, steps, k, node, image, used, out, seed=None) -> bool:
@@ -398,15 +416,10 @@ def _match(nogood, steps, k, node, image, used, out, seed=None) -> bool:
     if k == len(steps):
         return True
     size, a, others, later = steps[k]
-    need_w, need_m = nogood.rows.witness, nogood.rows.member
+    need_w, need_m = nogood.witness, nogood.member
     have_w, have_m = node.witness, node.member
     target = image[a]
-    if seed is not None:
-        candidates = (seed,)
-    elif target >= 0:
-        candidates = node.by_key.get((size, target), ())
-    else:
-        candidates = node.by_size.get(size, ())
+    candidates = (seed,) if seed is not None else node.by_size.get(size, ())
     mapped, free = 0, []
     for x in others:
         y = image[x]
@@ -416,8 +429,11 @@ def _match(nogood, steps, k, node, image, used, out, seed=None) -> bool:
             free.append(x)
     named = [x for x in free if later >> x & 1]
     for mask, b, row in candidates:
-        # a set witness takes only rows it heads, so only an unset one is checked
-        if target < 0 and (used >> b & 1 or need_w[a] > have_w[b] or need_m[a] > have_m[b]):
+        if target >= 0:
+            # a set witness takes only the rows it heads
+            if b != target:
+                continue
+        elif used >> b & 1 or need_w[a] > have_w[b] or need_m[a] > have_m[b]:
             continue
         rest = mask & ~(1 << b)
         slots = rest & ~mapped
@@ -464,9 +480,9 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
     stats = {"nodes": 0, "lps": 0}
     pairs = _pair_index(m)
     b_at = len(pairs)
-    first_witness_row = m + b_at + m  # after the full-coalition and box rows
+    root = witness_system_lp(problem, ())
+    first_witness_row = len(root.constraints)
     nogoods: list[_Nogood] = []
-    path: list[tuple] = []
     node = _Rows((), m)
 
     def learn(conflict: frozenset) -> frozenset:
@@ -477,27 +493,12 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
         """The image of a nogood in the node's rows, or None.  The first
         ``checked`` nogoods were tried on the parent, so they can only
         map onto this node's rows by sending some row to its newest."""
-        size, agent = len(path[-1][0]), path[-1][1]
-        newest = node.by_key[size, agent][-1]
+        newest = node.by_size[len(node.rows[-1][0])][-1]
         profile = node.profile()
-        image = [-1] * m
-        out: list = []
         for n, nogood in enumerate(nogoods):
-            if not nogood.fits(node, profile):
-                continue
-            if n >= checked:
-                if _match(nogood, nogood.plan(0), 0, node, image, 0, out):
-                    return frozenset(out)
-                continue
-            # a plan is made only for a row that could map onto the newest
-            need = nogood.rows.witness
-            for i, (subset, a) in enumerate(nogood.order):
-                if (
-                    len(subset) == size
-                    and need[a] <= node.witness[agent]
-                    and _match(nogood, nogood.plan(i), 0, node, image, 0, out, newest)
-                ):
-                    return frozenset(out)
+            image = nogood.image(node, profile, newest if n < checked else None)
+            if image is not None:
+                return image
         return None
 
     def explore(lp: LinearProgram, start: Optimal | None, checked: int) -> Scenario | frozenset:
@@ -516,7 +517,7 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
         if not isinstance(result, Optimal):  # starts feasible and is box-bounded
             raise AssertionError(f"node LP returned {result!r}")
         if result.value <= 0:
-            return learn(_conflict(result, path, first_witness_row))
+            return learn(_conflict(result, node.rows, first_witness_row))
         # the LP point as ints over one positive denominator, which leaves
         # every strict comparison of the kernel as it is
         point = result.scaled_point()[0]
@@ -525,7 +526,7 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
             weights[i][j] = weights[j][i] = point[p]
         baselines = [(x, 1) for x in point[b_at:b_at + m]]
         branch_on = _first_blocking(weights, baselines, problem.alpha, 2, q)
-        if any(branch_on == subset for subset, _ in path):
+        if any(branch_on == subset for subset, _ in node.rows):
             # at the exact optimum every assigned witness row holds
             raise AssertionError(f"assigned subset {branch_on} violated at the LP optimum")
         if branch_on is None:
@@ -540,12 +541,10 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
         learned: set = set()
         for agent in branch_on:
             row = (branch_on, agent)
-            path.append(row)
             node.push(row)
             child = lp._with_rows((_agent_row(problem, pairs, branch_on, agent),))
             found = explore(child, result, checked)
-            path.pop()
-            node.pop(row)
+            node.pop()
             if isinstance(found, Scenario):
                 return found
             if row not in found:
@@ -558,7 +557,7 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
 
     try:
         # the root is the witness-free system, solved cold
-        found = explore(witness_system_lp(problem, ()), None, 0)
+        found = explore(root, None, 0)
     except _Budget:
         return SearchResult(BUDGET_EXHAUSTED, None, stats["nodes"], stats["lps"])
     if isinstance(found, Scenario):

@@ -152,6 +152,33 @@ class TestGenerate:
         code, _, _ = run(capsys, "generate", "--construction", "cycle", "--q", "4")
         assert code == 2
 
+    def test_names_are_admitted_by_the_library(self, capsys):
+        # as --alpha FHG is: stripped and lower-cased
+        args = ("generate", "--construction", "cycle", "--q", "4", "--variant")
+        code, out, _ = run(capsys, *args, "fhg")
+        assert code == 0
+        assert run(capsys, *args, "FHG") == (0, out, "")
+        code, out, _ = run(capsys, "generate", "--construction", " Fig8 ")
+        assert code == 0 and "improvement-factor: 2" in out
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--construction", "bogus"), "unknown construction 'bogus'"),
+        (("--construction", "cycle", "--q", "4", "--variant", "mfhg"), "variant must be"),
+    ])
+    def test_unknown_name_exit_two(self, capsys, argv, message):
+        code, out, err = run(capsys, "generate", *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and message in err
+
+    def test_help_lists_the_names(self, capsys):
+        from alphahg.generators import CONSTRUCTION_NAMES
+
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(CONSTRUCTION_NAMES) + "}" in out and "{fhg,ashg}" in out
+
     def test_failed_verification_writes_nothing(self, capsys, tmp_path, monkeypatch):
         # a claim that re-verification refutes exits 1, as in search, and
         # leaves no scenario file behind
@@ -204,6 +231,16 @@ class TestSearch:
     def test_deterministic_output(self, capsys):
         args = ["search", "--alpha", "ashg", "--q", "2", "--m", "3", "--gamma", "3/2"]
         assert run(capsys, *args) == run(capsys, *args)
+
+    def test_box_defaults_are_the_library_defaults(self):
+        from dataclasses import fields
+
+        from alphahg import cli
+
+        args = cli.build_parser().parse_args(list(SEARCH_ARGS))
+        defaults = {f.name: f.default for f in fields(cli.search.SearchProblem)}
+        assert args.weight_bound == defaults["weight_bound"]
+        assert args.baseline_bound == defaults["baseline_bound"]
 
 
 

@@ -274,6 +274,18 @@ class TestWarmStart:
             with pytest.raises(InvalidInputError):
                 solve(lp, start)
 
+    def test_row_prices_need_a_solved_optimum(self):
+        lp = cycling_instance()
+        solved = solve(lp)
+        prices = solved.row_prices()
+        # one tableau row per inequality, two per equation, each priced <= 0
+        assert len(prices) == sum(2 if c.relation == "=" else 1 for c in lp.constraints)
+        assert all(price <= 0 for price in prices)
+        built = Optimal(solved.value, solved.assignment)
+        assert built == solved
+        with pytest.raises(InvalidInputError, match="solve returned"):
+            built.row_prices()
+
     def test_appended_rows_are_checked(self):
         # the search builds each child LP by appending its witness row
         lp = cycling_instance()

@@ -36,7 +36,6 @@ from alphahg.search import (
     _Nogood,
     _Rows,
     _certificate_ok,
-    _match,
 )
 from reference_lp import reference_solve
 from reference_search import reference_search
@@ -142,7 +141,8 @@ class TestWitnessSystemLp:
         ],
     )
     def test_plain_mapping_is_admitted(self, mapping):
-        # the same table as a mapping and as a path of its items
+        # the same table as a mapping, whose entries are its keys, and as
+        # a path of its items
         for path in (mapping, list(mapping.items())):
             with pytest.raises(InvalidInputError):
                 witness_system_lp(problem(FHG, 2, 4, 1), path)
@@ -162,12 +162,6 @@ class TestWitnessSystemLp:
         named = repr(path if path is None else path[0])
         with pytest.raises(InvalidInputError, match=re.escape(named)):
             witness_system_lp(problem(FHG, 2, 4, 1), path)
-
-    def test_plain_mapping_builds_the_assignment_lp(self):
-        # a mapping is the path of its items, in its iteration order
-        p = problem(FHG, 2, 4, 1)
-        mapping = {(2, 3): 3, (1, 0): 0}
-        assert witness_system_lp(p, mapping) == witness_system_lp(p, [((2, 3), 3), ((1, 0), 0)])
 
     def test_fixed_rows_then_witness_rows_in_path_order(self):
         p = problem(TABLE_ALPHA, 3, 4, 1)
@@ -299,7 +293,7 @@ class TestWitnessSystemLpDefinition:
         tight = 0
         for _ in range(200):
             p, assignment = _random_witness_problem(rng)
-            lp = witness_system_lp(p, assignment)
+            lp = witness_system_lp(p, assignment.items())
             for _ in range(20):
                 weights, baselines, slack = _random_point(rng, p, assignment)
                 want = _meets_definition(p, assignment, weights, baselines, slack)
@@ -318,7 +312,7 @@ class TestWitnessSystemLpDefinition:
         rng = random.Random(31338)
         for _ in range(200):
             p, assignment = _random_witness_problem(rng)
-            lp = witness_system_lp(p, assignment)
+            lp = witness_system_lp(p, assignment.items())
             assert satisfies(lp, lp.lower)
             assert all(c.relation != "=" for c in lp.constraints)
 
@@ -326,7 +320,7 @@ class TestWitnessSystemLpDefinition:
         rng = random.Random(31339)
         for _ in range(40):
             p, assignment = _random_witness_problem(rng)
-            lp = witness_system_lp(p, assignment)
+            lp = witness_system_lp(p, assignment.items())
             free = replace(lp, lower=lp.lower[:-1] + (None,))
             assert solve(lp).value == solve(free).value
 
@@ -648,10 +642,10 @@ def _random_rows(rng, m, q, count):
 
 
 class TestNogoodMatcher:
-    """The backtracking matcher against every relabelling of the agents:
-    a nogood maps into a node's rows iff some permutation sends each of
-    its rows to one of the node's.  Seeded, a match must send some row
-    onto the node's newest row."""
+    """``_Nogood.image``, the search's one match call, against every
+    relabelling of the agents: a nogood maps into a node's rows iff some
+    permutation sends each of its rows to one of the node's.  Seeded
+    with the node's newest row, a match must send some row onto it."""
 
     def _images(self, nogood_rows, node_rows, m):
         node = set(node_rows)
@@ -669,7 +663,8 @@ class TestNogoodMatcher:
             total = sum(len(list(combinations(range(m), s))) for s in range(2, q + 1))
             node_rows = _random_rows(rng, m, q, rng.randint(1, min(total, 9)))
             if rng.random() < 0.5:
-                # a relabelled part of the node, so that matches are common
+                # a relabelled part of the node, so that matches are common;
+                # the part may be empty
                 relabel = list(range(m))
                 rng.shuffle(relabel)
                 part = rng.sample(node_rows, rng.randint(0, len(node_rows)))
@@ -678,28 +673,23 @@ class TestNogoodMatcher:
                 nogood_rows = _random_rows(rng, m, q, rng.randint(1, min(total, 5)))
             nogood = _Nogood(frozenset(nogood_rows), m)
             node = _Rows(node_rows, m)
+            profile = node.profile()
             images = list(self._images(nogood_rows, node_rows, m))
-            out = []
-            plan = nogood.plan(0) if nogood_rows else ()
-            matched = _match(nogood, plan, 0, node, [-1] * m, 0, out)
-            assert matched == bool(images), (nogood_rows, node_rows)
-            if matched:
-                assert set(out) in images
-            # seeded on the newest row
+            matched = nogood.image(node, profile)
+            assert (matched is not None) == bool(images), (nogood_rows, node_rows)
+            if matched is not None:
+                assert matched in images
+            # seeded on the newest row, as the search seeds a nogood that
+            # the parent was checked against
             newest_row = node_rows[-1]
-            newest = node.by_key[len(newest_row[0]), newest_row[1]][-1]
+            newest = node.by_size[len(newest_row[0])][-1]
+            assert newest[2] == newest_row
+            seeded = nogood.image(node, profile, newest)
             want = any(newest_row in image for image in images)
-            got = False
-            for i, (S, _) in enumerate(nogood.order):
-                out = []
-                if len(S) == len(newest_row[0]) and _match(
-                    nogood, nogood.plan(i), 0, node, [-1] * m, 0, out, newest
-                ):
-                    got = True
-                    assert newest_row in out and set(out) in images
-                    break
-            assert got == want, (nogood_rows, node_rows)
-            found[matched] += 1
+            assert (seeded is not None) == want, (nogood_rows, node_rows)
+            if seeded is not None:
+                assert newest_row in seeded and seeded in images
+            found[matched is not None] += 1
         assert min(found.values()) >= 80, found
 
 
