@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import bounds, efficiency, generators, io, search, stability
-from .core import AlphaFunction
+from .core import AlphaFunction, _name
 from .errors import AlphaHGError, InvalidInputError, ResourceLimitError
 
 EXIT_OK = 0
@@ -140,7 +140,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         size=args.m,
         variant=args.variant,
     )
-    print(f"construction: {args.construction}")
+    print(f"construction: {_name(args.construction, 'construction name')}")
     print(f"agents: {built.scenario.size}")
     print(f"stable-up-to: {built.stable_size}")
     ok = _report_scenario(

@@ -21,9 +21,13 @@ Every blocking check, and the search's branching test, runs one
 integer kernel (:func:`_first_blocking`): weights are multiplied once by
 the least common multiple ``L`` of their denominators, each threshold
 becomes one int per coalition size, and the scan itself only adds and
-compares ints.  The improvement-factor scan shares that scaling and
-compares ratios by cross-multiplying.  The answers are exactly those of
-rational arithmetic.
+compares ints.  The scan is bounded: it skips every lex subtree whose
+first member cannot beat their threshold even if each member still to
+be chosen gave that member's largest remaining weight.  The bound never
+skips a blocking coalition and the visit order is the full scan's, so
+the witness is the same.  The improvement-factor scan shares that
+scaling and compares ratios by cross-multiplying.  The answers are
+exactly those of rational arithmetic.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Sequence
 
 from ._rat import exact, integer, scaled
@@ -154,29 +158,75 @@ def _first_blocking(
     ``alpha(|S|) * sum_{j in S} w_ij`` strictly above their threshold.
     Since ``alpha(s) > 0`` for ``s >= 2``, that is the int test
     ``sum_{j in S} W[i][j] > floor(num / (den * alpha(s)))``.
+
+    The scan walks the coalitions of each size depth first, one member
+    at a time in increasing order, which visits them in lex order.  A
+    prefix ``P`` with first member ``f`` and ``r`` members still to
+    choose after ``P[-1]`` is skipped with its whole subtree when
+    ``sum_{j in P} W[f][j] + r * peak_f[P[-1] + 1] <= limit_f``, where
+    ``peak_f[k] = max_{j >= k} W[f][j]``: that sum bounds ``f``'s sum in
+    every extension of ``P``, so none of them blocks.  Skipping only
+    coalitions that cannot block leaves the order of the rest alone,
+    so the witness is the one a full scan would return.  ``peak_f`` is
+    built the first time ``f`` heads a coalition of size 3 or more; at
+    size 2 the prefix is ``f`` alone and its one compare per last member
+    is the whole test.
     """
     n = len(scaled)
     getters = [row.__getitem__ for row in scaled]
+    peaks: list[list[int] | None] = [None] * n
+
+    def last_member(prefix: tuple[int, ...], rest: int) -> tuple[int, ...] | None:
+        # most coalitions fail on their first member, whose test reduces
+        # to one compare per last agent; the other members sum in full
+        for last in range(prefix[-1] + 1, n):
+            if row[last] <= rest:
+                continue
+            combo = prefix + (last,)
+            for i in combo[1:]:
+                if sum(map(getters[i], combo)) <= limits[i]:
+                    break
+            else:
+                return combo
+        return None
+
+    def extend(first: int, r: int) -> tuple[int, ...] | None:
+        # prefixes headed by ``first`` with ``r`` members still to choose,
+        # depth first from a stack (coalitions may be as large as the
+        # game); ``total`` is the first member's sum over ``prefix``
+        stack = [((first,), row[first], r)]
+        while stack:
+            prefix, total, r = stack.pop()
+            end = prefix[-1]
+            if total + r * peak[end + 1] <= limit:
+                continue
+            if r == 1:
+                found = last_member(prefix, limit - total)
+                if found is not None:
+                    return found
+                continue
+            r -= 1
+            # pushed last to first, so popped in lex order
+            stack.extend(
+                (prefix + (j,), total + row[j], r) for j in range(n - r - 1, end, -1)
+            )
+        return None
+
     for s in range(min_size, max_size + 1):
         a = alpha.value(s)
         an, ad = a.numerator, a.denominator
         limits = [(num * ad) // (den * an) for num, den in thresholds]
-        # a coalition in lex order is a prefix of s - 1 agents plus a
-        # last agent after them; most fail on their first member, whose
-        # test reduces to one compare per last agent
-        for prefix in combinations(range(n - 1), s - 1):
-            first = prefix[0]
-            row = scaled[first]
-            rest = limits[first] - sum(map(getters[first], prefix))
-            for last in range(prefix[-1] + 1, n):
-                if row[last] <= rest:
-                    continue
-                combo = prefix + (last,)
-                for i in combo[1:]:
-                    if sum(map(getters[i], combo)) <= limits[i]:
-                        break
-                else:
-                    return combo
+        for first in range(n - s + 1):
+            row, limit = scaled[first], limits[first]
+            if s == 2:
+                found = last_member((first,), limit - row[first])
+            else:
+                peak = peaks[first]
+                if peak is None:
+                    peak = peaks[first] = list(accumulate(reversed(row), max))[::-1]
+                found = extend(first, s - 1)
+            if found is not None:
+                return found
     return None
 
 

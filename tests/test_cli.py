@@ -161,6 +161,11 @@ class TestGenerate:
         code, out, _ = run(capsys, "generate", "--construction", " Fig8 ")
         assert code == 0 and "improvement-factor: 2" in out
 
+    def test_header_names_the_admitted_construction(self, capsys):
+        code, out, _ = run(capsys, "generate", "--construction", " Fig6 ")
+        assert code == 0
+        assert out.splitlines()[0] == "construction: fig6"
+
     @pytest.mark.parametrize("argv,message", [
         (("--construction", "bogus"), "unknown construction 'bogus'"),
         (("--construction", "cycle", "--q", "4", "--variant", "mfhg"), "variant must be"),

@@ -5,7 +5,9 @@ the prices of anarchy now all clear denominators once and scan on ints,
 and the prices of anarchy and the best partition no longer walk every
 partition.  ``reference_stability`` holds the former Fraction loops;
 every case here must give the same witness, factor, partition or
-price-of-anarchy result.
+price-of-anarchy result.  The blocking scan's prefix bound is checked
+where it decides: games where only late coalitions block, exact ties
+at the prune and negative suffix weights.
 """
 
 import random
@@ -31,7 +33,7 @@ from alphahg import (
     social_welfare,
 )
 from alphahg.efficiency import _cpoa
-from alphahg.stability import Scenario, _scenario_first_blocking
+from alphahg.stability import Scenario, _first_blocking, _scenario_first_blocking
 from conftest import positive_baseline_partition, random_game, random_partition
 
 FACTORS = (Fraction(1), Fraction(3, 2), Fraction(7, 5), Fraction(2), Fraction(13, 4), Fraction(1001, 1000))
@@ -130,6 +132,180 @@ def test_scenario_kernel_matches_reference_with_planted_ties():
         elif got == planted:
             untied += 1
     assert tied >= 300 and untied >= 50
+
+
+def _grand_coalition_games(rng, n):
+    """Grand coalitions that no coalition blocks, so the scan must rule
+    out every coalition: ASHG with all-positive weights (nobody gains by
+    leaving) and FHG with weights in [1, 1 + 1/(n(n-2))] (a proper subset
+    S gives at most (|S|-1)(1+d)/|S| <= (n-1)/n)."""
+    positive = _matrix(rng, n, 1, 9)
+    uniform = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        k = rng.randint(1, 4)
+        uniform[i][j] = uniform[j][i] = 1 + Fraction(rng.randint(0, k), k * n * (n - 2))
+    grand = Partition.of([range(n)])
+    return [(Game.from_matrix(positive, ASHG), grand), (Game.from_matrix(uniform, FHG), grand)]
+
+
+def _late_blocker_game(rng, n, t):
+    """ASHG game whose only blocking coalition is B, the last ``t``
+    agents, which come last in (size, lex) order among coalitions of
+    size ``t``.  The partition is [A, B1, B2] with B = B1 + B2: weights
+    inside each block are at least 2, B1-B2 weights are positive but sum
+    to less than 1 per agent, and A-B weights are negative, so a
+    coalition blocks only if it holds all of B and nothing of A.
+    Returns the game, the partition and a factor that B still beats."""
+    a_part = list(range(n - t))
+    half = n - t + t // 2
+    b1, b2 = list(range(n - t, half)), list(range(half, n))
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+
+    def put(i, j, w):
+        matrix[i][j] = matrix[j][i] = w
+
+    for block in (a_part, b1, b2):
+        for i, j in combinations(block, 2):
+            put(i, j, _rational(rng, 2, 9))
+    for i in b1:
+        for j in b2:
+            d = rng.randint(8 * t, 1000)
+            put(i, j, Fraction(rng.randint(1, d // t - 1), d))
+    for i in a_part:
+        for j in b1 + b2:
+            put(i, j, -_rational(rng, 1, 9))
+    ratio = min(
+        sum(matrix[i][j] for j in b1 + b2) / sum(matrix[i][j] for j in (b1 if i in b1 else b2))
+        for i in b1 + b2
+    )
+    return Game.from_matrix(matrix, ASHG), Partition.of([a_part, b1, b2]), (1 + ratio) / 2
+
+
+def test_bounded_scan_matches_reference_where_only_late_coalitions_block():
+    # the stable grand coalitions make the bound skip nearly every
+    # prefix, and the late blocker is found only after every other
+    # coalition of its size has been ruled out
+    rng = random.Random(4007)
+    for n in (9, 10, 11):
+        t = n // 2 + 1
+        for game, partition in _grand_coalition_games(rng, n):
+            for lo, hi, factor in ((1, n, 1), (1, t, 1), (1, n, Fraction(5, 4)), (t, t, Fraction(9, 8))):
+                got = find_blocking_coalition(game, partition, lo, hi, factor)
+                assert got is None
+                assert got == reference.find_blocking_coalition(game, partition, lo, hi, factor)
+        game, partition, factor = _late_blocker_game(rng, n, t)
+        late = tuple(range(n - t, n))
+        for lo, hi, k, want in (
+            (1, n, 1, late), (1, t, 1, late), (1, t - 1, 1, None),
+            (1, n, factor, late), (t, t, factor, late), (t + 1, n, factor, None),
+        ):
+            got = find_blocking_coalition(game, partition, lo, hi, k)
+            assert got == reference.find_blocking_coalition(game, partition, lo, hi, k)
+            assert (None if got is None else tuple(got)) == want, (n, lo, hi, k)
+
+
+def _tied_prune_kernel_case(m, s, c, over):
+    """Int weights and thresholds, ASHG (so each limit is the threshold
+    itself), in which the first coalition of size ``s`` that can block
+    is ``(0, 1, ..., s - 1)``.  Agent 0 weighs ``c`` to everyone, so the
+    bound at every prefix through agent 0 is exact; agent 0's limit is
+    its sum in that coalition minus ``over``.  Every other agent weighs
+    ``c`` to agent 0 and 0 to the rest, with limit ``c - 1``: they
+    improve in any coalition with agent 0."""
+    weights = [[0] * m for _ in range(m)]
+    for j in range(1, m):
+        weights[0][j] = weights[j][0] = c
+    limits = [(s - 1) * c - over] + [c - 1] * (m - 1)
+    return weights, limits
+
+
+def test_bound_ties_at_the_prune():
+    # over = 1: agent 0's sum is limit + 1, so (0, ..., s - 1) blocks and
+    # the bound equals its sum at every prefix; over = 0: its sum equals
+    # the limit, so nothing of size s blocks and the witness is the
+    # first coalition one larger
+    for m in range(4, 10):
+        for s in range(3, m):
+            for c in (1, 2, 7):
+                for over in (0, 1):
+                    weights, limits = _tied_prune_kernel_case(m, s, c, over)
+                    thresholds = [(limit, 1) for limit in limits]
+                    scenario = Scenario(m, weights, limits, ASHG)
+                    for q in (s, m):
+                        got = _first_blocking(weights, thresholds, ASHG, 2, q)
+                        assert got == reference.first_violated_subset(ASHG, q, scenario, {})
+                        if over:
+                            assert got == tuple(range(s))
+                        else:
+                            assert got == (None if q == s else tuple(range(s + 1)))
+
+
+def test_bound_ties_at_the_prune_on_random_rows():
+    # the first member f of a planted S weighs exactly its row's suffix
+    # maximum to every other member, so the bound is exact along S;
+    # f's sum is its limit or one more, the other members beat theirs,
+    # and no agent outside S can improve (its limit tops any sum)
+    rng = random.Random(4008)
+    found = 0
+    for _ in range(400):
+        m = rng.randint(5, 9)
+        weights = [[0] * m for _ in range(m)]
+        for i, j in combinations(range(m), 2):
+            weights[i][j] = weights[j][i] = rng.randint(-3, 4)
+        planted = tuple(sorted(rng.sample(range(m), rng.randint(3, m - 1))))
+        f, c = planted[0], rng.randint(-2, 3)
+        for j in range(f + 1, m):
+            w = c if j in planted else min(weights[f][j], c)
+            weights[f][j] = weights[j][f] = w
+        over = rng.randint(0, 1)
+        limits = [4 * m] * m
+        limits[f] = (len(planted) - 1) * c - over
+        for i in planted[1:]:
+            limits[i] = sum(weights[i][j] for j in planted) - 1
+        scenario = Scenario(m, weights, limits, ASHG)
+        q = rng.randint(len(planted), m)
+        got = _first_blocking(weights, [(limit, 1) for limit in limits], ASHG, 2, q)
+        assert got == reference.first_violated_subset(ASHG, q, scenario, {}), (weights, limits, q)
+        if over:
+            found += got == planted
+        else:
+            # a tie is not an improvement
+            assert got != planted
+    assert found >= 50
+
+
+def test_bound_with_negative_suffix_peaks():
+    # every weight to the last agents is negative, so a first member's
+    # suffix maximum is negative there; partitions that leave agents with
+    # negative utility let coalitions through those agents block
+    rng = random.Random(4009)
+    through_tail = 0
+    for _ in range(300):
+        n = rng.randint(5, 9)
+        tail = rng.randint(2, n - 2)
+        matrix = [[Fraction(0)] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            low, high = (-9, -1) if j >= n - tail else (-3, 6)
+            matrix[i][j] = matrix[j][i] = _rational(rng, low, high)
+        game = Game.from_matrix(matrix, _alpha(rng, n))
+        partition = random_partition(rng, n)
+        factor = rng.choice(FACTORS)
+        lo = rng.randint(3, n)
+        hi = rng.randint(lo, n)
+        got = find_blocking_coalition(game, partition, lo, hi, factor)
+        want = reference.find_blocking_coalition(game, partition, lo, hi, factor)
+        assert got == want, (game, partition, lo, hi, factor)
+        through_tail += got is not None and max(got) >= n - tail
+    assert through_tail >= 30
+
+
+def test_bounded_scan_reaches_coalitions_of_any_size():
+    # the only coalition of size n is the grand coalition: each agent's
+    # sum is n - 1, so a limit of n - 2 lets it block and n - 1 does not
+    n = 1100
+    weights = [[int(i != j) for j in range(n)] for i in range(n)]
+    for limit, want in ((n - 2, tuple(range(n))), (n - 1, None)):
+        assert _first_blocking(weights, [(limit, 1)] * n, ASHG, n, n) == want
 
 
 def test_max_improvement_factor_matches_reference():
