@@ -4,9 +4,11 @@ Subcommands: ``verify``, ``bound-table``, ``generate``, ``search``,
 ``poa``, ``greedy``.  All input is file-based (JSON with exact rational
 strings); output is deterministic.  Exit codes: 0 for a positive
 verdict (stable / feasible-as-requested), 1 for a negative verdict, 2
-for input errors (bad arguments or files), 3 for exhausted budgets, and
-4 for an internal error: any other exception, reported with its
-traceback on stderr, so that a crash never reads as a verdict.
+for input errors (bad arguments or files) and for output that cannot be
+written (an ``--out`` path, or a standard output whose reader has
+gone), 3 for exhausted budgets, and 4 for an internal error: any other
+exception, reported with its traceback on stderr, so that a crash never
+reads as a verdict.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -289,11 +292,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at the null device:
+    its reader is gone, and the interpreter's flush at exit must not fail
+    on the output still buffered."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so that a closed stdout fails inside the try
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        print("error: output closed before it was written (broken pipe)", file=sys.stderr)
+        return EXIT_INPUT
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -1,12 +1,19 @@
 """Exact rational linear programming.
 
-A small dense simplex with integer pivoting: each constraint row is
-scaled to Python ints once, and the tableau is kept as ints over one
-common denominator, so the pivots run on plain int arithmetic and never
-on ``Fraction``.  Bland's rule guarantees termination; there is no
-floating point and no tolerance anywhere, so Optimal/Infeasible/Unbounded
+A small simplex with integer pivoting: each constraint row is scaled to
+Python ints once, and the tableau is kept as ints over one common
+denominator, so the pivots run on plain int arithmetic and never on
+``Fraction``.  Bland's rule guarantees termination; there is no floating
+point and no tolerance anywhere, so Optimal/Infeasible/Unbounded
 verdicts, values and points are exact.  The intended scale is a few
 hundred variables and constraints.
+
+The tableau is condensed: it stores only the nonbasic columns, each
+with its label (structural columns first, then one slack per row), and
+a pivot puts the leaving column where the entering one was.  Appending
+a row adds no column, and a pivot updates no basic slack's unit column.
+Bland's rule breaks its ties by label, not by position, so the pivots
+are those of the full tableau with its columns in label order.
 
 Each variable is free or has a rational lower bound; a nonnegative
 variable is one with ``lower = 0``.  A free variable is split into a
@@ -168,7 +175,8 @@ class Optimal:
 
     def row_prices(self) -> list[int]:
         """The reduced costs of the slack columns of the final tableau's
-        rows, as ints over its denominator: each is ``<= 0``, and minus
+        rows, as ints over its denominator (0 for a basic slack, whose
+        column the tableau does not store): each is ``<= 0``, and minus
         the row's price in the optimal dual.  So the rows with a nonzero
         entry are the support of that dual, and those rows with the lower
         bounds alone bound the objective by ``value``.  Rows are in the
@@ -178,7 +186,11 @@ class Optimal:
         if self._warm is None:
             raise InvalidInputError("row prices need an Optimal that solve returned")
         _, columns, tab = self._warm
-        return tab.obj[columns.num:-1]
+        prices = [0] * len(tab.rows)
+        for label, x in zip(tab.nonbasic, tab.obj):
+            if label >= columns.num:
+                prices[label - columns.num] = x
+        return prices
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Optimal):
@@ -206,54 +218,83 @@ SolveResult = Union[Optimal, Infeasible, Unbounded]
 
 
 class _Tableau:
-    """Dense simplex tableau of Python ints over one common denominator.
+    """Condensed simplex tableau of Python ints over one common denominator.
+
+    Only the nonbasic columns are stored (the dictionary form; Chvátal,
+    *Linear Programming*, 1983, ch. 2).  A column has a label: the
+    structural columns come first, then one slack per row in the order
+    the rows were appended.  ``basis[i]`` is the label of row ``i``'s
+    basic column, whose unit column needs no cells, and ``nonbasic[k]``
+    the label of stored column ``k``.  Each row is ``len(nonbasic) + 1``
+    ints, its right-hand side last, and ``obj`` is the reduced-cost row
+    (last cell: minus the objective value).
 
     Integer pivoting (Edmonds 1967; Bareiss 1968): the true tableau is
-    ``rows / d`` with ``d > 0``, each row carrying its right-hand side
-    as the last cell, and ``obj`` the reduced-cost row (last cell: minus
-    the objective value), also over ``d``.  ``d`` is up to sign the
-    determinant of the current basis matrix, so every cell is a minor of
-    the integer constraint matrix (bordered by the integer cost row, for
-    ``obj``) and each update ``(x*p - f*y) // d`` divides exactly.
+    ``rows / d`` with ``d > 0``.  ``d`` is up to sign the determinant of
+    the current basis matrix, so every cell is a minor of the integer
+    constraint matrix (bordered by the integer cost row, for ``obj``) and
+    each update ``(x*p - f*y) // d`` divides exactly.  A pivot on row
+    ``r`` at stored column ``c`` puts the leaving column at position
+    ``c``: its unit column over the old ``d`` becomes ``s*d`` in the
+    pivot row and ``-s*f`` in every other row whose old entry at ``c``
+    was ``f``, where ``s = -1`` if the pivot row was negated and 1
+    otherwise.  So every stored cell equals the cell of its label in the
+    dense tableau, which keeps every column.
+
+    Bland's rule picks columns by label, not by position.  The pivots
+    permute the positions but not the labels, so lowest-label ties take
+    the dense tableau's pivots one for one, and with them its points,
+    row prices and verdicts.
+
+    Rows are replaced by a pivot, never changed in place, so a copy made
+    by :meth:`appended` shares them with this tableau.
     """
 
-    def __init__(self, rows, basis, num_cols, d, obj):
-        self.rows = rows          # list of int lists, num_cols + 1 long
-        self.basis = basis        # basic column index per row
-        self.num_cols = num_cols
+    def __init__(self, rows, basis, nonbasic, d, obj):
+        self.rows = rows          # list of int lists, len(nonbasic) + 1 long
+        self.basis = basis        # basic column label per row
+        self.nonbasic = nonbasic  # column label per stored column
         self.d = d
-        self.obj = obj            # reduced-cost row, num_cols + 1 long
+        self.obj = obj            # reduced-cost row, len(nonbasic) + 1 long
 
     def pivot(self, r: int, c: int) -> None:
-        prow = self.rows[r]
-        p, d = prow[c], self.d
+        prow, d = self.rows[r], self.d
+        p = prow[c]
         if p < 0:
             # a dual simplex pivot: negate the pivot row first, so every
             # row comes out over the positive denominator -p
-            prow[:] = [-x for x in prow]
-            p = -p
-        others = [row for i, row in enumerate(self.rows) if i != r]
-        others.append(self.obj)
-        for row in others:
+            prow = [-x for x in prow]
+            p, s = -p, -1
+        else:
+            prow, s = prow[:], 1
+        table = self.rows + [self.obj]
+        for i, row in enumerate(table):
+            if i == r:
+                continue
             f = row[c]
             if f:
-                row[:] = [(x * p - f * y) // d for x, y in zip(row, prow)]
+                row = [(x * p - f * y) // d for x, y in zip(row, prow)]
+                row[c] = -s * f
+                table[i] = row
             elif p != d:
-                row[:] = [x * p // d for x in row]
+                table[i] = [x * p // d for x in row]
+        prow[c] = s * d
+        table[r] = prow
+        self.obj = table.pop()
+        self.rows = table
         self.d = p
-        self.basis[r] = c
+        self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
 
     def price(self, cost: list[int]) -> None:
-        """Set the objective row to maximize ``cost . x``, priced out for
-        the current basis: ``d * c_j - sum_i c_basis[i] * rows[i][j]`` per
-        column, and minus ``d`` times the objective value in the last cell."""
-        obj = [self.d * x for x in cost] + [0]
+        """Set the objective row to maximize ``cost . x`` (``cost`` indexed
+        by label), priced out for the current basis: ``d * c_j - sum_i
+        c_basis[i] * rows[i][j]`` per stored column, and minus ``d`` times
+        the objective value in the last cell."""
+        obj = [self.d * cost[j] for j in self.nonbasic] + [0]
         for row, b in zip(self.rows, self.basis):
             cb = cost[b]
             if cb:
-                for j, x in enumerate(row):
-                    if x:
-                        obj[j] -= cb * x
+                obj = [x - cb * y for x, y in zip(obj, row)]
         self.obj = obj
 
     def run(self):
@@ -261,22 +302,22 @@ class _Tableau:
 
         Maximization: optimal when no reduced cost is positive.
         Returns "optimal" or "unbounded".  Bland's rule throughout
-        (lowest-index entering and leaving variable), which guarantees
+        (lowest-label entering and leaving variable), which guarantees
         termination.
         """
-        rows, obj, basis = self.rows, self.obj, self.basis
+        basis, nonbasic = self.basis, self.nonbasic
         while True:
+            obj = self.obj
             entering = -1
-            for j in range(self.num_cols):
-                if obj[j] > 0:
-                    entering = j
-                    break
+            for k, label in enumerate(nonbasic):
+                if obj[k] > 0 and (entering < 0 or label < nonbasic[entering]):
+                    entering = k
             if entering < 0:
                 return "optimal"
             # ratio rhs/a over rows with a > 0, compared by cross-multiplying
             leaving = -1
             best_rhs = best_a = 0
-            for i, row in enumerate(rows):
+            for i, row in enumerate(self.rows):
                 a = row[entering]
                 if a > 0:
                     if leaving >= 0:
@@ -295,27 +336,32 @@ class _Tableau:
         Returns "optimal" once every right-hand side is nonnegative, or
         "infeasible" when a row with a negative right-hand side has no
         negative entry.  Bland's rule on the dual: the infeasible row
-        whose basic column is lowest leaves, and the column of least
+        whose basic label is lowest leaves, and the column of least
         ratio ``obj_j / a_j`` over the row's negative entries enters,
-        ties to the lowest column; this terminates.
+        ties to the lowest label; this terminates.
         """
-        rows, obj, basis = self.rows, self.obj, self.basis
+        basis, nonbasic = self.basis, self.nonbasic
         while True:
+            rows = self.rows
             leaving = -1
             for i, row in enumerate(rows):
                 if row[-1] < 0 and (leaving < 0 or basis[i] < basis[leaving]):
                     leaving = i
             if leaving < 0:
                 return "optimal"
-            prow = rows[leaving]
+            prow, obj = rows[leaving], self.obj
             # both ratios are >= 0 over negative entries a and best_a, so
             # obj_j / a < best_obj / best_a iff obj_j * best_a < best_obj * a
             entering = -1
             best_obj = best_a = 0
-            for j in range(self.num_cols):
-                a = prow[j]
-                if a < 0 and (entering < 0 or obj[j] * best_a < best_obj * a):
-                    entering, best_obj, best_a = j, obj[j], a
+            for k, label in enumerate(nonbasic):
+                a = prow[k]
+                if a < 0:
+                    if entering >= 0:
+                        lhs, rhs = obj[k] * best_a, best_obj * a
+                        if lhs > rhs or (lhs == rhs and label > nonbasic[entering]):
+                            continue
+                    entering, best_obj, best_a = k, obj[k], a
             if entering < 0:
                 return "infeasible"
             self.pivot(leaving, entering)
@@ -324,25 +370,23 @@ class _Tableau:
         """A copy of this tableau with each ``<=`` row of ``added``
         (``num_struct`` structural coefficients, then rhs) appended as
         ``a . y + s = r`` with a fresh slack ``s >= 0`` basic; this
-        tableau is not changed.  Each new row is reduced against the
-        basis: over d it is ``d*a - sum_i a[basis[i]] * rows[i]``, since
-        it is zero on every slack column but its own."""
-        cols, d = self.num_cols, self.d
-        zeros = [0] * len(added)
-        rows = [row[:-1] + zeros + row[-1:] for row in self.rows]
-        basis = list(self.basis)
+        tableau is not changed, and no column is added.  Each new row is
+        reduced against the basis over the nonbasic labels: over d it is
+        ``d*a - sum_i a[basis[i]] * rows[i]``, since it is zero on every
+        slack column but its own."""
+        d, nonbasic = self.d, self.nonbasic
+        rows, basis = list(self.rows), list(self.basis)
+        cols = len(nonbasic) + len(basis)  # the first new slack's label
         structural = [(b, row) for b, row in zip(basis, rows) if b < num_struct]
         for t, a in enumerate(added):
-            full = [d * x for x in a[:-1]] + [0] * (cols - num_struct) + zeros + [d * a[-1]]
-            full[cols + t] = d
+            new = [d * a[j] if j < num_struct else 0 for j in nonbasic] + [d * a[-1]]
             for b, row in structural:
                 f = a[b]
                 if f:
-                    full = [x - f * y for x, y in zip(full, row)]
-            rows.append(full)
+                    new = [x - f * y for x, y in zip(new, row)]
+            rows.append(new)
             basis.append(cols + t)
-        obj = self.obj[:-1] + zeros + self.obj[-1:]
-        return _Tableau(rows, basis, cols + len(added), d, obj)
+        return _Tableau(rows, basis, list(nonbasic), d, self.obj)
 
 
 class _Columns:
@@ -434,7 +478,7 @@ def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
         columns = _Columns(lp.lower)
         # the empty program: no rows, and a zero objective, which every
         # basis prices dual feasible
-        base = _Tableau([], [], columns.num, 1, [0] * (columns.num + 1))
+        base = _Tableau([], [], list(range(columns.num)), 1, [0] * (columns.num + 1))
         new = lp.constraints
     else:
         warm = start._warm if isinstance(start, Optimal) else None
@@ -458,7 +502,7 @@ def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
     if tab.dual() == "infeasible":
         return Infeasible()
     if start is None:
-        tab.price(columns.expand(scaled(lp.objective)[0]) + [0] * (tab.num_cols - columns.num))
+        tab.price(columns.expand(scaled(lp.objective)[0]) + [0] * len(tab.rows))
         if tab.run() == "unbounded":
             return Unbounded()
     return columns.optimal(lp, tab)

@@ -3,11 +3,15 @@
 import csv
 import io as stdio
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import alphahg
 from alphahg import FHG, Partition
 from alphahg.cli import main
 from alphahg.generators import fixture_path
@@ -345,6 +349,33 @@ class TestExitCodeContract:
         code, _, err = run(capsys, *argv, "--out", str(out_path))
         assert code == 2
         assert err.startswith("error: ") and str(out_path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--construction", "fig6"),
+        ("search", "--alpha", "fhg", "--q", "2", "--m", "3", "--gamma", "13/10"),
+    ])
+    def test_closed_stdout_exit_two(self, argv, buffered):
+        # as in `alphahg ... | head -1`: the reader has gone before the
+        # command writes, so the output cannot be written, which is no
+        # crash, and the exit flush must not report it again
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        package_root = os.path.dirname(os.path.dirname(alphahg.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "alphahg", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
     @pytest.mark.parametrize("modes", [
         ("--core", "--q-size", "1"),

@@ -15,6 +15,7 @@ the value.
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -131,60 +132,155 @@ class TestSameResults:
         assert min(kinds.values()) >= 200, kinds
 
 
+def _dense_int(tab):
+    """The integer tableau as the dense Fraction tableau it stands for:
+    the basic label per row, a row per tableau row (cells by label, then
+    the right-hand side, all over ``d``; a basic label's cell is 1 in its
+    own row and 0 in the others), and the reduced costs by label."""
+    d, width = tab.d, len(tab.nonbasic) + len(tab.rows)
+    rows = []
+    for basic, row in zip(tab.basis, tab.rows):
+        cells = [Fraction(0)] * width
+        cells[basic] = Fraction(1)
+        for label, x in zip(tab.nonbasic, row):
+            cells[label] = Fraction(x, d)
+        rows.append((cells, Fraction(row[-1], d)))
+    obj = [Fraction(0)] * width
+    for label, x in zip(tab.nonbasic, tab.obj):
+        obj[label] = Fraction(x, d)
+    return list(tab.basis), rows, obj
+
+
+def _dense_ref(tab):
+    """The Fraction twin's tableau in ``_dense_int``'s form; its reduced
+    costs are zero in phase 1 and the row its ``run`` updates after."""
+    rows = [(list(row), rhs) for row, rhs in zip(tab.rows, tab.rhs)]
+    reduced = getattr(tab, "reduced", None)
+    obj = list(reduced) if reduced is not None else [Fraction(0)] * tab.num_cols
+    return list(tab.basis), rows, obj
+
+
+def _slack_units(int_start, ref_start):
+    """Per label, the unit of its variable in the integer tableau over
+    the twin's: 1 for a structural column, and for row ``t``'s slack the
+    factor ``k_t > 0`` that scaled the row to ints (then ``k_t * s`` is
+    the integer slack).  Checks that each starting int row is ``k_t``
+    times the twin's on the structural cells and the right-hand side."""
+    _, rows, obj = int_start
+    _, ref_rows, _ = ref_start
+    num_struct = len(obj) - len(rows)
+    units = [Fraction(1)] * num_struct
+    for (cells, rhs), (ref_cells, ref_rhs) in zip(rows, ref_rows):
+        pairs = list(zip(cells[:num_struct] + [rhs], ref_cells[:num_struct] + [ref_rhs]))
+        k = next((x / y for x, y in pairs if y), Fraction(1))
+        assert k > 0 and all(x == k * y for x, y in pairs)
+        units.append(k)
+    return units
+
+
+def _in_units(state, units, cost_scale):
+    """A twin state in the integer tableau's units: the cell of label
+    ``j`` in a row whose basic label is ``b`` times ``units[b] /
+    units[j]``, the right-hand side times ``units[b]``, and the reduced
+    cost of ``j`` times ``cost_scale / units[j]``, since the integer
+    solve prices the objective scaled to ints by ``cost_scale``."""
+    basis, rows, obj = state
+    return (
+        basis,
+        [
+            ([x * units[b] / unit for x, unit in zip(cells, units)], rhs * units[b])
+            for b, (cells, rhs) in zip(basis, rows)
+        ],
+        [x * cost_scale / unit for x, unit in zip(obj, units)],
+    )
+
+
 class TestSamePivots:
     """Not only equal answers: the very same pivot sequence as the
     Fraction twin, through dual phases that pivot on negative elements,
-    dual phases that prove infeasibility, and equality rows."""
+    dual phases that prove infeasibility, and equality rows.  A pivot is
+    logged by its column's label.  Before each pivot and after the last
+    one, every stored int cell over ``d`` equals the twin's dense cell of
+    its label, in the objective row too, once each slack is measured in
+    the integer tableau's unit (its row's int scale, ``_slack_units``)."""
 
     @pytest.fixture
     def pivot_log(self, monkeypatch):
         log = {"int": [], "ref": []}
+        states = {"int": [], "ref": []}
+        start, last = {}, {}
 
-        def recording(cls, key):
-            original = cls.pivot
+        def recording(cls, key, label, dense):
+            init, pivot = cls.__init__, cls.pivot
 
-            def pivot(self, r, c):
-                log[key].append((r, c, self.rows[r][c] < 0, len(self.rows)))
-                original(self, r, c)
+            def recorded_init(self, *args):
+                init(self, *args)
+                start[key], last[key] = dense(self), self
 
-            monkeypatch.setattr(cls, "pivot", pivot)
+            def recorded_pivot(self, r, c):
+                log[key].append((r, label(self, c), self.rows[r][c] < 0, len(self.rows)))
+                states[key].append(dense(self))
+                pivot(self, r, c)
 
-        recording(integer_lp._Tableau, "int")
-        recording(reference_lp._Tableau, "ref")
-        return log
+            monkeypatch.setattr(cls, "__init__", recorded_init)
+            monkeypatch.setattr(cls, "pivot", recorded_pivot)
+
+        recording(integer_lp._Tableau, "int", lambda tab, c: tab.nonbasic[c], _dense_int)
+        recording(reference_lp._Tableau, "ref", lambda tab, c: c, _dense_ref)
+        run = reference_lp._Tableau.run
+
+        def recorded_run(self, reduced, value, allowed):
+            self.reduced = reduced  # updated in place after each pivot
+            return run(self, reduced, value, allowed)
+
+        monkeypatch.setattr(reference_lp._Tableau, "run", recorded_run)
+
+        def same_pivots(lp):
+            """Cold-solve ``lp`` both ways and check the pivots, the
+            tableaux, and for an optimum its row prices and point against
+            the twin's final tableau; return the pivots and the result."""
+            for key in log:
+                log[key].clear()
+                states[key].clear()
+            result = solve(lp)
+            twin = dual_phase_solve(lp)
+            assert log["int"] == log["ref"], lp
+            states["int"].append(_dense_int(last["int"]))
+            states["ref"].append(_dense_ref(last["ref"]))
+            units = _slack_units(start["int"], start["ref"])
+            cost_scale = lcm(*(x.denominator for x in lp.objective))
+            want = [_in_units(s, units, cost_scale) for s in states["ref"]]
+            assert states["int"] == want, lp
+            if isinstance(result, Optimal):
+                d, num_struct = last["int"].d, len(units) - len(last["int"].rows)
+                prices = [Fraction(x, d) for x in result.row_prices()]
+                assert prices == want[-1][2][num_struct:], lp
+                nums, den = result.scaled_point()
+                assert tuple(Fraction(x, den) for x in nums) == twin.assignment, lp
+            return log["int"][:], result
+
+        return same_pivots
 
     def test_random_programs(self, pivot_log):
         rng = random.Random(99)
-        seen = dict.fromkeys(("dual pivot", "infeasible", "="), 0)
+        seen = dict.fromkeys(("dual pivot", "infeasible", "=", "optimal"), 0)
         for _ in range(1000):
             lp = random_lp(rng)
-            pivot_log["int"].clear()
-            pivot_log["ref"].clear()
-            result = solve(lp)
-            dual_phase_solve(lp)
-            pivots = pivot_log["int"]
-            assert pivots == pivot_log["ref"], lp
+            pivots, result = pivot_log(lp)
             seen["dual pivot"] += any(neg for _, _, neg, _ in pivots)
             seen["infeasible"] += isinstance(result, Infeasible)
+            seen["optimal"] += isinstance(result, Optimal)
             seen["="] += any(c.relation == "=" for c in lp.constraints)
         assert min(seen.values()) >= 100, seen
 
     def test_random_lower_bounded_programs(self, pivot_log):
         rng = random.Random(4097)
         for _ in range(500):
-            lp = random_lower_bounded_lp(rng)
-            pivot_log["int"].clear()
-            pivot_log["ref"].clear()
-            solve(lp)
-            dual_phase_solve(lp)
-            assert pivot_log["int"] == pivot_log["ref"], lp
+            pivot_log(random_lower_bounded_lp(rng))
 
     def test_cycling_instance(self, pivot_log):
-        lp = cycling_instance()
-        solve(lp)
-        dual_phase_solve(lp)
-        assert pivot_log["int"] == pivot_log["ref"]
-        assert len(pivot_log["int"]) > 0
+        pivots, _ = pivot_log(cycling_instance())
+        assert len(pivots) > 0
 
 
 class TestWarmStart:
