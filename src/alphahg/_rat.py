@@ -6,6 +6,12 @@ size, count or agent index by :func:`integer`.  The LP tableau and the
 subset kernels clear denominators once with :func:`scaled` and then run
 on Python ints.  ``BACKEND`` names this, the only backend, for records of
 a run's environment.
+
+A rational string is an optional sign and ASCII digits, then optionally
+``/`` and a denominator written the same way that is not zero, with
+whitespace around each part: ``"3"``, ``" -2/6 "`` and ``"1 / +4"`` are
+admitted; ``"2.5"``, ``"1e3"``, ``"1_000"``, non-ASCII digits and
+``"1/0"`` are refused.
 """
 
 from __future__ import annotations
@@ -21,11 +27,20 @@ BACKEND = "fractions"
 
 
 def exact(value: Any) -> Fraction:
-    """An exact rational from a ``Fraction``, an int or other
-    ``numbers.Rational``, or an integer or ``"p/q"`` string.
+    """An exact rational from a ``Fraction`` (returned as it is), an int
+    or other ``numbers.Rational``, or a rational string (see above).
 
     Floats, float-like strings ("2.5", "1e3") and bools are rejected.
     """
+    # the exact types first: an isinstance test against Fraction or
+    # Rational is an ABC check, which costs more than the conversion
+    kind = type(value)
+    if kind is Fraction:
+        return value
+    if kind is int:
+        return Fraction(value)
+    if kind is str:
+        return _parse(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, Rational) and not isinstance(value, bool):
@@ -35,19 +50,26 @@ def exact(value: Any) -> Fraction:
             f"floating-point literal {value!r} rejected; write an exact \"p/q\" string"
         )
     if isinstance(value, str):
-        parts = value.strip().split("/")
-        try:
-            numbers = [int(p) for p in parts]
-        except ValueError:
-            numbers = []
-        if len(numbers) == 1:
-            return Fraction(numbers[0])
-        if len(numbers) == 2:
-            if numbers[1] == 0:
-                raise InvalidInputError(f"zero denominator in {value!r}")
-            return Fraction(numbers[0], numbers[1])
-        raise InvalidInputError(f"not an exact rational: {value!r}")
+        return _parse(value)
     raise InvalidInputError(f"not a rational: {value!r}")
+
+
+def _parse(text: str) -> Fraction:
+    """A rational string: ``[sign] digits [/ [sign] digits]``, each part
+    ASCII and free of ``_``, which ``int`` would otherwise accept."""
+    num, slash, den = text.partition("/")
+    num, den = num.strip(), den.strip()
+    if (num + den).isascii() and "_" not in num and "_" not in den:
+        try:
+            p = int(num)
+            q = int(den) if slash else 1
+        except ValueError:
+            pass
+        else:
+            if q == 0:
+                raise InvalidInputError(f"zero denominator in {text!r}")
+            return Fraction(p, q)
+    raise InvalidInputError(f"not an exact rational: {text!r}")
 
 
 def integer(value: Any) -> int:

@@ -195,15 +195,21 @@ class Partition:
 
 def _weight_matrix(weights: Sequence[Sequence], n: int) -> tuple[tuple[Fraction, ...], ...]:
     """The ``n x n`` weight matrix as ``Fraction`` rows, checked for shape,
-    zero diagonal and symmetry."""
+    zero diagonal and symmetry.
+
+    Each unordered pair is compared once, by identity first: builders
+    put one object at ``[i][j]`` and ``[j][i]``, :func:`exact` returns
+    a ``Fraction`` as it is, and ``Fraction.__eq__`` runs an ABC check.
+    """
     if len(weights) != n or any(len(row) != n for row in weights):
         raise InvalidInputError(f"weight matrix shape must be {n} x {n}")
     rows = tuple(tuple(map(exact, row)) for row in weights)
-    for i in range(n):
-        if rows[i][i] != 0:
+    for i, row in enumerate(rows):
+        if row[i] != 0:
             raise InvalidInputError(f"self-weight of agent {i} must be 0")
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            a, b = row[j], rows[j][i]
+            if a is not b and a != b:
                 raise InvalidInputError(
                     f"asymmetric weights for pair ({i},{j}); "
                     "asymmetric weights are rejected (unbounded improvement ratios)"
@@ -237,7 +243,8 @@ class Game:
     ) -> "Game":
         """Build from ``(i, j, weight)`` triples; unlisted pairs are 0."""
         n = integer(n)
-        matrix = [[Fraction(0)] * n for _ in range(n)]
+        zero = Fraction(0)
+        matrix = [[zero] * n for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for i, j, w in edges:
             i, j = integer(i), integer(j)

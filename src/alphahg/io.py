@@ -128,11 +128,11 @@ def game_from_dict(data: dict) -> tuple[Game, Partition | None]:
         alpha = _field("alpha", _alpha_from_json, data["alpha"])
     except KeyError as exc:
         raise InvalidInputError(f"missing field {exc.args[0]!r}") from None
-    edges = _field("weights", _edges_from_json, data.get("weights", []))
     if n > MAX_FILE_AGENTS:
         raise ResourceLimitError(
             f"n={n} exceeds the limit of {MAX_FILE_AGENTS} agents for a file"
         )
+    edges = _field("weights", _edges_from_json, data.get("weights", []))
     game = _field("weights", lambda e: Game.from_edges(n, e, alpha), edges)
     partition = None
     if "partition" in data:

@@ -90,9 +90,10 @@ class Scenario:
         """``size`` agents whose pair ``i < j`` weighs ``weight(i, j)``;
         baselines 1 unless given."""
         size = integer(size)
-        rows = [[0] * size for _ in range(size)]
+        zero = Fraction(0)
+        rows = [[zero] * size for _ in range(size)]
         for i, j in combinations(range(size), 2):
-            rows[i][j] = rows[j][i] = weight(i, j)
+            rows[i][j] = rows[j][i] = exact(weight(i, j))
         return cls(size, rows, [1] * size if baselines is None else baselines, alpha)
 
 
@@ -337,10 +338,13 @@ def min_improvement_factor(scenario: Scenario) -> Fraction:
     """
     if any(b <= 0 for b in scenario.baselines):
         raise DomainError("improvement factors need strictly positive baselines")
+    # agent i's ratio is alpha * (sum_j W[i][j] / L) / b_i
+    scale, scaled = _scaled_weights(scenario.weights)
     a = scenario.alpha.value(scenario.size)
+    an, ad = a.numerator, a.denominator * scale
     return min(
-        a * sum(row, Fraction(0)) / b
-        for row, b in zip(scenario.weights, scenario.baselines)
+        Fraction(an * sum(row) * b.denominator, ad * b.numerator)
+        for row, b in zip(scaled, scenario.baselines)
     )
 
 

@@ -14,6 +14,8 @@ module constant ``alphahg.stability.MAX_SUBSETS``.
 
 ``blocking_members_check`` re-checks a witness member by member; it was
 in ``alphahg.stability``, but only the tests call it.
+``min_improvement_factor`` is the former Fraction formula, which summed
+each agent's row in ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -168,6 +170,18 @@ def max_improvement_factor_at_size(
             best = worst
     assert best is not None
     return to_fraction(best)
+
+
+def min_improvement_factor(scenario: Scenario) -> Fraction:
+    """Worst improvement ratio over the full coalition: the minimum over
+    agents of full-coalition utility divided by baseline."""
+    if any(b <= 0 for b in scenario.baselines):
+        raise DomainError("improvement factors need strictly positive baselines")
+    a = scenario.alpha.value(scenario.size)
+    return min(
+        a * sum(row, Fraction(0)) / b
+        for row, b in zip(scenario.weights, scenario.baselines)
+    )
 
 
 def first_violated_subset(alpha, stable_size, candidate, assignment):

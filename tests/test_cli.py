@@ -277,6 +277,8 @@ FILE_ADMISSION = [
     pytest.param(
         {"n": 21, "weights": [], "partition": [[i] for i in range(21)]}, 3, "n=21", id="21 agents"
     ),
+    # the size is refused before any weight is read
+    pytest.param({"n": 21, "weights": "x"}, 3, "n=21", id="21 agents, bad weights"),
 ]
 
 
@@ -417,6 +419,9 @@ class TestExitCodeContract:
         ("search", "--alpha", "fhg", "--q", "2", "--m", "3", "--gamma", "1.5"),
         (*SEARCH_ARGS, "--weight-bound", "1.5"),
         ("poa", "x.json", "--k", "1e3"),
+        # int() would read these as 1000 and 10
+        ("search", "--alpha", "fhg", "--q", "2", "--m", "3", "--gamma", "1_000"),
+        (*SEARCH_ARGS, "--weight-bound", "\u0661\u0660"),
     ])
     def test_rational_option_says_why(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -23,6 +23,7 @@ from alphahg import (
     partition_utility,
 )
 from alphahg.io import game_from_dict
+from alphahg.stability import Scenario
 from conftest import example_game
 
 
@@ -158,6 +159,26 @@ class TestGameValidation:
         assert [g.n for g in games] == [24] * 3
         with pytest.raises(ResourceLimitError):
             game_from_dict({"n": 21, "alpha": "ashg", "weights": []})
+
+    @pytest.mark.parametrize("build", [
+        lambda a, b: Game(2, ((0, a), (b, 0)), FHG),
+        lambda a, b: Game.from_matrix([[0, 0, a], [0, 0, 0], [b, 0, 0]], ASHG),
+        lambda a, b: Scenario(2, ((0, a), (b, 0)), (1, 1), FHG),
+        lambda a, b: Scenario(3, ((0, 1, a), (1, 0, 0), (b, 0, 0)), (1, 1, 1), ASHG),
+    ], ids=["Game", "Game.from_matrix", "Scenario pair", "Scenario triple"])
+    def test_symmetry_is_checked_by_value(self, build):
+        # equal but distinct mirrors are admitted; a mirror that differs
+        # by 1/10**6 is refused, whichever side is larger
+        w = Fraction(3, 7)
+        for twin in (Fraction(3, 7), "3/7", " 6/14 "):
+            assert twin is not w
+            build(w, twin)
+        build(2, Fraction(2))
+        for off in (Fraction(1, 10**6), Fraction(-1, 10**6)):
+            with pytest.raises(InvalidInputError, match="asymmetric"):
+                build(w, w + off)
+            with pytest.raises(InvalidInputError, match="asymmetric"):
+                build(w + off, w)
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -8,6 +8,8 @@ strings pass."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from alphahg import (
     ASHG,
@@ -55,7 +57,9 @@ from alphahg.generators import complete_graph_factor
 from alphahg.stability import Scenario
 from reference_stability import blocking_members_check
 
-INEXACT = [0.1, 4 / 3, True, "2.5", "1e3"]
+#: refused by every entry point; ``int`` would read the last two as
+#: 1000 and 10
+INEXACT = [0.1, 4 / 3, True, "2.5", "1e3", "1_000", "\u0661\u0660"]
 
 _GAME = Game.from_matrix([[0, 1, 2], [1, 0, 3], [2, 3, 0]], FHG)
 _PAIRS = Partition.of([[0, 1], [2]])
@@ -213,6 +217,47 @@ def test_exact_admits_every_rational_form():
     assert _rat.exact(7) == Fraction(7) and type(_rat.exact(7)) is Fraction
     assert _rat.exact(" -2/6 ") == Fraction(-1, 3)
     assert io.parse_rational is _rat.exact
+
+
+def _int_grammar(text):
+    """The string's value when its ``/``-separated parts are read by
+    ``int``, or None where it is refused: more than two parts, a ``_``,
+    a non-ASCII character inside a part, or a zero denominator."""
+    parts = text.split("/")
+    if len(parts) > 2 or "_" in text or not all(p.strip().isascii() for p in parts):
+        return None
+    try:
+        numbers = [int(p) for p in parts]
+    except ValueError:
+        return None
+    if len(numbers) == 2 and numbers[1] == 0:
+        return None
+    return Fraction(*numbers)
+
+
+_SPACE = st.sampled_from(["", " ", "\t", "\u00a0"])
+_PART = st.tuples(
+    _SPACE, st.sampled_from(["", "+", "-"]), st.text("0123456789", min_size=1, max_size=4), _SPACE
+).map("".join)
+
+
+@given(st.one_of(
+    _PART,
+    st.tuples(_PART, _PART).map("/".join),
+    st.text(alphabet=" \t\u00a0+-/0129_.e\u0661\uff11", max_size=9),
+))
+def test_exact_string_grammar(text):
+    want = _int_grammar(text)
+    if want is None:
+        with pytest.raises(InvalidInputError):
+            _rat.exact(text)
+    else:
+        assert _rat.exact(text) == want
+
+
+@given(st.fractions())
+def test_exact_returns_a_fraction_as_it_is(value):
+    assert _rat.exact(value) is value
 
 
 def test_scaled_clears_denominators():

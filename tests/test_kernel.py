@@ -29,6 +29,7 @@ from alphahg import (
     find_blocking_coalition,
     greedy_pairing,
     max_improvement_factor_at_size,
+    min_improvement_factor,
     scenario_is_size_stable,
     social_welfare,
 )
@@ -321,6 +322,20 @@ def test_max_improvement_factor_matches_reference():
         got = max_improvement_factor_at_size(game, partition, size)
         assert got == reference.max_improvement_factor_at_size(game, partition, size)
         checked += 1
+
+
+def test_min_improvement_factor_matches_reference():
+    # negative weights, table alphas, one to eight agents, and positive
+    # baselines whose denominators run far past the weights' own
+    rng = random.Random(4009)
+    for _ in range(500):
+        m = rng.randint(1, 8)
+        baselines = []
+        for _ in range(m):
+            d = rng.choice((1, rng.randint(2, 1000), rng.randint(10**9, 10**15)))
+            baselines.append(Fraction(rng.randint(1, 20 * d), d))
+        scenario = Scenario(m, tuple(map(tuple, _matrix(rng, m, -9, 9))), tuple(baselines), _alpha(rng, m))
+        assert min_improvement_factor(scenario) == reference.min_improvement_factor(scenario)
 
 
 def test_cpoa_matches_reference():
