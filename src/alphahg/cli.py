@@ -32,16 +32,26 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _parse_range(text: str) -> range:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise InvalidInputError(f"bad range {text!r}; expected LO:HI")
+def integer(text: str) -> int:
+    """A size or count: a rational string (:mod:`alphahg._rat`) without
+    a ``/``.  As an argparse type, its refusal names the option
+    (``argument --q: invalid integer value: '1_0'``)."""
+    if "/" not in text:
+        try:
+            return int(io.parse_rational(text))
+        except InvalidInputError:
+            pass
+    raise InvalidInputError(f"not an integer: {text!r}")
+
+
+def _parse_range(text: str, option: str) -> range:
+    lo, _, hi = text.partition(":")
     try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InvalidInputError(f"bad range {text!r}; expected LO:HI") from None
+        lo, hi = integer(lo), integer(hi)
+    except InvalidInputError:
+        raise InvalidInputError(f"{option}: bad range {text!r}; expected LO:HI") from None
     if lo > hi:
-        raise InvalidInputError(f"empty range {text!r}")
+        raise InvalidInputError(f"{option}: empty range {text!r}")
     return range(lo, hi + 1)
 
 
@@ -106,8 +116,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     size, factor = args.qk
     try:
-        size = int(size)
-    except ValueError:
+        size = integer(size)
+    except InvalidInputError:
         raise InvalidInputError(f"--qk: size must be an integer, not {size!r}") from None
     return _print_report(
         stability.is_size_factor_stable(game, partition, size, io.parse_rational(factor))
@@ -119,13 +129,13 @@ def cmd_bound_table(args: argparse.Namespace) -> int:
     rows = [["q", "m", "bound", "bound_decimal", "improvement_limit"]]
     # every row is built before any is written, so an input error
     # leaves stdout empty
-    for q in _parse_range(args.q_range):
+    for q in _parse_range(args.q_range, "--q-range"):
         limit = (
             io.format_rational(bounds.fhg_improvement_limit(q))
             if alpha.kind == "fhg" and q >= 2
             else ""
         )
-        for m in _parse_range(args.m_range):
+        for m in _parse_range(args.m_range, "--m-range"):
             if m < q + 1:
                 continue
             value = bounds.improvement_bound(alpha, q, m, args.k)
@@ -135,14 +145,8 @@ def cmd_bound_table(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    alpha = AlphaFunction.from_name(args.alpha) if args.alpha else None
-    built = generators.build_construction(
-        args.construction,
-        alpha=alpha,
-        stable_size=args.q,
-        size=args.m,
-        variant=args.variant,
-    )
+    alpha = None if args.alpha is None else AlphaFunction.from_name(args.alpha)
+    built = generators.build_construction(args.construction, alpha, args.q, args.m)
     print(f"construction: {_name(args.construction, 'construction name')}")
     print(f"agents: {built.scenario.size}")
     print(f"stable-up-to: {built.stable_size}")
@@ -222,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="game file (with partition) or scenario file")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--core", action="store_true", help="no blocking coalition at all")
-    mode.add_argument("--q-size", type=int, metavar="Q", help="no blocking coalition of size <= Q")
+    mode.add_argument(
+        "--q-size", type=integer, metavar="Q", help="no blocking coalition of size <= Q"
+    )
     mode.add_argument(
         "--improvement", type=_rational, metavar="K",
         help="no coalition improves everyone by a factor > K",
@@ -247,16 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="{" + ",".join(generators.CONSTRUCTION_NAMES) + "}",
     )
     p.add_argument("--alpha")
-    p.add_argument("--q", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--variant", metavar="{fhg,ashg}", help="for the cycle construction")
+    p.add_argument("--q", type=integer)
+    p.add_argument("--m", type=integer)
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("search", help="search for an extremal blocking scenario")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--q", type=int, required=True, help="stability size of the baseline")
-    p.add_argument("--m", type=int, required=True, help="blocking coalition size")
+    p.add_argument("--q", type=integer, required=True, help="stability size of the baseline")
+    p.add_argument("--m", type=integer, required=True, help="blocking coalition size")
     p.add_argument("--gamma", type=_rational, required=True)
     p.add_argument(
         "--weight-bound", type=_rational, default=search.SearchProblem.weight_bound,
@@ -267,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="default: %(default)s",
     )
     p.add_argument(
-        "--node-limit", type=int, default=search.DEFAULT_NODE_LIMIT,
+        "--node-limit", type=integer, default=search.DEFAULT_NODE_LIMIT,
         help="default: %(default)s",
     )
     p.add_argument(
@@ -280,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poa", help="exact price of anarchy")
     p.add_argument("file")
-    p.add_argument("--q", type=int, help="size-stable core")
+    p.add_argument("--q", type=integer, help="size-stable core")
     p.add_argument("--k", type=_rational, help="improvement-stable core")
     p.set_defaults(func=cmd_poa)
 

@@ -14,12 +14,17 @@ factor by rational equality.
 ``fig6``..``fig9`` are bundled hand-drawn instances for stable size 5
 at coalition sizes 7 and 8 (fractional and additively separable); they
 ship as JSON data files.
+
+:func:`build_construction` looks each name up in one table of the
+arguments it reads (some of ``alpha``, ``stable_size``, ``size``) and
+refuses a missing one and an unread one alike: no input is dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from ._rat import integer
 from .bounds import improvement_bound, is_hospitable
@@ -87,27 +92,22 @@ def two_halves_scenario(alpha: AlphaFunction, size: int) -> Scenario:
     return Scenario.from_pairs(alpha, m, lambda i, j: cross if i < half <= j else intra)
 
 
-def cycle_scenario(stable_size: int, variant: str) -> Scenario:
+def cycle_scenario(alpha: AlphaFunction, stable_size: int) -> Scenario:
     """``stable_size + 1`` agents whose heavy edges form a cycle.
 
-    Fractional: cycle edges weigh 2, all other pairs 1; the full
-    coalition improves everyone by ``(q+2)/(q+1)``.  Additively
-    separable: cycle edges weigh 1, other pairs 0; factor 2.  Baselines
-    are 1 and the scenario is stable up to ``stable_size``.
+    Fractional (``FHG``): cycle edges weigh 2, all other pairs 1; the
+    full coalition improves everyone by ``(q+2)/(q+1)``.  Additively
+    separable (``ASHG``): cycle edges weigh 1, other pairs 0; factor 2.
+    Baselines are 1 and the scenario is stable up to ``stable_size``.
     """
     q = integer(stable_size)
     if q < 2:
         raise DomainError("stable_size must be >= 2")
-    key = _name(variant, "variant")
-    if key not in ("fhg", "ashg"):
-        raise InvalidInputError("variant must be 'fhg' or 'ashg'")
+    if alpha not in (FHG, ASHG):
+        raise InvalidInputError("the cycle's alpha variant must be 'fhg' or 'ashg'")
     m = q + 1
-    heavy, light = (2, 1) if key == "fhg" else (1, 0)
-    return Scenario.from_pairs(
-        FHG if key == "fhg" else ASHG,
-        m,
-        lambda i, j: heavy if j - i in (1, m - 1) else light,
-    )
+    heavy, light = (2, 1) if alpha == FHG else (1, 0)
+    return Scenario.from_pairs(alpha, m, lambda i, j: heavy if j - i in (1, m - 1) else light)
 
 
 def two_valued_scenario(size: int) -> Scenario:
@@ -194,14 +194,23 @@ def fixture_path(name: str) -> str:
 
     return str(files("alphahg").joinpath(f"data/{name}.json"))
 
-CONSTRUCTION_NAMES = (
-    "complete",
-    "halves",
-    "cycle",
-    "two-valued",
-    "two-group",
-    "mantel",
-) + FIXTURE_NAMES
+
+#: name -> (the arguments it reads, its stable size if it reads none,
+#: its scenario builder, which takes those arguments by name)
+_CONSTRUCTIONS = {
+    "complete": (("alpha", "stable_size", "size"), None, complete_graph_scenario),
+    "halves": (("alpha", "size"), 3, two_halves_scenario),
+    "cycle": (("alpha", "stable_size"), None, cycle_scenario),
+    "two-valued": (("size",), 4, two_valued_scenario),
+    "two-group": (("size",), 4, two_group_scenario),
+    "mantel": (("size",), 3, mantel_scenario),
+    **{name: ((), 5, partial(fixture, name)) for name in FIXTURE_NAMES},
+}
+
+CONSTRUCTION_NAMES = tuple(_CONSTRUCTIONS)
+
+#: the command-line flag of each argument, for refusals
+_FLAGS = {"alpha": "--alpha", "stable_size": "--q", "size": "--m"}
 
 
 def build_construction(
@@ -209,46 +218,30 @@ def build_construction(
     alpha: AlphaFunction | None = None,
     stable_size: int | None = None,
     size: int | None = None,
-    variant: str | None = None,
 ) -> BuiltScenario:
     """Build any construction by name, with its claimed stability size
     and improvement factor attached.
 
-    Every construction but ``complete`` claims
-    ``improvement_bound(alpha, stable_size, size)`` for its scenario's
-    alpha and size; ``complete`` claims
+    A construction must be given exactly the arguments it reads; any
+    other is refused rather than ignored.  Every construction but
+    ``complete`` claims ``improvement_bound(alpha, stable_size, size)``
+    for its scenario's alpha and size; ``complete`` claims
     :func:`complete_graph_factor`, which equals that bound when ``q-1``
     divides ``m-1`` and can fall below it otherwise.
     """
-
-    def need(value, flag: str):
-        if value is None:
-            raise InvalidInputError(f"construction {name!r} requires {flag}")
-        return value
-
     key = _name(name, "construction name")
-    if key == "complete":
-        alpha = need(alpha, "--alpha")
-        q = need(stable_size, "--q")
-        m = need(size, "--m")
-        return BuiltScenario(
-            complete_graph_scenario(alpha, q, m), q, complete_graph_factor(alpha, q, m)
-        )
-    if key == "halves":
-        q, scenario = 3, two_halves_scenario(need(alpha, "--alpha"), need(size, "--m"))
-    elif key == "cycle":
-        q = need(stable_size, "--q")
-        scenario = cycle_scenario(q, need(variant, "--variant"))
-    elif key == "two-valued":
-        q, scenario = 4, two_valued_scenario(need(size, "--m"))
-    elif key == "two-group":
-        q, scenario = 4, two_group_scenario(need(size, "--m"))
-    elif key == "mantel":
-        q, scenario = 3, mantel_scenario(need(size, "--m"))
-    elif key in FIXTURE_NAMES:
-        q, scenario = 5, fixture(key)
-    else:
+    if key not in _CONSTRUCTIONS:
         raise InvalidInputError(
             f"unknown construction {name!r}; expected one of {CONSTRUCTION_NAMES}"
         )
+    reads, q, build = _CONSTRUCTIONS[key]
+    given = {"alpha": alpha, "stable_size": stable_size, "size": size}
+    for arg, value in given.items():
+        if (arg in reads) != (value is not None):
+            verb = "does not read" if value is not None else "requires"
+            raise InvalidInputError(f"construction {name!r} {verb} {_FLAGS[arg]}")
+    scenario = build(**{arg: given[arg] for arg in reads})
+    q = stable_size if q is None else q
+    if key == "complete":
+        return BuiltScenario(scenario, q, complete_graph_factor(alpha, q, size))
     return BuiltScenario(scenario, q, improvement_bound(scenario.alpha, q, scenario.size))

@@ -134,8 +134,8 @@ def test_criterion_04_generator_tightness():
             for m in range(4, 13, 2):
                 cases.append(("halves", dict(alpha=alpha, size=m)))
         for q in range(2, 9):
-            for variant in ("fhg", "ashg"):
-                cases.append(("cycle", dict(stable_size=q, variant=variant)))
+            for alpha in (FHG, ASHG):
+                cases.append(("cycle", dict(alpha=alpha, stable_size=q)))
         for m in range(5, 13):
             cases.append(("two-valued", dict(size=m)))
             cases.append(("two-group", dict(size=m)))
@@ -163,7 +163,7 @@ def _raw_closed_form(name, params):
         ) / alpha.value(2)
     if name == "cycle":
         q = params["stable_size"]
-        if params["variant"] == "fhg":
+        if alpha == FHG:
             return Fraction(q + 2, q + 1)
         return Fraction(2)
     if name == "two-valued":

@@ -137,8 +137,8 @@ class TestGenerate:
             capsys,
             "generate",
             "--construction", "cycle",
+            "--alpha", "fhg",
             "--q", "4",
-            "--variant", "fhg",
             "--out", str(out_path),
         )
         assert code == 0
@@ -153,12 +153,13 @@ class TestGenerate:
         assert "improvement-factor: 2" in out
 
     def test_missing_parameter_exit_two(self, capsys):
-        code, _, _ = run(capsys, "generate", "--construction", "cycle", "--q", "4")
+        code, out, err = run(capsys, "generate", "--construction", "cycle", "--q", "4")
         assert code == 2
+        assert out == "" and "requires --alpha" in err
 
     def test_names_are_admitted_by_the_library(self, capsys):
         # as --alpha FHG is: stripped and lower-cased
-        args = ("generate", "--construction", "cycle", "--q", "4", "--variant")
+        args = ("generate", "--construction", "cycle", "--q", "4", "--alpha")
         code, out, _ = run(capsys, *args, "fhg")
         assert code == 0
         assert run(capsys, *args, "FHG") == (0, out, "")
@@ -172,7 +173,10 @@ class TestGenerate:
 
     @pytest.mark.parametrize("argv,message", [
         (("--construction", "bogus"), "unknown construction 'bogus'"),
-        (("--construction", "cycle", "--q", "4", "--variant", "mfhg"), "variant must be"),
+        (("--construction", "cycle", "--q", "4", "--alpha", "mfhg"), "variant must be"),
+        # an input the construction would ignore is refused, not dropped
+        (("--construction", "mantel", "--alpha", "ashg", "--m", "6"), "does not read --alpha"),
+        (("--construction", "mantel", "--alpha", "", "--m", "6"), "unknown alpha variant ''"),
     ])
     def test_unknown_name_exit_two(self, capsys, argv, message):
         code, out, err = run(capsys, "generate", *argv)
@@ -186,14 +190,14 @@ class TestGenerate:
             main(["generate", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "{" + ",".join(CONSTRUCTION_NAMES) + "}" in out and "{fhg,ashg}" in out
+        assert "{" + ",".join(CONSTRUCTION_NAMES) + "}" in out
 
     def test_failed_verification_writes_nothing(self, capsys, tmp_path, monkeypatch):
         # a claim that re-verification refutes exits 1, as in search, and
         # leaves no scenario file behind
         from alphahg import cli
 
-        built = cli.generators.build_construction("cycle", stable_size=4, variant="fhg")
+        built = cli.generators.build_construction("cycle", alpha=FHG, stable_size=4)
 
         def wrong_claim(*args, **kwargs):
             return replace(built, factor=built.factor + 1)
@@ -345,7 +349,7 @@ class TestExitCodeContract:
             out_path = tmp_path / "missing" / "x.json"
         argv = {
             "search": ("search", "--alpha", "fhg", "--q", "2", "--m", "3", "--gamma", "13/10"),
-            "generate": ("generate", "--construction", "cycle", "--q", "2", "--variant", "fhg"),
+            "generate": ("generate", "--construction", "cycle", "--alpha", "fhg", "--q", "2"),
             "greedy": ("greedy", write_ashg_example(tmp_path)),
         }[command]
         code, _, err = run(capsys, *argv, "--out", str(out_path))
@@ -409,6 +413,8 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("ranges", [
         ("--q-range", "1:3", "--m-range", "3:5"),
         ("--q-range", "2:2", "--m-range", "3:5", "--k", "1/2"),
+        # int() would read the upper bound as 10
+        ("--q-range", "2:2", "--m-range", "3:1_0"),
     ])
     def test_bound_table_input_error_writes_nothing(self, capsys, ranges):
         code, out, err = run(capsys, "bound-table", "--alpha", "fhg", *ranges)
@@ -431,6 +437,23 @@ class TestExitCodeContract:
         option, value = argv[-2:]
         assert f"argument {option}: not an exact rational: {value!r}" in err
         assert "_rational" not in err
+
+    @pytest.mark.parametrize("argv,option,value", [
+        # int() would read these as 3, 1000 and 3
+        (("verify", "FILE", "--q-size", "٣"), "--q-size", "٣"),
+        ((*SEARCH_ARGS, "--node-limit", "1_000"), "--node-limit", "1_000"),
+        (("verify", "FILE", "--qk", "٣", "1"), "--qk", "٣"),
+    ])
+    def test_integer_option_says_why(self, capsys, example_file, argv, option, value):
+        # sizes and counts follow the rational grammar, without a "/"
+        argv = [example_file if a == "FILE" else a for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # refused by argparse
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert option in captured.err and f"{value!r}" in captured.err
 
     def test_internal_error_exit_four_with_traceback(self, capsys, monkeypatch):
         from alphahg import cli

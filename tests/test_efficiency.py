@@ -221,8 +221,9 @@ class TestPoaUpperBound:
         assert _check_poa_upper_bound(random.Random(77), (9, 10), _BUILT_IN, prices, 10) == 120
 
     def test_size_cpoa_within_upper_bound_at_large_stable_sizes(self):
+        alphas = _BUILT_IN + [_decreasing_table]
         prices = _size_prices(range(5, 10))  # q = 5 .. n - 1
-        assert _check_poa_upper_bound(random.Random(79), (9, 10), _BUILT_IN, prices, 6) == 162
+        assert _check_poa_upper_bound(random.Random(79), (9, 10), alphas, prices, 6) == 216
 
     def test_improvement_cpoa_within_twice_the_factor_beyond_brute_force(self):
         # criterion 8 checks 2k only up to n = 7

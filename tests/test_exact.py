@@ -136,7 +136,7 @@ INTEGER_ENTRY_POINTS = {
     "complete_graph_scenario": (lambda x: complete_graph_scenario(FHG, 2, x), 3),
     "complete_graph_factor": (lambda x: complete_graph_factor(FHG, 2, x), 3),
     "two_halves_scenario": (lambda x: two_halves_scenario(ASHG, x), 4),
-    "cycle_scenario": (lambda x: cycle_scenario(x, "fhg"), 3),
+    "cycle_scenario": (lambda x: cycle_scenario(FHG, x), 3),
     "two_valued_scenario": (lambda x: two_valued_scenario(x), 5),
     "two_group_scenario": (lambda x: two_group_scenario(x), 5),
     "mantel_scenario": (lambda x: mantel_scenario(x), 4),
@@ -172,7 +172,6 @@ NOT_NAMES = [None, 3, b"fhg", ["fhg"]]
 #: every public name parameter, each called with a valid name in its place
 NAME_ENTRY_POINTS = {
     "AlphaFunction.from_name": (lambda x: AlphaFunction.from_name(x), " FHG "),
-    "cycle_scenario": (lambda x: cycle_scenario(3, x), "Ashg"),
     "fixture": (lambda x: fixture(x), "FIG6"),
     "build_construction": (lambda x: build_construction(x, FHG, 2, 3), " Complete"),
 }

@@ -26,7 +26,7 @@ from alphahg import (
     two_halves_scenario,
     two_valued_scenario,
 )
-from alphahg.generators import FIXTURE_NAMES, complete_graph_factor
+from alphahg.generators import CONSTRUCTION_NAMES, FIXTURE_NAMES, complete_graph_factor
 
 
 def assert_tight(scenario, stable_size, factor):
@@ -89,20 +89,22 @@ class TestTwoHalves:
 
 class TestCycle:
     def test_fhg_factors(self):
-        assert_tight(cycle_scenario(4, "fhg"), 4, Fraction(6, 5))
-        assert_tight(cycle_scenario(2, "fhg"), 2, Fraction(4, 3))
+        assert_tight(cycle_scenario(FHG, 4), 4, Fraction(6, 5))
+        assert_tight(cycle_scenario(FHG, 2), 2, Fraction(4, 3))
 
     def test_ashg_factor_two(self):
-        assert_tight(cycle_scenario(5, "ashg"), 5, Fraction(2))
+        assert_tight(cycle_scenario(ASHG, 5), 5, Fraction(2))
 
     def test_domain(self):
-        with pytest.raises(InvalidInputError, match="variant must be 'fhg' or 'ashg'"):
-            cycle_scenario(3, "xyz")
+        # only the two classes it has closed forms for; a name is no class
+        for alpha in (MFHG, ODD_EVEN, "fhg", None):
+            with pytest.raises(InvalidInputError, match="variant must be 'fhg' or 'ashg'"):
+                cycle_scenario(alpha, 3)
         with pytest.raises(DomainError, match="stable_size must be >= 2"):
-            cycle_scenario(1, "fhg")
+            cycle_scenario(FHG, 1)
 
     def test_heavy_edges_form_a_cycle(self):
-        scenario = cycle_scenario(4, "fhg")
+        scenario = cycle_scenario(FHG, 4)
         heavy = [
             (i, j)
             for i in range(5)
@@ -222,30 +224,39 @@ class TestFixtures:
 
 class TestBuildConstruction:
     def test_dispatch(self):
-        built = build_construction("cycle", stable_size=4, variant="fhg")
+        built = build_construction("cycle", alpha=FHG, stable_size=4)
         assert built.factor == Fraction(6, 5)
         assert built.stable_size == 4
         built = build_construction("fig8")
         assert built.factor == 2
 
     def test_missing_parameter(self):
-        """Each required flag of each construction, left out, is named."""
-        cases = [
-            ("complete", dict(stable_size=2, size=5), "--alpha"),
-            ("complete", dict(alpha=FHG, size=5), "--q"),
-            ("complete", dict(alpha=FHG, stable_size=2), "--m"),
-            ("halves", dict(size=6), "--alpha"),
-            ("halves", dict(alpha=FHG), "--m"),
-            ("cycle", dict(variant="fhg"), "--q"),
-            ("cycle", dict(stable_size=4), "--variant"),
-            ("two-valued", dict(), "--m"),
-            ("two-group", dict(), "--m"),
-            ("mantel", dict(), "--m"),
-        ]
-        for name, given, flag in cases:
-            message = f"^construction '{name}' requires {flag}$"
-            with pytest.raises(InvalidInputError, match=message):
-                build_construction(name, **given)
+        """Every construction reads exactly the arguments below: each one
+        it reads, left out, is named as required, and each one it does
+        not read, given, is named as not read."""
+        reads = {
+            "complete": dict(alpha=FHG, stable_size=2, size=5),
+            "halves": dict(alpha=FHG, size=6),
+            "cycle": dict(alpha=FHG, stable_size=4),
+            "two-valued": dict(size=5),
+            "two-group": dict(size=5),
+            "mantel": dict(size=6),
+            **{name: dict() for name in FIXTURE_NAMES},
+        }
+        assert tuple(reads) == CONSTRUCTION_NAMES
+        unread = dict(alpha=ASHG, stable_size=3, size=6)
+        flags = dict(alpha="--alpha", stable_size="--q", size="--m")
+        for name, given in reads.items():
+            build_construction(name, **given)
+            for arg, flag in flags.items():
+                if arg in given:
+                    others = {k: v for k, v in given.items() if k != arg}
+                    message = f"^construction '{name}' requires {flag}$"
+                else:
+                    others = {**given, arg: unread[arg]}
+                    message = f"^construction '{name}' does not read {flag}$"
+                with pytest.raises(InvalidInputError, match=message):
+                    build_construction(name, **others)
 
     def test_factor_matches_measurement_everywhere(self):
         """The one claim rule: every construction's factor is
@@ -268,9 +279,9 @@ class TestBuildConstruction:
             for m in range(4, 11, 2)
         ]
         others += [
-            build_construction("cycle", stable_size=q, variant=variant)
+            build_construction("cycle", alpha=alpha, stable_size=q)
             for q in range(2, 7)
-            for variant in ("fhg", "ashg")
+            for alpha in (FHG, ASHG)
         ]
         others += [
             build_construction(name, size=m)
