@@ -144,9 +144,21 @@ def cmd_bound_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: the flag of each parameter of ``generators.build_construction``
+_GENERATE_FLAGS = {"alpha": "--alpha", "stable_size": "--q", "size": "--m"}
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     alpha = None if args.alpha is None else AlphaFunction.from_name(args.alpha)
-    built = generators.build_construction(args.construction, alpha, args.q, args.m)
+    try:
+        built = generators.build_construction(args.construction, alpha, args.q, args.m)
+    except InvalidInputError as error:
+        # the library names a parameter it requires or does not read;
+        # name the flag that sets it
+        head, _, parameter = str(error).rpartition(" ")
+        if parameter in _GENERATE_FLAGS and head.endswith(("requires", "does not read")):
+            raise InvalidInputError(f"{head} {_GENERATE_FLAGS[parameter]}") from None
+        raise
     print(f"construction: {_name(args.construction, 'construction name')}")
     print(f"agents: {built.scenario.size}")
     print(f"stable-up-to: {built.stable_size}")

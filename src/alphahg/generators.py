@@ -209,9 +209,6 @@ _CONSTRUCTIONS = {
 
 CONSTRUCTION_NAMES = tuple(_CONSTRUCTIONS)
 
-#: the command-line flag of each argument, for refusals
-_FLAGS = {"alpha": "--alpha", "stable_size": "--q", "size": "--m"}
-
 
 def build_construction(
     name: str,
@@ -223,11 +220,12 @@ def build_construction(
     and improvement factor attached.
 
     A construction must be given exactly the arguments it reads; any
-    other is refused rather than ignored.  Every construction but
-    ``complete`` claims ``improvement_bound(alpha, stable_size, size)``
-    for its scenario's alpha and size; ``complete`` claims
-    :func:`complete_graph_factor`, which equals that bound when ``q-1``
-    divides ``m-1`` and can fall below it otherwise.
+    other is refused rather than ignored, and the refusal names the
+    parameter (``construction 'cycle' requires stable_size``).  Every
+    construction but ``complete`` claims ``improvement_bound(alpha,
+    stable_size, size)`` for its scenario's alpha and size; ``complete``
+    claims :func:`complete_graph_factor`, which equals that bound when
+    ``q-1`` divides ``m-1`` and can fall below it otherwise.
     """
     key = _name(name, "construction name")
     if key not in _CONSTRUCTIONS:
@@ -239,7 +237,7 @@ def build_construction(
     for arg, value in given.items():
         if (arg in reads) != (value is not None):
             verb = "does not read" if value is not None else "requires"
-            raise InvalidInputError(f"construction {name!r} {verb} {_FLAGS[arg]}")
+            raise InvalidInputError(f"construction {name!r} {verb} {arg}")
     scenario = build(**{arg: given[arg] for arg in reads})
     q = stable_size if q is None else q
     if key == "complete":

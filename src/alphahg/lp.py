@@ -44,7 +44,8 @@ optimal point may be a different one.  Such an optimum also exposes its
 tableau's ints: the point's numerators over one denominator
 (:meth:`Optimal.scaled_point`), and the reduced costs of the rows'
 slack columns, whose nonzero entries are the support of the optimal
-dual (:meth:`Optimal.row_prices`).
+dual (:meth:`Optimal.row_prices`), and from those the optimal dual
+itself, one rational multiplier per constraint (:meth:`Optimal.dual`).
 """
 
 from __future__ import annotations
@@ -141,8 +142,8 @@ class Optimal:
     equal when their values and points are.
 
     One that :func:`solve` returns also carries its final tableau, so
-    that it can be the ``start`` of a later solve, and keeps its point as
-    ints until ``assignment`` is first read."""
+    that it can be the ``start`` of a later solve, and builds its point
+    from that tableau, as ints, when it is first read."""
 
     __slots__ = ("value", "_assignment", "_point", "_warm")
 
@@ -151,11 +152,10 @@ class Optimal:
         value: Fraction,
         assignment: tuple[Fraction, ...] | None,
         _warm: "_Warm | None" = None,
-        _point: tuple[list[int], int] | None = None,
     ) -> None:
         self.value = value
-        self._assignment = assignment  # None until read from _point
-        self._point = _point
+        self._assignment = assignment  # None until read from the point
+        self._point: tuple[list[int], int] | None = None  # built when first read
         self._warm = _warm
 
     @property
@@ -170,7 +170,11 @@ class Optimal:
         denominator: for a tableau's optimum, its right-hand sides over
         ``d`` shifted by the lower bounds scaled to the same denominator."""
         if self._point is None:
-            self._point = scaled(self._assignment)
+            if self._warm is not None:
+                _, columns, tab = self._warm
+                self._point = columns.point(tab)
+            else:
+                self._point = scaled(self._assignment)
         return self._point
 
     def row_prices(self) -> list[int]:
@@ -191,6 +195,34 @@ class Optimal:
             if label >= columns.num:
                 prices[label - columns.num] = x
         return prices
+
+    def dual(self) -> list[Fraction]:
+        """The optimal dual: one multiplier ``y_i`` per constraint of the
+        program that :func:`solve` solved, in its order.  ``y_i >= 0`` on a
+        ``<=`` constraint, ``<= 0`` on a ``>=`` one and free on ``=``;
+        with ``z = A^T y - objective``, ``z >= 0`` on every variable with
+        a lower bound and ``z = 0`` on a free one; and ``y . rhs - z .
+        lower`` equals ``value``.  So, with the point, they prove the
+        optimum in plain rational arithmetic.  Each is a
+        :meth:`row_prices` entry over the tableau's denominator, negated,
+        times its row's scale (:meth:`_Columns.scale`) over the
+        objective's, with a ``>=`` row's sign flipped and an ``=``
+        constraint's two rows combined.  Any other optimum than one that
+        :func:`solve` returned raises :class:`InvalidInputError`."""
+        prices = self.row_prices()
+        lp, columns, tab = self._warm
+        den = tab.d * columns.cost_scale
+        duals, k = [], 0
+        for constraint in lp.constraints:
+            price = prices[k]
+            k += 1
+            if constraint.relation == "=":
+                price -= prices[k]
+                k += 1
+            elif constraint.relation == ">=":
+                price = -price
+            duals.append(-price * columns.scale(constraint) / den)
+        return duals
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Optimal):
@@ -392,10 +424,12 @@ class _Tableau:
 class _Columns:
     """The structural columns of a program with these lower bounds: one
     column per bounded variable (``x - lower``), a (plus, minus) pair per
-    free variable; and the lower bounds as ints over one common
-    denominator (a free variable is not shifted)."""
+    free variable; the lower bounds as ints over one common denominator
+    (a free variable is not shifted); and the objective as ints
+    (``cost``, times ``cost_scale``) with its value at the lower bounds
+    (``at_lower``)."""
 
-    def __init__(self, lower) -> None:
+    def __init__(self, lower, objective) -> None:
         self.col_of: list[tuple[int, int]] = []  # (plus column, minus column or -1)
         self.num = 0
         for bound in lower:
@@ -406,6 +440,10 @@ class _Columns:
                 self.col_of.append((self.num, self.num + 1))
                 self.num += 2
         self.low, self.low_den = scaled([Fraction(0) if x is None else x for x in lower])
+        self.cost, self.cost_scale = scaled(objective)
+        self.at_lower = sum(
+            (c * x for c, x in zip(objective, lower) if c and x is not None), Fraction(0)
+        )
 
     def expand(self, values) -> list[int]:
         row = [0] * self.num
@@ -423,10 +461,27 @@ class _Columns:
         negated for ``>=``, or a pair of opposite rows for ``=``;
         substituting x = y + lower leaves rhs - sum(c * lower) on the
         right."""
-        coeffs, relation, rhs = constraint
+        row = self._scaled(constraint)[0]
+        relation = constraint.relation
+        if relation == "<=":
+            return [row]
+        negated = [-x for x in row]
+        return [negated] if relation == ">=" else [row, negated]
+
+    def scale(self, constraint: Constraint) -> Fraction:
+        """The factor by which :meth:`rows` multiplies the constraint's
+        coefficients (before the negation of a ``>=`` row)."""
+        num, den = self._scaled(constraint)[1]
+        return Fraction(num, den)
+
+    def _scaled(self, constraint: Constraint) -> tuple[list[int], tuple[int, int]]:
+        """The constraint's ``<=`` int row as it is written, and its scale
+        as ``(num, den)``."""
+        coeffs, _, rhs = constraint
         low_den = self.low_den
         ints, common = scaled((*coeffs, rhs))
         shift = sum(map(mul, ints, self.low))  # stops before the rhs
+        scale = common, 1
         if shift:
             # over common * low_den the rhs is r; dividing the row and
             # that denominator by their gcd rescales the row to the LCM
@@ -434,15 +489,22 @@ class _Columns:
             r = ints[-1] * low_den - shift
             g = gcd(gcd(common, *ints[:-1]) * low_den, r)
             ints = [c * low_den // g for c in ints[:-1]] + [r // g]
-        row = self.expand(ints[:-1]) + ints[-1:]
-        if relation == "<=":
-            return [row]
-        negated = [-x for x in row]
-        return [negated] if relation == ">=" else [row, negated]
+            scale = common * low_den, g
+        return self.expand(ints[:-1]) + ints[-1:], scale
 
     def optimal(self, lp: LinearProgram, tab: _Tableau) -> Optimal:
-        """The optimum at the tableau's basis, carrying the tableau; its
-        point is kept as int numerators over ``d * low_den``."""
+        """The optimum at the tableau's basis, carrying the tableau.  Its
+        value is read off the objective row, whose last cell is ``-d``
+        times ``cost . y`` at the basis (``y = x - lower``), so the value
+        is that over ``d * cost_scale`` plus ``at_lower``; its point is
+        built when first read (:meth:`point`)."""
+        value = Fraction(-tab.obj[-1], tab.d * self.cost_scale) + self.at_lower
+        return Optimal(value, None, _Warm(lp, self, tab))
+
+    def point(self, tab: _Tableau) -> tuple[list[int], int]:
+        """The point at the tableau's basis as int numerators over ``d *
+        low_den``.  The tableau of an optimum is never changed again (a
+        warm solve copies it), so this can wait until it is read."""
         d, low, low_den = tab.d, self.low, self.low_den
         col_value = {b: tab.rows[i][-1] for i, b in enumerate(tab.basis)}
         nums = []
@@ -451,11 +513,7 @@ class _Columns:
             if minus >= 0:
                 x -= col_value.get(minus, 0)
             nums.append(x * low_den + low[v] * d)
-        den = d * low_den
-        objective_value = sum(
-            (c * Fraction(x, den) for c, x in zip(lp.objective, nums) if c), Fraction(0)
-        )
-        return Optimal(objective_value, None, _Warm(lp, self, tab), (nums, den))
+        return nums, d * low_den
 
 
 class _Warm(NamedTuple):
@@ -475,7 +533,7 @@ def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
     Any other ``start`` raises :class:`InvalidInputError`.
     """
     if start is None:
-        columns = _Columns(lp.lower)
+        columns = _Columns(lp.lower, lp.objective)
         # the empty program: no rows, and a zero objective, which every
         # basis prices dual feasible
         base = _Tableau([], [], list(range(columns.num)), 1, [0] * (columns.num + 1))
@@ -502,7 +560,7 @@ def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
     if tab.dual() == "infeasible":
         return Infeasible()
     if start is None:
-        tab.price(columns.expand(scaled(lp.objective)[0]) + [0] * len(tab.rows))
+        tab.price(columns.expand(columns.cost) + [0] * len(tab.rows))
         if tab.run() == "unbounded":
             return Unbounded()
     return columns.optimal(lp, tab)
@@ -516,7 +574,7 @@ def satisfies(lp: LinearProgram, assignment: Sequence[Fraction]) -> bool:
         if bound is not None and x < bound:
             return False
     for coeffs, relation, rhs in lp.constraints:
-        lhs = sum((c * x for c, x in zip(coeffs, assignment)), Fraction(0))
+        lhs = sum((c * x for c, x in zip(coeffs, assignment) if c), Fraction(0))
         if relation == "<=" and not lhs <= rhs:
             return False
         if relation == ">=" and not lhs >= rhs:

@@ -15,6 +15,15 @@ further witnesses only shrink the feasible region).  Each branch is an
 exact LP; strict inequalities become a shared slack variable that the
 LP maximizes, so strict feasibility is exactly "optimal slack > 0".
 
+The agents' symmetry is broken once, in the LP: the baselines are
+ordered, ``b_0 >= b_1 >= ... >= b_{m-1}`` (Sherali & Smith, *Improving
+discrete model representations via symmetry considerations*, Mgmt.
+Sci. 2001).  No verdict changes: every feasible scenario relabels to an
+ordered one, and the fixed rows, the box and the family of subset
+constraints are invariant under relabelling.  Only which certificate is
+found can change.  The order is stated by difference variables, so it
+costs lower bounds and no rows (see :func:`witness_system_lp`).
+
 The search is deterministic: subsets are branched in (size,
 lexicographic) order, witness candidates in index order, depth-first.
 A node's path is the (subset, witness) pairs chosen from the root down
@@ -44,18 +53,14 @@ rows that no strictly feasible, size-stable point satisfies.
   union of its children's conflicts, each without that child's row,
   since every size-stable point meets some witness row of the subset.
 * Every conflict, of a leaf or of an inner node, is stored as a
-  *nogood*.  The fixed rows, and the set of subset constraints, are
-  invariant under every permutation of the ``m`` agents (Margot,
-  *Symmetry in integer linear programming*, 2010), so a relabelled
-  nogood refutes too.  Before a node's LP is solved the node is refuted,
-  with no LP, if some nogood maps into its rows under a permutation of
-  the agents; its conflict is that image.  A nogood is tried only on a
-  node whose row counts (per size, per witness, per member) cover its
-  own; the matcher then backtracks over its rows, each next row sharing
-  agents with the ones before, and never enumerates the ``m!``
-  permutations.  A nogood the parent was checked against can only map
-  onto the node's rows by sending a row to the newest one, so only
-  nogoods learned since then need a full match.
+  *nogood*, as it is: the order is not invariant under relabelling, so
+  a nogood refutes exactly the nodes whose rows contain its own.  Such
+  a node is refuted before its LP is solved, with that nogood as its
+  conflict.  The store watches rows, as SAT solvers watch literals
+  (Moskewicz et al., *Chaff*, DAC 2001): each nogood is watched by one
+  of its rows that the node lacks.  A push looks only at the nogoods
+  that watch the new row; each moves its watch to another row the node
+  lacks, or else refutes the node.  A pop undoes nothing.
 
 Every Feasible verdict is re-verified by the stability module before
 being returned; Infeasible verdicts are relative to the weight/baseline
@@ -65,11 +70,10 @@ box.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations
 from numbers import Real
 
 from ._rat import exact, integer
@@ -91,6 +95,7 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 DEFAULT_NODE_LIMIT = 200_000
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 
 
@@ -144,12 +149,13 @@ class SearchProblem:
 class SearchResult:
     """Verdict plus exploration statistics.
 
-    ``feasible`` carries an independently re-verified scenario;
+    ``feasible`` carries an independently re-verified scenario, whose
+    baselines are ordered (``b_0 >= ... >= b_{m-1}``);
     ``infeasible_within_bounds`` means the witness tree was exhausted;
     ``budget_exhausted`` makes no claim.  ``nodes_explored`` counts
     every node the search reached, and the node limit is checked against
-    it; a node refuted by a nogood is counted there but solves no LP, so
-    ``lps_solved`` can be smaller.
+    it; a node whose rows contain a stored nogood's is counted there but
+    solves no LP, so ``lps_solved`` can be smaller.
     """
 
     verdict: str
@@ -160,9 +166,16 @@ class SearchResult:
 
 def _pair_index(size: int) -> dict[tuple[int, int], int]:
     """The column of each pair weight ``w_ij``, ``i < j``, in the search's
-    LPs: pairs in lexicographic order, then one baseline per agent, then
-    the slack."""
+    LPs: pairs in lexicographic order, then the ``size`` baseline
+    columns, then the slack."""
     return {pair: p for p, pair in enumerate(combinations(range(size), 2))}
+
+
+def _baselines(columns: Sequence) -> list:
+    """The baselines ``b_0..b_{m-1}`` from a point's ``m`` baseline
+    columns (``d_0..d_{m-2}``, then ``b_{m-1}``): ``b_i`` is the sum of
+    columns ``i..m-1``.  Ints give ints, and Fractions Fractions."""
+    return list(accumulate(reversed(columns)))[::-1]
 
 
 def _agent_row(
@@ -175,17 +188,21 @@ def _agent_row(
     """Agent ``a``'s utility in ``S = members`` against their baseline:
     the witness row ``alpha(|S|) * sum_{j in S} w_aj - b_a <= 0`` (``a``
     does not improve in ``S``), or with ``full`` the full-coalition row
-    ``alpha(m) * sum_j w_aj - gamma * b_a - slack >= 0``."""
-    coeffs = [_ZERO] * (len(pairs) + problem.size + 1)
+    ``alpha(m) * sum_j w_aj - gamma * b_a - slack >= 0``.  ``b_a`` is the
+    sum of the baseline columns ``a..m-1``, so its coefficient is written
+    on each of them."""
+    m = problem.size
+    coeffs = [_ZERO] * (len(pairs) + m + 1)
     a = problem.alpha.value(len(members))
     for j in members:
         if j != agent:
             coeffs[pairs[min(agent, j), max(agent, j)]] = a
+    suffix = slice(len(pairs) + agent, len(pairs) + m)
     if full:
-        coeffs[len(pairs) + agent] = -problem.gamma
+        coeffs[suffix] = [-problem.gamma] * (m - agent)
         coeffs[-1] = _MINUS_ONE
         return Constraint(tuple(coeffs), ">=", _ZERO)
-    coeffs[len(pairs) + agent] = _MINUS_ONE
+    coeffs[suffix] = [_MINUS_ONE] * (m - agent)
     return Constraint(tuple(coeffs), "<=", _ZERO)
 
 
@@ -201,42 +218,51 @@ def witness_system_lp(
     ``0..m-1`` with its witness among them, and no subset may appear
     twice once its members are sorted.
 
-    Variables: one weight per unordered pair, one baseline per agent,
-    and a shared slack.  Constraints, in one order: the fixed rows
-    (every agent's full-coalition utility is at least ``gamma *
-    baseline + slack``; ``w <= B`` per pair, then ``b <= U`` per agent),
-    then one witness row per pair of ``path``, in path order, capping
-    the witness's subset utility at their baseline.  Lower bounds: ``w
-    >= -B``, ``b >= 1``, and ``slack >= -(gamma + alpha(m) * (m - 1) *
-    B)``.  Objective: maximize the slack.  The witness system is
-    strictly feasible iff the optimum slack is positive.
+    Variables: one weight per unordered pair, then the baselines as
+    ``m`` difference columns, then a shared slack.  The baseline columns
+    are ``d_i = b_i - b_{i+1}`` for ``i < m - 1`` and ``b_{m-1}`` itself,
+    so ``b_i`` is the sum of columns ``i..m-1`` and the order ``b_0 >=
+    ... >= b_{m-1}`` is the lower bounds ``d_i >= 0``.  Constraints, in
+    one order: the fixed rows (every agent's full-coalition utility is
+    at least ``gamma * baseline + slack``; ``w <= B`` per pair, then the
+    one row ``b_0 <= U``, the sum of the baseline columns, which with
+    the order caps every baseline), then one witness row per pair of
+    ``path``, in path order, capping the witness's subset utility at
+    their baseline.  Lower bounds: ``w >= -B``, ``d >= 0``, ``b_{m-1} >=
+    1``, and ``slack >= -(gamma + alpha(m) * (m - 1) * B)``.  Objective:
+    maximize the slack.  The witness system is strictly feasible iff the
+    optimum slack is positive.
 
     The slack's bound cuts off no optimum: the point ``w = -B``, ``b =
     1`` meets every witness row (alpha is positive on sizes >= 2), and
     there every full-coalition row allows exactly that slack.  The lower
     bounds also make the LP start feasible: with every variable at its
-    bound, each full-coalition row's right-hand side is 0 and each
-    witness row's is ``1 + alpha(|S|) * B * (|S| - 1)``, so every row is
-    a ``<=`` row with a nonnegative right-hand side and the LP's dual
+    bound (so every ``b = 1``), each full-coalition row's right-hand
+    side is 0, the ``b_0 <= U`` row's is ``U - 1`` and each witness
+    row's is ``1 + alpha(|S|) * B * (|S| - 1)``, so every row is a
+    ``<=`` row with a nonnegative right-hand side and the LP's dual
     phase makes no pivot.
     """
     m = problem.size
     pairs = _pair_index(m)
     num_pairs = len(pairs)
-    names = [f"w_{i}_{j}" for i, j in pairs] + [f"b_{i}" for i in range(m)] + ["slack"]
+    names = (
+        [f"w_{i}_{j}" for i, j in pairs]
+        + [f"d_{i}" for i in range(m - 1)]
+        + [f"b_{m - 1}", "slack"]
+    )
     bound = problem.weight_bound
-    lower = [-bound] * num_pairs + [Fraction(1)] * m
+    lower = [-bound] * num_pairs + [_ZERO] * (m - 1) + [_ONE]
     lower.append(-(problem.gamma + problem.alpha.value(m) * (m - 1) * bound))
 
     def unit(v: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(1) if u == v else _ZERO for u in range(len(names)))
+        return tuple(_ONE if u == v else _ZERO for u in range(len(names)))
 
     everyone = range(m)
     constraints = [_agent_row(problem, pairs, everyone, i, full=True) for i in everyone]
     constraints += [Constraint(unit(p), "<=", bound) for p in range(num_pairs)]
-    constraints += [
-        Constraint(unit(num_pairs + i), "<=", problem.baseline_bound) for i in range(m)
-    ]
+    top = [_ZERO] * num_pairs + [_ONE] * m + [_ZERO]
+    constraints.append(Constraint(tuple(top), "<=", problem.baseline_bound))
     if not isinstance(path, Iterable):
         raise InvalidInputError(
             f"witness path {path!r} is not an iterable of (subset, witness) pairs"
@@ -289,7 +315,7 @@ class _Budget(Exception):
     pass
 
 
-def _conflict(result: Optimal, path: Sequence[tuple], first: int) -> frozenset:
+def _conflict(result: Optimal, path: Iterable[tuple], first: int) -> frozenset:
     """The conflict of a node whose optimal slack is not positive: the
     rows of its ``path`` whose slack column has a nonzero reduced cost
     in the final tableau (the node's witness rows start at LP row
@@ -300,163 +326,56 @@ def _conflict(result: Optimal, path: Sequence[tuple], first: int) -> frozenset:
 
 
 class _Rows:
-    """A node's witness rows: ``rows`` in push order, indexed for matching
-    by subset size, and per agent the number of rows that name them as
-    witness and that contain them.  An entry of ``by_size`` is
-    ``(members mask, witness, row)``."""
+    """A node's witness rows, and the stored nogoods that refute nodes.
 
-    __slots__ = ("rows", "by_size", "witness", "member")
+    ``rows`` maps each of the node's rows to its depth, in push order.
+    Each stored nogood is watched by one of its rows, and before each
+    push that row is one the node lacks; ``watches`` maps a row to the
+    nogoods it watches.  The search keeps that true: it learns a
+    conflict at the node that the conflict refutes, watched by the
+    conflict's newest row, and pops past that row before its next push.
+    """
 
-    def __init__(self, rows: Iterable[tuple], m: int) -> None:
-        self.rows: list[tuple] = []
-        self.by_size: dict[int, list] = {}
-        self.witness = [0] * m
-        self.member = [0] * m
-        for row in rows:
-            self.push(row)
+    __slots__ = ("rows", "watches")
 
-    def push(self, row: tuple) -> None:
-        subset, agent = row
-        self.rows.append(row)
-        self.by_size.setdefault(len(subset), []).append((sum(1 << x for x in subset), agent, row))
-        self.witness[agent] += 1
-        for x in subset:
-            self.member[x] += 1
+    def __init__(self) -> None:
+        self.rows: dict[tuple, int] = {}
+        self.watches: dict[tuple, list[frozenset]] = {}
 
-    def pop(self) -> None:
-        subset, agent = self.rows.pop()
-        self.by_size[len(subset)].pop()
-        self.witness[agent] -= 1
-        for x in subset:
-            self.member[x] -= 1
-
-    def profile(self) -> tuple[list[int], list[int]]:
-        return sorted(self.witness, reverse=True), sorted(self.member, reverse=True)
-
-
-class _Nogood:
-    """A stored conflict: its rows, largest subsets first, each as
-    ``(size, witness, other members, members mask)``; one matching plan
-    per choice of first row; its number of rows of each size; per agent
-    the number of its rows that name them as witness and that contain
-    them; and those counts sorted."""
-
-    __slots__ = ("parts", "plans", "sizes", "witness", "member", "profile")
-
-    def __init__(self, conflict: frozenset, m: int) -> None:
-        self.parts = [
-            (len(subset), a, tuple(x for x in subset if x != a), sum(1 << x for x in subset))
-            for subset, a in sorted(conflict, key=lambda row: (-len(row[0]), row))
-        ]
-        self.plans: list = [None] * len(self.parts)  # each made when first needed
-        self.sizes = Counter(part[0] for part in self.parts)
-        self.witness = [sum(part[1] == x for part in self.parts) for x in range(m)]
-        self.member = [sum(part[3] >> x & 1 for part in self.parts) for x in range(m)]
-        self.profile = sorted(self.witness, reverse=True), sorted(self.member, reverse=True)
-
-    def plan(self, i: int) -> tuple:
-        """The matching plan that starts with row ``i``: each next row
-        shares the most agents with the rows before it.  Each step is
-        ``(size, witness, other members, later)``, where ``later`` is the
-        bitmask of the agents of the steps after it."""
-        if self.plans[i] is None:
-            rest = self.parts[i + 1:] + self.parts[:i]
-            order, seen = [self.parts[i]], self.parts[i][3]
-            while rest:
-                best = max(rest, key=lambda part: (seen & part[3]).bit_count())
-                rest.remove(best)
-                order.append(best)
-                seen |= best[3]
-            steps, later = [], 0
-            for size, a, others, mask in reversed(order):
-                steps.append((size, a, others, later))
-                later |= mask
-            self.plans[i] = tuple(reversed(steps))
-        return self.plans[i]
-
-    def fits(self, node: _Rows, profile: tuple[list[int], list[int]]) -> bool:
-        """A necessary condition for a match: ``node`` has at least as
-        many rows of each size, and the k-th largest witness and member
-        count of the nogood's agents is at most the node's (``profile``)."""
-        for size, count in self.sizes.items():
-            if len(node.by_size.get(size, ())) < count:
-                return False
-        return all(x <= y for x, y in zip(self.profile[0], profile[0])) and all(
-            x <= y for x, y in zip(self.profile[1], profile[1])
-        )
-
-    def image(self, node: _Rows, profile: tuple, newest: tuple | None = None) -> frozenset | None:
-        """The rows of ``node`` onto which some relabelling of the agents
-        maps this nogood, or None; ``profile`` is ``node.profile()``.
-        With ``newest``, an entry of ``node``, only a relabelling that
-        sends some row onto it counts (so an empty nogood never does)."""
-        if not self.fits(node, profile):
+    def push(self, row: tuple) -> frozenset | None:
+        """Add ``row`` to the node, and return a stored nogood whose rows
+        the node's now contain, or None.  Only a nogood that ``row``
+        watches can be one: each moves its watch to another row that the
+        node lacks, or else refutes the node and keeps its watch."""
+        rows = self.rows
+        rows[row] = len(rows)
+        watching = self.watches.get(row)
+        if not watching:
             return None
-        image, out = [-1] * len(self.witness), []
-        if newest is None:
-            if not self.parts or _match(self, self.plan(0), 0, node, image, 0, out):
-                return frozenset(out)
-            return None
-        size = len(newest[2][0])
-        for i, part in enumerate(self.parts):
-            if part[0] == size and _match(self, self.plan(i), 0, node, image, 0, out, newest):
-                return frozenset(out)
+        for n, nogood in enumerate(watching):
+            for other in nogood:
+                if other not in rows:
+                    self.watches.setdefault(other, []).append(nogood)
+                    break
+            else:
+                del watching[:n]  # the ones that moved
+                return nogood
+        watching.clear()
         return None
 
+    def pop(self) -> None:
+        """Remove the newest row.  A pop undoes no watch: a row the node
+        lacked, it still lacks."""
+        self.rows.popitem()
 
-def _match(nogood, steps, k, node, image, used, out, seed=None) -> bool:
-    """Extend the partial agent map ``image`` (-1 where unset; ``used``
-    the bitmask of its values) to steps ``k..`` of one of ``nogood``'s
-    plans, each step onto an entry of ``node`` (a :class:`_Rows`), and
-    each agent onto one named by at least as many of the node's rows.
-    Matched rows are appended to ``out``.  ``seed``, if given, is the
-    only entry step ``k`` may take.  An unset member that no later step
-    names takes whichever free slot is left, so only the members that
-    later steps read are permuted."""
-    if k == len(steps):
-        return True
-    size, a, others, later = steps[k]
-    need_w, need_m = nogood.witness, nogood.member
-    have_w, have_m = node.witness, node.member
-    target = image[a]
-    candidates = (seed,) if seed is not None else node.by_size.get(size, ())
-    mapped, free = 0, []
-    for x in others:
-        y = image[x]
-        if y >= 0:
-            mapped |= 1 << y
-        else:
-            free.append(x)
-    named = [x for x in free if later >> x & 1]
-    for mask, b, row in candidates:
-        if target >= 0:
-            # a set witness takes only the rows it heads
-            if b != target:
-                continue
-        elif used >> b & 1 or need_w[a] > have_w[b] or need_m[a] > have_m[b]:
-            continue
-        rest = mask & ~(1 << b)
-        slots = rest & ~mapped
-        if mapped & ~rest or slots & used:
-            continue
-        now_used = used | rest | 1 << b
-        image[a] = b
-        out.append(row)
-        free_slots = [y for y in range(mask.bit_length()) if slots >> y & 1]
-        for chosen in permutations(free_slots, len(named)):
-            if any(
-                need_w[x] > have_w[y] or need_m[x] > have_m[y] for x, y in zip(named, chosen)
-            ):
-                continue
-            for x, y in zip(named, chosen):
-                image[x] = y
-            if _match(nogood, steps, k + 1, node, image, now_used, out):
-                return True
-        for x in named:
-            image[x] = -1
-        out.pop()
-        image[a] = target
-    return False
+    def learn(self, conflict: frozenset) -> frozenset:
+        """Store ``conflict``, a set of the node's rows, watched by the
+        newest of them; return it.  An empty conflict refutes the root,
+        which ends the search, so it is not stored."""
+        if conflict:
+            newest = max(conflict, key=self.rows.__getitem__)
+            self.watches.setdefault(newest, []).append(conflict)
+        return conflict
 
 
 def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
@@ -468,9 +387,9 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
     whose LP optimum already satisfies every subset constraint yields a
     certificate immediately; otherwise the first subset violated at the
     LP optimum, never one on the path, is branched on.  Each refuted
-    subtree's conflict is learned as a nogood, and a node into whose
-    rows some nogood maps under a relabelling of the agents is refuted
-    without an LP (see the module docstring).
+    subtree's conflict is stored as a nogood, and a node whose rows
+    contain some nogood's is refuted without an LP (see the module
+    docstring).
     """
     q, m = problem.stable_size, problem.size
     _check_subsets(m, 2, q)  # each node's branching scan
@@ -482,49 +401,31 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
     b_at = len(pairs)
     root = witness_system_lp(problem, ())
     first_witness_row = len(root.constraints)
-    nogoods: list[_Nogood] = []
-    node = _Rows((), m)
+    node = _Rows()
 
-    def learn(conflict: frozenset) -> frozenset:
-        nogoods.append(_Nogood(conflict, m))
-        return conflict
-
-    def refuting_image(checked: int) -> frozenset | None:
-        """The image of a nogood in the node's rows, or None.  The first
-        ``checked`` nogoods were tried on the parent, so they can only
-        map onto this node's rows by sending some row to its newest."""
-        newest = node.by_size[len(node.rows[-1][0])][-1]
-        profile = node.profile()
-        for n, nogood in enumerate(nogoods):
-            image = nogood.image(node, profile, newest if n < checked else None)
-            if image is not None:
-                return image
-        return None
-
-    def explore(lp: LinearProgram, start: Optimal | None, checked: int) -> Scenario | frozenset:
+    def reach() -> None:
+        """Count a node; stop the search once a budget is spent."""
         stats["nodes"] += 1
         if problem.node_limit is not None and stats["nodes"] > problem.node_limit:
             raise _Budget
         if deadline is not None and time.monotonic() > deadline:
             raise _Budget
-        if nogoods:
-            image = refuting_image(checked)
-            if image is not None:
-                return image
-        checked = len(nogoods)
+
+    def explore(lp: LinearProgram, start: Optimal | None) -> Scenario | frozenset:
+        reach()
         stats["lps"] += 1
         result = solve(lp, start)
         if not isinstance(result, Optimal):  # starts feasible and is box-bounded
             raise AssertionError(f"node LP returned {result!r}")
         if result.value <= 0:
-            return learn(_conflict(result, node.rows, first_witness_row))
+            return node.learn(_conflict(result, node.rows, first_witness_row))
         # the LP point as ints over one positive denominator, which leaves
         # every strict comparison of the kernel as it is
         point = result.scaled_point()[0]
         weights = [[0] * m for _ in range(m)]
         for (i, j), p in pairs.items():
             weights[i][j] = weights[j][i] = point[p]
-        baselines = [(x, 1) for x in point[b_at:b_at + m]]
+        baselines = [(x, 1) for x in _baselines(point[b_at:b_at + m])]
         branch_on = _first_blocking(weights, baselines, problem.alpha, 2, q)
         if any(branch_on == subset for subset, _ in node.rows):
             # at the exact optimum every assigned witness row holds
@@ -533,7 +434,7 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
             # the LP point already satisfies every subset; certify it
             x = result.assignment
             candidate = Scenario.from_pairs(
-                problem.alpha, m, lambda i, j: x[pairs[i, j]], x[b_at:b_at + m]
+                problem.alpha, m, lambda i, j: x[pairs[i, j]], _baselines(x[b_at:b_at + m])
             )
             if not _certificate_ok(problem, candidate):
                 raise AssertionError("LP point failed independent re-verification")
@@ -541,9 +442,12 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
         learned: set = set()
         for agent in branch_on:
             row = (branch_on, agent)
-            node.push(row)
-            child = lp._with_rows((_agent_row(problem, pairs, branch_on, agent),))
-            found = explore(child, result, checked)
+            found = node.push(row)
+            if found is None:
+                child = lp._with_rows((_agent_row(problem, pairs, branch_on, agent),))
+                found = explore(child, result)
+            else:
+                reach()  # refuted by a stored nogood, with no LP
             node.pop()
             if isinstance(found, Scenario):
                 return found
@@ -553,11 +457,11 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
                 return found
             learned |= found
             learned.discard(row)
-        return learn(frozenset(learned))
+        return node.learn(frozenset(learned))
 
     try:
         # the root is the witness-free system, solved cold
-        found = explore(root, None, 0)
+        found = explore(root, None)
     except _Budget:
         return SearchResult(BUDGET_EXHAUSTED, None, stats["nodes"], stats["lps"])
     if isinstance(found, Scenario):

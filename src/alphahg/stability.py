@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, combinations
 from typing import Callable, Sequence
 
@@ -62,7 +63,9 @@ class Scenario:
 
     The baselines play the role of the agents' utilities under some
     ambient partition that is never materialized.  Searches produce
-    scenarios; generators emit them.
+    scenarios; generators emit them.  The weights are scaled to ints
+    (:func:`_scaled_weights`) at most once per scenario, by the first
+    check that reads them.
     """
 
     size: int
@@ -78,6 +81,11 @@ class Scenario:
             raise InvalidInputError("need one baseline per agent")
         object.__setattr__(self, "weights", rows)
         object.__setattr__(self, "baselines", tuple(map(exact, self.baselines)))
+
+    @cached_property
+    def _scaled(self) -> tuple[int, list[list[int]]]:
+        """``(L, W)`` for the weights (:func:`_scaled_weights`); read-only."""
+        return _scaled_weights(self.weights)
 
     @classmethod
     def from_pairs(
@@ -325,7 +333,7 @@ def _scenario_first_blocking(
 ) -> tuple[int, ...] | None:
     """First subset of size 2..max_size (size, then lex order) in which
     every member's utility exceeds their baseline."""
-    scale, scaled = _scaled_weights(scenario.weights)
+    scale, scaled = scenario._scaled
     thresholds = [(b.numerator * scale, b.denominator) for b in scenario.baselines]
     return _first_blocking(scaled, thresholds, scenario.alpha, 2, max_size)
 
@@ -339,7 +347,7 @@ def min_improvement_factor(scenario: Scenario) -> Fraction:
     if any(b <= 0 for b in scenario.baselines):
         raise DomainError("improvement factors need strictly positive baselines")
     # agent i's ratio is alpha * (sum_j W[i][j] / L) / b_i
-    scale, scaled = _scaled_weights(scenario.weights)
+    scale, scaled = scenario._scaled
     a = scenario.alpha.value(scenario.size)
     an, ad = a.numerator, a.denominator * scale
     return min(

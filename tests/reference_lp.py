@@ -17,6 +17,9 @@ the point gets ``lower`` back.
 arithmetic (slack rows of either sign, the dual simplex as phase 1), so
 the integer tableau must take its pivots and return its results, points
 included.
+
+``dual_certifies`` checks an optimum by its dual multipliers instead of
+solving again: plain Fraction sums, no simplex.
 """
 
 from __future__ import annotations
@@ -24,6 +27,34 @@ from __future__ import annotations
 from fractions import Fraction
 
 from alphahg.lp import Infeasible, LinearProgram, Optimal, SolveResult, Unbounded
+
+
+def dual_certifies(lp: LinearProgram, duals, value: Fraction) -> bool:
+    """Do ``duals``, one multiplier per constraint, bound the maximum of
+    ``lp`` by ``value``?  Each multiplier must have its relation's sign
+    (``>= 0`` on ``<=``, ``<= 0`` on ``>=``, either on ``=``); ``z =
+    A^T y - objective`` must be ``>= 0`` on every variable with a lower
+    bound and 0 on a free one; and ``y . rhs - z . lower`` must equal
+    ``value``.  Then every feasible point has objective at most
+    ``value``, so a feasible point that attains it is optimal."""
+    if len(duals) != len(lp.constraints):
+        return False
+    for y, (_, relation, _) in zip(duals, lp.constraints):
+        if (relation == "<=" and y < 0) or (relation == ">=" and y > 0):
+            return False
+    # a zero multiplier adds nothing to either sum
+    priced = [(y, c) for y, c in zip(duals, lp.constraints) if y]
+    bound = sum((y * c.rhs for y, c in priced), Fraction(0))
+    for v, (cost, lower) in enumerate(zip(lp.objective, lp.lower)):
+        z = sum((y * c.coeffs[v] for y, c in priced), -cost)
+        if lower is None:
+            if z != 0:
+                return False
+        elif z < 0:
+            return False
+        else:
+            bound -= z * lower
+    return bound == value
 
 
 def to_rat(value):

@@ -157,6 +157,19 @@ class TestGenerate:
         assert code == 2
         assert out == "" and "requires --alpha" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--construction", "cycle", "--q", "4"), "construction 'cycle' requires --alpha"),
+        (("--construction", "cycle", "--alpha", "fhg"), "construction 'cycle' requires --q"),
+        (("--construction", "mantel"), "construction 'mantel' requires --m"),
+        (("--construction", "fig6", "--q", "3"), "construction 'fig6' does not read --q"),
+        (("--construction", "cycle", "--alpha", "fhg", "--q", "4", "--m", "5"),
+         "construction 'cycle' does not read --m"),
+    ])
+    def test_refusals_name_the_flag(self, capsys, argv, message):
+        # the library names its parameters; the command line its flags
+        code, out, err = run(capsys, "generate", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_names_are_admitted_by_the_library(self, capsys):
         # as --alpha FHG is: stripped and lower-cased
         args = ("generate", "--construction", "cycle", "--q", "4", "--alpha")
@@ -223,6 +236,25 @@ class TestSearch:
         assert "verdict: feasible" in out
         scenario = load_scenario(str(out_path))
         assert scenario.size == 3
+
+    def test_certificate_is_scaled_once(self, capsys, monkeypatch):
+        # the search's re-verification and the CLI's report check the
+        # same scenario, which scales its weights once
+        from alphahg import stability
+
+        calls = []
+        scale = stability._scaled_weights
+
+        def counting(weights):
+            calls.append(weights)
+            return scale(weights)
+
+        monkeypatch.setattr(stability, "_scaled_weights", counting)
+        code, out, _ = run(
+            capsys, "search", "--alpha", "fhg", "--q", "2", "--m", "3", "--gamma", "13/10"
+        )
+        assert code == 0 and "verification: ok" in out
+        assert len(calls) == 1
 
     def test_infeasible_exit_one(self, capsys):
         code, out, _ = run(

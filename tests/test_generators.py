@@ -245,16 +245,15 @@ class TestBuildConstruction:
         }
         assert tuple(reads) == CONSTRUCTION_NAMES
         unread = dict(alpha=ASHG, stable_size=3, size=6)
-        flags = dict(alpha="--alpha", stable_size="--q", size="--m")
         for name, given in reads.items():
             build_construction(name, **given)
-            for arg, flag in flags.items():
+            for arg in unread:
                 if arg in given:
                     others = {k: v for k, v in given.items() if k != arg}
-                    message = f"^construction '{name}' requires {flag}$"
+                    message = f"^construction '{name}' requires {arg}$"
                 else:
                     others = {**given, arg: unread[arg]}
-                    message = f"^construction '{name}' does not read {flag}$"
+                    message = f"^construction '{name}' does not read {arg}$"
                 with pytest.raises(InvalidInputError, match=message):
                     build_construction(name, **others)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from reference_lp import dual_certifies
 
 from alphahg import InvalidInputError
 from alphahg.lp import (
@@ -228,3 +229,59 @@ class TestDuality:
             elif isinstance(d, Unbounded):
                 assert isinstance(p, Infeasible)
         assert checked > 10
+
+    def test_dual_certifies_the_optimum(self):
+        # free and bounded variables, fractional data, rows of every
+        # relation; each optimum solved cold and re-optimised warm from the
+        # box rows alone, and each dual checked by plain Fraction sums
+        rng = random.Random(46)
+        checked, refuted = 0, 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            lower = [
+                None if rng.random() < 0.4 else Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                for _ in range(n)
+            ]
+            box = []
+            for v in range(n):
+                unit = [Fraction(int(i == v)) for i in range(n)]
+                floor = lower[v]
+                if floor is None:
+                    floor = Fraction(-rng.randint(1, 9), rng.randint(1, 3))
+                    box.append((unit, ">=", floor))
+                box.append((unit, "<=", floor + Fraction(rng.randint(0, 9), rng.randint(1, 3))))
+            rows = [
+                (
+                    [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)],
+                    rng.choice(["<=", ">=", "="]),
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            objective = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            lp = LinearProgram.maximize(objective, box + rows, lower=lower)
+            start = solve(LinearProgram.maximize(objective, box, lower=lower))
+            assert isinstance(start, Optimal)
+            for result in (solve(lp), solve(lp, start)):
+                if not isinstance(result, Optimal):
+                    assert isinstance(result, Infeasible)
+                    continue
+                duals = result.dual()
+                assert satisfies(lp, result.assignment)
+                assert dual_certifies(lp, duals, result.value), lp
+                checked += 1
+                # a multiplier of the wrong sign certifies nothing
+                signed = [
+                    k for k, (y, c) in enumerate(zip(duals, lp.constraints))
+                    if y and c.relation != "="
+                ]
+                if signed:
+                    k = rng.choice(signed)
+                    negated = duals[:k] + [-duals[k]] + duals[k + 1:]
+                    assert not dual_certifies(lp, negated, result.value)
+                    refuted += 1
+        assert checked >= 200 and refuted >= 150, (checked, refuted)
+
+    def test_dual_needs_a_solved_optimum(self):
+        with pytest.raises(InvalidInputError):
+            Optimal(Fraction(1), (Fraction(1),)).dual()

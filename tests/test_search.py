@@ -4,7 +4,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 
@@ -33,28 +33,28 @@ from alphahg.search import (
     BUDGET_EXHAUSTED,
     FEASIBLE,
     INFEASIBLE_WITHIN_BOUNDS,
-    _Nogood,
     _Rows,
     _certificate_ok,
 )
-from reference_lp import reference_solve
-from reference_search import reference_search
+from reference_lp import dual_certifies, reference_solve
+from reference_search import reference_search, unordered_witness_system_lp
 
 
 @pytest.fixture(autouse=True)
 def node_lp_check(request, monkeypatch):
-    """Every node LP that a search in this module solves is solved again
-    by the Fraction simplex that the integer tableau replaced.  A cold
-    solve must equal it, value and point included.  A warm solve (with a
-    ``start``) re-optimises its parent's optimum by the dual simplex, so
-    it may reach another optimal point: its verdict and value must equal
-    the reference's, and its point must be feasible and attain the value.
-    Returns the number of node LPs checked so far.  The slow tier is left
-    out: the Fraction simplex would take it back to its old running time.
-    So are ``TestWarmNodesAgainstColdSolves``, which checks every node
-    against the cold integer solve itself, and ``TestTreeSizes`` and
-    ``TestStoredNogoods``, which search trees that other tests check,
-    at sizes where the Fraction simplex would add about a minute."""
+    """Every node LP that a search in this module solves is checked
+    without the integer tableau.  A cold solve must equal the Fraction
+    simplex that the integer tableau replaced (``reference_solve``),
+    value and point included.  A warm solve (with a ``start``)
+    re-optimises its parent's optimum by the dual simplex, so it may
+    reach another optimal point; it is checked by duality instead, in
+    plain Fraction sums: its point is feasible and attains its value,
+    and its dual multipliers (``Optimal.dual``) bound the maximum by
+    that value.  Returns the number of node LPs checked so far.  The
+    slow tier is left out, and so are ``TestWarmNodesAgainstColdSolves``,
+    which checks every node against the cold integer solve itself, and
+    ``TestTreeSizes`` and ``TestStoredNogoods``, which search trees that
+    other tests check."""
     checked = [0]
     if request.node.get_closest_marker("slow") or request.cls in (
         TestWarmNodesAgainstColdSolves,
@@ -64,23 +64,22 @@ def node_lp_check(request, monkeypatch):
         return checked
     integer_solve = search_module.solve
 
-    def solve_and_compare(lp, start=None):
+    def solve_and_check(lp, start=None):
         result = integer_solve(lp, start)
-        want = reference_solve(lp)
         if start is None:
-            assert result == want, lp
+            assert result == reference_solve(lp), lp
         else:
-            assert type(result) is type(want), lp
-            if isinstance(want, Optimal):
-                assert result.value == want.value, lp
-                assert satisfies(lp, result.assignment), lp
-                assert result.value == sum(
-                    (c * x for c, x in zip(lp.objective, result.assignment)), Fraction(0)
-                ), lp
+            # a node LP starts feasible and is box-bounded
+            assert isinstance(result, Optimal), lp
+            assert satisfies(lp, result.assignment), lp
+            assert result.value == sum(
+                (c * x for c, x in zip(lp.objective, result.assignment)), Fraction(0)
+            ), lp
+            assert dual_certifies(lp, result.dual(), result.value), lp
         checked[0] += 1
         return result
 
-    monkeypatch.setattr(search_module, "solve", solve_and_compare)
+    monkeypatch.setattr(search_module, "solve", solve_and_check)
     return checked
 
 
@@ -119,9 +118,11 @@ class TestWitnessSystemLp:
         result = solve(lp)
         assert isinstance(result, Optimal)
         assert result.value > 0
-        # plug in the known tight scenario: weights 2, baselines 1,
-        # slack = 4/3 - 13/10
-        point = [Fraction(2)] * 3 + [Fraction(1)] * 3 + [Fraction(4, 3) - Fraction(13, 10)]
+        # plug in the known tight scenario: weights 2, baselines 1 (the
+        # differences d_0 = d_1 = 0 and b_2 = 1), slack = 4/3 - 13/10
+        assert lp.names == ("w_0_1", "w_0_2", "w_1_2", "d_0", "d_1", "b_2", "slack")
+        zero, one = Fraction(0), Fraction(1)
+        point = [Fraction(2)] * 3 + [zero, zero, one, Fraction(4, 3) - Fraction(13, 10)]
         assert satisfies(lp, point)
 
     @pytest.mark.parametrize(
@@ -176,7 +177,8 @@ class TestWitnessSystemLp:
                 if j != witness:
                     pair = f"w_{min(witness, j)}_{max(witness, j)}"
                     coeffs[lp.names.index(pair)] = TABLE_ALPHA.value(len(subset))
-            coeffs[lp.names.index(f"b_{witness}")] = Fraction(-1)
+            for column in _baseline_columns(lp, p.size, witness):
+                coeffs[column] = Fraction(-1)
             return Constraint(tuple(coeffs), "<=", Fraction(0))
 
         assert lp.constraints == fixed + tuple(cap(*step) for step in path)
@@ -195,6 +197,13 @@ class TestWitnessSystemLp:
             problem(FHG, 2, 3, 1, B=0)
         with pytest.raises(InvalidInputError):
             problem(FHG, 2, 3, 1, U=Fraction(1, 2))
+
+
+def _baseline_columns(lp, m, agent):
+    """The LP columns whose sum is agent's baseline: the differences
+    ``d_agent .. d_{m-2}`` and ``b_{m-1}``."""
+    names = [f"d_{k}" for k in range(agent, m - 1)] + [f"b_{m - 1}"]
+    return [lp.names.index(name) for name in names]
 
 
 TABLE_ALPHA = AlphaFunction.from_table(
@@ -219,8 +228,9 @@ def _meets_definition(p, assignment, weights, baselines, slack):
     """The witness system written out from alpha and the weights: every
     assigned witness is capped at their baseline, every agent's
     full-coalition utility is at least gamma * baseline + slack, the
-    weights and baselines lie in the box, and the slack is at least its
-    documented floor."""
+    weights and baselines lie in the box, the baselines are ordered
+    ``b_0 >= ... >= b_{m-1}``, and the slack is at least its documented
+    floor."""
     m, a = p.size, p.alpha.value
     B, U = p.weight_bound, p.baseline_bound
     caps = all(
@@ -228,14 +238,17 @@ def _meets_definition(p, assignment, weights, baselines, slack):
     )
     full = all(a(m) * sum(weights[i]) >= p.gamma * baselines[i] + slack for i in range(m))
     box = all(abs(x) <= B for row in weights for x in row) and all(1 <= b <= U for b in baselines)
-    return caps and full and box and slack >= -(p.gamma + a(m) * (m - 1) * B)
+    ordered = all(baselines[i] >= baselines[i + 1] for i in range(m - 1))
+    return caps and full and box and ordered and slack >= -(p.gamma + a(m) * (m - 1) * B)
 
 
 def _random_point(rng, p, assignment):
-    """Weights and baselines inside the box or on its faces; most witness
-    caps met, some made tight or missed by 1/1000; the full-coalition
-    rows tight, met or just missed; at times one coordinate just outside
-    the box or the slack on its floor."""
+    """Weights and baselines inside the box or on its faces, the baselines
+    ordered and often tied; most witness caps met, some made tight or
+    missed by 1/1000 (by moving one of the witness's weights); the
+    full-coalition rows tight, met or just missed; at times one
+    coordinate just outside the box, two baselines out of order by
+    1/1000, or the slack on its floor."""
     m, a = p.size, p.alpha.value
     B, U = p.weight_bound, p.baseline_bound
     eps = Fraction(1, 1000)
@@ -248,19 +261,32 @@ def _random_point(rng, p, assignment):
     weights = [[Fraction(0)] * m for _ in range(m)]
     for i, j in combinations(range(m), 2):
         weights[i][j] = weights[j][i] = inside(-B, B)
-    baselines = [inside(Fraction(1), U) for _ in range(m)]
+    baselines = sorted((inside(Fraction(1), U) for _ in range(m)), reverse=True)
     for S, w in assignment.items():
-        cap = a(len(S)) * sum(weights[w][j] for j in S)
-        if 1 <= cap <= U and rng.random() < 0.5:
-            baselines[w] = cap + rng.choice((0, 0, eps, -eps))
-        elif cap <= U:
-            baselines[w] = max(baselines[w], cap)
-    if rng.random() < 0.3:
+        j = rng.choice([x for x in S if x != w])
+        others = sum(weights[w][x] for x in S if x != j)
+        # the weight w_wj at which w's cap in S is tight
+        tight = baselines[w] / a(len(S)) - others
         if rng.random() < 0.5:
-            i, j = rng.sample(range(m), 2)
-            weights[i][j] = weights[j][i] = rng.choice((-B - eps, B + eps))
+            target = tight + rng.choice((0, 0, eps, -eps))
+        elif weights[w][j] > tight:
+            target = tight - inside(Fraction(0), B)
         else:
-            baselines[rng.randrange(m)] = rng.choice((1 - eps, U + eps))
+            continue
+        if -B <= target <= B:
+            weights[w][j] = weights[j][w] = target
+    luck = rng.random()
+    if luck < 0.15:
+        i, j = rng.sample(range(m), 2)
+        weights[i][j] = weights[j][i] = rng.choice((-B - eps, B + eps))
+    elif luck < 0.3:
+        if rng.random() < 0.5:
+            baselines[-1] = 1 - eps
+        else:
+            baselines[0] = U + eps
+    elif luck < 0.4:
+        i = rng.randrange(m - 1)
+        baselines[i + 1] = baselines[i] + eps
     slack = min(a(m) * sum(weights[i]) - p.gamma * baselines[i] for i in range(m))
     slack += rng.choice((0, 0, eps, -eps, -1))
     if rng.random() < 0.1:
@@ -269,14 +295,19 @@ def _random_point(rng, p, assignment):
 
 
 def _lp_point(lp, weights, baselines, slack):
-    """The point in the LP's variable order, read from its names."""
+    """The point in the LP's variable order, read from its names: the
+    baselines as differences ``d_i = b_i - b_{i+1}``, then ``b_{m-1}``."""
     point = []
     for name in lp.names:
         kind, *index = name.split("_")
         if kind == "w":
             point.append(weights[int(index[0])][int(index[1])])
+        elif kind == "d":
+            i = int(index[0])
+            point.append(baselines[i] - baselines[i + 1])
         elif kind == "b":
-            point.append(baselines[int(index[0])])
+            assert int(index[0]) == len(baselines) - 1
+            point.append(baselines[-1])
         else:
             assert name == "slack"
             point.append(slack)
@@ -426,6 +457,14 @@ class TestAgreementWithBounds:
         result = search_blocking_scenario(problem(alpha, q, m, f))
         assert result.verdict == INFEASIBLE_WITHIN_BOUNDS
 
+    @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG])
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_q2_infeasible_at_bound_up_to_eight_agents(self, alpha, m):
+        # 2^m - 1 nodes, one LP each; m = 9 is in the slow tier
+        f = improvement_bound(alpha, 2, m)
+        result = search_blocking_scenario(problem(alpha, 2, m, f, node_limit=None))
+        assert result.verdict == INFEASIBLE_WITHIN_BOUNDS
+
     @pytest.mark.parametrize(
         "alpha,q,m",
         [(FHG, 2, 3), (FHG, 2, 4), (FHG, 3, 4), (ASHG, 2, 3), (ASHG, 3, 4)],
@@ -467,15 +506,15 @@ class TestAgreementWithBounds:
 
 def _reference_search(alpha, q, m, gamma, B=10, U=10):
     """Independent oracle: enumerate *every* full witness assignment and
-    solve the public witness LP for each; feasible iff any optimum has
-    positive slack.  No pruning, no branching heuristics, no symmetry
-    reduction."""
+    solve the witness LP without the baseline order for each; feasible
+    iff any optimum has positive slack.  No pruning, no branching
+    heuristics, no symmetry reduction."""
     from itertools import combinations, product
 
     p = problem(alpha, q, m, gamma, B, U)
     subsets = [c for s in range(2, q + 1) for c in combinations(range(m), s)]
     for witnesses in product(*subsets):
-        result = solve(witness_system_lp(p, zip(subsets, witnesses)))
+        result = solve(unordered_witness_system_lp(p, zip(subsets, witnesses)))
         assert isinstance(result, Optimal)
         if result.value > 0:
             return FEASIBLE
@@ -518,8 +557,9 @@ def _bound_gammas(alpha, q, m):
 
 class TestAgainstReferenceSearchAtFourAgents:
     """m = 4 is the smallest size at which one-witness branching,
-    backjumps and relabelled nogoods cut real subtrees: the oracle
-    solves all 2^6 = 64 full assignments at q = 2."""
+    backjumps, nogoods and the baseline order cut real subtrees: the
+    oracle solves all 2^6 = 64 full assignments at q = 2, without the
+    order."""
 
     @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG])
     def test_q2_at_and_below_the_bound(self, alpha):
@@ -546,8 +586,9 @@ def _grid_gammas(alpha, q, m):
 
 class TestAgainstConflictFreeSearch:
     """The same verdict as ``reference_search``, the search without
-    conflicts, backjumps or nogoods (every node solves its LP), on a grid
-    of alphas, sizes, gammas and boxes."""
+    conflicts, backjumps or nogoods (every node solves its LP) over the
+    witness system without the baseline order, on a grid of alphas,
+    sizes, gammas and boxes."""
 
     @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG, ODD_EVEN, PAIRWISE_COMM])
     @pytest.mark.parametrize("q,m", [(2, 3), (2, 4), (3, 4), (2, 5)])
@@ -560,12 +601,16 @@ class TestAgainstConflictFreeSearch:
 
 
 class TestLearnedConflicts:
-    """Each conflict read off a refuted node's LP dual, and a random
-    relabelling of its agents, refutes the system on its own: cold-solved
-    as ``witness_system_lp(problem, conflict)``, its optimal slack is the
-    node's, which is not positive.  (A conflict learned from a subtree
-    refutes only together with the subset constraints; the verdict
-    comparisons check those.)"""
+    """Each conflict read off a refuted node's LP dual refutes the system
+    on its own: cold-solved as ``witness_system_lp(problem, conflict)``,
+    its optimal slack is the node's, which is not positive.  The order
+    is not invariant under relabelling, so a relabelled conflict need
+    not refute the ordered system; it refutes the system whose order is
+    relabelled with it (the unordered system plus the rows
+    ``b_{relabel[0]} >= b_{relabel[1]} >= ...``), with the same slack.
+    That is the symmetry that makes the order cost no verdict.  (A
+    conflict learned from a subtree refutes only together with the
+    subset constraints; the verdict comparisons check those.)"""
 
     @pytest.mark.parametrize(
         "alpha,q,m",
@@ -587,110 +632,109 @@ class TestLearnedConflicts:
         assert search_blocking_scenario(p).verdict == INFEASIBLE_WITHIN_BOUNDS
         assert len(learned) > 1
         for conflict, value in learned:
+            result = solve(witness_system_lp(p, conflict))
+            assert isinstance(result, Optimal) and result.value == value <= 0, conflict
             relabel = list(range(m))
             rng.shuffle(relabel)
             image = [(tuple(relabel[x] for x in S), relabel[w]) for S, w in conflict]
-            for path in (conflict, image):
-                result = solve(witness_system_lp(p, path))
-                assert isinstance(result, Optimal) and result.value == value <= 0, path
+            result = solve(unordered_witness_system_lp(p, image, relabel))
+            assert isinstance(result, Optimal) and result.value == value, (image, relabel)
 
 
 class TestStoredNogoods:
-    """Every stored nogood, of a leaf or of an inner node, and a random
-    relabelling of it, admits no feasible scenario: the conflict-free
-    search started from its rows finds none.  Feasible problems are the
-    ones where this can fail, so the cases include feasible trees that
-    refute subtrees on their way to a certificate."""
+    """Every stored nogood, of a leaf or of an inner node, admits no
+    feasible scenario of the ordered system: the conflict-free search of
+    that system (``reference_search(..., ordered=True)``) started from
+    its rows finds none.  Feasible problems are the ones where this can
+    fail, so the cases include feasible trees that refute subtrees on
+    their way to a certificate."""
 
     @pytest.mark.parametrize(
         "alpha,q,m,below",
         [
             (FHG, 2, 4, 0),
             (ASHG, 3, 4, 0),
-            (FHG, 4, 6, Fraction(1, 1000)),
+            (FHG, 4, 5, Fraction(1, 1000)),
             (ASHG, 5, 6, Fraction(1, 5)),
             (FHG, 5, 7, Fraction(1, 1000)),
         ],
     )
     def test_nogoods_admit_no_scenario(self, monkeypatch, alpha, q, m, below):
-        rng = random.Random(1618)
         stored = []
+        learn = _Rows.learn
 
-        class Recording(search_module._Nogood):
-            __slots__ = ()
-
-            def __init__(self, conflict, m):
+        def recording(rows, conflict):
+            if conflict:
                 stored.append(conflict)
-                super().__init__(conflict, m)
+            return learn(rows, conflict)
 
-        monkeypatch.setattr(search_module, "_Nogood", Recording)
+        monkeypatch.setattr(_Rows, "learn", recording)
         p = problem(alpha, q, m, improvement_bound(alpha, q, m) - below)
         verdict = search_blocking_scenario(p).verdict
         assert verdict == (FEASIBLE if below else INFEASIBLE_WITHIN_BOUNDS)
         assert stored
         for conflict in stored:
-            relabel = list(range(m))
-            rng.shuffle(relabel)
-            image = [(tuple(relabel[x] for x in S), relabel[w]) for S, w in conflict]
-            for path in (sorted(conflict), image):
-                assert reference_search(p, path).verdict == INFEASIBLE_WITHIN_BOUNDS, path
+            path = sorted(conflict)
+            assert reference_search(p, path, ordered=True).verdict == INFEASIBLE_WITHIN_BOUNDS, path
 
 
-def _random_rows(rng, m, q, count):
-    subsets = [c for s in range(2, q + 1) for c in combinations(range(m), s)]
-    return [(S, rng.choice(S)) for S in rng.sample(subsets, count)]
+class TestWatchedNogoods:
+    """``_Rows``, the search's watched nogood store, against brute force:
+    random push / pop / learn sequences that follow the search's
+    protocol (a conflict is learned at a node whose rows contain it, and
+    the search pops past its newest row before the next push).  A push
+    must return a stored nogood that the node's rows contain iff there
+    is one."""
 
-
-class TestNogoodMatcher:
-    """``_Nogood.image``, the search's one match call, against every
-    relabelling of the agents: a nogood maps into a node's rows iff some
-    permutation sends each of its rows to one of the node's.  Seeded
-    with the node's newest row, a match must send some row onto it."""
-
-    def _images(self, nogood_rows, node_rows, m):
-        node = set(node_rows)
-        for relabel in permutations(range(m)):
-            image = {(tuple(sorted(relabel[x] for x in S)), relabel[w]) for S, w in nogood_rows}
-            if image <= node:
-                yield image
-
-    def test_matches_equal_brute_force(self):
+    def test_push_refutes_iff_a_nogood_is_contained(self):
         rng = random.Random(2718)
         found = {True: 0, False: 0}
-        for _ in range(400):
+        for _ in range(300):
             m = rng.randint(3, 6)
             q = rng.randint(2, min(3, m - 1))
-            total = sum(len(list(combinations(range(m), s))) for s in range(2, q + 1))
-            node_rows = _random_rows(rng, m, q, rng.randint(1, min(total, 9)))
-            if rng.random() < 0.5:
-                # a relabelled part of the node, so that matches are common;
-                # the part may be empty
-                relabel = list(range(m))
-                rng.shuffle(relabel)
-                part = rng.sample(node_rows, rng.randint(0, len(node_rows)))
-                nogood_rows = [(tuple(sorted(relabel[x] for x in S)), relabel[w]) for S, w in part]
-            else:
-                nogood_rows = _random_rows(rng, m, q, rng.randint(1, min(total, 5)))
-            nogood = _Nogood(frozenset(nogood_rows), m)
-            node = _Rows(node_rows, m)
-            profile = node.profile()
-            images = list(self._images(nogood_rows, node_rows, m))
-            matched = nogood.image(node, profile)
-            assert (matched is not None) == bool(images), (nogood_rows, node_rows)
-            if matched is not None:
-                assert matched in images
-            # seeded on the newest row, as the search seeds a nogood that
-            # the parent was checked against
-            newest_row = node_rows[-1]
-            newest = node.by_size[len(newest_row[0])][-1]
-            assert newest[2] == newest_row
-            seeded = nogood.image(node, profile, newest)
-            want = any(newest_row in image for image in images)
-            assert (seeded is not None) == want, (nogood_rows, node_rows)
-            if seeded is not None:
-                assert newest_row in seeded and seeded in images
-            found[matched is not None] += 1
-        assert min(found.values()) >= 80, found
+            subsets = [c for s in range(2, q + 1) for c in combinations(range(m), s)]
+            universe = [(S, a) for S in subsets for a in S]
+            node, stored = _Rows(), []
+            for _ in range(60):
+                if node.rows and rng.random() < 0.4:
+                    node.pop()
+                    continue
+                fresh = [row for row in universe if row not in node.rows]
+                if not fresh:
+                    node.pop()
+                    continue
+                row = rng.choice(fresh)
+                got = node.push(row)
+                rows = set(node.rows)
+                want = [nogood for nogood in stored if nogood <= rows]
+                assert (got is not None) == bool(want), (row, stored, rows)
+                found[got is not None] += 1
+                if got is not None:
+                    assert got in stored and got <= rows
+                    node.pop()  # the search pops a refuted node at once
+                elif rng.random() < 0.3:
+                    # learn a conflict of this node, with the new row or
+                    # without it; the search then pops past its newest row
+                    part = rng.sample(list(node.rows), rng.randint(1, min(len(rows), 4)))
+                    if rng.random() < 0.7 and row not in part:
+                        part[0] = row
+                    conflict = frozenset(part)
+                    assert node.learn(conflict) is conflict
+                    stored.append(conflict)
+                    newest = max(node.rows[r] for r in conflict)
+                    while len(node.rows) > newest:
+                        node.pop()
+                    for _ in range(rng.randint(0, 2)):
+                        if node.rows:
+                            node.pop()
+        assert min(found.values()) >= 300, found
+
+    def test_an_empty_conflict_is_not_stored(self):
+        node = _Rows()
+        node.push(((0, 1), 0))
+        assert node.learn(frozenset()) == frozenset()
+        node.pop()
+        assert node.push(((0, 1), 0)) is None and not node.watches
 
 
 @pytest.mark.slow
@@ -716,10 +760,12 @@ class TestSlowAgainstReferenceSearchAtFourAgents:
 
 @pytest.mark.slow
 class TestSlowAgreement:
-    """Larger infeasibility proofs, excluded by default; each takes
-    seconds.  FHG and ASHG at q = 3 and 4, m = 5, are in the default
-    tier (``TestAgreementWithBounds``).  FHG and ASHG at q = 3, m = 6
-    are left out: their trees do not finish in minutes."""
+    """Larger infeasibility proofs, excluded by default.  FHG and ASHG at
+    q = 3 and 4, m = 5, and q = 2 up to m = 8, are in the default tier
+    (``TestAgreementWithBounds``).  At q = 2, m = 9 each tree is 511
+    nodes, which the default tier's dual check of every node would make
+    take seconds.  FHG and ASHG at q = 3, m = 6, take about 75,000 nodes
+    and 30,000 LPs each, tens of seconds."""
 
     CASES = [
         (MFHG, 2, 5),
@@ -731,6 +777,11 @@ class TestSlowAgreement:
         (ASHG, 2, 6),
         (MFHG, 2, 6),
         (MFHG, 3, 6),
+        (FHG, 2, 9),
+        (ASHG, 2, 9),
+        (MFHG, 2, 9),
+        (FHG, 3, 6),
+        (ASHG, 3, 6),
     ]
 
     @pytest.mark.parametrize("alpha,q,m", CASES)
@@ -746,14 +797,12 @@ def _first_violated_subset(p, lp, point):
     subset the search documents it branches on."""
     m, a = p.size, p.alpha.value
     weights = [[Fraction(0)] * m for _ in range(m)]
-    baselines = [None] * m
     for name, x in zip(lp.names, point):
         kind, *index = name.split("_")
         if kind == "w":
             i, j = map(int, index)
             weights[i][j] = weights[j][i] = x
-        elif kind == "b":
-            baselines[int(index[0])] = x
+    baselines = [sum(point[c] for c in _baseline_columns(lp, m, i)) for i in range(m)]
     for size in range(2, p.stable_size + 1):
         for subset in combinations(range(m), size):
             if all(a(size) * sum(weights[i][j] for j in subset) > baselines[i] for i in subset):
@@ -830,18 +879,18 @@ class TestWarmNodesAgainstColdSolves:
 
 
 class TestTreeSizes:
-    """The node and LP counts of four trees from ``BENCH_15.json``, so
-    that a change to the branching, the conflicts, the nogood matching
-    or the LP's optimal points shows as a changed count and has to say
-    so.  Nodes refuted by a nogood count as nodes but solve no LP."""
+    """The node and LP counts of four trees, so that a change to the
+    branching, the conflicts, the nogood store or the LP's optimal points
+    shows as a changed count and has to say so.  Nodes refuted by a
+    nogood count as nodes but solve no LP."""
 
     @pytest.mark.parametrize(
         "alpha,q,m,below,nodes,lps",
         [
-            (FHG, 3, 4, 0, 56, 28),
-            (FHG, 3, 5, 0, 196, 82),
-            (FHG, 5, 7, Fraction(1, 1000), 61, 58),
-            (ASHG, 6, 7, Fraction(1, 1000), 41, 41),
+            (FHG, 3, 4, 0, 16, 14),
+            (FHG, 3, 5, 0, 1163, 586),
+            (FHG, 5, 7, Fraction(1, 1000), 62, 62),
+            (ASHG, 6, 7, Fraction(1, 1000), 110, 108),
         ],
         ids=["fhg-q3-m4-bound", "fhg-q3-m5-bound", "fhg-q5-m7-below", "ashg-q6-m7-below"],
     )

@@ -213,6 +213,27 @@ class TestScenarioOps:
                 Scenario.from_pairs(ASHG, size, lambda i, j: 1, baselines)
 
 
+    def test_each_scenario_is_scaled_once(self, monkeypatch):
+        # both checks, twice each, read one scaling of the weights
+        calls = []
+        scale = stability._scaled_weights
+
+        def counting(weights):
+            calls.append(weights)
+            return scale(weights)
+
+        monkeypatch.setattr(stability, "_scaled_weights", counting)
+        scenario = fixture("fig6")
+        for _ in range(2):
+            assert scenario_is_size_stable(scenario, 5)
+            assert min_improvement_factor(scenario) == Fraction(8, 7)
+        assert len(calls) == 1
+        # an equal scenario is scaled again, and its own scaling kept
+        twin = Scenario(scenario.size, scenario.weights, scenario.baselines, scenario.alpha)
+        assert twin == scenario and min_improvement_factor(twin) == Fraction(8, 7)
+        assert len(calls) == 2
+
+
 def _naive_blocks(game, partition, min_size, max_size, factor):
     """Definitional double loop, no shared machinery."""
     for s in range(min_size, max_size + 1):
