@@ -119,9 +119,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         size = integer(size)
     except InvalidInputError:
         raise InvalidInputError(f"--qk: size must be an integer, not {size!r}") from None
-    return _print_report(
-        stability.is_size_factor_stable(game, partition, size, io.parse_rational(factor))
-    )
+    try:
+        factor = io.parse_rational(factor)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"--qk: factor: {exc}") from None
+    return _print_report(stability.is_size_factor_stable(game, partition, size, factor))
 
 
 def cmd_bound_table(args: argparse.Namespace) -> int:
@@ -194,8 +196,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_poa(args: argparse.Namespace) -> int:
     game, _ = io.load_game(args.file)
-    if (args.q is None) == (args.k is None):
-        raise InvalidInputError("choose exactly one of --q / --k")
     if args.q is not None:
         result = efficiency.size_cpoa(game, args.q)
     else:
@@ -297,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poa", help="exact price of anarchy")
     p.add_argument("file")
-    p.add_argument("--q", type=integer, help="size-stable core")
-    p.add_argument("--k", type=_rational, help="improvement-stable core")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--q", type=integer, help="size-stable core")
+    mode.add_argument("--k", type=_rational, help="improvement-stable core")
     p.set_defaults(func=cmd_poa)
 
     p = sub.add_parser("greedy", help="greedy pairing partition")

@@ -15,37 +15,39 @@ a row adds no column, and a pivot updates no basic slack's unit column.
 Bland's rule breaks its ties by label, not by position, so the pivots
 are those of the full tableau with its columns in label order.
 
-Each variable is free or has a rational lower bound; a nonnegative
-variable is one with ``lower = 0``.  A free variable is split into a
-nonnegative pair internally; a bounded one is solved as ``x - lower >=
-0`` and its bound added back to the returned point.  Relations are
-non-strict (strictness is encoded upstream, e.g. via a maximized slack
-variable).
+Every constraint has one form, ``coeffs . x <= rhs`` with ``rhs`` of
+either sign; :meth:`LinearProgram.maximize` alone reads ``>=`` (stored
+negated) and ``=`` (the row, then its negation).  Strictness is encoded
+upstream, e.g. via a maximized slack variable.  Each variable is free
+or has a rational lower bound (``lower = 0`` for a nonnegative one).  A
+free variable is split into a nonnegative pair internally; a bounded
+one is solved as ``x - lower >= 0`` and its bound added back to the
+returned point.
 
-There is one path.  A solve appends its rows to a tableau, each as
-``a . y + s = r`` with a fresh slack ``s >= 0`` basic and ``r`` of
-either sign (``>=`` is negated, ``=`` is a pair of opposite rows), and
+There is one path.  A solve appends one row per constraint to a
+tableau, as ``a . y + s = r`` with a fresh slack ``s >= 0`` basic, and
 reduces each against the tableau's basis.  The basis stays dual
 feasible, so a dual simplex (Bland's rule on the dual) restores primal
 feasibility or finds a row with a negative right-hand side and no
 negative entry, which proves the program infeasible; its slack entries
 are then nonnegative multipliers of the scaled rows (a Farkas
-certificate).  A cold solve starts from the empty
-program: no rows, ``d = 1`` and a zero objective, which every basis
-prices dual feasible, so the dual simplex is its phase 1.  It then
-prices the real objective and runs the primal simplex.
+certificate).  A cold solve starts from the empty program: no rows,
+``d = 1`` and a zero objective, which every basis prices dual feasible,
+so the dual simplex is its phase 1.  It then prices the real objective
+and runs the primal simplex.
 
-Warm start: an :class:`Optimal` that :func:`solve` returns keeps its
-final tableau.  ``solve(lp, start)``, where ``start`` solved a program
-whose constraints are a prefix of ``lp``'s (same names, objective and
-lower bounds), copies that tableau, appends only the new rows and stops
-after the dual simplex.  The value and verdict equal a cold solve's; the
-optimal point may be a different one.  Such an optimum also exposes its
-tableau's ints: the point's numerators over one denominator
-(:meth:`Optimal.scaled_point`), and the reduced costs of the rows'
-slack columns, whose nonzero entries are the support of the optimal
-dual (:meth:`Optimal.row_prices`), and from those the optimal dual
-itself, one rational multiplier per constraint (:meth:`Optimal.dual`).
+An :class:`Optimal` is only ever one that :func:`solve` returned, and
+it keeps its final tableau.  ``solve(lp, start)``, where ``start``
+solved a program whose constraints are a prefix of ``lp``'s (same
+names, objective and lower bounds), copies that tableau, appends only
+the new rows and stops after the dual simplex.  The value and verdict
+equal a cold solve's; the optimal point may be a different one.  The
+optimum also exposes its tableau's ints: the point's numerators over
+one denominator (:meth:`Optimal.scaled_point`), and the reduced costs
+of the rows' slack columns, whose nonzero entries are the support of
+the optimal dual (:meth:`Optimal.row_prices`), and from those the
+optimal dual itself, one multiplier ``y >= 0`` per constraint
+(:meth:`Optimal.dual`).
 """
 
 from __future__ import annotations
@@ -59,28 +61,29 @@ from typing import Iterable, NamedTuple, Sequence, Union
 from ._rat import exact, scaled
 from .errors import InvalidInputError
 
-RELATIONS = ("<=", "=", ">=")
-
 
 class Constraint(NamedTuple):
+    """``coeffs . x <= rhs``."""
+
     coeffs: tuple[Fraction, ...]
-    relation: str
     rhs: Fraction
 
 
 def _checked(c, n: int) -> Constraint:
-    coeffs, relation, rhs = c
-    if relation not in RELATIONS:
-        raise InvalidInputError(f"unknown relation {relation!r}")
+    try:
+        coeffs, rhs = c
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"a constraint is a (coeffs, rhs) pair, not {c!r}") from None
     if len(coeffs) != n:
         raise InvalidInputError("constraint length must match variable count")
-    return Constraint(tuple(map(exact, coeffs)), relation, exact(rhs))
+    return Constraint(tuple(map(exact, coeffs)), exact(rhs))
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Maximize ``objective . x`` subject to the constraints and
-    ``x[v] >= lower[v]`` for every variable whose bound is not None."""
+    """Maximize ``objective . x`` subject to the constraints, each a
+    :class:`Constraint` ``coeffs . x <= rhs``, and ``x[v] >= lower[v]``
+    for every variable whose bound is not None."""
 
     names: tuple[str, ...]
     constraints: tuple[Constraint, ...]
@@ -112,12 +115,27 @@ class LinearProgram:
         names: Sequence[str] | None = None,
         lower: Sequence | None = None,
     ) -> "LinearProgram":
+        """The program from ``(coeffs, relation, rhs)`` triples, each
+        relation ``"<="``, ``">="`` or ``"="``: a ``>=`` is stored
+        negated, and an ``=`` as the row followed by its negation."""
         n = len(objective)
         if names is None:
             names = tuple(f"x{i}" for i in range(n))
+        rows = []
+        for c in constraints:
+            try:
+                coeffs, relation, rhs = c
+            except (TypeError, ValueError):
+                raise InvalidInputError(f"not a (coeffs, relation, rhs) triple: {c!r}") from None
+            if relation not in ("<=", ">=", "="):
+                raise InvalidInputError(f"unknown relation {relation!r}")
+            if relation != ">=":
+                rows.append((coeffs, rhs))
+            if relation != "<=":
+                rows.append(([-exact(x) for x in coeffs], -exact(rhs)))
         return cls(
             names=tuple(names),
-            constraints=tuple(Constraint(tuple(co), rel, rhs) for co, rel, rhs in constraints),
+            constraints=tuple(rows),
             objective=tuple(objective),
             lower=tuple(lower) if lower is not None else (),
         )
@@ -138,25 +156,18 @@ class LinearProgram:
 
 
 class Optimal:
-    """An optimum: its ``value`` and its point, ``assignment``.  Two are
-    equal when their values and points are.
+    """An optimum that :func:`solve` returned: its ``value``, its point
+    ``assignment``, and its final tableau, so that it can be the
+    ``start`` of a later solve.  The point is built from the tableau, as
+    ints, when it is first read."""
 
-    One that :func:`solve` returns also carries its final tableau, so
-    that it can be the ``start`` of a later solve, and builds its point
-    from that tableau, as ints, when it is first read."""
+    __slots__ = ("value", "_warm", "_point", "_assignment")
 
-    __slots__ = ("value", "_assignment", "_point", "_warm")
-
-    def __init__(
-        self,
-        value: Fraction,
-        assignment: tuple[Fraction, ...] | None,
-        _warm: "_Warm | None" = None,
-    ) -> None:
+    def __init__(self, value: Fraction, warm: "_Warm") -> None:
         self.value = value
-        self._assignment = assignment  # None until read from the point
+        self._warm = warm
         self._point: tuple[list[int], int] | None = None  # built when first read
-        self._warm = _warm
+        self._assignment: tuple[Fraction, ...] | None = None
 
     @property
     def assignment(self) -> tuple[Fraction, ...]:
@@ -167,28 +178,21 @@ class Optimal:
 
     def scaled_point(self) -> tuple[list[int], int]:
         """The point as int numerators over one positive common
-        denominator: for a tableau's optimum, its right-hand sides over
-        ``d`` shifted by the lower bounds scaled to the same denominator."""
+        denominator: the tableau's right-hand sides over ``d`` shifted by
+        the lower bounds scaled to the same denominator."""
         if self._point is None:
-            if self._warm is not None:
-                _, columns, tab = self._warm
-                self._point = columns.point(tab)
-            else:
-                self._point = scaled(self._assignment)
+            _, columns, tab = self._warm
+            self._point = columns.point(tab)
         return self._point
 
     def row_prices(self) -> list[int]:
         """The reduced costs of the slack columns of the final tableau's
-        rows, as ints over its denominator (0 for a basic slack, whose
-        column the tableau does not store): each is ``<= 0``, and minus
-        the row's price in the optimal dual.  So the rows with a nonzero
-        entry are the support of that dual, and those rows with the lower
-        bounds alone bound the objective by ``value``.  Rows are in the
-        order :func:`solve` appends them: one per ``<=`` or ``>=``
-        constraint, two per ``=``.  Any other optimum than one that
-        :func:`solve` returned raises :class:`InvalidInputError`."""
-        if self._warm is None:
-            raise InvalidInputError("row prices need an Optimal that solve returned")
+        rows, one row per constraint in order, as ints over its
+        denominator (0 for a basic slack, whose column the tableau does
+        not store): each is ``<= 0``, and minus the row's price in the
+        optimal dual.  So the rows with a nonzero entry are the support
+        of that dual, and those rows with the lower bounds alone bound
+        the objective by ``value``."""
         _, columns, tab = self._warm
         prices = [0] * len(tab.rows)
         for label, x in zip(tab.nonbasic, tab.obj):
@@ -197,40 +201,20 @@ class Optimal:
         return prices
 
     def dual(self) -> list[Fraction]:
-        """The optimal dual: one multiplier ``y_i`` per constraint of the
-        program that :func:`solve` solved, in its order.  ``y_i >= 0`` on a
-        ``<=`` constraint, ``<= 0`` on a ``>=`` one and free on ``=``;
-        with ``z = A^T y - objective``, ``z >= 0`` on every variable with
-        a lower bound and ``z = 0`` on a free one; and ``y . rhs - z .
-        lower`` equals ``value``.  So, with the point, they prove the
-        optimum in plain rational arithmetic.  Each is a
-        :meth:`row_prices` entry over the tableau's denominator, negated,
-        times its row's scale (:meth:`_Columns.scale`) over the
-        objective's, with a ``>=`` row's sign flipped and an ``=``
-        constraint's two rows combined.  Any other optimum than one that
-        :func:`solve` returned raises :class:`InvalidInputError`."""
-        prices = self.row_prices()
+        """The optimal dual: one multiplier ``y_i >= 0`` per constraint
+        of the program that :func:`solve` solved, in its order.  With ``z
+        = A^T y - objective``, ``z >= 0`` on every variable with a lower
+        bound and ``z = 0`` on a free one; and ``y . rhs - z . lower``
+        equals ``value``.  So, with the point, they prove the optimum in
+        plain rational arithmetic.  Each is a :meth:`row_prices` entry
+        over the tableau's denominator, negated, times its row's scale
+        (:meth:`_Columns.row`) over the objective's."""
         lp, columns, tab = self._warm
         den = tab.d * columns.cost_scale
-        duals, k = [], 0
-        for constraint in lp.constraints:
-            price = prices[k]
-            k += 1
-            if constraint.relation == "=":
-                price -= prices[k]
-                k += 1
-            elif constraint.relation == ">=":
-                price = -price
-            duals.append(-price * columns.scale(constraint) / den)
-        return duals
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Optimal):
-            return NotImplemented
-        return self.value == other.value and self.assignment == other.assignment
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.assignment))
+        return [
+            -price * Fraction(*columns.row(c)[1]) / den
+            for price, c in zip(self.row_prices(), lp.constraints)
+        ]
 
     def __repr__(self) -> str:
         return f"Optimal(value={self.value!r}, assignment={self.assignment!r})"
@@ -455,29 +439,12 @@ class _Columns:
                     row[minus] = -x
         return row
 
-    def rows(self, constraint: Constraint) -> list[list[int]]:
-        """The constraint as ``<=`` int rows (structural coefficients, then
-        rhs of either sign) scaled by the LCM of its denominators: one row,
-        negated for ``>=``, or a pair of opposite rows for ``=``;
-        substituting x = y + lower leaves rhs - sum(c * lower) on the
-        right."""
-        row = self._scaled(constraint)[0]
-        relation = constraint.relation
-        if relation == "<=":
-            return [row]
-        negated = [-x for x in row]
-        return [negated] if relation == ">=" else [row, negated]
-
-    def scale(self, constraint: Constraint) -> Fraction:
-        """The factor by which :meth:`rows` multiplies the constraint's
-        coefficients (before the negation of a ``>=`` row)."""
-        num, den = self._scaled(constraint)[1]
-        return Fraction(num, den)
-
-    def _scaled(self, constraint: Constraint) -> tuple[list[int], tuple[int, int]]:
-        """The constraint's ``<=`` int row as it is written, and its scale
-        as ``(num, den)``."""
-        coeffs, _, rhs = constraint
+    def row(self, constraint: Constraint) -> tuple[list[int], tuple[int, int]]:
+        """The constraint as an int row (structural coefficients, then rhs
+        of either sign) scaled by the LCM of its denominators, and that
+        scale as ``(num, den)``; substituting x = y + lower leaves rhs -
+        sum(c * lower) on the right."""
+        coeffs, rhs = constraint
         low_den = self.low_den
         ints, common = scaled((*coeffs, rhs))
         shift = sum(map(mul, ints, self.low))  # stops before the rhs
@@ -499,7 +466,7 @@ class _Columns:
         is that over ``d * cost_scale`` plus ``at_lower``; its point is
         built when first read (:meth:`point`)."""
         value = Fraction(-tab.obj[-1], tab.d * self.cost_scale) + self.at_lower
-        return Optimal(value, None, _Warm(lp, self, tab))
+        return Optimal(value, _Warm(lp, self, tab))
 
     def point(self, tab: _Tableau) -> tuple[list[int], int]:
         """The point at the tableau's basis as int numerators over ``d *
@@ -526,11 +493,11 @@ def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
     """Solve exactly; every Optimal assignment satisfies all constraints
     with exact rational comparison.
 
-    ``start``, if given, is an :class:`Optimal` that ``solve`` returned
-    for a program whose constraints are a prefix of ``lp``'s, with the
-    same names, objective and lower bounds; ``lp`` is then re-optimised
-    from that optimum by the dual simplex (see the module docstring).
-    Any other ``start`` raises :class:`InvalidInputError`.
+    ``start``, if given, is an :class:`Optimal` for a program whose
+    constraints are a prefix of ``lp``'s, with the same names, objective
+    and lower bounds; ``lp`` is then re-optimised from that optimum by
+    the dual simplex (see the module docstring).  Any other ``start``
+    raises :class:`InvalidInputError`.
     """
     if start is None:
         columns = _Columns(lp.lower, lp.objective)
@@ -539,10 +506,9 @@ def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
         base = _Tableau([], [], list(range(columns.num)), 1, [0] * (columns.num + 1))
         new = lp.constraints
     else:
-        warm = start._warm if isinstance(start, Optimal) else None
-        if warm is None:
-            raise InvalidInputError("start must be an Optimal that solve returned")
-        prev, columns, base = warm
+        if not isinstance(start, Optimal):
+            raise InvalidInputError(f"start must be an Optimal, not {start!r}")
+        prev, columns, base = start._warm
         k = len(prev.constraints)
         if (
             lp.names != prev.names
@@ -556,7 +522,7 @@ def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
             )
         new = lp.constraints[k:]
 
-    tab = base.appended([row for c in new for row in columns.rows(c)], columns.num)
+    tab = base.appended([columns.row(c)[0] for c in new], columns.num)
     if tab.dual() == "infeasible":
         return Infeasible()
     if start is None:
@@ -573,12 +539,7 @@ def satisfies(lp: LinearProgram, assignment: Sequence[Fraction]) -> bool:
     for x, bound in zip(assignment, lp.lower):
         if bound is not None and x < bound:
             return False
-    for coeffs, relation, rhs in lp.constraints:
-        lhs = sum((c * x for c, x in zip(coeffs, assignment) if c), Fraction(0))
-        if relation == "<=" and not lhs <= rhs:
-            return False
-        if relation == ">=" and not lhs >= rhs:
-            return False
-        if relation == "=" and lhs != rhs:
-            return False
-    return True
+    return all(
+        sum((c * x for c, x in zip(coeffs, assignment) if c), Fraction(0)) <= rhs
+        for coeffs, rhs in lp.constraints
+    )

@@ -188,22 +188,20 @@ def _agent_row(
     """Agent ``a``'s utility in ``S = members`` against their baseline:
     the witness row ``alpha(|S|) * sum_{j in S} w_aj - b_a <= 0`` (``a``
     does not improve in ``S``), or with ``full`` the full-coalition row
-    ``alpha(m) * sum_j w_aj - gamma * b_a - slack >= 0``.  ``b_a`` is the
-    sum of the baseline columns ``a..m-1``, so its coefficient is written
-    on each of them."""
+    ``-alpha(m) * sum_j w_aj + gamma * b_a + slack <= 0``.  ``b_a`` is
+    the sum of the baseline columns ``a..m-1``, so its coefficient is
+    written on each of them."""
     m = problem.size
     coeffs = [_ZERO] * (len(pairs) + m + 1)
-    a = problem.alpha.value(len(members))
+    a, b = problem.alpha.value(len(members)), _MINUS_ONE
+    if full:
+        a, b = -a, problem.gamma
+        coeffs[-1] = _ONE
     for j in members:
         if j != agent:
             coeffs[pairs[min(agent, j), max(agent, j)]] = a
-    suffix = slice(len(pairs) + agent, len(pairs) + m)
-    if full:
-        coeffs[suffix] = [-problem.gamma] * (m - agent)
-        coeffs[-1] = _MINUS_ONE
-        return Constraint(tuple(coeffs), ">=", _ZERO)
-    coeffs[suffix] = [_MINUS_ONE] * (m - agent)
-    return Constraint(tuple(coeffs), "<=", _ZERO)
+    coeffs[len(pairs) + agent:len(pairs) + m] = [b] * (m - agent)
+    return Constraint(tuple(coeffs), _ZERO)
 
 
 def witness_system_lp(
@@ -260,9 +258,9 @@ def witness_system_lp(
 
     everyone = range(m)
     constraints = [_agent_row(problem, pairs, everyone, i, full=True) for i in everyone]
-    constraints += [Constraint(unit(p), "<=", bound) for p in range(num_pairs)]
+    constraints += [Constraint(unit(p), bound) for p in range(num_pairs)]
     top = [_ZERO] * num_pairs + [_ONE] * m + [_ZERO]
-    constraints.append(Constraint(tuple(top), "<=", problem.baseline_bound))
+    constraints.append(Constraint(tuple(top), problem.baseline_bound))
     if not isinstance(path, Iterable):
         raise InvalidInputError(
             f"witness path {path!r} is not an iterable of (subset, witness) pairs"

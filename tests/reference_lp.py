@@ -20,28 +20,28 @@ included.
 
 ``dual_certifies`` checks an optimum by its dual multipliers instead of
 solving again: plain Fraction sums, no simplex.
+
+Every constraint is a ``(coeffs, rhs)`` pair meaning ``coeffs . x <=
+rhs``, as in ``alphahg.lp``, and both solvers return ``(value,
+assignment)`` for an optimum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from alphahg.lp import Infeasible, LinearProgram, Optimal, SolveResult, Unbounded
+from alphahg.lp import Infeasible, LinearProgram, Unbounded
 
 
 def dual_certifies(lp: LinearProgram, duals, value: Fraction) -> bool:
     """Do ``duals``, one multiplier per constraint, bound the maximum of
-    ``lp`` by ``value``?  Each multiplier must have its relation's sign
-    (``>= 0`` on ``<=``, ``<= 0`` on ``>=``, either on ``=``); ``z =
-    A^T y - objective`` must be ``>= 0`` on every variable with a lower
-    bound and 0 on a free one; and ``y . rhs - z . lower`` must equal
+    ``lp`` by ``value``?  Every multiplier must be ``>= 0``; ``z = A^T y
+    - objective`` must be ``>= 0`` on every variable with a lower bound
+    and 0 on a free one; and ``y . rhs - z . lower`` must equal
     ``value``.  Then every feasible point has objective at most
     ``value``, so a feasible point that attains it is optimal."""
-    if len(duals) != len(lp.constraints):
+    if len(duals) != len(lp.constraints) or any(y < 0 for y in duals):
         return False
-    for y, (_, relation, _) in zip(duals, lp.constraints):
-        if (relation == "<=" and y < 0) or (relation == ">=" and y > 0):
-            return False
     # a zero multiplier adds nothing to either sum
     priced = [(y, c) for y, c in zip(duals, lp.constraints) if y]
     bound = sum((y * c.rhs for y, c in priced), Fraction(0))
@@ -136,9 +136,10 @@ class _Tableau:
                 value += f * rhs[leaving]
 
 
-def reference_solve(lp: LinearProgram) -> SolveResult:
-    """Solve exactly; every Optimal assignment satisfies all constraints
-    with exact rational comparison."""
+def reference_solve(lp: LinearProgram):
+    """Solve exactly: ``(value, assignment)`` for an optimum, whose
+    assignment satisfies all constraints with exact rational comparison,
+    else ``Infeasible()`` or ``Unbounded()``."""
     n = lp.num_vars
 
     # column layout: one column per bounded variable (x - lower), a
@@ -167,24 +168,19 @@ def reference_solve(lp: LinearProgram) -> SolveResult:
                     row[minus] = -r
         return row
 
-    # canonicalize every constraint to <= or = with rhs >= 0
+    # canonicalize every constraint to <= or >= with rhs >= 0: a row
+    # with a negative rhs is negated, and gets an artificial column
     canon: list[tuple[list, str, object]] = []
-    for coeffs, relation, rhs in lp.constraints:
+    for coeffs, rhs in lp.constraints:
         row = expand(coeffs)
         r = to_rat(rhs) - sum((c * x for c, x in zip(coeffs, lower)), zero)
-        if relation == ">=":
-            row = [-x for x in row]
-            r = -r
-            relation = "<="
         if r < 0:
-            row = [-x for x in row]
-            r = -r
-            relation = {"<=": ">=", ">=": "<=", "=": "="}[relation]
-        canon.append((row, relation, r))
+            canon.append(([-x for x in row], ">=", -r))
+        else:
+            canon.append((row, "<=", r))
 
-    m = len(canon)
-    num_slack = sum(1 for _, rel, _ in canon if rel in ("<=", ">="))
-    num_art = sum(1 for _, rel, _ in canon if rel in (">=", "="))
+    num_slack = len(canon)
+    num_art = sum(1 for _, rel, _ in canon if rel == ">=")
     total = num_struct + num_slack + num_art
 
     rows: list[list] = []
@@ -199,14 +195,9 @@ def reference_solve(lp: LinearProgram) -> SolveResult:
             full[slack_at] = to_rat(1)
             basis.append(slack_at)
             slack_at += 1
-        elif relation == ">=":
+        else:
             full[slack_at] = to_rat(-1)
             slack_at += 1
-            full[art_at] = to_rat(1)
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
-        else:
             full[art_at] = to_rat(1)
             basis.append(art_at)
             art_cols.append(art_at)
@@ -281,16 +272,15 @@ def reference_solve(lp: LinearProgram) -> SolveResult:
     objective_value = sum(
         (c * x for c, x in zip(lp.objective, assignment)), Fraction(0)
     )
-    return Optimal(objective_value, tuple(assignment))
+    return objective_value, tuple(assignment)
 
 
-def dual_phase_solve(lp: LinearProgram) -> SolveResult:
+def dual_phase_solve(lp: LinearProgram):
     """The algorithm of ``alphahg.lp.solve`` in Fraction arithmetic.
 
-    Same column layout as ``reference_solve``.  Every constraint becomes
-    ``<=`` rows ``a . y + s = r`` with a fresh slack ``s`` basic and ``r``
-    of either sign: a ``>=`` row is negated, an ``=`` row is the row and
-    its negation.  Phase 1 is the dual simplex on a zero objective, which
+    Same column layout and results as ``reference_solve``.  Every
+    constraint becomes a row ``a . y + s = r`` with a fresh slack ``s``
+    basic and ``r`` of either sign.  Phase 1 is the dual simplex on a zero objective, which
     every basis prices dual feasible; phase 2 prices the real objective
     and runs the primal simplex.  Bland's rule in both phases.
     """
@@ -320,15 +310,11 @@ def dual_phase_solve(lp: LinearProgram) -> SolveResult:
                     row[minus] = -r
         return row
 
-    # every constraint as <= rows with rhs of either sign
-    leq: list[tuple[list, object]] = []
-    for coeffs, relation, rhs in lp.constraints:
-        row = expand(coeffs)
-        r = to_rat(rhs) - sum((c * x for c, x in zip(coeffs, lower)), zero)
-        if relation != ">=":
-            leq.append((row, r))
-        if relation != "<=":
-            leq.append(([-x for x in row], -r))
+    # every constraint as a row with rhs of either sign
+    leq = [
+        (expand(coeffs), to_rat(rhs) - sum((c * x for c, x in zip(coeffs, lower)), zero))
+        for coeffs, rhs in lp.constraints
+    ]
 
     total = num_struct + len(leq)
     rows: list[list] = []
@@ -388,4 +374,4 @@ def dual_phase_solve(lp: LinearProgram) -> SolveResult:
     objective_value = sum(
         (c * x for c, x in zip(lp.objective, assignment)), Fraction(0)
     )
-    return Optimal(objective_value, tuple(assignment))
+    return objective_value, tuple(assignment)

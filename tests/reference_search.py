@@ -45,19 +45,20 @@ _ZERO = Fraction(0)
 
 def _unordered_row(problem, pairs, members, agent, full=False) -> Constraint:
     """Agent ``a``'s witness row ``alpha(|S|) * sum_{j in S} w_aj - b_a <=
-    0``, or with ``full`` their full-coalition row ``alpha(m) * sum_j w_aj
-    - gamma * b_a - slack >= 0``, over one baseline column per agent."""
+    0``, or with ``full`` their full-coalition row ``-alpha(m) * sum_j
+    w_aj + gamma * b_a + slack <= 0``, over one baseline column per
+    agent."""
     coeffs = [_ZERO] * (len(pairs) + problem.size + 1)
     a = problem.alpha.value(len(members))
     for j in members:
         if j != agent:
-            coeffs[pairs[min(agent, j), max(agent, j)]] = a
+            coeffs[pairs[min(agent, j), max(agent, j)]] = -a if full else a
     if full:
-        coeffs[len(pairs) + agent] = -problem.gamma
-        coeffs[-1] = Fraction(-1)
-        return Constraint(tuple(coeffs), ">=", _ZERO)
-    coeffs[len(pairs) + agent] = Fraction(-1)
-    return Constraint(tuple(coeffs), "<=", _ZERO)
+        coeffs[len(pairs) + agent] = problem.gamma
+        coeffs[-1] = Fraction(1)
+    else:
+        coeffs[len(pairs) + agent] = Fraction(-1)
+    return Constraint(tuple(coeffs), _ZERO)
 
 
 def unordered_witness_system_lp(problem: SearchProblem, path, order=None) -> LinearProgram:
@@ -66,8 +67,8 @@ def unordered_witness_system_lp(problem: SearchProblem, path, order=None) -> Lin
     baseline per agent (``b_i``), and the slack.  Rows: the
     full-coalition rows, ``w <= B`` per pair and ``b <= U`` per agent,
     then one witness row per pair of ``path``; with ``order``, a
-    permutation of the agents, then the rows ``b_{order[k]} -
-    b_{order[k+1]} >= 0``.  Lower bounds: ``w >= -B``, ``b >= 1``, and
+    permutation of the agents, then the rows ``b_{order[k+1]} -
+    b_{order[k]} <= 0``.  Lower bounds: ``w >= -B``, ``b >= 1``, and
     the slack's floor ``-(gamma + alpha(m) * (m - 1) * B)``.  Objective:
     maximize the slack."""
     m = problem.size
@@ -79,7 +80,7 @@ def unordered_witness_system_lp(problem: SearchProblem, path, order=None) -> Lin
 
     def unit(v: int, rhs: Fraction) -> Constraint:
         coeffs = tuple(Fraction(1) if u == v else _ZERO for u in range(len(names)))
-        return Constraint(coeffs, "<=", rhs)
+        return Constraint(coeffs, rhs)
 
     constraints = [_unordered_row(problem, pairs, range(m), i, full=True) for i in range(m)]
     constraints += [unit(p, bound) for p in range(len(pairs))]
@@ -88,8 +89,8 @@ def unordered_witness_system_lp(problem: SearchProblem, path, order=None) -> Lin
         constraints.append(_unordered_row(problem, pairs, tuple(sorted(subset)), agent))
     for above, below in zip(order or (), (order or ())[1:]):
         coeffs = [_ZERO] * len(names)
-        coeffs[len(pairs) + above], coeffs[len(pairs) + below] = Fraction(1), Fraction(-1)
-        constraints.append(Constraint(tuple(coeffs), ">=", _ZERO))
+        coeffs[len(pairs) + above], coeffs[len(pairs) + below] = Fraction(-1), Fraction(1)
+        constraints.append(Constraint(tuple(coeffs), _ZERO))
     return LinearProgram(
         names=tuple(names),
         constraints=tuple(constraints),

@@ -354,8 +354,4 @@ def _constraint_holds(constraint, assignment) -> bool:
     lhs = sum(
         (c * x for c, x in zip(constraint.coeffs, assignment)), Fraction(0)
     )
-    if constraint.relation == "<=":
-        return lhs <= constraint.rhs
-    if constraint.relation == ">=":
-        return lhs >= constraint.rhs
-    return lhs == constraint.rhs
+    return lhs <= constraint.rhs

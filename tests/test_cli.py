@@ -475,6 +475,9 @@ class TestExitCodeContract:
         (("verify", "FILE", "--q-size", "٣"), "--q-size", "٣"),
         ((*SEARCH_ARGS, "--node-limit", "1_000"), "--node-limit", "1_000"),
         (("verify", "FILE", "--qk", "٣", "1"), "--qk", "٣"),
+        # the factor of --qk is read after argparse, and named as well
+        (("verify", "FILE", "--qk", "3", "abc"), "--qk", "abc"),
+        (("verify", "FILE", "--qk", "3", "1/0"), "--qk", "1/0"),
     ])
     def test_integer_option_says_why(self, capsys, example_file, argv, option, value):
         # sizes and counts follow the rational grammar, without a "/"
@@ -508,8 +511,12 @@ class TestPoaAndGreedy:
         assert Fraction(lines["ratio"]) <= 4
 
     def test_poa_needs_exactly_one_mode(self, capsys, example_file):
-        assert run(capsys, "poa", example_file)[0] == 2
-        assert run(capsys, "poa", example_file, "--q", "2", "--k", "2")[0] == 2
+        # refused by argparse, as verify's modes are
+        for modes in ((), ("--q", "2", "--k", "2")):
+            with pytest.raises(SystemExit) as exc:
+                main(["poa", example_file, *modes])
+            assert exc.value.code == 2
+            assert "--q" in capsys.readouterr().err
 
     def test_greedy_all_negative_prints_singletons(self, capsys, tmp_path):
         data = {

@@ -239,10 +239,11 @@ class TestPoaUpperBound:
 
     @pytest.mark.slow
     def test_prices_within_their_bounds_at_the_enumeration_guard(self):
-        # n = MAX_ENUM_AGENTS = 13; improvement_cpoa's prefix masks take
-        # over 100 MB here
+        # n = MAX_ENUM_AGENTS = 13, four games per alpha, tables among
+        # them; improvement_cpoa's prefix masks take over 100 MB here
         rng = random.Random(81)
-        assert _check_poa_upper_bound(rng, (13,), _BUILT_IN, _size_prices((3, 5)), 1) == 6
+        alphas = _BUILT_IN + [_decreasing_table]
+        assert _check_poa_upper_bound(rng, (13,), alphas, _size_prices((3, 5)), 4) == 32
         improvement = _improvement_prices((Fraction(3, 2),))
         assert _check_poa_upper_bound(rng, (13,), _fixed((FHG,)), improvement, 1) == 1
 
