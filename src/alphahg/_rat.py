@@ -2,9 +2,10 @@
 
 Every rational a caller hands in is admitted by :func:`exact`, since a
 verdict on an exact threshold can flip on one rounded bit, and every
-size, count or agent index by :func:`integer`.  The LP tableau and the
-subset kernels clear denominators once with :func:`scaled` and then run
-on Python ints.  ``BACKEND`` names this, the only backend, for records of
+size, count or agent index by :func:`integer`.  The LP tableau clears
+denominators once with :func:`scaled`, and the subset kernels once per
+weight matrix (``alphahg.core._scaled_pairs``), and then run on Python
+ints.  ``BACKEND`` names this, the only backend, for records of
 a run's environment.
 
 A rational string is an optional sign and ASCII digits, then optionally
@@ -56,13 +57,16 @@ def exact(value: Any) -> Fraction:
 
 def _parse(text: str) -> Fraction:
     """A rational string: ``[sign] digits [/ [sign] digits]``, each part
-    ASCII and free of ``_``, which ``int`` would otherwise accept."""
+    ASCII and free of ``_``, which ``int`` would otherwise accept.  An
+    integer string is built as ``Fraction(p)``, which takes no gcd."""
     num, slash, den = text.partition("/")
     num, den = num.strip(), den.strip()
     if (num + den).isascii() and "_" not in num and "_" not in den:
         try:
             p = int(num)
-            q = int(den) if slash else 1
+            if not slash:
+                return Fraction(p)
+            q = int(den)
         except ValueError:
             pass
         else:
@@ -78,7 +82,7 @@ def integer(value: Any) -> int:
 
     Floats, rationals (even whole ones), strings and bools are rejected.
     """
-    if isinstance(value, int) and not isinstance(value, bool):
+    if type(value) is int or (isinstance(value, int) and not isinstance(value, bool)):
         return value
     raise InvalidInputError(f"not an integer: {value!r}")
 

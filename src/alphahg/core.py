@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from math import lcm
+from typing import Any, Iterable, Iterator, Sequence, TypeVar
 
 from ._rat import exact, integer
 from .errors import DomainError, InvalidInputError
@@ -217,9 +219,75 @@ def _weight_matrix(weights: Sequence[Sequence], n: int) -> tuple[tuple[Fraction,
     return rows
 
 
+def _edge_rows(n: int, edges: Iterable) -> tuple[tuple[Fraction, ...], ...]:
+    """The ``n x n`` weight matrix of ``[i, j, weight]`` triples; unlisted
+    pairs are 0.
+
+    Each triple is admitted as it is placed: its shape, the weight by
+    :func:`exact`, the endpoints by :func:`integer`, their range, and
+    that they differ.  Its one ``Fraction`` goes to ``[i][j]`` and
+    ``[j][i]``, so the matrix is symmetric with a zero diagonal as
+    built, and a pair already holding a weight other than the shared
+    zero was listed before.
+    """
+    zero = Fraction(0)
+    rows = [[zero] * n for _ in range(n)]
+    for entry in edges:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
+            raise InvalidInputError(f"bad weight triple: {entry!r}")
+        i, j, w = entry
+        w = exact(w)
+        i, j = integer(i), integer(j)
+        if not (0 <= i < n and 0 <= j < n):
+            raise InvalidInputError(f"edge ({i},{j}) out of range for n={n}")
+        if i == j:
+            raise InvalidInputError(f"self-edge on agent {i} is not allowed")
+        row = rows[i]
+        if row[j] is not zero:
+            raise InvalidInputError(f"duplicate edge for pair {(min(i, j), max(i, j))}")
+        row[j] = rows[j][i] = w
+    return tuple(map(tuple, rows))
+
+
+def _scaled_pairs(weights: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """``(L, W)``: ``L`` the least common multiple of every weight's
+    denominator and ``W[i][j] = L * weights[i][j]`` as ints.
+
+    The matrix is admitted, so symmetric with a zero diagonal: each pair
+    ``i < j`` is read once and its product mirrored.
+    """
+    n = len(weights)
+    scale = lcm(*{w.denominator for i, row in enumerate(weights) for w in row[i + 1:]})
+    scaled = [[0] * n for _ in range(n)]
+    for i, row in enumerate(weights):
+        out = scaled[i]
+        for j in range(i + 1, n):
+            w = row[j]
+            out[j] = scaled[j][i] = w.numerator * (scale // w.denominator)
+    return scale, scaled
+
+
+_T = TypeVar("_T")
+
+
+def _admitted(cls: type[_T], **fields: Any) -> _T:
+    """A frozen dataclass ``cls`` holding ``fields`` that its builder has
+    already admitted, made without running ``__post_init__``'s checks
+    again (a builder's matrix is symmetric with a zero diagonal as
+    built)."""
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    return instance
+
+
 @dataclass(frozen=True)
 class Game:
-    """``n`` agents, a symmetric weight matrix with zero diagonal, and alpha."""
+    """``n`` agents, a symmetric weight matrix with zero diagonal, and alpha.
+
+    The weights are scaled to ints (:func:`_scaled_pairs`) at most once
+    per game, by the first check that reads them.
+    """
 
     n: int
     weights: tuple[tuple[Fraction, ...], ...]
@@ -229,6 +297,11 @@ class Game:
         if integer(self.n) < 1:
             raise InvalidInputError("a game needs at least one agent")
         object.__setattr__(self, "weights", _weight_matrix(self.weights, self.n))
+
+    @cached_property
+    def _scaled(self) -> tuple[int, list[list[int]]]:
+        """``(L, W)`` for the weights (:func:`_scaled_pairs`); read-only."""
+        return _scaled_pairs(self.weights)
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence], alpha: AlphaFunction) -> "Game":
@@ -242,22 +315,9 @@ class Game:
         alpha: AlphaFunction,
     ) -> "Game":
         """Build from ``(i, j, weight)`` triples; unlisted pairs are 0."""
-        n = integer(n)
-        zero = Fraction(0)
-        matrix = [[zero] * n for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        for i, j, w in edges:
-            i, j = integer(i), integer(j)
-            if not (0 <= i < n and 0 <= j < n):
-                raise InvalidInputError(f"edge ({i},{j}) out of range for n={n}")
-            if i == j:
-                raise InvalidInputError(f"self-edge on agent {i} is not allowed")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise InvalidInputError(f"duplicate edge for pair {key}")
-            seen.add(key)
-            matrix[i][j] = matrix[j][i] = w
-        return cls(n, tuple(tuple(row) for row in matrix), alpha)
+        if integer(n) < 1:
+            raise InvalidInputError("a game needs at least one agent")
+        return _admitted(cls, n=n, weights=_edge_rows(n, edges), alpha=alpha)
 
     def weight(self, i: int, j: int) -> Fraction:
         return self.weights[i][j]

@@ -32,7 +32,6 @@ from typing import Iterator
 from ._rat import exact, integer, scaled
 from .core import Game, Partition, check_partition, partition_utility
 from .errors import DomainError, ResourceLimitError
-from .stability import _scaled_weights
 
 #: Partition enumeration and the prices of anarchy are gated at this
 #: agent count (Bell numbers grow superexponentially; the subset tables
@@ -130,14 +129,14 @@ def _coalition_values(
     Returns ``scale``, the weight-sum tables ``tables[i][mask]``, alpha
     by size ``alphas[s]``, every coalition's welfare ``values[mask]``
     and ``rational[mask]``: no member's utility is negative.  Weights are
-    scaled by ``L`` (see :func:`alphahg.stability._scaled_weights`) and
+    scaled by ``L`` (see :func:`alphahg.core._scaled_pairs`) and
     alpha by ``D``, the least common multiple of its denominators, so
     member ``i`` of coalition ``C`` has utility ``alphas[|C|] *
     tables[i][C]`` and every utility and welfare is ``scale = D * L``
     times the true one.
     """
     n = game.n
-    scale, weights = _scaled_weights(game.weights)
+    scale, weights = game._scaled
     tables = _subset_sum_tables(weights)
     by_size, common = scaled([game.alpha.value(s) for s in range(1, n + 1)])
     alphas = [0] + by_size

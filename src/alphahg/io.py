@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from ._rat import exact as parse_rational, integer
-from .core import AlphaFunction, Game, Partition, check_partition
+from .core import AlphaFunction, Game, Partition, _admitted, _edge_rows, check_partition
 from .errors import InvalidInputError, ResourceLimitError
 from .stability import Scenario
 
@@ -69,16 +69,12 @@ def _weights_to_triples(weights) -> list[list]:
     return triples
 
 
-def _edges_from_json(value: Any) -> list[tuple[int, int, Fraction]]:
+def _weights_from_json(n: int, value: Any) -> tuple[tuple[Fraction, ...], ...]:
+    """The weight matrix of a file's ``[i, j, "p/q"]`` triples, each
+    admitted as it is placed (:func:`~alphahg.core._edge_rows`)."""
     if not isinstance(value, list):
         raise InvalidInputError("weights must be a list of [i, j, rational] triples")
-    edges = []
-    for entry in value:
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise InvalidInputError(f"bad weight triple: {entry!r}")
-        i, j, w = entry
-        edges.append((i, j, parse_rational(w)))
-    return edges
+    return _edge_rows(n, value)
 
 
 def game_to_dict(game: Game, partition: Partition | None = None) -> dict:
@@ -132,8 +128,9 @@ def game_from_dict(data: dict) -> tuple[Game, Partition | None]:
         raise ResourceLimitError(
             f"n={n} exceeds the limit of {MAX_FILE_AGENTS} agents for a file"
         )
-    edges = _field("weights", _edges_from_json, data.get("weights", []))
-    game = _field("weights", lambda e: Game.from_edges(n, e, alpha), edges)
+    weights = _field("weights", lambda v: _weights_from_json(n, v), data.get("weights", []))
+    # the matrix is symmetric with a zero diagonal as built
+    game = _admitted(Game, n=n, weights=weights, alpha=alpha)
     partition = None
     if "partition" in data:
         partition = _field("partition", _partition_from_json, data["partition"])
@@ -150,18 +147,20 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise InvalidInputError("expected a JSON object")
-    game, _ = game_from_dict({k: v for k, v in data.items() if k != "baselines"})
-    baselines = data.get("baselines")
-    if not isinstance(baselines, list) or len(baselines) != game.n:
+def _baselines_from_json(n: int, value: Any) -> tuple[Fraction, ...]:
+    if not isinstance(value, list) or len(value) != n:
         raise InvalidInputError("baselines must list one rational per agent")
-    return Scenario(
-        size=game.n,
-        weights=game.weights,
-        baselines=_field("baselines", lambda v: tuple(map(parse_rational, v)), baselines),
-        alpha=game.alpha,
+    return tuple(map(parse_rational, value))
+
+
+def scenario_from_dict(data: dict) -> Scenario:
+    game, _ = game_from_dict(data)
+    baselines = _field(
+        "baselines", lambda v: _baselines_from_json(game.n, v), data.get("baselines")
+    )
+    # the game's fields are admitted, and are the scenario's
+    return _admitted(
+        Scenario, size=game.n, weights=game.weights, baselines=baselines, alpha=game.alpha
     )
 
 
@@ -191,10 +190,10 @@ def _reject_float(text: str) -> None:
 
 
 def dump_json(data: dict, path: str) -> None:
+    text = json.dumps(data, indent=2) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, indent=2)
-            handle.write("\n")
+            handle.write(text)
     except OSError as exc:
         raise InvalidInputError(f"{path}: {exc.strerror}") from None
 

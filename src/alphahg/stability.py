@@ -39,12 +39,15 @@ from functools import cached_property
 from itertools import accumulate, combinations
 from typing import Callable, Sequence
 
-from ._rat import exact, integer, scaled
+from ._rat import exact, integer
 from .core import (
     AlphaFunction,
     Coalition,
     Game,
     Partition,
+    _admitted,
+    _edge_rows,
+    _scaled_pairs,
     _weight_matrix,
     check_partition,
 )
@@ -64,8 +67,8 @@ class Scenario:
     The baselines play the role of the agents' utilities under some
     ambient partition that is never materialized.  Searches produce
     scenarios; generators emit them.  The weights are scaled to ints
-    (:func:`_scaled_weights`) at most once per scenario, by the first
-    check that reads them.
+    (:func:`~alphahg.core._scaled_pairs`) at most once per scenario, by
+    the first check that reads them.
     """
 
     size: int
@@ -76,16 +79,14 @@ class Scenario:
     def __post_init__(self) -> None:
         if integer(self.size) < 1:
             raise InvalidInputError("scenario needs at least one agent")
-        rows = _weight_matrix(self.weights, self.size)
-        if len(self.baselines) != self.size:
-            raise InvalidInputError("need one baseline per agent")
-        object.__setattr__(self, "weights", rows)
-        object.__setattr__(self, "baselines", tuple(map(exact, self.baselines)))
+        object.__setattr__(self, "weights", _weight_matrix(self.weights, self.size))
+        object.__setattr__(self, "baselines", _baselines(self.baselines, self.size))
 
     @cached_property
     def _scaled(self) -> tuple[int, list[list[int]]]:
-        """``(L, W)`` for the weights (:func:`_scaled_weights`); read-only."""
-        return _scaled_weights(self.weights)
+        """``(L, W)`` for the weights (:func:`~alphahg.core._scaled_pairs`);
+        read-only."""
+        return _scaled_pairs(self.weights)
 
     @classmethod
     def from_pairs(
@@ -96,13 +97,28 @@ class Scenario:
         baselines: Sequence | None = None,
     ) -> "Scenario":
         """``size`` agents whose pair ``i < j`` weighs ``weight(i, j)``;
-        baselines 1 unless given."""
-        size = integer(size)
-        zero = Fraction(0)
-        rows = [[zero] * size for _ in range(size)]
-        for i, j in combinations(range(size), 2):
-            rows[i][j] = rows[j][i] = exact(weight(i, j))
-        return cls(size, rows, [1] * size if baselines is None else baselines, alpha)
+        baselines 1 unless given.
+
+        The pairs are placed as :meth:`Game.from_edges` places its
+        triples, so the matrix is not checked again.
+        """
+        if integer(size) < 1:
+            raise InvalidInputError("scenario needs at least one agent")
+        pairs = ((i, j, weight(i, j)) for i, j in combinations(range(size), 2))
+        return _admitted(
+            cls,
+            size=size,
+            weights=_edge_rows(size, pairs),
+            baselines=_baselines([1] * size if baselines is None else baselines, size),
+            alpha=alpha,
+        )
+
+
+def _baselines(values: Sequence, size: int) -> tuple[Fraction, ...]:
+    """One exact baseline per agent."""
+    if len(values) != size:
+        raise InvalidInputError("need one baseline per agent")
+    return tuple(map(exact, values))
 
 
 @dataclass(frozen=True)
@@ -128,19 +144,11 @@ def _check_subsets(n: int, min_size: int, max_size: int) -> None:
         )
 
 
-def _scaled_weights(weights) -> tuple[int, list[list[int]]]:
-    """``(L, W)``: ``L`` the least common multiple of every weight's
-    denominator and ``W[i][j] = L * weights[i][j]`` as ints."""
-    n = len(weights)
-    flat, scale = scaled([w for row in weights for w in row])
-    return scale, [flat[i:i + n] for i in range(0, n * n, n)]
-
-
 def _scaled_utilities(
     game: Game, partition: Partition, scaled: list[list[int]]
 ) -> list[tuple[int, int]]:
     """Each agent's partition utility times ``L``, as ``(num, den)`` with
-    ``den > 0``; ``scaled`` comes from :func:`_scaled_weights`."""
+    ``den > 0``; ``scaled`` is the game's ``W`` (``Game._scaled``)."""
     utilities = [(0, 1)] * game.n
     for block in partition.blocks:
         a = game.alpha.value(len(block))
@@ -160,8 +168,8 @@ def _first_blocking(
     """The blocking-coalition kernel behind every exhaustive check.
 
     ``scaled`` holds weights times ``L`` as ints (see
-    :func:`_scaled_weights`) and ``thresholds[i] = (num, den)``, with
-    ``den > 0``, is agent ``i``'s threshold times ``L``.  Returns the
+    :func:`~alphahg.core._scaled_pairs`) and ``thresholds[i] = (num,
+    den)``, with ``den > 0``, is agent ``i``'s threshold times ``L``.  Returns the
     first coalition ``S`` with ``2 <= min_size <= |S| <= max_size``, by
     size and then lexicographic order, in which every member ``i`` has
     ``alpha(|S|) * sum_{j in S} w_ij`` strictly above their threshold.
@@ -259,7 +267,7 @@ def find_blocking_coalition(
     check_partition(game, partition)
     _check_subsets(n, min_size, max_size)
 
-    scaled = _scaled_weights(game.weights)[1]
+    scaled = game._scaled[1]
     kp, kq = factor.numerator, factor.denominator
     thresholds = [
         (kp * num, kq * den) for num, den in _scaled_utilities(game, partition, scaled)
@@ -367,7 +375,7 @@ def max_improvement_factor_at_size(game: Game, partition: Partition, size: int) 
     if not (2 <= integer(size) <= n):
         raise DomainError(f"need 2 <= size <= {n}")
     check_partition(game, partition)
-    scaled = _scaled_weights(game.weights)[1]
+    scaled = game._scaled[1]
     utilities = _scaled_utilities(game, partition, scaled)
     if any(num <= 0 for num, _ in utilities):
         raise DomainError("improvement factors need strictly positive baselines")

@@ -15,7 +15,10 @@ module constant ``alphahg.stability.MAX_SUBSETS``.
 ``blocking_members_check`` re-checks a witness member by member; it was
 in ``alphahg.stability``, but only the tests call it.
 ``min_improvement_factor`` is the former Fraction formula, which summed
-each agent's row in ``Fraction`` arithmetic.
+each agent's row in ``Fraction`` arithmetic.  ``scaled_weights`` is the
+former ``alphahg.stability._scaled_weights``, which scaled all ``n * n``
+entries at once; the pairs scaling cached on games and scenarios must
+equal it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from alphahg._rat import exact
+from alphahg._rat import exact, scaled
 from alphahg.core import (
     Coalition,
     Game,
@@ -53,6 +56,14 @@ def to_rat(value):
 
 def to_fraction(value):
     return value
+
+
+def scaled_weights(weights) -> tuple[int, list[list[int]]]:
+    """``(L, W)``: ``L`` the least common multiple of every weight's
+    denominator and ``W[i][j] = L * weights[i][j]`` as ints."""
+    n = len(weights)
+    flat, scale = scaled([w for row in weights for w in row])
+    return scale, [flat[i:i + n] for i in range(0, n * n, n)]
 
 
 def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:

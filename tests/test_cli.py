@@ -243,13 +243,13 @@ class TestSearch:
         from alphahg import stability
 
         calls = []
-        scale = stability._scaled_weights
+        scale = stability._scaled_pairs
 
         def counting(weights):
             calls.append(weights)
             return scale(weights)
 
-        monkeypatch.setattr(stability, "_scaled_weights", counting)
+        monkeypatch.setattr(stability, "_scaled_pairs", counting)
         code, out, _ = run(
             capsys, "search", "--alpha", "fhg", "--q", "2", "--m", "3", "--gamma", "13/10"
         )
@@ -306,6 +306,16 @@ FILE_ADMISSION = [
     pytest.param({"weights": [[True, 1, "1"]]}, 2, "'weights'", id="bool endpoint"),
     pytest.param({"weights": [["0", 1, "1"]]}, 2, "'weights'", id="string endpoint"),
     pytest.param({"weights": [[0, 1, None]]}, 2, "'weights'", id="null weight"),
+    pytest.param({"weights": {"0": 1}}, 2, "'weights'", id="weights not a list"),
+    pytest.param({"weights": [[0, 1]]}, 2, "'weights'", id="two-item triple"),
+    pytest.param({"weights": ["0 1 1"]}, 2, "'weights'", id="string triple"),
+    pytest.param({"weights": [{"i": 0, "j": 1, "w": "1"}]}, 2, "'weights'", id="object triple"),
+    pytest.param({"weights": [[0, 2, "1"]]}, 2, "'weights'", id="endpoint out of range"),
+    pytest.param({"weights": [[-1, 1, "1"]]}, 2, "'weights'", id="negative endpoint"),
+    pytest.param({"weights": [[1, 1, "1"]]}, 2, "'weights'", id="self-edge"),
+    pytest.param({"weights": [[0, 1, "1"], [1, 0, "1"]]}, 2, "'weights'", id="repeated pair"),
+    pytest.param({"weights": [[0, 1, "1/0"]]}, 2, "'weights'", id="zero denominator"),
+    pytest.param({"weights": [[0, 1, ["1"]]]}, 2, "'weights'", id="list weight"),
     pytest.param({"n": True}, 2, "'n'", id="bool n"),
     pytest.param({"n": 0, "weights": [], "partition": []}, 2, "'n'", id="zero n"),
     pytest.param({"n": -2, "weights": [], "partition": []}, 2, "'n'", id="negative n"),
@@ -315,6 +325,20 @@ FILE_ADMISSION = [
     ),
     # the size is refused before any weight is read
     pytest.param({"n": 21, "weights": "x"}, 3, "n=21", id="21 agents, bad weights"),
+]
+
+_SCENARIO_PAIR = {"n": 2, "alpha": "fhg", "weights": [[0, 1, "1"]], "baselines": ["1", "1"]}
+
+#: scenario files that ``verify --q-size`` must refuse (exit 2), each
+#: overriding fields of _SCENARIO_PAIR, with the text that names the field
+SCENARIO_ADMISSION = [
+    pytest.param({"baselines": ["1"]}, "'baselines'", id="short baselines"),
+    pytest.param({"baselines": {"0": "1"}}, "'baselines'", id="baselines not a list"),
+    pytest.param({"baselines": None}, "'baselines'", id="null baselines"),
+    pytest.param({"baselines": True}, "'baselines'", id="bool baselines"),
+    pytest.param({"baselines": "x"}, "'baselines'", id="string baselines"),
+    pytest.param({"baselines": ["1", "x"]}, "'baselines'", id="bad baseline"),
+    pytest.param({"weights": [[0, 1]]}, "'weights'", id="bad triple"),
 ]
 
 
@@ -369,6 +393,14 @@ class TestExitCodeContract:
         path.write_text(json.dumps({**_PAIR, **fields}))
         code, out, err = run(capsys, command[0], str(path), *command[1:])
         assert code == expected
+        assert out == "" and err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("fields,named", SCENARIO_ADMISSION)
+    def test_scenario_file_admission(self, capsys, tmp_path, fields, named):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**_SCENARIO_PAIR, **fields}))
+        code, out, err = run(capsys, "verify", str(path), "--q-size", "2")
+        assert code == 2
         assert out == "" and err.startswith("error: ") and named in err
 
     @pytest.mark.parametrize("target", ["missing directory", "a directory"])

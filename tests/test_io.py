@@ -1,5 +1,7 @@
 """File formats: exact rationals, round trips, float rejection."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from alphahg.io import (
     scenario_to_dict,
 )
 from conftest import example_game
+from reference_stability import scaled_weights
 
 
 class TestParseRational:
@@ -141,3 +144,71 @@ class TestScenarioFormat:
         data["baselines"] = data["baselines"][:-1]
         with pytest.raises(InvalidInputError):
             scenario_from_dict(data)
+
+
+def _random_file(rng: random.Random, n: int):
+    """A game and scenario file of ``n`` agents, as the parsed JSON a
+    file gives, with the matrix and baselines it describes: negative
+    weights, denominators, unlisted pairs and listed zeros, triples in
+    any order with either endpoint first, and weights written as ints
+    or as rational strings in any form ``exact`` admits."""
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    triples = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.3:
+                continue
+            w = Fraction(rng.randint(-20, 20), rng.choice((1, 1, 2, 3, 7, 60, 1000)))
+            matrix[i][j] = matrix[j][i] = w
+            text = rng.choice([
+                f"{w.numerator}/{w.denominator}",
+                f" {3 * w.numerator} / {3 * w.denominator} ",
+                str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}",
+            ])
+            value = w.numerator if w.denominator == 1 and rng.random() < 0.5 else text
+            triples.append([j, i, value] if rng.random() < 0.5 else [i, j, value])
+    rng.shuffle(triples)
+    baselines = [Fraction(rng.randint(-5, 20), rng.choice((1, 4, 9))) for _ in range(n)]
+    alpha = rng.choice(["ashg", "fhg", "mfhg", "pairwise_comm", "odd_even"])
+    data = {"n": n, "alpha": alpha, "weights": triples}
+    scenario = {**data, "baselines": [format_rational(b) for b in baselines]}
+    # through JSON text, as a file is read
+    data, scenario = json.loads(json.dumps(data)), json.loads(json.dumps(scenario))
+    return data, scenario, matrix, baselines, AlphaFunction.from_name(alpha)
+
+
+class TestAdmissionReference:
+    """A file's weights are admitted in one pass, and the builders skip
+    the whole-matrix check; every object they build must equal the one
+    the checked generic constructors build from the same matrix, and its
+    scaling the whole-matrix scaling."""
+
+    def test_files_match_the_generic_constructors(self):
+        rng = random.Random(23)
+        for n in range(1, 17):
+            for _ in range(4):
+                data, scenario_data, matrix, baselines, alpha = _random_file(rng, n)
+                game, partition = game_from_dict(data)
+                assert partition is None
+                expected = Game.from_matrix(matrix, alpha)
+                assert game == expected
+                assert game._scaled == scaled_weights(matrix) == expected._scaled
+                scenario = scenario_from_dict(scenario_data)
+                expected = Scenario(n, matrix, baselines, alpha)
+                assert scenario == expected
+                assert scenario._scaled == scaled_weights(matrix) == expected._scaled
+
+    def test_builders_match_the_generic_constructors(self):
+        rng = random.Random(29)
+        for n in range(1, 17):
+            data, _, matrix, baselines, alpha = _random_file(rng, n)
+            game = Game.from_edges(n, [tuple(t) for t in data["weights"]], alpha)
+            assert game == Game(n, matrix, alpha)
+            assert game._scaled == scaled_weights(matrix)
+            scenario = Scenario.from_pairs(alpha, n, lambda i, j: matrix[i][j], baselines)
+            assert scenario == Scenario(n, matrix, baselines, alpha)
+            assert scenario._scaled == scaled_weights(matrix)
+            # built rows are tuples of Fractions, as the checked ones are
+            for built in (game.weights, scenario.weights):
+                assert type(built) is tuple and all(type(row) is tuple for row in built)
+                assert all(type(w) is Fraction for row in built for w in row)

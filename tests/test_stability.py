@@ -152,6 +152,32 @@ class TestFactorStability:
         with pytest.raises(DomainError):
             max_improvement_factor_at_size(game, partition, 2)
 
+    def test_each_game_is_scaled_once(self, monkeypatch, pairs_partition):
+        # every scan of one game, twice each, and its price of anarchy
+        # read one scaling of the weights
+        from alphahg import core
+        from alphahg.efficiency import size_cpoa
+
+        calls = []
+        scale = core._scaled_pairs
+
+        def counting(weights):
+            calls.append(weights)
+            return scale(weights)
+
+        monkeypatch.setattr(core, "_scaled_pairs", counting)
+        game = example_game(ASHG)
+        for _ in range(2):
+            assert not is_size_stable(game, pairs_partition, 3).stable
+            assert max_improvement_factor_at_size(game, pairs_partition, 3) == Fraction(5, 3)
+        size_cpoa(game, 2)
+        assert len(calls) == 1
+        # an equal game is scaled again, and its own scaling kept
+        twin = Game(game.n, game.weights, game.alpha)
+        assert twin == game and not is_core_stable(twin, pairs_partition).stable
+        assert not is_core_stable(twin, pairs_partition).stable
+        assert len(calls) == 2
+
 
 class TestScenarioOps:
     def test_fig6_stable_and_factor(self):
@@ -216,13 +242,13 @@ class TestScenarioOps:
     def test_each_scenario_is_scaled_once(self, monkeypatch):
         # both checks, twice each, read one scaling of the weights
         calls = []
-        scale = stability._scaled_weights
+        scale = stability._scaled_pairs
 
         def counting(weights):
             calls.append(weights)
             return scale(weights)
 
-        monkeypatch.setattr(stability, "_scaled_weights", counting)
+        monkeypatch.setattr(stability, "_scaled_pairs", counting)
         scenario = fixture("fig6")
         for _ in range(2):
             assert scenario_is_size_stable(scenario, 5)
