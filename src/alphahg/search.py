@@ -24,13 +24,23 @@ constraints are invariant under relabelling.  Only which certificate is
 found can change.  The order is stated by difference variables, so it
 costs lower bounds and no rows (see :func:`witness_system_lp`).
 
+Under the order a pair needs no branch.  For ``i < j`` the witness-j row
+``alpha(2) * w_ij <= b_j`` implies the witness-i row, since ``b_j <=
+b_i``, so "some member of {i, j} does not improve" is the one row
+``alpha(2) * w_ij <= b_i``.  Every LP carries these pair rows among its
+fixed rows (when ``q >= 2``), and the search branches only on subsets of
+size 3..q.  At ``q = 2`` the root LP decides the question, and so it
+does whenever ``(s - 1) * alpha(s) <= alpha(2)`` for every size ``s``
+in 3..q (MFHG, pairwise communication, odd-even): then the pair rows of
+a subset's first member cap their subset utility too.
+
 The search is deterministic: subsets are branched in (size,
 lexicographic) order, witness candidates in index order, depth-first.
-A node's path is the (subset, witness) pairs chosen from the root down
-to it, and its LP is ``witness_system_lp(problem, path)`` row for row:
-the fixed rows, then one witness row per pair in path order.  The root
-is ``witness_system_lp(problem, ())``, and each child is its parent's
-LP with the one new witness row appended.  Each child LP is
+A node's path is the (subset, witness) entries chosen from the root
+down to it, and its LP is ``witness_system_lp(problem, path)`` row for
+row: the fixed rows, then one witness row per entry in path order.
+The root is ``witness_system_lp(problem, ())``, and each child is its
+parent's LP with the one new witness row appended.  Each child LP is
 re-optimised from its parent's optimum by the dual simplex
 (``solve(child, parent_result)``); that may change which optimal point
 a node gets, never its value.  The subset to branch on is read from the
@@ -224,21 +234,29 @@ def witness_system_lp(
     one order: the fixed rows (every agent's full-coalition utility is
     at least ``gamma * baseline + slack``; ``w <= B`` per pair, then the
     one row ``b_0 <= U``, the sum of the baseline columns, which with
-    the order caps every baseline), then one witness row per pair of
-    ``path``, in path order, capping the witness's subset utility at
-    their baseline.  Lower bounds: ``w >= -B``, ``d >= 0``, ``b_{m-1} >=
-    1``, and ``slack >= -(gamma + alpha(m) * (m - 1) * B)``.  Objective:
-    maximize the slack.  The witness system is strictly feasible iff the
-    optimum slack is positive.
+    the order caps every baseline; then, if ``q >= 2``, one pair row
+    ``alpha(2) * w_ij - b_i <= 0`` per pair ``i < j``, in pair order),
+    then one witness row per entry of ``path``, in path order, capping
+    the witness's subset utility at their baseline.  Lower bounds: ``w
+    >= -B``, ``d >= 0``, ``b_{m-1} >= 1``, and ``slack >= -(gamma +
+    alpha(m) * (m - 1) * B)``.  Objective: maximize the slack.  The
+    witness system is strictly feasible iff the optimum slack is
+    positive.
+
+    A pair row is the witness row of ``({i, j}, i)``.  It is fixed, and
+    no verdict changes, because the witness-j region lies inside the
+    witness-i region (``b_j <= b_i``): some member of the pair fails to
+    improve iff the pair row holds.  A path entry for a pair is admitted,
+    and its row is then the pair row again or a stronger one.
 
     The slack's bound cuts off no optimum: the point ``w = -B``, ``b =
     1`` meets every witness row (alpha is positive on sizes >= 2), and
     there every full-coalition row allows exactly that slack.  The lower
     bounds also make the LP start feasible: with every variable at its
     bound (so every ``b = 1``), each full-coalition row's right-hand
-    side is 0, the ``b_0 <= U`` row's is ``U - 1`` and each witness
-    row's is ``1 + alpha(|S|) * B * (|S| - 1)``, so every row is a
-    ``<=`` row with a nonnegative right-hand side and the LP's dual
+    side is 0, the ``b_0 <= U`` row's is ``U - 1`` and each pair or
+    witness row's is ``1 + alpha(|S|) * B * (|S| - 1)``, so every row is
+    a ``<=`` row with a nonnegative right-hand side and the LP's dual
     phase makes no pivot.
     """
     m = problem.size
@@ -261,6 +279,8 @@ def witness_system_lp(
     constraints += [Constraint(unit(p), bound) for p in range(num_pairs)]
     top = [_ZERO] * num_pairs + [_ONE] * m + [_ZERO]
     constraints.append(Constraint(tuple(top), problem.baseline_bound))
+    if problem.stable_size >= 2:
+        constraints += [_agent_row(problem, pairs, pair, pair[0]) for pair in pairs]
     if not isinstance(path, Iterable):
         raise InvalidInputError(
             f"witness path {path!r} is not an iterable of (subset, witness) pairs"
@@ -383,14 +403,15 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
     solved and the node is refuted when the optimal slack is not
     positive (longer paths only shrink the feasible region).  A node
     whose LP optimum already satisfies every subset constraint yields a
-    certificate immediately; otherwise the first subset violated at the
-    LP optimum, never one on the path, is branched on.  Each refuted
+    certificate immediately; otherwise the first subset of size 3..q
+    violated at the LP optimum, never one on the path, is branched on
+    (the fixed pair rows leave no pair violated).  Each refuted
     subtree's conflict is stored as a nogood, and a node whose rows
     contain some nogood's is refuted without an LP (see the module
     docstring).
     """
     q, m = problem.stable_size, problem.size
-    _check_subsets(m, 2, q)  # each node's branching scan
+    _check_subsets(m, 2, q)  # an upper bound on each node's branching scan
     deadline = (
         time.monotonic() + problem.time_limit if problem.time_limit is not None else None
     )
@@ -424,7 +445,8 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
         for (i, j), p in pairs.items():
             weights[i][j] = weights[j][i] = point[p]
         baselines = [(x, 1) for x in _baselines(point[b_at:b_at + m])]
-        branch_on = _first_blocking(weights, baselines, problem.alpha, 2, q)
+        # the fixed pair rows hold at the optimum, so no pair blocks
+        branch_on = _first_blocking(weights, baselines, problem.alpha, 3, q)
         if any(branch_on == subset for subset, _ in node.rows):
             # at the exact optimum every assigned witness row holds
             raise AssertionError(f"assigned subset {branch_on} violated at the LP optimum")

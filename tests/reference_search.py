@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from itertools import combinations
 
 from alphahg._rat import scaled
 from alphahg.lp import Constraint, LinearProgram, Optimal, solve
@@ -66,9 +67,11 @@ def unordered_witness_system_lp(problem: SearchProblem, path, order=None) -> Lin
     unordered baselines.  Variables: one weight per pair (``w_i_j``), one
     baseline per agent (``b_i``), and the slack.  Rows: the
     full-coalition rows, ``w <= B`` per pair and ``b <= U`` per agent,
-    then one witness row per pair of ``path``; with ``order``, a
+    then one witness row per entry of ``path``; with ``order``, a
     permutation of the agents, then the rows ``b_{order[k+1]} -
-    b_{order[k]} <= 0``.  Lower bounds: ``w >= -B``, ``b >= 1``, and
+    b_{order[k]} <= 0``, and, if ``q >= 2``, the pair rows that this
+    order forces: for ``k < l``, the witness row of ``order[k]`` in
+    ``{order[k], order[l]}``, in that order.  Lower bounds: ``w >= -B``, ``b >= 1``, and
     the slack's floor ``-(gamma + alpha(m) * (m - 1) * B)``.  Objective:
     maximize the slack."""
     m = problem.size
@@ -91,6 +94,11 @@ def unordered_witness_system_lp(problem: SearchProblem, path, order=None) -> Lin
         coeffs = [_ZERO] * len(names)
         coeffs[len(pairs) + above], coeffs[len(pairs) + below] = Fraction(-1), Fraction(1)
         constraints.append(Constraint(tuple(coeffs), _ZERO))
+    if order and problem.stable_size >= 2:
+        constraints += [
+            _unordered_row(problem, pairs, tuple(sorted(pair)), pair[0])
+            for pair in combinations(order, 2)
+        ]
     return LinearProgram(
         names=tuple(names),
         constraints=tuple(constraints),

@@ -267,7 +267,7 @@ class TestSearch:
         code, out, _ = run(
             capsys,
             "search",
-            "--alpha", "fhg", "--q", "2", "--m", "4", "--gamma", "3/2",
+            "--alpha", "fhg", "--q", "3", "--m", "4", "--gamma", "5/4",
             "--node-limit", "2",
         )
         assert code == 3

@@ -19,6 +19,7 @@ from alphahg import (
     InvalidInputError,
     Optimal,
     ResourceLimitError,
+    Scenario,
     SearchProblem,
     improvement_bound,
     min_improvement_factor,
@@ -183,6 +184,12 @@ class TestWitnessSystemLp:
             return Constraint(tuple(coeffs), Fraction(0))
 
         assert lp.constraints == fixed + tuple(cap(*step) for step in path)
+        # the fixed rows end with the pair rows, in pair order: the cap of
+        # each pair's first member; q = 1 has none
+        pairs = list(combinations(range(p.size), 2))
+        assert fixed[-len(pairs):] == tuple(cap(pair, pair[0]) for pair in pairs)
+        lone = witness_system_lp(problem(TABLE_ALPHA, 1, 4, 1), ()).constraints
+        assert lone == fixed[:-len(pairs)]
         # an unsorted member tuple builds the same row as the sorted one
         unsorted = [((2, 0, 1), 2), ((3, 1), 3), ((1, 0), 0)]
         assert witness_system_lp(p, unsorted) == lp
@@ -227,15 +234,20 @@ def _random_witness_problem(rng):
 
 def _meets_definition(p, assignment, weights, baselines, slack):
     """The witness system written out from alpha and the weights: every
-    assigned witness is capped at their baseline, every agent's
-    full-coalition utility is at least gamma * baseline + slack, the
-    weights and baselines lie in the box, the baselines are ordered
-    ``b_0 >= ... >= b_{m-1}``, and the slack is at least its documented
-    floor."""
+    assigned witness is capped at their baseline, and so, when ``q >=
+    2``, is the first member of every pair (the pair row that the order
+    forces), every agent's full-coalition utility is at least gamma *
+    baseline + slack, the weights and baselines lie in the box, the
+    baselines are ordered ``b_0 >= ... >= b_{m-1}``, and the slack is at
+    least its documented floor."""
     m, a = p.size, p.alpha.value
     B, U = p.weight_bound, p.baseline_bound
     caps = all(
         a(len(S)) * sum(weights[w][j] for j in S) <= baselines[w] for S, w in assignment.items()
+    )
+    caps = caps and (
+        p.stable_size < 2
+        or all(a(2) * weights[i][j] <= baselines[i] for i, j in combinations(range(m), 2))
     )
     full = all(a(m) * sum(weights[i]) >= p.gamma * baselines[i] + slack for i in range(m))
     box = all(abs(x) <= B for row in weights for x in row) and all(1 <= b <= U for b in baselines)
@@ -245,11 +257,11 @@ def _meets_definition(p, assignment, weights, baselines, slack):
 
 def _random_point(rng, p, assignment):
     """Weights and baselines inside the box or on its faces, the baselines
-    ordered and often tied; most witness caps met, some made tight or
-    missed by 1/1000 (by moving one of the witness's weights); the
-    full-coalition rows tight, met or just missed; at times one
-    coordinate just outside the box, two baselines out of order by
-    1/1000, or the slack on its floor."""
+    ordered and often tied; most pair rows met, some made tight; most
+    witness caps met, some made tight or missed by 1/1000 (by moving one
+    of the witness's weights); the full-coalition rows tight, met or
+    just missed; at times one coordinate just outside the box, two
+    baselines out of order by 1/1000, or the slack on its floor."""
     m, a = p.size, p.alpha.value
     B, U = p.weight_bound, p.baseline_bound
     eps = Fraction(1, 1000)
@@ -263,6 +275,13 @@ def _random_point(rng, p, assignment):
     for i, j in combinations(range(m), 2):
         weights[i][j] = weights[j][i] = inside(-B, B)
     baselines = sorted((inside(Fraction(1), U) for _ in range(m)), reverse=True)
+    for i, j in combinations(range(m), 2):
+        # the weight at which i's pair row is tight
+        tight = baselines[i] / a(2)
+        if weights[i][j] > tight and rng.random() < 0.9:
+            target = tight - rng.choice((0, inside(Fraction(0), B)))
+            if -B <= target <= B:
+                weights[i][j] = weights[j][i] = target
     for S, w in assignment.items():
         j = rng.choice([x for x in S if x != w])
         others = sum(weights[w][x] for x in S if x != j)
@@ -322,7 +341,7 @@ class TestWitnessSystemLpDefinition:
     def test_feasible_points_are_exactly_the_definitions(self):
         rng = random.Random(31337)
         outcomes = {True: 0, False: 0}
-        tight = 0
+        tight = pair_tight = 0
         for _ in range(200):
             p, assignment = _random_witness_problem(rng)
             lp = witness_system_lp(p, assignment.items())
@@ -335,8 +354,17 @@ class TestWitnessSystemLpDefinition:
                     p.alpha.value(len(S)) * sum(weights[w][j] for j in S) == baselines[w]
                     for S, w in assignment.items()
                 )
-        # both answers are common, and exact ties on a witness cap occur
-        assert min(outcomes.values()) >= 500 and tight >= 60, (outcomes, tight)
+                pair_tight += want and any(
+                    p.alpha.value(2) * weights[i][j] == baselines[i]
+                    for i, j in combinations(range(p.size), 2)
+                )
+        # both answers are common, and exact ties on a witness cap and on
+        # a pair row occur
+        assert min(outcomes.values()) >= 500 and min(tight, pair_tight) >= 60, (
+            outcomes,
+            tight,
+            pair_tight,
+        )
 
     def test_lower_bounds_satisfy_every_node_lp(self):
         # so each node LP starts feasible at its bounds: its dual phase
@@ -369,6 +397,96 @@ class TestWitnessSystemLpDefinition:
                 assert satisfies(lp, point) == satisfies(reverse, point)
 
 
+class TestPairRows:
+    """Under the baseline order a pair needs no branch: for ``i < j``,
+    "{i, j} does not block" is the one fixed row ``alpha(2) * w_ij <=
+    b_i``.  So the search never branches on a pair, and q = 2 is one LP."""
+
+    @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG, PAIRWISE_COMM, ODD_EVEN, TABLE_ALPHA])
+    def test_a_pair_does_not_block_iff_its_row_holds(self, alpha):
+        rng = random.Random(2357)
+        p = problem(alpha, 2, 5, 1)
+        m, a2, eps = p.size, alpha.value(2), Fraction(1, 1000)
+        lp = witness_system_lp(p, ())
+        # each pair's row is the witness row of its first member, and a
+        # fixed row
+        rows = {}
+        for pair in combinations(range(m), 2):
+            rows[pair] = witness_system_lp(p, [(pair, pair[0])]).constraints[-1]
+            assert rows[pair] in lp.constraints
+        seen = {"blocks": 0, "only j improves": 0, "neither improves": 0}
+        for _ in range(100):
+            # ordered baselines, often tied; each weight near one
+            # member's threshold, or anywhere
+            draws = (1 + Fraction(rng.randint(0, 12), 4) for _ in range(m))
+            baselines = sorted(draws, reverse=True)
+            weights = [[Fraction(0)] * m for _ in range(m)]
+            for i, j in rows:
+                near = baselines[rng.choice((i, j))] / a2
+                shift = rng.choice((0, eps, -eps, Fraction(rng.randint(-40, 40), 4)))
+                weights[i][j] = weights[j][i] = near + shift
+            point = _lp_point(lp, weights, baselines, Fraction(0))
+            for (i, j), (coeffs, rhs) in rows.items():
+                holds = sum(c * x for c, x in zip(coeffs, point)) <= rhs
+                alone = Scenario.from_pairs(
+                    alpha, 2, lambda *_: weights[i][j], (baselines[i], baselines[j])
+                )
+                assert holds == scenario_is_size_stable(alone, 2), (i, j, weights[i][j])
+                if not holds:
+                    seen["blocks"] += 1
+                elif a2 * weights[i][j] > baselines[j]:
+                    seen["only j improves"] += 1
+                else:
+                    seen["neither improves"] += 1
+        # the case a witness-j row would refute and the pair row admits
+        # is common
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize(
+        "alpha,q,m,below",
+        [
+            (FHG, 3, 5, 0),
+            (ASHG, 3, 4, 0),
+            (ASHG, 4, 5, Fraction(1, 1000)),
+            (FHG, 5, 7, Fraction(1, 1000)),
+            (TABLE_ALPHA, 3, 4, 0),
+        ],
+    )
+    def test_the_search_appends_no_row_for_a_pair(self, monkeypatch, alpha, q, m, below):
+        p = problem(alpha, q, m, improvement_bound(alpha, q, m) - below)
+        fixed = len(witness_system_lp(p, ()).constraints)
+        num_pairs = m * (m - 1) // 2
+        appended = []
+        checked_solve = search_module.solve
+
+        def recording(lp, start=None):
+            appended.extend(lp.constraints[fixed:])
+            return checked_solve(lp, start)
+
+        monkeypatch.setattr(search_module, "solve", recording)
+        result = search_blocking_scenario(p)
+        assert result.verdict == (FEASIBLE if below else INFEASIBLE_WITHIN_BOUNDS)
+        assert appended
+        # a witness row of an s-subset weighs s - 1 pairs
+        assert all(sum(1 for c in coeffs[:num_pairs] if c) >= 2 for coeffs, _ in appended)
+
+    @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG])
+    @pytest.mark.parametrize("m", range(3, 10))
+    def test_q2_is_one_lp(self, node_lp_check, alpha, m):
+        f = improvement_bound(alpha, 2, m)
+        for gamma in _bound_gammas(alpha, 2, m):
+            p = problem(alpha, 2, m, gamma, node_limit=None)
+            checked = node_lp_check[0]
+            result = search_blocking_scenario(p)
+            assert (result.nodes_explored, result.lps_solved) == (1, 1), gamma
+            assert node_lp_check[0] == checked + 1
+            if gamma == f:
+                assert result.verdict == INFEASIBLE_WITHIN_BOUNDS
+            else:
+                assert result.verdict == FEASIBLE, gamma
+                assert _certificate_ok(p, result.scenario)
+
+
 class TestSearchVerdicts:
     def test_feasible_below_tight_factor(self):
         result = search_blocking_scenario(problem(FHG, 2, 3, Fraction(13, 10)))
@@ -395,8 +513,9 @@ class TestSearchVerdicts:
         assert min_improvement_factor(result.scenario) > Fraction(199, 100)
 
     def test_budget_exhaustion_is_a_verdict(self):
+        # the FHG q = 3, m = 4 tree at the bound takes 4 nodes
         result = search_blocking_scenario(
-            problem(FHG, 2, 4, Fraction(3, 2), node_limit=2)
+            problem(FHG, 3, 4, Fraction(5, 4), node_limit=2)
         )
         assert result.verdict == BUDGET_EXHAUSTED
         assert result.nodes_explored >= 2
@@ -412,10 +531,12 @@ class TestSearchVerdicts:
             search_blocking_scenario(problem(FHG, 12, 24, 1, node_limit=2))
 
     def test_stats_are_counted(self, node_lp_check):
-        # a node refuted by a nogood counts as explored but solves no LP
-        result = search_blocking_scenario(problem(FHG, 2, 3, Fraction(4, 3)))
+        # a node refuted by a nogood counts as explored but solves no LP;
+        # this tree has 78 nodes and 64 LPs
+        result = search_blocking_scenario(problem(FHG, 3, 5, Fraction(13, 10), B=2, U=1))
+        assert result.verdict == INFEASIBLE_WITHIN_BOUNDS
         assert node_lp_check[0] == result.lps_solved > 1
-        assert result.nodes_explored >= result.lps_solved
+        assert result.nodes_explored > result.lps_solved
 
     def test_certificates_respect_the_box(self):
         result = search_blocking_scenario(problem(ASHG, 2, 3, Fraction(3, 2), B=2, U=3))
@@ -449,6 +570,11 @@ class TestAgreementWithBounds:
         (FHG, 4, 5),
         (ASHG, 3, 5),
         (ASHG, 4, 5),
+        (MFHG, 3, 5),
+        (MFHG, 4, 5),
+        (MFHG, 3, 6),
+        (FHG, 3, 6),
+        (ASHG, 3, 6),
     ]
 
     @pytest.mark.parametrize("alpha,q,m", GRID)
@@ -460,7 +586,8 @@ class TestAgreementWithBounds:
     @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG])
     @pytest.mark.parametrize("m", [7, 8])
     def test_q2_infeasible_at_bound_up_to_eight_agents(self, alpha, m):
-        # 2^m - 1 nodes, one LP each; m = 9 is in the slow tier
+        # one LP, since the pair rows decide q = 2 at the root;
+        # TestPairRows runs m = 3..9 at and below the bound
         f = improvement_bound(alpha, 2, m)
         result = search_blocking_scenario(problem(alpha, 2, m, f, node_limit=None))
         assert result.verdict == INFEASIBLE_WITHIN_BOUNDS
@@ -556,10 +683,9 @@ def _bound_gammas(alpha, q, m):
 
 
 class TestAgainstReferenceSearchAtFourAgents:
-    """m = 4 is the smallest size at which one-witness branching,
-    backjumps, nogoods and the baseline order cut real subtrees: the
-    oracle solves all 2^6 = 64 full assignments at q = 2, without the
-    order."""
+    """m = 4, q = 2: the search decides at its root, by the order and the
+    pair rows it forces; the oracle solves all 2^6 = 64 full assignments,
+    without the order."""
 
     @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG])
     def test_q2_at_and_below_the_bound(self, alpha):
@@ -614,7 +740,7 @@ class TestLearnedConflicts:
 
     @pytest.mark.parametrize(
         "alpha,q,m",
-        [(FHG, 3, 4), (FHG, 2, 5), (ASHG, 3, 5), (MFHG, 4, 5), (ODD_EVEN, 2, 5), (PAIRWISE_COMM, 3, 4)],
+        [(FHG, 3, 4), (FHG, 3, 5), (ASHG, 3, 5), (ASHG, 4, 5), (ASHG, 3, 4), (TABLE_ALPHA, 3, 4)],
     )
     def test_conflicts_refute_under_relabelling(self, monkeypatch, alpha, q, m):
         rng = random.Random(4242)
@@ -652,7 +778,7 @@ class TestStoredNogoods:
     @pytest.mark.parametrize(
         "alpha,q,m,below",
         [
-            (FHG, 2, 4, 0),
+            (FHG, 3, 5, 0),
             (ASHG, 3, 4, 0),
             (FHG, 4, 5, Fraction(1, 1000)),
             (ASHG, 5, 6, Fraction(1, 5)),
@@ -758,39 +884,6 @@ class TestSlowAgainstReferenceSearchAtFourAgents:
                 assert got.verdict == want, (B, U, gamma)
 
 
-@pytest.mark.slow
-class TestSlowAgreement:
-    """Larger infeasibility proofs, excluded by default.  FHG and ASHG at
-    q = 3 and 4, m = 5, and q = 2 up to m = 8, are in the default tier
-    (``TestAgreementWithBounds``).  At q = 2, m = 9 each tree is 511
-    nodes, which the default tier's dual check of every node would make
-    take seconds.  FHG and ASHG at q = 3, m = 6, take about 75,000 nodes
-    and 30,000 LPs each, tens of seconds."""
-
-    CASES = [
-        (MFHG, 2, 5),
-        (MFHG, 3, 5),
-        (MFHG, 4, 5),
-        (FHG, 2, 5),
-        (ASHG, 2, 5),
-        (FHG, 2, 6),
-        (ASHG, 2, 6),
-        (MFHG, 2, 6),
-        (MFHG, 3, 6),
-        (FHG, 2, 9),
-        (ASHG, 2, 9),
-        (MFHG, 2, 9),
-        (FHG, 3, 6),
-        (ASHG, 3, 6),
-    ]
-
-    @pytest.mark.parametrize("alpha,q,m", CASES)
-    def test_infeasible_at_bound_larger_sizes(self, alpha, q, m):
-        f = improvement_bound(alpha, q, m)
-        result = search_blocking_scenario(problem(alpha, q, m, f, node_limit=None))
-        assert result.verdict == INFEASIBLE_WITHIN_BOUNDS
-
-
 def _first_violated_subset(p, lp, point):
     """The first subset of size 2..q, by size and then lex order, in which
     every member's utility at the LP point exceeds their baseline: the
@@ -811,8 +904,9 @@ def _first_violated_subset(p, lp, point):
 
 
 class TestWarmNodesAgainstColdSolves:
-    """At m = 5 and 7, where the search re-optimises most node LPs from
-    their parent's.  Following the depth-first path: every node LP that
+    """At q = 3 (m = 4, 5) and q = 5 (m = 7), where the search
+    re-optimises most node LPs from their parent's; at q = 2 the root is
+    the one LP.  Following the depth-first path: every node LP that
     is solved (a node refuted by a nogood solves none) is its
     parent's plus one witness row, for the subset the parent's optimum
     violates first and a witness no sibling used; it is
@@ -861,38 +955,57 @@ class TestWarmNodesAgainstColdSolves:
         assert counts["cold"] == 1
         assert counts["cold"] + counts["warm"] == result.lps_solved
         assert result.nodes_explored >= result.lps_solved
-        return result
+        return result, counts
 
     @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG])
     def test_q2_m5_at_the_bound(self, monkeypatch, alpha):
-        # a node limit well above the ~850 nodes these trees take, so a
-        # search that goes astray fails fast
+        # the pair rows decide q = 2 at the root: one cold LP
         p = problem(alpha, 2, 5, improvement_bound(alpha, 2, 5), node_limit=10_000)
-        result = self._checked_search(monkeypatch, p)
+        result, counts = self._checked_search(monkeypatch, p)
         assert result.verdict == INFEASIBLE_WITHIN_BOUNDS
+        assert counts == {"cold": 1, "warm": 0}
+
+    @pytest.mark.parametrize("alpha,m", [(FHG, 5), (ASHG, 5), (TABLE_ALPHA, 4)])
+    def test_q3_at_the_bound(self, monkeypatch, alpha, m):
+        # a node limit well above the ~1,100 nodes these trees take, so a
+        # search that goes astray fails fast
+        p = problem(alpha, 3, m, improvement_bound(alpha, 3, m), node_limit=10_000)
+        result, counts = self._checked_search(monkeypatch, p)
+        assert result.verdict == INFEASIBLE_WITHIN_BOUNDS
+        assert counts["warm"] > 0
 
     def test_fhg_q5_m7_below_the_bound(self, monkeypatch):
         p = problem(FHG, 5, 7, improvement_bound(FHG, 5, 7) - Fraction(1, 1000))
-        result = self._checked_search(monkeypatch, p)
+        result, counts = self._checked_search(monkeypatch, p)
         assert result.verdict == FEASIBLE
         assert _certificate_ok(p, result.scenario)
+        assert counts["warm"] > 0
 
 
 class TestTreeSizes:
-    """The node and LP counts of four trees, so that a change to the
-    branching, the conflicts, the nogood store or the LP's optimal points
-    shows as a changed count and has to say so.  Nodes refuted by a
-    nogood count as nodes but solve no LP."""
+    """The node and LP counts of six trees, so that a change to the
+    branching, the conflicts, the nogood store, the fixed rows or the
+    LP's optimal points shows as a changed count and has to say so.
+    Nodes refuted by a nogood count as nodes but solve no LP."""
 
     @pytest.mark.parametrize(
         "alpha,q,m,below,nodes,lps",
         [
-            (FHG, 3, 4, 0, 16, 14),
-            (FHG, 3, 5, 0, 1163, 586),
-            (FHG, 5, 7, Fraction(1, 1000), 62, 62),
-            (ASHG, 6, 7, Fraction(1, 1000), 110, 108),
+            (FHG, 3, 4, 0, 4, 4),
+            (FHG, 3, 5, 0, 1107, 511),
+            (FHG, 5, 7, Fraction(1, 1000), 55, 55),
+            (ASHG, 6, 7, Fraction(1, 1000), 120, 107),
+            (FHG, 3, 6, 0, 1236, 683),
+            (ASHG, 3, 6, 0, 1237, 686),
         ],
-        ids=["fhg-q3-m4-bound", "fhg-q3-m5-bound", "fhg-q5-m7-below", "ashg-q6-m7-below"],
+        ids=[
+            "fhg-q3-m4-bound",
+            "fhg-q3-m5-bound",
+            "fhg-q5-m7-below",
+            "ashg-q6-m7-below",
+            "fhg-q3-m6-bound",
+            "ashg-q3-m6-bound",
+        ],
     )
     def test_node_counts(self, alpha, q, m, below, nodes, lps):
         p = problem(alpha, q, m, improvement_bound(alpha, q, m) - below, node_limit=None)
