@@ -113,6 +113,13 @@ class AlphaFunction:
         return self.table[m - 1]
 
 
+def _alpha_function(value: object) -> AlphaFunction:
+    """A caller's alpha as it is; anything else is refused (cf. ``_rat.integer``)."""
+    if not isinstance(value, AlphaFunction):
+        raise InvalidInputError(f"alpha must be an AlphaFunction, got {value!r}")
+    return value
+
+
 #: Shared singletons for the built-in variants.
 ASHG = AlphaFunction("ashg")
 FHG = AlphaFunction("fhg")
@@ -296,6 +303,7 @@ class Game:
     def __post_init__(self) -> None:
         if integer(self.n) < 1:
             raise InvalidInputError("a game needs at least one agent")
+        _alpha_function(self.alpha)
         object.__setattr__(self, "weights", _weight_matrix(self.weights, self.n))
 
     @cached_property
@@ -317,7 +325,7 @@ class Game:
         """Build from ``(i, j, weight)`` triples; unlisted pairs are 0."""
         if integer(n) < 1:
             raise InvalidInputError("a game needs at least one agent")
-        return _admitted(cls, n=n, weights=_edge_rows(n, edges), alpha=alpha)
+        return _admitted(cls, n=n, weights=_edge_rows(n, edges), alpha=_alpha_function(alpha))
 
     def weight(self, i: int, j: int) -> Fraction:
         return self.weights[i][j]

@@ -87,13 +87,13 @@ from itertools import accumulate, combinations
 from numbers import Real
 
 from ._rat import exact, integer
-from .core import AlphaFunction
+from .core import AlphaFunction, _alpha_function
 from .errors import InvalidInputError
 from .lp import Constraint, LinearProgram, Optimal, solve
 from .stability import (
     Scenario,
     _check_subsets,
-    _first_blocking,
+    _blocking_coalitions,
     min_improvement_factor,
     scenario_is_size_stable,
 )
@@ -130,6 +130,7 @@ class SearchProblem:
     time_limit: float | None = None
 
     def __post_init__(self) -> None:
+        _alpha_function(self.alpha)
         object.__setattr__(self, "gamma", exact(self.gamma))
         object.__setattr__(self, "weight_bound", exact(self.weight_bound))
         object.__setattr__(self, "baseline_bound", exact(self.baseline_bound))
@@ -446,7 +447,7 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
             weights[i][j] = weights[j][i] = point[p]
         baselines = [(x, 1) for x in _baselines(point[b_at:b_at + m])]
         # the fixed pair rows hold at the optimum, so no pair blocks
-        branch_on = _first_blocking(weights, baselines, problem.alpha, 3, q)
+        branch_on = next(_blocking_coalitions(weights, baselines, problem.alpha, 3, q), None)
         if any(branch_on == subset for subset, _ in node.rows):
             # at the exact optimum every assigned witness row holds
             raise AssertionError(f"assigned subset {branch_on} violated at the LP optimum")

@@ -17,17 +17,20 @@ returned witnesses are deterministic.  A :class:`Scenario` is a
 candidate blocking coalition studied in isolation: weights among its
 members plus fixed baseline utilities.
 
-Every blocking check, and the search's branching test, runs one
-integer kernel (:func:`_first_blocking`): weights are multiplied once by
-the least common multiple ``L`` of their denominators, each threshold
-becomes one int per coalition size, and the scan itself only adds and
-compares ints.  The scan is bounded: it skips every lex subtree whose
-first member cannot beat their threshold even if each member still to
-be chosen gave that member's largest remaining weight.  The bound never
+Every coalition question (the blocking checks, the largest improvement
+factor and the search's branching test) runs one integer kernel,
+:func:`_blocking_coalitions`: weights are multiplied once by the least
+common multiple ``L`` of their denominators, each threshold becomes one
+int per coalition size, and the scan itself only adds and compares
+ints.  The scan is bounded: it skips every lex subtree whose first
+member cannot beat their threshold even if each member still to be
+chosen gave that member's largest remaining weight.  The bound never
 skips a blocking coalition and the visit order is the full scan's, so
-the witness is the same.  The improvement-factor scan shares that
-scaling and compares ratios by cross-multiplying.  The answers are
-exactly those of rational arithmetic.
+the witness is the same.  The scan yields the blocking coalitions one
+at a time and resumes under thresholds that may only have risen, so
+what it passed still fails; the largest factor raises the thresholds
+to each yielded coalition's factor.  The answers are exactly those of
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations
-from typing import Callable, Sequence
+from itertools import accumulate, chain, combinations
+from typing import Callable, Iterator, Sequence
 
 from ._rat import exact, integer
 from .core import (
@@ -46,6 +49,7 @@ from .core import (
     Game,
     Partition,
     _admitted,
+    _alpha_function,
     _edge_rows,
     _scaled_pairs,
     _weight_matrix,
@@ -79,6 +83,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if integer(self.size) < 1:
             raise InvalidInputError("scenario needs at least one agent")
+        _alpha_function(self.alpha)
         object.__setattr__(self, "weights", _weight_matrix(self.weights, self.size))
         object.__setattr__(self, "baselines", _baselines(self.baselines, self.size))
 
@@ -110,7 +115,7 @@ class Scenario:
             size=size,
             weights=_edge_rows(size, pairs),
             baselines=_baselines([1] * size if baselines is None else baselines, size),
-            alpha=alpha,
+            alpha=_alpha_function(alpha),
         )
 
 
@@ -158,93 +163,79 @@ def _scaled_utilities(
     return utilities
 
 
-def _first_blocking(
+def _blocking_coalitions(
     scaled: list[list[int]],
     thresholds: list[tuple[int, int]],
     alpha: AlphaFunction,
     min_size: int,
     max_size: int,
-) -> tuple[int, ...] | None:
-    """The blocking-coalition kernel behind every exhaustive check.
+) -> Iterator[tuple[int, ...]]:
+    """The blocking-coalition kernel behind every coalition question.
 
     ``scaled`` holds weights times ``L`` as ints (see
     :func:`~alphahg.core._scaled_pairs`) and ``thresholds[i] = (num,
-    den)``, with ``den > 0``, is agent ``i``'s threshold times ``L``.  Returns the
-    first coalition ``S`` with ``2 <= min_size <= |S| <= max_size``, by
-    size and then lexicographic order, in which every member ``i`` has
-    ``alpha(|S|) * sum_{j in S} w_ij`` strictly above their threshold.
-    Since ``alpha(s) > 0`` for ``s >= 2``, that is the int test
-    ``sum_{j in S} W[i][j] > floor(num / (den * alpha(s)))``.
+    den)``, with ``den > 0``, is agent ``i``'s threshold times ``L``.
+    Yields, by size and then lexicographic order, every coalition ``S``
+    with ``2 <= min_size <= |S| <= max_size`` in which every member
+    ``i`` has ``alpha(|S|) * sum_{j in S} w_ij`` strictly above their
+    threshold.  Since ``alpha(s) > 0`` for ``s >= 2``, that is the int
+    test ``sum_{j in S} W[i][j] > floor(num / (den * alpha(s)))``.
 
-    The scan walks the coalitions of each size depth first, one member
-    at a time in increasing order, which visits them in lex order.  A
-    prefix ``P`` with first member ``f`` and ``r`` members still to
-    choose after ``P[-1]`` is skipped with its whole subtree when
-    ``sum_{j in P} W[f][j] + r * peak_f[P[-1] + 1] <= limit_f``, where
-    ``peak_f[k] = max_{j >= k} W[f][j]``: that sum bounds ``f``'s sum in
-    every extension of ``P``, so none of them blocks.  Skipping only
-    coalitions that cannot block leaves the order of the rest alone,
-    so the witness is the one a full scan would return.  ``peak_f`` is
-    built the first time ``f`` heads a coalition of size 3 or more; at
-    size 2 the prefix is ``f`` alone and its one compare per last member
-    is the whole test.
+    ``thresholds`` is read again after each yield: a caller may raise
+    its entries in place between yields, never lower them, since every
+    coalition already passed failed under lower thresholds.
+
+    The scan walks the coalitions of each size depth first from a stack
+    (coalitions may be as large as the game), one member at a time in
+    increasing order, which visits them in lex order.  A prefix ``P``
+    with first member ``f`` and ``r`` members still to choose after
+    ``P[-1]`` is skipped with its whole subtree when ``sum_{j in P}
+    W[f][j] + r * peak_f[P[-1] + 1] <= limit_f``, where ``peak_f[k] =
+    max_{j >= k} W[f][j]``: that sum bounds ``f``'s sum in every
+    extension of ``P``, so none of them blocks, now or under a higher
+    limit, and the rest keep the full scan's order.
     """
     n = len(scaled)
     getters = [row.__getitem__ for row in scaled]
     peaks: list[list[int] | None] = [None] * n
-
-    def last_member(prefix: tuple[int, ...], rest: int) -> tuple[int, ...] | None:
-        # most coalitions fail on their first member, whose test reduces
-        # to one compare per last agent; the other members sum in full
-        for last in range(prefix[-1] + 1, n):
-            if row[last] <= rest:
-                continue
-            combo = prefix + (last,)
-            for i in combo[1:]:
-                if sum(map(getters[i], combo)) <= limits[i]:
-                    break
-            else:
-                return combo
-        return None
-
-    def extend(first: int, r: int) -> tuple[int, ...] | None:
-        # prefixes headed by ``first`` with ``r`` members still to choose,
-        # depth first from a stack (coalitions may be as large as the
-        # game); ``total`` is the first member's sum over ``prefix``
-        stack = [((first,), row[first], r)]
-        while stack:
-            prefix, total, r = stack.pop()
-            end = prefix[-1]
-            if total + r * peak[end + 1] <= limit:
-                continue
-            if r == 1:
-                found = last_member(prefix, limit - total)
-                if found is not None:
-                    return found
-                continue
-            r -= 1
-            # pushed last to first, so popped in lex order
-            stack.extend(
-                (prefix + (j,), total + row[j], r) for j in range(n - r - 1, end, -1)
-            )
-        return None
-
     for s in range(min_size, max_size + 1):
         a = alpha.value(s)
         an, ad = a.numerator, a.denominator
         limits = [(num * ad) // (den * an) for num, den in thresholds]
         for first in range(n - s + 1):
-            row, limit = scaled[first], limits[first]
-            if s == 2:
-                found = last_member((first,), limit - row[first])
-            else:
-                peak = peaks[first]
-                if peak is None:
-                    peak = peaks[first] = list(accumulate(reversed(row), max))[::-1]
-                found = extend(first, s - 1)
-            if found is not None:
-                return found
-    return None
+            row, limit, peak = scaled[first], limits[first], peaks[first]
+            if peak is None:
+                peak = peaks[first] = list(accumulate(reversed(row), max))[::-1]
+            # prefixes headed by ``first`` with ``r`` members still to
+            # choose; ``total`` is the first member's sum over ``prefix``
+            stack = [((first,), 0, s - 1)]
+            while stack:
+                prefix, total, r = stack.pop()
+                end = prefix[-1]
+                if total + r * peak[end + 1] <= limit:
+                    continue
+                if r > 1:
+                    r -= 1
+                    # pushed last to first, so popped in lex order
+                    stack.extend(
+                        (prefix + (j,), total + row[j], r) for j in range(n - r - 1, end, -1)
+                    )
+                    continue
+                # most coalitions fail on their first member, whose test
+                # is one compare per last member; the others sum in full
+                rest = limit - total
+                for last in range(end + 1, n):
+                    if row[last] <= rest:
+                        continue
+                    combo = prefix + (last,)
+                    for i in combo[1:]:
+                        if sum(map(getters[i], combo)) <= limits[i]:
+                            break
+                    else:
+                        yield combo
+                        limits = [(num * ad) // (den * an) for num, den in thresholds]
+                        limit = limits[first]
+                        rest = limit - total
 
 
 def find_blocking_coalition(
@@ -279,9 +270,8 @@ def find_blocking_coalition(
             if thresholds[i][0] < 0:
                 return Coalition.of([i])
 
-    witness = _first_blocking(
-        scaled, thresholds, game.alpha, max(min_size, 2), max_size
-    )
+    coalitions = _blocking_coalitions(scaled, thresholds, game.alpha, max(min_size, 2), max_size)
+    witness = next(coalitions, None)
     return None if witness is None else Coalition.of(witness)
 
 
@@ -343,7 +333,7 @@ def _scenario_first_blocking(
     every member's utility exceeds their baseline."""
     scale, scaled = scenario._scaled
     thresholds = [(b.numerator * scale, b.denominator) for b in scenario.baselines]
-    return _first_blocking(scaled, thresholds, scenario.alpha, 2, max_size)
+    return next(_blocking_coalitions(scaled, thresholds, scenario.alpha, 2, max_size), None)
 
 
 def min_improvement_factor(scenario: Scenario) -> Fraction:
@@ -381,25 +371,18 @@ def max_improvement_factor_at_size(game: Game, partition: Partition, size: int) 
         raise DomainError("improvement factors need strictly positive baselines")
     _check_subsets(n, size, size)
 
-    # with utility u_i * L = u_num / u_den, member i's ratio is
-    # alpha * W_i(S) * u_den / u_num; alpha is common to all of them, so
-    # compare W_i(S) * u_den / u_num by cross-multiplying and keep the
-    # best as (numerator, denominator)
-    getters = [row.__getitem__ for row in scaled]
-    best_num, best_den = None, 1
-    for combo in combinations(range(n), size):
-        worst_num, worst_den = None, 1
-        for i in combo:
-            u_num, u_den = utilities[i]
-            num, den = sum(map(getters[i], combo)) * u_den, u_num
-            if best_num is not None and num * best_den <= best_num * den:
-                # this coalition cannot beat the best one found so far
-                break
-            if worst_num is None or num * worst_den < worst_num * den:
-                worst_num, worst_den = num, den
-        else:
-            best_num, best_den = worst_num, worst_den
-    assert best_num is not None
+    # with u_i * L = num / den, member i's ratio is alpha * W_i(S) * den / num,
+    # and S beats k iff it blocks at k * u_i * L: raise the thresholds to
+    # each better coalition (chain reads them only after the first is set)
     a = game.alpha.value(size)
-    return Fraction(a.numerator * best_num, a.denominator * best_den)
-
+    thresholds: list[tuple[int, int]] = []
+    for combo in chain(
+        [tuple(range(size))],
+        _blocking_coalitions(scaled, thresholds, game.alpha, size, size),
+    ):
+        best = a * min(
+            Fraction(sum(scaled[i][j] for j in combo) * utilities[i][1], utilities[i][0])
+            for i in combo
+        )
+        thresholds[:] = [(best.numerator * num, best.denominator * den) for num, den in utilities]
+    return best

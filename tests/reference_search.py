@@ -39,7 +39,7 @@ from alphahg.search import (
     _pair_index,
     witness_system_lp,
 )
-from alphahg.stability import Scenario, _check_subsets, _first_blocking
+from alphahg.stability import Scenario, _blocking_coalitions, _check_subsets
 
 _ZERO = Fraction(0)
 
@@ -152,7 +152,7 @@ def reference_search(problem: SearchProblem, path=(), ordered: bool = False) -> 
         for (i, j), p in pairs.items():
             weights[i][j] = weights[j][i] = point[p]
         baselines = [(x, 1) for x in baselines_of(point[b_at:b_at + m])]
-        branch_on = _first_blocking(weights, baselines, problem.alpha, 2, q)
+        branch_on = next(_blocking_coalitions(weights, baselines, problem.alpha, 2, q), None)
         if branch_on in on_path:
             # at the exact optimum every assigned witness row holds
             raise AssertionError(f"assigned subset {branch_on} violated at the LP optimum")

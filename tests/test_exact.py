@@ -2,8 +2,9 @@
 rationals through ``alphahg._rat.exact``, so floats, bools and
 float-like strings are rejected everywhere, just as in files, its
 sizes, counts and agent indices through ``alphahg._rat.integer``, so
-only ints pass, and its names through ``alphahg.core._name``, so only
-strings pass."""
+only ints pass, its names through ``alphahg.core._name``, so only
+strings pass, and every alpha it stores through
+``alphahg.core._alpha_function``, so only an ``AlphaFunction`` passes."""
 
 from fractions import Fraction
 
@@ -188,6 +189,34 @@ def test_non_string_name_rejected(entry, value):
 def test_name_accepted(entry):
     call, valid = NAME_ENTRY_POINTS[entry]
     call(valid)
+
+
+NOT_ALPHAS = ["fhg", None, FHG.value]
+
+#: every public entry point that stores an alpha, each called with a
+#: valid alpha in its place
+ALPHA_ENTRY_POINTS = {
+    "Game": lambda x: Game(2, ((0, 1), (1, 0)), x),
+    "Game.from_matrix": lambda x: Game.from_matrix([[0, 1], [1, 0]], x),
+    "Game.from_edges": lambda x: Game.from_edges(2, [(0, 1, 1)], x),
+    "Scenario": lambda x: Scenario(2, ((0, 1), (1, 0)), (1, 1), x),
+    "Scenario.from_pairs": lambda x: Scenario.from_pairs(x, 2, lambda i, j: 1),
+    "SearchProblem": lambda x: SearchProblem(x, 2, 3, Fraction(4, 3)),
+}
+
+
+@pytest.mark.parametrize("value", NOT_ALPHAS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(ALPHA_ENTRY_POINTS))
+def test_non_alpha_rejected(entry, value):
+    # a stored string would fail only later, with an AttributeError, in
+    # the first check or LP that reads alpha.value
+    with pytest.raises(InvalidInputError):
+        ALPHA_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", sorted(ALPHA_ENTRY_POINTS))
+def test_alpha_accepted(entry):
+    assert ALPHA_ENTRY_POINTS[entry](FHG).alpha is FHG
 
 
 def test_integer_admits_only_ints():

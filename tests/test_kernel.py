@@ -25,16 +25,18 @@ from alphahg import (
     Game,
     Partition,
     best_welfare_partition,
+    coalition_utility,
     enumerate_partitions,
     find_blocking_coalition,
     greedy_pairing,
     max_improvement_factor_at_size,
     min_improvement_factor,
+    partition_utility,
     scenario_is_size_stable,
     social_welfare,
 )
 from alphahg.efficiency import _cpoa
-from alphahg.stability import Scenario, _first_blocking, _scenario_first_blocking
+from alphahg.stability import Scenario, _blocking_coalitions, _scenario_first_blocking
 from conftest import positive_baseline_partition, random_game, random_partition
 
 FACTORS = (Fraction(1), Fraction(3, 2), Fraction(7, 5), Fraction(2), Fraction(13, 4), Fraction(1001, 1000))
@@ -233,7 +235,7 @@ def test_bound_ties_at_the_prune():
                     thresholds = [(limit, 1) for limit in limits]
                     scenario = Scenario(m, weights, limits, ASHG)
                     for q in (s, m):
-                        got = _first_blocking(weights, thresholds, ASHG, 2, q)
+                        got = next(_blocking_coalitions(weights, thresholds, ASHG, 2, q), None)
                         assert got == reference.first_violated_subset(ASHG, q, scenario, {})
                         if over:
                             assert got == tuple(range(s))
@@ -265,7 +267,7 @@ def test_bound_ties_at_the_prune_on_random_rows():
             limits[i] = sum(weights[i][j] for j in planted) - 1
         scenario = Scenario(m, weights, limits, ASHG)
         q = rng.randint(len(planted), m)
-        got = _first_blocking(weights, [(limit, 1) for limit in limits], ASHG, 2, q)
+        got = next(_blocking_coalitions(weights, [(limit, 1) for limit in limits], ASHG, 2, q), None)
         assert got == reference.first_violated_subset(ASHG, q, scenario, {}), (weights, limits, q)
         if over:
             found += got == planted
@@ -306,7 +308,114 @@ def test_bounded_scan_reaches_coalitions_of_any_size():
     n = 1100
     weights = [[int(i != j) for j in range(n)] for i in range(n)]
     for limit, want in ((n - 2, tuple(range(n))), (n - 1, None)):
-        assert _first_blocking(weights, [(limit, 1)] * n, ASHG, n, n) == want
+        assert next(_blocking_coalitions(weights, [(limit, 1)] * n, ASHG, n, n), None) == want
+
+
+def _raise(thresholds, raises):
+    """Raise agent ``i``'s threshold ``(num, den)`` by ``d / den`` for
+    each ``(i, d)`` in ``raises``, in place."""
+    for i, d in raises:
+        num, den = thresholds[i]
+        thresholds[i] = (num + d, den)
+
+
+def _walk(weights, thresholds, alpha, lo, hi, raises):
+    """Every coalition of size ``lo..hi``, in (size, lex) order, that
+    blocks under the thresholds current when it is reached, in Fraction
+    arithmetic; after the k-th one the thresholds rise by ``raises[k]``."""
+    thresholds, found = list(thresholds), []
+    for s in range(lo, hi + 1):
+        a = alpha.value(s)
+        for combo in combinations(range(len(weights)), s):
+            if all(a * sum(weights[i][j] for j in combo) > Fraction(*thresholds[i]) for i in combo):
+                _raise(thresholds, raises[len(found)])
+                found.append(combo)
+    return found
+
+
+def test_resumed_scan_matches_a_walk_over_combinations():
+    # the kernel rereads the thresholds after each yield; raising some of
+    # them between yields must give what a walk over every coalition
+    # gives when it applies the same raises as it goes
+    rng = random.Random(4010)
+    resumed = changed = 0
+    for trial in range(600):
+        n = rng.randint(2, 8)
+        weights = [[0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            weights[i][j] = weights[j][i] = rng.randint(-5, 8)
+        alpha = _alpha(rng, n)
+        thresholds = [(rng.randint(-8, 12), rng.randint(1, 4)) for _ in range(n)]
+        lo = rng.randint(2, n)
+        hi = rng.randint(lo, n)
+        # one raise per coalition the scan could yield, drawn in advance
+        # so that the scan and the walk apply the same ones
+        raises = [
+            [(i, rng.randint(1, 6)) for i in range(n) if rng.random() < 0.4] if trial % 3 else []
+            for _ in range(2 ** n)
+        ]
+        current, got = list(thresholds), []
+        for combo in _blocking_coalitions(weights, current, alpha, lo, hi):
+            _raise(current, raises[len(got)])
+            got.append(combo)
+        assert got == _walk(weights, thresholds, alpha, lo, hi, raises), (weights, thresholds, lo, hi)
+        every = _walk(weights, thresholds, alpha, lo, hi, [[]] * 2 ** n)
+        if trial % 3 == 0:
+            # with no raises the scan yields every blocking coalition
+            assert got == every
+        resumed += len(got) >= 2
+        changed += got != every
+    assert resumed >= 150 and changed >= 100
+
+
+def _factors(game, partition, size):
+    """Each coalition of ``size`` agents and the least ratio of a
+    member's utility in it to their partition utility."""
+    return {
+        combo: min(
+            coalition_utility(game, combo, i) / partition_utility(game, partition, i)
+            for i in combo
+        )
+        for combo in combinations(range(game.n), size)
+    }
+
+
+def _paired_game(n, alpha, weight):
+    """``n`` (even) agents partitioned into the pairs ``{i, n - 1 - i}``,
+    each pair weighing 1; the other pair ``i < j`` weighs ``weight(i, j)``."""
+    pairs = [[i, n - 1 - i] for i in range(n // 2)]
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        matrix[i][j] = matrix[j][i] = Fraction(1) if i + j == n - 1 else Fraction(weight(i, j))
+    return Game.from_matrix(matrix, alpha), Partition.of(pairs)
+
+
+def _planted_factor_cases(rng):
+    """Games whose largest factor is planted: (name, game, partition,
+    size).  With the partition into pairs weighing 1, an agent whose
+    other weights in S are at most 0 improves by at most
+    ``alpha(|S|) / alpha(2)``."""
+    table = AlphaFunction.from_table([0] + [_rational(rng, 1, 3) for _ in range(7)])
+    for n in (4, 6, 8):
+        for size in range(2, n // 2 + 1):
+            last = set(range(n - size, n))
+            c = _rational(rng, 2, 9)
+            for alpha in (rng.choice((ASHG, FHG, MFHG, PAIRWISE_COMM, ODD_EVEN)), table):
+                # the last agents, one from each of ``size`` pairs, weigh
+                # c > 1 to each other and at most 0 to everyone else
+                game, partition = _paired_game(
+                    n, alpha, lambda i, j: c if {i, j} <= last else -rng.randint(0, 3)
+                )
+                yield "lex-last", game, partition, size
+                # every coalition of one agent from each of ``size`` pairs
+                # ties, and any other one holds an agent at most 1 + (s - 2) c
+                game, partition = _paired_game(n, alpha, lambda i, j: c)
+                yield "tied", game, partition, size
+                if size >= 3:
+                    # any coalition of 3 or more holds a member with a
+                    # weight of -2 or less next to their pair's 1
+                    game, partition = _paired_game(n, alpha, lambda i, j: -_rational(rng, 2, 9))
+                    yield "negative", game, partition, size
 
 
 def test_max_improvement_factor_matches_reference():
@@ -322,6 +431,21 @@ def test_max_improvement_factor_matches_reference():
         got = max_improvement_factor_at_size(game, partition, size)
         assert got == reference.max_improvement_factor_at_size(game, partition, size)
         checked += 1
+    kinds = set()
+    for kind, game, partition, size in _planted_factor_cases(rng):
+        factors = _factors(game, partition, size)
+        got = max_improvement_factor_at_size(game, partition, size)
+        assert got == reference.max_improvement_factor_at_size(game, partition, size)
+        assert got == max(factors.values())
+        best = [combo for combo, factor in factors.items() if factor == got]
+        if kind == "lex-last":
+            assert best == [tuple(range(game.n - size, game.n))]
+        elif kind == "tied":
+            assert len(best) >= 2
+        else:
+            assert got < 0
+        kinds.add((kind, game.alpha.kind == "table"))
+    assert kinds == {(k, t) for k in ("lex-last", "tied", "negative") for t in (False, True)}
 
 
 def test_min_improvement_factor_matches_reference():

@@ -66,7 +66,7 @@ class TestFindBlockingCoalition:
         def ones(n):
             return [[int(i != j) for j in range(n)] for i in range(n)]
 
-        monkeypatch.setattr(stability, "_first_blocking", scan)
+        monkeypatch.setattr(stability, "_blocking_coalitions", scan)
         g24 = Game.from_matrix(ones(24), ASHG)  # 2^24 - 1 = 16,777,215 coalitions
         g26 = Game.from_matrix(ones(26), ASHG)  # C(26, 13) = 10,400,600 coalitions
         p24 = Partition.singletons(24)
