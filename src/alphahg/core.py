@@ -113,10 +113,16 @@ class AlphaFunction:
         return self.table[m - 1]
 
 
-def _alpha_function(value: object) -> AlphaFunction:
-    """A caller's alpha as it is; anything else is refused (cf. ``_rat.integer``)."""
+def _alpha_function(value: object, n: int) -> AlphaFunction:
+    """A caller's alpha for ``n`` agents, as it is; anything but an
+    :class:`AlphaFunction`, or a table that stops before size ``n``, is
+    refused (cf. ``_rat.integer``)."""
     if not isinstance(value, AlphaFunction):
         raise InvalidInputError(f"alpha must be an AlphaFunction, got {value!r}")
+    if value.table is not None and len(value.table) < n:
+        raise InvalidInputError(
+            f"alpha table has {len(value.table)} entries, {n} agents need {n}"
+        )
     return value
 
 
@@ -226,24 +232,37 @@ def _weight_matrix(weights: Sequence[Sequence], n: int) -> tuple[tuple[Fraction,
     return rows
 
 
+def _exact_once(value: Any, parsed: dict[str, Fraction]) -> Fraction:
+    """:func:`exact` of ``value``, parsing a string at most once: ``parsed``
+    maps each string already admitted to its ``Fraction``."""
+    if type(value) is not str:
+        return exact(value)
+    admitted = parsed.get(value)
+    if admitted is None:
+        admitted = parsed[value] = exact(value)
+    return admitted
+
+
 def _edge_rows(n: int, edges: Iterable) -> tuple[tuple[Fraction, ...], ...]:
     """The ``n x n`` weight matrix of ``[i, j, weight]`` triples; unlisted
     pairs are 0.
 
     Each triple is admitted as it is placed: its shape, the weight by
     :func:`exact`, the endpoints by :func:`integer`, their range, and
-    that they differ.  Its one ``Fraction`` goes to ``[i][j]`` and
-    ``[j][i]``, so the matrix is symmetric with a zero diagonal as
-    built, and a pair already holding a weight other than the shared
-    zero was listed before.
+    that they differ.  A weight string is parsed once per call: a string
+    seen before reuses its ``Fraction``.  That ``Fraction`` goes to
+    ``[i][j]`` and ``[j][i]``, so the matrix is symmetric with a zero
+    diagonal as built, and a pair already holding a weight other than
+    the shared zero, which no string maps to, was listed before.
     """
     zero = Fraction(0)
     rows = [[zero] * n for _ in range(n)]
+    parsed: dict[str, Fraction] = {}
     for entry in edges:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise InvalidInputError(f"bad weight triple: {entry!r}")
         i, j, w = entry
-        w = exact(w)
+        w = _exact_once(w, parsed)
         i, j = integer(i), integer(j)
         if not (0 <= i < n and 0 <= j < n):
             raise InvalidInputError(f"edge ({i},{j}) out of range for n={n}")
@@ -303,7 +322,7 @@ class Game:
     def __post_init__(self) -> None:
         if integer(self.n) < 1:
             raise InvalidInputError("a game needs at least one agent")
-        _alpha_function(self.alpha)
+        _alpha_function(self.alpha, self.n)
         object.__setattr__(self, "weights", _weight_matrix(self.weights, self.n))
 
     @cached_property
@@ -325,7 +344,7 @@ class Game:
         """Build from ``(i, j, weight)`` triples; unlisted pairs are 0."""
         if integer(n) < 1:
             raise InvalidInputError("a game needs at least one agent")
-        return _admitted(cls, n=n, weights=_edge_rows(n, edges), alpha=_alpha_function(alpha))
+        return _admitted(cls, n=n, weights=_edge_rows(n, edges), alpha=_alpha_function(alpha, n))
 
     def weight(self, i: int, j: int) -> Fraction:
         return self.weights[i][j]

@@ -9,14 +9,14 @@ verdicts instead.
 Both welfares are exact without visiting every partition.  Weights and
 alpha are scaled once to clear their denominators, and every
 coalition's welfare is tabulated as an int by bit mask.  The optimum is
-an O(3^n) subset dynamic program over that table (Yeh 1986; Rahwan &
-Jennings 2008).  The worst stable welfare is a depth-first search that
-places one block at a time: a block with a member who would walk out
-is never placed, a deviation is decided once all its members are
-placed, and a prefix is dropped once its welfare reaches the worst
-stable welfare found (the blocks still to come are individually
-rational, so they add at least 0).  Only the returned welfares are built
-as ``Fraction``.
+a subset dynamic program over that table (Yeh 1986; Rahwan & Jennings
+2008), filled only for the masks its readers read.  The worst stable
+welfare is a depth-first search that places one block at a time: a
+block with a member who would walk out is never placed, a deviation is
+decided once all its members are placed, and a prefix is dropped once
+its welfare reaches the worst stable welfare found (the blocks still
+to come are individually rational, so they add at least 0).  Only the
+returned welfares are built as ``Fraction``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from operator import or_
 from typing import Iterator
 
@@ -160,14 +160,19 @@ def _coalition_values(
 
 
 def _best_welfare(values: list[int]) -> list[int]:
-    """``best[mask]``, the largest welfare of a partition of ``mask``.
+    """``best[mask]``, the largest welfare of a partition of ``mask``, for
+    the full mask and every mask without agent 0; the other entries
+    are 0, and no caller reads them.
 
     One subset dynamic program (Yeh 1986): ``best[mask]`` is the max over
     the blocks ``B`` holding ``mask``'s lowest agent of ``values[B] +
-    best[mask ^ B]``, so the whole table costs O(3^n).
+    best[mask ^ B]``, and ``mask ^ B`` never holds agent 0, so the table
+    costs O(3^(n-1)) steps over the masks without agent 0, and O(2^(n-1))
+    more for the full mask.
     """
     best = [0] * len(values)
-    for mask in range(1, len(values)):
+    full = len(values) - 1
+    for mask in chain(range(2, full, 2), (full,)):
         low = mask & -mask
         rest = mask ^ low
         top = values[mask]

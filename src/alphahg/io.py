@@ -26,7 +26,16 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from ._rat import exact as parse_rational, integer
-from .core import AlphaFunction, Game, Partition, _admitted, _edge_rows, check_partition
+from .core import (
+    AlphaFunction,
+    Game,
+    Partition,
+    _admitted,
+    _alpha_function,
+    _edge_rows,
+    _exact_once,
+    check_partition,
+)
 from .errors import InvalidInputError, ResourceLimitError
 from .stability import Scenario
 
@@ -121,7 +130,7 @@ def game_from_dict(data: dict) -> tuple[Game, Partition | None]:
         raise InvalidInputError("expected a JSON object")
     try:
         n = _field("n", _agent_count, data["n"])
-        alpha = _field("alpha", _alpha_from_json, data["alpha"])
+        alpha = _field("alpha", lambda v: _alpha_function(_alpha_from_json(v), n), data["alpha"])
     except KeyError as exc:
         raise InvalidInputError(f"missing field {exc.args[0]!r}") from None
     if n > MAX_FILE_AGENTS:
@@ -150,7 +159,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def _baselines_from_json(n: int, value: Any) -> tuple[Fraction, ...]:
     if not isinstance(value, list) or len(value) != n:
         raise InvalidInputError("baselines must list one rational per agent")
-    return tuple(map(parse_rational, value))
+    parsed: dict[str, Fraction] = {}
+    return tuple(_exact_once(v, parsed) for v in value)
 
 
 def scenario_from_dict(data: dict) -> Scenario:

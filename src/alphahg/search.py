@@ -130,7 +130,6 @@ class SearchProblem:
     time_limit: float | None = None
 
     def __post_init__(self) -> None:
-        _alpha_function(self.alpha)
         object.__setattr__(self, "gamma", exact(self.gamma))
         object.__setattr__(self, "weight_bound", exact(self.weight_bound))
         object.__setattr__(self, "baseline_bound", exact(self.baseline_bound))
@@ -138,6 +137,7 @@ class SearchProblem:
             raise InvalidInputError("stable_size must be >= 1")
         if integer(self.size) < max(self.stable_size + 1, 2):
             raise InvalidInputError("size must be >= stable_size + 1")
+        _alpha_function(self.alpha, self.size)
         if self.gamma < 1:
             raise InvalidInputError("gamma must be >= 1")
         if self.weight_bound <= 0:

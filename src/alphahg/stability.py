@@ -22,15 +22,17 @@ factor and the search's branching test) runs one integer kernel,
 :func:`_blocking_coalitions`: weights are multiplied once by the least
 common multiple ``L`` of their denominators, each threshold becomes one
 int per coalition size, and the scan itself only adds and compares
-ints.  The scan is bounded: it skips every lex subtree whose first
-member cannot beat their threshold even if each member still to be
-chosen gave that member's largest remaining weight.  The bound never
-skips a blocking coalition and the visit order is the full scan's, so
-the witness is the same.  The scan yields the blocking coalitions one
-at a time and resumes under thresholds that may only have risen, so
-what it passed still fails; the largest factor raises the thresholds
-to each yielded coalition's factor.  The answers are exactly those of
-rational arithmetic.
+ints.  The scan is bounded twice: it skips a first member whose largest
+weights to later agents, as many as the coalition has other members,
+cannot beat their threshold, and below a first member it skips every
+lex subtree in which that member cannot beat their threshold even if
+each member still to be chosen gave that member's largest remaining
+weight.  Neither bound skips a blocking coalition and the visit order
+is the full scan's, so the witness is the same.  The scan yields the
+blocking coalitions one at a time and resumes under thresholds that
+may only have risen, so what it passed still fails; the largest
+factor raises the thresholds to each yielded coalition's factor.  The
+answers are exactly those of rational arithmetic.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if integer(self.size) < 1:
             raise InvalidInputError("scenario needs at least one agent")
-        _alpha_function(self.alpha)
+        _alpha_function(self.alpha, self.size)
         object.__setattr__(self, "weights", _weight_matrix(self.weights, self.size))
         object.__setattr__(self, "baselines", _baselines(self.baselines, self.size))
 
@@ -115,7 +117,7 @@ class Scenario:
             size=size,
             weights=_edge_rows(size, pairs),
             baselines=_baselines([1] * size if baselines is None else baselines, size),
-            alpha=_alpha_function(alpha),
+            alpha=_alpha_function(alpha, size),
         )
 
 
@@ -187,23 +189,36 @@ def _blocking_coalitions(
 
     The scan walks the coalitions of each size depth first from a stack
     (coalitions may be as large as the game), one member at a time in
-    increasing order, which visits them in lex order.  A prefix ``P``
-    with first member ``f`` and ``r`` members still to choose after
-    ``P[-1]`` is skipped with its whole subtree when ``sum_{j in P}
-    W[f][j] + r * peak_f[P[-1] + 1] <= limit_f``, where ``peak_f[k] =
-    max_{j >= k} W[f][j]``: that sum bounds ``f``'s sum in every
-    extension of ``P``, so none of them blocks, now or under a higher
-    limit, and the rest keep the full scan's order.
+    increasing order, which visits them in lex order.  Two bounds skip
+    coalitions that cannot block, now or under a higher limit, and the
+    rest keep the full scan's order.  A first member ``f`` is skipped
+    at size ``s`` when ``top_f[s - 1] <= limit_f``, where ``top_f[r]``
+    is the sum of the ``r`` largest ``W[f][j]`` over ``j > f``: that
+    sum bounds ``f``'s sum in every coalition of size ``s`` that ``f``
+    heads.  Below a live first member, a prefix ``P`` with ``r``
+    members still to choose after ``P[-1]`` is skipped with its whole
+    subtree when ``sum_{j in P} W[f][j] + r * peak_f[P[-1] + 1] <=
+    limit_f``, where ``peak_f[k] = max_{j >= k} W[f][j]``: that sum
+    bounds ``f``'s sum in every extension of ``P``.  ``top_f`` and
+    ``peak_f`` are built once per first member, for every size.
     """
     n = len(scaled)
     getters = [row.__getitem__ for row in scaled]
+    tops: list[list[int] | None] = [None] * n
     peaks: list[list[int] | None] = [None] * n
     for s in range(min_size, max_size + 1):
         a = alpha.value(s)
         an, ad = a.numerator, a.denominator
         limits = [(num * ad) // (den * an) for num, den in thresholds]
         for first in range(n - s + 1):
-            row, limit, peak = scaled[first], limits[first], peaks[first]
+            row, limit, top = scaled[first], limits[first], tops[first]
+            if top is None:
+                top = tops[first] = list(
+                    accumulate(sorted(row[first + 1:], reverse=True), initial=0)
+                )
+            if top[s - 1] <= limit:
+                continue
+            peak = peaks[first]
             if peak is None:
                 peak = peaks[first] = list(accumulate(reversed(row), max))[::-1]
             # prefixes headed by ``first`` with ``r`` members still to

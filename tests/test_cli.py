@@ -320,6 +320,7 @@ FILE_ADMISSION = [
     pytest.param({"n": 0, "weights": [], "partition": []}, 2, "'n'", id="zero n"),
     pytest.param({"n": -2, "weights": [], "partition": []}, 2, "'n'", id="negative n"),
     pytest.param({"alpha": ["1", "x"]}, 2, "'alpha'", id="alpha table entry"),
+    pytest.param({"alpha": ["1"]}, 2, "'alpha'", id="short alpha table"),
     pytest.param(
         {"n": 21, "weights": [], "partition": [[i] for i in range(21)]}, 3, "n=21", id="21 agents"
     ),

@@ -26,7 +26,14 @@ from alphahg import (
     size_cpoa,
     social_welfare,
 )
-from alphahg.efficiency import NO_STABLE_OUTCOME, RATIO, UNBOUNDED, UNDEFINED
+from alphahg.efficiency import (
+    NO_STABLE_OUTCOME,
+    RATIO,
+    UNBOUNDED,
+    UNDEFINED,
+    _best_welfare,
+    _coalition_values,
+)
 from conftest import ALL_ALPHAS, CORE_EXISTENCE_ALPHAS, example_game, random_game
 
 
@@ -246,6 +253,31 @@ class TestPoaUpperBound:
         assert _check_poa_upper_bound(rng, (13,), alphas, _size_prices((3, 5)), 4) == 32
         improvement = _improvement_prices((Fraction(3, 2),))
         assert _check_poa_upper_bound(rng, (13,), _fixed((FHG,)), improvement, 1) == 1
+
+
+def _brute_best(values, mask):
+    """The largest welfare of a partition of ``mask``, over every one."""
+    members = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return max(
+        sum(values[sum(1 << members[k] for k in block)] for block in partition.blocks)
+        for partition in enumerate_partitions(len(members))
+    )
+
+
+class TestBestWelfare:
+    def test_read_masks_match_brute_force(self):
+        # the table is filled only where it is read: the full mask and
+        # every mask without agent 0
+        rng = random.Random(37)
+        for index in range(24):
+            n = rng.randint(1, 6)
+            alpha = ALL_ALPHAS[index % len(ALL_ALPHAS)]
+            game = random_game(rng, n, alpha, -4, 6, (1, 2, 3))
+            values = _coalition_values(game)[3]
+            best = _best_welfare(values)
+            full = (1 << n) - 1
+            for mask in [*range(2, full, 2), full]:
+                assert best[mask] == _brute_best(values, mask), (game, mask)
 
 
 class TestBestWelfarePartition:

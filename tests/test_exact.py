@@ -219,6 +219,38 @@ def test_alpha_accepted(entry):
     assert ALPHA_ENTRY_POINTS[entry](FHG).alpha is FHG
 
 
+#: the 4-agent path, and a table that defines alpha up to size 2 only
+PATH = ((0, 1, 1), (1, 2, 1), (2, 3, 1))
+PATH_MATRIX = tuple(tuple(int(abs(i - j) == 1) for j in range(4)) for i in range(4))
+
+#: every public entry point that stores an alpha for a number of agents,
+#: each called with four agents
+SIZED_ALPHA_ENTRY_POINTS = {
+    "Game": lambda x: Game(4, PATH_MATRIX, x),
+    "Game.from_matrix": lambda x: Game.from_matrix(PATH_MATRIX, x),
+    "Game.from_edges": lambda x: Game.from_edges(4, PATH, x),
+    "Scenario": lambda x: Scenario(4, PATH_MATRIX, (1, 1, 1, 1), x),
+    "Scenario.from_pairs": lambda x: Scenario.from_pairs(x, 4, lambda i, j: int(j == i + 1)),
+    "SearchProblem": lambda x: SearchProblem(x, 2, 4, Fraction(4, 3)),
+}
+
+
+@pytest.mark.parametrize("values", [[0], [0, 1], [0, 1, 1]], ids=len)
+@pytest.mark.parametrize("entry", sorted(SIZED_ALPHA_ENTRY_POINTS))
+def test_short_alpha_table_rejected(entry, values):
+    # a table that stops before the game's size gave a verdict on some
+    # partitions and a refusal mid-scan on others
+    with pytest.raises(InvalidInputError, match="alpha table has"):
+        SIZED_ALPHA_ENTRY_POINTS[entry](AlphaFunction.from_table(values))
+
+
+@pytest.mark.parametrize("entry", sorted(SIZED_ALPHA_ENTRY_POINTS))
+def test_full_alpha_table_accepted(entry):
+    for values in ([0, 1, 1, 1], [0, 1, 1, 1, 1]):
+        alpha = AlphaFunction.from_table(values)
+        assert SIZED_ALPHA_ENTRY_POINTS[entry](alpha).alpha is alpha
+
+
 def test_integer_admits_only_ints():
     assert _rat.integer(7) == 7
     for value in NOT_INTEGERS:

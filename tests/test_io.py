@@ -23,6 +23,9 @@ from alphahg.io import (
 from conftest import example_game
 from reference_stability import scaled_weights
 
+#: rational strings a file may repeat, two of them equal in value
+REPEATED = ["1", "-1", "3/4", " 3 / 4 ", "0", "-7/2", "2/6", "1/3"]
+
 
 class TestParseRational:
     @pytest.mark.parametrize(
@@ -212,3 +215,53 @@ class TestAdmissionReference:
             for built in (game.weights, scenario.weights):
                 assert type(built) is tuple and all(type(row) is tuple for row in built)
                 assert all(type(w) is Fraction for row in built for w in row)
+
+    def test_repeated_strings_match_the_generic_constructors(self):
+        # a file's weights and baselines drawn from a few strings: each
+        # string is parsed once, and a repeat reuses its Fraction
+        rng = random.Random(31)
+        for n in range(2, 17):
+            for _ in range(3):
+                texts = rng.sample(REPEATED, rng.randint(1, 3))
+                matrix = [[Fraction(0)] * n for _ in range(n)]
+                triples = []
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        if rng.random() < 0.2:
+                            continue
+                        text = rng.choice(texts)
+                        matrix[i][j] = matrix[j][i] = parse_rational(text)
+                        triples.append([j, i, text] if rng.random() < 0.5 else [i, j, text])
+                rng.shuffle(triples)
+                baseline_texts = [rng.choice(texts) for _ in range(n)]
+                alpha = rng.choice([ASHG, FHG])
+                data = {"n": n, "alpha": alpha.name, "weights": triples}
+                game, _ = game_from_dict(data)
+                assert game == Game.from_matrix(matrix, alpha)
+                assert game._scaled == scaled_weights(matrix)
+                scenario = scenario_from_dict({**data, "baselines": baseline_texts})
+                baselines = [parse_rational(text) for text in baseline_texts]
+                assert scenario == Scenario(n, matrix, baselines, alpha)
+                assert scenario._scaled == scaled_weights(matrix)
+                shared = {}
+                for i, j, text in triples:
+                    assert shared.setdefault(text, game.weights[i][j]) is game.weights[i][j]
+                shared = {}
+                for text, b in zip(baseline_texts, scenario.baselines):
+                    assert shared.setdefault(text, b) is b
+
+    @pytest.mark.parametrize(
+        "first,second", [("1", "1"), ("0", "0"), (" 0 ", " 0 "), ("3/4", "3/4"), ("0", 0), (0, "0")]
+    )
+    def test_pair_listed_twice_refused(self, first, second):
+        # a repeated string shares its Fraction, and "0" one as well, but
+        # never the zero that unlisted pairs hold, so a pair listed twice
+        # is refused whatever it weighs
+        for triples in (
+            [[0, 1, first], [0, 1, second]],
+            [[0, 1, first], [1, 2, first], [1, 0, second]],
+        ):
+            with pytest.raises(InvalidInputError, match="duplicate edge for pair"):
+                game_from_dict({"n": 3, "alpha": "fhg", "weights": triples})
+            with pytest.raises(InvalidInputError, match="duplicate edge for pair"):
+                Game.from_edges(3, triples, FHG)

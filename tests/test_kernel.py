@@ -311,6 +311,115 @@ def test_bounded_scan_reaches_coalitions_of_any_size():
         assert next(_blocking_coalitions(weights, [(limit, 1)] * n, ASHG, n, n), None) == want
 
 
+def _tops(row, first):
+    """``top[r]``: the sum of the ``r`` largest ``row[j]`` over ``j > first``."""
+    suffix = sorted(row[first + 1:], reverse=True)
+    return [sum(suffix[:r]) for r in range(len(suffix) + 1)]
+
+
+def _walk_all(weights, thresholds, alpha, lo, hi):
+    """Every blocking coalition of size ``lo..hi``, in (size, lex) order,
+    in Fraction arithmetic (see :func:`_walk`)."""
+    return _walk(weights, thresholds, alpha, lo, hi, [[]] * 2 ** len(weights))
+
+
+def _tied_root_case(rng, m, s, over):
+    """Int weights and thresholds, ASHG, with one planted coalition ``S``
+    of size ``s`` headed by ``f``: ``f`` weighs 5..8 to the rest of
+    ``S`` and at most 4 to every other later agent, so ``S`` is the one
+    coalition of size ``s`` that reaches ``top_f[s - 1]`` for ``f``.
+    ``f``'s limit is ``top_f[s - 1] - over``, written as ``(num, den)``
+    with a remainder below ``den``, so its floor is that limit; the
+    other members of ``S`` beat theirs, and no agent outside ``S`` can
+    improve.  Returns the weights, thresholds, ``S`` and ``f``."""
+    weights = [[0] * m for _ in range(m)]
+    for i, j in combinations(range(m), 2):
+        weights[i][j] = weights[j][i] = rng.randint(-3, 4)
+    f = rng.randint(0, m - s)
+    planted = (f, *sorted(rng.sample(range(f + 1, m), s - 1)))
+    for j in range(f + 1, m):
+        w = rng.randint(5, 8) if j in planted else rng.randint(-3, 4)
+        weights[f][j] = weights[j][f] = w
+    limits = [8 * m * m] * m
+    limits[f] = _tops(weights[f], f)[s - 1] - over
+    for i in planted[1:]:
+        limits[i] = sum(weights[i][j] for j in planted) - 1
+    thresholds = []
+    for limit in limits:
+        den = rng.randint(1, 5)
+        thresholds.append((limit * den + rng.randint(0, den - 1), den))
+    return weights, thresholds, planted, f
+
+
+def test_root_bound_ties_and_one_unit_above():
+    # over = 0: f's r best weights tie its limit, so its root is skipped
+    # at size s, and no coalition of that size blocks; over = 1: they
+    # beat it by one unit, and the planted coalition is the witness
+    rng = random.Random(4011)
+    for _ in range(400):
+        m = rng.randint(4, 9)
+        s = rng.randint(2, m - 1)
+        over = rng.randint(0, 1)
+        weights, thresholds, planted, f = _tied_root_case(rng, m, s, over)
+        assert _tops(weights[f], f)[s - 1] == thresholds[f][0] // thresholds[f][1] + over
+        got = list(_blocking_coalitions(weights, thresholds, ASHG, s, s))
+        assert got == _walk_all(weights, thresholds, ASHG, s, s)
+        assert got == ([planted] if over else [])
+        lo = rng.randint(2, s)
+        hi = rng.randint(s, m)
+        assert list(_blocking_coalitions(weights, thresholds, ASHG, lo, hi)) == _walk_all(
+            weights, thresholds, ASHG, lo, hi
+        )
+
+
+def _grand_thresholds(weights, alpha):
+    """Each agent's utility in the grand coalition, as an int threshold."""
+    a = alpha.value(len(weights))
+    return [(a.numerator * sum(row), a.denominator) for row in weights]
+
+
+def test_every_root_skipped_at_the_grand_coalition():
+    # under ASHG an agent's grand-coalition sum is at least its r best
+    # later weights when (a) every weight is positive, or (b) agent 0
+    # weighs 3(n - 2) or more to everyone, which outweighs any agent's
+    # negative weights to later agents; so every root is skipped at
+    # every size, agent 0's at size n by a tie, and nothing blocks.
+    # With one agent's threshold one unit below its best sum at some
+    # size, and every other agent keen, that root is live at that size,
+    # and the scan must then match the walk
+    rng = random.Random(4012)
+    live = 0
+    for trial in range(120):
+        n = rng.randint(3, 9)
+        weights = [[0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            if trial % 2:
+                w = 3 * (n - 2) + rng.randint(0, 3) if i == 0 else rng.randint(-3, 4)
+            else:
+                w = rng.choice((1, 2, 2, 5))
+            weights[i][j] = weights[j][i] = w
+        thresholds = _grand_thresholds(weights, ASHG)
+        for f in range(n - 1):
+            assert all(top <= thresholds[f][0] for top in _tops(weights[f], f))
+        assert _tops(weights[0], 0)[n - 1] == thresholds[0][0]
+        assert list(_blocking_coalitions(weights, thresholds, ASHG, 2, n)) == []
+        assert _walk_all(weights, thresholds, ASHG, 2, n) == []
+        for alpha in (FHG, _alpha(rng, n)):
+            grand = _grand_thresholds(weights, alpha)
+            assert list(_blocking_coalitions(weights, grand, alpha, 2, n)) == _walk_all(
+                weights, grand, alpha, 2, n
+            )
+        f = rng.randint(0, n - 2)
+        tops = _tops(weights[f], f)
+        s = max(range(2, n - f + 1), key=lambda size: tops[size - 1])
+        lowered = [(-8 * n, 1)] * n
+        lowered[f] = (tops[s - 1] - 1, 1)
+        got = list(_blocking_coalitions(weights, lowered, ASHG, 2, n))
+        assert got == _walk_all(weights, lowered, ASHG, 2, n)
+        live += any(combo[0] == f and len(combo) == s for combo in got)
+    assert live >= 10
+
+
 def _raise(thresholds, raises):
     """Raise agent ``i``'s threshold ``(num, den)`` by ``d / den`` for
     each ``(i, d)`` in ``raises``, in place."""
@@ -337,13 +446,17 @@ def test_resumed_scan_matches_a_walk_over_combinations():
     # the kernel rereads the thresholds after each yield; raising some of
     # them between yields must give what a walk over every coalition
     # gives when it applies the same raises as it goes
+    # half the matrices draw from four values, so first members' best
+    # weights tie among themselves and with the thresholds
     rng = random.Random(4010)
     resumed = changed = 0
     for trial in range(600):
         n = rng.randint(2, 8)
         weights = [[0] * n for _ in range(n)]
+        values = rng.sample(range(-5, 9), 4)
         for i, j in combinations(range(n), 2):
-            weights[i][j] = weights[j][i] = rng.randint(-5, 8)
+            w = rng.choice(values) if trial % 2 else rng.randint(-5, 8)
+            weights[i][j] = weights[j][i] = w
         alpha = _alpha(rng, n)
         thresholds = [(rng.randint(-8, 12), rng.randint(1, 4)) for _ in range(n)]
         lo = rng.randint(2, n)
