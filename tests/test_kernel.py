@@ -7,7 +7,9 @@ partition.  ``reference_stability`` holds the former Fraction loops;
 every case here must give the same witness, factor, partition or
 price-of-anarchy result.  The blocking scan's prefix bound is checked
 where it decides: games where only late coalitions block, exact ties
-at the prune and negative suffix weights.
+at the prune and negative suffix weights; its first-member bound at
+exact ties, one unit above them, and at grand coalitions where it
+skips every first member.
 """
 
 import random
