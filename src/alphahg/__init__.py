@@ -34,6 +34,7 @@ from .core import (
     Coalition,
     Game,
     Partition,
+    Scenario,
     coalition_utility,
     partition_utility,
 )
@@ -71,7 +72,6 @@ from .search import (
     witness_system_lp,
 )
 from .stability import (
-    Scenario,
     StabilityReport,
     find_blocking_coalition,
     is_core_stable,

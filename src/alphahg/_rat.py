@@ -1,8 +1,9 @@
 """The package's one exact-arithmetic boundary.
 
 Every rational a caller hands in is admitted by :func:`exact`, since a
-verdict on an exact threshold can flip on one rounded bit, and every
-size, count or agent index by :func:`integer`.  The LP tableau clears
+verdict on an exact threshold can flip on one rounded bit, every
+sequence of them by :func:`rationals`, and every size, count or agent
+index by :func:`integer`.  The LP tableau clears
 denominators once with :func:`scaled`, and the subset kernels once per
 weight matrix (``alphahg.core._scaled_pairs``), and then run on Python
 ints.  ``BACKEND`` names this, the only backend, for records of
@@ -20,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import InvalidInputError
 
@@ -53,6 +54,15 @@ def exact(value: Any) -> Fraction:
     if isinstance(value, str):
         return _parse(value)
     raise InvalidInputError(f"not a rational: {value!r}")
+
+
+def rationals(values: Any, admit: Callable[[Any], Any] = exact) -> tuple:
+    """``admit`` (by default :func:`exact`) of each of ``values``, as a
+    tuple; a ``str`` or ``bytes`` is refused rather than read as a
+    sequence of characters or of bytes."""
+    if isinstance(values, (str, bytes)):
+        raise InvalidInputError(f"not a sequence of rationals: {values!r}")
+    return tuple(map(admit, values))
 
 
 def _parse(text: str) -> Fraction:

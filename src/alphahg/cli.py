@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import bounds, efficiency, generators, io, search, stability
-from .core import AlphaFunction, _name
+from .core import AlphaFunction, Scenario, _name
 from .errors import AlphaHGError, InvalidInputError, ResourceLimitError
 
 EXIT_OK = 0
@@ -76,7 +76,7 @@ def _print_report(report: stability.StabilityReport) -> int:
 
 
 def _report_scenario(
-    scenario: stability.Scenario,
+    scenario: Scenario,
     stable_size: int,
     accept: Callable[[Fraction], bool],
     out: str | None,

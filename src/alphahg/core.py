@@ -1,10 +1,18 @@
-"""Domain types: size-weight functions, games, coalitions, partitions.
+"""Domain types: size-weight functions, games, scenarios, coalitions,
+partitions.
 
 A hedonic game here is a set of agents ``0..n-1`` with a symmetric
 rational weight matrix and a *size-weight function* alpha: the utility
 of agent ``i`` in a coalition ``C`` is ``alpha(|C|)`` times the sum of
-``i``'s weights to the members of ``C``.  All arithmetic is exact
+``i``'s weights to the members of ``C``.  A :class:`Scenario` is a
+candidate blocking coalition studied in isolation: weights among its
+members plus fixed baseline utilities.  All arithmetic is exact
 (:class:`fractions.Fraction`); no floating point enters any verdict.
+
+This module admits every domain type; the checks that read them live
+in :mod:`alphahg.stability` and the other modules.  A game and a
+scenario admit their agent count, their alpha and their weight matrix
+alike, and scale the weights to ints alike (``_Agents``).
 """
 
 from __future__ import annotations
@@ -12,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import lcm
-from typing import Any, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
-from ._rat import exact, integer
+from ._rat import exact, integer, rationals
 from .errors import DomainError, InvalidInputError
 
 _VARIANTS = ("ashg", "fhg", "mfhg", "pairwise_comm", "odd_even", "table")
@@ -62,7 +71,7 @@ class AlphaFunction:
         if (self.kind == "table") != (self.table is not None):
             raise InvalidInputError("table values required iff kind is 'table'")
         if self.table is not None:
-            values = tuple(map(exact, self.table))
+            values = rationals(self.table)
             if not values:
                 raise InvalidInputError("alpha table must be nonempty")
             if values[0] < 0:
@@ -73,7 +82,7 @@ class AlphaFunction:
 
     @classmethod
     def from_table(cls, values: Iterable) -> "AlphaFunction":
-        return cls("table", tuple(values))
+        return cls("table", values)
 
     @classmethod
     def from_name(cls, name: str) -> "AlphaFunction":
@@ -111,6 +120,15 @@ class AlphaFunction:
                 f"alpha table has {len(self.table)} entries, size {m} is out of range"
             )
         return self.table[m - 1]
+
+
+def _agent_count(value: object) -> int:
+    """A caller's number of agents: an int (:func:`integer`) of at
+    least 1."""
+    n = integer(value)
+    if n < 1:
+        raise InvalidInputError("a game needs at least one agent")
+    return n
 
 
 def _alpha_function(value: object, n: int) -> AlphaFunction:
@@ -218,7 +236,7 @@ def _weight_matrix(weights: Sequence[Sequence], n: int) -> tuple[tuple[Fraction,
     """
     if len(weights) != n or any(len(row) != n for row in weights):
         raise InvalidInputError(f"weight matrix shape must be {n} x {n}")
-    rows = tuple(tuple(map(exact, row)) for row in weights)
+    rows = tuple(map(rationals, weights))
     for i, row in enumerate(rows):
         if row[i] != 0:
             raise InvalidInputError(f"self-weight of agent {i} must be 0")
@@ -241,6 +259,15 @@ def _exact_once(value: Any, parsed: dict[str, Fraction]) -> Fraction:
     if admitted is None:
         admitted = parsed[value] = exact(value)
     return admitted
+
+
+def _baselines(values: object, n: int) -> tuple[Fraction, ...]:
+    """One baseline per agent from a list or tuple of ``n`` rationals,
+    each string parsed once per call (:func:`_exact_once`)."""
+    if not isinstance(values, (list, tuple)) or len(values) != n:
+        raise InvalidInputError("baselines must list one rational per agent")
+    parsed: dict[str, Fraction] = {}
+    return tuple(_exact_once(v, parsed) for v in values)
 
 
 def _edge_rows(n: int, edges: Iterable) -> tuple[tuple[Fraction, ...], ...]:
@@ -307,32 +334,38 @@ def _admitted(cls: type[_T], **fields: Any) -> _T:
     return instance
 
 
-@dataclass(frozen=True)
-class Game:
-    """``n`` agents, a symmetric weight matrix with zero diagonal, and alpha.
+class _Agents:
+    """What a :class:`Game` and a :class:`Scenario` admit alike: an
+    agent count (:func:`_agent_count`), an alpha defined up to that
+    count (:func:`_alpha_function`) and a symmetric weight matrix with
+    zero diagonal (:func:`_weight_matrix`).  The weights are scaled to
+    ints (:func:`_scaled_pairs`) at most once, by the first check that
+    reads them."""
 
-    The weights are scaled to ints (:func:`_scaled_pairs`) at most once
-    per game, by the first check that reads them.
-    """
-
-    n: int
-    weights: tuple[tuple[Fraction, ...], ...]
-    alpha: AlphaFunction
-
-    def __post_init__(self) -> None:
-        if integer(self.n) < 1:
-            raise InvalidInputError("a game needs at least one agent")
-        _alpha_function(self.alpha, self.n)
-        object.__setattr__(self, "weights", _weight_matrix(self.weights, self.n))
+    def _admit(self, n: int) -> None:
+        _alpha_function(self.alpha, _agent_count(n))
+        object.__setattr__(self, "weights", _weight_matrix(self.weights, n))
 
     @cached_property
     def _scaled(self) -> tuple[int, list[list[int]]]:
         """``(L, W)`` for the weights (:func:`_scaled_pairs`); read-only."""
         return _scaled_pairs(self.weights)
 
+
+@dataclass(frozen=True)
+class Game(_Agents):
+    """``n`` agents, a symmetric weight matrix with zero diagonal, and alpha."""
+
+    n: int
+    weights: tuple[tuple[Fraction, ...], ...]
+    alpha: AlphaFunction
+
+    def __post_init__(self) -> None:
+        self._admit(self.n)
+
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence], alpha: AlphaFunction) -> "Game":
-        return cls(len(matrix), tuple(map(tuple, matrix)), alpha)
+        return cls(len(matrix), matrix, alpha)
 
     @classmethod
     def from_edges(
@@ -342,12 +375,54 @@ class Game:
         alpha: AlphaFunction,
     ) -> "Game":
         """Build from ``(i, j, weight)`` triples; unlisted pairs are 0."""
-        if integer(n) < 1:
-            raise InvalidInputError("a game needs at least one agent")
+        n = _agent_count(n)
         return _admitted(cls, n=n, weights=_edge_rows(n, edges), alpha=_alpha_function(alpha, n))
 
     def weight(self, i: int, j: int) -> Fraction:
         return self.weights[i][j]
+
+
+@dataclass(frozen=True)
+class Scenario(_Agents):
+    """Weights among ``size`` agents plus fixed baseline utilities.
+
+    The baselines play the role of the agents' utilities under some
+    ambient partition that is never materialized.  Searches produce
+    scenarios; generators emit them.
+    """
+
+    size: int
+    weights: tuple[tuple[Fraction, ...], ...]
+    baselines: tuple[Fraction, ...]
+    alpha: AlphaFunction
+
+    def __post_init__(self) -> None:
+        self._admit(self.size)
+        object.__setattr__(self, "baselines", _baselines(self.baselines, self.size))
+
+    @classmethod
+    def from_pairs(
+        cls,
+        alpha: AlphaFunction,
+        size: int,
+        weight: Callable[[int, int], Fraction | int],
+        baselines: Sequence | None = None,
+    ) -> "Scenario":
+        """``size`` agents whose pair ``i < j`` weighs ``weight(i, j)``;
+        baselines 1 unless given.
+
+        The pairs are placed as :meth:`Game.from_edges` places its
+        triples, so the matrix is not checked again.
+        """
+        n = _agent_count(size)
+        pairs = ((i, j, weight(i, j)) for i, j in combinations(range(n), 2))
+        return _admitted(
+            cls,
+            size=n,
+            weights=_edge_rows(n, pairs),
+            baselines=_baselines([1] * n if baselines is None else baselines, n),
+            alpha=_alpha_function(alpha, n),
+        )
 
 
 def coalition_utility(game: Game, coalition: Coalition | Iterable[int], agent: int) -> Fraction:

@@ -28,10 +28,9 @@ from functools import partial
 
 from ._rat import integer
 from .bounds import improvement_bound, is_hospitable
-from .core import ASHG, FHG, AlphaFunction, _name
+from .core import ASHG, FHG, AlphaFunction, Scenario, _name
 from .errors import DomainError, InvalidInputError
 from .io import load_scenario
-from .stability import Scenario
 
 
 @dataclass(frozen=True)

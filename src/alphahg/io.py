@@ -16,7 +16,8 @@ Game file::
     }
 
 Scenario file: same shape plus ``"baselines": ["1", ...]`` (one entry
-per agent).  Rationals serialize as ``"p/q"`` or integer strings.
+per agent), and no ``"partition"``.  Rationals serialize as ``"p/q"`` or
+integer strings.
 """
 
 from __future__ import annotations
@@ -25,19 +26,20 @@ import json
 from fractions import Fraction
 from typing import Any, Callable
 
-from ._rat import exact as parse_rational, integer
+from ._rat import exact as parse_rational
 from .core import (
     AlphaFunction,
     Game,
     Partition,
+    Scenario,
     _admitted,
+    _agent_count,
     _alpha_function,
+    _baselines,
     _edge_rows,
-    _exact_once,
     check_partition,
 )
 from .errors import InvalidInputError, ResourceLimitError
-from .stability import Scenario
 
 #: The most agents a game or scenario file may declare.  Files are the
 #: one input whose size no caller chose; every exhaustive scan also
@@ -64,7 +66,7 @@ def _alpha_from_json(value: Any) -> AlphaFunction:
     if isinstance(value, str):
         return AlphaFunction.from_name(value)
     if isinstance(value, list):
-        return AlphaFunction.from_table(parse_rational(v) for v in value)
+        return AlphaFunction.from_table(value)
     raise InvalidInputError("alpha must be a variant name or a table of rationals")
 
 
@@ -104,13 +106,6 @@ def _field(name: str, admit: Callable[[Any], Any], value: Any) -> Any:
         return admit(value)
     except InvalidInputError as exc:
         raise InvalidInputError(f"field {name!r}: {exc}") from None
-
-
-def _agent_count(value: Any) -> int:
-    n = integer(value)
-    if n < 1:
-        raise InvalidInputError("a game needs at least one agent")
-    return n
 
 
 def _partition_from_json(value: Any) -> Partition:
@@ -156,18 +151,12 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def _baselines_from_json(n: int, value: Any) -> tuple[Fraction, ...]:
-    if not isinstance(value, list) or len(value) != n:
-        raise InvalidInputError("baselines must list one rational per agent")
-    parsed: dict[str, Fraction] = {}
-    return tuple(_exact_once(v, parsed) for v in value)
-
-
 def scenario_from_dict(data: dict) -> Scenario:
-    game, _ = game_from_dict(data)
-    baselines = _field(
-        "baselines", lambda v: _baselines_from_json(game.n, v), data.get("baselines")
-    )
+    game, partition = game_from_dict(data)
+    if partition is not None:
+        # a scenario reads no partition: refused, not dropped
+        raise InvalidInputError("field 'partition': a scenario file takes no partition")
+    baselines = _field("baselines", lambda v: _baselines(v, game.n), data.get("baselines"))
     # the game's fields are admitted, and are the scenario's
     return _admitted(
         Scenario, size=game.n, weights=game.weights, baselines=baselines, alpha=game.alpha

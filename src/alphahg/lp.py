@@ -58,7 +58,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from ._rat import exact, scaled
+from ._rat import exact, rationals, scaled
 from .errors import InvalidInputError
 
 
@@ -76,7 +76,12 @@ def _checked(c, n: int) -> Constraint:
         raise InvalidInputError(f"a constraint is a (coeffs, rhs) pair, not {c!r}") from None
     if len(coeffs) != n:
         raise InvalidInputError("constraint length must match variable count")
-    return Constraint(tuple(map(exact, coeffs)), exact(rhs))
+    return Constraint(rationals(coeffs), exact(rhs))
+
+
+def _bound(value: object) -> Fraction | None:
+    """A variable's lower bound: a rational, or None for none."""
+    return None if value is None else exact(value)
 
 
 @dataclass(frozen=True)
@@ -102,10 +107,8 @@ class LinearProgram:
         if len(lower) != n:
             raise InvalidInputError("lower bounds must match variable count")
         object.__setattr__(self, "constraints", tuple(_checked(c, n) for c in self.constraints))
-        object.__setattr__(self, "objective", tuple(map(exact, self.objective)))
-        object.__setattr__(
-            self, "lower", tuple(None if x is None else exact(x) for x in lower)
-        )
+        object.__setattr__(self, "objective", rationals(self.objective))
+        object.__setattr__(self, "lower", rationals(lower, _bound))
 
     @classmethod
     def maximize(
@@ -132,12 +135,12 @@ class LinearProgram:
             if relation != ">=":
                 rows.append((coeffs, rhs))
             if relation != "<=":
-                rows.append(([-exact(x) for x in coeffs], -exact(rhs)))
+                rows.append(([-x for x in rationals(coeffs)], -exact(rhs)))
         return cls(
             names=tuple(names),
             constraints=tuple(rows),
-            objective=tuple(objective),
-            lower=tuple(lower) if lower is not None else (),
+            objective=objective,
+            lower=() if lower is None else lower,
         )
 
     def _with_rows(self, rows: Iterable) -> "LinearProgram":

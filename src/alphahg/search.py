@@ -87,11 +87,10 @@ from itertools import accumulate, combinations
 from numbers import Real
 
 from ._rat import exact, integer
-from .core import AlphaFunction, _alpha_function
+from .core import AlphaFunction, Scenario, _alpha_function
 from .errors import InvalidInputError
 from .lp import Constraint, LinearProgram, Optimal, solve
 from .stability import (
-    Scenario,
     _check_subsets,
     _blocking_coalitions,
     min_improvement_factor,

@@ -13,9 +13,8 @@ their partition utility (optionally by more than a factor ``k``).
 
 Verdicts are exhaustive at the configured scale, never sampled.
 Enumeration is by increasing size, then lexicographic member order, so
-returned witnesses are deterministic.  A :class:`Scenario` is a
-candidate blocking coalition studied in isolation: weights among its
-members plus fixed baseline utilities.
+returned witnesses are deterministic.  This module holds only checks:
+the games and scenarios they read are admitted by :mod:`alphahg.core`.
 
 Every coalition question (the blocking checks, the largest improvement
 factor and the search's branching test) runs one integer kernel,
@@ -40,92 +39,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate, chain, combinations
-from typing import Callable, Iterator, Sequence
+from itertools import accumulate, chain
+from typing import Iterator
 
 from ._rat import exact, integer
-from .core import (
-    AlphaFunction,
-    Coalition,
-    Game,
-    Partition,
-    _admitted,
-    _alpha_function,
-    _edge_rows,
-    _scaled_pairs,
-    _weight_matrix,
-    check_partition,
-)
-from .errors import DomainError, InvalidInputError, ResourceLimitError
+from .core import AlphaFunction, Coalition, Game, Partition, Scenario, check_partition
+from .errors import DomainError, ResourceLimitError
 
 #: The most coalitions one exhaustive scan may enumerate.  A scan that
 #: would enumerate more raises ``ResourceLimitError`` before it starts,
 #: never truncates; the guard counts the scan's own coalitions, so it
 #: holds for a game of any size.
 MAX_SUBSETS = 5_000_000
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Weights among ``size`` agents plus fixed baseline utilities.
-
-    The baselines play the role of the agents' utilities under some
-    ambient partition that is never materialized.  Searches produce
-    scenarios; generators emit them.  The weights are scaled to ints
-    (:func:`~alphahg.core._scaled_pairs`) at most once per scenario, by
-    the first check that reads them.
-    """
-
-    size: int
-    weights: tuple[tuple[Fraction, ...], ...]
-    baselines: tuple[Fraction, ...]
-    alpha: AlphaFunction
-
-    def __post_init__(self) -> None:
-        if integer(self.size) < 1:
-            raise InvalidInputError("scenario needs at least one agent")
-        _alpha_function(self.alpha, self.size)
-        object.__setattr__(self, "weights", _weight_matrix(self.weights, self.size))
-        object.__setattr__(self, "baselines", _baselines(self.baselines, self.size))
-
-    @cached_property
-    def _scaled(self) -> tuple[int, list[list[int]]]:
-        """``(L, W)`` for the weights (:func:`~alphahg.core._scaled_pairs`);
-        read-only."""
-        return _scaled_pairs(self.weights)
-
-    @classmethod
-    def from_pairs(
-        cls,
-        alpha: AlphaFunction,
-        size: int,
-        weight: Callable[[int, int], Fraction | int],
-        baselines: Sequence | None = None,
-    ) -> "Scenario":
-        """``size`` agents whose pair ``i < j`` weighs ``weight(i, j)``;
-        baselines 1 unless given.
-
-        The pairs are placed as :meth:`Game.from_edges` places its
-        triples, so the matrix is not checked again.
-        """
-        if integer(size) < 1:
-            raise InvalidInputError("scenario needs at least one agent")
-        pairs = ((i, j, weight(i, j)) for i, j in combinations(range(size), 2))
-        return _admitted(
-            cls,
-            size=size,
-            weights=_edge_rows(size, pairs),
-            baselines=_baselines([1] * size if baselines is None else baselines, size),
-            alpha=_alpha_function(alpha, size),
-        )
-
-
-def _baselines(values: Sequence, size: int) -> tuple[Fraction, ...]:
-    """One exact baseline per agent."""
-    if len(values) != size:
-        raise InvalidInputError("need one baseline per agent")
-    return tuple(map(exact, values))
 
 
 @dataclass(frozen=True)

@@ -240,16 +240,16 @@ class TestSearch:
     def test_certificate_is_scaled_once(self, capsys, monkeypatch):
         # the search's re-verification and the CLI's report check the
         # same scenario, which scales its weights once
-        from alphahg import stability
+        from alphahg import core
 
         calls = []
-        scale = stability._scaled_pairs
+        scale = core._scaled_pairs
 
         def counting(weights):
             calls.append(weights)
             return scale(weights)
 
-        monkeypatch.setattr(stability, "_scaled_pairs", counting)
+        monkeypatch.setattr(core, "_scaled_pairs", counting)
         code, out, _ = run(
             capsys, "search", "--alpha", "fhg", "--q", "2", "--m", "3", "--gamma", "13/10"
         )
@@ -340,6 +340,9 @@ SCENARIO_ADMISSION = [
     pytest.param({"baselines": "x"}, "'baselines'", id="string baselines"),
     pytest.param({"baselines": ["1", "x"]}, "'baselines'", id="bad baseline"),
     pytest.param({"weights": [[0, 1]]}, "'weights'", id="bad triple"),
+    # a scenario reads no partition, so even a valid one is refused
+    pytest.param({"partition": [[0, 1]]}, "'partition'", id="partition"),
+    pytest.param({"partition": [[0, 0]]}, "'partition'", id="malformed partition"),
 ]
 
 

@@ -251,6 +251,45 @@ def test_full_alpha_table_accepted(entry):
         assert SIZED_ALPHA_ENTRY_POINTS[entry](alpha).alpha is alpha
 
 
+#: a str and a bytes that each read as the sequence (0, 1)
+NOT_SEQUENCES = ["01", b"\x00\x01"]
+
+#: every public entry point that admits a sequence of rationals, each
+#: called with a valid sequence (0, 1) in its place
+SEQUENCE_ENTRY_POINTS = {
+    "Game row": lambda x: Game(2, (x, (1, 0)), FHG),
+    "Game.from_matrix row": lambda x: Game.from_matrix([x, [1, 0]], FHG),
+    "Scenario row": lambda x: Scenario(2, (x, (1, 0)), (1, 1), FHG),
+    "Scenario baselines": lambda x: Scenario(2, ((0, 1), (1, 0)), x, FHG),
+    "Scenario.from_pairs baselines": lambda x: Scenario.from_pairs(FHG, 2, lambda i, j: 1, x),
+    "AlphaFunction": lambda x: AlphaFunction("table", x),
+    "AlphaFunction.from_table": lambda x: AlphaFunction.from_table(x),
+    "LinearProgram coefficients": lambda x: LinearProgram(("a", "b"), ((x, 3),), (1, 1)),
+    "LinearProgram objective": lambda x: LinearProgram(("a", "b"), (((1, 1), 3),), x),
+    "LinearProgram lower": lambda x: LinearProgram(("a", "b"), (((1, 1), 3),), (1, 1), x),
+    "LinearProgram.maximize objective": lambda x: LinearProgram.maximize(x, [((1, 1), "<=", 3)]),
+    "LinearProgram.maximize >= row": lambda x: LinearProgram.maximize((1, 1), [(x, ">=", 0)]),
+    "LinearProgram.maximize lower": lambda x: LinearProgram.maximize(
+        (1, 1), [((1, 1), "<=", 3)], lower=x
+    ),
+}
+
+
+@pytest.mark.parametrize("value", NOT_SEQUENCES, ids=repr)
+@pytest.mark.parametrize("entry", sorted(SEQUENCE_ENTRY_POINTS))
+def test_string_sequence_rejected(entry, value):
+    # read entry by entry, a str would give "0" and "1" and a bytes the
+    # ints 0 and 1, so either would pass as (0, 1)
+    with pytest.raises(InvalidInputError):
+        SEQUENCE_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", sorted(SEQUENCE_ENTRY_POINTS))
+def test_sequence_accepted(entry):
+    for valid in ((0, 1), [0, 1]):
+        SEQUENCE_ENTRY_POINTS[entry](valid)
+
+
 def test_integer_admits_only_ints():
     assert _rat.integer(7) == 7
     for value in NOT_INTEGERS:

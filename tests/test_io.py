@@ -148,6 +148,26 @@ class TestScenarioFormat:
         with pytest.raises(InvalidInputError):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "bad", [["1"], ["1", "1", "1"], "11", b"11", ("1", 0.5)],
+        ids=["short", "long", "str", "bytes", "float"],
+    )
+    def test_bad_baselines_refused_alike(self, bad):
+        # Scenario, Scenario.from_pairs and a scenario file admit
+        # baselines through one admitter, so they refuse with one message
+        messages = []
+        for build in (
+            lambda: Scenario(2, ((0, 1), (1, 0)), bad, FHG),
+            lambda: Scenario.from_pairs(FHG, 2, lambda i, j: 1, bad),
+            lambda: scenario_from_dict(
+                {"n": 2, "alpha": "fhg", "weights": [[0, 1, "1"]], "baselines": bad}
+            ),
+        ):
+            with pytest.raises(InvalidInputError) as caught:
+                build()
+            messages.append(str(caught.value))
+        assert messages == [messages[0], messages[0], f"field 'baselines': {messages[0]}"]
+
 
 def _random_file(rng: random.Random, n: int):
     """A game and scenario file of ``n`` agents, as the parsed JSON a

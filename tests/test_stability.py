@@ -241,14 +241,16 @@ class TestScenarioOps:
 
     def test_each_scenario_is_scaled_once(self, monkeypatch):
         # both checks, twice each, read one scaling of the weights
+        from alphahg import core
+
         calls = []
-        scale = stability._scaled_pairs
+        scale = core._scaled_pairs
 
         def counting(weights):
             calls.append(weights)
             return scale(weights)
 
-        monkeypatch.setattr(stability, "_scaled_pairs", counting)
+        monkeypatch.setattr(core, "_scaled_pairs", counting)
         scenario = fixture("fig6")
         for _ in range(2):
             assert scenario_is_size_stable(scenario, 5)
