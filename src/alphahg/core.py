@@ -186,26 +186,33 @@ class Coalition:
 
 @dataclass(frozen=True)
 class Partition:
-    """Pairwise-disjoint coalitions; blocks sorted by smallest member."""
+    """Pairwise-disjoint coalitions; blocks sorted by smallest member.  A
+    block that is not a :class:`Coalition` is admitted as one, and is
+    refused if it repeats an agent, which a coalition would collapse."""
 
     blocks: tuple[Coalition, ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(
-            sorted((b if isinstance(b, Coalition) else Coalition.of(b) for b in self.blocks),
-                   key=lambda b: b.members)
-        )
+        blocks = []
+        for block in self.blocks:
+            if not isinstance(block, Coalition):
+                members = tuple(block)
+                block = Coalition(members)
+                if len(block) < len(members):
+                    raise InvalidInputError(f"partition block {list(members)!r} repeats an agent")
+            blocks.append(block)
+        blocks.sort(key=lambda b: b.members)
         seen: set[int] = set()
         for block in blocks:
             for agent in block:
                 if agent in seen:
                     raise InvalidInputError(f"agent {agent} appears in two blocks")
                 seen.add(agent)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @classmethod
     def of(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
-        return cls(tuple(Coalition.of(b) for b in blocks))
+        return cls(tuple(blocks))
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":

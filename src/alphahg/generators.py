@@ -11,9 +11,12 @@ divides ``m-1`` and is never above it.  Nothing is trusted:
 callers (and the test suite) re-verify stability exhaustively and the
 factor by rational equality.
 
-``fig6``..``fig9`` are bundled hand-drawn instances for stable size 5
-at coalition sizes 7 and 8 (fractional and additively separable); they
-ship as JSON data files.
+``fig6``..``fig9`` are bundled instances for stable size 5 at
+coalition sizes 7 and 8 (fractional and additively separable); they
+ship as JSON data files.  ``fig6``, ``fig8`` and ``fig9`` are drawn by
+hand; ``fig7`` is not: it equals ``cycle_scenario(FHG, 7)`` in weights,
+baselines and alpha, and both claim 9/8 (the fixture at stable size 5,
+the cycle at 7).
 
 :func:`build_construction` looks each name up in one table of the
 arguments it reads (some of ``alpha``, ``stable_size``, ``size``) and

@@ -18,6 +18,11 @@ Game file::
 Scenario file: same shape plus ``"baselines": ["1", ...]`` (one entry
 per agent), and no ``"partition"``.  Rationals serialize as ``"p/q"`` or
 integer strings.
+
+A game file holds only ``n``, ``alpha``, ``weights`` and ``partition``,
+and a scenario file only ``n``, ``alpha``, ``weights`` and
+``baselines``; any other field, a misspelt one included, is refused by
+name rather than dropped.
 """
 
 from __future__ import annotations
@@ -111,18 +116,25 @@ def _field(name: str, admit: Callable[[Any], Any], value: Any) -> Any:
 def _partition_from_json(value: Any) -> Partition:
     if not isinstance(value, list) or not all(isinstance(b, list) for b in value):
         raise InvalidInputError("partition must be a list of lists of agent indices")
-    partition = Partition.of(value)
-    # Coalition keeps a set, so a repeated member is caught here,
-    # once every member has been admitted as an int
-    for block in value:
-        if len(set(block)) < len(block):
-            raise InvalidInputError(f"partition block {block!r} repeats an agent")
-    return partition
+    return Partition.of(value)
 
 
-def game_from_dict(data: dict) -> tuple[Game, Partition | None]:
+#: The fields that each kind of file holds; any other field is refused
+#: by name, not dropped.
+_FIELDS = {
+    "game": ("n", "alpha", "weights", "partition"),
+    "scenario": ("n", "alpha", "weights", "baselines"),
+}
+
+
+def _agents_from_dict(data: dict, kind: str) -> tuple[int, AlphaFunction, tuple]:
+    """A ``kind`` file's agent count, alpha and weight matrix, each
+    admitted, once every field of the file is one that ``kind`` holds."""
     if not isinstance(data, dict):
         raise InvalidInputError("expected a JSON object")
+    for name in data:
+        if name not in _FIELDS[kind]:
+            raise InvalidInputError(f"field {name!r}: a {kind} file takes no {name}")
     try:
         n = _field("n", _agent_count, data["n"])
         alpha = _field("alpha", lambda v: _alpha_function(_alpha_from_json(v), n), data["alpha"])
@@ -132,8 +144,12 @@ def game_from_dict(data: dict) -> tuple[Game, Partition | None]:
         raise ResourceLimitError(
             f"n={n} exceeds the limit of {MAX_FILE_AGENTS} agents for a file"
         )
-    weights = _field("weights", lambda v: _weights_from_json(n, v), data.get("weights", []))
     # the matrix is symmetric with a zero diagonal as built
+    return n, alpha, _field("weights", lambda v: _weights_from_json(n, v), data.get("weights", []))
+
+
+def game_from_dict(data: dict) -> tuple[Game, Partition | None]:
+    n, alpha, weights = _agents_from_dict(data, "game")
     game = _admitted(Game, n=n, weights=weights, alpha=alpha)
     partition = None
     if "partition" in data:
@@ -152,15 +168,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    game, partition = game_from_dict(data)
-    if partition is not None:
-        # a scenario reads no partition: refused, not dropped
-        raise InvalidInputError("field 'partition': a scenario file takes no partition")
-    baselines = _field("baselines", lambda v: _baselines(v, game.n), data.get("baselines"))
-    # the game's fields are admitted, and are the scenario's
-    return _admitted(
-        Scenario, size=game.n, weights=game.weights, baselines=baselines, alpha=game.alpha
-    )
+    n, alpha, weights = _agents_from_dict(data, "scenario")
+    baselines = _field("baselines", lambda v: _baselines(v, n), data.get("baselines"))
+    return _admitted(Scenario, size=n, weights=weights, baselines=baselines, alpha=alpha)
 
 
 def is_scenario_dict(data: dict) -> bool:

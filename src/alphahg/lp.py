@@ -37,17 +37,19 @@ so the dual simplex is its phase 1.  It then prices the real objective
 and runs the primal simplex.
 
 An :class:`Optimal` is only ever one that :func:`solve` returned, and
-it keeps its final tableau.  ``solve(lp, start)``, where ``start``
-solved a program whose constraints are a prefix of ``lp``'s (same
-names, objective and lower bounds), copies that tableau, appends only
-the new rows and stops after the dual simplex.  The value and verdict
-equal a cold solve's; the optimal point may be a different one.  The
-optimum also exposes its tableau's ints: the point's numerators over
-one denominator (:meth:`Optimal.scaled_point`), and the reduced costs
-of the rows' slack columns, whose nonzero entries are the support of
-the optimal dual (:meth:`Optimal.row_prices`), and from those the
-optimal dual itself, one multiplier ``y >= 0`` per constraint
-(:meth:`Optimal.dual`).
+it keeps the program it solved, that program's int columns and its
+final tableau.  ``solve(lp, start)``, where ``start`` solved a program
+whose constraints are a prefix of ``lp``'s (same names, objective and
+lower bounds), copies that tableau, appends only the new rows and
+stops after the dual simplex.  The value and verdict equal a cold
+solve's; the optimal point may be a different one.  An optimum reads
+its value, point and prices off its own final tableau: the value off
+the objective row, the point's numerators over one denominator
+(:meth:`Optimal.scaled_point`) off the right-hand sides, and the
+reduced costs of the rows' slack columns, whose nonzero entries are the
+support of the optimal dual (:meth:`Optimal.row_prices`), off the
+objective row; from those comes the optimal dual itself, one
+multiplier ``y >= 0`` per constraint (:meth:`Optimal.dual`).
 """
 
 from __future__ import annotations
@@ -96,6 +98,9 @@ class LinearProgram:
     lower: tuple[Fraction | None, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        if isinstance(self.names, (str, bytes)):
+            raise InvalidInputError(f"not a sequence of variable names: {self.names!r}")
+        object.__setattr__(self, "names", tuple(self.names))
         n = len(self.names)
         if n == 0:
             raise InvalidInputError("a program needs at least one variable")
@@ -137,7 +142,7 @@ class LinearProgram:
             if relation != "<=":
                 rows.append(([-x for x in rationals(coeffs)], -exact(rhs)))
         return cls(
-            names=tuple(names),
+            names=names,
             constraints=tuple(rows),
             objective=objective,
             lower=() if lower is None else lower,
@@ -159,33 +164,41 @@ class LinearProgram:
 
 
 class Optimal:
-    """An optimum that :func:`solve` returned: its ``value``, its point
-    ``assignment``, and its final tableau, so that it can be the
-    ``start`` of a later solve.  The point is built from the tableau, as
-    ints, when it is first read."""
+    """An optimum that :func:`solve` returned: the program it solved,
+    that program's columns and its final tableau, so that it can be the
+    ``start`` of a later solve.  Its ``value``, point and row prices are
+    read off that tableau; the point is built, as ints, when it is first
+    read."""
 
-    __slots__ = ("value", "_warm", "_point", "_assignment")
+    __slots__ = ("value", "_lp", "_columns", "_tab", "_point")
 
-    def __init__(self, value: Fraction, warm: "_Warm") -> None:
-        self.value = value
-        self._warm = warm
+    def __init__(self, lp: LinearProgram, columns: _Columns, tab: _Tableau) -> None:
+        self._lp, self._columns, self._tab = lp, columns, tab
+        # the objective row's last cell is -d times cost . y at the basis
+        # (y = x - lower), and cost is the objective times cost_scale
+        self.value = Fraction(-tab.obj[-1], tab.d * columns.cost_scale) + columns.at_lower
         self._point: tuple[list[int], int] | None = None  # built when first read
-        self._assignment: tuple[Fraction, ...] | None = None
 
     @property
     def assignment(self) -> tuple[Fraction, ...]:
-        if self._assignment is None:
-            nums, den = self.scaled_point()
-            self._assignment = tuple(Fraction(x, den) for x in nums)
-        return self._assignment
+        nums, den = self.scaled_point()
+        return tuple(Fraction(x, den) for x in nums)
 
     def scaled_point(self) -> tuple[list[int], int]:
         """The point as int numerators over one positive common
-        denominator: the tableau's right-hand sides over ``d`` shifted by
-        the lower bounds scaled to the same denominator."""
+        denominator, ``d * low_den``: the tableau's right-hand sides over
+        ``d`` shifted by the lower bounds scaled to the same denominator.
+        The tableau of an optimum is never changed again (a warm solve
+        copies it), so this can wait until it is read."""
         if self._point is None:
-            _, columns, tab = self._warm
-            self._point = columns.point(tab)
+            tab, d, low_den = self._tab, self._tab.d, self._columns.low_den
+            # a bounded variable's minus label is -1, which no column has
+            col_value = {b: row[-1] for b, row in zip(tab.basis, tab.rows)}
+            nums = [
+                (col_value.get(plus, 0) - col_value.get(minus, 0)) * low_den + low * d
+                for (plus, minus), low in zip(self._columns.col_of, self._columns.low)
+            ]
+            self._point = nums, d * low_den
         return self._point
 
     def row_prices(self) -> list[int]:
@@ -196,7 +209,7 @@ class Optimal:
         optimal dual.  So the rows with a nonzero entry are the support
         of that dual, and those rows with the lower bounds alone bound
         the objective by ``value``."""
-        _, columns, tab = self._warm
+        columns, tab = self._columns, self._tab
         prices = [0] * len(tab.rows)
         for label, x in zip(tab.nonbasic, tab.obj):
             if label >= columns.num:
@@ -212,11 +225,11 @@ class Optimal:
         plain rational arithmetic.  Each is a :meth:`row_prices` entry
         over the tableau's denominator, negated, times its row's scale
         (:meth:`_Columns.row`) over the objective's."""
-        lp, columns, tab = self._warm
-        den = tab.d * columns.cost_scale
+        columns = self._columns
+        den = self._tab.d * columns.cost_scale
         return [
             -price * Fraction(*columns.row(c)[1]) / den
-            for price, c in zip(self.row_prices(), lp.constraints)
+            for price, c in zip(self.row_prices(), self._lp.constraints)
         ]
 
     def __repr__(self) -> str:
@@ -409,12 +422,13 @@ class _Tableau:
 
 
 class _Columns:
-    """The structural columns of a program with these lower bounds: one
-    column per bounded variable (``x - lower``), a (plus, minus) pair per
-    free variable; the lower bounds as ints over one common denominator
-    (a free variable is not shifted); and the objective as ints
-    (``cost``, times ``cost_scale``) with its value at the lower bounds
-    (``at_lower``)."""
+    """A program turned into ints.  The structural columns of a program
+    with these lower bounds: one column per bounded variable (``x -
+    lower``), a (plus, minus) pair per free variable; the lower bounds as
+    ints over one common denominator (a free variable is not shifted);
+    the objective as ints (``cost``, times ``cost_scale``) with its value
+    at the lower bounds (``at_lower``); and each constraint as an int row
+    (:meth:`row`)."""
 
     def __init__(self, lower, objective) -> None:
         self.col_of: list[tuple[int, int]] = []  # (plus column, minus column or -1)
@@ -462,35 +476,6 @@ class _Columns:
             scale = common * low_den, g
         return self.expand(ints[:-1]) + ints[-1:], scale
 
-    def optimal(self, lp: LinearProgram, tab: _Tableau) -> Optimal:
-        """The optimum at the tableau's basis, carrying the tableau.  Its
-        value is read off the objective row, whose last cell is ``-d``
-        times ``cost . y`` at the basis (``y = x - lower``), so the value
-        is that over ``d * cost_scale`` plus ``at_lower``; its point is
-        built when first read (:meth:`point`)."""
-        value = Fraction(-tab.obj[-1], tab.d * self.cost_scale) + self.at_lower
-        return Optimal(value, _Warm(lp, self, tab))
-
-    def point(self, tab: _Tableau) -> tuple[list[int], int]:
-        """The point at the tableau's basis as int numerators over ``d *
-        low_den``.  The tableau of an optimum is never changed again (a
-        warm solve copies it), so this can wait until it is read."""
-        d, low, low_den = tab.d, self.low, self.low_den
-        col_value = {b: tab.rows[i][-1] for i, b in enumerate(tab.basis)}
-        nums = []
-        for v, (plus, minus) in enumerate(self.col_of):
-            x = col_value.get(plus, 0)
-            if minus >= 0:
-                x -= col_value.get(minus, 0)
-            nums.append(x * low_den + low[v] * d)
-        return nums, d * low_den
-
-
-class _Warm(NamedTuple):
-    lp: LinearProgram
-    columns: _Columns
-    tab: _Tableau
-
 
 def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
     """Solve exactly; every Optimal assignment satisfies all constraints
@@ -511,7 +496,7 @@ def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
     else:
         if not isinstance(start, Optimal):
             raise InvalidInputError(f"start must be an Optimal, not {start!r}")
-        prev, columns, base = start._warm
+        prev, columns, base = start._lp, start._columns, start._tab
         k = len(prev.constraints)
         if (
             lp.names != prev.names
@@ -532,7 +517,7 @@ def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
         tab.price(columns.expand(columns.cost) + [0] * len(tab.rows))
         if tab.run() == "unbounded":
             return Unbounded()
-    return columns.optimal(lp, tab)
+    return Optimal(lp, columns, tab)
 
 
 def satisfies(lp: LinearProgram, assignment: Sequence[Fraction]) -> bool:

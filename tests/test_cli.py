@@ -321,6 +321,9 @@ FILE_ADMISSION = [
     pytest.param({"n": -2, "weights": [], "partition": []}, 2, "'n'", id="negative n"),
     pytest.param({"alpha": ["1", "x"]}, 2, "'alpha'", id="alpha table entry"),
     pytest.param({"alpha": ["1"]}, 2, "'alpha'", id="short alpha table"),
+    # a field that a game does not hold is refused, not dropped: read
+    # without its weights, a misspelt file would be a game of no edges
+    pytest.param({"weigths": [[0, 1, "1"]]}, 2, "'weigths'", id="foreign field"),
     pytest.param(
         {"n": 21, "weights": [], "partition": [[i] for i in range(21)]}, 3, "n=21", id="21 agents"
     ),
@@ -343,6 +346,7 @@ SCENARIO_ADMISSION = [
     # a scenario reads no partition, so even a valid one is refused
     pytest.param({"partition": [[0, 1]]}, "'partition'", id="partition"),
     pytest.param({"partition": [[0, 0]]}, "'partition'", id="malformed partition"),
+    pytest.param({"weigths": [[0, 1, "1"]]}, "'weigths'", id="foreign field"),
 ]
 
 
@@ -406,6 +410,16 @@ class TestExitCodeContract:
         code, out, err = run(capsys, "verify", str(path), "--q-size", "2")
         assert code == 2
         assert out == "" and err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("command", [("poa", "--q", "2"), ("greedy",)])
+    def test_game_command_refuses_scenario_file(self, capsys, tmp_path, command):
+        # poa and greedy read a game, which has no baselines; verify reads
+        # the same file as a scenario
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_SCENARIO_PAIR))
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == 2
+        assert out == "" and err == "error: field 'baselines': a game file takes no baselines\n"
 
     @pytest.mark.parametrize("target", ["missing directory", "a directory"])
     @pytest.mark.parametrize("command", ["search", "generate", "greedy"])

@@ -272,6 +272,10 @@ SEQUENCE_ENTRY_POINTS = {
     "LinearProgram.maximize lower": lambda x: LinearProgram.maximize(
         (1, 1), [((1, 1), "<=", 3)], lower=x
     ),
+    "LinearProgram names": lambda x: LinearProgram(x, (((1, 1), 3),), (1, 1)),
+    "LinearProgram.maximize names": lambda x: LinearProgram.maximize(
+        [1, 1], [([1, 1], "<=", 3)], names=x
+    ),
 }
 
 

@@ -217,6 +217,16 @@ class TestFixtures:
             assert scenario.weights[i][(i + 1) % 8] == 2
         assert scenario.weights[0][2] == 1
 
+    def test_fig7_is_the_fhg_cycle_at_stable_size_7(self):
+        # the same scenario under two claims: 9/8 at stable size 5 as a
+        # fixture, and (q+2)/(q+1) = 9/8 at stable size 7 as the cycle
+        fig7, cycle = build_construction("fig7"), build_construction("cycle", FHG, 7)
+        assert fig7.scenario.weights == cycle.scenario.weights
+        assert fig7.scenario.baselines == cycle.scenario.baselines
+        assert fig7.scenario.alpha == cycle.scenario.alpha
+        assert (fig7.stable_size, cycle.stable_size) == (5, 7)
+        assert fig7.factor == cycle.factor == Fraction(9, 8)
+
     def test_fig8_baselines(self):
         scenario = fixture("fig8")
         assert scenario.baselines == (2, 2, 2, 1, 1, 1, 1)

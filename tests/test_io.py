@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,15 @@ class TestGameFormat:
     def test_missing_field(self):
         with pytest.raises(InvalidInputError):
             game_from_dict({"alpha": "fhg", "weights": []})
+
+    def test_repeated_member_refused_alike(self):
+        # a Coalition collapses a repeat, so Partition refuses it first,
+        # in the library and in a file alike
+        message = "partition block [0, 0] repeats an agent"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            Partition.of([[0, 0], [1]])
+        with pytest.raises(InvalidInputError, match=re.escape(f"field 'partition': {message}")):
+            game_from_dict({"n": 2, "alpha": "fhg", "partition": [[0, 0], [1]]})
 
 
 class TestRoundTripProperty:
