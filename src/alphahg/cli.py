@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--node-limit", type=integer, default=search.DEFAULT_NODE_LIMIT,
-        help="default: %(default)s",
+        help="the node past it is counted, unsolved (exit 3); default: %(default)s",
     )
     p.add_argument(
         "--time-limit", type=float,

@@ -3,10 +3,12 @@
 A small simplex with integer pivoting: each constraint row is scaled to
 Python ints once, and the tableau is kept as ints over one common
 denominator, so the pivots run on plain int arithmetic and never on
-``Fraction``.  Bland's rule guarantees termination; there is no floating
-point and no tolerance anywhere, so Optimal/Infeasible/Unbounded
-verdicts, values and points are exact.  The intended scale is a few
-hundred variables and constraints.
+``Fraction``.  An entry that is an int stays an int (and a ``Fraction``
+a ``Fraction``), so a row of ints goes in with no LCM.  Bland's rule
+guarantees termination; there is no floating point and no tolerance
+anywhere, so Optimal/Infeasible/Unbounded verdicts, values and points
+are exact.  The intended scale is a few hundred variables and
+constraints.
 
 The tableau is condensed: it stores only the nonbasic columns, each
 with its label (structural columns first, then one slack per row), and
@@ -67,8 +69,21 @@ from .errors import InvalidInputError
 class Constraint(NamedTuple):
     """``coeffs . x <= rhs``."""
 
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
+    coeffs: tuple[int | Fraction, ...]
+    rhs: int | Fraction
+
+
+def _entry(value: object) -> int | Fraction:
+    """An ``int`` or ``Fraction`` entry as it is, any other by :func:`exact`."""
+    return value if type(value) in (int, Fraction) else exact(value)
+
+
+def _entries(values) -> tuple:
+    """:func:`_entry` of each of ``values`` (:func:`rationals`), as a
+    tuple; a tuple of ints and Fractions as it is."""
+    if type(values) is tuple and {int, Fraction}.issuperset(map(type, values)):
+        return values
+    return rationals(values, _entry)
 
 
 def _checked(c, n: int) -> Constraint:
@@ -78,12 +93,12 @@ def _checked(c, n: int) -> Constraint:
         raise InvalidInputError(f"a constraint is a (coeffs, rhs) pair, not {c!r}") from None
     if len(coeffs) != n:
         raise InvalidInputError("constraint length must match variable count")
-    return Constraint(rationals(coeffs), exact(rhs))
+    return Constraint(_entries(coeffs), _entry(rhs))
 
 
-def _bound(value: object) -> Fraction | None:
+def _bound(value: object) -> int | Fraction | None:
     """A variable's lower bound: a rational, or None for none."""
-    return None if value is None else exact(value)
+    return None if value is None else _entry(value)
 
 
 @dataclass(frozen=True)
@@ -94,8 +109,8 @@ class LinearProgram:
 
     names: tuple[str, ...]
     constraints: tuple[Constraint, ...]
-    objective: tuple[Fraction, ...]
-    lower: tuple[Fraction | None, ...] = field(default=())
+    objective: tuple[int | Fraction, ...]
+    lower: tuple[int | Fraction | None, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if isinstance(self.names, (str, bytes)):
@@ -112,7 +127,7 @@ class LinearProgram:
         if len(lower) != n:
             raise InvalidInputError("lower bounds must match variable count")
         object.__setattr__(self, "constraints", tuple(_checked(c, n) for c in self.constraints))
-        object.__setattr__(self, "objective", rationals(self.objective))
+        object.__setattr__(self, "objective", _entries(self.objective))
         object.__setattr__(self, "lower", rationals(lower, _bound))
 
     @classmethod
@@ -140,7 +155,7 @@ class LinearProgram:
             if relation != ">=":
                 rows.append((coeffs, rhs))
             if relation != "<=":
-                rows.append(([-x for x in rationals(coeffs)], -exact(rhs)))
+                rows.append(([-x for x in _entries(coeffs)], -_entry(rhs)))
         return cls(
             names=names,
             constraints=tuple(rows),
@@ -434,19 +449,15 @@ class _Columns:
         self.col_of: list[tuple[int, int]] = []  # (plus column, minus column or -1)
         self.num = 0
         for bound in lower:
-            if bound is not None:
-                self.col_of.append((self.num, -1))
-                self.num += 1
-            else:
-                self.col_of.append((self.num, self.num + 1))
-                self.num += 2
-        self.low, self.low_den = scaled([Fraction(0) if x is None else x for x in lower])
+            self.col_of.append((self.num, -1 if bound is not None else self.num + 1))
+            self.num += 1 if bound is not None else 2
+        self.low, self.low_den = scaled([0 if x is None else x for x in lower])
         self.cost, self.cost_scale = scaled(objective)
-        self.at_lower = sum(
-            (c * x for c, x in zip(objective, lower) if c and x is not None), Fraction(0)
-        )
+        self.at_lower = sum(c * x for c, x in zip(objective, lower) if c and x is not None)
 
     def expand(self, values) -> list[int]:
+        if self.num == len(values):  # no free variable: a column per variable
+            return values
         row = [0] * self.num
         for v, x in enumerate(values):
             if x:
@@ -459,11 +470,12 @@ class _Columns:
     def row(self, constraint: Constraint) -> tuple[list[int], tuple[int, int]]:
         """The constraint as an int row (structural coefficients, then rhs
         of either sign) scaled by the LCM of its denominators, and that
-        scale as ``(num, den)``; substituting x = y + lower leaves rhs -
-        sum(c * lower) on the right."""
-        coeffs, rhs = constraint
+        scale as ``(num, den)`` (a row of ints is its own); substituting
+        x = y + lower leaves rhs - sum(c * lower) on the right."""
         low_den = self.low_den
-        ints, common = scaled((*coeffs, rhs))
+        ints, common = [*constraint.coeffs, constraint.rhs], 1
+        if not {int}.issuperset(map(type, ints)):
+            ints, common = scaled(ints)
         shift = sum(map(mul, ints, self.low))  # stops before the rhs
         scale = common, 1
         if shift:
@@ -489,10 +501,12 @@ def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
     """
     if start is None:
         columns = _Columns(lp.lower, lp.objective)
-        # the empty program: no rows, and a zero objective, which every
-        # basis prices dual feasible
-        base = _Tableau([], [], list(range(columns.num)), 1, [0] * (columns.num + 1))
-        new = lp.constraints
+        n = columns.num
+        # the empty program (no rows, d = 1, and a zero objective, which
+        # every basis prices dual feasible) with every row appended: no
+        # structural column is basic, so each row goes in as it is
+        rows = [columns.row(c)[0] for c in lp.constraints]
+        tab = _Tableau(rows, list(range(n, n + len(rows))), list(range(n)), 1, [0] * (n + 1))
     else:
         if not isinstance(start, Optimal):
             raise InvalidInputError(f"start must be an Optimal, not {start!r}")
@@ -508,9 +522,7 @@ def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
                 "start must solve a program whose constraints are a prefix of this one's,"
                 " with the same names, objective and lower bounds"
             )
-        new = lp.constraints[k:]
-
-    tab = base.appended([columns.row(c)[0] for c in new], columns.num)
+        tab = base.appended([columns.row(c)[0] for c in lp.constraints[k:]], columns.num)
     if tab.dual() == "infeasible":
         return Infeasible()
     if start is None:

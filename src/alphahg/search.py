@@ -86,7 +86,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from numbers import Real
 
-from ._rat import exact, integer
+from ._rat import exact, integer, scaled
 from .core import AlphaFunction, Scenario, _alpha_function
 from .errors import InvalidInputError
 from .lp import Constraint, LinearProgram, Optimal, solve
@@ -102,10 +102,6 @@ INFEASIBLE_WITHIN_BOUNDS = "infeasible_within_bounds"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
 DEFAULT_NODE_LIMIT = 200_000
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,9 @@ class SearchResult:
     ``budget_exhausted`` makes no claim.  ``nodes_explored`` counts
     every node the search reached, and the node limit is checked against
     it; a node whose rows contain a stored nogood's is counted there but
-    solves no LP, so ``lps_solved`` can be smaller.
+    solves no LP, so ``lps_solved`` can be smaller.  A budget counts the
+    node that trips it, unsolved: a node limit ``k`` stops at ``k + 1``
+    nodes and at most ``k`` LPs.
     """
 
     verdict: str
@@ -188,37 +186,40 @@ def _baselines(columns: Sequence) -> list:
     return list(accumulate(reversed(columns)))[::-1]
 
 
+def _row_terms(alpha: Fraction, gamma: Fraction | None = None) -> list[int]:
+    """An agent row's weight, baseline and slack coefficients, least
+    integer multiple of the witness row's ``alpha(|S|)``, -1 and 0 (so
+    ``num(alpha)``, ``-den(alpha)``, 0), or of ``-alpha(m)``, ``gamma``, 1."""
+    return scaled((alpha, -1, 0) if gamma is None else (-alpha, gamma, 1))[0]
+
+
 def _agent_row(
     problem: SearchProblem,
     pairs: dict,
     members: Sequence[int],
     agent: int,
-    full: bool = False,
+    terms: Sequence[int] | None = None,
 ) -> Constraint:
-    """Agent ``a``'s utility in ``S = members`` against their baseline:
-    the witness row ``alpha(|S|) * sum_{j in S} w_aj - b_a <= 0`` (``a``
-    does not improve in ``S``), or with ``full`` the full-coalition row
-    ``-alpha(m) * sum_j w_aj + gamma * b_a + slack <= 0``.  ``b_a`` is
-    the sum of the baseline columns ``a..m-1``, so its coefficient is
-    written on each of them."""
-    m = problem.size
-    coeffs = [_ZERO] * (len(pairs) + m + 1)
-    a, b = problem.alpha.value(len(members)), _MINUS_ONE
-    if full:
-        a, b = -a, problem.gamma
-        coeffs[-1] = _ONE
+    """Agent ``a``'s utility in ``S = members`` against their baseline,
+    over the integers (``terms``, :func:`_row_terms`): by default the
+    witness row ``num(alpha(|S|)) * sum_{j in S} w_aj - den(alpha(|S|)) *
+    b_a <= 0``, or a multiple of the full-coalition row ``-alpha(m) *
+    sum_j w_aj + gamma * b_a + slack <= 0``.  ``b_a`` is the sum of the
+    baseline columns ``a..m-1``, so its coefficient is on each of them."""
+    weight, baseline, slack = terms or _row_terms(problem.alpha.value(len(members)))
+    coeffs = [0] * (len(pairs) + agent) + [baseline] * (problem.size - agent) + [slack]
     for j in members:
         if j != agent:
-            coeffs[pairs[min(agent, j), max(agent, j)]] = a
-    coeffs[len(pairs) + agent:len(pairs) + m] = [b] * (m - agent)
-    return Constraint(tuple(coeffs), _ZERO)
+            coeffs[pairs[min(agent, j), max(agent, j)]] = weight
+    return Constraint(tuple(coeffs), 0)
 
 
 def witness_system_lp(
     problem: SearchProblem,
     path: Iterable[tuple[Sequence[int], int]],
 ) -> LinearProgram:
-    """The search's node LP for one (partial) witness path.
+    """The search's node LP for one (partial) witness path, written over
+    the integers.
 
     ``path`` is an ordered iterable of ``(subset, witness)`` pairs, each
     a two-item sequence whose subset is iterable.  Subset members and
@@ -242,6 +243,11 @@ def witness_system_lp(
     alpha(m) * (m - 1) * B)``.  Objective: maximize the slack.  The
     witness system is strictly feasible iff the optimum slack is
     positive.
+
+    Each row is its least integer multiple (times the LCM of its own
+    denominators; a ``w <= B`` row is ``den(B) * w <= num(B)``), which
+    changes no pivot, and the objective is ints, so the LP takes every
+    row as it is.
 
     A pair row is the witness row of ``({i, j}, i)``.  It is fixed, and
     no verdict changes, because the witness-j region lies inside the
@@ -267,20 +273,19 @@ def witness_system_lp(
         + [f"d_{i}" for i in range(m - 1)]
         + [f"b_{m - 1}", "slack"]
     )
-    bound = problem.weight_bound
-    lower = [-bound] * num_pairs + [_ZERO] * (m - 1) + [_ONE]
-    lower.append(-(problem.gamma + problem.alpha.value(m) * (m - 1) * bound))
-
-    def unit(v: int) -> tuple[Fraction, ...]:
-        return tuple(_ONE if u == v else _ZERO for u in range(len(names)))
-
-    everyone = range(m)
-    constraints = [_agent_row(problem, pairs, everyone, i, full=True) for i in everyone]
-    constraints += [Constraint(unit(p), bound) for p in range(num_pairs)]
-    top = [_ZERO] * num_pairs + [_ONE] * m + [_ZERO]
-    constraints.append(Constraint(tuple(top), problem.baseline_bound))
+    B, U, width = problem.weight_bound, problem.baseline_bound, len(names)
+    alpha_m = problem.alpha.value(m)
+    lower = [-B] * num_pairs + [0] * (m - 1) + [1, -(problem.gamma + alpha_m * (m - 1) * B)]
+    terms = {s: _row_terms(problem.alpha.value(s)) for s in range(2, m + 1)}  # per |S|
+    full = _row_terms(alpha_m, problem.gamma)
+    constraints = [_agent_row(problem, pairs, range(m), i, full) for i in range(m)]
+    constraints += [
+        Constraint((0,) * p + (B.denominator,) + (0,) * (width - p - 1), B.numerator)
+        for p in range(num_pairs)
+    ]
+    constraints.append(Constraint((0,) * num_pairs + (U.denominator,) * m + (0,), U.numerator))
     if problem.stable_size >= 2:
-        constraints += [_agent_row(problem, pairs, pair, pair[0]) for pair in pairs]
+        constraints += [_agent_row(problem, pairs, p, p[0], terms[2]) for p in pairs]
     if not isinstance(path, Iterable):
         raise InvalidInputError(
             f"witness path {path!r} is not an iterable of (subset, witness) pairs"
@@ -305,28 +310,27 @@ def witness_system_lp(
         if key in seen:
             raise InvalidInputError(f"subset {key} assigned twice")
         seen.add(key)
-        constraints.append(_agent_row(problem, pairs, key, agent))
+        constraints.append(_agent_row(problem, pairs, key, agent, terms[len(key)]))
     return LinearProgram(
         names=tuple(names),
         constraints=tuple(constraints),
-        objective=unit(len(names) - 1),
+        objective=(0,) * (width - 1) + (1,),
         lower=tuple(lower),
     )
 
 
 def _certificate_ok(problem: SearchProblem, scenario: Scenario) -> bool:
     """Independent re-check of a candidate: box bounds, stability up to
-    stable_size, and a strict improvement beyond gamma."""
+    stable_size, and a strict improvement beyond gamma.  ``|w| <= B`` is
+    ``|W| * den(B) <= num(B) * L`` on the cached ints ``W = L * w``."""
     B, U = problem.weight_bound, problem.baseline_bound
-    for i in range(scenario.size):
-        for j in range(scenario.size):
-            if abs(scenario.weights[i][j]) > B:
-                return False
-    if any(not 1 <= b <= U for b in scenario.baselines):
-        return False
-    if not scenario_is_size_stable(scenario, problem.stable_size):
-        return False
-    return min_improvement_factor(scenario) > problem.gamma
+    scale, ints = scenario._scaled
+    return (
+        max(abs(w) for row in ints for w in row) * B.denominator <= B.numerator * scale
+        and all(1 <= b <= U for b in scenario.baselines)
+        and scenario_is_size_stable(scenario, problem.stable_size)
+        and min_improvement_factor(scenario) > problem.gamma
+    )
 
 
 class _Budget(Exception):

@@ -273,6 +273,11 @@ class TestSearch:
         assert code == 3
         assert "verdict: budget_exhausted" in out
 
+    def test_node_limit_zero_counts_the_tripping_node(self, capsys):
+        code, out, _ = run(capsys, *SEARCH_ARGS, "--node-limit", "0")
+        assert code == 3
+        assert out.splitlines() == ["verdict: budget_exhausted", "nodes: 1", "lps: 0"]
+
     def test_deterministic_output(self, capsys):
         args = ["search", "--alpha", "ashg", "--q", "2", "--m", "3", "--gamma", "3/2"]
         assert run(capsys, *args) == run(capsys, *args)

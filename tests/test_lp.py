@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from numbers import Rational
 
 import pytest
 from reference_lp import dual_certifies
@@ -17,6 +18,16 @@ from alphahg.lp import (
     satisfies,
     solve,
 )
+
+
+class _Ratio:
+    """A ``numbers.Rational`` that is neither an int nor a Fraction."""
+
+    def __init__(self, numerator, denominator):
+        self.numerator, self.denominator = numerator, denominator
+
+
+Rational.register(_Ratio)
 
 
 class TestBasics:
@@ -68,6 +79,25 @@ class TestBasics:
             LinearProgram.maximize([1], [([1, 2], "<=", 3)])
         with pytest.raises(InvalidInputError, match="unknown relation '<<'"):
             LinearProgram.maximize([1], [([1], "<<", 3)])
+
+    def test_entries_kept_or_admitted(self):
+        # an int or a Fraction entry is kept as it is; any other rational
+        # is admitted by exact
+        half = Fraction(1, 2)
+        lp = LinearProgram(("x", "y"), (((3, half), 4), (("1/2", _Ratio(3, 4)), half)), (1, half))
+        (kept, four), (admitted, rhs) = lp.constraints
+        assert [type(x) for x in (*kept, four)] == [int, Fraction, int]
+        assert kept[1] is half and rhs is half
+        assert admitted == (half, Fraction(3, 4))
+        assert [type(x) for x in admitted] == [Fraction, Fraction]
+        assert [type(x) for x in lp.objective] == [int, Fraction]
+        for bad in (True, 0.5):
+            with pytest.raises(InvalidInputError):
+                LinearProgram(("x", "y"), (((1, bad), 4),), (1, 1))
+            with pytest.raises(InvalidInputError):
+                LinearProgram(("x", "y"), (((1, 1), bad),), (1, 1))
+        with pytest.raises(InvalidInputError):
+            LinearProgram(("x", "y"), (("12", 4),), (1, 1))
 
     def test_relations_become_one_form(self):
         # maximize stores a >= row negated and an = row as the row, then

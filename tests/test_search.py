@@ -5,8 +5,11 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphahg import (
     ASHG,
@@ -28,8 +31,9 @@ from alphahg import (
     solve,
     witness_system_lp,
 )
+from alphahg import lp as lp_module
 from alphahg import search as search_module
-from alphahg.lp import satisfies
+from alphahg.lp import LinearProgram, satisfies
 from alphahg.search import (
     BUDGET_EXHAUSTED,
     FEASIBLE,
@@ -173,15 +177,17 @@ class TestWitnessSystemLp:
         lp = witness_system_lp(p, path)
 
         def cap(subset, witness):
-            # alpha(|S|) * sum_{j in S} w_witness,j - b_witness <= 0
-            coeffs = [Fraction(0)] * len(lp.names)
+            # alpha(|S|) * sum_{j in S} w_witness,j - b_witness <= 0, as
+            # its least integer multiple: times den(alpha(|S|))
+            alpha = TABLE_ALPHA.value(len(subset))
+            coeffs = [0] * len(lp.names)
             for j in subset:
                 if j != witness:
                     pair = f"w_{min(witness, j)}_{max(witness, j)}"
-                    coeffs[lp.names.index(pair)] = TABLE_ALPHA.value(len(subset))
+                    coeffs[lp.names.index(pair)] = alpha.numerator
             for column in _baseline_columns(lp, p.size, witness):
-                coeffs[column] = Fraction(-1)
-            return Constraint(tuple(coeffs), Fraction(0))
+                coeffs[column] = -alpha.denominator
+            return Constraint(tuple(coeffs), 0)
 
         assert lp.constraints == fixed + tuple(cap(*step) for step in path)
         # the fixed rows end with the pair rows, in pair order: the cap of
@@ -218,6 +224,150 @@ TABLE_ALPHA = AlphaFunction.from_table(
     [0, Fraction(3, 4), Fraction(2, 5), Fraction(7, 3), Fraction(1, 6)]
 )
 BOXES = ((10, 10), (Fraction(1, 2), 1), (Fraction(1, 2), 3), (2, 1), (Fraction(7, 3), Fraction(5, 2)))
+
+
+def _rational_rows(p, lp, path):
+    """The rows that ``witness_system_lp``'s docstring defines, written
+    from alpha in Fractions: the full-coalition rows, ``w <= B`` per
+    pair, ``b_0 <= U``, the pair rows when ``q >= 2``, then one witness
+    row per entry of ``path``."""
+    m, width = p.size, len(lp.names)
+
+    def weight(i, j):
+        return lp.names.index(f"w_{min(i, j)}_{max(i, j)}")
+
+    def agent_row(members, agent, full=False):
+        alpha = p.alpha.value(len(members))
+        coeffs = [Fraction(0)] * width
+        for j in members:
+            if j != agent:
+                coeffs[weight(agent, j)] = -alpha if full else alpha
+        for column in _baseline_columns(lp, m, agent):
+            coeffs[column] = p.gamma if full else Fraction(-1)
+        if full:
+            coeffs[lp.names.index("slack")] = Fraction(1)
+        return coeffs, Fraction(0)
+
+    def unit(columns, rhs):
+        coeffs = [Fraction(0)] * width
+        for column in columns:
+            coeffs[column] = Fraction(1)
+        return coeffs, rhs
+
+    pairs = list(combinations(range(m), 2))
+    rows = [agent_row(range(m), agent, full=True) for agent in range(m)]
+    rows += [unit([weight(*pair)], p.weight_bound) for pair in pairs]
+    rows.append(unit(_baseline_columns(lp, m, 0), p.baseline_bound))
+    if p.stable_size >= 2:
+        rows += [agent_row(pair, pair[0]) for pair in pairs]
+    rows += [agent_row(sorted(subset), agent) for subset, agent in path]
+    return rows
+
+
+def _least_multiple(coeffs, rhs):
+    """A rational row times the LCM of its denominators, and that LCM."""
+    scale = lcm(*(x.denominator for x in (*coeffs, rhs)))
+    return Constraint(tuple(x * scale for x in coeffs), rhs * scale), scale
+
+
+def _rational_statement(p, lp, path):
+    """``lp`` with each row divided back by its scale: the rows written
+    from alpha, the objective and the lower bounds in Fractions."""
+    return LinearProgram(
+        names=lp.names,
+        constraints=tuple(_rational_rows(p, lp, path)),
+        objective=tuple(map(Fraction, lp.objective)),
+        lower=tuple(map(Fraction, lp.lower)),
+    )
+
+
+INTEGER_ROW_ALPHAS = (FHG, ASHG, MFHG, ODD_EVEN, PAIRWISE_COMM, TABLE_ALPHA)
+
+
+class TestIntegerRows:
+    """``witness_system_lp`` writes every row over the integers: the
+    least integer multiple of the row its docstring defines.  Scaling a
+    row by a positive factor changes no pivot, so the integer statement
+    and the rational one take the same pivots to the same optimum."""
+
+    @pytest.mark.parametrize("alpha", INTEGER_ROW_ALPHAS, ids=lambda a: a.kind)
+    @pytest.mark.parametrize(
+        "gamma,B,U",
+        [
+            (1, 10, 10),
+            (2, 3, 1),
+            (Fraction(6, 5), Fraction(7, 3), Fraction(5, 2)),
+            (Fraction(13, 10), Fraction(1, 2), 3),
+            (Fraction(5, 4), 9, Fraction(11, 3)),
+        ],
+    )
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=8, deadline=None)
+    def test_rows_are_least_integer_multiples(self, alpha, gamma, B, U, seed):
+        rng = random.Random(seed)
+        q = rng.randint(1, 4)
+        m = rng.randint(q + 1, 5)
+        subsets = [c for s in range(2, m + 1) for c in combinations(range(m), s)]
+        chosen = rng.sample(subsets, rng.randint(0, min(5, len(subsets))))
+        path = [(S, rng.choice(S)) for S in chosen]
+        p = problem(alpha, q, m, gamma, B, U)
+        lp = witness_system_lp(p, path)
+        rows = _rational_rows(p, lp, path)
+        assert len(rows) == len(lp.constraints)
+        for row, written in zip(rows, lp.constraints):
+            assert all(type(x) is int for x in (*written.coeffs, written.rhs)), written
+            assert written == _least_multiple(*row)[0]
+        assert all(type(x) is int for x in lp.objective)
+        assert lp.objective == tuple(int(name == "slack") for name in lp.names)
+
+    @pytest.mark.parametrize(
+        "alpha,q,m,gamma,B,U",
+        [
+            (FHG, 3, 4, Fraction(5, 4), 10, 10),
+            (FHG, 3, 4, Fraction(6, 5), Fraction(7, 3), Fraction(5, 2)),
+            (TABLE_ALPHA, 3, 5, Fraction(9, 7), Fraction(1, 2), 3),
+            (ODD_EVEN, 4, 5, 1, 9, Fraction(11, 3)),
+            (PAIRWISE_COMM, 2, 4, Fraction(3, 2), 2, 1),
+        ],
+    )
+    def test_same_pivots_as_the_rational_statement(
+        self, monkeypatch, alpha, q, m, gamma, B, U
+    ):
+        pivots = []
+        pivot = lp_module._Tableau.pivot
+
+        def logged(tab, r, c):
+            pivots.append((r, c))
+            pivot(tab, r, c)
+
+        monkeypatch.setattr(lp_module._Tableau, "pivot", logged)
+        p = problem(alpha, q, m, gamma, B, U)
+        subsets = [c for s in range(2, m + 1) for c in combinations(range(m), s)]
+        path = [(S, S[-1]) for S in subsets[-3:]]
+        results = {}
+        for stated in ("int", "rational"):
+            lps = [witness_system_lp(p, path[:k]) for k in range(len(path) + 1)]
+            if stated == "rational":
+                lps = [_rational_statement(p, lp, path[:k]) for k, lp in enumerate(lps)]
+            solved, start = [], None
+            for lp in lps:
+                for warm in (None, start):
+                    pivots.clear()
+                    result = solve(lp, warm)
+                    solved.append((result, pivots[:]))
+                start = result
+            results[stated] = lps, solved
+        (_, integer), (rational_lps, rational) = results["int"], results["rational"]
+        assert len(integer) == len(rational) == 2 * len(rational_lps)
+        for k, ((a, a_pivots), (b, b_pivots)) in enumerate(zip(integer, rational)):
+            assert a_pivots == b_pivots
+            assert (a.value, a.assignment) == (b.value, b.assignment)
+            assert [bool(x) for x in a.row_prices()] == [bool(x) for x in b.row_prices()]
+            # dual() gives multipliers of the rows it solved: the integer
+            # row's times its scale is the rational row's
+            rows = rational_lps[k // 2].constraints
+            scales = [_least_multiple(*row)[1] for row in rows]
+            assert [y * scale for y, scale in zip(a.dual(), scales)] == b.dual()
 
 
 def _random_witness_problem(rng):
@@ -487,6 +637,36 @@ class TestPairRows:
                 assert _certificate_ok(p, result.scenario)
 
 
+class TestCertificateBox:
+    """``_certificate_ok`` holds a candidate to the box ``|w| <= B``, ``1
+    <= b <= U`` exactly: a bound met is accepted, and one passed by
+    ``10^-9`` is refused."""
+
+    EPS = Fraction(1, 10**9)
+
+    @staticmethod
+    def candidate(low=-10, top=10):
+        # a certificate of ASHG q = 3, m = 4 at gamma 1999/1000 in the box
+        # B = U = 10: weights 10 and -10, and baselines 10 and 9990/1999
+        weights = {(0, 1): 0, (2, 3): low}
+        b = Fraction(9990, 1999)
+        return Scenario.from_pairs(
+            ASHG, 4, lambda i, j: Fraction(weights.get((i, j), 10)), [Fraction(top), 10, b, b]
+        )
+
+    def test_bounds_met_exactly_are_accepted(self):
+        assert _certificate_ok(problem(ASHG, 3, 4, Fraction(1999, 1000)), self.candidate())
+
+    def test_bounds_passed_are_refused(self):
+        p, eps = problem(ASHG, 3, 4, Fraction(1999, 1000)), self.EPS
+        # a lower weight or a higher baseline keeps the candidate stable
+        # and improving, so only the box refuses these
+        assert not _certificate_ok(p, self.candidate(low=-10 - eps))
+        assert not _certificate_ok(p, self.candidate(top=10 + eps))
+        assert not _certificate_ok(replace(p, weight_bound=10 - eps), self.candidate())
+        assert not _certificate_ok(replace(p, baseline_bound=10 - eps), self.candidate())
+
+
 class TestSearchVerdicts:
     def test_feasible_below_tight_factor(self):
         result = search_blocking_scenario(problem(FHG, 2, 3, Fraction(13, 10)))
@@ -513,12 +693,14 @@ class TestSearchVerdicts:
         assert min_improvement_factor(result.scenario) > Fraction(199, 100)
 
     def test_budget_exhaustion_is_a_verdict(self):
-        # the FHG q = 3, m = 4 tree at the bound takes 4 nodes
-        result = search_blocking_scenario(
-            problem(FHG, 3, 4, Fraction(5, 4), node_limit=2)
-        )
-        assert result.verdict == BUDGET_EXHAUSTED
-        assert result.nodes_explored >= 2
+        # the FHG q = 3, m = 4 tree at the bound takes 4 nodes, each with
+        # its LP; the node that trips the limit is counted, unsolved
+        for limit in range(4):
+            result = search_blocking_scenario(
+                problem(FHG, 3, 4, Fraction(5, 4), node_limit=limit)
+            )
+            assert result.verdict == BUDGET_EXHAUSTED
+            assert (result.nodes_explored, result.lps_solved) == (limit + 1, limit)
 
     def test_branching_scan_is_guarded_before_the_root_lp(self, monkeypatch):
         # each node scans the C(24, 2) + ... + C(24, 12) coalitions of
