@@ -9,21 +9,54 @@ written (an ``--out`` path, or a standard output whose reader has
 gone), 3 for exhausted budgets, and 4 for an internal error: any other
 exception, reported with its traceback on stderr, so that a crash never
 reads as a verdict.
+
+A command-line call starts a fresh interpreter, whose start-up costs
+more than most verdicts, so this module imports no engine up front.  Each engine
+(``bounds``, ``core``, ``efficiency``, ``generators``, ``io``,
+``search``, ``stability``) is an attribute of this module, imported the
+first time a command or an argument type looks it up (see
+:func:`__getattr__` and :func:`_load`): building the parser loads none,
+and ``verify`` never loads the LP.  Commands reach the engines through
+this module's namespace, so a stand-in set on it (a test's monkeypatch,
+a tracer's proxy) is what they call.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import os
 import sys
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
+from importlib import import_module
 
-from . import bounds, efficiency, generators, io, search, stability
-from .core import AlphaFunction, Scenario, _name
+from . import _params
 from .errors import AlphaHGError, InvalidInputError, ResourceLimitError
+
+#: the engines, each imported on first use
+_ENGINES = frozenset({"bounds", "core", "efficiency", "generators", "io", "search", "stability"})
+
+
+def __getattr__(name: str):
+    """An engine, imported on its first lookup and bound here, so that
+    later lookups, plain global names included, find it directly."""
+    if name not in _ENGINES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"alphahg.{name}")
+    globals()[name] = module
+    return module
+
+
+def _load(*names: str) -> None:
+    """Bind each named engine in this module, importing it on first use,
+    since a function's plain global lookup does not reach
+    :func:`__getattr__`.  An engine already bound here, or a stand-in set
+    in its place, is kept."""
+    this = sys.modules[__name__]
+    for name in names:
+        getattr(this, name)
+
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -36,6 +69,7 @@ def integer(text: str) -> int:
     """A size or count: a rational string (:mod:`alphahg._rat`) without
     a ``/``.  As an argparse type, its refusal names the option
     (``argument --q: invalid integer value: '1_0'``)."""
+    _load("io")
     if "/" not in text:
         try:
             return int(io.parse_rational(text))
@@ -57,6 +91,7 @@ def _parse_range(text: str, option: str) -> range:
 
 def _rational(text: str) -> Fraction:
     """An argparse type: the refusal's reason becomes argparse's message."""
+    _load("io")
     try:
         return io.parse_rational(text)
     except InvalidInputError as exc:
@@ -76,7 +111,7 @@ def _print_report(report: stability.StabilityReport) -> int:
 
 
 def _report_scenario(
-    scenario: Scenario,
+    scenario: core.Scenario,
     stable_size: int,
     accept: Callable[[Fraction], bool],
     out: str | None,
@@ -84,6 +119,7 @@ def _report_scenario(
     """Re-verify a scenario: size-stable up to ``stable_size`` and an
     improvement factor that ``accept`` admits.  Prints the factor and the
     outcome, and writes the scenario to ``out`` only if it passed."""
+    _load("io", "stability")
     factor = stability.min_improvement_factor(scenario)
     ok = stability.scenario_is_size_stable(scenario, stable_size) and accept(factor)
     print(f"improvement-factor: {io.format_rational(factor)}")
@@ -95,6 +131,7 @@ def _report_scenario(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _load("io", "stability")
     data = io.load_json(args.file)
     if io.is_scenario_dict(data):
         scenario = io.scenario_from_dict(data)
@@ -127,7 +164,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bound_table(args: argparse.Namespace) -> int:
-    alpha = AlphaFunction.from_name(args.alpha)
+    import csv  # imported here: only this command writes CSV
+
+    _load("bounds", "core", "io")
+    alpha = core.AlphaFunction.from_name(args.alpha)
     rows = [["q", "m", "bound", "bound_decimal", "improvement_limit"]]
     # every row is built before any is written, so an input error
     # leaves stdout empty
@@ -151,7 +191,8 @@ _GENERATE_FLAGS = {"alpha": "--alpha", "stable_size": "--q", "size": "--m"}
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    alpha = None if args.alpha is None else AlphaFunction.from_name(args.alpha)
+    _load("core", "generators")
+    alpha = None if args.alpha is None else core.AlphaFunction.from_name(args.alpha)
     try:
         built = generators.build_construction(args.construction, alpha, args.q, args.m)
     except InvalidInputError as error:
@@ -161,7 +202,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if parameter in _GENERATE_FLAGS and head.endswith(("requires", "does not read")):
             raise InvalidInputError(f"{head} {_GENERATE_FLAGS[parameter]}") from None
         raise
-    print(f"construction: {_name(args.construction, 'construction name')}")
+    print(f"construction: {core._name(args.construction, 'construction name')}")
     print(f"agents: {built.scenario.size}")
     print(f"stable-up-to: {built.stable_size}")
     ok = _report_scenario(
@@ -171,8 +212,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    _load("core", "search")
     problem = search.SearchProblem(
-        alpha=AlphaFunction.from_name(args.alpha),
+        alpha=core.AlphaFunction.from_name(args.alpha),
         stable_size=args.q,
         size=args.m,
         gamma=args.gamma,
@@ -195,6 +237,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_poa(args: argparse.Namespace) -> int:
+    _load("efficiency", "io")
     game, _ = io.load_game(args.file)
     if args.q is not None:
         result = efficiency.size_cpoa(game, args.q)
@@ -215,6 +258,7 @@ def cmd_poa(args: argparse.Namespace) -> int:
 
 
 def cmd_greedy(args: argparse.Namespace) -> int:
+    _load("efficiency", "io")
     game, _ = io.load_game(args.file)
     partition = efficiency.greedy_pairing(game)
     for block in partition.blocks:
@@ -262,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     # names are admitted by the library, as --alpha is; the metavars list them
     p.add_argument(
         "--construction", required=True,
-        metavar="{" + ",".join(generators.CONSTRUCTION_NAMES) + "}",
+        metavar="{" + ",".join(_params.CONSTRUCTION_NAMES) + "}",
     )
     p.add_argument("--alpha")
     p.add_argument("--q", type=integer)
@@ -276,15 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=integer, required=True, help="blocking coalition size")
     p.add_argument("--gamma", type=_rational, required=True)
     p.add_argument(
-        "--weight-bound", type=_rational, default=search.SearchProblem.weight_bound,
+        "--weight-bound", type=_rational, default=_params.WEIGHT_BOUND,
         help="default: %(default)s",
     )
     p.add_argument(
-        "--baseline-bound", type=_rational, default=search.SearchProblem.baseline_bound,
+        "--baseline-bound", type=_rational, default=_params.BASELINE_BOUND,
         help="default: %(default)s",
     )
     p.add_argument(
-        "--node-limit", type=integer, default=search.DEFAULT_NODE_LIMIT,
+        "--node-limit", type=integer, default=_params.DEFAULT_NODE_LIMIT,
         help="the node past it is counted, unsolved (exit 3); default: %(default)s",
     )
     p.add_argument(

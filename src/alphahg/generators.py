@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+from ._params import CONSTRUCTION_NAMES, FIXTURE_NAMES
 from ._rat import integer
 from .bounds import improvement_bound, is_hospitable
 from .core import ASHG, FHG, AlphaFunction, Scenario, _name
@@ -173,10 +174,6 @@ def mantel_scenario(size: int) -> Scenario:
     return Scenario.from_pairs(FHG, m, lambda i, j: 2 if i < half <= j else 1)
 
 
-#: The bundled fixtures; each is stable up to size 5.
-FIXTURE_NAMES = ("fig6", "fig7", "fig8", "fig9")
-
-
 def fixture(name: str) -> Scenario:
     """A bundled tight instance for stable size 5, read from its JSON
     data file (see :func:`fixture_path`).
@@ -208,8 +205,6 @@ _CONSTRUCTIONS = {
     "mantel": (("size",), 3, mantel_scenario),
     **{name: ((), 5, partial(fixture, name)) for name in FIXTURE_NAMES},
 }
-
-CONSTRUCTION_NAMES = tuple(_CONSTRUCTIONS)
 
 
 def build_construction(

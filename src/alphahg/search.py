@@ -86,6 +86,8 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from numbers import Real
 
+from . import _params
+from ._params import DEFAULT_NODE_LIMIT
 from ._rat import exact, integer, scaled
 from .core import AlphaFunction, Scenario, _alpha_function
 from .errors import InvalidInputError
@@ -100,8 +102,6 @@ from .stability import (
 FEASIBLE = "feasible"
 INFEASIBLE_WITHIN_BOUNDS = "infeasible_within_bounds"
 BUDGET_EXHAUSTED = "budget_exhausted"
-
-DEFAULT_NODE_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,8 @@ class SearchProblem:
     stable_size: int
     size: int
     gamma: Fraction
-    weight_bound: Fraction = Fraction(10)
-    baseline_bound: Fraction = Fraction(10)
+    weight_bound: Fraction = _params.WEIGHT_BOUND
+    baseline_bound: Fraction = _params.BASELINE_BOUND
     node_limit: int | None = DEFAULT_NODE_LIMIT
     time_limit: float | None = None
 
