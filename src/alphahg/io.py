@@ -113,10 +113,13 @@ def _field(name: str, admit: Callable[[Any], Any], value: Any) -> Any:
         raise InvalidInputError(f"field {name!r}: {exc}") from None
 
 
-def _partition_from_json(value: Any) -> Partition:
+def _partition_of(game: Game, value: Any) -> Partition:
+    """The partition of ``game``'s agents that a file lists."""
     if not isinstance(value, list) or not all(isinstance(b, list) for b in value):
         raise InvalidInputError("partition must be a list of lists of agent indices")
-    return Partition.of(value)
+    partition = Partition.of(value)
+    check_partition(game, partition)
+    return partition
 
 
 #: The fields that each kind of file holds; any other field is refused
@@ -153,8 +156,7 @@ def game_from_dict(data: dict) -> tuple[Game, Partition | None]:
     game = _admitted(Game, n=n, weights=weights, alpha=alpha)
     partition = None
     if "partition" in data:
-        partition = _field("partition", _partition_from_json, data["partition"])
-        check_partition(game, partition)
+        partition = _field("partition", lambda v: _partition_of(game, v), data["partition"])
     return game, partition
 
 
@@ -186,6 +188,11 @@ def load_json(path: str) -> dict:
         raise InvalidInputError(f"{path}: invalid JSON ({exc})") from None
     except UnicodeDecodeError:
         raise InvalidInputError(f"{path}: not UTF-8 text") from None
+    except InvalidInputError:
+        raise
+    except ValueError as exc:
+        # int() refuses a literal longer than sys.get_int_max_str_digits()
+        raise InvalidInputError(f"{path}: unreadable number ({exc})") from None
     except RecursionError:
         raise InvalidInputError(f"{path}: JSON nested too deeply") from None
     except OSError as exc:

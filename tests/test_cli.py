@@ -32,15 +32,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+#: the running example as an ASHG game file, split into the 4-cycle's pairs
+ASHG_EXAMPLE = {
+    "n": 4,
+    "alpha": "ashg",
+    "weights": [[i, j, str(w)] for i, j, w in EXAMPLE_EDGES],
+    "partition": [[0, 1], [2, 3]],
+}
+
+
 def write_ashg_example(tmp_path):
-    data = {
-        "n": 4,
-        "alpha": "ashg",
-        "weights": [[i, j, str(w)] for i, j, w in EXAMPLE_EDGES],
-        "partition": [[0, 1], [2, 3]],
-    }
     path = tmp_path / "ashg.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(ASHG_EXAMPLE))
     return str(path)
 
 
@@ -292,6 +295,16 @@ class TestSearch:
         assert args.weight_bound == defaults["weight_bound"]
         assert args.baseline_bound == defaults["baseline_bound"]
 
+    def test_help_shows_the_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--help"])
+        assert exc.value.code == 0
+        # argparse wraps its help to the terminal's width
+        shown = " ".join(capsys.readouterr().out.split()) + " "
+        assert "--weight-bound WEIGHT_BOUND default: 10 " in shown
+        assert "--baseline-bound BASELINE_BOUND default: 10 " in shown
+        assert "default: 200000 " in shown
+
 
 
 SEARCH_ARGS = ("search", "--alpha", "fhg", "--q", "2", "--m", "3", "--gamma", "4/3")
@@ -308,6 +321,8 @@ FILE_ADMISSION = [
     pytest.param({"partition": [[[0]], [1]]}, 2, "'partition'", id="list member"),
     pytest.param({"partition": [[{"a": 1}], [1]]}, 2, "'partition'", id="object member"),
     pytest.param({"partition": [[0, 0], [1]]}, 2, "'partition'", id="repeated member"),
+    pytest.param({"partition": [[0]]}, 2, "'partition'", id="missing agent"),
+    pytest.param({"partition": [[0], [1], [2]]}, 2, "'partition'", id="agent past n"),
     pytest.param({"weights": [[True, 1, "1"]]}, 2, "'weights'", id="bool endpoint"),
     pytest.param({"weights": [["0", 1, "1"]]}, 2, "'weights'", id="string endpoint"),
     pytest.param({"weights": [[0, 1, None]]}, 2, "'weights'", id="null weight"),
@@ -371,6 +386,21 @@ class TestExitCodeContract:
         code, _, err = run(capsys, "verify", str(path), "--core")
         assert code == 2
         assert "UTF-8" in err
+
+    @pytest.mark.parametrize("command", [("verify", "--core"), ("poa", "--q", "2"), ("greedy",)])
+    @pytest.mark.parametrize("field", ["n", "weight"])
+    def test_over_long_integer_exit_two(self, capsys, tmp_path, command, field):
+        # int() refuses a literal past the interpreter's digit limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integer literals of any length")
+        literal = "1" * (limit + 1)
+        n, weight = (literal, "1") if field == "n" else ("2", literal)
+        path = tmp_path / "long.json"
+        path.write_text(f'{{"n": {n}, "alpha": "fhg", "weights": [[0, 1, {weight}]]}}')
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     def test_deeply_nested_json_exit_two(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -603,3 +633,110 @@ class TestRoundTrip:
         back, back_p = load_game(str(path))
         assert back == game and back_p == partition
         assert game_to_dict(back, back_p) == game_to_dict(game, partition)
+
+
+_GRAND = {
+    "n": 8,
+    "alpha": "ashg",
+    "weights": [
+        [i, j, "2" if (i + j) % 2 == 0 else "1"] for i in range(8) for j in range(i + 1, 8)
+    ],
+    "partition": [list(range(8))],
+}
+
+#: the files that transcripts read, by name
+TRANSCRIPT_FILES = {
+    "game.json": ASHG_EXAMPLE,
+    # an ASHG grand coalition whose weights repeat two strings: every
+    # agent's best later weights sum to at most its utility, so the scan
+    # skips every first member at every size
+    "grand.json": _GRAND,
+    # the same with the pair {0, 1} at -10: agent 0's utility is -1, so
+    # it blocks alone
+    "negative.json": {**_GRAND, "weights": [[0, 1, "-10"], *_GRAND["weights"][1:]]},
+}
+
+#: command-line transcripts: each runs its commands in turn in one
+#: directory that holds TRANSCRIPT_FILES, and pins each command's exit
+#: code and every line of its stdout
+TRANSCRIPTS = [
+    pytest.param((
+        ("generate --construction fig6", 0, [
+            "construction: fig6", "agents: 7", "stable-up-to: 5", "improvement-factor: 8/7",
+            "verification: ok",
+        ]),
+    ), id="fig6"),
+    pytest.param((
+        ("generate --construction fig9", 0, [
+            "construction: fig9", "agents: 8", "stable-up-to: 5", "improvement-factor: 2",
+            "verification: ok",
+        ]),
+    ), id="fig9"),
+    # a scenario file written, then read back by verify
+    pytest.param((
+        ("generate --construction mantel --m 6 --out m6.json", 0, [
+            "construction: mantel", "agents: 6", "stable-up-to: 3", "improvement-factor: 4/3",
+            "verification: ok", "wrote: m6.json",
+        ]),
+        ("verify m6.json --q-size 3", 0, ["stable (scenario, sizes 1..3)"]),
+    ), id="mantel certificate"),
+    pytest.param((
+        ("search --alpha fhg --q 2 --m 3 --gamma 4/3", 1, [
+            "verdict: infeasible_within_bounds", "nodes: 1", "lps: 1",
+        ]),
+    ), id="search infeasible"),
+    # the LP point read, written as a certificate and verified
+    pytest.param((
+        ("search --alpha fhg --q 2 --m 3 --gamma 13/10 --out found.json", 0, [
+            "verdict: feasible", "nodes: 1", "lps: 1", "improvement-factor: 4/3",
+            "verification: ok", "wrote: found.json",
+        ]),
+        ("verify found.json --q-size 2", 0, ["stable (scenario, sizes 1..2)"]),
+    ), id="search certificate"),
+    # a box whose bounds are not integers, so the LP's rows are rescaled
+    pytest.param((
+        ("search --alpha fhg --q 3 --m 4 --gamma 5/4 --weight-bound 7/3 --baseline-bound 5/2", 1, [
+            "verdict: infeasible_within_bounds", "nodes: 4", "lps: 4",
+        ]),
+    ), id="fractional box infeasible"),
+    pytest.param((
+        ("search --alpha fhg --q 3 --m 4 --gamma 6/5 --weight-bound 7/3 --baseline-bound 5/2"
+         " --out frac.json", 0, [
+            "verdict: feasible", "nodes: 5", "lps: 5", "improvement-factor: 5/4",
+            "verification: ok", "wrote: frac.json",
+        ]),
+        ("verify frac.json --q-size 3", 0, ["stable (scenario, sizes 1..3)"]),
+    ), id="fractional box certificate"),
+    # the running example's 4-cycle is blocked by {0, 1, 2}, which beats
+    # 3/2 at size 3, and no coalition beats 2
+    pytest.param((
+        ("verify game.json --core", 1, ["unstable (sizes 1..4, factor 1)", "witness: 0 1 2"]),
+        ("verify game.json --qk 3 3/2", 1, [
+            "unstable (sizes 3..3, factor 3/2)", "witness: 0 1 2",
+        ]),
+        ("verify game.json --improvement 2", 0, ["stable (sizes 1..4, factor 2)"]),
+        ("poa game.json --q 2", 0, ["best-welfare: 28", "worst-stable-welfare: 12", "ratio: 7/3"]),
+    ), id="running example"),
+    # at q = 3 the larger coalition (m = 5) has the lower factor
+    pytest.param((
+        ("bound-table --alpha fhg --q-range 3:3 --m-range 4:5", 0, [
+            "q,m,bound,bound_decimal,improvement_limit",
+            "3,4,5/4,1.250000,3/2",
+            "3,5,6/5,1.200000,3/2",
+        ]),
+    ), id="bound table"),
+    pytest.param((
+        ("verify grand.json --core", 0, ["stable (sizes 1..8, factor 1)"]),
+        ("verify negative.json --core", 1, ["unstable (sizes 1..8, factor 1)", "witness: 0"]),
+    ), id="grand coalition"),
+]
+
+
+@pytest.mark.parametrize("steps", TRANSCRIPTS)
+def test_transcript(capsys, tmp_path, monkeypatch, steps):
+    monkeypatch.chdir(tmp_path)
+    for name, data in TRANSCRIPT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    for argv, code, lines in steps:
+        out = "".join(f"{line}\n" for line in lines)
+        assert run(capsys, *argv.split()) == (code, out, ""), argv

@@ -69,8 +69,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("alphahg."
 
 
 def fresh(code, *args):
-    """stdout of ``code`` run in a fresh interpreter that imports this
-    checkout's package."""
+    """stdout of ``code`` run in a fresh interpreter that imports the
+    package under test, installed or not."""
     env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(alphahg.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
