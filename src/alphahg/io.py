@@ -188,8 +188,9 @@ def load_json(path: str) -> dict:
         raise InvalidInputError(f"{path}: invalid JSON ({exc})") from None
     except UnicodeDecodeError:
         raise InvalidInputError(f"{path}: not UTF-8 text") from None
-    except InvalidInputError:
-        raise
+    except InvalidInputError as exc:
+        # _reject_float's refusal of a float literal
+        raise InvalidInputError(f"{path}: {exc}") from None
     except ValueError as exc:
         # int() refuses a literal longer than sys.get_int_max_str_digits()
         raise InvalidInputError(f"{path}: unreadable number ({exc})") from None

@@ -28,15 +28,17 @@ returned point.
 
 There is one path.  A solve appends one row per constraint to a
 tableau, as ``a . y + s = r`` with a fresh slack ``s >= 0`` basic, and
-reduces each against the tableau's basis.  The basis stays dual
-feasible, so a dual simplex (Bland's rule on the dual) restores primal
-feasibility or finds a row with a negative right-hand side and no
-negative entry, which proves the program infeasible; its slack entries
-are then nonnegative multipliers of the scaled rows (a Farkas
-certificate).  A cold solve starts from the empty program: no rows,
-``d = 1`` and a zero objective, which every basis prices dual feasible,
-so the dual simplex is its phase 1.  It then prices the real objective
-and runs the primal simplex.
+reads each against the tableau's basis (:meth:`_Tableau.reduced`).  The
+basis stays dual feasible, so a dual simplex (Bland's rule on the dual)
+restores primal feasibility or finds a row with a negative right-hand
+side and no negative entry, which proves the program infeasible; its
+slack entries are then nonnegative multipliers of the scaled rows (a
+Farkas certificate).  A cold solve starts from the empty program: no
+rows, ``d = 1`` and a zero objective, which every basis prices dual
+feasible, so the dual simplex is its phase 1; no structural column is
+basic there, so each row reads as it is.  It then reads the real
+objective against its basis by the same reduction, and runs the primal
+simplex.
 
 An :class:`Optimal` is only ever one that :func:`solve` returned, and
 it keeps the program it solved, that program's int columns and its
@@ -182,17 +184,16 @@ class Optimal:
     """An optimum that :func:`solve` returned: the program it solved,
     that program's columns and its final tableau, so that it can be the
     ``start`` of a later solve.  Its ``value``, point and row prices are
-    read off that tableau; the point is built, as ints, when it is first
-    read."""
+    read off that tableau, which is never changed again (a warm solve
+    copies it): the value once, the point and the prices on each call."""
 
-    __slots__ = ("value", "_lp", "_columns", "_tab", "_point")
+    __slots__ = ("value", "_lp", "_columns", "_tab")
 
     def __init__(self, lp: LinearProgram, columns: _Columns, tab: _Tableau) -> None:
         self._lp, self._columns, self._tab = lp, columns, tab
         # the objective row's last cell is -d times cost . y at the basis
         # (y = x - lower), and cost is the objective times cost_scale
         self.value = Fraction(-tab.obj[-1], tab.d * columns.cost_scale) + columns.at_lower
-        self._point: tuple[list[int], int] | None = None  # built when first read
 
     @property
     def assignment(self) -> tuple[Fraction, ...]:
@@ -202,19 +203,15 @@ class Optimal:
     def scaled_point(self) -> tuple[list[int], int]:
         """The point as int numerators over one positive common
         denominator, ``d * low_den``: the tableau's right-hand sides over
-        ``d`` shifted by the lower bounds scaled to the same denominator.
-        The tableau of an optimum is never changed again (a warm solve
-        copies it), so this can wait until it is read."""
-        if self._point is None:
-            tab, d, low_den = self._tab, self._tab.d, self._columns.low_den
-            # a bounded variable's minus label is -1, which no column has
-            col_value = {b: row[-1] for b, row in zip(tab.basis, tab.rows)}
-            nums = [
-                (col_value.get(plus, 0) - col_value.get(minus, 0)) * low_den + low * d
-                for (plus, minus), low in zip(self._columns.col_of, self._columns.low)
-            ]
-            self._point = nums, d * low_den
-        return self._point
+        ``d`` shifted by the lower bounds scaled to the same denominator."""
+        tab, d, low_den = self._tab, self._tab.d, self._columns.low_den
+        # a bounded variable's minus label is -1, which no column has
+        col_value = {b: row[-1] for b, row in zip(tab.basis, tab.rows)}
+        nums = [
+            (col_value.get(plus, 0) - col_value.get(minus, 0)) * low_den + low * d
+            for (plus, minus), low in zip(self._columns.col_of, self._columns.low)
+        ]
+        return nums, d * low_den
 
     def row_prices(self) -> list[int]:
         """The reduced costs of the slack columns of the final tableau's
@@ -332,17 +329,21 @@ class _Tableau:
         self.d = p
         self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
 
-    def price(self, cost: list[int]) -> None:
-        """Set the objective row to maximize ``cost . x`` (``cost`` indexed
-        by label), priced out for the current basis: ``d * c_j - sum_i
-        c_basis[i] * rows[i][j]`` per stored column, and minus ``d`` times
-        the objective value in the last cell."""
-        obj = [self.d * cost[j] for j in self.nonbasic] + [0]
-        for row, b in zip(self.rows, self.basis):
-            cb = cost[b]
-            if cb:
-                obj = [x - cb * y for x, y in zip(obj, row)]
-        self.obj = obj
+    def reduced(self, a: list[int]) -> list[int]:
+        """The row ``a`` (int coefficients indexed by label, a label past
+        them reading as 0, then a last cell) read against the basis over
+        ``d``: ``d * a_j - sum_i a[basis[i]] * rows[i][j]`` for each
+        stored column ``j`` and for the last cell.  Read so, a cost row
+        with last cell 0 is the objective row priced out for this basis,
+        and a row ``a . y <= r`` is ``a . y + s = r`` with its slack
+        basic."""
+        n, d = len(a) - 1, self.d
+        new = [d * a[j] if j < n else 0 for j in self.nonbasic] + [d * a[-1]]
+        for b, row in zip(self.basis, self.rows):
+            f = a[b] if b < n else 0
+            if f:
+                new = [x - f * y for x, y in zip(new, row)]
+        return new
 
     def run(self):
         """Primal simplex on the current basis and objective row.
@@ -413,27 +414,17 @@ class _Tableau:
                 return "infeasible"
             self.pivot(leaving, entering)
 
-    def appended(self, added: list[list[int]], num_struct: int) -> "_Tableau":
+    def appended(self, added: list[list[int]]) -> "_Tableau":
         """A copy of this tableau with each ``<=`` row of ``added``
-        (``num_struct`` structural coefficients, then rhs) appended as
-        ``a . y + s = r`` with a fresh slack ``s >= 0`` basic; this
-        tableau is not changed, and no column is added.  Each new row is
-        reduced against the basis over the nonbasic labels: over d it is
-        ``d*a - sum_i a[basis[i]] * rows[i]``, since it is zero on every
-        slack column but its own."""
-        d, nonbasic = self.d, self.nonbasic
-        rows, basis = list(self.rows), list(self.basis)
-        cols = len(nonbasic) + len(basis)  # the first new slack's label
-        structural = [(b, row) for b, row in zip(basis, rows) if b < num_struct]
-        for t, a in enumerate(added):
-            new = [d * a[j] if j < num_struct else 0 for j in nonbasic] + [d * a[-1]]
-            for b, row in structural:
-                f = a[b]
-                if f:
-                    new = [x - f * y for x, y in zip(new, row)]
-            rows.append(new)
-            basis.append(cols + t)
-        return _Tableau(rows, basis, list(nonbasic), d, self.obj)
+        (structural coefficients, then rhs) appended as ``a . y + s = r``
+        with a fresh slack ``s >= 0`` basic, as :meth:`reduced` reads it;
+        this tableau is not changed, and no column is added.  A new row is
+        zero on every slack column but its own, so each is read against
+        this tableau's basis alone."""
+        first = len(self.nonbasic) + len(self.basis)  # the first new slack's label
+        rows = self.rows + [self.reduced(a) for a in added]
+        basis = self.basis + list(range(first, first + len(added)))
+        return _Tableau(rows, basis, list(self.nonbasic), self.d, self.obj)
 
 
 class _Columns:
@@ -522,11 +513,11 @@ def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
                 "start must solve a program whose constraints are a prefix of this one's,"
                 " with the same names, objective and lower bounds"
             )
-        tab = base.appended([columns.row(c)[0] for c in lp.constraints[k:]], columns.num)
+        tab = base.appended([columns.row(c)[0] for c in lp.constraints[k:]])
     if tab.dual() == "infeasible":
         return Infeasible()
     if start is None:
-        tab.price(columns.expand(columns.cost) + [0] * len(tab.rows))
+        tab.obj = tab.reduced(columns.expand(columns.cost) + [0])
         if tab.run() == "unbounded":
             return Unbounded()
     return Optimal(lp, columns, tab)

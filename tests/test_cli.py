@@ -388,6 +388,19 @@ class TestExitCodeContract:
         assert "UTF-8" in err
 
     @pytest.mark.parametrize("command", [("verify", "--core"), ("poa", "--q", "2"), ("greedy",)])
+    @pytest.mark.parametrize("n, weight", [("2", "0.5"), ("2.0", "1")])
+    def test_float_literal_names_the_file(self, capsys, tmp_path, command, n, weight):
+        path = tmp_path / "float.json"
+        path.write_text(
+            f'{{"n": {n}, "alpha": "fhg", "weights": [[0, 1, {weight}]], "partition": [[0, 1]]}}'
+        )
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        literal = weight if n == "2" else n
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: floating-point literal {literal} ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [("verify", "--core"), ("poa", "--q", "2"), ("greedy",)])
     @pytest.mark.parametrize("field", ["n", "weight"])
     def test_over_long_integer_exit_two(self, capsys, tmp_path, command, field):
         # int() refuses a literal past the interpreter's digit limit

@@ -17,6 +17,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import pytest
 
@@ -354,6 +355,42 @@ class TestWarmStart:
                 chains += len(full.constraints) > 2
                 assert _agrees(result, reference_solve(full)), full
         assert chains >= 100, chains
+
+    def test_appended_rows_read_their_slack(self):
+        # every point of an optimum's tableau, given by any int values of
+        # its nonbasic labels, must meet each appended row a . y + s = r
+        # with s = r - a . y, read off that row alone
+        rng = random.Random(8131)
+        seen = dict.fromkeys(("appends", "slack basic", "structural basic"), 0)
+        for trial in range(3000):
+            result = solve((random_lp if trial % 2 else random_lower_bounded_lp)(rng))
+            if not isinstance(result, Optimal):
+                continue
+            tab, num, k = result._tab, result._columns.num, len(result._tab.rows)
+            added = [
+                [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(num + 1)]
+                for _ in range(rng.randint(1, 3))
+            ]
+            new = tab.appended(added)
+            assert (new.d, new.nonbasic, new.obj) == (tab.d, tab.nonbasic, tab.obj)
+            assert (new.rows[:k], new.basis[:k]) == (tab.rows, tab.basis)
+            free = [rng.randint(-9, 9) for _ in tab.nonbasic]
+
+            def basic_value(row):
+                # the row's basic variable at these nonbasic values; map
+                # stops before the right-hand side
+                return Fraction(row[-1] - sum(map(mul, row, free)), tab.d)
+
+            value = dict(zip(tab.nonbasic, free))
+            value.update((b, basic_value(row)) for b, row in zip(tab.basis, tab.rows))
+            for t, a in enumerate(added):
+                assert new.basis[k + t] == len(value) + t
+                want = a[-1] - sum(a[j] * value[j] for j in range(num))
+                assert basic_value(new.rows[k + t]) == want, (tab, a)
+            seen["appends"] += len(added)
+            seen["slack basic"] += len(added) * any(b >= num for b in tab.basis)
+            seen["structural basic"] += len(added) * any(b < num for b in tab.basis)
+        assert min(seen.values()) >= 800, seen
 
     def test_start_must_solve_a_prefix(self):
         rng = random.Random(8130)
