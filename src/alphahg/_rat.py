@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from .errors import InvalidInputError
 
@@ -49,12 +49,18 @@ def exact(value: Any) -> Fraction:
     if isinstance(value, Rational) and not isinstance(value, bool):
         return Fraction(int(value.numerator), int(value.denominator))
     if isinstance(value, float):
-        raise InvalidInputError(
-            f"floating-point literal {value!r} rejected; write an exact \"p/q\" string"
-        )
+        reject_float(repr(value))
     if isinstance(value, str):
         return _parse(value)
     raise InvalidInputError(f"not a rational: {value!r}")
+
+
+def reject_float(literal: str) -> NoReturn:
+    """Refuse a float, written as ``literal``: a value here, and every
+    float literal of a JSON file (``json.load``'s ``parse_float``)."""
+    raise InvalidInputError(
+        f"floating-point literal {literal} rejected; write an exact \"p/q\" string"
+    )
 
 
 def rationals(values: Any, admit: Callable[[Any], Any] = exact) -> tuple:

@@ -173,7 +173,7 @@ def cmd_bound_table(args: argparse.Namespace) -> int:
     # leaves stdout empty
     for q in _parse_range(args.q_range, "--q-range"):
         limit = (
-            io.format_rational(bounds.fhg_improvement_limit(q))
+            io.format_rational(args.k * bounds.fhg_improvement_limit(q))
             if alpha.kind == "fhg" and q >= 2
             else ""
         )

@@ -31,7 +31,7 @@ import json
 from fractions import Fraction
 from typing import Any, Callable
 
-from ._rat import exact as parse_rational
+from ._rat import exact as parse_rational, reject_float
 from .core import (
     AlphaFunction,
     Game,
@@ -183,13 +183,13 @@ def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             # parse_float intercepts every float literal in the document
-            return json.load(handle, parse_float=_reject_float)
+            return json.load(handle, parse_float=reject_float)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: invalid JSON ({exc})") from None
     except UnicodeDecodeError:
         raise InvalidInputError(f"{path}: not UTF-8 text") from None
     except InvalidInputError as exc:
-        # _reject_float's refusal of a float literal
+        # reject_float's refusal of a float literal
         raise InvalidInputError(f"{path}: {exc}") from None
     except ValueError as exc:
         # int() refuses a literal longer than sys.get_int_max_str_digits()
@@ -198,12 +198,6 @@ def load_json(path: str) -> dict:
         raise InvalidInputError(f"{path}: JSON nested too deeply") from None
     except OSError as exc:
         raise InvalidInputError(f"{path}: {exc.strerror}") from None
-
-
-def _reject_float(text: str) -> None:
-    raise InvalidInputError(
-        f"floating-point literal {text} rejected; write an exact \"p/q\" string"
-    )
 
 
 def dump_json(data: dict, path: str) -> None:

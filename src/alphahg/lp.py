@@ -5,10 +5,13 @@ Python ints once, and the tableau is kept as ints over one common
 denominator, so the pivots run on plain int arithmetic and never on
 ``Fraction``.  An entry that is an int stays an int (and a ``Fraction``
 a ``Fraction``), so a row of ints goes in with no LCM.  Bland's rule
-guarantees termination; there is no floating point and no tolerance
-anywhere, so Optimal/Infeasible/Unbounded verdicts, values and points
-are exact.  The intended scale is a few hundred variables and
-constraints.
+guarantees termination.  It is written once, as two functions through
+which the primal and the dual simplex pick every pivot: :func:`_lowest`
+takes the lowest of the chosen labels, and :func:`_least_ratio` runs
+the least-ratio test with ties to the lowest label.  There is no
+floating point and no tolerance anywhere, so Optimal/Infeasible/
+Unbounded verdicts, values and points are exact.  The intended scale
+is a few hundred variables and constraints.
 
 The tableau is condensed: it stores only the nonbasic columns, each
 with its label (structural columns first, then one slack per row), and
@@ -60,6 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -261,6 +265,36 @@ class Unbounded:
 SolveResult = Union[Optimal, Infeasible, Unbounded]
 
 
+def _lowest(labels: list[int], chosen: list[bool]) -> int:
+    """Bland's choice of one: the position of the lowest label whose
+    ``chosen`` flag is set, or -1 if none is; ``chosen`` may run past
+    ``labels``."""
+    best = -1
+    for k in compress(range(len(labels)), chosen):
+        if best < 0 or labels[k] < labels[best]:
+            best = k
+    return best
+
+
+def _least_ratio(tops: list[int], bottoms: list[int], labels: list[int], sign: int) -> int:
+    """Bland's ratio test: over the positions ``k`` whose ``bottoms[k]``
+    has the sign of ``sign``, the position of the least ratio ``tops[k] /
+    bottoms[k]``, ties to the lowest label, or -1 if there is none.  Two
+    entries of one sign have a positive product, so for either sign the
+    ratios compare by cross-multiplying; ``tops`` and ``bottoms`` may run
+    past ``labels``."""
+    best = -1
+    for k, label in enumerate(labels):
+        bottom = bottoms[k]
+        if sign * bottom > 0:
+            if best >= 0:
+                lhs, rhs = tops[k] * best_bottom, best_top * bottom
+                if lhs > rhs or (lhs == rhs and label > labels[best]):
+                    continue
+            best, best_top, best_bottom = k, tops[k], bottom
+    return best
+
+
 class _Tableau:
     """Condensed simplex tableau of Python ints over one common denominator.
 
@@ -349,30 +383,20 @@ class _Tableau:
         """Primal simplex on the current basis and objective row.
 
         Maximization: optimal when no reduced cost is positive.
-        Returns "optimal" or "unbounded".  Bland's rule throughout
-        (lowest-label entering and leaving variable), which guarantees
-        termination.
+        Returns "optimal" or "unbounded".  Bland's rule throughout, which
+        guarantees termination: the positive reduced cost of lowest label
+        enters (:func:`_lowest`), and the row of least ratio ``rhs_i /
+        a_i`` over the column's positive entries leaves, ties to the
+        lowest label (:func:`_least_ratio`).
         """
-        basis, nonbasic = self.basis, self.nonbasic
         while True:
-            obj = self.obj
-            entering = -1
-            for k, label in enumerate(nonbasic):
-                if obj[k] > 0 and (entering < 0 or label < nonbasic[entering]):
-                    entering = k
+            entering = _lowest(self.nonbasic, [x > 0 for x in self.obj])
             if entering < 0:
                 return "optimal"
-            # ratio rhs/a over rows with a > 0, compared by cross-multiplying
-            leaving = -1
-            best_rhs = best_a = 0
-            for i, row in enumerate(self.rows):
-                a = row[entering]
-                if a > 0:
-                    if leaving >= 0:
-                        lhs, rhs = row[-1] * best_a, best_rhs * a
-                        if lhs > rhs or (lhs == rhs and basis[i] > basis[leaving]):
-                            continue
-                    best_rhs, best_a, leaving = row[-1], a, i
+            rows = self.rows
+            leaving = _least_ratio(
+                [row[-1] for row in rows], [row[entering] for row in rows], self.basis, 1
+            )
             if leaving < 0:
                 return "unbounded"
             self.pivot(leaving, entering)
@@ -384,32 +408,16 @@ class _Tableau:
         Returns "optimal" once every right-hand side is nonnegative, or
         "infeasible" when a row with a negative right-hand side has no
         negative entry.  Bland's rule on the dual: the infeasible row
-        whose basic label is lowest leaves, and the column of least
-        ratio ``obj_j / a_j`` over the row's negative entries enters,
-        ties to the lowest label; this terminates.
+        whose basic label is lowest leaves (:func:`_lowest`), and the
+        column of least ratio ``obj_j / a_j`` over the row's negative
+        entries enters, ties to the lowest label (:func:`_least_ratio`);
+        this terminates.
         """
-        basis, nonbasic = self.basis, self.nonbasic
         while True:
-            rows = self.rows
-            leaving = -1
-            for i, row in enumerate(rows):
-                if row[-1] < 0 and (leaving < 0 or basis[i] < basis[leaving]):
-                    leaving = i
+            leaving = _lowest(self.basis, [row[-1] < 0 for row in self.rows])
             if leaving < 0:
                 return "optimal"
-            prow, obj = rows[leaving], self.obj
-            # both ratios are >= 0 over negative entries a and best_a, so
-            # obj_j / a < best_obj / best_a iff obj_j * best_a < best_obj * a
-            entering = -1
-            best_obj = best_a = 0
-            for k, label in enumerate(nonbasic):
-                a = prow[k]
-                if a < 0:
-                    if entering >= 0:
-                        lhs, rhs = obj[k] * best_a, best_obj * a
-                        if lhs > rhs or (lhs == rhs and label > nonbasic[entering]):
-                            continue
-                    entering, best_obj, best_a = k, obj[k], a
+            entering = _least_ratio(self.obj, self.rows[leaving], self.nonbasic, -1)
             if entering < 0:
                 return "infeasible"
             self.pivot(leaving, entering)

@@ -1,5 +1,6 @@
 """Closed-form bounds and class predicates against frozen values."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,18 @@ class TestClassPredicates:
         assert guarantees_core_existence(ODD_EVEN, 20)
         assert not guarantees_core_existence(ASHG, 3)
         assert not guarantees_core_existence(FHG, 3)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: is_hospitable(FHG, 1), "max_size must be >= 2"),
+        (lambda: is_decreasing(FHG, 1), "max_size must be >= 2"),
+        (lambda: guarantees_core_existence(FHG, 1), "max_size must be >= 2"),
+        # at max_size 1 the next check would name the max_size instead
+        (lambda: cpoa_upper_bound(FHG, 1, 1), "stable_size must be >= 2"),
+        (lambda: cpoa_upper_bound(FHG, 3, 3), "max_size must be >= stable_size + 1"),
+    ], ids=["hospitable", "decreasing", "core existence", "cpoa q", "cpoa max_size"])
+    def test_size_refusals(self, call, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call()
 
 
 class TestCpoaUpperBound:

@@ -15,7 +15,7 @@ import alphahg
 from alphahg import FHG, Partition
 from alphahg.cli import main
 from alphahg.generators import fixture_path
-from alphahg.io import game_to_dict, load_scenario, save_game
+from alphahg.io import game_from_dict, game_to_dict, load_game, load_scenario, save_game
 from conftest import EXAMPLE_EDGES, example_game
 
 
@@ -92,6 +92,12 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", str(path), "--core")
         assert code == 2
 
+    @pytest.mark.parametrize("mode", [("--core",), ("--improvement", "2"), ("--qk", "2", "1")])
+    def test_scenario_file_takes_only_q_size(self, capsys, mode):
+        code, out, err = run(capsys, "verify", fixture_path("fig6"), *mode)
+        assert code == 2 and out == ""
+        assert err == "error: scenario files support only --q-size\n"
+
 
 class TestBoundTable:
     def test_published_values(self, capsys):
@@ -131,6 +137,21 @@ class TestBoundTable:
             capsys, "bound-table", "--alpha", "fhg", "--q-range", "2-4", "--m-range", "3:9"
         )
         assert code == 2
+
+    def test_limit_scales_with_k(self, capsys):
+        # at factor k the ceiling is k * q/(q-1), so no bound exceeds it
+        k = Fraction(3, 2)
+        code, out, _ = run(
+            capsys,
+            "bound-table", "--alpha", "fhg", "--q-range", "2:4", "--m-range", "3:9", "--k", "3/2",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(stdio.StringIO(out)))
+        assert len(rows) == 7 + 6 + 5
+        for r in rows:
+            q, limit = int(r["q"]), Fraction(r["improvement_limit"])
+            assert limit == k * Fraction(q, q - 1)
+            assert Fraction(r["bound"]) <= limit
 
 
 class TestGenerate:
@@ -543,6 +564,7 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("ranges", [
         ("--q-range", "1:3", "--m-range", "3:5"),
         ("--q-range", "2:2", "--m-range", "3:5", "--k", "1/2"),
+        ("--q-range", "3:2", "--m-range", "3:5"),
         # int() would read the upper bound as 10
         ("--q-range", "2:2", "--m-range", "3:1_0"),
     ])
@@ -634,6 +656,13 @@ class TestPoaAndGreedy:
         assert code == 0
         assert out.splitlines() == ["0 1", "2 3"]
 
+    def test_greedy_writes_the_pairing(self, capsys, tmp_path):
+        # the pairing goes to stdout and to the file; the note to stderr
+        out_path = str(tmp_path / "paired.json")
+        code, out, err = run(capsys, "greedy", write_ashg_example(tmp_path), "--out", out_path)
+        assert (code, out, err) == (0, "0 1\n2 3\n", f"wrote: {out_path}\n")
+        assert load_game(out_path) == game_from_dict(ASHG_EXAMPLE)
+
 
 class TestRoundTrip:
     def test_game_write_read_identical(self, tmp_path):
@@ -667,6 +696,15 @@ TRANSCRIPT_FILES = {
     # the same with the pair {0, 1} at -10: agent 0's utility is -1, so
     # it blocks alone
     "negative.json": {**_GRAND, "weights": [[0, 1, "-10"], *_GRAND["weights"][1:]]},
+    # no partition is 3-size stable, so none is core stable either
+    "nostable.json": {
+        "n": 5,
+        "alpha": ["3", "3", "4", "9/4", "4/3"],
+        "weights": [
+            [0, 1, "2"], [0, 2, "1"], [0, 3, "1"], [0, 4, "5"],
+            [1, 3, "5"], [1, 4, "2"], [2, 3, "1"], [2, 4, "1"],
+        ],
+    },
 }
 
 #: command-line transcripts: each runs its commands in turn in one
@@ -729,7 +767,16 @@ TRANSCRIPTS = [
         ]),
         ("verify game.json --improvement 2", 0, ["stable (sizes 1..4, factor 2)"]),
         ("poa game.json --q 2", 0, ["best-welfare: 28", "worst-stable-welfare: 12", "ratio: 7/3"]),
+        ("poa game.json --k 2", 0, ["best-welfare: 28", "worst-stable-welfare: 12", "ratio: 7/3"]),
     ), id="running example"),
+    pytest.param((
+        ("poa nostable.json --q 3", 0, [
+            "best-welfare: 86", "worst-stable-welfare: -", "ratio: no_stable_outcome",
+        ]),
+        ("poa nostable.json --k 1", 0, [
+            "best-welfare: 86", "worst-stable-welfare: -", "ratio: no_stable_outcome",
+        ]),
+    ), id="no stable outcome"),
     # at q = 3 the larger coalition (m = 5) has the lower factor
     pytest.param((
         ("bound-table --alpha fhg --q-range 3:3 --m-range 4:5", 0, [

@@ -1,5 +1,6 @@
 """Domain types and the utility function."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,20 @@ class TestAlphaFunction:
             assert AlphaFunction.from_name(alpha.name) == alpha
         with pytest.raises(InvalidInputError):
             AlphaFunction.from_name("nope")
+
+    @pytest.mark.parametrize("alias,alpha", [("pairwise", PAIRWISE_COMM), ("oddeven", ODD_EVEN)])
+    def test_from_name_aliases(self, alias, alpha):
+        assert AlphaFunction.from_name(alias) == alpha
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: AlphaFunction("nope"), "unknown alpha variant 'nope'"),
+        (lambda: AlphaFunction("table"), "table values required iff kind is 'table'"),
+        (lambda: AlphaFunction.from_table([]), "alpha table must be nonempty"),
+        (lambda: AlphaFunction.from_table([-1, 1]), "alpha(1) must be >= 0"),
+    ], ids=["unknown kind", "table without values", "empty table", "negative alpha(1)"])
+    def test_refusals(self, build, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            build()
 
     def test_mfhg_scaling_identity(self):
         for m in range(2, 40):
@@ -142,6 +157,10 @@ class TestGameValidation:
         matrix = [[0, 1], [2, 0]]
         with pytest.raises(InvalidInputError):
             Game.from_matrix(matrix, ASHG)
+
+    def test_shape_rejected(self):
+        with pytest.raises(InvalidInputError, match="weight matrix shape must be 2 x 2"):
+            Game(2, [[0]], FHG)
 
     def test_nonzero_diagonal_rejected(self):
         matrix = [[1, 0], [0, 0]]

@@ -1,6 +1,7 @@
 """Welfare, partition enumeration, prices of anarchy, greedy pairing."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -35,6 +36,7 @@ from alphahg.efficiency import (
     _coalition_values,
 )
 from conftest import ALL_ALPHAS, CORE_EXISTENCE_ALPHAS, example_game, random_game
+from reference_stability import _cpoa as reference_cpoa
 
 
 class TestSocialWelfare:
@@ -120,6 +122,13 @@ def _naive_improvement_cpoa(game, k):
     return best, worst_stable
 
 
+#: a game with no 3-size stable partition (TestCpoa.test_no_stable_outcome)
+NO_STABLE_ALPHA = ["3", "3", "4", "9/4", "4/3"]
+NO_STABLE_EDGES = [
+    (0, 1, 2), (0, 2, 1), (0, 3, 1), (0, 4, 5), (1, 3, 5), (1, 4, 2), (2, 3, 1), (2, 4, 1),
+]
+
+
 class TestCpoa:
     def test_all_zero_game_is_undefined_one(self):
         game = Game.from_edges(4, [], FHG)
@@ -157,13 +166,40 @@ class TestCpoa:
     def test_pair_stability_always_has_an_outcome(self):
         # a greedy pairing is always 2-size stable, so the stable set at
         # max_size 2 can never be empty; the no_stable_outcome verdict is
-        # reserved for larger sizes (no symmetric instance at enumerable
-        # scale is known to reach it)
+        # reserved for larger sizes (test_no_stable_outcome reaches it
+        # with five agents)
         rng = random.Random(5)
         for _ in range(30):
             n = rng.randint(2, 6)
             game = random_game(rng, n, rng.choice((ASHG, FHG, MFHG)), low=-4, high=4)
             assert size_cpoa(game, 2).kind != NO_STABLE_OUTCOME
+
+    def test_no_stable_outcome(self):
+        # no partition of this five-agent table-alpha game is 3-size
+        # stable, so none is core stable either, though some are
+        # 2-size stable
+        game = Game.from_edges(5, NO_STABLE_EDGES, AlphaFunction.from_table(NO_STABLE_ALPHA))
+        assert not any(is_size_stable(game, p, 3).stable for p in enumerate_partitions(5))
+        for result, expected in (
+            (size_cpoa(game, 3), reference_cpoa(game, 3, Fraction(1))),
+            (improvement_cpoa(game, 1), reference_cpoa(game, 5, Fraction(1))),
+        ):
+            assert result == expected
+            assert (result.kind, result.best_welfare, result.worst_stable_welfare) == (
+                NO_STABLE_OUTCOME, 86, None
+            )
+        result = size_cpoa(game, 2)
+        assert (result.kind, result.value, result.worst_stable_welfare) == (
+            RATIO, Fraction(43, 30), 60
+        )
+
+    @pytest.mark.parametrize("price,message", [
+        (lambda game: size_cpoa(game, 0), "need 1 <= max_size <= 4"),
+        (lambda game: improvement_cpoa(game, Fraction(1, 2)), "factor must be >= 1"),
+    ])
+    def test_refusals(self, price, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            price(example_game(FHG))
 
 
 def _decreasing_table(rng, n):

@@ -1,6 +1,7 @@
 """Every construction is stability-checked exhaustively and attains its
 closed form exactly."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from alphahg import (
     FHG,
     MFHG,
     ODD_EVEN,
+    AlphaFunction,
     DomainError,
     InvalidInputError,
     ashg_improvement_bound,
@@ -26,7 +28,12 @@ from alphahg import (
     two_halves_scenario,
     two_valued_scenario,
 )
-from alphahg.generators import CONSTRUCTION_NAMES, FIXTURE_NAMES, complete_graph_factor
+from alphahg.generators import (
+    CONSTRUCTION_NAMES,
+    FIXTURE_NAMES,
+    complete_graph_factor,
+    fixture_path,
+)
 
 
 def assert_tight(scenario, stable_size, factor):
@@ -322,3 +329,17 @@ class TestFactorDomains:
     def test_factor_refuses_what_its_scenario_refuses(self, call, error):
         with pytest.raises(error):
             call()
+
+
+@pytest.mark.parametrize("call,error,message", [
+    # alpha(3) * 2 < alpha(2): a size-3 block loses too much weight
+    (lambda: two_halves_scenario(AlphaFunction.from_table([1, 1, "1/10", "1/10"]), 4),
+     DomainError, "two_halves_scenario requires a hospitable alpha"),
+    (lambda: two_valued_scenario(4), DomainError, "size must be >= 5"),
+    (lambda: two_group_scenario(4), DomainError, "size must be >= 5"),
+    (lambda: mantel_scenario(3), DomainError, "size must be >= 4"),
+    (lambda: fixture_path("fig5"), InvalidInputError, "unknown fixture 'fig5'"),
+], ids=["two halves", "two valued", "two group", "mantel", "fixture path"])
+def test_construction_refusals(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

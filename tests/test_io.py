@@ -16,13 +16,21 @@ from alphahg.io import (
     format_rational,
     game_from_dict,
     game_to_dict,
+    load_game,
+    load_json,
     load_scenario,
     parse_rational,
+    save_game,
+    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
 from conftest import example_game
 from reference_stability import scaled_weights
+
+#: an alpha table as a file writes it, and as the table it is read as
+TABLE_ALPHA_JSON = ["0", "1/2", "1/3", "1/4"]
+TABLE_ALPHA = AlphaFunction.from_table(TABLE_ALPHA_JSON)
 
 #: rational strings a file may repeat, two of them equal in value
 REPEATED = ["1", "-1", "3/4", " 3 / 4 ", "0", "-7/2", "2/6", "1/3"]
@@ -97,6 +105,25 @@ class TestGameFormat:
         with pytest.raises(InvalidInputError, match=re.escape(f"field 'partition': {message}")):
             game_from_dict({"n": 2, "alpha": "fhg", "partition": [[0, 0], [1]]})
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"n": 2, "alpha": 5}', "field 'alpha': alpha must be a variant name or a table"),
+        ('{"n": 2, "alpha": "fhg", "partition": [0, 1]}', "field 'partition': partition must be"),
+        ("[]", "expected a JSON object"),
+    ], ids=["number alpha", "flat partition", "array file"])
+    def test_file_refusals(self, tmp_path, text, message):
+        path = tmp_path / "game.json"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            load_game(str(path))
+
+    def test_table_alpha_file_round_trip(self, tmp_path):
+        game = Game.from_edges(4, [(0, 1, "3/2"), (2, 3, -1)], TABLE_ALPHA)
+        partition = Partition.of([[0, 1], [2, 3]])
+        path = str(tmp_path / "game.json")
+        save_game(game, path, partition)
+        assert load_game(path) == (game, partition)
+        assert load_json(path)["alpha"] == TABLE_ALPHA_JSON
+
 
 class TestRoundTripProperty:
     @given(st.data())
@@ -123,6 +150,15 @@ class TestScenarioFormat:
     def test_round_trip(self):
         scenario = fixture("fig8")
         assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+
+    def test_table_alpha_file_round_trip(self, tmp_path):
+        scenario = Scenario.from_pairs(
+            TABLE_ALPHA, 4, lambda i, j: Fraction(i + j, 2), ["1", "1/2", 2, 3]
+        )
+        path = str(tmp_path / "scenario.json")
+        save_scenario(scenario, path)
+        assert load_scenario(path) == scenario
+        assert load_json(path)["alpha"] == TABLE_ALPHA_JSON
 
     def test_bundled_data_files_match_builtins(self):
         # the hand-drawn instances, pinned here independently of the data

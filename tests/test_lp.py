@@ -1,6 +1,7 @@
 """Exact simplex: trivia, duality, and the vertex-enumeration oracle."""
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -79,6 +80,21 @@ class TestBasics:
             LinearProgram.maximize([1], [([1, 2], "<=", 3)])
         with pytest.raises(InvalidInputError, match="unknown relation '<<'"):
             LinearProgram.maximize([1], [([1], "<<", 3)])
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"names": (), "constraints": (), "objective": ()}, "a program needs at least one"),
+        ({"names": ("x", "x")}, "variable names must be unique"),
+        ({"objective": (1,)}, "objective length must match variable count"),
+        ({"lower": (0,)}, "lower bounds must match variable count"),
+    ], ids=["no variables", "repeated name", "short objective", "short lower bounds"])
+    def test_program_refusals(self, fields, message):
+        program = {"names": ("x", "y"), "constraints": (((1, 1), 1),), "objective": (1, 1)}
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            LinearProgram(**{**program, **fields})
+
+    def test_point_of_the_wrong_length_is_not_feasible(self):
+        lp = LinearProgram(("x", "y"), (((1, 1), 1),), (1, 1))
+        assert satisfies(lp, (0, 0)) and not satisfies(lp, (0,))
 
     def test_entries_kept_or_admitted(self):
         # an int or a Fraction entry is kept as it is; any other rational

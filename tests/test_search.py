@@ -212,6 +212,11 @@ class TestWitnessSystemLp:
         with pytest.raises(InvalidInputError):
             problem(FHG, 2, 3, 1, U=Fraction(1, 2))
 
+    def test_stable_size_below_one_refused(self):
+        # at size 2, no later check would refuse stable_size 0
+        with pytest.raises(InvalidInputError, match="stable_size must be >= 1"):
+            SearchProblem(FHG, 0, 2, 1)
+
 
 def _baseline_columns(lp, m, agent):
     """The LP columns whose sum is agent's baseline: the differences

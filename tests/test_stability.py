@@ -1,6 +1,7 @@
 """Brute-force stability verdicts on the running example and scenarios."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -177,6 +178,18 @@ class TestFactorStability:
         assert twin == game and not is_core_stable(twin, pairs_partition).stable
         assert not is_core_stable(twin, pairs_partition).stable
         assert len(calls) == 2
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda g, p: find_blocking_coalition(g, p, 0, 2), "need 1 <= min_size <= max_size <= 4"),
+    (lambda g, p: find_blocking_coalition(g, p, 1, 4, Fraction(1, 2)),
+     "improvement factor must be >= 1"),
+    (lambda g, p: scenario_is_size_stable(fixture("fig6"), 8), "need 1 <= max_size <= 7"),
+    (lambda g, p: max_improvement_factor_at_size(g, p, 1), "need 2 <= size <= 4"),
+], ids=["min size", "factor", "scenario max size", "factor size"])
+def test_size_and_factor_refusals(pairs_partition, call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call(example_game(ASHG), pairs_partition)
 
 
 class TestScenarioOps:
