@@ -4,7 +4,8 @@ A small simplex with integer pivoting: each constraint row is scaled to
 Python ints once, and the tableau is kept as ints over one common
 denominator, so the pivots run on plain int arithmetic and never on
 ``Fraction``.  An entry that is an int stays an int (and a ``Fraction``
-a ``Fraction``), so a row of ints goes in with no LCM.  Bland's rule
+a ``Fraction``), so a row of ints goes in with no LCM, and a
+:class:`Constraint` of ints is admitted as it is.  Bland's rule
 guarantees termination.  It is written once, as two functions through
 which the primal and the dual simplex pick every pivot: :func:`_lowest`
 takes the lowest of the chosen labels, and :func:`_least_ratio` runs
@@ -93,6 +94,18 @@ def _entries(values) -> tuple:
 
 
 def _checked(c, n: int) -> Constraint:
+    """``c`` admitted as a :class:`Constraint` on ``n`` variables; a
+    ``Constraint`` whose ``n`` coefficients and rhs are ints (a bool is
+    not one) is admitted as it is, since rebuilding it would give an
+    equal one."""
+    if (
+        type(c) is Constraint
+        and type(c.rhs) is int
+        and type(c.coeffs) is tuple
+        and len(c.coeffs) == n
+        and {int}.issuperset(map(type, c.coeffs))
+    ):
+        return c
     try:
         coeffs, rhs = c
     except (TypeError, ValueError):
@@ -311,13 +324,22 @@ class _Tableau:
     ``rows / d`` with ``d > 0``.  ``d`` is up to sign the determinant of
     the current basis matrix, so every cell is a minor of the integer
     constraint matrix (bordered by the integer cost row, for ``obj``) and
-    each update ``(x*p - f*y) // d`` divides exactly.  A pivot on row
-    ``r`` at stored column ``c`` puts the leaving column at position
-    ``c``: its unit column over the old ``d`` becomes ``s*d`` in the
-    pivot row and ``-s*f`` in every other row whose old entry at ``c``
-    was ``f``, where ``s = -1`` if the pivot row was negated and 1
-    otherwise.  So every stored cell equals the cell of its label in the
-    dense tableau, which keeps every column.
+    each update ``(x*p - f*y) // d`` divides exactly.  When ``d`` divides
+    the pivot ``p``, say ``p = k*d``, ``x*p / d`` is the int ``k*x``, so
+    ``d`` divides every ``f*y`` too and the update is ``k*x - f*y // d``
+    (``x - f*y // d`` when ``p == d``).  No cell then needs a division:
+    with ``g`` the gcd of ``d`` and the pivot column's entries, ``q = d /
+    g`` divides every entry ``y`` of the pivot row, and ``f*y // d`` is
+    ``(f/g) * (y/q)``; when ``d == 1``, ``q = 1``.  A row whose entry
+    ``f`` is 0 is ``k`` times itself, so with ``p == d`` it stays as it
+    is.
+
+    A pivot on row ``r`` at stored column ``c`` puts the leaving column
+    at position ``c``: its unit column over the old ``d`` becomes
+    ``s*d`` in the pivot row and ``-s*f`` in every other row whose old
+    entry at ``c`` was ``f``, where ``s = -1`` if the pivot row was
+    negated and 1 otherwise.  So every stored cell equals the cell of its
+    label in the dense tableau, which keeps every column.
 
     Bland's rule picks columns by label, not by position.  The pivots
     permute the positions but not the labels, so lowest-label ties take
@@ -345,17 +367,33 @@ class _Tableau:
             p, s = -p, -1
         else:
             prow, s = prow[:], 1
+        # each new cell is the minor (x*p - f*y) / d; when d divides p it
+        # is k*x - (f/g) * (y/q), with no division (see the class docstring)
+        k, rem = divmod(p, d)
         table = self.rows + [self.obj]
+        if not rem:
+            g = gcd(d, *[row[c] for row in table])
+            q = d // g
+            ys = prow if q == 1 else [y // q for y in prow]
         for i, row in enumerate(table):
             if i == r:
                 continue
             f = row[c]
             if f:
-                row = [(x * p - f * y) // d for x, y in zip(row, prow)]
+                if rem:
+                    row = [(x * p - f * y) // d for x, y in zip(row, prow)]
+                elif k == 1:
+                    h = f // g
+                    row = [x - h * y for x, y in zip(row, ys)]
+                else:
+                    h = f // g
+                    row = [x * k - h * y for x, y in zip(row, ys)]
                 row[c] = -s * f
                 table[i] = row
-            elif p != d:
+            elif rem:
                 table[i] = [x * p // d for x in row]
+            elif k != 1:
+                table[i] = [x * k for x in row]
         prow[c] = s * d
         table[r] = prow
         self.obj = table.pop()
@@ -470,7 +508,11 @@ class _Columns:
         """The constraint as an int row (structural coefficients, then rhs
         of either sign) scaled by the LCM of its denominators, and that
         scale as ``(num, den)`` (a row of ints is its own); substituting
-        x = y + lower leaves rhs - sum(c * lower) on the right."""
+        x = y + lower leaves rhs - sum(c * lower) on the right.  With no
+        free variable, a row of ints goes in as written when the lower
+        bounds shift nothing, and with only its rhs rewritten when the
+        shift leaves its coefficients as they are (``g == low_den``
+        below)."""
         low_den = self.low_den
         ints, common = [*constraint.coeffs, constraint.rhs], 1
         if not {int}.issuperset(map(type, ints)):
@@ -483,8 +525,13 @@ class _Columns:
             # of the shifted row's denominators
             r = ints[-1] * low_den - shift
             g = gcd(gcd(common, *ints[:-1]) * low_den, r)
-            ints = [c * low_den // g for c in ints[:-1]] + [r // g]
+            if g == low_den:  # the coefficients stay as they are
+                ints[-1] = r // g
+            else:
+                ints = [c * low_den // g for c in ints[:-1]] + [r // g]
             scale = common * low_den, g
+        if self.num == len(self.low):  # no free variable: a column per variable
+            return ints, scale
         return self.expand(ints[:-1]) + ints[-1:], scale
 
 

@@ -276,7 +276,6 @@ def witness_system_lp(
     B, U, width = problem.weight_bound, problem.baseline_bound, len(names)
     alpha_m = problem.alpha.value(m)
     lower = [-B] * num_pairs + [0] * (m - 1) + [1, -(problem.gamma + alpha_m * (m - 1) * B)]
-    terms = {s: _row_terms(problem.alpha.value(s)) for s in range(2, m + 1)}  # per |S|
     full = _row_terms(alpha_m, problem.gamma)
     constraints = [_agent_row(problem, pairs, range(m), i, full) for i in range(m)]
     constraints += [
@@ -285,7 +284,8 @@ def witness_system_lp(
     ]
     constraints.append(Constraint((0,) * num_pairs + (U.denominator,) * m + (0,), U.numerator))
     if problem.stable_size >= 2:
-        constraints += [_agent_row(problem, pairs, p, p[0], terms[2]) for p in pairs]
+        pair_terms = _row_terms(problem.alpha.value(2))
+        constraints += [_agent_row(problem, pairs, p, p[0], pair_terms) for p in pairs]
     if not isinstance(path, Iterable):
         raise InvalidInputError(
             f"witness path {path!r} is not an iterable of (subset, witness) pairs"
@@ -310,7 +310,7 @@ def witness_system_lp(
         if key in seen:
             raise InvalidInputError(f"subset {key} assigned twice")
         seen.add(key)
-        constraints.append(_agent_row(problem, pairs, key, agent, terms[len(key)]))
+        constraints.append(_agent_row(problem, pairs, key, agent))
     return LinearProgram(
         names=tuple(names),
         constraints=tuple(constraints),

@@ -12,6 +12,7 @@ from reference_lp import dual_certifies
 
 from alphahg import InvalidInputError
 from alphahg.lp import (
+    Constraint,
     Infeasible,
     LinearProgram,
     Optimal,
@@ -86,11 +87,27 @@ class TestBasics:
         ({"names": ("x", "x")}, "variable names must be unique"),
         ({"objective": (1,)}, "objective length must match variable count"),
         ({"lower": (0,)}, "lower bounds must match variable count"),
-    ], ids=["no variables", "repeated name", "short objective", "short lower bounds"])
+        ({"constraints": (Constraint((1, 0.5), 1),)}, "floating-point literal 0.5 rejected"),
+        ({"constraints": (Constraint((1, True), 1),)}, "not a rational: True"),
+        ({"constraints": (Constraint((1, "one"), 1),)}, "not an exact rational: 'one'"),
+        ({"constraints": (Constraint((1, 1, 1), 1),)}, "constraint length must match"),
+        ({"constraints": (Constraint((1, 1), 0.5),)}, "floating-point literal 0.5 rejected"),
+    ], ids=[
+        "no variables", "repeated name", "short objective", "short lower bounds",
+        "float coefficient", "bool coefficient", "str coefficient", "long row", "float rhs",
+    ])
     def test_program_refusals(self, fields, message):
         program = {"names": ("x", "y"), "constraints": (((1, 1), 1),), "objective": (1, 1)}
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             LinearProgram(**{**program, **fields})
+        rows = fields.get("constraints")
+        if rows:
+            # a Constraint is refused as its plain (coeffs, rhs) pair is,
+            # and as a row appended to a program
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                LinearProgram(**{**program, "constraints": tuple(map(tuple, rows))})
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                LinearProgram(**program)._with_rows(rows)
 
     def test_point_of_the_wrong_length_is_not_feasible(self):
         lp = LinearProgram(("x", "y"), (((1, 1), 1),), (1, 1))
@@ -107,6 +124,9 @@ class TestBasics:
         assert admitted == (half, Fraction(3, 4))
         assert [type(x) for x in admitted] == [Fraction, Fraction]
         assert [type(x) for x in lp.objective] == [int, Fraction]
+        # a Constraint of ints is admitted as it is
+        row = Constraint((3, -1), 4)
+        assert LinearProgram(("x", "y"), (row,), (1, 1)).constraints[0] is row
         for bad in (True, 0.5):
             with pytest.raises(InvalidInputError):
                 LinearProgram(("x", "y"), (((1, bad), 4),), (1, 1))

@@ -14,6 +14,7 @@ the value.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -23,8 +24,8 @@ import pytest
 
 import reference_lp
 from alphahg import lp as integer_lp
-from alphahg import InvalidInputError
-from alphahg.lp import Infeasible, LinearProgram, Optimal, Unbounded, satisfies, solve
+from alphahg import ASHG, FHG, InvalidInputError, SearchProblem, witness_system_lp
+from alphahg.lp import Constraint, Infeasible, LinearProgram, Optimal, Unbounded, satisfies, solve
 from reference_lp import dual_phase_solve, reference_solve
 
 DENOMINATORS = (1, 1, 2, 3, 4, 5, 6, 7, 12, 35)
@@ -70,6 +71,29 @@ def random_lower_bounded_lp(rng):
         for _ in lp.names
     ]
     return replace(lp, lower=tuple(lower))
+
+
+def random_int_lp(rng, fractional_lower: bool):
+    """Up to 5 variables and up to 6 rows whose coefficients, right-hand
+    sides and objective are ints, given as :class:`Constraint` rows, so
+    the program admits them as they are.  About one variable in four is
+    free; the others are bounded below by an int or, when
+    ``fractional_lower``, half of them by a Fraction over 2 to 35."""
+    n = rng.randint(1, 5)
+
+    def entry():
+        return 0 if rng.random() < 0.3 else rng.randint(-9, 9)
+
+    def bound():
+        if rng.random() < 0.25:
+            return None
+        if fractional_lower and rng.random() < 0.5:
+            return Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS[2:]))
+        return rng.randint(-9, 9)
+
+    rows = [Constraint(tuple(entry() for _ in range(n)), entry()) for _ in range(rng.randint(1, 6))]
+    objective = tuple(entry() for _ in range(n))
+    return LinearProgram(tuple(f"x{i}" for i in range(n)), tuple(rows), objective, tuple(bound() for _ in range(n)))
 
 
 def cycling_instance():
@@ -222,6 +246,44 @@ def _in_units(state, units, cost_scale):
     )
 
 
+@pytest.fixture
+def update_kinds(monkeypatch):
+    """A count of each way a pivot updates a row of the integer tableau,
+    by the pivot ``p`` against the denominator ``d`` and by the row's
+    entry ``f`` in the pivot column, and of each way ``_Columns.row``
+    shifts a row to its lower bounds, as the solves run."""
+    seen = Counter()
+    pivot, row = integer_lp._Tableau.pivot, integer_lp._Columns.row
+
+    def counted_pivot(self, r, c):
+        p, d = abs(self.rows[r][c]), self.d
+        kind = "p == d" if p == d else "d == 1" if d == 1 else "d | p" if p % d == 0 else "general"
+        for i, other in enumerate(self.rows + [self.obj]):
+            if i != r:
+                seen[kind, "f != 0" if other[c] else "f == 0"] += 1
+        pivot(self, r, c)
+
+    def counted_row(self, constraint):
+        ints, scale = row(self, constraint)
+        if sum(map(mul, constraint.coeffs, self.low)):  # a nonzero shift
+            seen["g == low_den" if scale[1] == self.low_den else "g != low_den"] += 1
+        return ints, scale
+
+    monkeypatch.setattr(integer_lp._Tableau, "pivot", counted_pivot)
+    monkeypatch.setattr(integer_lp._Columns, "row", counted_row)
+    return seen
+
+
+# witness LPs whose pivots and row shifts the search takes: at and below
+# the bound (q = 2, m = 4: 3/2 for FHG, 3 for ASHG), and with a path
+WITNESS_LPS = [
+    (SearchProblem(FHG, 2, 4, Fraction(3, 2), 9, 11), ()),
+    (SearchProblem(FHG, 2, 4, Fraction(3, 2) - Fraction(1, 997), Fraction(1, 2), 3), ()),
+    (SearchProblem(ASHG, 2, 4, Fraction(3) - Fraction(1, 1000), Fraction(7, 3), Fraction(5, 2)), ()),
+    (SearchProblem(ASHG, 3, 4, Fraction(3, 2), 9, 11), [((0, 1, 2), 2), ((1, 2, 3), 1)]),
+]
+
+
 class TestSamePivots:
     """Not only equal answers: the very same pivot sequence as the
     Fraction twin, through dual phases that pivot on negative elements,
@@ -284,6 +346,11 @@ class TestSamePivots:
                 assert prices == want[-1][2][num_struct:], lp
                 nums, den = result.scaled_point()
                 assert tuple(Fraction(x, den) for x in nums) == twin[1], lp
+                # the twin's rows are the constraints as given, with slack
+                # coefficient 1, and its objective is unscaled: minus its
+                # reduced cost of row t's slack is row t's multiplier
+                ref_obj = _dense_ref(last["ref"])[2]
+                assert result.dual() == [-x for x in ref_obj[num_struct:]], lp
             return log["int"][:], result
 
         return same_pivots
@@ -308,6 +375,34 @@ class TestSamePivots:
     def test_cycling_instance(self, pivot_log):
         pivots, _ = pivot_log(cycling_instance())
         assert len(pivots) > 0
+
+    def test_integer_programs_and_witness_lps(self, pivot_log, update_kinds):
+        # all-int programs, which LinearProgram admits as they are, and
+        # the search's witness LPs, through every way a pivot updates a
+        # row (d divides p or not, p == d, d == 1; f zero or not) and both
+        # ways _Columns.row shifts one
+        rng = random.Random(3535)
+        for trial in range(600):
+            pivot_log(random_int_lp(rng, fractional_lower=trial % 2 == 1))
+        for problem, path in WITNESS_LPS:
+            pivots, result = pivot_log(witness_system_lp(problem, path))
+            assert pivots and isinstance(result, Optimal)
+        kinds = [
+            (kind, f)
+            for kind in ("p == d", "d == 1", "d | p", "general")
+            for f in ("f != 0", "f == 0")
+        ]
+        kinds += ["g == low_den", "g != low_den"]
+        assert min(update_kinds[k] for k in kinds) >= 50, update_kinds
+
+
+def test_witness_rows_are_admitted_as_they_are():
+    # every witness row is a Constraint of ints, which a program, and a
+    # child's appended row, keeps as the very object it was given
+    for problem, path in WITNESS_LPS:
+        lp = witness_system_lp(problem, path)
+        assert all(type(x) is int for c in lp.constraints for x in (*c.coeffs, c.rhs))
+        assert lp._with_rows(lp.constraints).constraints[-1] is lp.constraints[-1]
 
 
 class TestWarmStart:
