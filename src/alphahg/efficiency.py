@@ -15,8 +15,11 @@ welfare is a depth-first search that places one block at a time: a
 block with a member who would walk out is never placed, a deviation is
 decided once all its members are placed, and a prefix is dropped once
 its welfare reaches the worst stable welfare found (the blocks still
-to come are individually rational, so they add at least 0).  Only the
-returned welfares are built as ``Fraction``.
+to come are individually rational, so they add at least 0).  Only a
+coalition in which every member's weight sum is positive is a
+deviation: a member whose sum is <= 0 has utility <= 0 there, and so
+never improves on the utility >= 0 of an individually rational block.
+Only the returned welfares are built as ``Fraction``.
 """
 
 from __future__ import annotations
@@ -109,7 +112,10 @@ def _subset_sum_tables(scaled: list[list[int]]) -> list[list[int]]:
         table = [0]
         for weight in row:
             # the masks holding this agent follow the masks below it
-            table += [total + weight for total in table]
+            if weight:
+                table += [total + weight for total in table]
+            else:
+                table += table
         tables.append(table)
     return tables
 
@@ -123,15 +129,22 @@ def _members(mask: int) -> Iterator[int]:
 
 def _coalition_values(
     game: Game,
-) -> tuple[int, list[list[int]], list[int], list[int], list[bool]]:
+) -> tuple[int, list[list[int]], list[int], list[int], list[bool], list[bool]]:
     """The game on ints, indexed by coalition bit mask.
 
     Returns ``scale``, the weight-sum tables ``tables[i][mask]``, alpha
-    by size ``alphas[s]``, every coalition's welfare ``values[mask]``
-    and ``rational[mask]``: no member's utility is negative.  Weights are
-    scaled by ``L`` (see :func:`alphahg.core._scaled_pairs`) and
-    alpha by ``D``, the least common multiple of its denominators, so
-    member ``i`` of coalition ``C`` has utility ``alphas[|C|] *
+    by size ``alphas[s]``, every coalition's welfare ``values[mask]``,
+    ``rational[mask]``: no member's utility is negative, and
+    ``live[mask]``: every member's weight sum to ``mask`` is positive.
+    Since alpha(s) > 0 for s >= 2, a member of a coalition of two or
+    more has its weight sum's sign, so ``live`` marks the coalitions of
+    two or more in which every member's utility is positive; a
+    singleton is never live, its member's sum being its zero
+    self-weight.
+
+    Weights are scaled by ``L`` (see :func:`alphahg.core._scaled_pairs`)
+    and alpha by ``D``, the least common multiple of its denominators,
+    so member ``i`` of coalition ``C`` has utility ``alphas[|C|] *
     tables[i][C]`` and every utility and welfare is ``scale = D * L``
     times the true one.
     """
@@ -149,14 +162,17 @@ def _coalition_values(
         rest = mask ^ low
         pair_sums[mask] = pair_sums[rest] + 2 * tables[low.bit_length() - 1][rest]
         values[mask] = alphas[mask.bit_count()] * pair_sums[mask]
-    # alpha(s) > 0 for s >= 2, so a utility has its weight sum's sign
     rational = [True] * (1 << n)
+    live = [True] * (1 << n)
     for i, table in enumerate(tables):
         bit = 1 << i
         for mask in range(bit, 1 << n):
-            if table[mask] < 0 and mask & bit:
-                rational[mask] = False
-    return common * scale, tables, alphas, values, rational
+            total = table[mask]
+            if total <= 0 and mask & bit:
+                live[mask] = False
+                if total:
+                    rational[mask] = False
+    return common * scale, tables, alphas, values, rational, live
 
 
 def _best_welfare(values: list[int]) -> list[int]:
@@ -195,26 +211,34 @@ def _cpoa(game: Game, max_block_size: int, factor: Fraction) -> PoaResult:
     stable welfare comes from a depth-first search that builds
     partitions one block at a time, each step placing the block that
     holds the lowest agent not yet placed.  A block in which some member
-    has negative utility is never placed (that member walks out).  A
-    deviation is decided once all its members are placed, so a blocked
-    prefix is dropped with its whole subtree, and a prefix whose welfare
-    already reaches the worst stable welfare found so far is dropped
-    too.  All of it runs on the ints of :func:`_coalition_values`.
+    has negative utility is never placed (that member walks out).  The
+    deviations are the live coalitions of 2..``max_block_size`` agents,
+    the only ones that can block.  A deviation is decided once all its
+    members are placed, so a blocked prefix is dropped with its whole
+    subtree, and a prefix whose welfare already reaches the worst stable
+    welfare found so far is dropped too.  All of it runs on the ints of
+    :func:`_coalition_values`.
     """
     n = game.n
     _check_enumerable(n)
-    scale, tables, alphas, values, rational = _coalition_values(game)
+    scale, tables, alphas, values, rational, live = _coalition_values(game)
     best = _best_welfare(values)
     full = (1 << n) - 1
     kp, kq = factor.numerator, factor.denominator
 
-    # Each candidate deviation S, a coalition of 2..max_block_size
-    # agents, is one bit.  For each agent i, the S holding i sorted by
-    # kq * D * L * (utility of i in S): i improves on factor kp / kq
-    # times its partition utility u iff that value exceeds kp * D * L *
-    # u, so the S that i refuses are a prefix, and refused[i][c] is the
-    # union of the first c bits.
-    deviations = [mask for mask in range(full + 1) if 2 <= mask.bit_count() <= max_block_size]
+    # Each candidate deviation S, a live coalition of 2..max_block_size
+    # agents, is one bit.  Any other S can never block: a member whose
+    # weight sum to S is <= 0 has utility <= 0 in S, and every placed
+    # block is individually rational, so that member's partition
+    # utility u is >= 0 and the member never improves on factor * u.
+    # For each agent i, the S holding i sorted by kq * D * L * (utility
+    # of i in S): i improves on factor kp / kq times its partition
+    # utility u iff that value exceeds kp * D * L * u, so the S that i
+    # refuses are a prefix, and refused[i][c] is the union of the first
+    # c bits.
+    deviations = [
+        mask for mask in range(full + 1) if live[mask] and 2 <= mask.bit_count() <= max_block_size
+    ]
     every = (1 << len(deviations)) - 1
     offer = [kq * a for a in alphas]
     offer_values = []
@@ -244,8 +268,12 @@ def _cpoa(game: Game, max_block_size: int, factor: Fraction) -> PoaResult:
     def unrefused_by(block: int) -> int:
         a = kp * alphas[block.bit_count()]
         by_block = 0
-        for i in _members(block):
+        members = block
+        while members:
+            low = members & -members
+            i = low.bit_length() - 1
             by_block |= refused[i][bisect_right(offer_values[i], a * tables[i][block])]
+            members ^= low
         return every ^ by_block
 
     worst = best[full] + 1  # no stable welfare exceeds the best one
@@ -348,7 +376,7 @@ def best_welfare_partition(game: Game) -> tuple[Partition, Fraction]:
     """
     n = game.n
     _check_enumerable(n)
-    scale, _, _, values, _ = _coalition_values(game)
+    scale, _, _, values, _, _ = _coalition_values(game)
     best = _best_welfare(values)
     optimum = best[-1]
 

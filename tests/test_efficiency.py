@@ -283,7 +283,9 @@ class TestPoaUpperBound:
     @pytest.mark.slow
     def test_prices_within_their_bounds_at_the_enumeration_guard(self):
         # n = MAX_ENUM_AGENTS = 13, four games per alpha, tables among
-        # them; improvement_cpoa's prefix masks take over 100 MB here
+        # them; the process peaks near 62 MB RSS after the size_cpoa
+        # checks and near 91 MB after improvement_cpoa's prefix masks
+        # (ru_maxrss, one fresh Python 3.11 process)
         rng = random.Random(81)
         alphas = _BUILT_IN + [_decreasing_table]
         assert _check_poa_upper_bound(rng, (13,), alphas, _size_prices((3, 5)), 4) == 32
@@ -314,6 +316,28 @@ class TestBestWelfare:
             full = (1 << n) - 1
             for mask in [*range(2, full, 2), full]:
                 assert best[mask] == _brute_best(values, mask), (game, mask)
+
+
+class TestCoalitionSigns:
+    def test_live_and_rational_match_brute_force(self):
+        # live[mask] (every member's weight sum to mask is > 0) picks the
+        # coalitions that get a deviation bit in _cpoa, and rational[mask]
+        # (every member's sum is >= 0) the blocks it may place; weights in
+        # [-2, 2] with halves make many sums exactly 0
+        rng = random.Random(38)
+        zero_sums = 0
+        for index in range(42):
+            n = 1 + index % 7
+            alpha = _decreasing_table(rng, n) if index % 3 == 0 else ALL_ALPHAS[index % len(ALL_ALPHAS)]
+            game = random_game(rng, n, alpha, -2, 2, (1, 2))
+            rational, live = _coalition_values(game)[4:]
+            for mask in range(1 << n):
+                members = [i for i in range(n) if mask >> i & 1]
+                sums = [sum(game.weights[i][j] for j in members) for i in members]
+                assert live[mask] == all(total > 0 for total in sums), (game, mask)
+                assert rational[mask] == all(total >= 0 for total in sums), (game, mask)
+                zero_sums += len(members) >= 2 and 0 in sums
+        assert zero_sums > 100
 
 
 class TestBestWelfarePartition:

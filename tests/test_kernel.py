@@ -622,6 +622,42 @@ def test_cpoa_matches_reference_at_seven_and_eight_agents():
     assert {"ratio", "undefined"} <= kinds
 
 
+def _mostly_dead_game(rng, n, alpha):
+    """Weights mostly <= 0, many exactly 0, so most coalitions hold a
+    member whose weight sum is <= 0 and can never block."""
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        pick = rng.random()
+        if pick < 0.25:
+            weight = _rational(rng, 1, 9)
+        elif pick < 0.6:
+            weight = Fraction(0)
+        else:
+            weight = _rational(rng, -4, 0)
+        matrix[i][j] = matrix[j][i] = weight
+    return Game.from_matrix(matrix, alpha)
+
+
+def test_cpoa_matches_reference_where_most_deviations_cannot_block():
+    # only the coalitions in which every member's weight sum is positive
+    # get a deviation bit; here most do not, and in the last game, whose
+    # every pair weight is <= 0, none does
+    rng = random.Random(4013)
+    kinds = set()
+    for index in range(13):
+        n = 7 + index % 2
+        alpha = (FHG, ASHG, MFHG, DECREASING_TABLE)[index % 4]
+        game = _mostly_dead_game(rng, n, alpha) if index < 12 else _game(rng, n, -4, 0)
+        q = 2 + index % 3
+        k = FACTORS[index % len(FACTORS)]
+        for size, factor in ((q, Fraction(1)), (n, k)):
+            got = _cpoa(game, size, factor)
+            assert got == reference._cpoa(game, size, factor), (index, size, factor)
+            kinds.add(got.kind)
+    assert "ratio" in kinds
+    assert kinds & {"undefined", "unbounded", "no_stable_outcome"}
+
+
 def _tied_game(rng, n, alpha):
     """Games whose optimum several partitions reach: all-zero games, and
     weights in {-1, 0, 1}, where zero-weight agents can often sit in any
