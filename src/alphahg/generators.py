@@ -2,14 +2,13 @@
 
 Each builder emits a :class:`Scenario` that is size-stable up to a
 stated ``stable_size`` while the full coalition improves every agent by
-exactly a stated factor.  One rule says which factor: every
-construction claims the paper's bound
+exactly a stated factor.  Every construction claims the paper's bound
 ``improvement_bound(alpha, stable_size, size)`` for its own alpha and
 sizes, except the complete graph, which claims
-``alpha(m)(m-1)/(alpha(q)(q-1))``; that equals the bound when ``q-1``
-divides ``m-1`` and is never above it.  Nothing is trusted:
-callers (and the test suite) re-verify stability exhaustively and the
-factor by rational equality.
+``alpha(m)(m-1)/(alpha(q)(q-1))`` (:func:`complete_graph_factor`); that
+equals the bound when ``q-1`` divides ``m-1`` and is never above it.
+Nothing is trusted: callers (and the test suite) re-verify stability
+exhaustively and the factor by rational equality.
 
 ``fig6``..``fig9`` are bundled instances for stable size 5 at
 coalition sizes 7 and 8 (fractional and additively separable); they
@@ -18,9 +17,11 @@ hand; ``fig7`` is not: it equals ``cycle_scenario(FHG, 7)`` in weights,
 baselines and alpha, and both claim 9/8 (the fixture at stable size 5,
 the cycle at 7).
 
-:func:`build_construction` looks each name up in one table of the
-arguments it reads (some of ``alpha``, ``stable_size``, ``size``) and
-refuses a missing one and an unread one alike: no input is dropped.
+:func:`build_construction` looks each name up in one table that holds
+the arguments it reads (some of ``alpha``, ``stable_size``, ``size``),
+its stable size when it reads none, its builder and its claim, and
+refuses a missing argument and an unread one alike: no input is
+dropped.
 """
 
 from __future__ import annotations
@@ -195,15 +196,16 @@ def fixture_path(name: str) -> str:
 
 
 #: name -> (the arguments it reads, its stable size if it reads none,
-#: its scenario builder, which takes those arguments by name)
+#: its scenario builder, which takes those arguments by name, and its
+#: claimed factor as ``claim(alpha, stable_size, size)``)
 _CONSTRUCTIONS = {
-    "complete": (("alpha", "stable_size", "size"), None, complete_graph_scenario),
-    "halves": (("alpha", "size"), 3, two_halves_scenario),
-    "cycle": (("alpha", "stable_size"), None, cycle_scenario),
-    "two-valued": (("size",), 4, two_valued_scenario),
-    "two-group": (("size",), 4, two_group_scenario),
-    "mantel": (("size",), 3, mantel_scenario),
-    **{name: ((), 5, partial(fixture, name)) for name in FIXTURE_NAMES},
+    "complete": (("alpha", "stable_size", "size"), None, complete_graph_scenario, complete_graph_factor),
+    "halves": (("alpha", "size"), 3, two_halves_scenario, improvement_bound),
+    "cycle": (("alpha", "stable_size"), None, cycle_scenario, improvement_bound),
+    "two-valued": (("size",), 4, two_valued_scenario, improvement_bound),
+    "two-group": (("size",), 4, two_group_scenario, improvement_bound),
+    "mantel": (("size",), 3, mantel_scenario, improvement_bound),
+    **{name: ((), 5, partial(fixture, name), improvement_bound) for name in FIXTURE_NAMES},
 }
 
 
@@ -218,18 +220,19 @@ def build_construction(
 
     A construction must be given exactly the arguments it reads; any
     other is refused rather than ignored, and the refusal names the
-    parameter (``construction 'cycle' requires stable_size``).  Every
-    construction but ``complete`` claims ``improvement_bound(alpha,
-    stable_size, size)`` for its scenario's alpha and size; ``complete``
-    claims :func:`complete_graph_factor`, which equals that bound when
-    ``q-1`` divides ``m-1`` and can fall below it otherwise.
+    parameter (``construction 'cycle' requires stable_size``).  The
+    claimed factor is the table's claim for the name, called with the
+    scenario's alpha, the stable size and the scenario's size:
+    ``improvement_bound`` for every construction but ``complete``, which
+    claims :func:`complete_graph_factor` (equal to that bound when
+    ``q-1`` divides ``m-1``, and never above it).
     """
     key = _name(name, "construction name")
     if key not in _CONSTRUCTIONS:
         raise InvalidInputError(
             f"unknown construction {name!r}; expected one of {CONSTRUCTION_NAMES}"
         )
-    reads, q, build = _CONSTRUCTIONS[key]
+    reads, q, build, claim = _CONSTRUCTIONS[key]
     given = {"alpha": alpha, "stable_size": stable_size, "size": size}
     for arg, value in given.items():
         if (arg in reads) != (value is not None):
@@ -237,6 +240,4 @@ def build_construction(
             raise InvalidInputError(f"construction {name!r} {verb} {arg}")
     scenario = build(**{arg: given[arg] for arg in reads})
     q = stable_size if q is None else q
-    if key == "complete":
-        return BuiltScenario(scenario, q, complete_graph_factor(alpha, q, size))
-    return BuiltScenario(scenario, q, improvement_bound(scenario.alpha, q, scenario.size))
+    return BuiltScenario(scenario, q, claim(scenario.alpha, q, scenario.size))

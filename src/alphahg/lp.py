@@ -4,15 +4,16 @@ A small simplex with integer pivoting: each constraint row is scaled to
 Python ints once, and the tableau is kept as ints over one common
 denominator, so the pivots run on plain int arithmetic and never on
 ``Fraction``.  An entry that is an int stays an int (and a ``Fraction``
-a ``Fraction``), so a row of ints goes in with no LCM, and a
-:class:`Constraint` of ints is admitted as it is.  Bland's rule
-guarantees termination.  It is written once, as two functions through
-which the primal and the dual simplex pick every pivot: :func:`_lowest`
-takes the lowest of the chosen labels, and :func:`_least_ratio` runs
-the least-ratio test with ties to the lowest label.  There is no
-floating point and no tolerance anywhere, so Optimal/Infeasible/
-Unbounded verdicts, values and points are exact.  The intended scale
-is a few hundred variables and constraints.
+a ``Fraction``), so a row of ints goes in with no LCM.  Every
+constraint is admitted by one path, and a :class:`Constraint` whose
+entries all stay as they are comes out as the very object it is.
+Bland's rule guarantees termination.  It is written once, as two
+functions through which the primal and the dual simplex pick every
+pivot: :func:`_lowest` takes the lowest of the chosen labels, and
+:func:`_least_ratio` runs the least-ratio test with ties to the lowest
+label.  There is no floating point and no tolerance anywhere, so
+Optimal/Infeasible/Unbounded verdicts, values and points are exact.
+The intended scale is a few hundred variables and constraints.
 
 The tableau is condensed: it stores only the nonbasic columns, each
 with its label (structural columns first, then one slack per row), and
@@ -94,25 +95,23 @@ def _entries(values) -> tuple:
 
 
 def _checked(c, n: int) -> Constraint:
-    """``c`` admitted as a :class:`Constraint` on ``n`` variables; a
-    ``Constraint`` whose ``n`` coefficients and rhs are ints (a bool is
-    not one) is admitted as it is, since rebuilding it would give an
+    """``c`` admitted as a :class:`Constraint` on ``n`` variables: every
+    input is unpacked, its length checked and its entries admitted
+    (:func:`_entries`, :func:`_entry`).  A ``Constraint`` whose admitted
+    coefficient tuple and rhs are its own (a tuple whose entries are
+    ints and ``Fraction`` objects, and an int or a ``Fraction``; a bool
+    is neither) is kept as it is, since rebuilding it would give an
     equal one."""
-    if (
-        type(c) is Constraint
-        and type(c.rhs) is int
-        and type(c.coeffs) is tuple
-        and len(c.coeffs) == n
-        and {int}.issuperset(map(type, c.coeffs))
-    ):
-        return c
     try:
         coeffs, rhs = c
     except (TypeError, ValueError):
         raise InvalidInputError(f"a constraint is a (coeffs, rhs) pair, not {c!r}") from None
     if len(coeffs) != n:
         raise InvalidInputError("constraint length must match variable count")
-    return Constraint(_entries(coeffs), _entry(rhs))
+    entries, value = _entries(coeffs), _entry(rhs)
+    if type(c) is Constraint and entries is coeffs and value is rhs:
+        return c
+    return Constraint(entries, value)
 
 
 def _bound(value: object) -> int | Fraction | None:
@@ -492,13 +491,20 @@ class _Columns:
         self.cost, self.cost_scale = scaled(objective)
         self.at_lower = sum(c * x for c, x in zip(objective, lower) if c and x is not None)
 
-    def expand(self, values) -> list[int]:
-        if self.num == len(values):  # no free variable: a column per variable
+    def expand(self, values: list[int]) -> list[int]:
+        """A whole int row over the variables (a coefficient per
+        variable, then a last cell) over the structural columns: a
+        bounded variable's coefficient on its column, a free one's on
+        its plus column and negated on its minus column, and the last
+        cell (a rhs, or 0 for a cost row) as it is.  This is the one
+        place that asks whether a variable is free: with none, each
+        variable is its own column and ``values`` is returned as it
+        is."""
+        if self.num == len(self.low):  # no free variable: a column per variable
             return values
-        row = [0] * self.num
-        for v, x in enumerate(values):
+        row = [0] * self.num + [values[-1]]
+        for (plus, minus), x in zip(self.col_of, values):  # stops before the last cell
             if x:
-                plus, minus = self.col_of[v]
                 row[plus] = x
                 if minus >= 0:
                     row[minus] = -x
@@ -508,11 +514,11 @@ class _Columns:
         """The constraint as an int row (structural coefficients, then rhs
         of either sign) scaled by the LCM of its denominators, and that
         scale as ``(num, den)`` (a row of ints is its own); substituting
-        x = y + lower leaves rhs - sum(c * lower) on the right.  With no
-        free variable, a row of ints goes in as written when the lower
-        bounds shift nothing, and with only its rhs rewritten when the
-        shift leaves its coefficients as they are (``g == low_den``
-        below)."""
+        x = y + lower leaves rhs - sum(c * lower) on the right.  The row
+        is built once over the variables, its rhs rewritten in place when
+        the shift leaves its coefficients as they are (``g == low_den``
+        below), and then put over the structural columns by
+        :meth:`expand`."""
         low_den = self.low_den
         ints, common = [*constraint.coeffs, constraint.rhs], 1
         if not {int}.issuperset(map(type, ints)):
@@ -530,9 +536,7 @@ class _Columns:
             else:
                 ints = [c * low_den // g for c in ints[:-1]] + [r // g]
             scale = common * low_den, g
-        if self.num == len(self.low):  # no free variable: a column per variable
-            return ints, scale
-        return self.expand(ints[:-1]) + ints[-1:], scale
+        return self.expand(ints), scale
 
 
 def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
@@ -572,7 +576,7 @@ def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
     if tab.dual() == "infeasible":
         return Infeasible()
     if start is None:
-        tab.obj = tab.reduced(columns.expand(columns.cost) + [0])
+        tab.obj = tab.reduced(columns.expand(columns.cost + [0]))
         if tab.run() == "unbounded":
             return Unbounded()
     return Optimal(lp, columns, tab)

@@ -43,10 +43,11 @@ The root is ``witness_system_lp(problem, ())``, and each child is its
 parent's LP with the one new witness row appended.  Each child LP is
 re-optimised from its parent's optimum by the dual simplex
 (``solve(child, parent_result)``); that may change which optimal point
-a node gets, never its value.  The subset to branch on is read from the
-LP point's ints (numerators over the tableau's denominator), by the
-stability module's subset kernel; a :class:`Scenario` is built only for
-a certificate.
+a node gets, never its value.  Each node reads its LP point once, as
+ints over the tableau's denominator (:meth:`Optimal.scaled_point`).
+The subset to branch on is read from those ints by the stability
+module's subset kernel, and a certificate is a :class:`Scenario` built
+from the same ints over that denominator.
 
 The search is conflict-driven (conflict analysis as in Achterberg,
 *Conflict analysis in mixed integer programming*, 2007).  A refuted
@@ -442,9 +443,10 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
             raise AssertionError(f"node LP returned {result!r}")
         if result.value <= 0:
             return node.learn(_conflict(result, node.rows, first_witness_row))
-        # the LP point as ints over one positive denominator, which leaves
-        # every strict comparison of the kernel as it is
-        point = result.scaled_point()[0]
+        # the LP point as ints over one positive denominator, read once: it
+        # leaves every strict comparison of the kernel as it is, and over
+        # den it is the certificate
+        point, den = result.scaled_point()
         weights = [[0] * m for _ in range(m)]
         for (i, j), p in pairs.items():
             weights[i][j] = weights[j][i] = point[p]
@@ -455,10 +457,11 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
             # at the exact optimum every assigned witness row holds
             raise AssertionError(f"assigned subset {branch_on} violated at the LP optimum")
         if branch_on is None:
-            # the LP point already satisfies every subset; certify it
-            x = result.assignment
+            # the LP point already satisfies every subset; certify it, from
+            # the ints that chose no branch, over their denominator
+            bases = [Fraction(b, den) for b, _ in baselines]
             candidate = Scenario.from_pairs(
-                problem.alpha, m, lambda i, j: x[pairs[i, j]], _baselines(x[b_at:b_at + m])
+                problem.alpha, m, lambda i, j: Fraction(weights[i][j], den), bases
             )
             if not _certificate_ok(problem, candidate):
                 raise AssertionError("LP point failed independent re-verification")

@@ -262,7 +262,7 @@ def scenario_is_size_stable(scenario: Scenario, max_size: int) -> bool:
         raise DomainError(f"need 1 <= max_size <= {m}")
     if any(b < 0 for b in scenario.baselines):
         return False
-    _check_subsets(m, 2, max(max_size, 2))
+    _check_subsets(m, 2, max_size)
     return _scenario_first_blocking(scenario, max_size) is None
 
 

@@ -124,9 +124,16 @@ class TestBasics:
         assert admitted == (half, Fraction(3, 4))
         assert [type(x) for x in admitted] == [Fraction, Fraction]
         assert [type(x) for x in lp.objective] == [int, Fraction]
-        # a Constraint of ints is admitted as it is
-        row = Constraint((3, -1), 4)
-        assert LinearProgram(("x", "y"), (row,), (1, 1)).constraints[0] is row
+        # a Constraint whose entries are ints and Fractions (of ints, of
+        # Fractions, or of both) is admitted as it is
+        for row in (
+            Constraint((3, -1), 4),
+            Constraint((half, Fraction(-3, 4)), Fraction(5, 3)),
+            Constraint((3, half), Fraction(1, 3)),
+        ):
+            lp = LinearProgram(("x", "y"), (row,), (1, 1))
+            assert lp.constraints[0] is row
+            assert lp._with_rows((row,)).constraints[1] is row
         for bad in (True, 0.5):
             with pytest.raises(InvalidInputError):
                 LinearProgram(("x", "y"), (((1, bad), 4),), (1, 1))

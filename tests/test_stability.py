@@ -87,6 +87,18 @@ class TestFindBlockingCoalition:
             with pytest.raises(ResourceLimitError):
                 call()
 
+    def test_size_one_scan_counts_no_coalitions(self, monkeypatch):
+        # at max_size = 1 a scenario's scan enumerates no coalition (a
+        # singleton deviation is a negative baseline), so the guard counts
+        # none; at max_size = 2 it counts C(4, 2) = 6 > 5 and refuses
+        monkeypatch.setattr(stability, "MAX_SUBSETS", 5)
+        weights = [[int(i != j) for j in range(4)] for i in range(4)]
+        assert scenario_is_size_stable(Scenario(4, weights, (1,) * 4, ASHG), 1) is True
+        negative = Scenario(4, weights, (1, 1, -1, 1), ASHG)
+        assert scenario_is_size_stable(negative, 1) is False
+        with pytest.raises(ResourceLimitError, match="enumerating 6 coalitions"):
+            scenario_is_size_stable(Scenario(4, weights, (1,) * 4, ASHG), 2)
+
 
 class TestSizeStability:
     def test_example_ashg(self, pairs_partition):
