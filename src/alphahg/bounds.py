@@ -103,10 +103,17 @@ def is_hospitable(alpha: AlphaFunction, max_size: int) -> bool:
     """
     if integer(max_size) < 2:
         raise DomainError("max_size must be >= 2")
-    return all(
-        alpha.value(q) * (q - 1) >= alpha.value(q - 1) * (q - 2)
-        for q in range(2, max_size + 1)
-    )
+    # on ints: each alpha value is read once and carried to the next size
+    # as its numerator and (positive) denominator
+    below = alpha.value(1)
+    num, den = below.numerator, below.denominator
+    for q in range(2, max_size + 1):
+        value = alpha.value(q)
+        next_num, next_den = value.numerator, value.denominator
+        if next_num * den * (q - 1) < num * next_den * (q - 2):
+            return False
+        num, den = next_num, next_den
+    return True
 
 
 def is_decreasing(alpha: AlphaFunction, max_size: int) -> bool:

@@ -13,8 +13,9 @@ reads as a verdict.
 A command-line call starts a fresh interpreter, whose start-up costs
 more than most verdicts, so this module imports no engine up front.  Each engine
 (``bounds``, ``core``, ``efficiency``, ``generators``, ``io``,
-``search``, ``stability``) is an attribute of this module, imported the
-first time a command or an argument type looks it up (see
+``search``, ``stability``), and ``_rat``, the rational reader that the
+argument types call, is an attribute of this module, imported the first
+time a command or an argument type looks it up (see
 :func:`__getattr__` and :func:`_load`): building the parser loads none,
 and ``verify`` never loads the LP.  Commands reach the engines through
 this module's namespace, so a stand-in set on it (a test's monkeypatch,
@@ -34,14 +35,16 @@ from importlib import import_module
 from . import _params
 from .errors import AlphaHGError, InvalidInputError, ResourceLimitError
 
-#: the engines, each imported on first use
-_ENGINES = frozenset({"bounds", "core", "efficiency", "generators", "io", "search", "stability"})
+#: the modules imported on first use: the engines and ``_rat``
+_LAZY = frozenset(
+    {"_rat", "bounds", "core", "efficiency", "generators", "io", "search", "stability"}
+)
 
 
 def __getattr__(name: str):
     """An engine, imported on its first lookup and bound here, so that
     later lookups, plain global names included, find it directly."""
-    if name not in _ENGINES:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = import_module(f"alphahg.{name}")
     globals()[name] = module
@@ -69,10 +72,10 @@ def integer(text: str) -> int:
     """A size or count: a rational string (:mod:`alphahg._rat`) without
     a ``/``.  As an argparse type, its refusal names the option
     (``argument --q: invalid integer value: '1_0'``)."""
-    _load("io")
+    _load("_rat")
     if "/" not in text:
         try:
-            return int(io.parse_rational(text))
+            return int(_rat.exact(text))
         except InvalidInputError:
             pass
     raise InvalidInputError(f"not an integer: {text!r}")
@@ -91,9 +94,9 @@ def _parse_range(text: str, option: str) -> range:
 
 def _rational(text: str) -> Fraction:
     """An argparse type: the refusal's reason becomes argparse's message."""
-    _load("io")
+    _load("_rat")
     try:
-        return io.parse_rational(text)
+        return _rat.exact(text)
     except InvalidInputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -269,9 +272,16 @@ def cmd_greedy(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Built once per process: parsing keeps no state in the parser."""
+    """The ``alphahg`` parser, built once per process: parsing keeps no
+    state in the parser."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``alphahg`` parser and, by name, each command's parser: the
+    map that the parser's subparsers action keeps as its ``choices``."""
     parser = argparse.ArgumentParser(
         prog="alphahg",
         description="Exact stability lab for size-weighted hedonic games.",
@@ -351,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the game back with the partition attached")
     p.set_defaults(func=cmd_greedy)
 
-    return parser
+    return parser, sub.choices
 
 
 def _discard_stdout() -> None:
@@ -368,8 +378,15 @@ def _discard_stdout() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _parsers()
+    # an argv that names a command is parsed once, by that command's
+    # parser; the top-level parser would classify every token and then
+    # hand them all to it.  An argv that names none can only get help or
+    # an error, which the top-level parser gives
+    command = commands.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         code = args.func(args)
         # flushed here, so that a closed stdout fails inside the try

@@ -1,5 +1,6 @@
 """Closed-form bounds and class predicates against frozen values."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -144,6 +145,38 @@ class TestClassPredicates:
         assert not is_hospitable(ODD_EVEN, 5)
         # direct computation: (1/3)/1 < 1/2 already at size 3
         assert not is_hospitable(PAIRWISE_COMM, 20)
+
+    def test_hospitable_matches_the_fraction_definition(self):
+        def by_definition(alpha, max_size):
+            return all(
+                alpha.value(q) * (q - 1) >= alpha.value(q - 1) * (q - 2)
+                for q in range(2, max_size + 1)
+            )
+
+        rng = random.Random(20241)
+        tables = []
+        for _ in range(200):
+            values = [Fraction(rng.choice([0, 1, 3])), Fraction(rng.randint(1, 9), rng.randint(1, 9))]
+            # each size's value is the threshold (q-2)/(q-1) times the last,
+            # times a factor around 1: on it, above it or below it
+            for q in range(3, 17):
+                factor = Fraction(rng.choice([9, 10, 10, 11, 12]), 10)
+                values.append(values[-1] * Fraction(q - 2, q - 1) * factor)
+            tables.append(AlphaFunction.from_table(values))
+        outcomes = set()
+        for alpha in (FHG, ASHG, MFHG, PAIRWISE_COMM, ODD_EVEN, *tables):
+            for max_size in range(2, 17):
+                want = by_definition(alpha, max_size)
+                assert is_hospitable(alpha, max_size) is want, (alpha, max_size)
+                outcomes.add(want)
+        assert outcomes == {True, False}
+
+    def test_hospitable_stops_at_the_first_failure(self):
+        # fails at size 3, so the sizes past the table's three are never read
+        short = AlphaFunction.from_table(["1", "1", "1/10"])
+        assert is_hospitable(short, 16) is False
+        with pytest.raises(DomainError):
+            is_hospitable(AlphaFunction.from_table(["1", "1", "1"]), 16)
 
     def test_decreasing(self):
         for alpha in (FHG, ASHG, MFHG, PAIRWISE_COMM, ODD_EVEN):

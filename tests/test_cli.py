@@ -800,3 +800,88 @@ def test_transcript(capsys, tmp_path, monkeypatch, steps):
     for argv, code, lines in steps:
         out = "".join(f"{line}\n" for line in lines)
         assert run(capsys, *argv.split()) == (code, out, ""), argv
+
+
+#: every valid command line of this file's tables, and one that sets
+#: every option of each command that the tables leave unset
+VALID_ARGVS = [
+    *(argv.split() for steps in TRANSCRIPTS for argv, _, _ in steps.values[0]),
+    list(SEARCH_ARGS),
+    [*SEARCH_ARGS, "--weight-bound", "7/3", "--baseline-bound", "5", "--node-limit", "9",
+     "--time-limit", "1.5", "--out", "x.json"],
+    ["generate", "--construction", "cycle", "--alpha", "fhg", "--q", "4", "--out", "x.json"],
+    ["bound-table", "--alpha", "ashg", "--q-range", "2:3", "--m-range", "3:6", "--k", "3/2"],
+    ["greedy", "game.json", "--out", "x.json"],
+]
+
+
+class TestParseOnce:
+    """A command line that names a command is parsed by that command's
+    parser alone; the top-level parser handles only one that names none."""
+
+    @pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+    def test_command_parser_reads_what_the_full_parse_reads(self, argv):
+        from alphahg import cli
+
+        full = vars(cli.build_parser().parse_args(argv))
+        assert full.pop("command") == argv[0]
+        assert vars(cli._parsers()[1][argv[0]].parse_args(argv[1:])) == full
+
+    def test_commands_are_the_parsers_choices(self):
+        from alphahg import cli
+
+        usage = cli.build_parser().format_usage()
+        commands = cli._parsers()[1]
+        assert "{" + ",".join(commands) + "}" in usage
+        assert {argv[0] for argv in VALID_ARGVS} == set(commands)
+
+    def test_a_command_never_runs_the_top_level_parser(self, capsys, monkeypatch):
+        from alphahg import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser ran")
+
+        monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
+        assert run(capsys, *SEARCH_ARGS)[0] == 1
+        code, out, _ = run(
+            capsys, "bound-table", "--alpha", "fhg", "--q-range", "2:2", "--m-range", "3:3"
+        )
+        assert code == 0 and out.splitlines()[1].startswith("2,3,4/3,")
+        for name in cli._parsers()[1]:
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith(f"usage: alphahg {name} ")
+        with pytest.raises(SystemExit) as exc:
+            main([*SEARCH_ARGS, "--bogus"])
+        assert exc.value.code == 2
+
+    def test_argv_defaults_to_the_process_arguments(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["alphahg", *SEARCH_ARGS])
+        code = main()
+        assert code == 1
+        assert capsys.readouterr().out.startswith("verdict: infeasible_within_bounds\n")
+
+    def test_unrecognized_argument_is_the_commands_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*SEARCH_ARGS, "--bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: alphahg search ")
+        assert err.endswith("alphahg search: error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("argv,code,stream,text", [
+        ((), 2, "err", "alphahg: error: the following arguments are required: command\n"),
+        (("bogus",), 2, "err", "alphahg: error: argument command: invalid choice: 'bogus'"),
+        (("--help",), 0, "out", "Exact stability lab for size-weighted hedonic games."),
+        # an option before the command is the top-level parser's to refuse
+        (("--q", "2", *SEARCH_ARGS), 2, "err", "alphahg: error: "),
+    ])
+    def test_no_command_gets_the_top_level_parser(self, capsys, argv, code, stream, text):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        shown = captured.out if stream == "out" else captured.err
+        assert shown.startswith("usage: alphahg [-h] {verify,bound-table,")
+        assert text in shown
