@@ -7,12 +7,11 @@ of those reads its own from here (``SearchProblem``'s defaults,
 ``generators.CONSTRUCTION_NAMES``).
 """
 
-from fractions import Fraction
-
 #: ``SearchProblem``'s box: ``|weight| <= WEIGHT_BOUND`` and
-#: ``1 <= baseline <= BASELINE_BOUND``
-WEIGHT_BOUND = Fraction(10)
-BASELINE_BOUND = Fraction(10)
+#: ``1 <= baseline <= BASELINE_BOUND``, ints so that building the parser
+#: imports no ``fractions`` (``SearchProblem`` admits them by ``exact``)
+WEIGHT_BOUND = 10
+BASELINE_BOUND = 10
 DEFAULT_NODE_LIMIT = 200_000
 
 #: the bundled instances, one data file each; each is stable up to size 5

@@ -29,7 +29,6 @@ import functools
 import os
 import sys
 from collections.abc import Callable
-from fractions import Fraction
 from importlib import import_module
 
 from . import _params
@@ -309,7 +308,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--alpha", required=True)
     p.add_argument("--q-range", required=True, metavar="LO:HI")
     p.add_argument("--m-range", required=True, metavar="LO:HI")
-    p.add_argument("--k", type=_rational, default=Fraction(1))
+    p.add_argument("--k", type=_rational, default="1")  # argparse runs it through type
     p.set_defaults(func=cmd_bound_table)
 
     p = sub.add_parser("generate", help="emit a tight blocking scenario")

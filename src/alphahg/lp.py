@@ -15,6 +15,14 @@ label.  There is no floating point and no tolerance anywhere, so
 Optimal/Infeasible/Unbounded verdicts, values and points are exact.
 The intended scale is a few hundred variables and constraints.
 
+Scaling a row by a positive constant changes no pivot, and neither
+does scaling a column, that is, a variable's unit: Bland's rule reads
+signs, and ratios within one row or one column, and each scales by one
+positive factor.  So a caller may state a row as its least integer
+multiple, and a variable in whatever unit keeps the integers small; the
+tableau's denominator, the common denominator of its basis, shrinks
+with them.
+
 The tableau is condensed: it stores only the nonbasic columns, each
 with its label (structural columns first, then one slack per row), and
 a pivot puts the leaving column where the entering one was.  Appending

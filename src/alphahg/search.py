@@ -188,10 +188,15 @@ def _baselines(columns: Sequence) -> list:
 
 
 def _row_terms(alpha: Fraction, gamma: Fraction | None = None) -> list[int]:
-    """An agent row's weight, baseline and slack coefficients, least
+    """An agent row's weight, baseline and slack coefficients: the least
     integer multiple of the witness row's ``alpha(|S|)``, -1 and 0 (so
-    ``num(alpha)``, ``-den(alpha)``, 0), or of ``-alpha(m)``, ``gamma``, 1."""
-    return scaled((alpha, -1, 0) if gamma is None else (-alpha, gamma, 1))[0]
+    ``num(alpha)``, ``-den(alpha)``, 0), or the full-coalition row's
+    ``-L * alpha(m)``, ``L * gamma`` and 1, with ``L = lcm(den(alpha(m)),
+    den(gamma))``: the least integer multiple of its weight and baseline
+    terms, over a slack counted in units of ``1 / L``."""
+    if gamma is None:
+        return scaled((alpha, -1, 0))[0]
+    return scaled((-alpha, gamma))[0] + [1]
 
 
 def _agent_row(
@@ -204,9 +209,10 @@ def _agent_row(
     """Agent ``a``'s utility in ``S = members`` against their baseline,
     over the integers (``terms``, :func:`_row_terms`): by default the
     witness row ``num(alpha(|S|)) * sum_{j in S} w_aj - den(alpha(|S|)) *
-    b_a <= 0``, or a multiple of the full-coalition row ``-alpha(m) *
-    sum_j w_aj + gamma * b_a + slack <= 0``.  ``b_a`` is the sum of the
-    baseline columns ``a..m-1``, so its coefficient is on each of them."""
+    b_a <= 0``, or the full-coalition row ``-L * alpha(m) * sum_j w_aj +
+    L * gamma * b_a + s <= 0`` (``s = L * slack``).  ``b_a`` is the sum
+    of the baseline columns ``a..m-1``, so its coefficient is on each of
+    them."""
     weight, baseline, slack = terms or _row_terms(problem.alpha.value(len(members)))
     coeffs = [0] * (len(pairs) + agent) + [baseline] * (problem.size - agent) + [slack]
     for j in members:
@@ -229,26 +235,36 @@ def witness_system_lp(
     twice once its members are sorted.
 
     Variables: one weight per unordered pair, then the baselines as
-    ``m`` difference columns, then a shared slack.  The baseline columns
-    are ``d_i = b_i - b_{i+1}`` for ``i < m - 1`` and ``b_{m-1}`` itself,
-    so ``b_i`` is the sum of columns ``i..m-1`` and the order ``b_0 >=
-    ... >= b_{m-1}`` is the lower bounds ``d_i >= 0``.  Constraints, in
-    one order: the fixed rows (every agent's full-coalition utility is
-    at least ``gamma * baseline + slack``; ``w <= B`` per pair, then the
-    one row ``b_0 <= U``, the sum of the baseline columns, which with
-    the order caps every baseline; then, if ``q >= 2``, one pair row
-    ``alpha(2) * w_ij - b_i <= 0`` per pair ``i < j``, in pair order),
-    then one witness row per entry of ``path``, in path order, capping
-    the witness's subset utility at their baseline.  Lower bounds: ``w
-    >= -B``, ``d >= 0``, ``b_{m-1} >= 1``, and ``slack >= -(gamma +
-    alpha(m) * (m - 1) * B)``.  Objective: maximize the slack.  The
-    witness system is strictly feasible iff the optimum slack is
-    positive.
+    ``m`` difference columns, then a shared slack ``s``, counted in units
+    of ``1 / L`` with ``L = lcm(den(alpha(m)), den(gamma))``.  The
+    baseline columns are ``d_i = b_i - b_{i+1}`` for ``i < m - 1`` and
+    ``b_{m-1}`` itself, so ``b_i`` is the sum of columns ``i..m-1`` and
+    the order ``b_0 >= ... >= b_{m-1}`` is the lower bounds ``d_i >=
+    0``.  Constraints, in one order: the fixed rows (every agent's
+    full-coalition utility is at least ``gamma * baseline + s / L``;
+    ``w <= B`` per pair, then the one row ``b_0 <= U``, the sum of the
+    baseline columns, which with the order caps every baseline; then, if
+    ``q >= 2``, one pair row ``alpha(2) * w_ij - b_i <= 0`` per pair ``i
+    < j``, in pair order), then one witness row per entry of ``path``,
+    in path order, capping the witness's subset utility at their
+    baseline.  Lower bounds: ``w >= -B``, ``d >= 0``, ``b_{m-1} >= 1``,
+    and ``s >= -(L * gamma + L * alpha(m) * (m - 1) * B)``, an int
+    whenever ``B`` is one.  Objective: maximize ``s``.  The witness
+    system is strictly feasible iff the optimum is positive; the optimum
+    is ``L`` times the slack's.
 
     Each row is its least integer multiple (times the LCM of its own
-    denominators; a ``w <= B`` row is ``den(B) * w <= num(B)``), which
-    changes no pivot, and the objective is ints, so the LP takes every
-    row as it is.
+    denominators; a ``w <= B`` row is ``den(B) * w <= num(B)``, and a
+    full-coalition row is ``-L * alpha(m) * sum_j w_aj + L * gamma * b_a
+    + s <= 0``), and the objective is ints, so the LP takes every row as
+    it is.  Scaling a row, or the slack's column, by a positive constant
+    changes no pivot, so this LP takes the pivots of the one written in
+    rationals over the slack itself; only its value and its dual are
+    ``L`` times that one's.  With slack coefficient 1, the first pivot of
+    a cold solve, the slack entering on the first full-coalition row, is
+    ``1`` over the denominator ``1``, and every basis that holds the
+    slack has a denominator ``L`` times smaller than with coefficient
+    ``L``.
 
     A pair row is the witness row of ``({i, j}, i)``.  It is fixed, and
     no verdict changes, because the witness-j region lies inside the
@@ -258,13 +274,13 @@ def witness_system_lp(
 
     The slack's bound cuts off no optimum: the point ``w = -B``, ``b =
     1`` meets every witness row (alpha is positive on sizes >= 2), and
-    there every full-coalition row allows exactly that slack.  The lower
+    there every full-coalition row allows exactly that ``s``.  The lower
     bounds also make the LP start feasible: with every variable at its
     bound (so every ``b = 1``), each full-coalition row's right-hand
-    side is 0, the ``b_0 <= U`` row's is ``U - 1`` and each pair or
-    witness row's is ``1 + alpha(|S|) * B * (|S| - 1)``, so every row is
-    a ``<=`` row with a nonnegative right-hand side and the LP's dual
-    phase makes no pivot.
+    side is 0 (``L`` times the one it has over the slack itself), the
+    ``b_0 <= U`` row's is ``U - 1`` and each pair or witness row's is
+    ``1 + alpha(|S|) * B * (|S| - 1)``, so every row is a ``<=`` row with
+    a nonnegative right-hand side and the LP's dual phase makes no pivot.
     """
     m = problem.size
     pairs = _pair_index(m)
@@ -275,9 +291,10 @@ def witness_system_lp(
         + [f"b_{m - 1}", "slack"]
     )
     B, U, width = problem.weight_bound, problem.baseline_bound, len(names)
-    alpha_m = problem.alpha.value(m)
-    lower = [-B] * num_pairs + [0] * (m - 1) + [1, -(problem.gamma + alpha_m * (m - 1) * B)]
-    full = _row_terms(alpha_m, problem.gamma)
+    # the full rows' -L * alpha(m) and L * gamma, and the slack's unit 1
+    full = _row_terms(problem.alpha.value(m), problem.gamma)
+    weight, baseline, _ = full
+    lower = [-B] * num_pairs + [0] * (m - 1) + [1, weight * (m - 1) * B - baseline]
     constraints = [_agent_row(problem, pairs, range(m), i, full) for i in range(m)]
     constraints += [
         Constraint((0,) * p + (B.denominator,) + (0,) * (width - p - 1), B.numerator)

@@ -104,7 +104,11 @@ class TestFootprint:
             "import json, sys, alphahg, alphahg.cli; alphahg.cli.build_parser();"
             " print(json.dumps(list(sys.modules)))"
         )
-        assert not {f"alphahg.{name}" for name in ENGINES} & set(json.loads(out))
+        loaded = set(json.loads(out))
+        assert not {f"alphahg.{name}" for name in ENGINES} & loaded
+        # the box's defaults are ints and bound-table's --k a string, so
+        # no rational arithmetic is imported before a command parses
+        assert not {"fractions", "decimal"} & loaded
 
     def test_verify_loads_no_lp_search_or_efficiency(self, game_file):
         code, engines = loaded_by("verify", game_file, "--core")

@@ -58,13 +58,14 @@ def node_lp_check(request, monkeypatch):
     that value.  Returns the number of node LPs checked so far.  The
     slow tier is left out, and so are ``TestWarmNodesAgainstColdSolves``,
     which checks every node against the cold integer solve itself, and
-    ``TestTreeSizes`` and ``TestStoredNogoods``, which search trees that
-    other tests check."""
+    ``TestTreeSizes``, ``TestStoredNogoods`` and ``TestSlackUnit``, which
+    search trees that other tests check."""
     checked = [0]
     if request.node.get_closest_marker("slow") or request.cls in (
         TestWarmNodesAgainstColdSolves,
         TestTreeSizes,
         TestStoredNogoods,
+        TestSlackUnit,
     ):
         return checked
     integer_solve = search_module.solve
@@ -231,11 +232,19 @@ TABLE_ALPHA = AlphaFunction.from_table(
 BOXES = ((10, 10), (Fraction(1, 2), 1), (Fraction(1, 2), 3), (2, 1), (Fraction(7, 3), Fraction(5, 2)))
 
 
+def _slack_unit(p):
+    """``L = lcm(den(alpha(m)), den(gamma))``: ``witness_system_lp``
+    counts the slack in units of ``1 / L``, so its slack column is ``s =
+    L * slack``."""
+    return lcm(p.alpha.value(p.size).denominator, p.gamma.denominator)
+
+
 def _rational_rows(p, lp, path):
     """The rows that ``witness_system_lp``'s docstring defines, written
-    from alpha in Fractions: the full-coalition rows, ``w <= B`` per
-    pair, ``b_0 <= U``, the pair rows when ``q >= 2``, then one witness
-    row per entry of ``path``."""
+    from alpha in Fractions: the full-coalition rows, over the slack
+    column ``s = L * slack`` (:func:`_slack_unit`), ``w <= B`` per pair,
+    ``b_0 <= U``, the pair rows when ``q >= 2``, then one witness row per
+    entry of ``path``."""
     m, width = p.size, len(lp.names)
 
     def weight(i, j):
@@ -250,7 +259,7 @@ def _rational_rows(p, lp, path):
         for column in _baseline_columns(lp, m, agent):
             coeffs[column] = p.gamma if full else Fraction(-1)
         if full:
-            coeffs[lp.names.index("slack")] = Fraction(1)
+            coeffs[lp.names.index("slack")] = Fraction(1, _slack_unit(p))
         return coeffs, Fraction(0)
 
     def unit(columns, rhs):
@@ -275,15 +284,32 @@ def _least_multiple(coeffs, rhs):
     return Constraint(tuple(x * scale for x in coeffs), rhs * scale), scale
 
 
-def _rational_statement(p, lp, path):
-    """``lp`` with each row divided back by its scale: the rows written
-    from alpha, the objective and the lower bounds in Fractions."""
+def _over_the_slack_itself(p, lp):
+    """``lp``, a witness LP over ``s = L * slack``, written over the
+    slack itself: its slack column times ``L`` (:func:`_slack_unit`) and
+    the slack's lower bound over ``L``.  An integer full-coalition row
+    ``(-L * alpha(m), L * gamma, 1)`` becomes ``(-L * alpha(m), L * gamma,
+    L)``, still its least integer multiple."""
+    unit = _slack_unit(p)
     return LinearProgram(
+        names=lp.names,
+        constraints=tuple(Constraint(c[:-1] + (c[-1] * unit,), rhs) for c, rhs in lp.constraints),
+        objective=lp.objective,
+        lower=lp.lower[:-1] + (Fraction(lp.lower[-1], unit),),
+    )
+
+
+def _rational_statement(p, lp, path):
+    """``lp`` with each row divided back by its scale and written over
+    the slack itself (:func:`_over_the_slack_itself`): the rows written
+    from alpha, the objective and the lower bounds in Fractions."""
+    rational = LinearProgram(
         names=lp.names,
         constraints=tuple(_rational_rows(p, lp, path)),
         objective=tuple(map(Fraction, lp.objective)),
         lower=tuple(map(Fraction, lp.lower)),
     )
+    return _over_the_slack_itself(p, rational)
 
 
 INTEGER_ROW_ALPHAS = (FHG, ASHG, MFHG, ODD_EVEN, PAIRWISE_COMM, TABLE_ALPHA)
@@ -291,9 +317,12 @@ INTEGER_ROW_ALPHAS = (FHG, ASHG, MFHG, ODD_EVEN, PAIRWISE_COMM, TABLE_ALPHA)
 
 class TestIntegerRows:
     """``witness_system_lp`` writes every row over the integers: the
-    least integer multiple of the row its docstring defines.  Scaling a
-    row by a positive factor changes no pivot, so the integer statement
-    and the rational one take the same pivots to the same optimum."""
+    least integer multiple of the row its docstring defines, over the
+    slack column ``s = L * slack``.  Scaling a row or a column by a
+    positive factor changes no pivot, so the integer statement and the
+    rational one over the slack itself take the same pivots to the same
+    optimum, with the slack coordinate, the value and the dual ``L``
+    times the rational one's."""
 
     @pytest.mark.parametrize("alpha", INTEGER_ROW_ALPHAS, ids=lambda a: a.kind)
     @pytest.mark.parametrize(
@@ -349,6 +378,7 @@ class TestIntegerRows:
         p = problem(alpha, q, m, gamma, B, U)
         subsets = [c for s in range(2, m + 1) for c in combinations(range(m), s)]
         path = [(S, S[-1]) for S in subsets[-3:]]
+        unit = _slack_unit(p)
         results = {}
         for stated in ("int", "rational"):
             lps = [witness_system_lp(p, path[:k]) for k in range(len(path) + 1)]
@@ -366,13 +396,103 @@ class TestIntegerRows:
         assert len(integer) == len(rational) == 2 * len(rational_lps)
         for k, ((a, a_pivots), (b, b_pivots)) in enumerate(zip(integer, rational)):
             assert a_pivots == b_pivots
-            assert (a.value, a.assignment) == (b.value, b.assignment)
+            # the integer statement's slack column is L times the slack
+            assert a.value == unit * b.value
+            assert a.assignment == b.assignment[:-1] + (unit * b.assignment[-1],)
             assert [bool(x) for x in a.row_prices()] == [bool(x) for x in b.row_prices()]
             # dual() gives multipliers of the rows it solved: the integer
-            # row's times its scale is the rational row's
+            # row's times its scale is the rational row's over s, which
+            # is L times the rational row's over the slack itself (its
+            # scale is the same: a full row's is L either way)
             rows = rational_lps[k // 2].constraints
             scales = [_least_multiple(*row)[1] for row in rows]
-            assert [y * scale for y, scale in zip(a.dual(), scales)] == b.dual()
+            assert [y * scale for y, scale in zip(a.dual(), scales)] == [
+                unit * y for y in b.dual()
+            ]
+
+
+SLACK_UNIT_CASES = [
+    (alpha, q, m, below)
+    for alpha in (FHG, ASHG, MFHG)
+    for q in (2, 3)
+    for m in range(q + 1, 6)
+    for below in (0, Fraction(1, 1000))
+    if improvement_bound(alpha, q, m) - below >= 1
+]
+
+
+class TestSlackUnit:
+    """The witness LP counts its slack in units of ``1 / L``, so its
+    full-coalition rows have slack coefficient 1.  A positive column
+    scale changes no pivot, so the search takes the same pivots to the
+    same verdict and certificate as over the slack itself, where that
+    coefficient is ``L``; only the denominator of a basis that holds the
+    slack is ``L`` times smaller."""
+
+    @pytest.mark.parametrize("alpha", [FHG, ASHG], ids=lambda a: a.kind)
+    @pytest.mark.parametrize("q,m", [(2, 3), (2, 5), (3, 4), (3, 5)])
+    def test_cold_root_first_pivot_is_one_over_one(self, monkeypatch, alpha, q, m):
+        p = problem(alpha, q, m, improvement_bound(alpha, q, m) - Fraction(1, 1000))
+        assert _slack_unit(p) > 1
+        taken = []
+        pivot = lp_module._Tableau.pivot
+
+        def logged(tab, r, c):
+            taken.append((tab.rows[r][c], tab.d, tab.nonbasic[c], tab.basis[r]))
+            pivot(tab, r, c)
+
+        monkeypatch.setattr(lp_module._Tableau, "pivot", logged)
+        assert search_blocking_scenario(p).verdict == FEASIBLE
+        # the slack (the last column) enters on the first full-coalition
+        # row (the first row slack's label) at p == d == 1
+        n = len(witness_system_lp(p, ()).names)
+        assert taken[0] == (1, 1, n - 1, n)
+
+    @pytest.mark.parametrize(
+        "alpha,q,m,below",
+        SLACK_UNIT_CASES,
+        ids=[f"{a.kind}-q{q}-m{m}-{'below' if b else 'bound'}" for a, q, m, b in SLACK_UNIT_CASES],
+    )
+    def test_same_search_over_the_slack_itself(self, monkeypatch, alpha, q, m, below):
+        p = problem(alpha, q, m, improvement_bound(alpha, q, m) - below, node_limit=10_000)
+        unit, slack = _slack_unit(p), len(witness_system_lp(p, ()).names) - 1
+        pivot, integer_solve = lp_module._Tableau.pivot, search_module.solve
+        runs = {}
+        for stated in ("s", "slack"):
+            pivots, optima = [], []
+
+            def logged(tab, r, c):
+                pivots.append((r, c))
+                pivot(tab, r, c)
+
+            def solve_and_log(lp, start=None):
+                result = integer_solve(lp, start)
+                optima.append((result._tab.d, slack in result._tab.basis))
+                return result
+
+            monkeypatch.setattr(lp_module._Tableau, "pivot", logged)
+            monkeypatch.setattr(search_module, "solve", solve_and_log)
+            if stated == "slack":
+
+                def over_the_slack_itself(given, path):
+                    return _over_the_slack_itself(given, witness_system_lp(given, path))
+
+                monkeypatch.setattr(search_module, "witness_system_lp", over_the_slack_itself)
+            result = search_blocking_scenario(p)
+            runs[stated] = (
+                (result.verdict, result.nodes_explored, result.lps_solved, result.scenario),
+                pivots,
+                optima,
+            )
+        (found, pivots, optima), over_slack = runs["s"], runs["slack"]
+        assert found[0] == (FEASIBLE if below else INFEASIBLE_WITHIN_BOUNDS)
+        assert (found, pivots) == over_slack[:2]
+        # a basis that holds the slack has a denominator L times larger
+        # over the slack itself; one that does not, the same
+        assert [basic for _, basic in optima] == [basic for _, basic in over_slack[2]]
+        assert any(basic for _, basic in optima)
+        for (d, basic), (slack_d, _) in zip(optima, over_slack[2]):
+            assert slack_d == (unit * d if basic else d)
 
 
 def _random_witness_problem(rng):
@@ -503,7 +623,9 @@ class TestWitnessSystemLpDefinition:
             for _ in range(20):
                 weights, baselines, slack = _random_point(rng, p, assignment)
                 want = _meets_definition(p, assignment, weights, baselines, slack)
-                assert satisfies(lp, _lp_point(lp, weights, baselines, slack)) == want
+                # the LP's slack column is L * slack
+                point = _lp_point(lp, weights, baselines, _slack_unit(p) * slack)
+                assert satisfies(lp, point) == want
                 outcomes[want] += 1
                 tight += want and any(
                     p.alpha.value(len(S)) * sum(weights[w][j] for j in S) == baselines[w]
