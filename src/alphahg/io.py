@@ -22,7 +22,8 @@ integer strings.
 A game file holds only ``n``, ``alpha``, ``weights`` and ``partition``,
 and a scenario file only ``n``, ``alpha``, ``weights`` and
 ``baselines``; any other field, a misspelt one included, is refused by
-name rather than dropped.
+name rather than dropped, and so is a key that an object repeats (JSON
+would keep only its last value).
 """
 
 from __future__ import annotations
@@ -179,17 +180,31 @@ def is_scenario_dict(data: dict) -> bool:
     return isinstance(data, dict) and "baselines" in data
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object from its ``(key, value)`` pairs, refusing a key
+    that appears twice, which ``json`` would resolve to its last value."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InvalidInputError(f"key {key!r} repeated in one object")
+            seen.add(key)
+    return data
+
+
 def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            # parse_float intercepts every float literal in the document
-            return json.load(handle, parse_float=reject_float)
+            # parse_float intercepts every float literal in the document,
+            # and object_pairs_hook every object's keys
+            return json.load(handle, parse_float=reject_float, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: invalid JSON ({exc})") from None
     except UnicodeDecodeError:
         raise InvalidInputError(f"{path}: not UTF-8 text") from None
     except InvalidInputError as exc:
-        # reject_float's refusal of a float literal
+        # the refusal of a float literal or of a repeated key
         raise InvalidInputError(f"{path}: {exc}") from None
     except ValueError as exc:
         # int() refuses a literal longer than sys.get_int_max_str_digits()

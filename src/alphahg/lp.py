@@ -36,8 +36,23 @@ negated) and ``=`` (the row, then its negation).  Strictness is encoded
 upstream, e.g. via a maximized slack variable.  Each variable is free
 or has a rational lower bound (``lower = 0`` for a nonnegative one).  A
 free variable is split into a nonnegative pair internally; a bounded
-one is solved as ``x - lower >= 0`` and its bound added back to the
+one is solved as ``y = x - lower >= 0`` and its bound added back to the
 returned point.
+
+A variable with a lower bound may also have an upper bound, which takes
+no row (the upper-bounding technique: Dantzig 1955; Chvátal, *Linear
+Programming*, 1983, ch. 8).  Every column counts its variable in units
+of ``1 / unit``, the LCM of the denominators of the caps ``upper -
+lower``, so each cap is an int.  A nonbasic variable at its cap is
+stored as its complemented column ``t = cap - y``.  Each bound's
+implicit row ``y + t = cap`` gives its slack ``t`` the label it would
+have as a row ``x <= upper`` placed before every constraint, in
+variable order: structural columns, then bound slacks, then one slack
+per row.  Bland's rule reads the implicit rows by those labels (see
+:class:`_Tableau`), so a program with upper bounds takes exactly the
+pivots, points, values and row prices of the same program with its
+bounds written as those leading rows; moving a nonbasic variable to its
+other bound is the pivot on its own bound row.
 
 There is one path.  A solve appends one row per constraint to a
 tableau, as ``a . y + s = r`` with a fresh slack ``s >= 0`` basic, and
@@ -57,7 +72,7 @@ An :class:`Optimal` is only ever one that :func:`solve` returned, and
 it keeps the program it solved, that program's int columns and its
 final tableau.  ``solve(lp, start)``, where ``start`` solved a program
 whose constraints are a prefix of ``lp``'s (same names, objective and
-lower bounds), copies that tableau, appends only the new rows and
+bounds), copies that tableau, appends only the new rows and
 stops after the dual simplex.  The value and verdict equal a cold
 solve's; the optimal point may be a different one.  An optimum reads
 its value, point and prices off its own final tableau: the value off
@@ -123,20 +138,24 @@ def _checked(c, n: int) -> Constraint:
 
 
 def _bound(value: object) -> int | Fraction | None:
-    """A variable's lower bound: a rational, or None for none."""
+    """A variable's lower or upper bound: a rational, or None for none."""
     return None if value is None else _entry(value)
 
 
 @dataclass(frozen=True)
 class LinearProgram:
     """Maximize ``objective . x`` subject to the constraints, each a
-    :class:`Constraint` ``coeffs . x <= rhs``, and ``x[v] >= lower[v]``
-    for every variable whose bound is not None."""
+    :class:`Constraint` ``coeffs . x <= rhs``, ``x[v] >= lower[v]`` for
+    every variable whose lower bound is not None, and ``x[v] <=
+    upper[v]`` for every variable whose upper bound is not None.  Only a
+    variable with a lower bound may have an upper bound; ``upper <
+    lower`` makes the program infeasible."""
 
     names: tuple[str, ...]
     constraints: tuple[Constraint, ...]
     objective: tuple[int | Fraction, ...]
     lower: tuple[int | Fraction | None, ...] = field(default=())
+    upper: tuple[int | Fraction | None, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if isinstance(self.names, (str, bytes)):
@@ -152,9 +171,16 @@ class LinearProgram:
         lower = self.lower or (None,) * n
         if len(lower) != n:
             raise InvalidInputError("lower bounds must match variable count")
+        upper = self.upper or (None,) * n
+        if len(upper) != n:
+            raise InvalidInputError("upper bounds must match variable count")
         object.__setattr__(self, "constraints", tuple(_checked(c, n) for c in self.constraints))
         object.__setattr__(self, "objective", _entries(self.objective))
         object.__setattr__(self, "lower", rationals(lower, _bound))
+        object.__setattr__(self, "upper", rationals(upper, _bound))
+        for name, low, up in zip(self.names, self.lower, self.upper):
+            if low is None and up is not None:
+                raise InvalidInputError(f"variable {name!r} has an upper bound but no lower bound")
 
     @classmethod
     def maximize(
@@ -163,6 +189,7 @@ class LinearProgram:
         constraints: Iterable[tuple[Sequence, str, object]],
         names: Sequence[str] | None = None,
         lower: Sequence | None = None,
+        upper: Sequence | None = None,
     ) -> "LinearProgram":
         """The program from ``(coeffs, relation, rhs)`` triples, each
         relation ``"<="``, ``">="`` or ``"="``: a ``>=`` is stored
@@ -187,6 +214,7 @@ class LinearProgram:
             constraints=tuple(rows),
             objective=objective,
             lower=() if lower is None else lower,
+            upper=() if upper is None else upper,
         )
 
     def _with_rows(self, rows: Iterable) -> "LinearProgram":
@@ -226,16 +254,22 @@ class Optimal:
 
     def scaled_point(self) -> tuple[list[int], int]:
         """The point as int numerators over one positive common
-        denominator, ``d * low_den``: the tableau's right-hand sides over
-        ``d`` shifted by the lower bounds scaled to the same denominator."""
-        tab, d, low_den = self._tab, self._tab.d, self._columns.low_den
+        denominator, ``d * unit * low_den``: the tableau's right-hand
+        sides over ``d * unit`` (a complemented column's variable at its
+        cap) shifted by the lower bounds scaled to the same denominator."""
+        columns, tab = self._columns, self._tab
+        d, scale, low_den = tab.d, tab.d * columns.unit, columns.low_den
         # a bounded variable's minus label is -1, which no column has
         col_value = {b: row[-1] for b, row in zip(tab.basis, tab.rows)}
+        for label in tab.nonbasic:
+            if label >= columns.num and label in tab.bound:
+                cap, col = tab.bound[label]
+                col_value[col] = cap * d
         nums = [
-            (col_value.get(plus, 0) - col_value.get(minus, 0)) * low_den + low * d
-            for (plus, minus), low in zip(self._columns.col_of, self._columns.low)
+            (col_value.get(plus, 0) - col_value.get(minus, 0)) * low_den + low * scale
+            for (plus, minus), low in zip(columns.col_of, columns.low)
         ]
-        return nums, d * low_den
+        return nums, scale * low_den
 
     def row_prices(self) -> list[int]:
         """The reduced costs of the slack columns of the final tableau's
@@ -243,24 +277,27 @@ class Optimal:
         denominator (0 for a basic slack, whose column the tableau does
         not store): each is ``<= 0``, and minus the row's price in the
         optimal dual.  So the rows with a nonzero entry are the support
-        of that dual, and those rows with the lower bounds alone bound
-        the objective by ``value``."""
-        columns, tab = self._columns, self._tab
+        of that dual, and those rows with the bounds alone bound the
+        objective by ``value``."""
+        tab, first = self._tab, self._columns.first_row
         prices = [0] * len(tab.rows)
         for label, x in zip(tab.nonbasic, tab.obj):
-            if label >= columns.num:
-                prices[label - columns.num] = x
+            if label >= first:
+                prices[label - first] = x
         return prices
 
     def dual(self) -> list[Fraction]:
         """The optimal dual: one multiplier ``y_i >= 0`` per constraint
         of the program that :func:`solve` solved, in its order.  With ``z
-        = A^T y - objective``, ``z >= 0`` on every variable with a lower
-        bound and ``z = 0`` on a free one; and ``y . rhs - z . lower``
-        equals ``value``.  So, with the point, they prove the optimum in
-        plain rational arithmetic.  Each is a :meth:`row_prices` entry
-        over the tableau's denominator, negated, times its row's scale
-        (:meth:`_Columns.row`) over the objective's."""
+        = A^T y - objective``, ``z = 0`` on a free variable, ``z >= 0`` on
+        one with a lower bound alone, and ``z`` of either sign on one with
+        both bounds, where ``z < 0`` is minus the price of its upper
+        bound; and ``y . rhs - sum(z_j * lower_j for z_j >= 0) -
+        sum(z_j * upper_j for z_j < 0)`` equals ``value``.  So, with the
+        point, they prove the optimum in plain rational arithmetic.  Each
+        is a :meth:`row_prices` entry over the tableau's denominator,
+        negated, times its row's scale (:meth:`_Columns.row`) over the
+        objective's."""
         columns = self._columns
         den = self._tab.d * columns.cost_scale
         return [
@@ -353,16 +390,28 @@ class _Tableau:
     the dense tableau's pivots one for one, and with them its points,
     row prices and verdicts.
 
+    Upper bounds take no rows.  ``bound`` maps the label of each column
+    with a cap to ``(cap, its bound slack's label)``, and that slack's
+    label to ``(cap, the column's label)``; a column's label is below
+    its slack's.  A stored column whose label is a bound slack is
+    complemented (its variable is at its cap), and a basic variable's
+    bound slack is basic in the implicit row ``t = cap - y``: the
+    complement of its row, which :meth:`complement` stores in its place
+    before a pivot takes ``t`` out of the basis.  A row's basic label is
+    never a bound slack's: when a pivot brings one in, its variable's
+    row is stored instead.
+
     Rows are replaced by a pivot, never changed in place, so a copy made
     by :meth:`appended` shares them with this tableau.
     """
 
-    def __init__(self, rows, basis, nonbasic, d, obj):
+    def __init__(self, rows, basis, nonbasic, d, obj, bound):
         self.rows = rows          # list of int lists, len(nonbasic) + 1 long
         self.basis = basis        # basic column label per row
         self.nonbasic = nonbasic  # column label per stored column
         self.d = d
         self.obj = obj            # reduced-cost row, len(nonbasic) + 1 long
+        self.bound = bound        # label -> (cap, partner label), shared by copies
 
     def pivot(self, r: int, c: int) -> None:
         prow, d = self.rows[r], self.d
@@ -407,17 +456,53 @@ class _Tableau:
         self.rows = table
         self.d = p
         self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
+        entered = self.basis[r]
+        if entered in self.bound and self.bound[entered][1] < entered:
+            # a bound slack entered, so its variable is basic too: store
+            # the variable's row, y = cap - t, in its place
+            self.complement(r)
+
+    def flip(self, c: int) -> None:
+        """Move stored column ``c``'s variable to its other bound, so the
+        column becomes its complement (``t = cap - y``, or back): the
+        pivot on the variable's own bound row, ``d`` at ``c`` and ``d *
+        cap`` on the right, appended for the pivot and then dropped."""
+        cap, partner = self.bound[self.nonbasic[c]]
+        row = [0] * len(self.nonbasic) + [self.d * cap]
+        row[c] = self.d
+        self.rows.append(row)
+        self.basis.append(partner)
+        self.pivot(len(self.basis) - 1, c)
+        self.rows.pop()
+        self.basis.pop()
+
+    def complement(self, r: int) -> None:
+        """Store row ``r`` as the implicit row of its basic variable's
+        bound slack, ``t = cap - y``: every entry negated and the
+        right-hand side ``d * cap - rhs``, with ``t`` basic."""
+        cap, self.basis[r] = self.bound[self.basis[r]]
+        row = [-x for x in self.rows[r]]
+        row[-1] += self.d * cap
+        self.rows[r] = row
 
     def reduced(self, a: list[int]) -> list[int]:
         """The row ``a`` (int coefficients indexed by label, a label past
         them reading as 0, then a last cell) read against the basis over
         ``d``: ``d * a_j - sum_i a[basis[i]] * rows[i][j]`` for each
-        stored column ``j`` and for the last cell.  Read so, a cost row
-        with last cell 0 is the objective row priced out for this basis,
-        and a row ``a . y <= r`` is ``a . y + s = r`` with its slack
-        basic."""
-        n, d = len(a) - 1, self.d
+        stored column ``j`` and for the last cell, once each complemented
+        column ``t = cap - y`` takes ``-a_y`` and moves ``a_y * cap`` to
+        the last cell.  Read so, a cost row with last cell 0 is the
+        objective row priced out for this basis, and a row ``a . y <= r``
+        is ``a . y + s = r`` with its slack basic."""
+        n, d, bound = len(a) - 1, self.d, self.bound
         new = [d * a[j] if j < n else 0 for j in self.nonbasic] + [d * a[-1]]
+        if bound:
+            for c, label in enumerate(self.nonbasic):
+                if label >= n and label in bound:
+                    cap, j = bound[label]
+                    if a[j]:
+                        new[c] = -d * a[j]
+                        new[-1] -= d * a[j] * cap
         for b, row in zip(self.basis, self.rows):
             f = a[b] if b < n else 0
             if f:
@@ -432,18 +517,38 @@ class _Tableau:
         guarantees termination: the positive reduced cost of lowest label
         enters (:func:`_lowest`), and the row of least ratio ``rhs_i /
         a_i`` over the column's positive entries leaves, ties to the
-        lowest label (:func:`_least_ratio`).
+        lowest label (:func:`_least_ratio`).  The implicit bound rows are
+        candidates too: a row whose basic variable has a cap and a
+        negative entry, read as its complement (label: the bound slack),
+        and the entering variable's own bound row, whose win is a
+        :meth:`flip`.
         """
+        bound = self.bound
         while True:
             entering = _lowest(self.nonbasic, [x > 0 for x in self.obj])
             if entering < 0:
                 return "optimal"
-            rows = self.rows
-            leaving = _least_ratio(
-                [row[-1] for row in rows], [row[entering] for row in rows], self.basis, 1
-            )
+            rows, labels = self.rows, self.basis
+            tops, bottoms = [row[-1] for row in rows], [row[entering] for row in rows]
+            if bound:
+                d, labels = self.d, labels[:]
+                for i, b in enumerate(self.basis):
+                    if bottoms[i] < 0 and b in bound:
+                        cap, labels[i] = bound[b]
+                        tops[i], bottoms[i] = d * cap - tops[i], -bottoms[i]
+                own = bound.get(self.nonbasic[entering])
+                if own:
+                    tops.append(d * own[0])
+                    bottoms.append(d)
+                    labels.append(own[1])
+            leaving = _least_ratio(tops, bottoms, labels, 1)
             if leaving < 0:
                 return "unbounded"
+            if leaving == len(rows):
+                self.flip(entering)
+                continue
+            if labels[leaving] != self.basis[leaving]:
+                self.complement(leaving)
             self.pivot(leaving, entering)
 
     def dual(self):
@@ -456,12 +561,24 @@ class _Tableau:
         whose basic label is lowest leaves (:func:`_lowest`), and the
         column of least ratio ``obj_j / a_j`` over the row's negative
         entries enters, ties to the lowest label (:func:`_least_ratio`);
-        this terminates.
+        this terminates.  A basic variable above its cap is an infeasible
+        row read as its complement (label: the bound slack); every cap is
+        ``>= 0`` (see :func:`solve`), so no other implicit row is.
         """
+        bound = self.bound
         while True:
-            leaving = _lowest(self.basis, [row[-1] < 0 for row in self.rows])
+            rows, labels = self.rows, self.basis
+            chosen = [row[-1] < 0 for row in rows]
+            if bound:
+                d, labels = self.d, labels[:]
+                for i, b in enumerate(self.basis):
+                    if b in bound and not chosen[i] and rows[i][-1] > d * bound[b][0]:
+                        labels[i], chosen[i] = bound[b][1], True
+            leaving = _lowest(labels, chosen)
             if leaving < 0:
                 return "optimal"
+            if labels[leaving] != self.basis[leaving]:
+                self.complement(leaving)
             entering = _least_ratio(self.obj, self.rows[leaving], self.nonbasic, -1)
             if entering < 0:
                 return "infeasible"
@@ -474,10 +591,11 @@ class _Tableau:
         this tableau is not changed, and no column is added.  A new row is
         zero on every slack column but its own, so each is read against
         this tableau's basis alone."""
-        first = len(self.nonbasic) + len(self.basis)  # the first new slack's label
+        # the first new slack's label, past every bound slack's
+        first = len(self.nonbasic) + len(self.basis) + len(self.bound) // 2
         rows = self.rows + [self.reduced(a) for a in added]
         basis = self.basis + list(range(first, first + len(added)))
-        return _Tableau(rows, basis, list(self.nonbasic), self.d, self.obj)
+        return _Tableau(rows, basis, list(self.nonbasic), self.d, self.obj, self.bound)
 
 
 class _Columns:
@@ -485,11 +603,14 @@ class _Columns:
     with these lower bounds: one column per bounded variable (``x -
     lower``), a (plus, minus) pair per free variable; the lower bounds as
     ints over one common denominator (a free variable is not shifted);
-    the objective as ints (``cost``, times ``cost_scale``) with its value
-    at the lower bounds (``at_lower``); and each constraint as an int row
-    (:meth:`row`)."""
+    each column counts its variable in units of ``1 / unit``, the LCM of
+    the denominators of the caps ``upper - lower``, and ``bound`` holds
+    each cap as an int in that unit (:class:`_Tableau`); the objective
+    as ints (``cost``, times ``cost_scale``, which includes ``unit``)
+    with its value at the lower bounds (``at_lower``); and each
+    constraint as an int row (:meth:`row`)."""
 
-    def __init__(self, lower, objective) -> None:
+    def __init__(self, lower, upper, objective) -> None:
         self.col_of: list[tuple[int, int]] = []  # (plus column, minus column or -1)
         self.num = 0
         for bound in lower:
@@ -498,6 +619,18 @@ class _Columns:
         self.low, self.low_den = scaled([0 if x is None else x for x in lower])
         self.cost, self.cost_scale = scaled(objective)
         self.at_lower = sum(c * x for c, x in zip(objective, lower) if c and x is not None)
+        capped = [
+            (col, up - low) for (col, _), low, up in zip(self.col_of, lower, upper) if up is not None
+        ]
+        caps, self.unit = scaled([cap for _, cap in capped])
+        self.cost_scale *= self.unit
+        self.crossed = min(caps, default=0) < 0  # an upper bound below its lower bound
+        # the k-th cap's bound slack is labelled num + k, and row i's slack
+        # first_row + i
+        self.first_row = self.num + len(caps)
+        self.bound = {}
+        for slack, ((col, _), cap) in enumerate(zip(capped, caps), self.num):
+            self.bound[col], self.bound[slack] = (cap, slack), (cap, col)
 
     def expand(self, values: list[int]) -> list[int]:
         """A whole int row over the variables (a coefficient per
@@ -522,9 +655,11 @@ class _Columns:
         """The constraint as an int row (structural coefficients, then rhs
         of either sign) scaled by the LCM of its denominators, and that
         scale as ``(num, den)`` (a row of ints is its own); substituting
-        x = y + lower leaves rhs - sum(c * lower) on the right.  The row
-        is built once over the variables, its rhs rewritten in place when
-        the shift leaves its coefficients as they are (``g == low_den``
+        x = y + lower leaves rhs - sum(c * lower) on the right, and
+        counting y in units of ``1 / unit`` multiplies the row by
+        ``unit`` with its coefficients as they are.  The row is built
+        once over the variables, its rhs rewritten in place when the
+        shift leaves its coefficients as they are (``g == low_den``
         below), and then put over the structural columns by
         :meth:`expand`."""
         low_den = self.low_den
@@ -544,6 +679,9 @@ class _Columns:
             else:
                 ints = [c * low_den // g for c in ints[:-1]] + [r // g]
             scale = common * low_den, g
+        if self.unit != 1:
+            ints[-1] *= self.unit
+            scale = scale[0] * self.unit, scale[1]
         return self.expand(ints), scale
 
 
@@ -553,18 +691,25 @@ def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
 
     ``start``, if given, is an :class:`Optimal` for a program whose
     constraints are a prefix of ``lp``'s, with the same names, objective
-    and lower bounds; ``lp`` is then re-optimised from that optimum by
+    and bounds; ``lp`` is then re-optimised from that optimum by
     the dual simplex (see the module docstring).  Any other ``start``
     raises :class:`InvalidInputError`.
     """
     if start is None:
-        columns = _Columns(lp.lower, lp.objective)
-        n = columns.num
-        # the empty program (no rows, d = 1, and a zero objective, which
-        # every basis prices dual feasible) with every row appended: no
-        # structural column is basic, so each row goes in as it is
+        columns = _Columns(lp.lower, lp.upper, lp.objective)
+        if columns.crossed:
+            # written as rows, the bounds come first, so the dual simplex
+            # would take a crossed bound's row first, its lowest infeasible
+            # label: a row with no negative entry
+            return Infeasible()
+        n, first = columns.num, columns.first_row
+        # the empty program (no rows, d = 1, a zero objective, which every
+        # basis prices dual feasible, and every variable at its lower
+        # bound) with every row appended: no structural column is basic,
+        # so each row goes in as it is
         rows = [columns.row(c)[0] for c in lp.constraints]
-        tab = _Tableau(rows, list(range(n, n + len(rows))), list(range(n)), 1, [0] * (n + 1))
+        basis = list(range(first, first + len(rows)))
+        tab = _Tableau(rows, basis, list(range(n)), 1, [0] * (n + 1), columns.bound)
     else:
         if not isinstance(start, Optimal):
             raise InvalidInputError(f"start must be an Optimal, not {start!r}")
@@ -574,11 +719,12 @@ def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:
             lp.names != prev.names
             or lp.objective != prev.objective
             or lp.lower != prev.lower
+            or lp.upper != prev.upper
             or lp.constraints[:k] != prev.constraints
         ):
             raise InvalidInputError(
                 "start must solve a program whose constraints are a prefix of this one's,"
-                " with the same names, objective and lower bounds"
+                " with the same names, objective and bounds"
             )
         tab = base.appended([columns.row(c)[0] for c in lp.constraints[k:]])
     if tab.dual() == "infeasible":
@@ -594,8 +740,8 @@ def satisfies(lp: LinearProgram, assignment: Sequence[Fraction]) -> bool:
     """Exact feasibility check of an assignment against all constraints."""
     if len(assignment) != lp.num_vars:
         return False
-    for x, bound in zip(assignment, lp.lower):
-        if bound is not None and x < bound:
+    for x, low, up in zip(assignment, lp.lower, lp.upper):
+        if (low is not None and x < low) or (up is not None and x > up):
             return False
     return all(
         sum((c * x for c, x in zip(coeffs, assignment) if c), Fraction(0)) <= rhs

@@ -242,29 +242,32 @@ def witness_system_lp(
     the order ``b_0 >= ... >= b_{m-1}`` is the lower bounds ``d_i >=
     0``.  Constraints, in one order: the fixed rows (every agent's
     full-coalition utility is at least ``gamma * baseline + s / L``;
-    ``w <= B`` per pair, then the one row ``b_0 <= U``, the sum of the
-    baseline columns, which with the order caps every baseline; then, if
-    ``q >= 2``, one pair row ``alpha(2) * w_ij - b_i <= 0`` per pair ``i
-    < j``, in pair order), then one witness row per entry of ``path``,
-    in path order, capping the witness's subset utility at their
-    baseline.  Lower bounds: ``w >= -B``, ``d >= 0``, ``b_{m-1} >= 1``,
-    and ``s >= -(L * gamma + L * alpha(m) * (m - 1) * B)``, an int
-    whenever ``B`` is one.  Objective: maximize ``s``.  The witness
-    system is strictly feasible iff the optimum is positive; the optimum
-    is ``L`` times the slack's.
+    then the one row ``b_0 <= U``, the sum of the baseline columns,
+    which with the order caps every baseline; then, if ``q >= 2``, one
+    pair row ``alpha(2) * w_ij - b_i <= 0`` per pair ``i < j``, in pair
+    order), then one witness row per entry of ``path``, in path order,
+    capping the witness's subset utility at their baseline.  Bounds:
+    ``-B <= w <= B``, ``d >= 0``, ``b_{m-1} >= 1``, and ``s >= -(L *
+    gamma + L * alpha(m) * (m - 1) * B)``, an int whenever ``B`` is one.
+    The box is the weights' bounds, not rows, and the LP takes the
+    pivots it would take with each ``w <= B`` a row placed before every
+    other, in pair order; ``b_0 <= U`` stays a row, since ``b_0`` is the
+    sum of every baseline column.  Objective: maximize ``s``.  The
+    witness system is strictly feasible iff the optimum is positive; the
+    optimum is ``L`` times the slack's.
 
     Each row is its least integer multiple (times the LCM of its own
-    denominators; a ``w <= B`` row is ``den(B) * w <= num(B)``, and a
-    full-coalition row is ``-L * alpha(m) * sum_j w_aj + L * gamma * b_a
-    + s <= 0``), and the objective is ints, so the LP takes every row as
-    it is.  Scaling a row, or the slack's column, by a positive constant
-    changes no pivot, so this LP takes the pivots of the one written in
-    rationals over the slack itself; only its value and its dual are
-    ``L`` times that one's.  With slack coefficient 1, the first pivot of
-    a cold solve, the slack entering on the first full-coalition row, is
-    ``1`` over the denominator ``1``, and every basis that holds the
-    slack has a denominator ``L`` times smaller than with coefficient
-    ``L``.
+    denominators; the ``b_0 <= U`` row is ``den(U) * b_0 <= num(U)``,
+    and a full-coalition row is ``-L * alpha(m) * sum_j w_aj + L * gamma
+    * b_a + s <= 0``), and the objective is ints, so the LP takes every
+    row as it is.  Scaling a row, or the slack's column, by a positive
+    constant changes no pivot, so this LP takes the pivots of the one
+    written in rationals over the slack itself; only its value and its
+    dual are ``L`` times that one's.  With slack coefficient 1, the
+    first pivot of a cold solve, the slack entering on the first
+    full-coalition row, is ``1`` over the denominator ``1``, and every
+    basis that holds the slack has a denominator ``L`` times smaller
+    than with coefficient ``L``.
 
     A pair row is the witness row of ``({i, j}, i)``.  It is fixed, and
     no verdict changes, because the witness-j region lies inside the
@@ -276,11 +279,13 @@ def witness_system_lp(
     1`` meets every witness row (alpha is positive on sizes >= 2), and
     there every full-coalition row allows exactly that ``s``.  The lower
     bounds also make the LP start feasible: with every variable at its
-    bound (so every ``b = 1``), each full-coalition row's right-hand
-    side is 0 (``L`` times the one it has over the slack itself), the
-    ``b_0 <= U`` row's is ``U - 1`` and each pair or witness row's is
-    ``1 + alpha(|S|) * B * (|S| - 1)``, so every row is a ``<=`` row with
-    a nonnegative right-hand side and the LP's dual phase makes no pivot.
+    lower bound (so every ``w = -B`` and ``b = 1``), each full-coalition
+    row's right-hand side is 0 (``L`` times the one it has over the
+    slack itself), the ``b_0 <= U`` row's is ``U - 1`` and each pair or
+    witness row's is ``1 + alpha(|S|) * B * (|S| - 1)``, and each
+    weight is ``2 * B`` below its upper bound, so every row is a ``<=``
+    row with a nonnegative right-hand side, every bound holds, and the
+    LP's dual phase makes no pivot.
     """
     m = problem.size
     pairs = _pair_index(m)
@@ -291,15 +296,14 @@ def witness_system_lp(
         + [f"b_{m - 1}", "slack"]
     )
     B, U, width = problem.weight_bound, problem.baseline_bound, len(names)
+    if B.denominator == 1:  # an int box gives the LP int bounds and caps
+        B = B.numerator
     # the full rows' -L * alpha(m) and L * gamma, and the slack's unit 1
     full = _row_terms(problem.alpha.value(m), problem.gamma)
     weight, baseline, _ = full
     lower = [-B] * num_pairs + [0] * (m - 1) + [1, weight * (m - 1) * B - baseline]
+    upper = [B] * num_pairs + [None] * (m + 1)
     constraints = [_agent_row(problem, pairs, range(m), i, full) for i in range(m)]
-    constraints += [
-        Constraint((0,) * p + (B.denominator,) + (0,) * (width - p - 1), B.numerator)
-        for p in range(num_pairs)
-    ]
     constraints.append(Constraint((0,) * num_pairs + (U.denominator,) * m + (0,), U.numerator))
     if problem.stable_size >= 2:
         pair_terms = _row_terms(problem.alpha.value(2))
@@ -334,6 +338,7 @@ def witness_system_lp(
         constraints=tuple(constraints),
         objective=(0,) * (width - 1) + (1,),
         lower=tuple(lower),
+        upper=tuple(upper),
     )
 
 
@@ -360,8 +365,9 @@ def _conflict(result: Optimal, path: Iterable[tuple], first: int) -> frozenset:
     rows of its ``path`` whose slack column has a nonzero reduced cost
     in the final tableau (the node's witness rows start at LP row
     ``first``).  They are the support of the LP's optimal dual, so they,
-    the fixed rows and the lower bounds alone bound the slack by the
-    node's value: every node whose rows contain them is refuted too."""
+    the fixed rows and the bounds (the lower bounds and the box ``w <=
+    B``) alone bound the slack by the node's value: every node whose
+    rows contain them is refuted too."""
     return frozenset(row for row, price in zip(path, result.row_prices()[first:]) if price)
 
 

@@ -18,6 +18,10 @@ arithmetic (slack rows of either sign, the dual simplex as phase 1), so
 the integer tableau must take its pivots and return its results, points
 included.
 
+Neither reads an upper bound as a bound: both solve ``leading_rows(lp)``,
+the program with each upper bound written as a row ``x_v <= upper_v``
+placed before every constraint, in variable order.
+
 ``dual_certifies`` checks an optimum by its dual multipliers instead of
 solving again: plain Fraction sums, no simplex.
 
@@ -30,14 +34,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from alphahg.lp import Infeasible, LinearProgram, Unbounded
+from alphahg.lp import Constraint, Infeasible, LinearProgram, Unbounded
+
+
+def leading_rows(lp: LinearProgram) -> LinearProgram:
+    """``lp`` with no upper bounds: each is the row ``x_v <= upper_v``,
+    placed before every constraint, in variable order."""
+    n = lp.num_vars
+    rows = tuple(
+        Constraint(tuple(int(u == v) for u in range(n)), upper)
+        for v, upper in enumerate(lp.upper)
+        if upper is not None
+    )
+    return LinearProgram(lp.names, rows + lp.constraints, lp.objective, lp.lower)
 
 
 def dual_certifies(lp: LinearProgram, duals, value: Fraction) -> bool:
     """Do ``duals``, one multiplier per constraint, bound the maximum of
     ``lp`` by ``value``?  Every multiplier must be ``>= 0``; ``z = A^T y
-    - objective`` must be ``>= 0`` on every variable with a lower bound
-    and 0 on a free one; and ``y . rhs - z . lower`` must equal
+    - objective`` must be 0 on a free variable, and ``>= 0`` on one
+    without an upper bound; ``y . rhs``, less ``z * lower`` for each
+    ``z >= 0`` and ``z * upper`` for each ``z < 0``, must equal
     ``value``.  Then every feasible point has objective at most
     ``value``, so a feasible point that attains it is optimal."""
     if len(duals) != len(lp.constraints) or any(y < 0 for y in duals):
@@ -45,15 +62,17 @@ def dual_certifies(lp: LinearProgram, duals, value: Fraction) -> bool:
     # a zero multiplier adds nothing to either sum
     priced = [(y, c) for y, c in zip(duals, lp.constraints) if y]
     bound = sum((y * c.rhs for y, c in priced), Fraction(0))
-    for v, (cost, lower) in enumerate(zip(lp.objective, lp.lower)):
+    for v, (cost, lower, upper) in enumerate(zip(lp.objective, lp.lower, lp.upper)):
         z = sum((y * c.coeffs[v] for y, c in priced), -cost)
         if lower is None:
             if z != 0:
                 return False
-        elif z < 0:
+        elif z >= 0:
+            bound -= z * lower
+        elif upper is None:
             return False
         else:
-            bound -= z * lower
+            bound -= z * upper
     return bound == value
 
 
@@ -140,6 +159,7 @@ def reference_solve(lp: LinearProgram):
     """Solve exactly: ``(value, assignment)`` for an optimum, whose
     assignment satisfies all constraints with exact rational comparison,
     else ``Infeasible()`` or ``Unbounded()``."""
+    lp = leading_rows(lp)
     n = lp.num_vars
 
     # column layout: one column per bounded variable (x - lower), a
@@ -284,6 +304,7 @@ def dual_phase_solve(lp: LinearProgram):
     every basis prices dual feasible; phase 2 prices the real objective
     and runs the primal simplex.  Bland's rule in both phases.
     """
+    lp = leading_rows(lp)
     n = lp.num_vars
 
     col_of: list[tuple[int, int]] = []  # (plus column, minus column or -1)

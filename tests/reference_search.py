@@ -15,8 +15,9 @@ the untouched-agent symmetry rule skips witnesses: witnesses that differ
 only by relabelling agents that no path row touches lead to relabelled
 subtrees, so of the untouched members of a branching subset only the
 first is tried.  With ``ordered=True`` it searches the package's own
-system (``witness_system_lp``), where agents are not interchangeable
-and every witness is tried.
+system, where agents are not interchangeable and every witness is
+tried, as ``ordered_witness_system_lp`` writes it: with the box as
+rows, so that its LPs do not rest on the package's upper bounds.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from alphahg.search import (
     witness_system_lp,
 )
 from alphahg.stability import Scenario, _blocking_coalitions, _check_subsets
+from reference_lp import leading_rows
 
 _ZERO = Fraction(0)
 
@@ -107,6 +109,14 @@ def unordered_witness_system_lp(problem: SearchProblem, path, order=None) -> Lin
     )
 
 
+def ordered_witness_system_lp(problem: SearchProblem, path) -> LinearProgram:
+    """``witness_system_lp(problem, path)`` with its box ``w <= B``
+    written as rows placed before every other row, in pair order, and no
+    upper bound (``reference_lp.leading_rows``).  The package solves the
+    same program with the box as bounds, taking the same pivots."""
+    return leading_rows(witness_system_lp(problem, path))
+
+
 class _Budget(Exception):
     pass
 
@@ -127,7 +137,7 @@ def reference_search(problem: SearchProblem, path=(), ordered: bool = False) -> 
     pairs = _pair_index(m)
     b_at = len(pairs)
     if ordered:
-        system, row_of, baselines_of = witness_system_lp, _agent_row, _baselines
+        system, row_of, baselines_of = ordered_witness_system_lp, _agent_row, _baselines
     else:
         system, row_of, baselines_of = unordered_witness_system_lp, _unordered_row, list
 

@@ -79,6 +79,9 @@ ENTRY_POINTS = {
     "LinearProgram rhs": lambda x: LinearProgram.maximize([1], [([1], "<=", x)]),
     "LinearProgram objective": lambda x: LinearProgram.maximize([x], [([1], "<=", 1)]),
     "LinearProgram lower": lambda x: LinearProgram.maximize([1], [([1], "<=", 1)], lower=[x]),
+    "LinearProgram upper": lambda x: LinearProgram.maximize(
+        [1], [([1], "<=", 1)], lower=[0], upper=[x]
+    ),
     "find_blocking_coalition": lambda x: find_blocking_coalition(_GAME, _PAIRS, 1, 3, x),
     "is_size_factor_stable": lambda x: is_size_factor_stable(_GAME, _PAIRS, 2, x),
     "is_improvement_stable": lambda x: is_improvement_stable(_GAME, _PAIRS, x),
@@ -267,10 +270,14 @@ SEQUENCE_ENTRY_POINTS = {
     "LinearProgram coefficients": lambda x: LinearProgram(("a", "b"), ((x, 3),), (1, 1)),
     "LinearProgram objective": lambda x: LinearProgram(("a", "b"), (((1, 1), 3),), x),
     "LinearProgram lower": lambda x: LinearProgram(("a", "b"), (((1, 1), 3),), (1, 1), x),
+    "LinearProgram upper": lambda x: LinearProgram(("a", "b"), (((1, 1), 3),), (1, 1), (0, 0), x),
     "LinearProgram.maximize objective": lambda x: LinearProgram.maximize(x, [((1, 1), "<=", 3)]),
     "LinearProgram.maximize >= row": lambda x: LinearProgram.maximize((1, 1), [(x, ">=", 0)]),
     "LinearProgram.maximize lower": lambda x: LinearProgram.maximize(
         (1, 1), [((1, 1), "<=", 3)], lower=x
+    ),
+    "LinearProgram.maximize upper": lambda x: LinearProgram.maximize(
+        (1, 1), [((1, 1), "<=", 3)], lower=(0, 0), upper=x
     ),
     "LinearProgram names": lambda x: LinearProgram(x, (((1, 1), 3),), (1, 1)),
     "LinearProgram.maximize names": lambda x: LinearProgram.maximize(

@@ -116,6 +116,25 @@ class TestGameFormat:
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             load_game(str(path))
 
+    def test_repeated_key_refused(self, tmp_path):
+        # JSON would keep the last "partition", which splits a stable
+        # grand coalition into unstable singletons; either copy alone
+        # is read as it is
+        edges = '"weights": [[0, 1, "1"], [0, 2, "1"], [1, 2, "1"]]'
+        first, second = '"partition": [[0, 1], [2]]', '"partition": [[0], [1], [2]]'
+        path = tmp_path / "game.json"
+        for partition, blocks in ((first, [[0, 1], [2]]), (second, [[0], [1], [2]])):
+            path.write_text(f'{{"n": 3, "alpha": "fhg", {edges}, {partition}}}')
+            assert load_game(str(path))[1] == Partition.of(blocks)
+        path.write_text(f'{{"n": 3, "alpha": "fhg", {edges}, {first}, {second}}}')
+        message = f"{path}: key 'partition' repeated in one object"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            load_game(str(path))
+        # in a nested object too
+        path.write_text('{"n": 2, "alpha": "fhg", "weights": [{"a": 1, "a": 2}]}')
+        with pytest.raises(InvalidInputError, match="key 'a' repeated"):
+            load_json(str(path))
+
     def test_table_alpha_file_round_trip(self, tmp_path):
         game = Game.from_edges(4, [(0, 1, "3/2"), (2, 3, -1)], TABLE_ALPHA)
         partition = Partition.of([[0, 1], [2, 3]])

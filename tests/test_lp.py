@@ -87,6 +87,9 @@ class TestBasics:
         ({"names": ("x", "x")}, "variable names must be unique"),
         ({"objective": (1,)}, "objective length must match variable count"),
         ({"lower": (0,)}, "lower bounds must match variable count"),
+        ({"lower": (0, 0), "upper": (1,)}, "upper bounds must match variable count"),
+        ({"lower": (0, None), "upper": (1, 1)}, "variable 'y' has an upper bound but no lower"),
+        ({"lower": (0, 0), "upper": (1, 0.5)}, "floating-point literal 0.5 rejected"),
         ({"constraints": (Constraint((1, 0.5), 1),)}, "floating-point literal 0.5 rejected"),
         ({"constraints": (Constraint((1, True), 1),)}, "not a rational: True"),
         ({"constraints": (Constraint((1, "one"), 1),)}, "not an exact rational: 'one'"),
@@ -94,6 +97,7 @@ class TestBasics:
         ({"constraints": (Constraint((1, 1), 0.5),)}, "floating-point literal 0.5 rejected"),
     ], ids=[
         "no variables", "repeated name", "short objective", "short lower bounds",
+        "short upper bounds", "upper bound on a free variable", "float upper bound",
         "float coefficient", "bool coefficient", "str coefficient", "long row", "float rhs",
     ])
     def test_program_refusals(self, fields, message):

@@ -26,7 +26,7 @@ import reference_lp
 from alphahg import lp as integer_lp
 from alphahg import ASHG, FHG, InvalidInputError, SearchProblem, witness_system_lp
 from alphahg.lp import Constraint, Infeasible, LinearProgram, Optimal, Unbounded, satisfies, solve
-from reference_lp import dual_phase_solve, reference_solve
+from reference_lp import dual_certifies, dual_phase_solve, leading_rows, reference_solve
 
 DENOMINATORS = (1, 1, 2, 3, 4, 5, 6, 7, 12, 35)
 
@@ -94,6 +94,37 @@ def random_int_lp(rng, fractional_lower: bool):
     rows = [Constraint(tuple(entry() for _ in range(n)), entry()) for _ in range(rng.randint(1, 6))]
     objective = tuple(entry() for _ in range(n))
     return LinearProgram(tuple(f"x{i}" for i in range(n)), tuple(rows), objective, tuple(bound() for _ in range(n)))
+
+
+def with_upper(rng, lp):
+    """``lp`` with an upper bound on about two in three of its variables
+    that have a lower bound: the lower bound itself (a degenerate tie)
+    about one time in seven, an int or a Fraction above it otherwise,
+    and about one time in twenty a Fraction below it, which makes the
+    program infeasible."""
+
+    def upper(lower):
+        if lower is None or rng.random() < 1 / 3:
+            return None
+        draw = rng.random()
+        if draw < 0.05:
+            return lower - Fraction(rng.randint(1, 3), rng.choice(DENOMINATORS))
+        if draw < 0.2:
+            return lower
+        if draw < 0.6:
+            return lower + rng.randint(1, 5)
+        return lower + Fraction(rng.randint(1, 20), rng.choice(DENOMINATORS))
+
+    return replace(lp, upper=tuple(map(upper, lp.lower)))
+
+
+def random_upper_bounded_lp(rng):
+    """A ``random_lp``, ``random_lower_bounded_lp`` or ``random_int_lp``
+    program, in turn at random, with upper bounds (:func:`with_upper`)."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        return with_upper(rng, random_int_lp(rng, fractional_lower=rng.random() < 0.5))
+    return with_upper(rng, (random_lp, random_lower_bounded_lp)[kind](rng))
 
 
 def cycling_instance():
@@ -180,6 +211,14 @@ class TestSameResults:
         kinds = {Optimal: 0, Infeasible: 0, Unbounded: 0}
         for _ in range(2000):
             kinds[type(_check_result(random_lower_bounded_lp(rng)))] += 1
+        assert min(kinds.values()) >= 200, kinds
+
+    def test_random_upper_bounded_programs(self):
+        # the references read each upper bound as a leading row
+        rng = random.Random(4098)
+        kinds = {Optimal: 0, Infeasible: 0, Unbounded: 0}
+        for _ in range(3000):
+            kinds[type(_check_result(random_upper_bounded_lp(rng)))] += 1
         assert min(kinds.values()) >= 200, kinds
 
 
@@ -378,14 +417,16 @@ class TestSamePivots:
 
     def test_integer_programs_and_witness_lps(self, pivot_log, update_kinds):
         # all-int programs, which LinearProgram admits as they are, and
-        # the search's witness LPs, through every way a pivot updates a
-        # row (d divides p or not, p == d, d == 1; f zero or not) and both
-        # ways _Columns.row shifts one
+        # the search's witness LPs with their box written as leading rows
+        # (the twin's tableau has a row per bound; TestUpperBounds checks
+        # the bounds against those rows), through every way a pivot
+        # updates a row (d divides p or not, p == d, d == 1; f zero or
+        # not) and both ways _Columns.row shifts one
         rng = random.Random(3535)
         for trial in range(600):
             pivot_log(random_int_lp(rng, fractional_lower=trial % 2 == 1))
         for problem, path in WITNESS_LPS:
-            pivots, result = pivot_log(witness_system_lp(problem, path))
+            pivots, result = pivot_log(leading_rows(witness_system_lp(problem, path)))
             assert pivots and isinstance(result, Optimal)
         kinds = [
             (kind, f)
@@ -394,6 +435,113 @@ class TestSamePivots:
         ]
         kinds += ["g == low_den", "g != low_den"]
         assert min(update_kinds[k] for k in kinds) >= 50, update_kinds
+
+
+class TestUpperBounds:
+    """A program with upper bounds against the same program with each
+    bound written as a leading row (``reference_lp.leading_rows``): the
+    same verdict, the same pivots by entering and leaving label (a flip
+    is the pivot on the entering variable's own bound row), and for an
+    optimum the same value, point and row prices.  The row form's
+    multiplier of the bound on ``x_j`` is ``max(0, -z_j)``, with ``z =
+    A^T y - objective`` from the bounded program's dual.  Cold solves
+    and warm ones from a prefix of the rows, each on both programs."""
+
+    @pytest.fixture
+    def label_log(self, monkeypatch):
+        """Each pivot as ``(entering label, leaving label, kind)``, kind
+        ``"flip"`` for a pivot on the entering variable's own bound row
+        and ``"pivot"`` otherwise."""
+        log = []
+        pivot = integer_lp._Tableau.pivot
+
+        def logged_pivot(tab, r, c):
+            entering, leaving = tab.nonbasic[c], tab.basis[r]
+            own = tab.bound.get(entering, (0, None))[1] == leaving
+            log.append((entering, leaving, "flip" if own else "pivot"))
+            pivot(tab, r, c)
+
+        monkeypatch.setattr(integer_lp._Tableau, "pivot", logged_pivot)
+        return log
+
+    @staticmethod
+    def _solved(log, lp, start=None):
+        log.clear()
+        return solve(lp, start), log[:]
+
+    def _same(self, log, lp, k, seen):
+        """Check ``lp`` against its row form, cold and, when the first
+        ``k`` rows have an optimum, warm from it; count what was seen."""
+        rows = leading_rows(lp)
+        bounds = [v for v, x in enumerate(lp.upper) if x is not None]
+        # the bound slacks' labels follow the structural columns'
+        first = sum(1 if x is not None else 2 for x in lp.lower)
+        slacks = range(first, first + len(bounds))
+        starts = (
+            solve(replace(lp, constraints=lp.constraints[:k])),
+            solve(replace(rows, constraints=rows.constraints[:len(bounds) + k])),
+        )
+        runs = [(None, None)] + [starts] * isinstance(starts[0], Optimal)
+        for start, row_start in runs:
+            got, got_log = self._solved(log, lp, start)
+            want, want_log = self._solved(log, rows, row_start)
+            assert [(e, l) for e, l, _ in got_log] == [(e, l) for e, l, _ in want_log], (lp, k)
+            assert type(got) is type(want), (lp, k)
+            seen[type(got).__name__] += 1
+            seen["warm"] += start is not None
+            seen["flip"] += any(kind == "flip" for _, _, kind in got_log)
+            seen["bound slack leaves a row"] += any(
+                kind == "pivot" and l in slacks for _, l, kind in got_log
+            )
+            seen["bound slack enters a row"] += any(
+                kind == "pivot" and e in slacks for e, _, kind in got_log
+            )
+            if not isinstance(got, Optimal):
+                continue
+            assert (got.value, got.assignment) == (want.value, want.assignment), (lp, k)
+            duals, row_duals = got.dual(), want.dual()
+            assert duals == row_duals[len(bounds):], (lp, k)
+            prices = [bool(x) for x in want.row_prices()]
+            assert [bool(x) for x in got.row_prices()] == prices[len(bounds):], (lp, k)
+            for v, y in zip(bounds, row_duals):
+                z = sum((y * c.coeffs[v] for y, c in zip(duals, lp.constraints)), -lp.objective[v])
+                assert y == max(0, -z), (lp, k)
+                seen["upper priced"] += y > 0
+            assert satisfies(lp, got.assignment) and dual_certifies(lp, duals, got.value)
+            seen["upper == lower"] += any(lp.lower[v] == lp.upper[v] for v in bounds)
+
+    def test_random_programs(self, label_log):
+        rng = random.Random(1955)
+        seen = Counter()
+        for _ in range(2500):
+            lp = random_upper_bounded_lp(rng)
+            self._same(label_log, lp, rng.randrange(len(lp.constraints) + 1), seen)
+            seen["upper < lower"] += any(
+                u is not None and u < x for x, u in zip(lp.lower, lp.upper)
+            )
+        assert len(seen) == 10 and min(seen.values()) >= 100, seen
+
+    def test_upper_below_lower_is_infeasible(self, label_log):
+        rng = random.Random(1956)
+        for _ in range(200):
+            lp = random_upper_bounded_lp(rng)
+            low = [Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS)) for _ in lp.names]
+            up = list(low)
+            up[rng.randrange(len(up))] -= Fraction(1, rng.choice(DENOMINATORS))
+            lp = replace(lp, lower=tuple(low), upper=tuple(up))
+            assert isinstance(solve(lp), Infeasible)
+            self._same(label_log, lp, 0, Counter())
+
+    def test_witness_lps(self, label_log):
+        # the search's node LPs, whose box is the weights' upper bounds,
+        # cold and warm from every prefix of their witness rows
+        seen = Counter()
+        for problem, path in WITNESS_LPS:
+            lp = witness_system_lp(problem, path)
+            first = len(witness_system_lp(problem, ()).constraints)
+            for k in range(first, len(lp.constraints) + 1):
+                self._same(label_log, lp, k, seen)
+        assert seen["Optimal"] == 2 * seen["warm"] > 0, seen
 
 
 def test_witness_rows_are_admitted_as_they_are():

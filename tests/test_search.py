@@ -242,9 +242,10 @@ def _slack_unit(p):
 def _rational_rows(p, lp, path):
     """The rows that ``witness_system_lp``'s docstring defines, written
     from alpha in Fractions: the full-coalition rows, over the slack
-    column ``s = L * slack`` (:func:`_slack_unit`), ``w <= B`` per pair,
-    ``b_0 <= U``, the pair rows when ``q >= 2``, then one witness row per
-    entry of ``path``."""
+    column ``s = L * slack`` (:func:`_slack_unit`), ``b_0 <= U``, the
+    pair rows when ``q >= 2``, then one witness row per entry of
+    ``path``.  The box ``w <= B`` is no row: it is each weight's upper
+    bound."""
     m, width = p.size, len(lp.names)
 
     def weight(i, j):
@@ -270,7 +271,6 @@ def _rational_rows(p, lp, path):
 
     pairs = list(combinations(range(m), 2))
     rows = [agent_row(range(m), agent, full=True) for agent in range(m)]
-    rows += [unit([weight(*pair)], p.weight_bound) for pair in pairs]
     rows.append(unit(_baseline_columns(lp, m, 0), p.baseline_bound))
     if p.stable_size >= 2:
         rows += [agent_row(pair, pair[0]) for pair in pairs]
@@ -296,18 +296,20 @@ def _over_the_slack_itself(p, lp):
         constraints=tuple(Constraint(c[:-1] + (c[-1] * unit,), rhs) for c, rhs in lp.constraints),
         objective=lp.objective,
         lower=lp.lower[:-1] + (Fraction(lp.lower[-1], unit),),
+        upper=lp.upper,
     )
 
 
 def _rational_statement(p, lp, path):
     """``lp`` with each row divided back by its scale and written over
     the slack itself (:func:`_over_the_slack_itself`): the rows written
-    from alpha, the objective and the lower bounds in Fractions."""
+    from alpha, the objective and the bounds in Fractions."""
     rational = LinearProgram(
         names=lp.names,
         constraints=tuple(_rational_rows(p, lp, path)),
         objective=tuple(map(Fraction, lp.objective)),
         lower=tuple(map(Fraction, lp.lower)),
+        upper=tuple(None if x is None else Fraction(x) for x in lp.upper),
     )
     return _over_the_slack_itself(p, rational)
 
@@ -353,6 +355,9 @@ class TestIntegerRows:
             assert written == _least_multiple(*row)[0]
         assert all(type(x) is int for x in lp.objective)
         assert lp.objective == tuple(int(name == "slack") for name in lp.names)
+        # the box is the weights' upper bounds, and no other variable has one
+        num_pairs = m * (m - 1) // 2
+        assert lp.upper == (p.weight_bound,) * num_pairs + (None,) * (m + 1)
 
     @pytest.mark.parametrize(
         "alpha,q,m,gamma,B,U",
@@ -444,9 +449,10 @@ class TestSlackUnit:
         monkeypatch.setattr(lp_module._Tableau, "pivot", logged)
         assert search_blocking_scenario(p).verdict == FEASIBLE
         # the slack (the last column) enters on the first full-coalition
-        # row (the first row slack's label) at p == d == 1
+        # row at p == d == 1; that row's slack is labelled after the n
+        # structural columns and the C(m, 2) weights' bound slacks
         n = len(witness_system_lp(p, ()).names)
-        assert taken[0] == (1, 1, n - 1, n)
+        assert taken[0] == (1, 1, n - 1, n + m * (m - 1) // 2)
 
     @pytest.mark.parametrize(
         "alpha,q,m,below",
@@ -1302,10 +1308,10 @@ class TestTreeSizes:
         [
             (FHG, 3, 4, 0, 4, 4),
             (FHG, 3, 5, 0, 1107, 511),
-            (FHG, 5, 7, Fraction(1, 1000), 55, 55),
+            (FHG, 5, 7, Fraction(1, 1000), 57, 57),
             (ASHG, 6, 7, Fraction(1, 1000), 120, 107),
-            (FHG, 3, 6, 0, 1236, 683),
-            (ASHG, 3, 6, 0, 1237, 686),
+            (FHG, 3, 6, 0, 1231, 683),
+            (ASHG, 3, 6, 0, 1253, 687),
         ],
         ids=[
             "fhg-q3-m4-bound",
