@@ -42,17 +42,17 @@ returned point.
 A variable with a lower bound may also have an upper bound, which takes
 no row (the upper-bounding technique: Dantzig 1955; Chvátal, *Linear
 Programming*, 1983, ch. 8).  Every column counts its variable in units
-of ``1 / unit``, the LCM of the denominators of the caps ``upper -
-lower``, so each cap is an int.  A nonbasic variable at its cap is
-stored as its complemented column ``t = cap - y``.  Each bound's
-implicit row ``y + t = cap`` gives its slack ``t`` the label it would
-have as a row ``x <= upper`` placed before every constraint, in
-variable order: structural columns, then bound slacks, then one slack
-per row.  Bland's rule reads the implicit rows by those labels (see
-:class:`_Tableau`), so a program with upper bounds takes exactly the
-pivots, points, values and row prices of the same program with its
-bounds written as those leading rows; moving a nonbasic variable to its
-other bound is the pivot on its own bound row.
+of ``1 / unit``, the LCM of the denominators of every lower and upper
+bound, so each bound, and each cap ``upper - lower``, is an int.  A
+nonbasic variable at its cap is stored as its complemented column ``t
+= cap - y``.  Each bound's implicit row ``y + t = cap`` gives its slack
+``t`` the label it would have as a row ``x <= upper`` placed before
+every constraint, in variable order: structural columns, then bound
+slacks, then one slack per row.  Bland's rule reads the implicit rows
+by those labels (see :class:`_Tableau`), so a program with upper bounds
+takes exactly the pivots, points, values and row prices of the same
+program with its bounds written as those leading rows; moving a
+nonbasic variable to its other bound is the pivot on its own bound row.
 
 There is one path.  A solve appends one row per constraint to a
 tableau, as ``a . y + s = r`` with a fresh slack ``s >= 0`` basic, and
@@ -243,9 +243,11 @@ class Optimal:
 
     def __init__(self, lp: LinearProgram, columns: _Columns, tab: _Tableau) -> None:
         self._lp, self._columns, self._tab = lp, columns, tab
-        # the objective row's last cell is -d times cost . y at the basis
-        # (y = x - lower), and cost is the objective times cost_scale
-        self.value = Fraction(-tab.obj[-1], tab.d * columns.cost_scale) + columns.at_lower
+        # the objective row's last cell is -d times cost . y at the basis,
+        # with y = unit * x - low, and cost is the objective times
+        # cost_scale / unit
+        at_lower = sum(map(mul, columns.cost, columns.low))
+        self.value = Fraction(tab.d * at_lower - tab.obj[-1], tab.d * columns.cost_scale)
 
     @property
     def assignment(self) -> tuple[Fraction, ...]:
@@ -254,11 +256,11 @@ class Optimal:
 
     def scaled_point(self) -> tuple[list[int], int]:
         """The point as int numerators over one positive common
-        denominator, ``d * unit * low_den``: the tableau's right-hand
-        sides over ``d * unit`` (a complemented column's variable at its
-        cap) shifted by the lower bounds scaled to the same denominator."""
+        denominator, ``d * unit``: the tableau's right-hand sides (a
+        complemented column's variable at its cap) shifted by the lower
+        bounds, each over ``d`` in the columns' unit."""
         columns, tab = self._columns, self._tab
-        d, scale, low_den = tab.d, tab.d * columns.unit, columns.low_den
+        d = tab.d
         # a bounded variable's minus label is -1, which no column has
         col_value = {b: row[-1] for b, row in zip(tab.basis, tab.rows)}
         for label in tab.nonbasic:
@@ -266,10 +268,10 @@ class Optimal:
                 cap, col = tab.bound[label]
                 col_value[col] = cap * d
         nums = [
-            (col_value.get(plus, 0) - col_value.get(minus, 0)) * low_den + low * scale
+            col_value.get(plus, 0) - col_value.get(minus, 0) + low * d
             for (plus, minus), low in zip(columns.col_of, columns.low)
         ]
-        return nums, scale * low_den
+        return nums, d * columns.unit
 
     def row_prices(self) -> list[int]:
         """The reduced costs of the slack columns of the final tableau's
@@ -301,7 +303,7 @@ class Optimal:
         columns = self._columns
         den = self._tab.d * columns.cost_scale
         return [
-            -price * Fraction(*columns.row(c)[1]) / den
+            Fraction(-price * columns.row(c)[1], den)
             for price, c in zip(self.row_prices(), self._lp.constraints)
         ]
 
@@ -601,14 +603,13 @@ class _Tableau:
 class _Columns:
     """A program turned into ints.  The structural columns of a program
     with these lower bounds: one column per bounded variable (``x -
-    lower``), a (plus, minus) pair per free variable; the lower bounds as
-    ints over one common denominator (a free variable is not shifted);
-    each column counts its variable in units of ``1 / unit``, the LCM of
-    the denominators of the caps ``upper - lower``, and ``bound`` holds
-    each cap as an int in that unit (:class:`_Tableau`); the objective
-    as ints (``cost``, times ``cost_scale``, which includes ``unit``)
-    with its value at the lower bounds (``at_lower``); and each
-    constraint as an int row (:meth:`row`)."""
+    lower``), a (plus, minus) pair per free variable.  Each column counts
+    its variable in units of ``1 / unit``, the LCM of the denominators of
+    every lower and upper bound, so the lower bounds (``low``; 0 for a
+    free variable, which is not shifted) and the caps ``upper - lower``,
+    which ``bound`` holds (:class:`_Tableau`), are ints in that unit.
+    The objective as ints (``cost``, times ``cost_scale``, which includes
+    ``unit``), and each constraint as an int row (:meth:`row`)."""
 
     def __init__(self, lower, upper, objective) -> None:
         self.col_of: list[tuple[int, int]] = []  # (plus column, minus column or -1)
@@ -616,20 +617,22 @@ class _Columns:
         for bound in lower:
             self.col_of.append((self.num, -1 if bound is not None else self.num + 1))
             self.num += 1 if bound is not None else 2
-        self.low, self.low_den = scaled([0 if x is None else x for x in lower])
+        n = len(lower)
+        ints, self.unit = scaled([0 if x is None else x for x in (*lower, *upper)])
+        self.low = ints[:n]
         self.cost, self.cost_scale = scaled(objective)
-        self.at_lower = sum(c * x for c, x in zip(objective, lower) if c and x is not None)
-        capped = [
-            (col, up - low) for (col, _), low, up in zip(self.col_of, lower, upper) if up is not None
-        ]
-        caps, self.unit = scaled([cap for _, cap in capped])
         self.cost_scale *= self.unit
-        self.crossed = min(caps, default=0) < 0  # an upper bound below its lower bound
+        capped = [
+            (col, up - low)
+            for (col, _), low, up, given in zip(self.col_of, self.low, ints[n:], upper)
+            if given is not None
+        ]
+        self.crossed = any(cap < 0 for _, cap in capped)  # an upper bound below its lower bound
         # the k-th cap's bound slack is labelled num + k, and row i's slack
         # first_row + i
-        self.first_row = self.num + len(caps)
+        self.first_row = self.num + len(capped)
         self.bound = {}
-        for slack, ((col, _), cap) in enumerate(zip(capped, caps), self.num):
+        for slack, (col, cap) in enumerate(capped, self.num):
             self.bound[col], self.bound[slack] = (cap, slack), (cap, col)
 
     def expand(self, values: list[int]) -> list[int]:
@@ -651,38 +654,20 @@ class _Columns:
                     row[minus] = -x
         return row
 
-    def row(self, constraint: Constraint) -> tuple[list[int], tuple[int, int]]:
+    def row(self, constraint: Constraint) -> tuple[list[int], int]:
         """The constraint as an int row (structural coefficients, then rhs
-        of either sign) scaled by the LCM of its denominators, and that
-        scale as ``(num, den)`` (a row of ints is its own); substituting
-        x = y + lower leaves rhs - sum(c * lower) on the right, and
-        counting y in units of ``1 / unit`` multiplies the row by
-        ``unit`` with its coefficients as they are.  The row is built
-        once over the variables, its rhs rewritten in place when the
-        shift leaves its coefficients as they are (``g == low_den``
-        below), and then put over the structural columns by
-        :meth:`expand`."""
-        low_den = self.low_den
-        ints, common = [*constraint.coeffs, constraint.rhs], 1
+        of either sign) and its scale, the LCM of its denominators (1 for
+        a row of ints) times ``unit``: substituting ``x = (y + low) /
+        unit`` into ``a . x <= r`` times that scale leaves the
+        coefficients scaled to ints as they are, and ``r * unit - a .
+        low`` on the right.  The row is built once over the variables and
+        put over the structural columns by :meth:`expand`."""
+        ints, scale = [*constraint.coeffs, constraint.rhs], 1
         if not {int}.issuperset(map(type, ints)):
-            ints, common = scaled(ints)
-        shift = sum(map(mul, ints, self.low))  # stops before the rhs
-        scale = common, 1
-        if shift:
-            # over common * low_den the rhs is r; dividing the row and
-            # that denominator by their gcd rescales the row to the LCM
-            # of the shifted row's denominators
-            r = ints[-1] * low_den - shift
-            g = gcd(gcd(common, *ints[:-1]) * low_den, r)
-            if g == low_den:  # the coefficients stay as they are
-                ints[-1] = r // g
-            else:
-                ints = [c * low_den // g for c in ints[:-1]] + [r // g]
-            scale = common * low_den, g
-        if self.unit != 1:
-            ints[-1] *= self.unit
-            scale = scale[0] * self.unit, scale[1]
-        return self.expand(ints), scale
+            ints, scale = scaled(ints)
+        # a . low stops before the rhs
+        ints[-1] = ints[-1] * self.unit - sum(map(mul, ints, self.low))
+        return self.expand(ints), scale * self.unit
 
 
 def solve(lp: LinearProgram, start: Optimal | None = None) -> SolveResult:

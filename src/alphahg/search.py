@@ -109,11 +109,13 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 class SearchProblem:
     """Parameters of one feasibility question.
 
-    The box ``|weight| <= weight_bound``, ``1 <= baseline <=
-    baseline_bound`` replaces an unbounded search: the system is
-    invariant under global positive scaling, so baselines are normalized
-    to at least 1, and an unbounded search could not certify
-    infeasibility.
+    The search looks for a scenario in the box ``|weight| <=
+    weight_bound``, ``1 <= baseline <= baseline_bound``, and the box is
+    what an ``infeasible_within_bounds`` verdict is relative to: no
+    scenario in it blocks.  The box is not what makes infeasibility
+    certifiable.  The system is homogeneous (invariant under global
+    positive scaling), so ``b_{m-1} >= 1`` normalizes it, and an LP
+    whose slack is capped is bounded with free weights too.
     """
 
     alpha: AlphaFunction

@@ -250,18 +250,26 @@ def _dense_ref(tab):
     return list(tab.basis), rows, obj
 
 
-def _slack_units(int_start, ref_start):
+def _structural_unit(lp):
+    """The unit the integer solve counts every structural column in: the
+    LCM of the denominators of the program's lower and upper bounds."""
+    return lcm(*(x.denominator for x in (*lp.lower, *lp.upper) if x is not None))
+
+
+def _slack_units(int_start, ref_start, unit):
     """Per label, the unit of its variable in the integer tableau over
-    the twin's: 1 for a structural column, and for row ``t``'s slack the
-    factor ``k_t > 0`` that scaled the row to ints (then ``k_t * s`` is
-    the integer slack).  Checks that each starting int row is ``k_t``
-    times the twin's on the structural cells and the right-hand side."""
+    the twin's: ``unit``, the program's structural unit, for a
+    structural column, and for row ``t``'s slack the factor ``k_t > 0``
+    that scaled the row to ints (then ``k_t * s`` is the integer slack).
+    Checks that each starting int row is ``k_t / unit`` times the twin's
+    on the structural cells and ``k_t`` times on the right-hand side."""
     _, rows, obj = int_start
     _, ref_rows, _ = ref_start
     num_struct = len(obj) - len(rows)
-    units = [Fraction(1)] * num_struct
+    units = [Fraction(unit)] * num_struct
     for (cells, rhs), (ref_cells, ref_rhs) in zip(rows, ref_rows):
-        pairs = list(zip(cells[:num_struct] + [rhs], ref_cells[:num_struct] + [ref_rhs]))
+        pairs = [(x * unit, y) for x, y in zip(cells[:num_struct], ref_cells[:num_struct])]
+        pairs.append((rhs, ref_rhs))
         k = next((x / y for x, y in pairs if y), Fraction(1))
         assert k > 0 and all(x == k * y for x, y in pairs)
         units.append(k)
@@ -289,8 +297,9 @@ def _in_units(state, units, cost_scale):
 def update_kinds(monkeypatch):
     """A count of each way a pivot updates a row of the integer tableau,
     by the pivot ``p`` against the denominator ``d`` and by the row's
-    entry ``f`` in the pivot column, and of each way ``_Columns.row``
-    shifts a row to its lower bounds, as the solves run."""
+    entry ``f`` in the pivot column, and of the rows that ``_Columns.row``
+    shifts to their lower bounds and that it writes in a column unit
+    above 1, as the solves run."""
     seen = Counter()
     pivot, row = integer_lp._Tableau.pivot, integer_lp._Columns.row
 
@@ -304,8 +313,8 @@ def update_kinds(monkeypatch):
 
     def counted_row(self, constraint):
         ints, scale = row(self, constraint)
-        if sum(map(mul, constraint.coeffs, self.low)):  # a nonzero shift
-            seen["g == low_den" if scale[1] == self.low_den else "g != low_den"] += 1
+        seen["shifted"] += sum(map(mul, constraint.coeffs, self.low)) != 0
+        seen["unit > 1"] += self.unit > 1
         return ints, scale
 
     monkeypatch.setattr(integer_lp._Tableau, "pivot", counted_pivot)
@@ -323,14 +332,30 @@ WITNESS_LPS = [
 ]
 
 
+def _keeps_int_rows(lp):
+    """A program whose bounds are all ints is counted in unit 1, with its
+    lower bounds as they are, and each int row keeps its coefficient
+    list, with ``r - a . lower`` on the right and scale 1."""
+    assert all(x.denominator == 1 for x in (*lp.lower, *lp.upper) if x is not None), lp
+    columns = integer_lp._Columns(lp.lower, lp.upper, lp.objective)
+    assert columns.unit == 1 and columns.low == [x or 0 for x in lp.lower], lp
+    for coeffs, rhs in lp.constraints:
+        if all(type(x) is int for x in (*coeffs, rhs)):
+            shifted = rhs - sum(c * x for c, x in zip(coeffs, lp.lower) if x is not None)
+            want = columns.expand([*coeffs, shifted]), 1
+            assert columns.row(Constraint(coeffs, rhs)) == want, lp
+
+
 class TestSamePivots:
     """Not only equal answers: the very same pivot sequence as the
     Fraction twin, through dual phases that pivot on negative elements,
     dual phases that prove infeasibility, and equality rows.  A pivot is
     logged by its column's label.  Before each pivot and after the last
     one, every stored int cell over ``d`` equals the twin's dense cell of
-    its label, in the objective row too, once each slack is measured in
-    the integer tableau's unit (its row's int scale, ``_slack_units``)."""
+    its label, in the objective row too, once each variable is measured
+    in the integer tableau's unit (``_slack_units``: the program's
+    structural unit for a structural column, its row's int scale for a
+    slack)."""
 
     @pytest.fixture
     def pivot_log(self, monkeypatch):
@@ -375,8 +400,9 @@ class TestSamePivots:
             assert log["int"] == log["ref"], lp
             states["int"].append(_dense_int(last["int"]))
             states["ref"].append(_dense_ref(last["ref"]))
-            units = _slack_units(start["int"], start["ref"])
-            cost_scale = lcm(*(x.denominator for x in lp.objective))
+            unit = _structural_unit(lp)
+            units = _slack_units(start["int"], start["ref"], unit)
+            cost_scale = unit * lcm(*(x.denominator for x in lp.objective))
             want = [_in_units(s, units, cost_scale) for s in states["ref"]]
             assert states["int"] == want, lp
             if isinstance(result, Optimal):
@@ -421,19 +447,26 @@ class TestSamePivots:
         # (the twin's tableau has a row per bound; TestUpperBounds checks
         # the bounds against those rows), through every way a pivot
         # updates a row (d divides p or not, p == d, d == 1; f zero or
-        # not) and both ways _Columns.row shifts one
+        # not) and rows that _Columns.row shifts, in a unit above 1 too;
+        # every program whose bounds are ints keeps its int rows
         rng = random.Random(3535)
         for trial in range(600):
-            pivot_log(random_int_lp(rng, fractional_lower=trial % 2 == 1))
+            lp = random_int_lp(rng, fractional_lower=trial % 2 == 1)
+            if trial % 2 == 0:
+                _keeps_int_rows(lp)
+            pivot_log(lp)
         for problem, path in WITNESS_LPS:
-            pivots, result = pivot_log(leading_rows(witness_system_lp(problem, path)))
+            lp = witness_system_lp(problem, path)
+            if problem.weight_bound.denominator == problem.baseline_bound.denominator == 1:
+                _keeps_int_rows(lp)
+            pivots, result = pivot_log(leading_rows(lp))
             assert pivots and isinstance(result, Optimal)
         kinds = [
             (kind, f)
             for kind in ("p == d", "d == 1", "d | p", "general")
             for f in ("f != 0", "f == 0")
         ]
-        kinds += ["g == low_den", "g != low_den"]
+        kinds += ["shifted", "unit > 1"]
         assert min(update_kinds[k] for k in kinds) >= 50, update_kinds
 
 
