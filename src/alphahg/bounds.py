@@ -24,13 +24,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._rat import exact, integer
-from .core import AlphaFunction
+from .core import AlphaFunction, _at_least
 from .errors import DomainError
 
 
 def _check_sizes(stable_size: int, coalition_size: int, factor: Fraction) -> None:
-    if integer(stable_size) < 2:
-        raise DomainError("stable_size must be >= 2")
+    _at_least(stable_size, 2, "stable_size")
     if integer(coalition_size) < stable_size + 1:
         raise DomainError("coalition_size must be >= stable_size + 1")
     if factor < 1:
@@ -77,18 +76,15 @@ def ashg_improvement_bound(
 def fhg_improvement_limit(stable_size: int) -> Fraction:
     """Size-independent ceiling q/(q-1) for fractional games: a baseline
     stable up to ``stable_size`` is improvement stable at this factor."""
-    if integer(stable_size) < 2:
-        raise DomainError("stable_size must be >= 2")
-    return Fraction(stable_size, stable_size - 1)
+    q = _at_least(stable_size, 2, "stable_size")
+    return Fraction(q, q - 1)
 
 
 def simple_fhg_bound(coalition_size: int) -> Fraction:
     """For binary-weight fractional games with a 3-size-stable baseline:
     no coalition of ``coalition_size >= 4`` agents improves everyone by
     more than 3(m-1)/(2m)."""
-    m = integer(coalition_size)
-    if m < 4:
-        raise DomainError("coalition_size must be >= 4")
+    m = _at_least(coalition_size, 4, "coalition_size")
     return Fraction(3 * (m - 1), 2 * m)
 
 
@@ -101,8 +97,7 @@ def is_hospitable(alpha: AlphaFunction, max_size: int) -> bool:
     pointwise, so ``max_size`` must lie in its domain (for a ``table``
     alpha, at most the table's length).
     """
-    if integer(max_size) < 2:
-        raise DomainError("max_size must be >= 2")
+    _at_least(max_size, 2, "max_size")
     # on ints: each alpha value is read once and carried to the next size
     # as its numerator and (positive) denominator
     below = alpha.value(1)
@@ -123,8 +118,7 @@ def is_decreasing(alpha: AlphaFunction, max_size: int) -> bool:
     it never scales a utility); the q=1 comparison is skipped then.
     ``max_size`` must lie in alpha's domain.
     """
-    if integer(max_size) < 2:
-        raise DomainError("max_size must be >= 2")
+    _at_least(max_size, 2, "max_size")
     start = 2 if alpha.value(1) == 0 else 1
     return all(
         alpha.value(q) >= alpha.value(q + 1) for q in range(start, max_size)
@@ -139,8 +133,7 @@ def guarantees_core_existence(alpha: AlphaFunction, max_size: int) -> bool:
     bounded: sizes beyond ``max_size`` are not sampled, and
     ``max_size`` must lie in alpha's domain.
     """
-    if integer(max_size) < 2:
-        raise DomainError("max_size must be >= 2")
+    _at_least(max_size, 2, "max_size")
     a2 = alpha.value(2)
     return all((m - 1) * alpha.value(m) <= a2 for m in range(2, max_size + 1))
 
@@ -153,9 +146,7 @@ def cpoa_upper_bound(
 
     Requires a decreasing alpha.
     """
-    q = integer(stable_size)
-    if q < 2:
-        raise DomainError("stable_size must be >= 2")
+    q = _at_least(stable_size, 2, "stable_size")
     if integer(max_size) < q + 1:
         raise DomainError("max_size must be >= stable_size + 1")
     if not is_decreasing(alpha, max_size):

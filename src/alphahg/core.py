@@ -38,6 +38,15 @@ def _name(value: object, what: str) -> str:
     return value.strip().lower()
 
 
+def _at_least(value: Any, least: int, name: str) -> int:
+    """A size admitted by :func:`alphahg._rat.integer` and at least
+    ``least``; a smaller one is refused with ``DomainError("<name> must be
+    >= <least>")``, the one form of every too-small-size refusal."""
+    if integer(value) < least:
+        raise DomainError(f"{name} must be >= {least}")
+    return value
+
+
 @dataclass(frozen=True)
 class AlphaFunction:
     """A coalition-size-to-weight function defining the game class.

@@ -33,7 +33,7 @@ from operator import or_
 from typing import Iterator
 
 from ._rat import exact, integer, scaled
-from .core import Game, Partition, check_partition, partition_utility
+from .core import Game, Partition, _at_least, check_partition, partition_utility
 from .errors import DomainError, ResourceLimitError
 
 #: Partition enumeration and the prices of anarchy are gated at this
@@ -74,8 +74,7 @@ def social_welfare(game: Game, partition: Partition) -> Fraction:
 
 
 def _check_enumerable(n: int) -> None:
-    if integer(n) < 1:
-        raise DomainError("n must be >= 1")
+    _at_least(n, 1, "n")
     if n > MAX_ENUM_AGENTS:
         raise ResourceLimitError(
             f"enumerating the partitions of {n} agents exceeds the guard "

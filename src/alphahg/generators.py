@@ -33,7 +33,7 @@ from functools import partial
 from ._params import CONSTRUCTION_NAMES, FIXTURE_NAMES
 from ._rat import integer
 from .bounds import improvement_bound, is_hospitable
-from .core import ASHG, FHG, AlphaFunction, Scenario, _name
+from .core import ASHG, FHG, AlphaFunction, Scenario, _at_least, _name
 from .errors import DomainError, InvalidInputError
 from .io import load_scenario
 
@@ -104,9 +104,7 @@ def cycle_scenario(alpha: AlphaFunction, stable_size: int) -> Scenario:
     separable (``ASHG``): cycle edges weigh 1, other pairs 0; factor 2.
     Baselines are 1 and the scenario is stable up to ``stable_size``.
     """
-    q = integer(stable_size)
-    if q < 2:
-        raise DomainError("stable_size must be >= 2")
+    q = _at_least(stable_size, 2, "stable_size")
     if alpha not in (FHG, ASHG):
         raise InvalidInputError("the cycle's alpha variant must be 'fhg' or 'ashg'")
     m = q + 1
@@ -122,9 +120,7 @@ def two_valued_scenario(size: int) -> Scenario:
     themselves), weight 2 across, baselines 1.  The full coalition
     improves everyone by ``1 + floor((m-2)/3)/m``.
     """
-    m = integer(size)
-    if m < 5:
-        raise DomainError("size must be >= 5")
+    m = _at_least(size, 5, "size")
     t = (m - 2) // 3 + 1
     return Scenario.from_pairs(FHG, m, lambda i, j: 2 if i < t <= j else 0 if j < t else 1)
 
@@ -142,9 +138,7 @@ def two_group_scenario(size: int) -> Scenario:
 
     The full coalition improves everyone by ``1 + floor((m-2)/3)``.
     """
-    m = integer(size)
-    if m < 5:
-        raise DomainError("size must be >= 5")
+    m = _at_least(size, 5, "size")
     if m % 3 == 1:
         return complete_graph_scenario(ASHG, 4, m)
     if m % 3 == 0:
@@ -168,9 +162,7 @@ def mantel_scenario(size: int) -> Scenario:
     between halves of ``floor(m/2)`` and ``ceil(m/2)`` agents, weight 1
     elsewhere, baselines 1.  Factor ``1 + floor((m-2)/2)/m``.
     """
-    m = integer(size)
-    if m < 4:
-        raise DomainError("size must be >= 4")
+    m = _at_least(size, 4, "size")
     half = m // 2
     return Scenario.from_pairs(FHG, m, lambda i, j: 2 if i < half <= j else 1)
 

@@ -250,13 +250,14 @@ def witness_system_lp(
     order), then one witness row per entry of ``path``, in path order,
     capping the witness's subset utility at their baseline.  Bounds:
     ``-B <= w <= B``, ``d >= 0``, ``b_{m-1} >= 1``, and ``s >= -(L *
-    gamma + L * alpha(m) * (m - 1) * B)``, an int whenever ``B`` is one.
-    The box is the weights' bounds, not rows, and the LP takes the
-    pivots it would take with each ``w <= B`` a row placed before every
-    other, in pair order; ``b_0 <= U`` stays a row, since ``b_0`` is the
-    sum of every baseline column.  Objective: maximize ``s``.  The
-    witness system is strictly feasible iff the optimum is positive; the
-    optimum is ``L`` times the slack's.
+    gamma + L * alpha(m) * (m - 1) * B)``; the LP's column unit, the LCM
+    of every bound's denominator, makes them ints, and is 1 when ``B`` is
+    an integer.  The box is the weights' bounds, not rows, and the LP
+    takes the pivots it would take with each ``w <= B`` a row placed
+    before every other, in pair order; ``b_0 <= U`` stays a row, since
+    ``b_0`` is the sum of every baseline column.  Objective: maximize
+    ``s``.  The witness system is strictly feasible iff the optimum is
+    positive; the optimum is ``L`` times the slack's.
 
     Each row is its least integer multiple (times the LCM of its own
     denominators; the ``b_0 <= U`` row is ``den(U) * b_0 <= num(U)``,
@@ -298,8 +299,6 @@ def witness_system_lp(
         + [f"b_{m - 1}", "slack"]
     )
     B, U, width = problem.weight_bound, problem.baseline_bound, len(names)
-    if B.denominator == 1:  # an int box gives the LP int bounds and caps
-        B = B.numerator
     # the full rows' -L * alpha(m) and L * gamma, and the slack's unit 1
     full = _row_terms(problem.alpha.value(m), problem.gamma)
     weight, baseline, _ = full

@@ -199,7 +199,13 @@ class TestClassPredicates:
         # at max_size 1 the next check would name the max_size instead
         (lambda: cpoa_upper_bound(FHG, 1, 1), "stable_size must be >= 2"),
         (lambda: cpoa_upper_bound(FHG, 3, 3), "max_size must be >= stable_size + 1"),
-    ], ids=["hospitable", "decreasing", "core existence", "cpoa q", "cpoa max_size"])
+        (lambda: improvement_bound(FHG, 1, 4), "stable_size must be >= 2"),
+        (lambda: fhg_improvement_bound(1, 4), "stable_size must be >= 2"),
+        (lambda: ashg_improvement_bound(1, 4), "stable_size must be >= 2"),
+        (lambda: fhg_improvement_limit(1), "stable_size must be >= 2"),
+        (lambda: simple_fhg_bound(3), "coalition_size must be >= 4"),
+    ], ids=["hospitable", "decreasing", "core existence", "cpoa q", "cpoa max_size",
+            "bound q", "fhg bound q", "ashg bound q", "fhg limit q", "simple fhg m"])
     def test_size_refusals(self, call, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             call()

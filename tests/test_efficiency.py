@@ -75,6 +75,13 @@ class TestEnumeratePartitions:
         with pytest.raises(DomainError):
             next(enumerate_partitions(0))
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: next(enumerate_partitions(0)), "n must be >= 1"),
+    ], ids=["n"])
+    def test_size_refusals(self, call, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call()
+
     def test_cpoa_guard(self):
         big = Game.from_edges(14, [], FHG)
         with pytest.raises(ResourceLimitError):

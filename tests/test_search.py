@@ -1082,6 +1082,80 @@ class TestLearnedConflicts:
             assert isinstance(result, Optimal) and result.value == value, (image, relabel)
 
 
+class TestConflictRule:
+    """The module docstring's rule for an inner node's conflict, on whole
+    trees.  A ``_Rows`` that records every push (and the nogood it
+    returns), pop and learn gives the tree back: a child's conflict is
+    the last one seen before its pop, a ``learn`` inside it or the
+    nogood its ``push`` returned.  A node that learns ``C`` has every
+    child's conflict holding that child's row, and ``C`` is the union
+    of the child conflicts, each without its child's row.  A node that
+    backjumps returns its child's conflict unchanged, and that conflict
+    lacks the child's row."""
+
+    @staticmethod
+    def _check(node, conflict, seen):
+        _, children, learned = node
+        if not children:
+            return
+        *earlier, (row, found) = children
+        assert all(r in c for r, c in earlier), (
+            "a node branches past a child only if the child's conflict holds its row"
+        )
+        if learned is None:
+            seen["backjumps"] += 1
+            assert row not in found and conflict == found, (
+                "a node that backjumps returns its child's conflict unchanged,"
+                " and that conflict lacks the child's row"
+            )
+        else:
+            seen["learned"] += 1
+            assert row in found, "a node that learns has every child's conflict hold its row"
+            assert learned == conflict == frozenset().union(*(c - {r} for r, c in children)), (
+                "a learned conflict is the union of the children's conflicts,"
+                " each without its child's row"
+            )
+
+    @pytest.mark.parametrize("alpha", [FHG, ASHG], ids=["fhg", "ashg"])
+    def test_inner_nodes_learn_or_backjump(self, monkeypatch, alpha):
+        events = []
+
+        class Recording(_Rows):
+            def push(self, row):
+                found = super().push(row)
+                events.append(("push", row, found))
+                return found
+
+            def pop(self):
+                events.append(("pop",))
+                super().pop()
+
+            def learn(self, conflict):
+                events.append(("learn", conflict))
+                return super().learn(conflict)
+
+        monkeypatch.setattr(search_module, "_Rows", Recording)
+        p = problem(alpha, 3, 5, improvement_bound(alpha, 3, 5), node_limit=None)
+        assert search_blocking_scenario(p).verdict == INFEASIBLE_WITHIN_BOUNDS
+        # a node is [its row, its children as (row, conflict), what it learned]
+        root = [None, [], None]
+        stack, last, seen = [root], None, {"learned": 0, "backjumps": 0}
+        for kind, *args in events:
+            if kind == "push":
+                stack.append([args[0], [], None])
+                if args[1] is not None:
+                    last = args[1]
+            elif kind == "learn":
+                stack[-1][2] = last = args[0]
+            else:
+                child = stack.pop()
+                self._check(child, last, seen)
+                stack[-1][1].append((child[0], last))
+        assert stack == [root] and last == frozenset()
+        self._check(root, last, seen)
+        assert seen["learned"] and seen["backjumps"], seen
+
+
 class TestStoredNogoods:
     """Every stored nogood, of a leaf or of an inner node, admits no
     feasible scenario of the ordered system: the conflict-free search of
