@@ -4,11 +4,12 @@ Every rational a caller hands in is admitted by :func:`exact`, since a
 verdict on an exact threshold can flip on one rounded bit, every
 sequence of them by :func:`rationals`, and every size, count or agent
 index by :func:`integer`, except that an LP entry that is an int stays
-an int.  The LP tableau clears denominators once with :func:`scaled`,
-and the subset kernels once per weight matrix
-(``alphahg.core._scaled_pairs``), and then run on Python ints.
-``BACKEND`` names this, the only backend, for records of a run's
-environment.
+an int.  Every denominator is cleared by :func:`scaled`: the LP
+tableau's, the search rows', the price of anarchy's alpha values, and
+each weight matrix's once for the subset kernels
+(``alphahg.core._scaled_pairs`` scales its upper triangle), which then
+run on Python ints.  ``BACKEND`` names this, the only backend, for
+records of a run's environment.
 
 A rational string is an optional sign and ASCII digits, then optionally
 ``/`` and a denominator written the same way that is not zero, with

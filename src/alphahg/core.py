@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
-from ._rat import exact, integer, rationals
+from ._rat import exact, integer, rationals, scaled
 from .errors import DomainError, InvalidInputError
 
 _VARIANTS = ("ashg", "fhg", "mfhg", "pairwise_comm", "odd_even", "table")
@@ -322,18 +321,24 @@ def _scaled_pairs(weights: Sequence[Sequence[Fraction]]) -> tuple[int, list[list
     """``(L, W)``: ``L`` the least common multiple of every weight's
     denominator and ``W[i][j] = L * weights[i][j]`` as ints.
 
-    The matrix is admitted, so symmetric with a zero diagonal: each pair
-    ``i < j`` is read once and its product mirrored.
+    The matrix is admitted, so symmetric with a zero diagonal, and its
+    diagonal adds nothing to ``L``: the pairs ``i < j`` are scaled once,
+    by the package's one scaler :func:`~alphahg._rat.scaled`, and
+    mirrored by :func:`_mirrored`.
     """
-    n = len(weights)
-    scale = lcm(*{w.denominator for i, row in enumerate(weights) for w in row[i + 1:]})
-    scaled = [[0] * n for _ in range(n)]
-    for i, row in enumerate(weights):
-        out = scaled[i]
-        for j in range(i + 1, n):
-            w = row[j]
-            out[j] = scaled[j][i] = w.numerator * (scale // w.denominator)
-    return scale, scaled
+    upper, scale = scaled([w for i, row in enumerate(weights) for w in row[i + 1:]])
+    return scale, _mirrored(len(weights), upper)
+
+
+def _mirrored(n: int, upper: Iterable[int]) -> list[list[int]]:
+    """The symmetric ``n x n`` matrix with zero diagonal whose pairs
+    ``i < j``, in lexicographic order, hold ``upper``: the order of
+    :func:`_scaled_pairs`' upper triangle and of the search LP's weight
+    columns."""
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), value in zip(combinations(range(n), 2), upper, strict=True):
+        rows[i][j] = rows[j][i] = value
+    return rows
 
 
 _T = TypeVar("_T")

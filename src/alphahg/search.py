@@ -90,7 +90,7 @@ from numbers import Real
 from . import _params
 from ._params import DEFAULT_NODE_LIMIT
 from ._rat import exact, integer, scaled
-from .core import AlphaFunction, Scenario, _alpha_function
+from .core import AlphaFunction, Scenario, _alpha_function, _mirrored
 from .errors import InvalidInputError
 from .lp import Constraint, LinearProgram, Optimal, solve
 from .stability import (
@@ -471,9 +471,7 @@ def search_blocking_scenario(problem: SearchProblem) -> SearchResult:
         # leaves every strict comparison of the kernel as it is, and over
         # den it is the certificate
         point, den = result.scaled_point()
-        weights = [[0] * m for _ in range(m)]
-        for (i, j), p in pairs.items():
-            weights[i][j] = weights[j][i] = point[p]
+        weights = _mirrored(m, point[:b_at])  # the weight columns, in _pair_index order
         baselines = [(x, 1) for x in _baselines(point[b_at:b_at + m])]
         # the fixed pair rows hold at the optimum, so no pair blocks
         branch_on = next(_blocking_coalitions(weights, baselines, problem.alpha, 3, q), None)

@@ -52,7 +52,7 @@ from alphahg import (
     two_halves_scenario,
     two_valued_scenario,
 )
-from alphahg import _rat, io
+from alphahg import _rat, core, io
 from alphahg.search import INFEASIBLE_WITHIN_BOUNDS
 from alphahg.generators import complete_graph_factor
 from alphahg.stability import Scenario
@@ -372,6 +372,23 @@ def test_exact_returns_a_fraction_as_it_is(value):
 
 def test_scaled_clears_denominators():
     assert _rat.scaled([Fraction(1, 2), Fraction(-2, 3), Fraction(5)]) == ([3, -4, 30], 6)
+
+
+@pytest.mark.parametrize("weights,expected", [
+    (
+        [
+            [0, Fraction(1, 2), Fraction(-2, 3)],
+            [Fraction(1, 2), 0, Fraction(5)],
+            [Fraction(-2, 3), Fraction(5), 0],
+        ],
+        (6, [[0, 3, -4], [3, 0, 30], [-4, 30, 0]]),
+    ),
+    # one agent has no pair, and _rat.scaled of no values takes lcm() = 1
+    ([[Fraction(0)]], (1, [[0]])),
+    ([[Fraction(0)] * 3 for _ in range(3)], (1, [[0] * 3 for _ in range(3)])),
+])
+def test_scaled_pairs_clears_a_weight_matrix(weights, expected):
+    assert core._scaled_pairs(weights) == expected
 
 
 def test_float_gamma_cannot_flip_the_fhg_bound():

@@ -5,7 +5,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +33,7 @@ from alphahg import (
 )
 from alphahg import lp as lp_module
 from alphahg import search as search_module
+from alphahg.core import _mirrored
 from alphahg.lp import LinearProgram, satisfies
 from alphahg.search import (
     BUDGET_EXHAUSTED,
@@ -40,6 +41,7 @@ from alphahg.search import (
     INFEASIBLE_WITHIN_BOUNDS,
     _Rows,
     _certificate_ok,
+    _pair_index,
 )
 from reference_lp import dual_certifies, reference_solve
 from reference_search import reference_search, unordered_witness_system_lp
@@ -752,6 +754,17 @@ class TestPairRows:
         assert appended
         # a witness row of an s-subset weighs s - 1 pairs
         assert all(sum(1 for c in coeffs[:num_pairs] if c) >= 2 for coeffs, _ in appended)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_the_node_matrix_is_in_the_lp_pair_order(self, m):
+        # a node branches on _mirrored of its point's weight columns, so
+        # the fill's pair order must be the LP's
+        weights = _mirrored(m, range(comb(m, 2)))
+        for i in range(m):
+            assert weights[i][i] == 0
+            assert all(weights[i][j] == weights[j][i] for j in range(m))
+        for (i, j), column in _pair_index(m).items():
+            assert weights[i][j] == column
 
     @pytest.mark.parametrize("alpha", [FHG, ASHG, MFHG])
     @pytest.mark.parametrize("m", range(3, 10))
